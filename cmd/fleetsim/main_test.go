@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -38,24 +40,60 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // borrow ledger, workload and fabric tables, energy — on a small fleet with
 // the scripted -chaos fault sequence on, so the fault log format is pinned
 // too.
-func TestGoldenFleetScenario(t *testing.T) {
+func TestGoldenFleetScenario(t *testing.T) { runGolden(t, "fleetsim_chaos") }
+
+// goldens are the pinned invocations by golden-file name, shared by the
+// golden tests and the heap-flatness test.
+var goldens = map[string]func(w io.Writer) error{
+	"fleetsim_chaos": func(w io.Writer) error {
+		return run(w, 2, 3, 1, 16, 3, 20, "spark-sql,elasticsearch", "", "", 2, 1, 1, true, false)
+	},
+	"fleetsim_chaos_obs": func(w io.Writer) error {
+		return run(w, 2, 3, 1, 16, 3, 20, "spark-sql,elasticsearch", "", "", 2, 1, 1, true, true)
+	},
+	"fleetsim_family": func(w io.Writer) error {
+		return run(w, 2, 3, 1, 16, 4, 20, "spark-sql,elasticsearch", "heavytail", "", 2, 1, 1, false, false)
+	},
+}
+
+func runGolden(t *testing.T, name string) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := run(&buf, 2, 3, 1, 16, 3, 20, "spark-sql,elasticsearch", "", "", 2, 1, 1, true, false); err != nil {
+	if err := goldens[name](&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fleetsim_chaos", buf.Bytes())
+	checkGolden(t, name, buf.Bytes())
+}
+
+// TestGoldensKeepHeapFlat runs every golden scenario ten times in one
+// process and demands the live heap stays flat: each run simulates 96 GiB of
+// server DRAM and lends two zombies' worth of it, and none of that may turn
+// into host memory that outlives the run (ROADMAP item 1; the dense stores
+// OOM-killed this binary on the third fleet).
+func TestGoldensKeepHeapFlat(t *testing.T) {
+	var inuse []uint64
+	for i := 0; i < 10; i++ {
+		for name := range goldens {
+			runGolden(t, name)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		inuse = append(inuse, ms.HeapInuse)
+	}
+	t.Logf("HeapInuse per round: %v", inuse)
+	if second, last := inuse[1], inuse[9]; float64(last) > 1.25*float64(second) {
+		t.Fatalf("HeapInuse grew across runs: second %d B, last %d B (all: %v)", second, last, inuse)
+	}
+	if last := inuse[9]; last > 256<<20 {
+		t.Fatalf("HeapInuse = %d MiB after the goldens, want far below the 96 GiB they simulate", last>>20)
+	}
 }
 
 // TestGoldenFleetScenarioObs pins the -obs dump of the same scenario: the
 // metrics snapshot and the step-clock NDJSON trace are deterministic for a
 // fixed invocation, so the whole report is golden-testable.
-func TestGoldenFleetScenarioObs(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, 2, 3, 1, 16, 3, 20, "spark-sql,elasticsearch", "", "", 2, 1, 1, true, true); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fleetsim_chaos_obs", buf.Bytes())
-}
+func TestGoldenFleetScenarioObs(t *testing.T) { runGolden(t, "fleetsim_chaos_obs") }
 
 // TestObsDumpByteStable runs the observed scenario twice across worker-pool
 // sizes and demands identical dump bytes — the CLI-level determinism
@@ -84,13 +122,7 @@ func TestObsDumpByteStable(t *testing.T) {
 
 // TestGoldenFamilyBatch pins the fleet report when the VM batch comes from a
 // workload family: per-task bookings replace the uniform -vm-gib batch.
-func TestGoldenFamilyBatch(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, 2, 3, 1, 16, 4, 20, "spark-sql,elasticsearch", "heavytail", "", 2, 1, 1, false, false); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fleetsim_family", buf.Bytes())
-}
+func TestGoldenFamilyBatch(t *testing.T) { runGolden(t, "fleetsim_family") }
 
 // TestTraceFlagBatch derives the batch from an on-disk .csv.gz trace and
 // checks the trace's task IDs reach the placement table.

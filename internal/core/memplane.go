@@ -85,6 +85,31 @@ func (r *Rack) dataPlanes() []*memplane.Plane {
 	return out
 }
 
+// ResidentBytes returns the host memory the rack's simulated DRAM occupies:
+// the materialised part of every region lent on the fabric plus that of every
+// live data plane's local arena. The gateway evaluates it on every scrape and
+// session report, so it allocates nothing; and it never holds the rack lock
+// while taking a plane's, since a plane calls its Now hook under its own lock
+// and that hook may read the rack clock.
+func (r *Rack) ResidentBytes() int64 {
+	total := r.fabric.ResidentBytes()
+	for i := 0; ; i++ {
+		r.mu.Lock()
+		if i >= len(r.vms) {
+			r.mu.Unlock()
+			return total
+		}
+		var p *memplane.Plane
+		if g := r.vms[i]; g != nil {
+			p = g.plane
+		}
+		r.mu.Unlock()
+		if p != nil {
+			total += p.ResidentBytes()
+		}
+	}
+}
+
 // CrashDataHost marks a server crashed on every live data plane: remote
 // operations against its frames time out until ReviveDataHost or a re-home.
 // It does not touch the control plane or the device posture — the fleet's

@@ -224,6 +224,16 @@ func (f *Fleet) FreeRemoteMemory() int64 {
 	return total
 }
 
+// ResidentBytes returns the host memory the fleet's simulated DRAM occupies
+// (see core.Rack.ResidentBytes).
+func (f *Fleet) ResidentBytes() int64 {
+	var total int64
+	for _, r := range f.racks {
+		total += r.ResidentBytes()
+	}
+	return total
+}
+
 // FabricStats returns each rack's fabric counters, in rack order. The
 // InterRack* fields of a lender's stats carry the borrowed-memory traffic.
 func (f *Fleet) FabricStats() []rdma.Stats {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -330,4 +331,40 @@ func TestFleetValidation(t *testing.T) {
 	if res[0].Err == "" {
 		t.Error("workload on an unknown VM should fail")
 	}
+}
+
+// TestZombieFleetHeapCeiling is ROADMAP item 1's proof: a 64-rack × 16-server
+// × 64 GiB fleet with half its servers pushed to zombie lends tens of TiB
+// through some half a million registered regions, and none of it may become
+// host memory — lent DRAM is address space until a borrower writes to it.
+func TestZombieFleetHeapCeiling(t *testing.T) {
+	const racks, servers, memGiB = 64, 16, 64
+	board := acpi.DefaultBoardSpec()
+	board.MemoryBytes = memGiB << 30
+	f, err := New(Config{Racks: racks, Rack: core.Config{Servers: servers, Board: board}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ri := 0; ri < racks; ri++ {
+		names := f.Rack(ri).Servers()
+		for _, name := range names[servers/2:] {
+			if err := f.PushToZombie(ri, name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if lent := f.FreeRemoteMemory(); lent < racks*servers/2*(memGiB/2)<<30 {
+		t.Fatalf("zombies lent only %d GiB; the ceiling would prove nothing", lent>>30)
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	t.Logf("lent %d TiB, HeapInuse %d MiB, resident %d B", f.FreeRemoteMemory()>>40, ms.HeapInuse>>20, f.ResidentBytes())
+	if ms.HeapInuse >= 256<<20 {
+		t.Fatalf("HeapInuse = %d MiB with %d TiB lent, want < 256 MiB", ms.HeapInuse>>20, f.FreeRemoteMemory()>>40)
+	}
+	if r := f.ResidentBytes(); r != 0 {
+		t.Fatalf("ResidentBytes() = %d before any borrower wrote a byte", r)
+	}
+	runtime.KeepAlive(f)
 }

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -32,23 +33,33 @@ type createFleetResponse struct {
 	RemoteGiB float64 `json:"remote_gib"`
 }
 
+// Bounds on a created fleet that are not deployment settings: a 1 TiB board
+// is far past the paper's 16 GiB servers and keeps mem_gib<<30 inside a
+// uint64, and workers past 256 goroutines buy nothing on any host.
+const (
+	maxMemGiB  = 1024
+	maxWorkers = 256
+)
+
 func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 	req := createFleetRequest{Racks: 2, Servers: 4, MemGiB: 16, Workers: 2}
 	if !decodeJSON(w, r, &req) {
 		return
 	}
+	// Every field is bounded on its own before any two are multiplied or
+	// shifted, so no product below can wrap.
 	switch {
-	case req.Racks < 1:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("racks %d out of range (need >= 1)", req.Racks))
+	case req.Racks < 1 || req.Racks > s.cfg.MaxServers:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("racks %d out of range (need 1..%d)", req.Racks, s.cfg.MaxServers))
 		return
-	case req.Servers < 1:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("servers %d out of range (need >= 1)", req.Servers))
+	case req.Servers < 1 || req.Servers > s.cfg.MaxServers:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("servers %d out of range (need 1..%d)", req.Servers, s.cfg.MaxServers))
 		return
-	case req.MemGiB < 1:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("mem_gib %d out of range (need >= 1)", req.MemGiB))
+	case req.MemGiB < 1 || req.MemGiB > maxMemGiB:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("mem_gib %d out of range (need 1..%d)", req.MemGiB, maxMemGiB))
 		return
-	case req.Workers < 1:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("workers %d out of range (need >= 1)", req.Workers))
+	case req.Workers < 1 || req.Workers > maxWorkers:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("workers %d out of range (need 1..%d)", req.Workers, maxWorkers))
 		return
 	case req.ZombiesPerRack < 0 || req.ZombiesPerRack >= req.Servers:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("zombies_per_rack %d must leave an active server (servers %d)", req.ZombiesPerRack, req.Servers))
@@ -58,31 +69,37 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	board := acpi.DefaultBoardSpec()
-	board.MemoryBytes = uint64(req.MemGiB) << 30
-	f, err := fleet.New(fleet.Config{
-		Racks:   req.Racks,
-		Rack:    core.Config{Servers: req.Servers, Board: board},
-		Workers: req.Workers,
+	zombies := 0
+	buildStatus := http.StatusBadRequest
+	sess, err := s.manager.Create(req.Racks, req.Servers, req.MemGiB, func() (*fleet.Fleet, error) {
+		board := acpi.DefaultBoardSpec()
+		board.MemoryBytes = uint64(req.MemGiB) << 30
+		f, err := fleet.New(fleet.Config{
+			Racks:   req.Racks,
+			Rack:    core.Config{Servers: req.Servers, Board: board},
+			Workers: req.Workers,
+		})
+		if err != nil {
+			return nil, err
+		}
+		for ri := 0; ri < req.Racks; ri++ {
+			names := f.Rack(ri).Servers()
+			for z := 0; z < req.ZombiesPerRack; z++ {
+				if err := f.PushToZombie(ri, names[len(names)-1-z]); err != nil {
+					buildStatus = http.StatusInternalServerError
+					return nil, err
+				}
+				zombies++
+			}
+		}
+		return f, nil
 	})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if errors.Is(err, ErrSessionLimit) {
+		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	zombies := 0
-	for ri := 0; ri < req.Racks; ri++ {
-		names := f.Rack(ri).Servers()
-		for z := 0; z < req.ZombiesPerRack; z++ {
-			if err := f.PushToZombie(ri, names[len(names)-1-z]); err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			zombies++
-		}
-	}
-	sess, err := s.manager.Create(f, req.Racks, req.Servers, req.MemGiB)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		writeError(w, buildStatus, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusCreated, createFleetResponse{
@@ -91,7 +108,7 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 		Servers:   req.Servers,
 		MemGiB:    req.MemGiB,
 		Zombies:   zombies,
-		RemoteGiB: float64(f.FreeRemoteMemory()) / float64(1<<30),
+		RemoteGiB: float64(sess.Fleet().FreeRemoteMemory()) / float64(1<<30),
 	})
 }
 

@@ -103,6 +103,22 @@ func TestFleetHandlers(t *testing.T) {
 			`{"rackz":2}`, http.StatusBadRequest, []string{"malformed JSON body", "rackz"}},
 		{"create bad racks", http.MethodPost, "/v1/fleets", token,
 			`{"racks":0}`, http.StatusBadRequest, []string{"racks 0 out of range"}},
+		// racks*servers wraps to 0 here, so only per-field bounds catch it.
+		{"create overflowing product", http.MethodPost, "/v1/fleets", token,
+			`{"racks":2147483648,"servers":8589934592}`, http.StatusBadRequest, []string{"racks 2147483648 out of range (need 1..256)"}},
+		{"create servers beyond cap", http.MethodPost, "/v1/fleets", token,
+			`{"racks":1,"servers":8589934592}`, http.StatusBadRequest, []string{"servers 8589934592 out of range (need 1..256)"}},
+		// 1<<34 GiB shifts to 0 bytes in a uint64.
+		{"create mem_gib wraps", http.MethodPost, "/v1/fleets", token,
+			`{"mem_gib":17179869184}`, http.StatusBadRequest, []string{"mem_gib 17179869184 out of range (need 1..1024)"}},
+		{"create mem_gib beyond cap", http.MethodPost, "/v1/fleets", token,
+			`{"mem_gib":1025}`, http.StatusBadRequest, []string{"mem_gib 1025 out of range"}},
+		{"create bad mem_gib", http.MethodPost, "/v1/fleets", token,
+			`{"mem_gib":0}`, http.StatusBadRequest, []string{"mem_gib 0 out of range"}},
+		{"create workers beyond cap", http.MethodPost, "/v1/fleets", token,
+			`{"workers":1000000}`, http.StatusBadRequest, []string{"workers 1000000 out of range (need 1..256)"}},
+		{"create bad workers", http.MethodPost, "/v1/fleets", token,
+			`{"workers":-1}`, http.StatusBadRequest, []string{"workers -1 out of range"}},
 		{"create zombies eat the rack", http.MethodPost, "/v1/fleets", token,
 			`{"servers":2,"zombies_per_rack":2}`, http.StatusBadRequest, []string{"zombies_per_rack 2 must leave an active server"}},
 		{"create beyond server cap", http.MethodPost, "/v1/fleets", token,

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -113,6 +114,9 @@ type Manager struct {
 
 	mu       sync.RWMutex
 	sessions map[string]*Session
+	// building counts slots claimed by Create calls still building their
+	// fleet; they count against max like live sessions.
+	building int
 	seq      int
 
 	stop     chan struct{}
@@ -162,13 +166,40 @@ func (m *Manager) Close() {
 	m.evictorW.Wait()
 }
 
-// Create registers a new session around a freshly built fleet.
-func (m *Manager) Create(f *fleet.Fleet, racks, servers, memGiB int) (*Session, error) {
+// ErrSessionLimit is returned by Create when the registry is full.
+var ErrSessionLimit = errors.New("gateway: session limit reached")
+
+// Create claims a registry slot, builds the fleet, and registers a session
+// around it. The slot is claimed first, so a full registry refuses before
+// build runs and pays for nothing; build runs outside the registry lock, and
+// its error is returned as is with the slot given back.
+func (m *Manager) Create(racks, servers, memGiB int, build func() (*fleet.Fleet, error)) (*Session, error) {
+	m.mu.Lock()
+	if len(m.sessions)+m.building >= m.max {
+		m.mu.Unlock()
+		return nil, fmt.Errorf("%w (%d live)", ErrSessionLimit, m.max)
+	}
+	m.building++
+	m.mu.Unlock()
+	registered := false
+	defer func() {
+		// Also reached when build panics (the recovery middleware turns
+		// that into a 500), so a slot is never leaked.
+		if !registered {
+			m.mu.Lock()
+			m.building--
+			m.mu.Unlock()
+		}
+	}()
+
+	f, err := build()
+	if err != nil {
+		return nil, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.sessions) >= m.max {
-		return nil, fmt.Errorf("gateway: session limit reached (%d live)", m.max)
-	}
+	registered = true
+	m.building--
 	m.seq++
 	s := &Session{
 		ID:       fmt.Sprintf("f-%d", m.seq),
@@ -227,6 +258,31 @@ func (m *Manager) IDs() []string {
 	return ids
 }
 
+// live snapshots the registered sessions, in no particular order.
+func (m *Manager) live() []*Session {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	live := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		live = append(live, s)
+	}
+	return live
+}
+
+// ResidentBytes sums, over live sessions, the host memory their simulated
+// DRAM occupies (fleet.Fleet.ResidentBytes). It takes every rack's fabric
+// and plane locks in turn, so it is kept out of Totals, which each of the
+// other session gauges evaluates.
+func (m *Manager) ResidentBytes() int64 {
+	var total int64
+	for _, s := range m.live() {
+		if f := s.Fleet(); f != nil {
+			total += f.ResidentBytes()
+		}
+	}
+	return total
+}
+
 // Totals is the aggregate view of the registry served by the /metrics
 // session gauges.
 type Totals struct {
@@ -240,12 +296,7 @@ type Totals struct {
 // read outside the session lock (the fleet has its own locking), so a
 // scrape never blocks a long placement.
 func (m *Manager) Totals() Totals {
-	m.mu.RLock()
-	live := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		live = append(live, s)
-	}
-	m.mu.RUnlock()
+	live := m.live()
 	t := Totals{Sessions: len(live)}
 	for _, s := range live {
 		s.mu.Lock()

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/fleet"
 )
 
 // TestManagerEvictIdle drives the eviction policy directly with a fake
@@ -18,11 +22,11 @@ func TestManagerEvictIdle(t *testing.T) {
 	m := NewManager(time.Minute, 0, 8, clock.Now)
 	m.Close() // the policy is tested directly; no background evictor needed
 
-	a, err := m.Create(nil, 1, 1, 1)
+	a, err := m.Create(1, 1, 1, noFleet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Create(nil, 1, 1, 1)
+	b, err := m.Create(1, 1, 1, noFleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func TestManagerEvictorLoop(t *testing.T) {
 	go m.evictLoop(10 * time.Millisecond)
 	defer m.Close()
 
-	s, err := m.Create(nil, 1, 1, 1)
+	s, err := m.Create(1, 1, 1, noFleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +88,20 @@ func TestManagerEvictorLoop(t *testing.T) {
 	}
 }
 
+// noFleet is the build step of manager tests that need no fleet.
+func noFleet() (*fleet.Fleet, error) { return nil, nil }
+
 // TestManagerSessionLimit pins the 0-means-default and hard-cap behaviour.
 func TestManagerSessionLimit(t *testing.T) {
 	m := NewManager(0, 0, 2, nil)
 	defer m.Close()
-	if _, err := m.Create(nil, 1, 1, 1); err != nil {
+	if _, err := m.Create(1, 1, 1, noFleet); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Create(nil, 1, 1, 1); err != nil {
+	if _, err := m.Create(1, 1, 1, noFleet); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Create(nil, 1, 1, 1); err == nil {
+	if _, err := m.Create(1, 1, 1, noFleet); err == nil {
 		t.Fatal("third session admitted past the limit")
 	}
 	if got := m.IDs(); len(got) != 2 || got[0] != "f-1" || got[1] != "f-2" {
@@ -103,8 +110,57 @@ func TestManagerSessionLimit(t *testing.T) {
 	if !m.Delete("f-1") || m.Delete("f-1") {
 		t.Fatal("Delete did not report first-removal semantics")
 	}
-	if _, err := m.Create(nil, 1, 1, 1); err != nil {
+	if _, err := m.Create(1, 1, 1, noFleet); err != nil {
 		t.Fatalf("create after delete: %v", err)
+	}
+}
+
+// TestManagerRefusesBeforeBuilding pins the order of Create: a full registry
+// answers ErrSessionLimit without running the build step, so the refused
+// request constructs no fleet and registers no rdma region; a build that
+// fails or panics gives its slot back.
+func TestManagerRefusesBeforeBuilding(t *testing.T) {
+	m := NewManager(0, 0, 1, nil)
+	defer m.Close()
+	var built []*fleet.Fleet
+	build := func() (*fleet.Fleet, error) {
+		f, err := fleet.New(fleet.Config{Racks: 1, Rack: core.Config{Servers: 2}})
+		if err != nil {
+			return nil, err
+		}
+		built = append(built, f)
+		return f, f.PushToZombie(0, f.Rack(0).Servers()[1])
+	}
+	regions := func() (n int) {
+		for _, f := range built {
+			for _, name := range f.Rack(0).Servers() {
+				n += f.Rack(0).Fabric().Device(name).Regions()
+			}
+		}
+		return n
+	}
+
+	boom := errors.New("boom")
+	if _, err := m.Create(1, 2, 16, func() (*fleet.Fleet, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("failed build: err = %v, want boom", err)
+	}
+	func() {
+		defer func() { _ = recover() }()
+		_, _ = m.Create(1, 2, 16, func() (*fleet.Fleet, error) { panic("boom") })
+	}()
+	if _, err := m.Create(1, 2, 16, build); err != nil {
+		t.Fatalf("create after a failed and a panicked build: %v (their slots leaked)", err)
+	}
+	lent := regions()
+	if lent == 0 {
+		t.Fatal("the admitted session's zombie lent no region; the test would prove nothing")
+	}
+
+	if _, err := m.Create(1, 2, 16, build); !errors.Is(err, ErrSessionLimit) {
+		t.Fatalf("create on a full registry: err = %v, want ErrSessionLimit", err)
+	}
+	if len(built) != 1 || regions() != lent {
+		t.Fatalf("refused create built %d fleet(s) and moved the region count %d -> %d", len(built)-1, lent, regions())
 	}
 }
 

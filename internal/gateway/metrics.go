@@ -76,8 +76,8 @@ func statusLabel(code int) string {
 }
 
 // registerSessionGauges exposes the live per-session aggregates — session
-// count, placed VMs, running autopilot loops and the fleet-wide remote
-// memory pool — as scrape-time gauges over the manager.
+// count, placed VMs, running autopilot loops, the fleet-wide remote memory
+// pool and the host memory behind it — as scrape-time gauges over the manager.
 func registerSessionGauges(reg *obs.Registry, m *Manager) {
 	reg.GaugeFunc("fleetd_sessions", "live gateway sessions", func() float64 {
 		t := m.Totals()
@@ -94,6 +94,9 @@ func registerSessionGauges(reg *obs.Registry, m *Manager) {
 	reg.GaugeFunc("fleetd_remote_memory_gib", "free remote (zombie) memory across live fleets in GiB", func() float64 {
 		t := m.Totals()
 		return float64(t.RemoteBytes) / float64(1<<30)
+	})
+	reg.GaugeFunc("fleetd_resident_bytes", "host memory materialised under the simulated DRAM of live sessions", func() float64 {
+		return float64(m.ResidentBytes())
 	})
 }
 

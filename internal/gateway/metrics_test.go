@@ -150,6 +150,19 @@ func TestSessionGauges(t *testing.T) {
 	if samples["fleetd_remote_memory_gib"] <= 0 {
 		t.Fatalf("fleetd_remote_memory_gib = %v, want > 0 (one zombie per rack)", samples["fleetd_remote_memory_gib"])
 	}
+	// Lending costs nothing until bytes are stored: the gauge is present and
+	// zero now, and moves once a data-plane workload writes pages.
+	if v, ok := samples["fleetd_resident_bytes"]; !ok || v != 0 {
+		t.Fatalf("fleetd_resident_bytes = %v (present %v), want 0 before any data-plane write", v, ok)
+	}
+	if status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/fleets/f-1/workloads", "",
+		`{"items":[{"vm":"f-1-vm-0","kind":"spark-sql","iterations":1,"seed":7,"data_mib":4}]}`); status != http.StatusOK || strings.Contains(body, `"error"`) {
+		t.Fatalf("data workload = %d: %s", status, body)
+	}
+	resident := scrape(t, ts, "")["fleetd_resident_bytes"]
+	if resident <= 0 || resident > 64<<20 {
+		t.Fatalf("fleetd_resident_bytes = %v after a 4 MiB data workload, want in (0, 64 MiB]", resident)
+	}
 }
 
 // TestQuotaDenialCounter checks satellite 3: 429s show up per tenant in

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/memctl"
+	"repro/internal/pagestore"
 )
 
 // ErrOutOfMemory is returned when neither the local arena nor a memctl grant
@@ -19,7 +20,7 @@ type allocator struct {
 	vm       string
 	pageSize int64
 
-	arena     []byte
+	arena     *pagestore.Store
 	softLimit int64
 	nextLocal int64
 	freeLocal []int64
@@ -87,7 +88,7 @@ func newAllocator(vm string, pageSize, localBytes, softLimit int64, agent *memct
 	al := &allocator{
 		vm:         vm,
 		pageSize:   pageSize,
-		arena:      make([]byte, localBytes),
+		arena:      pagestore.New(localBytes),
 		softLimit:  softLimit,
 		agent:      agent,
 		grantBytes: grantBytes,

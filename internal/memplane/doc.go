@@ -2,9 +2,11 @@
 // memory actually serves bytes instead of ledger entries.
 //
 // A Plane gives one VM an address space whose pages are backed either by a
-// local arena (the fast path: a bounds-checked copy) or by remote frames
-// carved out of buffers granted through memctl's GS_alloc_ext protocol — the
-// memory a zombie server keeps serving from Sz. A PageTable translates
+// local arena (the fast path: a bounds-checked copy into a sparse
+// pagestore.Store, which holds host memory only for the chunks actually
+// written) or by remote frames carved out of buffers granted through memctl's
+// GS_alloc_ext protocol — the memory a zombie server keeps serving from Sz,
+// held in the same kind of store under the rdma region. A PageTable translates
 // (VM, page) to frames and enforces the no-aliasing invariant; the allocator
 // is local-first up to a soft limit and then overflows to remote grants.
 //

@@ -225,6 +225,13 @@ func (p *Plane) AllocStats() AllocStats {
 	return p.alloc.stats
 }
 
+// ResidentBytes returns the host memory materialised under the local arena.
+func (p *Plane) ResidentBytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.alloc.arena.Resident()
+}
+
 // Latencies returns the recorded per-operation charges (RecordLatencies).
 func (p *Plane) Latencies() []int64 {
 	p.mu.Lock()
@@ -375,7 +382,9 @@ func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
 		fresh = true
 	}
 	if frame.Kind == FrameLocal {
-		copy(p.alloc.arena[frame.LocalOff+off:frame.LocalOff+off+int64(len(src))], src)
+		if err := p.alloc.arena.WriteAt(src, frame.LocalOff+off); err != nil {
+			return 0, fmt.Errorf("memplane: write of %s: %w", frame, err)
+		}
 		p.stats.LocalOps++
 		p.stats.LocalNs += p.cfg.LocalNs
 		return p.cfg.LocalNs, nil
@@ -417,7 +426,9 @@ func (p *Plane) pageRead(page, off int64, dst []byte) (int64, error) {
 		return p.cfg.LocalNs, nil
 	}
 	if frame.Kind == FrameLocal {
-		copy(dst, p.alloc.arena[frame.LocalOff+off:frame.LocalOff+off+int64(len(dst))])
+		if err := p.alloc.arena.ReadAt(dst, frame.LocalOff+off); err != nil {
+			return 0, fmt.Errorf("memplane: read of %s: %w", frame, err)
+		}
 		p.stats.LocalOps++
 		p.stats.LocalNs += p.cfg.LocalNs
 		return p.cfg.LocalNs, nil
@@ -554,9 +565,8 @@ func (p *Plane) Free(addr int64) error {
 	}
 	if f.Kind == FrameLocal {
 		// Scrub so a re-allocation of the frame reads as zeros.
-		zero := p.alloc.arena[f.LocalOff : f.LocalOff+p.cfg.PageSize]
-		for i := range zero {
-			zero[i] = 0
+		if err := p.alloc.arena.Zero(f.LocalOff, p.cfg.PageSize); err != nil {
+			return fmt.Errorf("memplane: scrub of %s: %w", f, err)
 		}
 	}
 	delete(p.mirror, page)

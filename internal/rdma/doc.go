@@ -6,7 +6,10 @@
 //
 //   - Device: an RDMA-capable NIC bound to a host, with registered memory
 //     regions protected by local/remote keys;
-//   - MemoryRegion: a registered buffer that one-sided verbs may target;
+//   - MemoryRegion: a registered address range that one-sided verbs may
+//     target. Its bytes live in a sparse pagestore.Store, so registering a
+//     region costs no host memory until a WRITE lands in it and untouched
+//     ranges READ as zeros;
 //   - QueuePair: a reliable-connected queue pair between two devices with send
 //     and receive queues and an associated CompletionQueue;
 //   - one-sided READ and WRITE verbs that access remote memory without any

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/pagestore"
 )
 
 // Common errors returned by the fabric.
@@ -131,6 +133,20 @@ func (f *Fabric) Devices() int {
 	return len(f.devices)
 }
 
+// ResidentBytes returns the host memory materialised under the regions
+// registered on the fabric's devices: the bytes borrowers have actually
+// stored in lent memory, as opposed to the bytes lent. Devices keep a running
+// count, so this costs one addition per device however many regions exist.
+func (f *Fabric) ResidentBytes() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var total int64
+	for _, d := range f.devices {
+		total += d.resident
+	}
+	return total
+}
+
 // AttachDevice creates and registers a device (one per host NIC).
 func (f *Fabric) AttachDevice(name string) (*Device, error) {
 	f.mu.Lock()
@@ -211,6 +227,9 @@ type Device struct {
 	interRack bool
 
 	regions map[uint32]*MemoryRegion
+	// resident sums the regions' materialised bytes (see
+	// Fabric.ResidentBytes): grown by verbs that write, shrunk on deregister.
+	resident int64
 }
 
 // Name returns the device name.
@@ -246,12 +265,14 @@ func (d *Device) Serving() bool {
 	return d.serving
 }
 
-// MemoryRegion is a registered buffer addressable by remote keys.
+// MemoryRegion is a registered buffer addressable by remote keys. Its bytes
+// live in a sparse store: registering a region reserves its address range
+// and costs no host memory until a verb writes into it.
 type MemoryRegion struct {
 	device *Device
 	lkey   uint32
 	rkey   uint32
-	buf    []byte
+	store  *pagestore.Store
 	// remoteWritable / remoteReadable carry the access flags.
 	remoteReadable bool
 	remoteWritable bool
@@ -264,11 +285,19 @@ func (m *MemoryRegion) LKey() uint32 { return m.lkey }
 func (m *MemoryRegion) RKey() uint32 { return m.rkey }
 
 // Len returns the region size in bytes.
-func (m *MemoryRegion) Len() int { return len(m.buf) }
+func (m *MemoryRegion) Len() int { return int(m.store.Len()) }
 
-// Bytes exposes the underlying buffer for local access (the owning host reads
-// and writes its own memory directly).
-func (m *MemoryRegion) Bytes() []byte { return m.buf }
+// ReadAt copies the region's bytes at [off, off+len(dst)) into dst: local
+// access by the owning host, which reads its own memory without a verb.
+func (m *MemoryRegion) ReadAt(dst []byte, off int64) error {
+	f := m.device.fabric
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := m.store.ReadAt(dst, off); err != nil {
+		return ErrOutOfBounds
+	}
+	return nil
+}
 
 // AccessFlags describe the remote permissions of a memory region.
 type AccessFlags struct {
@@ -287,7 +316,7 @@ func (d *Device) RegisterMemory(size int, access AccessFlags) (*MemoryRegion, er
 		device:         d,
 		lkey:           d.fabric.allocKey(),
 		rkey:           d.fabric.allocKey(),
-		buf:            make([]byte, size),
+		store:          pagestore.New(int64(size)),
 		remoteReadable: access.RemoteRead,
 		remoteWritable: access.RemoteWrite,
 	}
@@ -299,7 +328,10 @@ func (d *Device) RegisterMemory(size int, access AccessFlags) (*MemoryRegion, er
 func (d *Device) DeregisterMemory(mr *MemoryRegion) {
 	d.fabric.mu.Lock()
 	defer d.fabric.mu.Unlock()
-	delete(d.regions, mr.rkey)
+	if d.regions[mr.rkey] == mr {
+		delete(d.regions, mr.rkey)
+		d.resident -= mr.store.Resident()
+	}
 }
 
 // Regions returns the number of registered regions.

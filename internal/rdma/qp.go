@@ -101,10 +101,9 @@ func (qp *QueuePair) Read(wrID uint64, dst []byte, rkey uint32, remoteOffset, le
 	if !ok || !mr.remoteReadable {
 		return 0, qp.failLocked(wrID, "READ", ErrInvalidKey)
 	}
-	if remoteOffset < 0 || remoteOffset+length > len(mr.buf) {
+	if err := mr.store.ReadAt(dst[:length], int64(remoteOffset)); err != nil {
 		return 0, qp.failLocked(wrID, "READ", ErrOutOfBounds)
 	}
-	copy(dst[:length], mr.buf[remoteOffset:remoteOffset+length])
 	lat := qp.transferNsLocked(f.model.OneSidedLatencyNs, length)
 	f.stats.Reads++
 	f.stats.BytesRead += uint64(length)
@@ -129,10 +128,11 @@ func (qp *QueuePair) Write(wrID uint64, src []byte, rkey uint32, remoteOffset in
 	if !ok || !mr.remoteWritable {
 		return 0, qp.failLocked(wrID, "WRITE", ErrInvalidKey)
 	}
-	if remoteOffset < 0 || remoteOffset+len(src) > len(mr.buf) {
+	before := mr.store.Resident()
+	if err := mr.store.WriteAt(src, int64(remoteOffset)); err != nil {
 		return 0, qp.failLocked(wrID, "WRITE", ErrOutOfBounds)
 	}
-	copy(mr.buf[remoteOffset:remoteOffset+len(src)], src)
+	qp.remote.resident += mr.store.Resident() - before
 	lat := qp.transferNsLocked(f.model.OneSidedLatencyNs, len(src))
 	f.stats.Writes++
 	f.stats.BytesWritten += uint64(len(src))

@@ -94,10 +94,11 @@ func TestOneSidedWriteRead(t *testing.T) {
 		t.Error("write latency should be positive")
 	}
 	// The data must have landed in the remote buffer without any action on b.
-	if !bytes.Equal(mr.Bytes()[128:128+len(payload)], payload) {
-		t.Fatal("remote buffer does not contain written payload")
-	}
 	dst := make([]byte, len(payload))
+	if err := mr.ReadAt(dst, 128); err != nil || !bytes.Equal(dst, payload) {
+		t.Fatalf("remote buffer does not contain written payload (err %v)", err)
+	}
+	clear(dst)
 	if _, err := qpA.Read(2, dst, mr.RKey(), 128, len(payload)); err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -434,4 +435,54 @@ func TestPropertyTransferMonotonic(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestResidentBytesFollowsWrites pins what a registered region costs the
+// host: nothing until a verb writes into it, then the 64 KiB chunks the write
+// touched, and nothing again once the region is deregistered. Reads and
+// refused writes materialise nothing.
+func TestResidentBytesFollowsWrites(t *testing.T) {
+	const chunk = 64 << 10
+	f, a, b := newTestFabric(t)
+	qp, _, _, _ := connectedQP(t, a, b)
+	big, err := b.RegisterMemory(1<<30, AccessFlags{RemoteRead: true, RemoteWrite: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := b.RegisterMemory(256, AccessFlags{RemoteRead: true, RemoteWrite: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(n int64, when string) {
+		t.Helper()
+		if got := f.ResidentBytes(); got != n {
+			t.Fatalf("ResidentBytes() = %d %s, want %d", got, when, n)
+		}
+	}
+	want(0, "after registering 1 GiB")
+	buf := make([]byte, 4096)
+	if _, err := qp.Read(1, buf, big.RKey(), 512<<20, len(buf)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qp.Write(2, buf, big.RKey(), 1<<30-100); err == nil {
+		t.Fatal("write past the region's end was accepted")
+	}
+	want(0, "after a read and a refused write")
+	if _, err := qp.Write(3, buf, big.RKey(), 3*chunk-1); err != nil { // straddles two chunks
+		t.Fatal(err)
+	}
+	want(2*chunk, "after a write straddling a chunk boundary")
+	if _, err := qp.Write(4, buf[:16], small.RKey(), 0); err != nil {
+		t.Fatal(err)
+	}
+	want(2*chunk+256, "after a write into a 256-byte region")
+	if _, err := qp.Write(5, buf, big.RKey(), 3*chunk); err != nil { // already materialised
+		t.Fatal(err)
+	}
+	want(2*chunk+256, "after rewriting materialised chunks")
+	b.DeregisterMemory(big)
+	b.DeregisterMemory(big) // a second deregister must not subtract twice
+	want(256, "after deregistering the big region")
+	f.DetachDevice(b.Name())
+	want(0, "after detaching the device")
 }
