@@ -1,6 +1,7 @@
 package dcsim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -49,6 +50,25 @@ func BenchmarkDCSimParallel(b *testing.B) {
 
 func BenchmarkDCSimTransitions(b *testing.B) { benchRun(b, benchConfig(b, 0, true)) }
 
+// BenchmarkDCSimLargeLive is the regime benchConfig's 3 000 tasks never reach:
+// gang-scheduled long jobs keep a five-digit population live, which is where a
+// per-admission cost in the replayer turns quadratic.
+func BenchmarkDCSimLargeLive(b *testing.B) {
+	tr, err := trace.GenerateFamily("mlbatch", trace.FamilyParams{Machines: 1300, HorizonSec: 24 * 3600, Tasks: 20000, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{0, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchRun(b, Config{
+				Trace: tr, Policy: consolidation.NewZombieStack(), Machine: energy.HPProfile(),
+				ServerSpec: consolidation.DefaultServerSpec(), ConsolidationPeriodSec: 300,
+				Workers: workers, TransitionCosts: true,
+			})
+		})
+	}
+}
+
 // countAllocs returns the number of heap allocations fn performs.
 func countAllocs(fn func()) uint64 {
 	var before, after runtime.MemStats
@@ -59,7 +79,7 @@ func countAllocs(fn func()) uint64 {
 }
 
 // TestEpochLoopAllocationBudget pins the allocation-free epoch loop: a run's
-// allocation count is dominated by per-run setup (the sorted task slice, the
+// allocation count is dominated by per-run setup (the replay index, the
 // replayer and its buffers, the spans and stats slices) and must NOT scale
 // with the number of epochs. Tripling the epoch count by shrinking the
 // consolidation period may only add a fixed slack — if the per-epoch path

@@ -206,87 +206,135 @@ type epochStats struct {
 	reHomedGiB   float64
 }
 
-// replayTask pairs a trace task with its consolidation-layer identity,
-// formatted once per run instead of once per VM per epoch.
-type replayTask struct {
-	task trace.Task
-	vmid string
+// replayIndex is the read-only replay view of one trace, built once and
+// shared by every run, shard and replayer that replays it. A VM's rank is its
+// position in the lexicographic order of the VM IDs — the order the policies
+// and the energy integrals have always seen populations in — so a replayer
+// keeps its running set as ascending integers and never compares a string.
+type replayIndex struct {
+	// starts and ranks list the tasks in start order: the i-th task to start
+	// does so at starts[i] and is the VM of rank ranks[i].
+	starts []int64
+	ranks  []int32
+	// ends and demand are indexed by rank; each demand carries the VM ID,
+	// formatted once per trace.
+	ends   []int64
+	demand []consolidation.VMDemand
 }
 
-// sortedByStart returns the trace tasks ordered by start time (task ID breaks
-// ties, so the order is fully deterministic), each carrying its precomputed
-// VM identity. The slice is shared read-only by every replayer of a run.
-func sortedByStart(tr *trace.Trace) []replayTask {
-	byStart := make([]replayTask, len(tr.Tasks))
-	for i, t := range tr.Tasks {
-		byStart[i] = replayTask{task: t, vmid: t.VMID()}
+// newReplayIndex builds the index. Sorting the VM IDs puts a repeated task ID
+// next to itself, so a trace in which two VMs would share one identity is
+// rejected here with the ID named.
+func newReplayIndex(tr *trace.Trace) (*replayIndex, error) {
+	if tr == nil {
+		return nil, fmt.Errorf("dcsim: a trace is required")
 	}
-	slices.SortFunc(byStart, func(a, b replayTask) int {
-		if c := cmp.Compare(a.task.StartSec, b.task.StartSec); c != 0 {
-			return c
+	n := len(tr.Tasks)
+	idx := &replayIndex{
+		starts: make([]int64, n), ranks: make([]int32, n),
+		ends: make([]int64, n), demand: make([]consolidation.VMDemand, n),
+	}
+	ids := make([]string, n)
+	byID, byStart := make([]int32, n), make([]int32, n)
+	for i := range tr.Tasks {
+		ids[i], byID[i], byStart[i] = tr.Tasks[i].VMID(), int32(i), int32(i)
+	}
+	slices.SortFunc(byID, func(a, b int32) int { return strings.Compare(ids[a], ids[b]) })
+	rankOf := make([]int32, n)
+	for rank, ti := range byID {
+		t := &tr.Tasks[ti]
+		if rank > 0 && ids[ti] == ids[byID[rank-1]] {
+			return nil, fmt.Errorf("dcsim: trace %q repeats task ID %d", tr.Name, t.ID)
 		}
-		return cmp.Compare(a.task.ID, b.task.ID)
-	})
-	return byStart
+		rankOf[ti] = int32(rank)
+		idx.ends[rank] = t.EndSec
+		idx.demand[rank] = consolidation.VMDemand{
+			ID: ids[ti], BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB,
+			UsedCPU: t.UsedCPU, UsedMemGiB: t.UsedMemGiB,
+		}
+	}
+	// Traces list their tasks by start already, so this sort is close to a
+	// scan. Equal starts need no order: they are admitted in one batch, which
+	// population sorts by rank.
+	slices.SortFunc(byStart, func(a, b int32) int { return cmp.Compare(tr.Tasks[a].StartSec, tr.Tasks[b].StartSec) })
+	for i, ti := range byStart {
+		idx.starts[i], idx.ranks[i] = tr.Tasks[ti].StartSec, rankOf[ti]
+	}
+	return idx, nil
 }
 
-// replayer walks consolidation epochs in order, maintaining the set of tasks
-// running in each epoch. A fresh replayer may start at any epoch: admission
-// only depends on the epoch end and retirement only on the epoch start, so
-// the population it derives for an epoch is independent of where the walk
-// began.
-//
-// The running set is kept sorted by VM ID at admission time and the
-// population is materialised into a buffer reused across epochs, so the
-// steady-state epoch loop performs no allocation and no per-epoch sort. The
-// sort key is the lexicographic VM ID — the exact order the per-epoch sort
-// used to produce — so the policies and the energy integrals see populations
-// in the same order and accumulate bit-identical floats.
+// liveCounts returns how many VMs each epoch's population holds, in one sweep
+// over the index: a task is live from the epoch it starts in to the epoch its
+// last second falls in.
+func (idx *replayIndex) liveCounts(periodSec int64, epochs int) []int {
+	live := make([]int, epochs+1)
+	for i, start := range idx.starts {
+		live[start/periodSec]++
+		live[(idx.ends[idx.ranks[i]]-1)/periodSec+1]--
+	}
+	for e := 1; e < epochs; e++ {
+		live[e] += live[e-1]
+	}
+	return live[:epochs]
+}
+
+// replayer walks consolidation epochs in order over a shared index, keeping
+// the ranks of the running VMs ascending. It may start at any epoch: admission
+// only depends on the epoch end and retirement only on the epoch start, so its
+// first population call seeks — one scan of the tasks started so far that
+// keeps those still running, one integer sort of the survivors — and every
+// later call costs that epoch's arrivals and live set, whatever came before.
 type replayer struct {
-	byStart []replayTask
+	idx     *replayIndex
 	next    int
-	running []replayTask
+	running []int32
+	spare   []int32
+	batch   []int32
 	buf     []consolidation.VMDemand
 }
 
-// newReplayer walks the shared start-ordered task slice from the beginning.
-func newReplayer(byStart []replayTask) *replayer {
-	return &replayer{byStart: byStart}
+// newReplayer sizes every buffer once for the largest population the walk
+// will meet (live is the run's liveCounts), so the epoch loop allocates
+// nothing and population writes by position.
+func newReplayer(idx *replayIndex, live []int) *replayer {
+	peak := slices.Max(live)
+	return &replayer{
+		idx:     idx,
+		running: make([]int32, 0, peak), spare: make([]int32, peak), batch: make([]int32, 0, peak),
+		buf: make([]consolidation.VMDemand, peak),
+	}
 }
 
-// population admits tasks starting before the epoch end, retires finished
-// ones, and returns the epoch's VM population sorted by ID. The returned
-// slice is valid until the next population call.
+// population returns the epoch's VM population sorted by ID, valid until the
+// next call. The tasks starting before the epoch end and ending after its
+// start are sorted by rank and merged with the running set into the spare
+// buffer, dropping finished VMs and materialising demands in the same pass.
 func (r *replayer) population(span epochSpan) []consolidation.VMDemand {
-	for r.next < len(r.byStart) && r.byStart[r.next].task.StartSec < span.end {
-		rt := r.byStart[r.next]
-		i, _ := slices.BinarySearchFunc(r.running, rt, func(a, b replayTask) int {
-			return strings.Compare(a.vmid, b.vmid)
-		})
-		r.running = slices.Insert(r.running, i, rt)
-		r.next++
-	}
-	live := r.running[:0]
-	for _, rt := range r.running {
-		if rt.task.EndSec > span.start {
-			live = append(live, rt)
+	idx := r.idx
+	batch := r.batch[:0]
+	for ; r.next < len(idx.starts) && idx.starts[r.next] < span.end; r.next++ {
+		if rank := idx.ranks[r.next]; idx.ends[rank] > span.start {
+			batch = append(batch, rank)
 		}
 	}
-	r.running = live
-	if cap(r.buf) < len(r.running) {
-		r.buf = make([]consolidation.VMDemand, 0, cap(r.running))
+	slices.Sort(batch)
+	r.batch = batch
+	live, buf, n := r.spare[:cap(r.spare)], r.buf, 0
+	for running := r.running; len(running) > 0 || len(batch) > 0; {
+		var rank int32
+		if len(batch) == 0 || len(running) > 0 && running[0] < batch[0] {
+			rank, running = running[0], running[1:]
+			if idx.ends[rank] <= span.start {
+				continue
+			}
+		} else {
+			rank, batch = batch[0], batch[1:]
+		}
+		live[n], buf[n] = rank, idx.demand[rank]
+		n++
 	}
-	r.buf = r.buf[:0]
-	for _, rt := range r.running {
-		r.buf = append(r.buf, consolidation.VMDemand{
-			ID:           rt.vmid,
-			BookedCPU:    rt.task.BookedCPU,
-			BookedMemGiB: rt.task.BookedMemGiB,
-			UsedCPU:      rt.task.UsedCPU,
-			UsedMemGiB:   rt.task.UsedMemGiB,
-		})
-	}
-	return r.buf
+	r.running, r.spare = live[:n], r.running
+	return buf[:n]
 }
 
 // simulateEpoch evaluates the policy on one epoch's population, integrates
@@ -360,16 +408,26 @@ func initialPlan(cfg *Config) consolidation.FleetPlan {
 // Run executes the simulation, sequentially or sharded across
 // Config.Workers goroutines; the result is identical either way.
 func Run(cfg Config) (Result, error) {
+	idx, err := newReplayIndex(cfg.Trace)
+	if err != nil {
+		return Result{}, err
+	}
+	return run(cfg, idx)
+}
+
+// run is Run over an index the caller built from cfg.Trace, so a grid of runs
+// on one trace (CompareOpts, Sweep) builds it once.
+func run(cfg Config, idx *replayIndex) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	cfg.applyDefaults()
 	spans := epochSpans(cfg.Trace.HorizonSec, cfg.ConsolidationPeriodSec)
-	byStart := sortedByStart(cfg.Trace)
+	live := idx.liveCounts(cfg.ConsolidationPeriodSec, len(spans))
 
 	stats := make([]epochStats, len(spans))
 	if cfg.Workers > 1 && len(spans) > 1 {
-		if err := simulateShards(&cfg, byStart, spans, stats, cfg.Workers); err != nil {
+		if err := simulateShards(&cfg, idx, spans, live, stats); err != nil {
 			return Result{}, err
 		}
 	} else {
@@ -377,7 +435,7 @@ func Run(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		rep := newReplayer(byStart)
+		rep := newReplayer(idx, live)
 		prev := initialPlan(&cfg)
 		for i, span := range spans {
 			stats[i], prev, err = simulateEpoch(&cfg, pricer, rep.population(span), span, prev)
@@ -529,14 +587,18 @@ type CompareOptions struct {
 // CompareOpts runs the Figure 10 contenders on the trace for each machine
 // profile with the given engine options.
 func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consolidation.ServerSpec, opts CompareOptions) (Comparison, error) {
+	idx, err := newReplayIndex(tr)
+	if err != nil {
+		return Comparison{}, err
+	}
 	cmp := Comparison{Trace: tr.Name}
 	for _, m := range machines {
 		for _, pol := range consolidation.Contenders() {
-			res, err := Run(Config{
+			res, err := run(Config{
 				Trace: tr, Policy: pol, Machine: m, ServerSpec: spec,
 				Workers: opts.Workers, TransitionCosts: opts.TransitionCosts,
 				RackPricing: opts.RackPricing,
-			})
+			}, idx)
 			if err != nil {
 				return Comparison{}, err
 			}

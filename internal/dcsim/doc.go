@@ -16,11 +16,22 @@
 // energy ledger (see transitions.go). The baseline fleet never transitions,
 // so enabling transition costs can only lower the reported saving.
 //
+// A run replays its trace through one read-only replay index (dcsim.go): the
+// tasks in start order, each VM ID formatted once, each VM's rank in the
+// lexicographic VM-ID order populations are planned and integrated in, and
+// its demand ready to copy. Run builds the index; CompareOpts and Sweep build
+// it once per trace and share it across every run and shard. A replayer
+// derives an epoch's population by merging the epoch's arrivals, sorted by
+// rank, with the surviving running set — linear, no string compared, nothing
+// allocated — and seeks to any epoch with one filtered scan of the tasks
+// started by then. A trace that repeats a task ID is rejected at the build.
+//
 // The simulation decomposes into independent consolidation epochs, so the
 // engine can shard the per-epoch accounting (placement evaluation, energy
 // integration and transition pricing) across a pool of workers: set
-// Config.Workers above 1 and the epochs are split into contiguous shards,
-// simulated concurrently, and merged back in epoch order. Transition events
+// Config.Workers above 1 and the epochs are split into contiguous shards of
+// near-equal population, each seeking to its own start, simulated
+// concurrently, and merged back in epoch order. Transition events
 // depend only on the previous and current epoch plans, both pure functions of
 // their epoch populations, so a shard derives its predecessor plan with a
 // one-epoch lookback and the merge performs exactly the same floating-point

@@ -1,9 +1,10 @@
 // The parallel engine: consolidation epochs are split into contiguous shards
-// and simulated by a pool of workers, each with its own trace replayer. Every
-// worker writes the per-epoch contributions of its shard into a disjoint part
-// of a shared slice, and the caller merges the slice in epoch order, so the
-// accumulation order — and therefore every floating-point result — matches
-// the sequential engine exactly: independent workers, deterministic merge.
+// and simulated by a pool of workers, each walking the run's shared replay
+// index with its own replayer. Every worker writes the per-epoch contributions
+// of its shard into a disjoint part of a shared slice, and the caller merges
+// the slice in epoch order, so the accumulation order — and therefore every
+// floating-point result — matches the sequential engine exactly: independent
+// workers, deterministic merge.
 
 package dcsim
 
@@ -16,34 +17,36 @@ type shard struct {
 	lo, hi int
 }
 
-// shardEpochs splits n epochs into at most workers contiguous, near-equal
-// shards covering [0, n) exactly.
-func shardEpochs(n, workers int) []shard {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
+// shardEpochs splits the epochs into at most workers contiguous shards
+// covering [0, len(live)) exactly. An epoch costs about what its population
+// holds (live[i], plus one so an empty epoch still counts), so the shards are
+// cut at equal shares of that weight rather than at equal epoch counts: a
+// trace whose load sits in one half of the day no longer leaves one worker
+// with most of the work.
+func shardEpochs(live []int, workers int) []shard {
+	workers = max(1, min(workers, len(live)))
+	total := len(live)
+	for _, l := range live {
+		total += l
 	}
 	shards := make([]shard, 0, workers)
-	base, rem := n/workers, n%workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		size := base
-		if w < rem {
-			size++
+	lo, acc, done := 0, 0, 0
+	for i, l := range live {
+		acc += l + 1
+		if share := acc * workers / total; share > done {
+			shards = append(shards, shard{lo: lo, hi: i + 1})
+			lo, done = i+1, share
 		}
-		shards = append(shards, shard{lo: lo, hi: lo + size})
-		lo += size
 	}
 	return shards
 }
 
 // simulateShards fills stats[i] for every epoch i, one goroutine per shard.
-// Each shard replays the trace from its own start — a fresh replayer
-// converges to the same running-task set the sequential walk would hold at
-// that epoch — so no cross-shard state is shared and no locks are needed:
-// the start-ordered task slice is read-only and the goroutines write
+// Each shard's replayer seeks to the shard's first epoch — one filtered scan
+// of the tasks started by then, one integer sort of those still running — and
+// holds the same running set the sequential walk would at that epoch, so a
+// shard costs its own epochs and nothing else. No cross-shard state is shared
+// and no locks are needed: the index is read-only and the goroutines write
 // disjoint ranges of stats.
 //
 // With transition costs enabled, each epoch additionally depends on the
@@ -57,8 +60,8 @@ func shardEpochs(n, workers int) []shard {
 // Rack pricing keeps the same contract: every shard owns a private model
 // rack, and the per-epoch ledger charge is a pure function of the epoch's
 // plan, so where the shard starts does not matter.
-func simulateShards(cfg *Config, byStart []replayTask, spans []epochSpan, stats []epochStats, workers int) error {
-	shards := shardEpochs(len(spans), workers)
+func simulateShards(cfg *Config, idx *replayIndex, spans []epochSpan, live []int, stats []epochStats) error {
+	shards := shardEpochs(live, cfg.Workers)
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for si, sh := range shards {
@@ -70,7 +73,7 @@ func simulateShards(cfg *Config, byStart []replayTask, spans []epochSpan, stats 
 				errs[si] = err
 				return
 			}
-			rep := newReplayer(byStart)
+			rep := newReplayer(idx, live)
 			prev := initialPlan(cfg)
 			if (cfg.TransitionCosts || !cfg.Chaos.Empty()) && sh.lo > 0 {
 				lookback := spans[sh.lo-1]

@@ -2,6 +2,7 @@ package dcsim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/consolidation"
@@ -83,55 +84,50 @@ func TestParallelEnergySavingExact(t *testing.T) {
 	}
 }
 
-// TestShardEpochs checks the shard plan covers [0, n) exactly with balanced,
-// contiguous ranges.
+// TestShardEpochs checks the shard plan covers every epoch exactly once with
+// contiguous, non-empty ranges, that equal populations give near-equal shards,
+// and that skewed populations are cut by weight, not by epoch count.
 func TestShardEpochs(t *testing.T) {
-	cases := []struct{ n, workers int }{
-		{1, 1}, {1, 8}, {5, 2}, {7, 3}, {8, 8}, {100, 7}, {3, 0},
+	uniform := func(n int) []int { return slices.Repeat([]int{40}, n) }
+	skewed := append(slices.Repeat([]int{900}, 10), slices.Repeat([]int{0}, 90)...)
+	cases := []struct {
+		live    []int
+		workers int
+	}{
+		{uniform(1), 1}, {uniform(1), 8}, {uniform(5), 2}, {uniform(7), 3}, {uniform(8), 8},
+		{uniform(100), 7}, {uniform(3), 0}, {skewed, 2}, {skewed, 64}, {[]int{0, 0, 5000, 0}, 3},
 	}
 	for _, c := range cases {
-		shards := shardEpochs(c.n, c.workers)
+		n := len(c.live)
+		shards := shardEpochs(c.live, c.workers)
+		if len(shards) > max(1, c.workers) {
+			t.Fatalf("n=%d workers=%d: %d shards", n, c.workers, len(shards))
+		}
 		lo := 0
 		for _, sh := range shards {
 			if sh.lo != lo {
-				t.Fatalf("n=%d workers=%d: gap or overlap at %d (shard starts at %d)", c.n, c.workers, lo, sh.lo)
+				t.Fatalf("n=%d workers=%d: gap or overlap at %d (shard starts at %d)", n, c.workers, lo, sh.lo)
 			}
 			if sh.hi <= sh.lo {
-				t.Fatalf("n=%d workers=%d: empty shard %+v", c.n, c.workers, sh)
+				t.Fatalf("n=%d workers=%d: empty shard %+v", n, c.workers, sh)
 			}
 			lo = sh.hi
 		}
-		if lo != c.n {
-			t.Fatalf("n=%d workers=%d: shards end at %d, want %d", c.n, c.workers, lo, c.n)
+		if lo != n {
+			t.Fatalf("n=%d workers=%d: shards end at %d, want %d", n, c.workers, lo, n)
+		}
+		if slices.Min(c.live) != slices.Max(c.live) {
+			continue
 		}
 		for _, sh := range shards {
-			if size := sh.hi - sh.lo; size > c.n/max(1, min(c.workers, c.n))+1 {
-				t.Fatalf("n=%d workers=%d: unbalanced shard %+v", c.n, c.workers, sh)
+			if size := sh.hi - sh.lo; size > n/max(1, min(c.workers, n))+1 {
+				t.Fatalf("n=%d workers=%d: unbalanced shard %+v", n, c.workers, sh)
 			}
 		}
 	}
-}
-
-// TestReplayerMidStreamStart checks the property the parallel engine rests
-// on: a replayer started at an arbitrary epoch derives the same population as
-// one that walked every epoch before it.
-func TestReplayerMidStreamStart(t *testing.T) {
-	tr := engineTestTrace(t)
-	spans := epochSpans(tr.HorizonSec, 300)
-	byStart := sortedByStart(tr)
-	walked := newReplayer(byStart)
-	var full [][]consolidation.VMDemand
-	for _, span := range spans {
-		// population reuses its buffer across epochs; copy to keep a record.
-		full = append(full, append([]consolidation.VMDemand(nil), walked.population(span)...))
-	}
-	for _, start := range []int{1, len(spans) / 2, len(spans) - 1} {
-		fresh := newReplayer(byStart)
-		got := append([]consolidation.VMDemand(nil), fresh.population(spans[start])...)
-		if !reflect.DeepEqual(full[start], got) {
-			t.Fatalf("epoch %d: fresh replayer sees %d VMs, sequential walk saw %d",
-				start, len(got), len(full[start]))
-		}
+	// Ten busy epochs then ninety idle ones: two workers split the busy ten.
+	if got := shardEpochs(skewed, 2); got[0].hi > 6 {
+		t.Fatalf("skewed load cut by epoch count, not weight: %+v", got)
 	}
 }
 

@@ -133,7 +133,12 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		transitionAxis = []bool{false}
 	}
 	var cells []Config
+	var index []*replayIndex // index[i] replays cells[i].Trace: one per trace, shared by its runs
 	for _, tr := range traces {
+		idx, err := newReplayIndex(tr)
+		if err != nil {
+			return nil, err
+		}
 		for _, m := range cfg.Machines {
 			for _, pol := range cfg.Policies {
 				for _, period := range cfg.PeriodsSec {
@@ -148,6 +153,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 							TransitionCosts:        transitions,
 							RackPricing:            cfg.RackPricing,
 						})
+						index = append(index, idx)
 					}
 				}
 			}
@@ -170,7 +176,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				res.Runs[i], errs[i] = Run(cells[i])
+				res.Runs[i], errs[i] = run(cells[i], index[i])
 			}
 		}()
 	}

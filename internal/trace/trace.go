@@ -36,8 +36,13 @@ func (t Task) Duration() int64 { return t.EndSec - t.StartSec }
 // offline replayer and the online control plane. Both sides sort their VM
 // populations lexicographically by this ID before planning, so the format is
 // load-bearing: diverging copies would feed the planners differently ordered
-// populations and silently skew every regret comparison.
-func (t Task) VMID() string { return fmt.Sprintf("task-%d", t.ID) }
+// populations and silently skew every regret comparison. It is "task-%d",
+// built on the stack so the string is the only allocation: autopilot calls it
+// on every arrival and departure.
+func (t Task) VMID() string {
+	var buf [len("task-") + 20]byte
+	return string(strconv.AppendInt(append(buf[:0], "task-"...), int64(t.ID), 10))
+}
 
 // Validate checks the task for consistency.
 func (t Task) Validate() error {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -162,6 +164,21 @@ func TestTaskValidate(t *testing.T) {
 	}
 	if good.Duration() != 100 {
 		t.Error("duration wrong")
+	}
+}
+
+// TestVMIDFormat pins the load-bearing identity to its task-%d form and to one
+// allocation, the string itself.
+func TestVMIDFormat(t *testing.T) {
+	for _, id := range []int{0, 9, 10, 255, 256, math.MaxInt, math.MinInt, -7} {
+		if got, want := (Task{ID: id}).VMID(), fmt.Sprintf("task-%d", id); got != want {
+			t.Errorf("VMID of task %d = %q, want %q", id, got, want)
+		}
+	}
+	var sink string
+	task := Task{ID: math.MaxInt}
+	if allocs := testing.AllocsPerRun(100, func() { sink = task.VMID() }); allocs > 1 {
+		t.Errorf("VMID allocates %v times for %q, want 1", allocs, sink)
 	}
 }
 
