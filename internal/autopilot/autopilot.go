@@ -2,7 +2,7 @@ package autopilot
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
@@ -100,11 +100,8 @@ func (c *Config) Validate() error {
 	if err := c.Trace.Validate(); err != nil {
 		return err
 	}
-	if c.Policy == nil {
-		return fmt.Errorf("autopilot: an online policy is required")
-	}
-	if c.Policy.Planner() == nil {
-		return fmt.Errorf("autopilot: policy %q has no base planner", c.Policy.Name())
+	if err := validatePolicy(c.Policy); err != nil {
+		return err
 	}
 	if c.Machine == nil {
 		return fmt.Errorf("autopilot: a machine power profile is required")
@@ -142,6 +139,18 @@ func (c *Config) Validate() error {
 		if n := sized.Servers(); n != c.Trace.Machines {
 			return fmt.Errorf("autopilot: executor drives %d servers, trace has %d machines", n, c.Trace.Machines)
 		}
+	}
+	return nil
+}
+
+// validatePolicy checks the one part of a configuration that differs between
+// the runs of a comparison.
+func validatePolicy(p Policy) error {
+	if p == nil {
+		return fmt.Errorf("autopilot: an online policy is required")
+	}
+	if p.Planner() == nil {
+		return fmt.Errorf("autopilot: policy %q has no base planner", p.Name())
 	}
 	return nil
 }
@@ -227,10 +236,15 @@ type loop struct {
 	total   int
 	planner consolidation.Policy
 
-	vms []consolidation.VMDemand // sorted by ID
-	// admitted is a bitset over the trace's numeric task IDs — the arrival
-	// and departure paths test membership without hashing a VMID string.
-	admitted  ident.Set
+	// idx is the trace's replay index: the loop knows a VM by its rank, its
+	// position in VM-ID order, and reads its demand from the index.
+	idx *dcsim.ReplayIndex
+	// running is the admitted population, a bitset over ranks. vms is its
+	// ID-sorted view, written into a reused buffer only when someone reads
+	// the population itself (runningVMs); stale marks it out of date.
+	running   ident.Set
+	vms       []consolidation.VMDemand
+	stale     bool
 	bookedCPU float64
 	bookedMem float64
 	usedCPU   float64
@@ -243,8 +257,12 @@ type loop struct {
 	// bills whole intervals against cum (see billInterval), and emergency
 	// wakes size against it too — a departure's capacity is only reclaimed at
 	// the next re-plan tick, the way a periodic consolidation manager works.
+	// cum is kept sorted by ID, because the planner reads it on every arrival;
+	// cumRanks holds the same VMs' ranks, so an insert position is an integer
+	// binary search.
 	intervalStart int64
-	cum           []consolidation.VMDemand // sorted by ID
+	cum           []consolidation.VMDemand
+	cumRanks      []int32
 
 	res      Result
 	activeDt float64
@@ -280,12 +298,24 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
+	idx, err := dcsim.NewReplayIndex(cfg.Trace)
+	if err != nil {
+		return Result{}, err
+	}
+	return run(cfg, idx)
+}
+
+// run is Run on a validated configuration, over an index the caller built
+// from cfg.Trace: a regret comparison builds it once for its online runs and
+// its oracle.
+func run(cfg Config, idx *dcsim.ReplayIndex) (Result, error) {
 	cfg.applyDefaults()
 
 	l := &loop{
 		cfg:     &cfg,
 		total:   cfg.Trace.Machines,
 		planner: cfg.Policy.Planner(),
+		idx:     idx,
 		posture: consolidation.InitialPlan(cfg.Trace.Machines),
 		obs:     newAPObs(cfg.Obs),
 	}
@@ -343,8 +373,8 @@ func Run(cfg Config) (Result, error) {
 		}
 		for evOK && ev.AtSec == now {
 			if ev.Kind == trace.Depart {
-				l.depart(ev.Task)
-			} else if err := l.arrive(ev.Task); err != nil {
+				l.depart(idx.Rank(ev.Index))
+			} else if err := l.arrive(now, idx.Rank(ev.Index)); err != nil {
 				return Result{}, err
 			}
 			ev, evOK = stream.Next()
@@ -434,9 +464,9 @@ func (l *loop) available() int {
 // is the degraded one: crashed and stuck servers neither admit nor host, and
 // an arrival squeezed out (or placed short of the planner's requirement) by
 // faults counts as an SLO violation.
-func (l *loop) arrive(t trace.Task) error {
+func (l *loop) arrive(now int64, rank int32) error {
 	l.res.Arrivals++
-	v := demandOf(t)
+	v := l.idx.Demand(rank)
 	capacity := l.available()
 	if l.bookedCPU+v.BookedCPU > float64(capacity)*l.cfg.ServerSpec.Cores ||
 		l.bookedMem+v.BookedMemGiB > float64(capacity)*l.cfg.ServerSpec.MemGiB {
@@ -450,9 +480,15 @@ func (l *loop) arrive(t trace.Task) error {
 		l.obs.observeArrival(false)
 		return nil
 	}
-	l.insert(v)
-	l.cum = insertSorted(l.cum, v)
-	l.admitted.Add(ident.ID(t.ID))
+	l.running.Add(ident.ID(rank))
+	l.stale = true
+	l.bookedCPU += v.BookedCPU
+	l.bookedMem += v.BookedMemGiB
+	l.usedCPU += v.UsedCPU
+	l.usedMem += v.UsedMemGiB
+	at, _ := slices.BinarySearch(l.cumRanks, rank)
+	l.cumRanks = slices.Insert(l.cumRanks, at, rank)
+	l.cum = slices.Insert(l.cum, at, v)
 	l.res.Admitted++
 	l.obs.observeArrival(true)
 	l.refreshUtil()
@@ -465,7 +501,7 @@ func (l *loop) arrive(t trace.Task) error {
 	// zombies, then memory servers.
 	required := l.planner.Plan(l.cum, l.cfg.ServerSpec, l.available())
 	if required.ActiveHosts > l.posture.ActiveHosts {
-		if err := l.ensureActive(t.StartSec, required.ActiveHosts); err != nil {
+		if err := l.ensureActive(now, required.ActiveHosts); err != nil {
 			return err
 		}
 		if l.chaos != nil && l.posture.ActiveHosts < required.ActiveHosts {
@@ -504,7 +540,7 @@ func (l *loop) ensureActive(nowSec int64, required int) error {
 	}
 	next := wake(l.posture, need)
 	next = l.normalize(l.posture.Policy, next)
-	d := consolidation.Delta(l.posture, next, len(l.vms))
+	d := consolidation.Delta(l.posture, next, l.population())
 	woken := d.SleepExits + d.ZombieExits + d.MemoryServerStops
 	l.res.EmergencyWakes += woken
 	l.obs.observeEmergencyWake(nowSec, woken)
@@ -512,15 +548,36 @@ func (l *loop) ensureActive(nowSec int64, required int) error {
 }
 
 // depart retires one admitted task.
-func (l *loop) depart(t trace.Task) {
-	if !l.admitted.Has(ident.ID(t.ID)) {
+func (l *loop) depart(rank int32) {
+	if !l.running.Has(ident.ID(rank)) {
 		return // was rejected at admission
 	}
-	l.admitted.Remove(ident.ID(t.ID))
-	l.remove(t.VMID())
+	l.running.Remove(ident.ID(rank))
+	l.stale = true
+	v := l.idx.Demand(rank)
+	l.bookedCPU -= v.BookedCPU
+	l.bookedMem -= v.BookedMemGiB
+	l.usedCPU -= v.UsedCPU
+	l.usedMem -= v.UsedMemGiB
 	l.res.Departures++
 	l.obs.observeDepart()
 	l.refreshUtil()
+}
+
+// population is the number of VMs running: every admitted task departs once.
+func (l *loop) population() int { return l.res.Admitted - l.res.Departures }
+
+// runningVMs returns the admitted population sorted by ID, valid until the
+// next arrival or departure. Ascending rank is ascending ID, so the view is
+// one pass over the bitset, made on the first read after a change: a tick
+// reads it several times, an interval's arrivals and departures never do.
+func (l *loop) runningVMs() []consolidation.VMDemand {
+	if l.stale {
+		l.vms = l.vms[:0]
+		l.running.Each(func(rank ident.ID) { l.vms = append(l.vms, l.idx.Demand(int32(rank))) })
+		l.stale = false
+	}
+	return l.vms
 }
 
 // tick runs one re-planning pass: the closing interval is billed, then the
@@ -532,7 +589,7 @@ func (l *loop) tick(now, horizon int64) error {
 	obs := Observation{
 		NowSec:       now,
 		TickSec:      l.cfg.TickSec,
-		VMs:          l.vms,
+		VMs:          l.runningVMs(),
 		Prev:         l.posture,
 		Spec:         l.cfg.ServerSpec,
 		TotalServers: l.available(),
@@ -544,13 +601,15 @@ func (l *loop) tick(now, horizon int64) error {
 	}
 	// Trace order mirrors the pass itself: the tick fires, the policy's
 	// re-plan is installed, then applyPosture emits the billed transitions.
-	l.obs.observeTick(now, l.res.Ticks+1, len(l.vms), plan)
+	l.obs.observeTick(now, l.res.Ticks+1, l.population(), plan)
 	if err := l.applyPosture(now, plan, true, float64(dt)); err != nil {
 		return err
 	}
 	l.res.Ticks++
 	l.intervalStart = now
-	l.cum = append(l.cum[:0], l.vms...)
+	l.cum = append(l.cum[:0], l.runningVMs()...)
+	l.cumRanks = l.cumRanks[:0]
+	l.running.Each(func(rank ident.ID) { l.cumRanks = append(l.cumRanks, int32(rank)) })
 	if l.cfg.OnTick != nil {
 		l.cfg.OnTick(TickEvent{
 			AtSec:           now,
@@ -560,7 +619,7 @@ func (l *loop) tick(now, horizon int64) error {
 			MemoryServers:   l.posture.MemoryServers,
 			SleepHosts:      l.posture.SleepHosts,
 			RemoteMemoryGiB: l.posture.RemoteMemoryGiB,
-			Running:         len(l.vms),
+			Running:         l.population(),
 			Arrivals:        l.res.Arrivals,
 			Admitted:        l.res.Admitted,
 			Rejected:        l.res.Rejected,
@@ -589,7 +648,14 @@ func (l *loop) applyPosture(nowSec int64, next consolidation.FleetPlan, withChur
 	if l.chaos != nil && withChurn {
 		fabric = l.chaos.plan.FabricFactor(nowSec, nowSec+int64(dtSec))
 	}
-	bill := l.cfg.Transitions.CostWithFabric(l.cfg.Machine, l.planner.Name(), l.posture, priced, l.vms, dtSec, fabric)
+	// The bill reads the population only to price the drain of freed hosts.
+	// An emergency wake frees none, and there are thousands per run, so the
+	// view is not made for them.
+	var vms []consolidation.VMDemand
+	if next.ActiveHosts < l.posture.ActiveHosts {
+		vms = l.runningVMs()
+	}
+	bill := l.cfg.Transitions.CostWithFabric(l.cfg.Machine, l.planner.Name(), l.posture, priced, vms, dtSec, fabric)
 	l.res.EnergyJoules += bill.Joules
 	l.res.TransitionJoules += bill.Joules
 	l.res.StateTransitions += bill.Transitions
@@ -650,38 +716,6 @@ func (l *loop) finish(horizon int64) Result {
 	return l.res
 }
 
-// insert adds a VM to the population, keeping it sorted by ID.
-func (l *loop) insert(v consolidation.VMDemand) {
-	l.vms = insertSorted(l.vms, v)
-	l.bookedCPU += v.BookedCPU
-	l.bookedMem += v.BookedMemGiB
-	l.usedCPU += v.UsedCPU
-	l.usedMem += v.UsedMemGiB
-}
-
-// insertSorted inserts a VM into an ID-sorted slice.
-func insertSorted(s []consolidation.VMDemand, v consolidation.VMDemand) []consolidation.VMDemand {
-	i := sort.Search(len(s), func(i int) bool { return s[i].ID >= v.ID })
-	s = append(s, consolidation.VMDemand{})
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// remove deletes a VM from the population by ID.
-func (l *loop) remove(id string) {
-	i := sort.Search(len(l.vms), func(i int) bool { return l.vms[i].ID >= id })
-	if i >= len(l.vms) || l.vms[i].ID != id {
-		return
-	}
-	v := l.vms[i]
-	l.vms = append(l.vms[:i], l.vms[i+1:]...)
-	l.bookedCPU -= v.BookedCPU
-	l.bookedMem -= v.BookedMemGiB
-	l.usedCPU -= v.UsedCPU
-	l.usedMem -= v.UsedMemGiB
-}
-
 // wake raises the posture's active count by need servers, drawing on
 // sleepers first, then zombies (shrinking the remotely-served memory
 // proportionally), then memory servers.
@@ -722,15 +756,4 @@ func utilization(usedCPU float64, active int, cores float64) float64 {
 		return 0
 	}
 	return u
-}
-
-// demandOf converts a trace task into the consolidation-level VM view.
-func demandOf(t trace.Task) consolidation.VMDemand {
-	return consolidation.VMDemand{
-		ID:           t.VMID(),
-		BookedCPU:    t.BookedCPU,
-		BookedMemGiB: t.BookedMemGiB,
-		UsedCPU:      t.UsedCPU,
-		UsedMemGiB:   t.UsedMemGiB,
-	}
 }

@@ -2,6 +2,9 @@ package autopilot
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/acpi"
@@ -382,6 +385,146 @@ func BenchmarkAutopilotTicks(b *testing.B) {
 		}
 		if res.Ticks == 0 {
 			b.Fatal("no ticks executed")
+		}
+	}
+}
+
+// BenchmarkAutopilotLargeLive is the regime the diurnal trace's 3 000 tasks
+// never reach: mlbatch keeps a five-digit population live, where a
+// per-arrival cost in the size of the running set turns quadratic, and
+// serverless pushes 100 000 short tasks through, where a per-task allocation
+// shows.
+func BenchmarkAutopilotLargeLive(b *testing.B) {
+	for _, c := range []struct {
+		family          string
+		machines, tasks int
+	}{{"mlbatch", 400, 20000}, {"serverless", 200, 100000}} {
+		tr, err := trace.GenerateFamily(c.family, trace.FamilyParams{Machines: c.machines, HorizonSec: 24 * 3600, Tasks: c.tasks, Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.family, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := baseConfig(tr)
+				cfg.Policy = NewPredictiveEWMA(consolidation.NewZombieStack())
+				if _, err := Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// countAllocs returns the number of heap allocations fn performs.
+func countAllocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestOnlineLoopAllocationBudget pins the allocation-free online loop: a run
+// allocates its setup (the replay index, the stream's two orders, the loop's
+// few growing buffers) and nothing per task or per tick. Doubling the task
+// count may only regrow those buffers, far below one allocation per hundred
+// extra tasks, and tripling the tick count may only add a fixed slack — a
+// VM ID formatted per arrival, or a buffer made per tick, fails loudly.
+func TestOnlineLoopAllocationBudget(t *testing.T) {
+	gen := func(tasks int) *trace.Trace {
+		c := trace.DefaultConfig()
+		c.Tasks = tasks
+		tr, err := trace.Generate(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	small, large := gen(3000), gen(6000)
+	for _, mk := range []func(consolidation.Policy) Policy{
+		func(b consolidation.Policy) Policy { return NewReactive(b) },
+		func(b consolidation.Policy) Policy { return NewHysteresis(b) },
+		func(b consolidation.Policy) Policy { return NewPredictiveEWMA(b) },
+	} {
+		runOnce := func(tr *trace.Trace, tickSec int64) func() {
+			return func() {
+				cfg := baseConfig(tr)
+				cfg.TickSec = tickSec
+				cfg.Policy = mk(consolidation.NewZombieStack())
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Warm up lazy runtime and profile state so no measurement pays
+		// first-use allocations.
+		runOnce(small, 300)()
+		name := mk(nil).Name()
+
+		base := countAllocs(runOnce(small, 300))
+		doubled := countAllocs(runOnce(large, 300))
+		if budget := base + uint64(len(large.Tasks)-len(small.Tasks))/100; doubled > budget {
+			t.Errorf("%s: the loop allocates per task: %d tasks cost %d allocs, %d tasks cost %d (budget %d)",
+				name, len(small.Tasks), base, len(large.Tasks), doubled, budget)
+		}
+		tripled := countAllocs(runOnce(small, 100))
+		extraTicks := uint64(small.HorizonSec/100 - small.HorizonSec/300)
+		if budget := base + extraTicks/4; tripled > budget {
+			t.Errorf("%s: the loop allocates per tick: %d-second ticks cost %d allocs, %d-second ticks cost %d (budget %d)",
+				name, 300, base, 100, tripled, budget)
+		}
+		t.Logf("%s: %d allocs at 3000 tasks, %d at 6000, %d at three times the ticks", name, base, doubled, tripled)
+	}
+}
+
+// TestRunRejectsDuplicateTaskIDs: two tasks with one ID would be two VMs with
+// one rank — one bit in the running set, one slot in the sorted population.
+// trace.Validate does not look for that, so building the index must, naming
+// the ID, in Run and in everything that replays through it.
+func TestRunRejectsDuplicateTaskIDs(t *testing.T) {
+	tr := diurnalTrace(t)
+	dup := *tr
+	dup.Tasks = slices.Clone(tr.Tasks)
+	dup.Tasks[len(dup.Tasks)-1].ID = dup.Tasks[3].ID
+	if err := dup.Validate(); err != nil {
+		t.Fatalf("trace.Validate already rejects the trace: %v", err)
+	}
+	want := "repeats task ID " + strings.TrimPrefix(dup.Tasks[3].VMID(), "task-")
+	cfg := baseConfig(&dup)
+	cfg.Policy = NewReactive(consolidation.NewNeat())
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run on a duplicate task ID: got error %v, want one containing %q", err, want)
+	}
+	if _, err := Regret(cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Regret on a duplicate task ID: got error %v", err)
+	}
+	if _, err := RunChaos(cfg, nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RunChaos on a duplicate task ID: got error %v", err)
+	}
+}
+
+// TestCompareOnlineEqualsRegretPerPolicy: sharing the replay index and the
+// oracle between the policies of a comparison changes no number. The roster
+// spans two planners, so it also covers one oracle per distinct planner.
+func TestCompareOnlineEqualsRegretPerPolicy(t *testing.T) {
+	tr := diurnalTrace(t)
+	roster := func() []Policy {
+		return append(Policies(consolidation.NewZombieStack()), NewReactive(consolidation.NewNeat()))
+	}
+	got, err := CompareOnline(baseConfig(tr), roster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pol := range roster() {
+		cfg := baseConfig(tr)
+		cfg.Policy = pol
+		want, err := Regret(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("policy %s/%s: CompareOnline reports\n%+v\nRegret alone reports\n%+v", want.Policy, want.Planner, got[i], want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
-	"repro/internal/dcsim"
 )
 
 // Fault-aware re-planning: the online loop consumes a chaos.Plan as a fourth
@@ -305,83 +304,130 @@ func (l *loop) chaosStuckRepair(now int64, idx int) {
 	l.obs.observeChaosRepair(now, "stuck", n)
 }
 
-// RunChaos replays one online configuration under a fault plan and returns
-// the full resilience report: the faulted run (trace perturbed by the plan's
-// bursts, faults injected into the loop) against its own fault-free twin and
-// against the offline oracle re-run under the identical schedule. Policies
-// are cloned per run, so the caller's instance is never polluted.
-func RunChaos(cfg Config, plan *chaos.Plan) (chaos.Report, error) {
-	ffCfg := cfg
-	ffCfg.Chaos = nil
-	ffCfg.Policy = freshPolicy(cfg.Policy)
-	ffCfg.OnTick = nil // the hook and the obs bundle observe the faulted run only
-	ffCfg.Obs = nil
-	ff, err := Regret(ffCfg)
-	if err != nil {
-		return chaos.Report{}, err
-	}
-	return runChaosAgainst(cfg, plan, ff)
+// ChaosRow is one online configuration replayed under one fault plan for a
+// set of online policies: every policy's faulted run (trace perturbed by the
+// plan's bursts, faults injected into the loop) against its own fault-free
+// twin and against the offline oracle re-run under the identical schedule.
+// What does not depend on the policy is done once for the row: the perturbed
+// trace, the two replay indexes and the two oracle runs per planner. An empty
+// plan reuses the twins outright — the faulted runs would be bit-identical by
+// the empty-plan contract, so re-simulating them buys nothing.
+type ChaosRow struct {
+	plan        *chaos.Plan
+	ff, faulted *replay // one and the same under an empty plan
 }
 
-// runChaosAgainst runs the faulted side against an already-computed
-// fault-free twin. An empty plan reuses the twin outright — the faulted run
-// would be bit-identical by the empty-plan contract, so re-simulating it
-// buys nothing.
-func runChaosAgainst(cfg Config, plan *chaos.Plan, ff Report) (chaos.Report, error) {
+// NewChaosRow prepares the row. Policies are cloned per run, so the caller's
+// instances are never polluted. cfg.Policy is ignored; cfg.OnTick and cfg.Obs
+// observe the faulted runs only (the twins run silently), so set them only
+// for a single policy or when the jobs run one after the other.
+func NewChaosRow(cfg Config, plan *chaos.Plan, policies []Policy) (*ChaosRow, error) {
+	if len(policies) == 0 {
+		return nil, fmt.Errorf("autopilot: a chaos row needs at least one policy")
+	}
+	ff, err := newFaultFree(cfg, policies)
+	if err != nil {
+		return nil, err
+	}
+	return newChaosRow(cfg, plan, policies, ff)
+}
+
+// newFaultFree prepares the fault-free twins of a configuration.
+func newFaultFree(cfg Config, policies []Policy) (*replay, error) {
+	cfg.Chaos = nil
+	cfg.OnTick = nil
+	cfg.Obs = nil
+	return newReplay(cfg, freshPolicies(policies))
+}
+
+// newChaosRow prepares the faulted side of a row against already-prepared
+// fault-free twins, which CompareChaos shares across its scenarios.
+func newChaosRow(cfg Config, plan *chaos.Plan, policies []Policy, ff *replay) (*ChaosRow, error) {
 	if plan == nil {
 		plan = &chaos.Plan{Name: "off"}
 	}
 	if err := plan.Validate(); err != nil {
-		return chaos.Report{}, err
+		return nil, err
 	}
-	faulted := ff
+	row := &ChaosRow{plan: plan, ff: ff, faulted: ff}
 	if !plan.Empty() {
-		fCfg := cfg
-		fCfg.Chaos = plan
-		fCfg.Policy = freshPolicy(cfg.Policy)
+		cfg.Chaos = plan
 		var err error
-		faulted, err = Regret(fCfg)
-		if err != nil {
-			return chaos.Report{}, err
+		if row.faulted, err = newReplay(cfg, freshPolicies(policies)); err != nil {
+			return nil, err
 		}
 	}
+	return row, nil
+}
 
-	rep := chaos.Report{
-		Scenario: plan.Name,
-		Seed:     plan.Seed,
-		Policy:   ff.Policy,
-		Planner:  ff.Planner,
-		Trace:    cfg.Trace.Name,
-		Machine:  ff.Machine,
-		TickSec:  ff.TickSec,
-		Faults:   plan.Tally(),
-
-		FaultFreeSavingPercent: ff.Online.SavingPercent,
-		FaultFreeEnergyJoules:  ff.Online.EnergyJoules,
-		OracleSavingPercent:    ff.Oracle.SavingPercent,
-
-		SavingPercent:              faulted.Online.SavingPercent,
-		EnergyJoules:               faulted.Online.EnergyJoules,
-		BaselineJoules:             faulted.Online.BaselineJoules,
-		OracleFaultedSavingPercent: faulted.Oracle.SavingPercent,
-		ResilienceRegretPercent:    faulted.Oracle.SavingPercent - faulted.Online.SavingPercent,
-
-		SLOViolations:       faulted.Online.SLOViolations,
-		WastedTransitions:   faulted.Online.WastedTransitions,
-		WastedJoules:        faulted.Online.WastedJoules,
-		ReHomedGiB:          faulted.Online.ReHomedGiB,
-		ServerCrashes:       faulted.Online.ServerCrashes,
-		StuckZombies:        faulted.Online.StuckZombies,
-		ControllerFailovers: faulted.Online.ControllerFailovers,
-		EmergencyWakes:      faulted.Online.EmergencyWakes,
-		Arrivals:            faulted.Online.Arrivals,
-		Admitted:            faulted.Online.Admitted,
-		Rejected:            faulted.Online.Rejected,
+// Jobs returns the row's simulations: per side, one online run per policy
+// and one oracle run per planner. They are independent and may run
+// concurrently; Reports is valid once all of them have returned nil.
+func (r *ChaosRow) Jobs() []func() error {
+	jobs := r.ff.jobs()
+	if r.faulted != r.ff {
+		jobs = append(jobs, r.faulted.jobs()...)
 	}
-	if ff.Online.SavingPercent > 0 {
-		rep.SavingsRetainedPercent = 100 * rep.SavingPercent / ff.Online.SavingPercent
+	return jobs
+}
+
+// Reports assembles the resilience reports, one per policy in the order
+// given to NewChaosRow.
+func (r *ChaosRow) Reports() []chaos.Report {
+	reports := make([]chaos.Report, len(r.ff.policies))
+	for i := range reports {
+		ff, faulted := r.ff.report(i), r.faulted.report(i)
+		rep := chaos.Report{
+			Scenario: r.plan.Name,
+			Seed:     r.plan.Seed,
+			Policy:   ff.Policy,
+			Planner:  ff.Planner,
+			Trace:    ff.Trace,
+			Machine:  ff.Machine,
+			TickSec:  ff.TickSec,
+			Faults:   r.plan.Tally(),
+
+			FaultFreeSavingPercent: ff.Online.SavingPercent,
+			FaultFreeEnergyJoules:  ff.Online.EnergyJoules,
+			OracleSavingPercent:    ff.Oracle.SavingPercent,
+
+			SavingPercent:              faulted.Online.SavingPercent,
+			EnergyJoules:               faulted.Online.EnergyJoules,
+			BaselineJoules:             faulted.Online.BaselineJoules,
+			OracleFaultedSavingPercent: faulted.Oracle.SavingPercent,
+			ResilienceRegretPercent:    faulted.Oracle.SavingPercent - faulted.Online.SavingPercent,
+
+			SLOViolations:       faulted.Online.SLOViolations,
+			WastedTransitions:   faulted.Online.WastedTransitions,
+			WastedJoules:        faulted.Online.WastedJoules,
+			ReHomedGiB:          faulted.Online.ReHomedGiB,
+			ServerCrashes:       faulted.Online.ServerCrashes,
+			StuckZombies:        faulted.Online.StuckZombies,
+			ControllerFailovers: faulted.Online.ControllerFailovers,
+			EmergencyWakes:      faulted.Online.EmergencyWakes,
+			Arrivals:            faulted.Online.Arrivals,
+			Admitted:            faulted.Online.Admitted,
+			Rejected:            faulted.Online.Rejected,
+		}
+		if ff.Online.SavingPercent > 0 {
+			rep.SavingsRetainedPercent = 100 * rep.SavingPercent / ff.Online.SavingPercent
+		}
+		reports[i] = rep
 	}
-	return rep, nil
+	return reports
+}
+
+// RunChaos replays one online configuration under a fault plan and returns
+// the full resilience report: a ChaosRow of cfg.Policy alone.
+func RunChaos(cfg Config, plan *chaos.Plan) (chaos.Report, error) {
+	row, err := NewChaosRow(cfg, plan, []Policy{cfg.Policy})
+	if err != nil {
+		return chaos.Report{}, err
+	}
+	if _, err := runJobs(row.Jobs()); err != nil {
+		return chaos.Report{}, err
+	}
+	return row.Reports()[0], nil
 }
 
 // CompareChaos runs the same online configuration under every given fault
@@ -390,18 +436,20 @@ func runChaosAgainst(cfg Config, plan *chaos.Plan, ff Report) (chaos.Report, err
 // it is a pure function of the configuration, so every RunChaos would
 // reproduce it bit for bit anyway.
 func CompareChaos(cfg Config, plans []*chaos.Plan) ([]chaos.Report, error) {
-	ffCfg := cfg
-	ffCfg.Chaos = nil
-	ffCfg.Policy = freshPolicy(cfg.Policy)
-	ffCfg.OnTick = nil // the hook and the obs bundle observe the faulted runs only
-	ffCfg.Obs = nil
-	ff, err := Regret(ffCfg)
+	policies := []Policy{cfg.Policy}
+	ff, err := newFaultFree(cfg, policies)
 	if err != nil {
+		return nil, err
+	}
+	if _, err := runJobs(ff.jobs()); err != nil {
 		return nil, err
 	}
 	reports := make([]chaos.Report, 0, len(plans))
 	for _, plan := range plans {
-		rep, err := runChaosAgainst(cfg, plan, ff)
+		row, err := newChaosRow(cfg, plan, policies, ff)
+		if err == nil && row.faulted != ff {
+			_, err = runJobs(row.faulted.jobs())
+		}
 		if err != nil {
 			name := "nil"
 			if plan != nil {
@@ -409,34 +457,21 @@ func CompareChaos(cfg Config, plans []*chaos.Plan) ([]chaos.Report, error) {
 			}
 			return nil, fmt.Errorf("autopilot: chaos scenario %q: %w", name, err)
 		}
-		reports = append(reports, rep)
+		reports = append(reports, row.Reports()[0])
 	}
 	return reports, nil
 }
 
-// freshPolicy returns a clean instance of the policy for one run: the
+// freshPolicies returns a clean instance of each policy for one run: the
 // bundled policies implement Clone (forecasting state reset); anything else
 // is used as-is and then belongs to that single run.
-func freshPolicy(p Policy) Policy {
-	if c, ok := p.(interface{ Clone() Policy }); ok {
-		return c.Clone()
+func freshPolicies(policies []Policy) []Policy {
+	fresh := make([]Policy, len(policies))
+	for i, p := range policies {
+		if c, ok := p.(interface{ Clone() Policy }); ok {
+			p = c.Clone()
+		}
+		fresh[i] = p
 	}
-	return p
-}
-
-// oracleConfig builds the dcsim configuration Regret replays the oracle
-// with; shared here so the chaos path and the fault-free path stay aligned
-// field by field.
-func oracleConfig(cfg *Config) dcsim.Config {
-	return dcsim.Config{
-		Trace:                     cfg.Trace,
-		Policy:                    cfg.Policy.Planner(),
-		Machine:                   cfg.Machine,
-		ServerSpec:                cfg.ServerSpec,
-		ConsolidationPeriodSec:    cfg.TickSec,
-		OasisMemoryServerFraction: cfg.OasisMemoryServerFraction,
-		Transitions:               cfg.Transitions,
-		Workers:                   cfg.Workers,
-		Chaos:                     cfg.Chaos,
-	}
+	return fresh
 }

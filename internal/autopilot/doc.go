@@ -21,6 +21,15 @@
 // seed-deterministic: a fixed trace seed reproduces the full regret report
 // bit for bit.
 //
+// The loop replays through the trace's dcsim.ReplayIndex: it knows a VM by
+// its rank in VM-ID order, keeps the running set as a bitset over ranks, and
+// writes the ID-sorted population into a reused buffer only when the policy,
+// the interval reset or a migration bill reads it, so a run allocates nothing
+// per task or per tick. Whatever replays one trace more than once passes the
+// index on instead of rebuilding it: Regret hands it to the online loop and
+// the oracle, and CompareOnline, RunChaos, CompareChaos and ChaosRow also
+// compute each oracle once, since it does not depend on the online policy.
+//
 // Decisions can additionally be executed against a live multi-rack
 // fleet.Fleet through FleetExecutor, which mirrors every posture as real
 // per-server ACPI transitions (S0/Sz/S3) on the rack model's energy ledger.
@@ -32,5 +41,7 @@
 // emergency wakes bill their wasted transitions and escalate, crashed
 // serving servers re-home their remote memory — and RunChaos compares the
 // faulted run against its fault-free twin and against the oracle re-run
-// under the identical schedule (the resilience regret).
+// under the identical schedule (the resilience regret). ChaosRow is the same
+// comparison for several policies at once, its simulations exposed as
+// independent jobs: a row of the scenario matrix.
 package autopilot

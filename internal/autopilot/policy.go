@@ -173,6 +173,9 @@ type PredictiveEWMA struct {
 	haveState        bool
 	ewmaCPU, ewmaMem float64
 	prevCPU, prevMem float64
+	// scaled is the inflated population handed to the planner, reused from
+	// tick to tick.
+	scaled []consolidation.VMDemand
 }
 
 // NewPredictiveEWMA returns the forecasting policy over the given planner
@@ -226,15 +229,15 @@ func (p *PredictiveEWMA) Decide(obs Observation) consolidation.FleetPlan {
 
 	vms := obs.VMs
 	if factor > 1 {
-		scaled := make([]consolidation.VMDemand, len(obs.VMs))
-		for i, v := range obs.VMs {
+		p.scaled = p.scaled[:0]
+		for _, v := range obs.VMs {
 			v.BookedCPU *= factor
 			v.BookedMemGiB *= factor
 			v.UsedCPU *= factor
 			v.UsedMemGiB *= factor
-			scaled[i] = v
+			p.scaled = append(p.scaled, v)
 		}
-		vms = scaled
+		vms = p.scaled
 	}
 	plan := p.Base.Plan(vms, obs.Spec, obs.TotalServers)
 	return addHeadroom(plan, p.MinHeadroom)

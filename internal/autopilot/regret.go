@@ -2,8 +2,11 @@ package autopilot
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 
+	"repro/internal/consolidation"
 	"repro/internal/dcsim"
 	"repro/internal/metrics"
 )
@@ -27,57 +30,178 @@ type Report struct {
 	RegretPercent float64
 }
 
+// replay is one trace under one fault plan, replayed for a set of online
+// policies: what the runs share (the perturbed trace, its replay index, the
+// defaulted configuration) is made once, and each oracle is computed once,
+// because the oracle depends on the trace, planner, machine, spec, tick and
+// fault plan but not on the online policy measured against it.
+type replay struct {
+	cfg      Config // validated, defaults applied, Trace perturbed; Policy is not read
+	idx      *dcsim.ReplayIndex
+	policies []Policy
+	online   []Result // by policy
+	// planners lists the distinct planners under the policies and oracles the
+	// bound each one sets; policy i is measured against oracles[oracleOf[i]].
+	planners []consolidation.Policy
+	oracles  []dcsim.Result
+	oracleOf []int
+}
+
+// newReplay prepares the replay of cfg for the given policies (at least one),
+// which it runs as they are: each must be a fresh instance. cfg.Policy is
+// ignored. A chaos plan on the config is applied to BOTH sides: the trace is
+// perturbed once here, the online loops inject the faults as events, and the
+// oracle replays under the same schedule through dcsim's degraded-capacity
+// pricing.
+func newReplay(cfg Config, policies []Policy) (*replay, error) {
+	cfg.Policy = policies[0]
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	for _, pol := range policies[1:] {
+		if err := validatePolicy(pol); err != nil {
+			return nil, err
+		}
+	}
+	cfg.Policy = nil
+	cfg.applyDefaults()
+	if !cfg.Chaos.Empty() {
+		cfg.Trace = cfg.Chaos.PerturbTrace(cfg.Trace)
+	}
+	idx, err := dcsim.NewReplayIndex(cfg.Trace)
+	if err != nil {
+		return nil, err
+	}
+	r := &replay{
+		cfg: cfg, idx: idx, policies: policies,
+		online: make([]Result, len(policies)), oracleOf: make([]int, len(policies)),
+	}
+	for i, pol := range policies {
+		k := slices.IndexFunc(r.planners, func(p consolidation.Policy) bool { return samePlanner(p, pol.Planner()) })
+		if k < 0 {
+			k = len(r.planners)
+			r.planners = append(r.planners, pol.Planner())
+		}
+		r.oracleOf[i] = k
+	}
+	r.oracles = make([]dcsim.Result, len(r.planners))
+	return r, nil
+}
+
+// samePlanner reports whether two policies plan with one planner value, and
+// so share an oracle. Interface equality panics on an uncomparable dynamic
+// type; such planners count as different and get an oracle each.
+func samePlanner(a, b consolidation.Policy) bool {
+	t := reflect.TypeOf(a)
+	return t == reflect.TypeOf(b) && t.Comparable() && a == b
+}
+
+// jobs returns the replay's simulations, the online run of policy i at
+// position i and the oracles after them. They are independent: each writes
+// its own result and only reads what the replay shares, so they may run
+// concurrently.
+func (r *replay) jobs() []func() error {
+	jobs := make([]func() error, 0, len(r.policies)+len(r.planners))
+	for i, pol := range r.policies {
+		jobs = append(jobs, func() (err error) {
+			cfg := r.cfg
+			cfg.Policy = pol
+			r.online[i], err = run(cfg, r.idx)
+			return err
+		})
+	}
+	for k, planner := range r.planners {
+		jobs = append(jobs, func() (err error) {
+			r.oracles[k], err = dcsim.RunIndexed(oracleConfig(&r.cfg, planner), r.idx)
+			return err
+		})
+	}
+	return jobs
+}
+
+// runJobs runs the jobs in order and stops at the first failure, returning
+// its position.
+func runJobs(jobs []func() error) (int, error) {
+	for i, job := range jobs {
+		if err := job(); err != nil {
+			return i, err
+		}
+	}
+	return 0, nil
+}
+
+// report pairs policy i's online result with its oracle.
+func (r *replay) report(i int) Report {
+	online, oracle := r.online[i], r.oracles[r.oracleOf[i]]
+	return Report{
+		Trace:         r.cfg.Trace.Name,
+		Machine:       r.cfg.Machine.Name,
+		Planner:       online.Planner,
+		Policy:        online.Policy,
+		TickSec:       r.cfg.TickSec,
+		Online:        online,
+		Oracle:        oracle,
+		RegretPercent: oracle.SavingPercent - online.SavingPercent,
+	}
+}
+
+// oracleConfig builds the dcsim configuration the oracle replays with:
+// dcsim.Oracle's (transition costs forced on, so both sides pay for their
+// posture changes), aligned with the online configuration field by field.
+func oracleConfig(cfg *Config, planner consolidation.Policy) dcsim.Config {
+	return dcsim.Config{
+		Trace:                     cfg.Trace,
+		Policy:                    planner,
+		Machine:                   cfg.Machine,
+		ServerSpec:                cfg.ServerSpec,
+		ConsolidationPeriodSec:    cfg.TickSec,
+		OasisMemoryServerFraction: cfg.OasisMemoryServerFraction,
+		TransitionCosts:           true,
+		Transitions:               cfg.Transitions,
+		Workers:                   cfg.Workers,
+		Chaos:                     cfg.Chaos,
+	}
+}
+
 // Regret runs the online control loop and the offline oracle on the same
 // configuration and returns the comparison. The oracle replays the identical
 // trace with the identical planner, machine, server spec, consolidation
 // period and transition-cost model — the only difference is knowledge: the
 // oracle plans each epoch with the epoch's whole population (arrivals
 // included), the online loop only ever sees the past. A chaos plan on the
-// config is applied to BOTH sides: the trace is perturbed once here, the
-// online loop injects the faults as events, and the oracle replays under the
-// same schedule through dcsim's degraded-capacity pricing — the
-// apples-to-apples resilience regret.
+// config is applied to both sides — the apples-to-apples resilience regret.
 func Regret(cfg Config) (Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return Report{}, err
-	}
-	cfg.applyDefaults()
-	if !cfg.Chaos.Empty() {
-		cfg.Trace = cfg.Chaos.PerturbTrace(cfg.Trace)
-	}
-	online, err := Run(cfg)
+	r, err := newReplay(cfg, []Policy{cfg.Policy})
 	if err != nil {
 		return Report{}, err
 	}
-	oracle, err := dcsim.Oracle(oracleConfig(&cfg))
-	if err != nil {
+	if _, err := runJobs(r.jobs()); err != nil {
 		return Report{}, err
 	}
-	return Report{
-		Trace:         cfg.Trace.Name,
-		Machine:       cfg.Machine.Name,
-		Planner:       cfg.Policy.Planner().Name(),
-		Policy:        cfg.Policy.Name(),
-		TickSec:       cfg.TickSec,
-		Online:        online,
-		Oracle:        oracle,
-		RegretPercent: oracle.SavingPercent - online.SavingPercent,
-	}, nil
+	return r.report(0), nil
 }
 
 // CompareOnline runs the regret comparison for every given policy on the
-// same configuration, in order. Each policy must be a fresh instance (the
-// bundled ones hold forecasting state) — Policies supplies a matching set.
+// same configuration, in order, over one replay index and with one oracle
+// run per distinct planner. Each policy must be a fresh instance (the bundled
+// ones hold forecasting state) — Policies supplies a matching set.
 func CompareOnline(cfg Config, policies []Policy) ([]Report, error) {
 	reports := make([]Report, 0, len(policies))
-	for _, pol := range policies {
-		c := cfg
-		c.Policy = pol
-		rep, err := Regret(c)
-		if err != nil {
-			return nil, fmt.Errorf("autopilot: policy %q: %w", pol.Name(), err)
+	if len(policies) == 0 {
+		return reports, nil
+	}
+	r, err := newReplay(cfg, policies)
+	if err != nil {
+		return nil, err
+	}
+	if i, err := runJobs(r.jobs()); err != nil {
+		if i < len(policies) {
+			err = fmt.Errorf("autopilot: policy %q: %w", policies[i].Name(), err)
 		}
-		reports = append(reports, rep)
+		return nil, err
+	}
+	for i := range policies {
+		reports = append(reports, r.report(i))
 	}
 	return reports, nil
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/acpi"
@@ -206,67 +207,153 @@ type epochStats struct {
 	reHomedGiB   float64
 }
 
-// replayIndex is the read-only replay view of one trace, built once and
-// shared by every run, shard and replayer that replays it. A VM's rank is its
-// position in the lexicographic order of the VM IDs — the order the policies
-// and the energy integrals have always seen populations in — so a replayer
-// keeps its running set as ascending integers and never compares a string.
-type replayIndex struct {
+// ReplayIndex is the read-only replay view of one trace, built once and
+// shared by everything that replays it: dcsim's runs, shards and replayers,
+// and autopilot's online loop. A VM's rank is its position in the
+// lexicographic order of the VM IDs — the order the policies and the energy
+// integrals have always seen populations in — so a replay keeps its running
+// set as ascending integers and never compares a string.
+type ReplayIndex struct {
+	tr *trace.Trace
 	// starts and ranks list the tasks in start order: the i-th task to start
 	// does so at starts[i] and is the VM of rank ranks[i].
 	starts []int64
 	ranks  []int32
-	// ends and demand are indexed by rank; each demand carries the VM ID,
-	// formatted once per trace.
+	// rankOf is indexed by a task's position in the trace.
+	rankOf []int32
+	// ends and demand are indexed by rank. The demands' VM IDs are substrings
+	// of one buffer, formatted once per trace.
 	ends   []int64
 	demand []consolidation.VMDemand
 }
 
-// newReplayIndex builds the index. Sorting the VM IDs puts a repeated task ID
-// next to itself, so a trace in which two VMs would share one identity is
-// rejected here with the ID named.
-func newReplayIndex(tr *trace.Trace) (*replayIndex, error) {
+// vmOrder is the integer order key of a VM ID: keys compare the way
+// strings.Compare orders the "task-%d" strings (trace.Task.VMID), with no
+// string in the comparison. Decimal digits compare like the number
+// left-aligned to 19 places (the longest int64), a proper prefix sorts first
+// ("task-12" before "task-120"), and '-' sorts below every digit, so negative
+// IDs come first, ordered among themselves by the same rule.
+type vmOrder struct {
+	scaled   uint64 // |ID| · 10^(19-digits)
+	digits   uint8
+	positive bool // ID >= 0
+}
+
+func vmOrderOf(id int) vmOrder {
+	abs := uint64(id)
+	if id < 0 {
+		abs = -abs
+	}
+	k := vmOrder{digits: 1, positive: id >= 0}
+	scale := uint64(1e18)
+	for pow := uint64(10); abs >= pow; pow *= 10 { // 10^19 still fits, and ends the loop
+		k.digits++
+		scale /= 10
+	}
+	k.scaled = abs * scale
+	return k
+}
+
+func (a vmOrder) compare(b vmOrder) int {
+	if a.positive != b.positive {
+		if b.positive {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Or(cmp.Compare(a.scaled, b.scaled), cmp.Compare(a.digits, b.digits))
+}
+
+// prefix is the key's 32 most significant bits: ordering by it never
+// contradicts compare, and IDs below 10^9 share one only when one ID's digits
+// are the other's followed by zeros.
+func (a vmOrder) prefix() uint64 {
+	p := a.scaled >> 33
+	if a.positive {
+		p |= 1 << 31
+	}
+	return p
+}
+
+// NewReplayIndex builds the index. The ranks come from sorting packed
+// (key prefix, task) integers, which needs no comparator, and then each run of
+// equal prefixes by the full key. That puts a repeated task ID next to itself,
+// so a trace in which two VMs would share one identity is rejected here with
+// the ID named.
+func NewReplayIndex(tr *trace.Trace) (*ReplayIndex, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("dcsim: a trace is required")
 	}
 	n := len(tr.Tasks)
-	idx := &replayIndex{
-		starts: make([]int64, n), ranks: make([]int32, n),
+	idx := &ReplayIndex{
+		tr:     tr,
+		starts: make([]int64, n), ranks: make([]int32, n), rankOf: make([]int32, n),
 		ends: make([]int64, n), demand: make([]consolidation.VMDemand, n),
 	}
-	ids := make([]string, n)
-	byID, byStart := make([]int32, n), make([]int32, n)
+	byID := make([]uint64, n) // prefix<<32 | position in tr.Tasks
+	idBytes := 0
 	for i := range tr.Tasks {
-		ids[i], byID[i], byStart[i] = tr.Tasks[i].VMID(), int32(i), int32(i)
+		k := vmOrderOf(tr.Tasks[i].ID)
+		byID[i] = k.prefix()<<32 | uint64(i)
+		idBytes += len("task-") + int(k.digits)
+		if !k.positive {
+			idBytes++
+		}
 	}
-	slices.SortFunc(byID, func(a, b int32) int { return strings.Compare(ids[a], ids[b]) })
-	rankOf := make([]int32, n)
-	for rank, ti := range byID {
+	slices.Sort(byID)
+	for i, j := 0, 1; i < n; i = j {
+		for j = i + 1; j < n && byID[j]>>32 == byID[i]>>32; j++ {
+		}
+		slices.SortFunc(byID[i:j], func(a, b uint64) int {
+			return vmOrderOf(tr.Tasks[uint32(a)].ID).compare(vmOrderOf(tr.Tasks[uint32(b)].ID))
+		})
+	}
+	// Every VM ID is a substring of one buffer: Grow sizes it exactly, so the
+	// substrings taken while it fills are substrings of the final string.
+	var ids strings.Builder
+	ids.Grow(idBytes)
+	var digits [20]byte
+	for rank, key := range byID {
+		ti := uint32(key)
 		t := &tr.Tasks[ti]
-		if rank > 0 && ids[ti] == ids[byID[rank-1]] {
+		if rank > 0 && t.ID == tr.Tasks[uint32(byID[rank-1])].ID {
 			return nil, fmt.Errorf("dcsim: trace %q repeats task ID %d", tr.Name, t.ID)
 		}
-		rankOf[ti] = int32(rank)
+		at := ids.Len()
+		ids.WriteString("task-")
+		ids.Write(strconv.AppendInt(digits[:0], int64(t.ID), 10))
+		idx.rankOf[ti] = int32(rank)
 		idx.ends[rank] = t.EndSec
 		idx.demand[rank] = consolidation.VMDemand{
-			ID: ids[ti], BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB,
+			ID: ids.String()[at:], BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB,
 			UsedCPU: t.UsedCPU, UsedMemGiB: t.UsedMemGiB,
 		}
 	}
 	// Traces list their tasks by start already, so this sort is close to a
 	// scan. Equal starts need no order: they are admitted in one batch, which
-	// population sorts by rank.
+	// population sorts by rank. The order is built in idx.ranks itself: the
+	// last loop reads entry i before it overwrites it.
+	byStart := idx.ranks
+	for i := range byStart {
+		byStart[i] = int32(i)
+	}
 	slices.SortFunc(byStart, func(a, b int32) int { return cmp.Compare(tr.Tasks[a].StartSec, tr.Tasks[b].StartSec) })
 	for i, ti := range byStart {
-		idx.starts[i], idx.ranks[i] = tr.Tasks[ti].StartSec, rankOf[ti]
+		idx.starts[i], idx.ranks[i] = tr.Tasks[ti].StartSec, idx.rankOf[ti]
 	}
 	return idx, nil
 }
 
+// Rank returns the rank of the task at position task of the trace's Tasks.
+func (idx *ReplayIndex) Rank(task int) int32 { return idx.rankOf[task] }
+
+// Demand returns the consolidation-level view of the VM of the given rank.
+func (idx *ReplayIndex) Demand(rank int32) consolidation.VMDemand { return idx.demand[rank] }
+
 // liveCounts returns how many VMs each epoch's population holds, in one sweep
 // over the index: a task is live from the epoch it starts in to the epoch its
 // last second falls in.
-func (idx *replayIndex) liveCounts(periodSec int64, epochs int) []int {
+func (idx *ReplayIndex) liveCounts(periodSec int64, epochs int) []int {
 	live := make([]int, epochs+1)
 	for i, start := range idx.starts {
 		live[start/periodSec]++
@@ -285,7 +372,7 @@ func (idx *replayIndex) liveCounts(periodSec int64, epochs int) []int {
 // keeps those still running, one integer sort of the survivors — and every
 // later call costs that epoch's arrivals and live set, whatever came before.
 type replayer struct {
-	idx     *replayIndex
+	idx     *ReplayIndex
 	next    int
 	running []int32
 	spare   []int32
@@ -296,7 +383,7 @@ type replayer struct {
 // newReplayer sizes every buffer once for the largest population the walk
 // will meet (live is the run's liveCounts), so the epoch loop allocates
 // nothing and population writes by position.
-func newReplayer(idx *replayIndex, live []int) *replayer {
+func newReplayer(idx *ReplayIndex, live []int) *replayer {
 	peak := slices.Max(live)
 	return &replayer{
 		idx:     idx,
@@ -408,16 +495,20 @@ func initialPlan(cfg *Config) consolidation.FleetPlan {
 // Run executes the simulation, sequentially or sharded across
 // Config.Workers goroutines; the result is identical either way.
 func Run(cfg Config) (Result, error) {
-	idx, err := newReplayIndex(cfg.Trace)
+	idx, err := NewReplayIndex(cfg.Trace)
 	if err != nil {
 		return Result{}, err
 	}
-	return run(cfg, idx)
+	return RunIndexed(cfg, idx)
 }
 
-// run is Run over an index the caller built from cfg.Trace, so a grid of runs
-// on one trace (CompareOpts, Sweep) builds it once.
-func run(cfg Config, idx *replayIndex) (Result, error) {
+// RunIndexed is Run over an index the caller built from cfg.Trace, so
+// whatever replays one trace more than once (CompareOpts, Sweep, autopilot's
+// regret reports and the scenario matrix) builds it once.
+func RunIndexed(cfg Config, idx *ReplayIndex) (Result, error) {
+	if idx == nil || idx.tr != cfg.Trace {
+		return Result{}, fmt.Errorf("dcsim: the replay index was built from another trace")
+	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -587,14 +678,14 @@ type CompareOptions struct {
 // CompareOpts runs the Figure 10 contenders on the trace for each machine
 // profile with the given engine options.
 func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consolidation.ServerSpec, opts CompareOptions) (Comparison, error) {
-	idx, err := newReplayIndex(tr)
+	idx, err := NewReplayIndex(tr)
 	if err != nil {
 		return Comparison{}, err
 	}
 	cmp := Comparison{Trace: tr.Name}
 	for _, m := range machines {
 		for _, pol := range consolidation.Contenders() {
-			res, err := run(Config{
+			res, err := RunIndexed(Config{
 				Trace: tr, Policy: pol, Machine: m, ServerSpec: spec,
 				Workers: opts.Workers, TransitionCosts: opts.TransitionCosts,
 				RackPricing: opts.RackPricing,

@@ -16,11 +16,17 @@
 // energy ledger (see transitions.go). The baseline fleet never transitions,
 // so enabling transition costs can only lower the reported saving.
 //
-// A run replays its trace through one read-only replay index (dcsim.go): the
-// tasks in start order, each VM ID formatted once, each VM's rank in the
-// lexicographic VM-ID order populations are planned and integrated in, and
-// its demand ready to copy. Run builds the index; CompareOpts and Sweep build
-// it once per trace and share it across every run and shard. A replayer
+// A run replays its trace through one read-only ReplayIndex (dcsim.go): the
+// tasks in start order, each VM's rank in the lexicographic VM-ID order
+// populations are planned and integrated in, its demand ready to copy, and
+// its VM ID as a substring of one buffer. The ranks are sorted by an integer
+// key that orders like the "task-%d" strings, so the build compares no string
+// either. Run builds the index; CompareOpts and Sweep build it once per trace
+// and share it across every run and shard; internal/autopilot, whose online
+// loop keeps its running set by rank, builds it once per trace and fault plan
+// and hands it to its online runs and, through RunIndexed, to the oracle. The
+// index is always passed as an argument and never cached on the trace. A
+// replayer
 // derives an epoch's population by merging the epoch's arrivals, sorted by
 // rank, with the surviving running set — linear, no string compared, nothing
 // allocated — and seeks to any epoch with one filtered scan of the tasks
@@ -46,8 +52,8 @@
 // Because the engine plans each epoch with the epoch's whole population —
 // knowledge no causal controller has — a run is also the offline upper bound
 // for the online control plane: Oracle runs the engine with transition costs
-// forced on, and internal/autopilot measures its regret against it using the
-// same exported pricing rules (PosturePowerWatts, BaselinePowerWatts,
+// forced on, and internal/autopilot measures its regret against that
+// configuration using the same exported pricing rules (PosturePowerWatts, BaselinePowerWatts,
 // TransitionModel.Cost).
 //
 // Config.Chaos re-runs any of the above under a deterministic fault schedule

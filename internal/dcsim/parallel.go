@@ -60,7 +60,7 @@ func shardEpochs(live []int, workers int) []shard {
 // Rack pricing keeps the same contract: every shard owns a private model
 // rack, and the per-epoch ledger charge is a pure function of the epoch's
 // plan, so where the shard starts does not matter.
-func simulateShards(cfg *Config, idx *replayIndex, spans []epochSpan, live []int, stats []epochStats) error {
+func simulateShards(cfg *Config, idx *ReplayIndex, spans []epochSpan, live []int, stats []epochStats) error {
 	shards := shardEpochs(live, cfg.Workers)
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup

@@ -1,6 +1,8 @@
 package dcsim
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -40,7 +42,7 @@ func seekCase(data []byte) (*trace.Trace, int64) {
 // the buffers sized from liveCounts.
 func checkSeek(t *testing.T, tr *trace.Trace, periodSec int64) {
 	t.Helper()
-	idx, err := newReplayIndex(tr)
+	idx, err := NewReplayIndex(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +129,9 @@ func TestRunRejectsDuplicateTaskIDs(t *testing.T) {
 }
 
 // TestCompareFormatsVMIDsOncePerTrace pins the sharing: a comparison is six
-// runs on one trace, and its allocation count is one VM ID per task plus a
-// small constant per run — not the two-per-task-per-run of formatting the IDs
-// in every run.
+// runs on one trace, and it allocates a small constant per run plus the
+// index's few buffers — the VM IDs are one buffer, not one string per task,
+// let alone one per task per run.
 func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	tr := engineTestTrace(t)
 	spec := consolidation.DefaultServerSpec()
@@ -141,8 +143,87 @@ func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	compare()
 	runs := len(energy.Profiles()) * len(consolidation.Contenders())
 	got := countAllocs(compare)
-	if budget := uint64(len(tr.Tasks) + 32*runs); got > budget {
+	if budget := uint64(16 + 16*runs); got > budget {
 		t.Fatalf("CompareOpts over %d tasks x %d runs costs %d allocs, budget %d", len(tr.Tasks), runs, got, budget)
 	}
 	t.Logf("CompareOpts: %d allocs for %d tasks x %d runs", got, len(tr.Tasks), runs)
+}
+
+// vmOrderCases are the IDs where the string order and the numeric order part
+// ways, or where the key's arithmetic is at its limits: a proper prefix
+// (12/120/1200), a digit-count boundary (9/10, 99/100), both ends of int64,
+// '-' against the digits, and the longest IDs one apart.
+var vmOrderCases = []int{
+	0, 9, 10, 12, 120, 1200, 99, 100, math.MaxInt64, math.MinInt64, -1, -10, -12, -120,
+	1e18 - 1, 1e18, 1e18 + 1, 1, 2, 19, 20, 123456789, 1234567890, math.MaxInt64 - 1, math.MinInt64 + 1,
+}
+
+// checkVMOrder asserts the integer order key agrees with the string order of
+// the two VM IDs, in both directions, and that the prefix it is presorted by
+// never contradicts it.
+func checkVMOrder(t *testing.T, a, b int) {
+	t.Helper()
+	ida, idb := trace.Task{ID: a}.VMID(), trace.Task{ID: b}.VMID()
+	ka, kb := vmOrderOf(a), vmOrderOf(b)
+	want := strings.Compare(ida, idb)
+	if got := ka.compare(kb); got != want {
+		t.Fatalf("key order of %s against %s is %d, string order %d", ida, idb, got, want)
+	}
+	if got := kb.compare(ka); got != -want {
+		t.Fatalf("key order of %s against %s is %d, string order %d", idb, ida, got, -want)
+	}
+	if byPrefix := cmp.Compare(ka.prefix(), kb.prefix()); byPrefix != 0 && byPrefix != want {
+		t.Fatalf("prefix order of %s against %s is %d, string order %d", ida, idb, byPrefix, want)
+	}
+}
+
+// TestVMOrderIsTheStringOrder runs every pair of the hand-picked IDs, then
+// seeded random pairs drawn so that every digit count comes up.
+func TestVMOrderIsTheStringOrder(t *testing.T) {
+	for _, a := range vmOrderCases {
+		for _, b := range vmOrderCases {
+			checkVMOrder(t, a, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	draw := func() int { return int(rng.Int63()>>uint(rng.Intn(63))) * (1 - 2*rng.Intn(2)) }
+	for i := 0; i < 20000; i++ {
+		checkVMOrder(t, draw(), draw())
+	}
+}
+
+// FuzzVMOrder feeds checkVMOrder arbitrary pairs; the corpus checked in under
+// testdata/fuzz holds the pairs of vmOrderCases named in its comment.
+func FuzzVMOrder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b int64) {
+		checkVMOrder(t, int(a), int(b))
+	})
+}
+
+// TestReplayIndexRanksAreTheStringOrder builds the index over IDs chosen to
+// collide in the presort (shared prefixes) and checks ranks, lookups and the
+// shared ID buffer against the formatted strings.
+func TestReplayIndexRanksAreTheStringOrder(t *testing.T) {
+	tr := &trace.Trace{Name: "ranks", Machines: 1, HorizonSec: 10}
+	for i, id := range vmOrderCases {
+		tr.Tasks = append(tr.Tasks, trace.Task{ID: id, StartSec: int64(i % 5), EndSec: 10, BookedCPU: 1, BookedMemGiB: float64(i + 1)})
+	}
+	idx, err := NewReplayIndex(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(tr.Tasks))
+	for i, task := range tr.Tasks {
+		want[i] = task.VMID()
+	}
+	slices.Sort(want)
+	for i, task := range tr.Tasks {
+		v := idx.Demand(idx.Rank(i))
+		if v.ID != task.VMID() || v.BookedMemGiB != task.BookedMemGiB {
+			t.Fatalf("task %d (%s): index holds %+v", i, task.VMID(), v)
+		}
+		if want[idx.Rank(i)] != v.ID {
+			t.Fatalf("%s has rank %d, sorted strings put %s there", v.ID, idx.Rank(i), want[idx.Rank(i)])
+		}
+	}
 }

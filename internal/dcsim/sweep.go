@@ -133,9 +133,9 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		transitionAxis = []bool{false}
 	}
 	var cells []Config
-	var index []*replayIndex // index[i] replays cells[i].Trace: one per trace, shared by its runs
+	var index []*ReplayIndex // index[i] replays cells[i].Trace: one per trace, shared by its runs
 	for _, tr := range traces {
-		idx, err := newReplayIndex(tr)
+		idx, err := NewReplayIndex(tr)
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +176,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				res.Runs[i], errs[i] = run(cells[i], index[i])
+				res.Runs[i], errs[i] = RunIndexed(cells[i], index[i])
 			}
 		}()
 	}

@@ -1,15 +1,19 @@
 // Package scenario crosses the workload-family engine with the online
 // policy roster: every scenario pack (a trace built by a family or imported
-// from disk) is replayed through autopilot.RunChaos against every policy,
+// from disk) is replayed as one autopilot.ChaosRow against every policy,
 // yielding one chaos.Report per cell — oracle bound, fault-free online
 // saving, regret, faulted saving, resilience — the policy×scenario matrix
-// the paper's two-trace evaluation never had. Cells land in grid order
-// regardless of scheduling, so the rendered artifact is bit-identical across
-// runs and worker counts and can be pinned as a golden file.
+// the paper's two-trace evaluation never had. A row does once what does not
+// depend on the cell's policy (fault plan, perturbed trace, replay indexes,
+// oracle runs) and spreads its simulations over the worker pool. Cells land
+// in grid order regardless of scheduling, so the rendered artifact is
+// bit-identical across runs and worker counts and can be pinned as a golden
+// file.
 package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -64,8 +68,8 @@ type MatrixConfig struct {
 	// ("off", "light", "heavy"; "light" by default) and ChaosSeed its seed.
 	ChaosScenario string
 	ChaosSeed     int64
-	// Workers bounds how many cells run concurrently; 1 by default. Any
-	// value produces the identical matrix.
+	// Workers bounds how many of a row's simulations run concurrently; 1 by
+	// default. Any value produces the identical matrix.
 	Workers int
 }
 
@@ -113,9 +117,9 @@ func (c *MatrixConfig) validate() error {
 	return nil
 }
 
-// policyFor builds a fresh online policy instance by name over a fresh base
-// planner — per cell, because the bundled policies hold forecasting state.
-func (c *MatrixConfig) policyFor(name string) (autopilot.Policy, error) {
+// roster builds the online policies by name, in order, over one base
+// planner: sharing it is what lets a row compute each oracle once.
+func (c *MatrixConfig) roster() ([]autopilot.Policy, error) {
 	plannerName := c.Planner
 	if plannerName == "" {
 		plannerName = "neat"
@@ -124,14 +128,20 @@ func (c *MatrixConfig) policyFor(name string) (autopilot.Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	var valid []string
-	for _, p := range autopilot.Policies(base) {
-		if p.Name() == name {
-			return p, nil
+	all := autopilot.Policies(base)
+	policies := make([]autopilot.Policy, 0, len(c.Policies))
+	for _, name := range c.Policies {
+		i := slices.IndexFunc(all, func(p autopilot.Policy) bool { return p.Name() == name })
+		if i < 0 {
+			valid := make([]string, len(all))
+			for k, p := range all {
+				valid[k] = p.Name()
+			}
+			return nil, fmt.Errorf("scenario: unknown policy %q (valid: %s)", name, strings.Join(valid, ", "))
 		}
-		valid = append(valid, p.Name())
+		policies = append(policies, all[i])
 	}
-	return nil, fmt.Errorf("scenario: unknown policy %q (valid: %s)", name, strings.Join(valid, ", "))
+	return policies, nil
 }
 
 // Cell is one matrix entry: one pack replayed under one policy.
@@ -152,10 +162,12 @@ type Matrix struct {
 	ChaosSeed     int64
 }
 
-// Run executes the policy×scenario grid on Workers goroutines. Cells land in
-// grid order regardless of scheduling, every cell builds its own policy and
-// fault plan, and the result is a pure function of the config — the same
-// grid is bit-identical across runs and worker counts.
+// Run executes the policy×scenario grid a row at a time, each row's
+// simulations on Workers goroutines. Cells land in grid order regardless of
+// scheduling, every run gets its own policy instance (the bundled ones hold
+// forecasting state, and a row clones them per run), and the result is a pure
+// function of the config — the same grid is bit-identical across runs and
+// worker counts.
 func Run(cfg MatrixConfig) (*Matrix, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -176,61 +188,48 @@ func Run(cfg MatrixConfig) (*Matrix, error) {
 	if tick == 0 {
 		tick = 300
 	}
+	// An unknown policy fails here, before any simulation work.
+	policies, err := cfg.roster()
+	if err != nil {
+		return nil, err
+	}
 
 	m := &Matrix{
 		Cells:         make([]Cell, 0, len(cfg.Packs)*len(cfg.Policies)),
 		ChaosScenario: chaosName,
 		ChaosSeed:     cfg.ChaosSeed,
 	}
+	// One row is live at a time: its indexes and perturbed trace are garbage
+	// before the next pack's are built.
 	for _, pack := range cfg.Packs {
-		for _, polName := range cfg.Policies {
-			m.Cells = append(m.Cells, Cell{Scenario: pack.Name, Policy: polName})
-		}
-	}
-	// Pre-flight every cell's policy name so an unknown policy fails before
-	// any simulation work.
-	for _, polName := range cfg.Policies {
-		if _, err := cfg.policyFor(polName); err != nil {
-			return nil, err
-		}
-	}
-
-	packFor := make(map[string]Pack, len(cfg.Packs))
-	for _, pack := range cfg.Packs {
-		packFor[pack.Name] = pack
-	}
-	runCell := func(cell *Cell) error {
-		pack := packFor[cell.Scenario]
-		policy, err := cfg.policyFor(cell.Policy)
-		if err != nil {
-			return err
-		}
 		plan, err := chaos.Scenario(chaosName, pack.Trace.HorizonSec, pack.Trace.Machines, cfg.ChaosSeed)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		report, err := autopilot.RunChaos(autopilot.Config{
+		row, err := autopilot.NewChaosRow(autopilot.Config{
 			Trace:      pack.Trace,
-			Policy:     policy,
 			Machine:    machine,
 			ServerSpec: spec,
 			TickSec:    tick,
-		}, plan)
-		if err != nil {
-			return fmt.Errorf("scenario: cell %s/%s: %w", cell.Scenario, cell.Policy, err)
+		}, plan, policies)
+		if err == nil {
+			err = runPool(row.Jobs(), cfg.Workers)
 		}
-		cell.Report = report
-		return nil
+		if err != nil {
+			return nil, fmt.Errorf("scenario: pack %s: %w", pack.Name, err)
+		}
+		for i, report := range row.Reports() {
+			m.Cells = append(m.Cells, Cell{Scenario: pack.Name, Policy: cfg.Policies[i], Report: report})
+		}
 	}
+	return m, nil
+}
 
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(m.Cells) {
-		workers = len(m.Cells)
-	}
-	errs := make([]error, len(m.Cells))
+// runPool runs the jobs on at most workers goroutines and returns the first
+// failure in job order.
+func runPool(jobs []func() error, workers int) error {
+	workers = max(1, min(workers, len(jobs)))
+	errs := make([]error, len(jobs))
 	work := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -238,21 +237,21 @@ func Run(cfg MatrixConfig) (*Matrix, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				errs[i] = runCell(&m.Cells[i])
+				errs[i] = jobs[i]()
 			}
 		}()
 	}
-	for i := range m.Cells {
+	for i := range jobs {
 		work <- i
 	}
 	close(work)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // Cell returns one matrix entry by scenario and policy name.

@@ -5,9 +5,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/autopilot"
+	"repro/internal/chaos"
+	"repro/internal/consolidation"
+	"repro/internal/energy"
 	"repro/internal/trace"
 )
 
@@ -95,6 +100,51 @@ func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if m.Render() != first {
 		t.Fatal("matrix differs across runs with the identical config")
+	}
+}
+
+// TestMatrixEqualsOneRunChaosPerCell: working a row at a time — one fault
+// plan, one perturbed trace, two indexes and two oracle runs per pack, shared
+// by the pack's cells — changes no number. Every cell's report equals the one
+// autopilot.RunChaos computes for that cell alone, with its own policy,
+// planner and plan, whatever the worker count.
+func TestMatrixEqualsOneRunChaosPerCell(t *testing.T) {
+	cfg := smallConfig(t)
+	cfg.Policies = []string{"reactive", "hysteresis", "ewma"}
+	var want []chaos.Report
+	for _, pack := range cfg.Packs {
+		for i := range cfg.Policies {
+			plan, err := chaos.Scenario(cfg.ChaosScenario, pack.Trace.HorizonSec, pack.Trace.Machines, cfg.ChaosSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, err := autopilot.RunChaos(autopilot.Config{
+				Trace:      pack.Trace,
+				Policy:     autopilot.Policies(consolidation.NewNeat())[i],
+				Machine:    energy.Profiles()[0],
+				ServerSpec: consolidation.DefaultServerSpec(),
+				TickSec:    300,
+			}, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, report)
+		}
+	}
+	for _, workers := range []int{1, 2, 5} {
+		cfg.Workers = workers
+		m, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Cells) != len(want) {
+			t.Fatalf("%d workers: %d cells, want %d", workers, len(m.Cells), len(want))
+		}
+		for i, c := range m.Cells {
+			if !reflect.DeepEqual(c.Report, want[i]) {
+				t.Errorf("%d workers: cell %s/%s reports\n%+v\nRunChaos alone reports\n%+v", workers, c.Scenario, c.Policy, c.Report, want[i])
+			}
+		}
 	}
 }
 

@@ -139,14 +139,16 @@ func FuzzImport(f *testing.F) {
 }
 
 // fuzzTasks derives a small, always-valid task set from raw fuzz bytes:
-// three bytes drive each task's start and duration, IDs are sequential.
+// three bytes drive each task's start and duration. IDs are distinct but not
+// in position order (37 is a unit modulo the prime 211, and there are at most
+// 200 tasks), so ordering a tie by ID is not ordering it by position.
 func fuzzTasks(data []byte) []Task {
 	var tasks []Task
 	for i := 0; i+2 < len(data) && len(tasks) < 200; i += 3 {
 		start := (int64(data[i])<<3 | int64(data[i+1])&7) % 977
 		dur := int64(data[i+2])%120 + 1
 		tasks = append(tasks, Task{
-			ID:           len(tasks),
+			ID:           len(tasks) * 37 % 211,
 			JobID:        int(data[i+1]) % 16,
 			StartSec:     start,
 			EndSec:       start + dur,
@@ -171,6 +173,14 @@ func FuzzStreamVsSlurp(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{255, 255, 255, 0, 0, 255, 7, 7, 7, 200, 100, 50})
 	f.Add(bytes.Repeat([]byte{42}, 60)) // many identical tasks: pure tie-breaking
+	// The online control plane consumes this feed, so the instants its loop
+	// orders by are seeded by hand: three tasks that start together, two that
+	// end together, one that ends the second another starts, and one that
+	// runs from before the first start to after the last end.
+	f.Add([]byte{10, 0, 5, 10, 0, 9, 10, 0, 1})
+	f.Add([]byte{10, 0, 9, 10, 5, 4})
+	f.Add([]byte{10, 0, 7, 11, 0, 3})
+	f.Add([]byte{0, 0, 119, 2, 0, 9, 5, 3, 30, 10, 0, 39})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tasks := fuzzTasks(data)
@@ -211,6 +221,9 @@ func FuzzStreamVsSlurp(f *testing.F) {
 				t.Fatalf("stream yielded more than %d events", len(want))
 			}
 			w := want[i]
+			if tasks[e.Index] != e.Task {
+				t.Fatalf("event %d carries index %d, which is task-%d, beside task-%d", i, e.Index, tasks[e.Index].ID, e.Task.ID)
+			}
 			if e.AtSec != w.at || e.Kind != w.kind || e.Task.ID != w.id {
 				t.Fatalf("event %d = (%d,%v,task-%d), slice replay has (%d,%v,task-%d)",
 					i, e.AtSec, e.Kind, e.Task.ID, w.at, w.kind, w.id)

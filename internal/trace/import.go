@@ -2,12 +2,14 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"compress/gzip"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -261,13 +263,15 @@ func Import(r io.Reader, opts ImportOptions) (*Trace, error) {
 }
 
 // finalizeImported sorts the tasks and derives the missing fleet metadata.
+// WriteCSV emits rows in this order already, so the usual import only checks
+// it.
 func finalizeImported(tr *Trace) {
-	sort.Slice(tr.Tasks, func(i, j int) bool {
-		if tr.Tasks[i].StartSec != tr.Tasks[j].StartSec {
-			return tr.Tasks[i].StartSec < tr.Tasks[j].StartSec
-		}
-		return tr.Tasks[i].ID < tr.Tasks[j].ID
-	})
+	byStartThenID := func(a, b Task) int {
+		return cmp.Or(cmp.Compare(a.StartSec, b.StartSec), cmp.Compare(a.ID, b.ID))
+	}
+	if !slices.IsSortedFunc(tr.Tasks, byStartThenID) {
+		slices.SortFunc(tr.Tasks, byStartThenID)
+	}
 	if tr.HorizonSec == 0 {
 		for _, t := range tr.Tasks {
 			if t.EndSec > tr.HorizonSec {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -52,6 +53,32 @@ func TestImportRoundTrip(t *testing.T) {
 			if got.Tasks[i] != want[i] {
 				t.Fatalf("compress=%v: task %d = %+v, want %+v", compress, i, got.Tasks[i], want[i])
 			}
+		}
+	}
+}
+
+// TestImportSortsOutOfOrderRows: rows arrive in whatever order the file lists
+// them, and the trace comes back by (StartSec, ID) whether or not they were
+// already in it.
+func TestImportSortsOutOfOrderRows(t *testing.T) {
+	rows := []string{
+		"4,1,300,400,1,2,0.5,1",
+		"9,1,100,200,1,2,0.5,1",
+		"2,1,100,150,1,2,0.5,1",
+		"7,1,0,50,1,2,0.5,1",
+	}
+	sorted := []string{rows[3], rows[2], rows[1], rows[0]}
+	for _, in := range [][]string{rows, sorted} {
+		tr, err := Import(strings.NewReader(strings.Join(in, "\n")+"\n"), ImportOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []int
+		for _, task := range tr.Tasks {
+			ids = append(ids, task.ID)
+		}
+		if want := []int{7, 2, 9, 4}; !slices.Equal(ids, want) {
+			t.Fatalf("imported task order %v, want %v", ids, want)
 		}
 	}
 }

@@ -98,6 +98,41 @@ func TestStreamDepartBeforeArriveAtSameInstant(t *testing.T) {
 	}
 }
 
+// TestStreamTimesBeyond32Bits: instants more than 2^32 seconds apart do not
+// fit the packed sort keys, and the order (ties by ID included) must not
+// depend on that.
+func TestStreamTimesBeyond32Bits(t *testing.T) {
+	const far = int64(1) << 40
+	tr := &Trace{
+		Name: "far", Machines: 1, HorizonSec: far + 100,
+		Tasks: []Task{
+			{ID: 7, StartSec: 0, EndSec: far, BookedCPU: 1, BookedMemGiB: 1},
+			{ID: 3, StartSec: 0, EndSec: far, BookedCPU: 1, BookedMemGiB: 1},
+			{ID: 5, StartSec: 10, EndSec: 20, BookedCPU: 1, BookedMemGiB: 1},
+			{ID: 1, StartSec: far, EndSec: far + 100, BookedCPU: 1, BookedMemGiB: 1},
+		},
+	}
+	type ev struct {
+		at   int64
+		kind EventKind
+		id   int
+	}
+	want := []ev{
+		{0, Arrive, 3}, {0, Arrive, 7}, {10, Arrive, 5}, {20, Depart, 5},
+		{far, Depart, 3}, {far, Depart, 7}, {far, Arrive, 1}, {far + 100, Depart, 1},
+	}
+	s := NewStream(tr)
+	for i, w := range want {
+		e, ok := s.Next()
+		if !ok || e.AtSec != w.at || e.Kind != w.kind || e.Task.ID != w.id || tr.Tasks[e.Index].ID != w.id {
+			t.Fatalf("event %d = %+v (ok=%v), want %+v", i, e, ok, w)
+		}
+	}
+	if e, ok := s.Next(); ok {
+		t.Fatalf("stream yielded a ninth event %+v", e)
+	}
+}
+
 func TestStreamEmptyTrace(t *testing.T) {
 	s := NewStream(&Trace{Name: "empty", Machines: 1, HorizonSec: 10})
 	if ev, ok := s.Next(); ok {

@@ -37,8 +37,9 @@ func (t Task) Duration() int64 { return t.EndSec - t.StartSec }
 // populations lexicographically by this ID before planning, so the format is
 // load-bearing: diverging copies would feed the planners differently ordered
 // populations and silently skew every regret comparison. It is "task-%d",
-// built on the stack so the string is the only allocation: autopilot calls it
-// on every arrival and departure.
+// built on the stack so the string is the only allocation. The simulators do
+// not call it per event: dcsim.ReplayIndex ranks the IDs by an integer key
+// that orders like these strings (FuzzVMOrder holds the two together).
 func (t Task) VMID() string {
 	var buf [len("task-") + 20]byte
 	return string(strconv.AppendInt(append(buf[:0], "task-"...), int64(t.ID), 10))
