@@ -2,6 +2,7 @@ package autopilot
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/acpi"
@@ -230,11 +231,20 @@ type Result struct {
 	ControllerFailovers int
 }
 
+// hostSizer is the optional method of a base planner that states its sizing
+// rule on aggregate booked demand (consolidation.Neat and ZombieStack have
+// it): Plan's ActiveHosts for any population of n VMs whose booked demand
+// sums to bookedCPU and bookedMem, nondecreasing in both sums.
+type hostSizer interface {
+	ActiveHostsFor(n int, bookedCPU, bookedMem float64, spec consolidation.ServerSpec, totalServers int) int
+}
+
 // loop is the mutable state of one run.
 type loop struct {
 	cfg     *Config
 	total   int
 	planner consolidation.Policy
+	sizer   hostSizer // planner's sizing rule, nil when it only has Plan
 
 	// idx is the trace's replay index: the loop knows a VM by its rank, its
 	// position in VM-ID order, and reads its demand from the index.
@@ -257,12 +267,19 @@ type loop struct {
 	// bills whole intervals against cum (see billInterval), and emergency
 	// wakes size against it too — a departure's capacity is only reclaimed at
 	// the next re-plan tick, the way a periodic consolidation manager works.
-	// cum is kept sorted by ID, because the planner reads it on every arrival;
-	// cumRanks holds the same VMs' ranks, so an insert position is an integer
-	// binary search.
-	intervalStart int64
-	cum           []consolidation.VMDemand
-	cumRanks      []int32
+	// An arrival reads only the planner's requirement for cum, which
+	// requiredHosts sizes from cumCPU and cumMem: cum's booked sums, folded in
+	// ID order when a tick resets cum and only added to in between, so each is
+	// a sum of exactly cum's terms in some order. cum and cumRanks (the same
+	// VMs' ranks) are sorted by ID up to the last read: an arrival appends its
+	// rank to pending, and intervalVMs, the one way to read cum, merges pending
+	// in first — once per tick under a planner with a sizing rule, one
+	// binary-search insert per arrival under one without.
+	intervalStart  int64
+	cum            []consolidation.VMDemand
+	cumRanks       []int32
+	pending        []int32
+	cumCPU, cumMem float64
 
 	res      Result
 	activeDt float64
@@ -319,6 +336,7 @@ func run(cfg Config, idx *dcsim.ReplayIndex) (Result, error) {
 		posture: consolidation.InitialPlan(cfg.Trace.Machines),
 		obs:     newAPObs(cfg.Obs),
 	}
+	l.sizer, _ = l.planner.(hostSizer)
 	l.res = Result{
 		Policy:          cfg.Policy.Name(),
 		Planner:         l.planner.Name(),
@@ -428,7 +446,7 @@ func (l *loop) billInterval(to int64) {
 		return
 	}
 	var usedCPU float64
-	for _, v := range l.cum {
+	for _, v := range l.intervalVMs() {
 		usedCPU += v.UsedCPU
 	}
 	billed := l.posture
@@ -486,9 +504,9 @@ func (l *loop) arrive(now int64, rank int32) error {
 	l.bookedMem += v.BookedMemGiB
 	l.usedCPU += v.UsedCPU
 	l.usedMem += v.UsedMemGiB
-	at, _ := slices.BinarySearch(l.cumRanks, rank)
-	l.cumRanks = slices.Insert(l.cumRanks, at, rank)
-	l.cum = slices.Insert(l.cum, at, v)
+	l.pending = append(l.pending, rank)
+	l.cumCPU += v.BookedCPU
+	l.cumMem += v.BookedMemGiB
 	l.res.Admitted++
 	l.obs.observeArrival(true)
 	l.refreshUtil()
@@ -499,18 +517,66 @@ func (l *loop) arrive(now int64, rank int32) error {
 	// interval has hosted). If the posture holds fewer active hosts than
 	// required, wake the difference immediately — sleepers first, then
 	// zombies, then memory servers.
-	required := l.planner.Plan(l.cum, l.cfg.ServerSpec, l.available())
-	if required.ActiveHosts > l.posture.ActiveHosts {
-		if err := l.ensureActive(now, required.ActiveHosts); err != nil {
+	if required := l.requiredHosts(); required > l.posture.ActiveHosts {
+		if err := l.ensureActive(now, required); err != nil {
 			return err
 		}
-		if l.chaos != nil && l.posture.ActiveHosts < required.ActiveHosts {
+		if l.chaos != nil && l.posture.ActiveHosts < required {
 			// Every wake candidate is crashed or stuck: the task runs on a
 			// fleet below the planner's requirement.
 			l.res.SLOViolations++
 		}
 	}
 	return nil
+}
+
+// requiredHosts is the planner's active-host requirement for the interval's
+// cumulative population: exactly planner.Plan(cum).ActiveHosts whenever that
+// exceeds the posture held, and some count within the posture otherwise. Plan
+// folds cum's booked demand in ID order; cumCPU and cumMem are the same terms
+// summed in another order, so the fold lies within consolidation.SumBracket
+// of them and the sizing rule, nondecreasing in both sums, puts Plan's answer
+// between its values at the two ends. The population itself is folded only
+// when the ends differ across a Ceil boundary above the posture, when a sum
+// overflowed (the bound is void), or when the planner states no rule.
+func (l *loop) requiredHosts() int {
+	spec, avail := l.cfg.ServerSpec, l.available()
+	if l.sizer != nil {
+		n := len(l.cum) + len(l.pending)
+		cpuLo, cpuHi := consolidation.SumBracket(l.cumCPU, n)
+		memLo, memHi := consolidation.SumBracket(l.cumMem, n)
+		if cpuHi <= math.MaxFloat64 && memHi <= math.MaxFloat64 {
+			hi := l.sizer.ActiveHostsFor(n, cpuHi, memHi, spec, avail)
+			if hi <= l.posture.ActiveHosts || hi == l.sizer.ActiveHostsFor(n, cpuLo, memLo, spec, avail) {
+				return hi
+			}
+		}
+	}
+	l.obs.observeExactFold()
+	return l.planner.Plan(l.intervalVMs(), spec, avail).ActiveHosts
+}
+
+// intervalVMs returns cum sorted by ID, after merging in the arrivals
+// admitted since the last read, from the back: each pending rank, largest
+// first, is found by binary search and the block of cum above it moves up
+// once — one search and one memmove for one arrival, one pass for many.
+func (l *loop) intervalVMs() []consolidation.VMDemand {
+	if m := len(l.pending); m > 0 {
+		slices.Sort(l.pending)
+		hi := len(l.cum) // cum[:hi] is not placed yet
+		l.cum = slices.Grow(l.cum, m)[:hi+m]
+		l.cumRanks = slices.Grow(l.cumRanks, m)[:hi+m]
+		for j := m - 1; j >= 0; j-- {
+			rank := l.pending[j]
+			at, _ := slices.BinarySearch(l.cumRanks[:hi], rank)
+			copy(l.cum[at+j+1:], l.cum[at:hi])
+			copy(l.cumRanks[at+j+1:], l.cumRanks[at:hi])
+			l.cum[at+j], l.cumRanks[at+j] = l.idx.Demand(rank), rank
+			hi = at
+		}
+		l.pending = l.pending[:0]
+	}
+	return l.cum
 }
 
 // ensureActive raises the posture to the required number of active hosts
@@ -608,8 +674,13 @@ func (l *loop) tick(now, horizon int64) error {
 	l.res.Ticks++
 	l.intervalStart = now
 	l.cum = append(l.cum[:0], l.runningVMs()...)
-	l.cumRanks = l.cumRanks[:0]
+	l.cumRanks, l.pending = l.cumRanks[:0], l.pending[:0]
 	l.running.Each(func(rank ident.ID) { l.cumRanks = append(l.cumRanks, int32(rank)) })
+	l.cumCPU, l.cumMem = 0, 0
+	for _, v := range l.cum {
+		l.cumCPU += v.BookedCPU
+		l.cumMem += v.BookedMemGiB
+	}
 	if l.cfg.OnTick != nil {
 		l.cfg.OnTick(TickEvent{
 			AtSec:           now,

@@ -442,16 +442,22 @@ func TestOnlineLoopAllocationBudget(t *testing.T) {
 		return tr
 	}
 	small, large := gen(3000), gen(6000)
-	for _, mk := range []func(consolidation.Policy) Policy{
-		func(b consolidation.Policy) Policy { return NewReactive(b) },
-		func(b consolidation.Policy) Policy { return NewHysteresis(b) },
-		func(b consolidation.Policy) Policy { return NewPredictiveEWMA(b) },
+	// The last case hides the planner's sizing rule (planOnly), so every
+	// arrival takes the exact fold: that path may not allocate either.
+	for _, c := range []struct {
+		mk   func(consolidation.Policy) Policy
+		base consolidation.Policy
+	}{
+		{func(b consolidation.Policy) Policy { return NewReactive(b) }, consolidation.NewZombieStack()},
+		{func(b consolidation.Policy) Policy { return NewHysteresis(b) }, consolidation.NewZombieStack()},
+		{func(b consolidation.Policy) Policy { return NewPredictiveEWMA(b) }, consolidation.NewZombieStack()},
+		{func(b consolidation.Policy) Policy { return NewReactive(b) }, planOnly{consolidation.NewZombieStack()}},
 	} {
 		runOnce := func(tr *trace.Trace, tickSec int64) func() {
 			return func() {
 				cfg := baseConfig(tr)
 				cfg.TickSec = tickSec
-				cfg.Policy = mk(consolidation.NewZombieStack())
+				cfg.Policy = c.mk(c.base)
 				if _, err := Run(cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -460,7 +466,10 @@ func TestOnlineLoopAllocationBudget(t *testing.T) {
 		// Warm up lazy runtime and profile state so no measurement pays
 		// first-use allocations.
 		runOnce(small, 300)()
-		name := mk(nil).Name()
+		name := c.mk(nil).Name()
+		if _, wrapped := c.base.(planOnly); wrapped {
+			name += "/plan-only"
+		}
 
 		base := countAllocs(runOnce(small, 300))
 		doubled := countAllocs(runOnce(large, 300))

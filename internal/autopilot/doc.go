@@ -25,7 +25,14 @@
 // its rank in VM-ID order, keeps the running set as a bitset over ranks, and
 // writes the ID-sorted population into a reused buffer only when the policy,
 // the interval reset or a migration bill reads it, so a run allocates nothing
-// per task or per tick. Whatever replays one trace more than once passes the
+// per task or per tick. An admitted arrival is sized against the interval's
+// cumulative population without reading it: the loop keeps that population's
+// booked sums (folded in ID order at each tick, added to per arrival) and
+// evaluates the planner's sizing rule at both ends of the rounding bracket
+// around them (consolidation.SumBracket has the bound and its proof sketch),
+// folding the population only if the ends disagree or the planner has no
+// rule; the sorted view is brought up to date when the bill, a tick or that
+// fold reads it. Whatever replays one trace more than once passes the
 // index on instead of rebuilding it: Regret hands it to the online loop and
 // the oracle, and CompareOnline, RunChaos, CompareChaos and ChaosRow also
 // compute each oracle once, since it does not depend on the online policy.

@@ -26,6 +26,7 @@ type apObs struct {
 	rejected       *obs.Counter
 	departures     *obs.Counter
 	emergencyWakes *obs.Counter
+	exactFolds     *obs.Counter
 	transitions    *obs.Counter
 	migrations     *obs.Counter
 	chaosFaults    *obs.Counter
@@ -47,6 +48,7 @@ func newAPObs(o *obs.Obs) *apObs {
 		rejected:       reg.Counter("autopilot_rejected_total", "Arrivals rejected at admission."),
 		departures:     reg.Counter("autopilot_departures_total", "Admitted tasks departed."),
 		emergencyWakes: reg.Counter("autopilot_emergency_wakes_total", "Servers woken mid-interval for an arrival."),
+		exactFolds:     reg.Counter("autopilot_sizing_exact_folds_total", "Arrivals sized by the exact fold: bracket straddled a boundary or planner without the rule."),
 		transitions:    reg.Counter("autopilot_transitions_total", "ACPI state transitions billed."),
 		migrations:     reg.Counter("autopilot_migrations_total", "VM migrations billed."),
 		chaosFaults:    reg.Counter("autopilot_chaos_faults_total", "Chaos faults struck (crashes, wake failures, controller losses)."),
@@ -101,6 +103,15 @@ func (ob *apObs) observeDepart() {
 		return
 	}
 	ob.departures.Inc()
+}
+
+// observeExactFold records an arrival that requiredHosts sized by folding the
+// interval population. Telemetry only: the count never enters Result.
+func (ob *apObs) observeExactFold() {
+	if ob == nil {
+		return
+	}
+	ob.exactFolds.Inc()
 }
 
 // observeEmergencyWake records servers woken outside a tick because an

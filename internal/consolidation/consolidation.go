@@ -89,6 +89,48 @@ func clampHosts(n, total int) int {
 	return n
 }
 
+// packTarget is a planner's packing target: 0.9 unless set within (0,1].
+func packTarget(t float64) float64 {
+	if t <= 0 || t > 1 {
+		return 0.9
+	}
+	return t
+}
+
+// hostsFor is the sizing rule Neat and ZombieStack share: the servers that
+// hold cpu cores at cpuPerHost each and mem GiB at memPerHost each, at least
+// one for a non-empty population, within the fleet. It is nondecreasing in cpu
+// and mem (correctly rounded division by a positive constant, Ceil, max and
+// clamps all are; clamping before the conversion keeps int() in range), so
+// bounds on the two sums (SumBracket) give bounds on the answer.
+func hostsFor(n int, cpu, cpuPerHost, mem, memPerHost float64, total int) int {
+	ceilHosts := func(demand, perHost float64) int {
+		h := math.Ceil(demand / perHost)
+		if h > float64(total) {
+			return total
+		}
+		return int(h)
+	}
+	active := max(ceilHosts(cpu, cpuPerHost), ceilHosts(mem, memPerHost))
+	if n > 0 && active < 1 {
+		active = 1
+	}
+	return clampHosts(active, total)
+}
+
+// SumBracket bounds the left-to-right float64 sum of n non-negative finite
+// terms taken in any order, given their sum taken in one order. Recursive
+// summation returns T(1+θ) for the true sum T with |θ| ≤ γ = (n-1)u/(1-(n-1)u),
+// u = 2⁻⁵³, whatever the order (Higham, Accuracy and Stability of Numerical
+// Algorithms, §4.2; no absolute term, since an addition with a subnormal
+// result is exact), so two orders differ by a factor below 1+2nu. k = 1+4nu
+// is exact in float64 and its spare 2nu absorbs the rounding of sum/k and
+// sum*k. A non-finite hi means a sum overflowed and the bound does not hold.
+func SumBracket(sum float64, n int) (lo, hi float64) {
+	k := 1 + float64(n)*0x1p-51
+	return sum / k, sum * k
+}
+
 // NoConsolidation is the reference policy: every server stays in S0
 // regardless of load. Figure 10's "% energy saving" is computed against it.
 type NoConsolidation struct{}
@@ -125,23 +167,19 @@ func NewNeat() *Neat { return &Neat{TargetUtilization: 0.9} }
 // Name implements Policy.
 func (n *Neat) Name() string { return "neat" }
 
+// ActiveHostsFor is Plan's ActiveHosts for any population of vms VMs whose
+// booked demand sums to bookedCPU cores and bookedMem GiB, nondecreasing in
+// both sums: the online loop sizes an arrival with it instead of folding the
+// population again. Memory is the binding dimension in the paper's fleets.
+func (n *Neat) ActiveHostsFor(vms int, bookedCPU, bookedMem float64, spec ServerSpec, totalServers int) int {
+	target := packTarget(n.TargetUtilization)
+	return hostsFor(vms, bookedCPU, spec.Cores*target, bookedMem, spec.MemGiB*target, totalServers)
+}
+
 // Plan implements Policy.
 func (n *Neat) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan {
-	target := n.TargetUtilization
-	if target <= 0 || target > 1 {
-		target = 0.9
-	}
 	bookedCPU, bookedMem, usedCPU, _ := sumDemand(vms)
-	cpuHosts := int(math.Ceil(bookedCPU / (spec.Cores * target)))
-	memHosts := int(math.Ceil(bookedMem / (spec.MemGiB * target)))
-	active := cpuHosts
-	if memHosts > active {
-		active = memHosts // memory is the binding dimension in the paper's fleets
-	}
-	if len(vms) > 0 && active < 1 {
-		active = 1
-	}
-	active = clampHosts(active, totalServers)
+	active := n.ActiveHostsFor(len(vms), bookedCPU, bookedMem, spec, totalServers)
 	util := 0.0
 	if active > 0 {
 		util = usedCPU / (float64(active) * spec.Cores)
@@ -179,10 +217,7 @@ func (o *Oasis) Name() string { return "oasis" }
 
 // Plan implements Policy.
 func (o *Oasis) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan {
-	target := o.TargetUtilization
-	if target <= 0 || target > 1 {
-		target = 0.9
-	}
+	target := packTarget(o.TargetUtilization)
 	// Split the fleet into busy and idle demand in one pass. The sums
 	// accumulate in the same subsequence order the old busy/idle slices
 	// preserved, so the floats are bit-identical — without materialising
@@ -266,29 +301,24 @@ func NewZombieStack() *ZombieStack {
 // Name implements Policy.
 func (z *ZombieStack) Name() string { return "zombiestack" }
 
-// Plan implements Policy.
-func (z *ZombieStack) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan {
-	target := z.TargetUtilization
-	if target <= 0 || target > 1 {
-		target = 0.9
-	}
+// ActiveHostsFor is Plan's ActiveHosts for any population of vms VMs whose
+// booked demand sums to bookedCPU cores and bookedMem GiB, nondecreasing in
+// both sums (see Neat.ActiveHostsFor): active servers are sized by CPU demand
+// and by the LOCAL part of the memory demand only.
+func (z *ZombieStack) ActiveHostsFor(vms int, bookedCPU, bookedMem float64, spec ServerSpec, totalServers int) int {
+	target := packTarget(z.TargetUtilization)
 	localFrac := z.LocalMemoryFraction
 	if localFrac <= 0 || localFrac > 1 {
 		localFrac = 0.5
 	}
+	return hostsFor(vms, bookedCPU, spec.Cores*target, bookedMem*localFrac, spec.MemGiB*target, totalServers)
+}
+
+// Plan implements Policy.
+func (z *ZombieStack) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan {
+	target := packTarget(z.TargetUtilization)
 	bookedCPU, bookedMem, usedCPU, _ := sumDemand(vms)
-	// Active servers are sized by CPU demand and by the LOCAL part of the
-	// memory demand only.
-	cpuHosts := int(math.Ceil(bookedCPU / (spec.Cores * target)))
-	localMemHosts := int(math.Ceil(bookedMem * localFrac / (spec.MemGiB * target)))
-	active := cpuHosts
-	if localMemHosts > active {
-		active = localMemHosts
-	}
-	if len(vms) > 0 && active < 1 {
-		active = 1
-	}
-	active = clampHosts(active, totalServers)
+	active := z.ActiveHostsFor(len(vms), bookedCPU, bookedMem, spec, totalServers)
 
 	// The remaining memory demand is served remotely: first from the active
 	// servers' own leftover memory, then from zombie servers.

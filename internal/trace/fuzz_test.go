@@ -51,6 +51,7 @@ func FuzzDecodeCSV(f *testing.F) {
 	f.Add([]byte{0x1f, 0x8b, 0xff, 0x00}) // gzip magic, corrupt stream
 	f.Add([]byte("1,2,3\n"))              // ragged row
 	f.Add([]byte("0,0,0,60,NaN,+Inf,-0,1e309\n"))
+	f.Add([]byte("1,1,0,10,NaN,Inf,NaN,NaN\n")) // decodes; only Task.Validate refuses it
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -103,6 +104,7 @@ func FuzzImport(f *testing.F) {
 	f.Add([]byte("1,1,0,60,1,2,0.5,1\n2,1,30,90,2,4,1,2\n"))
 	f.Add([]byte("1,1,0,60,1,2,0.5,1\n1,2,0,60,1,2,0.5,1\n")) // duplicate ID
 	f.Add([]byte("1,1,60,0,1,2,0.5,1\n"))                     // ends before it starts
+	f.Add([]byte("1,1,0,10,NaN,Inf,NaN,NaN\n"))               // non-finite demands pass every <, > check
 	f.Add([]byte{0x1f, 0x8b, 0x08, 0x00})                     // truncated gzip
 	f.Add([]byte{})
 

@@ -148,6 +148,8 @@ func TestReadCSVRejectsInvalidTasks(t *testing.T) {
 		{"end before start", "1,1,100,50,1,2,0.5,1", "row 2"},
 		{"non-positive booking", "1,1,0,100,0,2,0,1", "row 2"},
 		{"implausible usage", "1,1,0,100,1,2,9,1", "row 2"},
+		{"non-finite demands", "1,1,0,10,NaN,Inf,NaN,NaN", "row 2"},
+		{"infinite booking", "1,1,0,10,+Inf,2,0.5,1", "row 2"},
 	} {
 		in := "id,job,start_sec,end_sec,booked_cpu,booked_mem_gib,used_cpu,used_mem_gib\n" + tc.row + "\n"
 		_, err := ReadCSV(strings.NewReader(in))

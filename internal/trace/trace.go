@@ -50,6 +50,14 @@ func (t Task) Validate() error {
 	if t.EndSec <= t.StartSec {
 		return fmt.Errorf("trace: task %d ends (%d) before it starts (%d)", t.ID, t.EndSec, t.StartSec)
 	}
+	// NaN fails every comparison below and +Inf passes them, and the CSV
+	// parser accepts both spellings. The online loop's sizing bracket
+	// (consolidation.SumBracket) also relies on finite, non-negative demands.
+	// x-x is 0 for a finite x and NaN otherwise.
+	if t.BookedCPU-t.BookedCPU != 0 || t.BookedMemGiB-t.BookedMemGiB != 0 ||
+		t.UsedCPU-t.UsedCPU != 0 || t.UsedMemGiB-t.UsedMemGiB != 0 {
+		return fmt.Errorf("trace: task %d has a non-finite demand", t.ID)
+	}
 	if t.BookedCPU <= 0 || t.BookedMemGiB <= 0 {
 		return fmt.Errorf("trace: task %d books non-positive resources", t.ID)
 	}
