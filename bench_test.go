@@ -172,93 +172,6 @@ func BenchmarkFig10DatacenterEnergy(b *testing.B) {
 
 // ----------------------------------------------------- dcsim engine benches
 
-// dcsimBenchTrace generates the trace shared by the engine benchmarks: a
-// short consolidation period gives the engine many epochs to shard.
-func dcsimBenchTrace(b *testing.B) *trace.Trace {
-	b.Helper()
-	tr, err := trace.Generate(trace.GeneratorConfig{
-		Name: "bench", Machines: 200, HorizonSec: 24 * 3600, Tasks: 3000,
-		MemoryToCPURatio: 3, MeanUtilization: 0.35, IdleFraction: 0.25, Seed: 42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr
-}
-
-// dcsimBenchConfig is the simulation the sequential/parallel pair runs.
-func dcsimBenchConfig(tr *trace.Trace, workers int) dcsim.Config {
-	return dcsim.Config{
-		Trace:                  tr,
-		Policy:                 consolidation.NewZombieStack(),
-		Machine:                energy.HPProfile(),
-		ServerSpec:             consolidation.DefaultServerSpec(),
-		ConsolidationPeriodSec: 30,
-		Workers:                workers,
-	}
-}
-
-// BenchmarkDCSimSequential is the single-threaded baseline of the simulation
-// engine.
-func BenchmarkDCSimSequential(b *testing.B) {
-	tr := dcsimBenchTrace(b)
-	cfg := dcsimBenchConfig(tr, 0)
-	b.ResetTimer()
-	var saving float64
-	for i := 0; i < b.N; i++ {
-		res, err := dcsim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		saving = res.SavingPercent
-	}
-	b.ReportMetric(saving, "saving-%")
-}
-
-// BenchmarkDCSimParallel shards the same simulation's per-epoch accounting
-// across GOMAXPROCS workers; on multi-core it demonstrates the engine's
-// speedup over BenchmarkDCSimSequential while producing bit-identical
-// results (TestParallelMatchesSequential asserts the identity).
-func BenchmarkDCSimParallel(b *testing.B) {
-	tr := dcsimBenchTrace(b)
-	cfg := dcsimBenchConfig(tr, runtime.GOMAXPROCS(0))
-	b.ResetTimer()
-	var saving float64
-	for i := 0; i < b.N; i++ {
-		res, err := dcsim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		saving = res.SavingPercent
-	}
-	b.ReportMetric(saving, "saving-%")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
-}
-
-// BenchmarkDCSimTransitions measures the event-driven engine: the same
-// simulation as BenchmarkDCSimSequential but charging every ACPI transition,
-// migration drain and remote-memory fault. The reported saving is the
-// faithful (costed) Figure 10 number; the delta against the steady-state
-// benchmark's metric is the optimism of the uncosted bound.
-func BenchmarkDCSimTransitions(b *testing.B) {
-	tr := dcsimBenchTrace(b)
-	cfg := dcsimBenchConfig(tr, 0)
-	cfg.TransitionCosts = true
-	b.ResetTimer()
-	var res dcsim.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = dcsim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.SavingPercent, "saving-%")
-	b.ReportMetric(res.TransitionJoules/1e3, "transition-kJ")
-	b.ReportMetric(float64(res.StateTransitions), "transitions")
-	b.ReportMetric(float64(res.Migrations), "migrations")
-}
-
 // BenchmarkDCSimSweep measures the scenario-sweep harness on the default
 // Figure 10 grid (scaled down to benchmark size).
 func BenchmarkDCSimSweep(b *testing.B) {

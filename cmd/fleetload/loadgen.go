@@ -1,4 +1,4 @@
-package gateway
+package main
 
 import (
 	"bytes"
@@ -15,31 +15,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// LoadConfig parameterises RunLoad: Clients concurrent workers each issue
-// Requests requests against Target from a seeded mixed endpoint profile
-// (create fleet → mixed place/workload/report traffic → delete fleet).
-type LoadConfig struct {
-	// Target is the gateway base URL ("http://127.0.0.1:8870").
-	Target string
-	// Token is the bearer token to present; empty sends no Authorization.
-	Token string
-	// Clients is the number of concurrent workers; Requests the number of
-	// requests each one issues (the session create/delete pair included).
-	Clients  int
-	Requests int
-	// Seed drives each worker's endpoint choices (worker i draws from
-	// Seed+i), so a profile is reproducible.
-	Seed int64
-	// Client is the HTTP client; nil uses a dedicated pooled transport.
-	Client *http.Client
-	// Now is the latency clock seam; nil means time.Now. The golden CLI test
-	// injects a stepping fake so the percentile lines are deterministic.
-	Now func() time.Time
-}
-
-// LoadReport is the outcome of one load run — the BENCH_gateway.json
+// loadReport is the outcome of one load run — the BENCH_gateway.json
 // payload (schema v1).
-type LoadReport struct {
+type loadReport struct {
 	Schema   int    `json:"schema"`
 	Tool     string `json:"tool"`
 	Target   string `json:"target"`
@@ -63,11 +41,15 @@ type LoadReport struct {
 	P99Ms float64 `json:"p99_ms"`
 	MaxMs float64 `json:"max_ms"`
 	// Endpoints breaks the traffic down per profile entry, in profile order.
-	Endpoints []EndpointStats `json:"endpoints"`
+	Endpoints []endpointStats `json:"endpoints"`
+	// failedCreates counts, by status (0 for a transport error), the workers
+	// whose create yielded no fleet ID and who therefore served no session.
+	// It is what -strict reports; unexported, so schema v1 is unchanged.
+	failedCreates map[int]int
 }
 
-// EndpointStats is one profile entry's slice of the load.
-type EndpointStats struct {
+// endpointStats is one profile entry's slice of the load.
+type endpointStats struct {
 	Name      string  `json:"name"`
 	Count     int     `json:"count"`
 	Errors    int     `json:"errors"`
@@ -99,58 +81,64 @@ type sample struct {
 	transport bool
 }
 
-// RunLoad hammers the target with the seeded mixed profile and aggregates
-// the latency/throughput report. Per-request failures (transport errors,
-// 4xx/5xx) are counted, not fatal — the report tells the story.
-func RunLoad(cfg LoadConfig) (LoadReport, error) {
-	if cfg.Target == "" {
-		return LoadReport{}, fmt.Errorf("gateway: load target URL is required")
+// runLoad hammers cfg.target with the seeded mixed profile — cfg.clients
+// concurrent workers, worker i drawing from cfg.seed+i, each issuing
+// cfg.requests requests (create fleet → mixed place/workload/report traffic
+// → delete fleet) — and aggregates the latency/throughput report.
+// Per-request failures (transport errors, 4xx/5xx) are counted, not fatal —
+// the report tells the story.
+func runLoad(cfg loadCfg) (loadReport, error) {
+	if cfg.target == "" {
+		return loadReport{}, fmt.Errorf("load target URL is required")
 	}
-	if cfg.Clients < 1 || cfg.Requests < 1 {
-		return LoadReport{}, fmt.Errorf("gateway: load needs >= 1 client and >= 1 request, got %d x %d", cfg.Clients, cfg.Requests)
+	if cfg.clients < 1 || cfg.requests < 1 {
+		return loadReport{}, fmt.Errorf("load needs >= 1 client and >= 1 request, got %d x %d", cfg.clients, cfg.requests)
 	}
-	if cfg.Requests < 2 {
-		return LoadReport{}, fmt.Errorf("gateway: each client needs >= 2 requests (create + delete), got %d", cfg.Requests)
+	if cfg.requests < 2 {
+		return loadReport{}, fmt.Errorf("each client needs >= 2 requests (create + delete), got %d", cfg.requests)
 	}
-	now := cfg.Now
+	now := cfg.now
 	if now == nil {
 		now = time.Now
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: cfg.Clients}}
-	}
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: cfg.clients}}
 
 	var mu sync.Mutex
-	samples := make([]sample, 0, cfg.Clients*cfg.Requests)
+	samples := make([]sample, 0, cfg.clients*cfg.requests)
+	failedCreates := make(map[int]int)
 	start := now()
 
 	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
+	for c := 0; c < cfg.clients; c++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			w := &loadWorker{
 				cfg:    cfg,
 				client: client,
-				rng:    rand.New(rand.NewSource(cfg.Seed + int64(worker))),
+				rng:    rand.New(rand.NewSource(cfg.seed + int64(worker))),
 				now:    now,
 			}
 			got := w.run()
 			mu.Lock()
 			samples = append(samples, got...)
+			if w.fleetID == "" {
+				failedCreates[got[0].status]++
+			}
 			mu.Unlock()
 		}(c)
 	}
 	wg.Wait()
 	elapsed := now().Sub(start)
 
-	return buildReport(cfg, samples, elapsed), nil
+	rep := buildReport(cfg, samples, elapsed)
+	rep.failedCreates = failedCreates
+	return rep, nil
 }
 
 // loadWorker is one client's session-scoped request loop.
 type loadWorker struct {
-	cfg     LoadConfig
+	cfg     loadCfg
 	client  *http.Client
 	rng     *rand.Rand
 	now     func() time.Time
@@ -169,10 +157,15 @@ const (
 	placeBody  = `{"count":1,"gib":1.25,"vcpus":1}`
 )
 
-// run issues the worker's schedule: create, Requests-2 mixed draws, delete.
+// run issues the worker's schedule: create, requests-2 mixed draws, delete.
+// A create that yields no fleet ID ends the schedule: there is no session to
+// address, so the worker issues nothing further.
 func (w *loadWorker) run() []sample {
 	w.do("create", http.MethodPost, "/v1/fleets", createBody)
-	for i := 0; i < w.cfg.Requests-2; i++ {
+	if w.fleetID == "" {
+		return w.samples
+	}
+	for i := 0; i < w.cfg.requests-2; i++ {
 		switch w.draw() {
 		case "place":
 			w.do("place", http.MethodPost, "/v1/fleets/"+w.fleetID+"/vms", placeBody)
@@ -220,7 +213,7 @@ func (w *loadWorker) do(endpoint, method, path, body string) {
 	if body != "" {
 		rd = bytes.NewReader([]byte(body))
 	}
-	req, err := http.NewRequest(method, w.cfg.Target+path, rd)
+	req, err := http.NewRequest(method, w.cfg.target+path, rd)
 	if err != nil {
 		w.samples = append(w.samples, sample{endpoint: endpoint, transport: true})
 		return
@@ -228,8 +221,8 @@ func (w *loadWorker) do(endpoint, method, path, body string) {
 	if body != "" {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if w.cfg.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+w.cfg.Token)
+	if w.cfg.token != "" {
+		req.Header.Set("Authorization", "Bearer "+w.cfg.token)
 	}
 	start := w.now()
 	resp, err := w.client.Do(req)
@@ -267,13 +260,13 @@ func (w *loadWorker) do(endpoint, method, path, body string) {
 }
 
 // buildReport aggregates the samples into the schema-v1 report.
-func buildReport(cfg LoadConfig, samples []sample, elapsed time.Duration) LoadReport {
-	rep := LoadReport{
+func buildReport(cfg loadCfg, samples []sample, elapsed time.Duration) loadReport {
+	rep := loadReport{
 		Schema:    1,
 		Tool:      "fleetload",
-		Target:    cfg.Target,
-		Clients:   cfg.Clients,
-		Requests:  cfg.Requests,
+		Target:    cfg.target,
+		Clients:   cfg.clients,
+		Requests:  cfg.requests,
 		Total:     len(samples),
 		Status:    make(map[string]int),
 		ElapsedMs: float64(elapsed) / float64(time.Millisecond),
@@ -309,7 +302,7 @@ func buildReport(cfg LoadConfig, samples []sample, elapsed time.Duration) LoadRe
 		if len(lats) == 0 && errsBy[e.name] == 0 {
 			continue
 		}
-		st := EndpointStats{Name: e.name, Count: len(lats) + errsBy[e.name], Errors: errsBy[e.name], Server5xx: fiveby[e.name]}
+		st := endpointStats{Name: e.name, Count: len(lats) + errsBy[e.name], Errors: errsBy[e.name], Server5xx: fiveby[e.name]}
 		st.P50Ms, st.P99Ms, st.MaxMs = quantilesMs(lats)
 		rep.Endpoints = append(rep.Endpoints, st)
 	}

@@ -1,26 +1,28 @@
-package gateway
+package main
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"sync"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/gateway"
 )
 
-// steppingClock hands out times advancing by a fixed step per call — the
-// deterministic latency clock for load-report tests.
-type steppingClock struct {
-	mu   sync.Mutex
-	t    time.Time
-	step time.Duration
-}
-
-func (c *steppingClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(c.step)
-	return c.t
+// newTestGateway serves a real gateway on an httptest listener for the
+// test's lifetime.
+func newTestGateway(t *testing.T, cfg gateway.Config) *httptest.Server {
+	t.Helper()
+	srv := gateway.New(cfg)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return ts
 }
 
 // TestRunLoadAgainstGateway drives the seeded profile against a real
@@ -28,14 +30,9 @@ func (c *steppingClock) Now() time.Time {
 // accounted, zero transport errors and 5xx, the fixed create/delete
 // bookends, and non-zero latency quantiles.
 func TestRunLoadAgainstGateway(t *testing.T) {
-	_, ts := newTestGateway(t, Config{})
+	ts := newTestGateway(t, gateway.Config{})
 	const clients, requests = 3, 40
-	rep, err := RunLoad(LoadConfig{
-		Target:   ts.URL,
-		Clients:  clients,
-		Requests: requests,
-		Seed:     7,
-	})
+	rep, err := runLoad(loadCfg{target: ts.URL, clients: clients, requests: requests, seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +48,7 @@ func TestRunLoadAgainstGateway(t *testing.T) {
 	if rep.P99Ms <= 0 || rep.MaxMs < rep.P99Ms || rep.P99Ms < rep.P50Ms {
 		t.Fatalf("quantiles out of order: p50 %v p99 %v max %v", rep.P50Ms, rep.P99Ms, rep.MaxMs)
 	}
-	byName := map[string]EndpointStats{}
+	byName := map[string]endpointStats{}
 	for _, e := range rep.Endpoints {
 		byName[e.Name] = e
 	}
@@ -67,9 +64,9 @@ func TestRunLoadAgainstGateway(t *testing.T) {
 // TestRunLoadDeterministic pins that the same seed yields the same request
 // mix (the latency side is pinned by the CLI golden test).
 func TestRunLoadDeterministic(t *testing.T) {
-	_, ts := newTestGateway(t, Config{})
+	ts := newTestGateway(t, gateway.Config{})
 	mix := func() map[string]int {
-		rep, err := RunLoad(LoadConfig{Target: ts.URL, Clients: 2, Requests: 30, Seed: 99})
+		rep, err := runLoad(loadCfg{target: ts.URL, clients: 2, requests: 30, seed: 99})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,19 +85,51 @@ func TestRunLoadDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunLoadCounts5xx points the profile at a permanently broken backend
-// and checks the 5xx accounting (the strict-mode signal).
+// TestRunLoadCounts5xx points the profile at a backend that opens a session
+// and then fails every request on it, and checks the 5xx accounting (the
+// strict-mode signal).
 func TestRunLoadCounts5xx(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/fleets" {
+			w.WriteHeader(http.StatusCreated)
+			_, _ = w.Write([]byte(`{"id":"f1"}`)) // a short write fails the count below
+			return
+		}
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	defer ts.Close()
-	rep, err := RunLoad(LoadConfig{Target: ts.URL, Clients: 1, Requests: 5, Seed: 1})
+	rep, err := runLoad(loadCfg{target: ts.URL, clients: 1, requests: 5, seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Server5xx != 5 || rep.Status["500"] != 5 {
-		t.Fatalf("5xx accounting: server_5xx %d, status[500] %d, want 5 and 5", rep.Server5xx, rep.Status["500"])
+	if rep.Total != 5 || rep.Server5xx != 4 || rep.Status["500"] != 4 {
+		t.Fatalf("5xx accounting: total %d, server_5xx %d, status[500] %d, want 5, 4 and 4", rep.Total, rep.Server5xx, rep.Status["500"])
+	}
+}
+
+// TestFleetloadStrictFailsOnFailedCreates presents a wrong token to a
+// token-guarded gateway: every create bounces with 401, so each client must
+// stop there (nothing may be sent to /v1/fleets//…) and -strict must fail
+// with the count and status instead of reporting a clean run.
+func TestFleetloadStrictFailsOnFailedCreates(t *testing.T) {
+	srv := gateway.New(gateway.Config{Token: "good"})
+	defer srv.Close()
+	var served atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		served.Add(1)
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	const clients = 2
+	var buf bytes.Buffer
+	err := run(&buf, loadCfg{target: ts.URL, token: "bad", clients: clients, requests: 20, seed: 1, strict: true})
+	if got := served.Load(); got != clients {
+		t.Errorf("gateway saw %d requests, want %d (one failed create per client)", got, clients)
+	}
+	want := "strict: 2 of 2 session creates yielded no fleet ID"
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "401:2") {
+		t.Fatalf("run = %v, want error containing %q and the 401 count\n%s", err, want, buf.String())
 	}
 }
 
@@ -108,9 +137,9 @@ func TestRunLoadCounts5xx(t *testing.T) {
 // quota and checks the rate-limited accounting: everything past the first
 // request bounces with 429, and the report counts every bounce.
 func TestRunLoadCounts429(t *testing.T) {
-	_, ts := newTestGateway(t, Config{QuotaLimit: 1, QuotaWindow: time.Hour})
+	ts := newTestGateway(t, gateway.Config{QuotaLimit: 1, QuotaWindow: time.Hour})
 	const requests = 8
-	rep, err := RunLoad(LoadConfig{Target: ts.URL, Clients: 1, Requests: requests, Seed: 3})
+	rep, err := runLoad(loadCfg{target: ts.URL, clients: 1, requests: requests, seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +156,13 @@ func TestRunLoadCounts429(t *testing.T) {
 
 // TestRunLoadValidation pins the config errors.
 func TestRunLoadValidation(t *testing.T) {
-	if _, err := RunLoad(LoadConfig{}); err == nil {
+	if _, err := runLoad(loadCfg{}); err == nil {
 		t.Fatal("missing target accepted")
 	}
-	if _, err := RunLoad(LoadConfig{Target: "http://x", Clients: 0, Requests: 5}); err == nil {
+	if _, err := runLoad(loadCfg{target: "http://x", clients: 0, requests: 5}); err == nil {
 		t.Fatal("zero clients accepted")
 	}
-	if _, err := RunLoad(LoadConfig{Target: "http://x", Clients: 1, Requests: 1}); err == nil {
+	if _, err := runLoad(loadCfg{target: "http://x", clients: 1, requests: 1}); err == nil {
 		t.Fatal("one request accepted (create+delete need two)")
 	}
 }
@@ -142,15 +171,8 @@ func TestRunLoadValidation(t *testing.T) {
 // numbers: a stepping clock makes every request cost exactly 3 steps of
 // bookkeeping, so the quantiles are exact.
 func TestRunLoadFakeClock(t *testing.T) {
-	_, ts := newTestGateway(t, Config{})
-	clock := &steppingClock{t: time.Unix(0, 0), step: time.Millisecond}
-	rep, err := RunLoad(LoadConfig{
-		Target:   ts.URL,
-		Clients:  1,
-		Requests: 10,
-		Seed:     4,
-		Now:      clock.Now,
-	})
+	ts := newTestGateway(t, gateway.Config{})
+	rep, err := runLoad(loadCfg{target: ts.URL, clients: 1, requests: 10, seed: 4, now: steppingNow(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,18 @@
-// Command fleetload is the gateway load generator: N concurrent clients ×
-// M requests against a fleetd target from a seeded mixed endpoint profile
-// (create fleet → place/workloads/report traffic → delete fleet), reporting
-// throughput and p50/p99/max latency and writing the serving-path perf
-// trajectory to BENCH_gateway.json (schema v1).
+// Command fleetload is the gateway load generator (loadgen.go): N concurrent
+// clients × M requests against a fleetd target from a seeded mixed endpoint
+// profile (create fleet → place/workloads/report traffic → delete fleet),
+// reporting throughput and p50/p99/max latency. -out writes the report as
+// JSON (schema v1); CI's gateway smoke uploads it as BENCH_gateway.json, an
+// artifact that is never committed. Performance is measured by benchmark/,
+// not here: this tool checks that a running fleetd serves and accounts for
+// every request.
 //
 // Usage:
 //
 //	fleetload -inproc                           # hammer an in-process gateway
 //	fleetload -target http://127.0.0.1:8870     # hammer a running fleetd
 //	fleetload -clients 8 -requests 1250         # 10k requests total
-//	fleetload -out BENCH_gateway.json -strict   # perf artifact; fail on any 5xx
+//	fleetload -out BENCH_gateway.json -strict   # JSON report; fail on a failed create or any 5xx
 package main
 
 import (
@@ -35,7 +38,7 @@ func main() {
 	token := flag.String("token", "", "bearer token to present")
 	seed := flag.Int64("seed", 1, "endpoint-profile seed (client i draws from seed+i)")
 	out := flag.String("out", "", "write the JSON report (schema v1) to this path")
-	strict := flag.Bool("strict", false, "exit non-zero on any transport error, 5xx response, or zero p99")
+	strict := flag.Bool("strict", false, "exit non-zero on any failed session create, transport error, 5xx response, or zero p99")
 	flag.Parse()
 
 	cfg := loadCfg{
@@ -48,15 +51,24 @@ func main() {
 	}
 }
 
+// loadCfg is the parsed command line, and what runLoad reads its load shape
+// from.
 type loadCfg struct {
-	target   string
-	inproc   bool
+	// target is the gateway base URL ("http://127.0.0.1:8870"); with inproc
+	// set, run fills it with the in-process gateway's loopback address.
+	target string
+	inproc bool
+	// clients is the number of concurrent workers; requests the number of
+	// requests each one issues (the session create/delete pair included).
 	clients  int
 	requests int
-	token    string
-	seed     int64
-	out      string
-	strict   bool
+	// token is the bearer token to present; empty sends no Authorization.
+	token string
+	// seed drives each worker's endpoint choices (worker i draws from
+	// seed+i), so a profile is reproducible.
+	seed   int64
+	out    string
+	strict bool
 	// now is the latency-clock seam; the golden test injects a stepping fake
 	// so the percentile lines are byte-stable. nil means time.Now.
 	now func() time.Time
@@ -78,8 +90,7 @@ func run(w io.Writer, cfg loadCfg) error {
 		return fmt.Errorf("exactly one of -target and -inproc is required")
 	}
 
-	target := cfg.target
-	label := target
+	label := cfg.target
 	if cfg.inproc {
 		// An in-process gateway on a loopback listener: same serving path,
 		// no external process to coordinate.
@@ -93,18 +104,11 @@ func run(w io.Writer, cfg loadCfg) error {
 		hs := &http.Server{Handler: srv.Handler()}
 		go func() { _ = hs.Serve(ln) }()
 		defer hs.Close()
-		target = "http://" + ln.Addr().String()
+		cfg.target = "http://" + ln.Addr().String()
 		label = "in-process gateway"
 	}
 
-	rep, err := gateway.RunLoad(gateway.LoadConfig{
-		Target:   target,
-		Token:    cfg.token,
-		Clients:  cfg.clients,
-		Requests: cfg.requests,
-		Seed:     cfg.seed,
-		Now:      cfg.now,
-	})
+	rep, err := runLoad(cfg)
 	if err != nil {
 		return err
 	}
@@ -134,6 +138,13 @@ func run(w io.Writer, cfg loadCfg) error {
 	}
 
 	if cfg.strict {
+		failed := 0
+		for _, n := range rep.failedCreates {
+			failed += n
+		}
+		if failed > 0 {
+			return fmt.Errorf("strict: %d of %d session creates yielded no fleet ID (count by status, 0 = transport error: %v)", failed, cfg.clients, rep.failedCreates)
+		}
 		if rep.Errors > 0 || rep.Server5xx > 0 {
 			return fmt.Errorf("strict: %d transport errors, %d 5xx responses", rep.Errors, rep.Server5xx)
 		}

@@ -371,7 +371,8 @@ func fleetRackConfig() core.Config {
 }
 
 // BenchmarkAutopilotTicks measures online control-loop throughput on the
-// canonical diurnal trace — the hot path recorded in BENCH_fleet.json.
+// canonical diurnal trace — the hot path benchmark/ reports as
+// autopilot.run_ms.* and autopilot.tasks_per_s.
 func BenchmarkAutopilotTicks(b *testing.B) {
 	tr := diurnalTrace(b)
 	b.ReportAllocs()

@@ -10,8 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// benchConfig is the canonical engine benchmark scenario — the same trace
-// and configuration cmd/benchfleet records in BENCH_fleet.json.
+// benchConfig is the canonical engine benchmark scenario: a 30 s
+// consolidation period gives the engine many epochs to shard. End-to-end
+// numbers come from benchmark/ (dcsim.run_seq_ms.*, dcsim.run_par_ms.*);
+// these benchmarks are for profiles and quick comparisons while working.
 func benchConfig(b *testing.B, workers int, transitions bool) Config {
 	b.Helper()
 	tr, err := trace.Generate(trace.GeneratorConfig{

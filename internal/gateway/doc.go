@@ -31,8 +31,7 @@
 // subscriber replays the buffer, a live one follows the run to its final
 // summary line.
 //
-// Package gateway also hosts the load generator (RunLoad) that cmd/fleetload
-// wraps: N concurrent clients × M requests against a seeded mixed endpoint
-// profile, reporting throughput and p50/p99/max latency, the serving-path
-// series of BENCH_gateway.json (schema v1).
+// The matching load generator lives with its one caller, cmd/fleetload; the
+// serving path's performance is measured by benchmark/ (serve_steady,
+// session_churn).
 package gateway

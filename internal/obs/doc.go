@@ -32,8 +32,9 @@
 //	}
 //
 // — which is the pattern used by the fleet, autopilot and memplane
-// instrumentation so the allocation budgets pinned by cmd/benchfleet and the
-// epoch-loop tests hold with observability disabled.
+// instrumentation so the allocation budgets pinned by the epoch-loop and
+// online-loop tests (TestEpochLoopAllocationBudget,
+// TestOnlineLoopAllocationBudget) hold with observability disabled.
 //
 // Surfacing: the gateway serves the registry as Prometheus text exposition
 // on GET /metrics ([Registry.WritePrometheus]), session reports embed a

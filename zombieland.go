@@ -484,15 +484,6 @@ type GatewayConfig = gateway.Config
 // thin server wrapper).
 type Gateway = gateway.Server
 
-// GatewayLoadConfig parameterises the gateway load generator; see
-// RunGatewayLoad and cmd/fleetload.
-type GatewayLoadConfig = gateway.LoadConfig
-
-// GatewayLoadReport is the load generator's outcome: throughput, p50/p99/max
-// latency and per-endpoint breakdown — the BENCH_gateway.json payload
-// (schema v1).
-type GatewayLoadReport = gateway.LoadReport
-
 // NewGateway assembles the gateway; Handler() serves it on any mux or
 // httptest server, ListenAndServe on a TCP address.
 func NewGateway(cfg GatewayConfig) *Gateway { return gateway.New(cfg) }
@@ -506,10 +497,6 @@ func NewGatewayHandler(cfg GatewayConfig) http.Handler { return gateway.New(cfg)
 func ServeGateway(addr string, cfg GatewayConfig) error {
 	return gateway.New(cfg).ListenAndServe(addr)
 }
-
-// RunGatewayLoad hammers a gateway with the seeded mixed endpoint profile
-// and returns the throughput/latency report.
-func RunGatewayLoad(cfg GatewayLoadConfig) (GatewayLoadReport, error) { return gateway.RunLoad(cfg) }
 
 // Obs bundles the observability layer: an atomic metrics registry and a
 // deterministic ring-buffered trace. Attach one to a Fleet (SetObs), an
