@@ -400,6 +400,7 @@ func BenchmarkPolicyEviction(b *testing.B) {
 					pol.Access(pagepolicy.PageID(p))
 				}
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				victim, _, ok := pol.Evict()
@@ -431,6 +432,7 @@ func BenchmarkPageFaultHandler(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ram.Access(i%8192, i%2 == 0); err != nil {

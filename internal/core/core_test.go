@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/acpi"
@@ -297,5 +298,38 @@ func TestSecondaryControllerMirrorsRackOperations(t *testing.T) {
 	r.AdvanceClock(1e9)
 	if r.Secondary().Promoted() {
 		t.Error("the secondary must not promote while the rack heartbeats")
+	}
+}
+
+// TestCreateVMAllocationBudget pins what placing a VM allocates on the
+// session the benchmark's serving workloads use: a rack of three 2 GiB
+// servers, the last a zombie, and a 1.5 GiB VM that needs a remote share.
+// The paging context is sized by the VM's simulated pages; slot tables that
+// covered the whole lent share cost ≈ 2.3 MiB here.
+func TestCreateVMAllocationBudget(t *testing.T) {
+	board := acpi.DefaultBoardSpec()
+	board.MemoryBytes = 2 << 30
+	r, err := NewRack(Config{Servers: 3, Board: board})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.PushToZombie("server-02"); err != nil {
+		t.Fatal(err)
+	}
+	spec := vm.New("vm-0", 3<<29, 0)
+	spec.VCPUs = 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := r.CreateVM(spec, CreateVMOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.RemoteBytes == 0 {
+		t.Fatal("the VM should need a remote share")
+	}
+	const budget = 128 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("CreateVM allocated %d bytes, budget %d", got, budget)
 	}
 }

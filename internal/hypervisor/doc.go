@@ -10,4 +10,11 @@
 // through a RemoteStore whose latency model is provided by the caller
 // (normally the RDMA-backed store in internal/core, or a pure latency model
 // for large parameter sweeps).
+//
+// A paging context costs what its VM can use, whatever the store behind it
+// offers: the per-page tables have Pages entries, and the two slot tables
+// min(Pages-LocalFrames+1, Remote.Slots()). The +1 is the fault handler's
+// peak: it demotes the victim before it releases the promoted page's slot.
+// Slots are handed out lowest first and reused last-freed first, so a run
+// writes the same slot numbers over a store of any size.
 package hypervisor

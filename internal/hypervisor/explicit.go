@@ -95,8 +95,12 @@ func NewExplicitSD(cfg ExplicitConfig) (*ExplicitSD, error) {
 		slotOf:         make(map[int]int),
 	}
 	if cfg.Device != nil {
-		e.freeSlots = make([]int, 0, cfg.Device.Slots())
-		for i := cfg.Device.Slots() - 1; i >= 0; i-- {
+		// A swapped-in page keeps its slot (swapOut reuses it), so over time
+		// every page can hold one: the free list covers Pages slots, not the
+		// device. Lowest first, as RAMExt hands them out.
+		slots := min(cfg.Pages, cfg.Device.Slots())
+		e.freeSlots = make([]int, 0, slots)
+		for i := slots - 1; i >= 0; i-- {
 			e.freeSlots = append(e.freeSlots, i)
 		}
 	}

@@ -3,6 +3,7 @@ package hypervisor
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/pagepolicy"
 )
@@ -53,7 +54,7 @@ func DefaultCostModel() CostModel {
 }
 
 // pageLocation describes where a pseudo-physical page currently lives.
-type pageLocation int
+type pageLocation uint8
 
 const (
 	locUnallocated pageLocation = iota // never touched: allocated on first fault
@@ -110,12 +111,17 @@ type RAMExt struct {
 	cost        CostModel
 
 	loc        []pageLocation
-	remoteSlot []int // page -> remote slot (when locRemote)
-	slotOfPage []int // remote slot -> page (-1 when free)
-	freeSlots  []int
+	remoteSlot []int32 // page -> remote slot (when locRemote)
+	// The two slot tables cover what the VM can occupy, not what the store
+	// offers: Pages-LocalFrames pages can be remote at once, plus one because
+	// a fault demotes its victim before it releases the promoted page's slot.
+	// Slots are handed out lowest first and reused last-freed first, so no
+	// slot at or past that bound is ever reached.
+	slotOfPage []int32 // remote slot -> page (-1 when free)
+	freeSlots  []int32
 	freeLocal  int
 
-	// pageData holds the synthetic contents of every page so that data
+	// pageSeal holds the synthetic contents of every page so that data
 	// integrity through demote/promote cycles is testable. One byte per page
 	// is enough to detect corruption without inflating memory.
 	pageSeal []byte
@@ -140,8 +146,8 @@ type Config struct {
 
 // NewRAMExt validates the configuration and builds the paging context.
 func NewRAMExt(cfg Config) (*RAMExt, error) {
-	if cfg.Pages <= 0 {
-		return nil, fmt.Errorf("hypervisor: VM needs at least one page, got %d", cfg.Pages)
+	if cfg.Pages <= 0 || cfg.Pages > math.MaxInt32 {
+		return nil, fmt.Errorf("hypervisor: VM needs 1 to %d pages, got %d", math.MaxInt32, cfg.Pages)
 	}
 	if cfg.LocalFrames < 0 {
 		return nil, fmt.Errorf("hypervisor: negative local frames")
@@ -176,15 +182,16 @@ func NewRAMExt(cfg Config) (*RAMExt, error) {
 		remote:      cfg.Remote,
 		cost:        cfg.Cost,
 		loc:         make([]pageLocation, cfg.Pages),
-		remoteSlot:  make([]int, cfg.Pages),
+		remoteSlot:  make([]int32, cfg.Pages),
 		pageSeal:    make([]byte, cfg.Pages),
 		buf:         make([]byte, cfg.Cost.PageSize),
 		freeLocal:   cfg.LocalFrames,
 	}
 	if cfg.Remote != nil {
-		r.slotOfPage = make([]int, cfg.Remote.Slots())
-		r.freeSlots = make([]int, 0, cfg.Remote.Slots())
-		for i := cfg.Remote.Slots() - 1; i >= 0; i-- {
+		slots := min(needRemote+1, cfg.Remote.Slots())
+		r.slotOfPage = make([]int32, slots)
+		r.freeSlots = make([]int32, 0, slots)
+		for i := int32(slots) - 1; i >= 0; i-- {
 			r.slotOfPage[i] = -1
 			r.freeSlots = append(r.freeSlots, i)
 		}
@@ -205,15 +212,7 @@ func (r *RAMExt) Stats() Stats { return r.stats }
 func (r *RAMExt) ResidentPages() int { return r.localFrames - r.freeLocal }
 
 // RemotePages returns the number of pages currently demoted to remote memory.
-func (r *RAMExt) RemotePages() int {
-	n := 0
-	for _, l := range r.loc {
-		if l == locRemote {
-			n++
-		}
-	}
-	return n
-}
+func (r *RAMExt) RemotePages() int { return int(r.stats.Demotions - r.stats.Promotions) }
 
 // IsLocal reports whether the page is resident in local memory.
 func (r *RAMExt) IsLocal(page int) bool {
@@ -294,7 +293,7 @@ func (r *RAMExt) faultIn(page int, fetchRemote bool) (float64, error) {
 
 	if fetchRemote {
 		slot := r.remoteSlot[page]
-		lat, err := r.remote.ReadPage(slot, r.buf)
+		lat, err := r.remote.ReadPage(int(slot), r.buf)
 		if err != nil {
 			return ns, fmt.Errorf("hypervisor: promote page %d: %w", page, err)
 		}
@@ -325,13 +324,14 @@ func (r *RAMExt) demote(victim int) (float64, error) {
 	if len(r.buf) > 0 {
 		r.buf[0] = r.pageSeal[victim]
 	}
-	lat, err := r.remote.WritePage(slot, r.buf)
+	lat, err := r.remote.WritePage(int(slot), r.buf)
 	if err != nil {
+		r.freeSlots = append(r.freeSlots, slot)
 		return 0, fmt.Errorf("hypervisor: demote page %d: %w", victim, err)
 	}
 	r.loc[victim] = locRemote
 	r.remoteSlot[victim] = slot
-	r.slotOfPage[slot] = victim
+	r.slotOfPage[slot] = int32(victim)
 	r.freeLocal++
 	r.stats.Demotions++
 	r.stats.RemoteNs += float64(lat)
@@ -358,19 +358,20 @@ func (r *RAMExt) RemotePageSlots() map[int]int {
 	out := make(map[int]int)
 	for p, l := range r.loc {
 		if l == locRemote {
-			out[p] = r.remoteSlot[p]
+			out[p] = int(r.remoteSlot[p])
 		}
 	}
 	return out
 }
 
 // CheckInvariants validates the page-table bookkeeping: every local page is
-// counted against the frame budget, every remote page has a distinct slot,
-// and free-slot accounting is consistent. Property tests call it after random
-// access sequences.
+// counted against the frame budget, every remote page has a distinct slot
+// inside the slot tables, the demotion/promotion counters agree with the page
+// table, and free-slot accounting is consistent. Property tests call it after
+// random access sequences.
 func (r *RAMExt) CheckInvariants() error {
 	local, remote := 0, 0
-	slotSeen := make(map[int]int)
+	slotSeen := make(map[int32]int)
 	for p, l := range r.loc {
 		switch l {
 		case locLocal:
@@ -378,14 +379,14 @@ func (r *RAMExt) CheckInvariants() error {
 		case locRemote:
 			remote++
 			s := r.remoteSlot[p]
-			if s < 0 || (r.remote != nil && s >= r.remote.Slots()) {
+			if s < 0 || int(s) >= len(r.slotOfPage) {
 				return fmt.Errorf("hypervisor: page %d maps to invalid slot %d", p, s)
 			}
 			if other, dup := slotSeen[s]; dup {
 				return fmt.Errorf("hypervisor: pages %d and %d share remote slot %d", other, p, s)
 			}
 			slotSeen[s] = p
-			if r.slotOfPage[s] != p {
+			if int(r.slotOfPage[s]) != p {
 				return fmt.Errorf("hypervisor: slot %d back-pointer is %d, want %d", s, r.slotOfPage[s], p)
 			}
 		}
@@ -396,10 +397,11 @@ func (r *RAMExt) CheckInvariants() error {
 	if local > r.localFrames {
 		return fmt.Errorf("hypervisor: %d local pages exceed the %d-frame budget", local, r.localFrames)
 	}
-	if r.remote != nil {
-		if remote+len(r.freeSlots) > r.remote.Slots() {
-			return fmt.Errorf("hypervisor: %d remote pages + %d free slots exceed %d slots", remote, len(r.freeSlots), r.remote.Slots())
-		}
+	if remote != r.RemotePages() {
+		return fmt.Errorf("hypervisor: %d remote pages but demotions-promotions = %d", remote, r.RemotePages())
+	}
+	if remote+len(r.freeSlots) > len(r.slotOfPage) {
+		return fmt.Errorf("hypervisor: %d remote pages + %d free slots exceed %d slots", remote, len(r.freeSlots), len(r.slotOfPage))
 	}
 	return nil
 }

@@ -6,4 +6,11 @@
 // spends inside the page fault handler (list iteration, accessed-bit
 // management), because that cost is one of the three quantities Figure 8
 // reports.
+//
+// All three share one FIFO list, kept as an intrusive doubly linked list
+// threaded through a table indexed by page number (two uint32 links and a
+// flags byte per page, a sentinel at index 0). Recording an access is a
+// bounds check and a flag write, and a fault allocates nothing once the table
+// covers the VM; in exchange callers must pass dense page numbers, as the
+// Policy interface states.
 package pagepolicy

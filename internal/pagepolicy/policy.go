@@ -1,8 +1,9 @@
 package pagepolicy
 
 import (
-	"container/list"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // PageID identifies a guest page tracked by a policy.
@@ -26,6 +27,11 @@ func DefaultCost() Cost {
 }
 
 // Policy selects victim pages for demotion to remote memory.
+//
+// Page numbers must be dense: a policy's bookkeeping is a table indexed by
+// page, so it costs memory proportional to the highest PageID it is given.
+// Callers pass a VM's pseudo-physical page numbers, which are < its page
+// count.
 type Policy interface {
 	// Name returns the policy name ("fifo", "clock", "mixed").
 	Name() string
@@ -49,59 +55,141 @@ type Policy interface {
 	Evictions() uint64
 }
 
-// entry is one element of the FIFO list shared by all three policies.
-type entry struct {
-	page     PageID
-	accessed bool
+// node is one page's links in the FIFO list and its bookkeeping bits.
+type node struct {
+	next, prev uint32 // table indices; 0 is the list's sentinel
+	flags      uint8
 }
 
-// base carries the FIFO list machinery shared by the policies.
+const (
+	tracked  uint8 = 1 << iota // the page is in the list
+	accessed                   // its accessed bit
+)
+
+// base carries the FIFO list machinery shared by the policies: one doubly
+// linked list threaded through a table indexed by page+1. Index 0 is the
+// sentinel of the circular list (its next is the oldest fault, its prev the
+// newest), so a zeroed table is an empty list and links need no filling. The
+// table grows by powers of two to cover the highest page faulted.
 type base struct {
 	cost    Cost
-	order   *list.List // front = oldest fault
-	index   map[PageID]*list.Element
+	nodes   []node
+	n       int
+	hand    uint32 // Clock/Mixed scan position; 0 = not placed
 	cycles  uint64
 	evicted uint64
 }
 
-func newBase(cost Cost) base {
-	return base{cost: cost, order: list.New(), index: make(map[PageID]*list.Element)}
+// lookup returns the table index of a tracked page. The one PageID whose +1
+// wraps lands on the sentinel, which is never tracked.
+func (b *base) lookup(p PageID) (uint32, bool) {
+	if i := p + 1; i < PageID(len(b.nodes)) && b.nodes[i].flags&tracked != 0 {
+		return uint32(i), true
+	}
+	return 0, false
 }
 
 func (b *base) Fault(p PageID) {
-	if el, ok := b.index[p]; ok {
+	if i, ok := b.lookup(p); ok {
 		// Refaulting an already-tracked page refreshes its accessed bit only;
 		// its position in the FIFO list is defined by its oldest fault.
-		el.Value.(*entry).accessed = true
+		b.nodes[i].flags |= accessed
 		return
 	}
-	b.index[p] = b.order.PushBack(&entry{page: p})
+	if p >= math.MaxUint32 {
+		panic(fmt.Sprintf("pagepolicy: page %d breaks the dense page number precondition", p))
+	}
+	i := uint32(p) + 1
+	if int(i) >= len(b.nodes) {
+		// Cover the next power of two of pages above p; the sentinel rides
+		// on top, so a power-of-two VM ends on a table that fits it exactly.
+		grown := make([]node, 1<<bits.Len32(uint32(p))+1)
+		copy(grown, b.nodes)
+		b.nodes = grown
+	}
+	tail := b.nodes[0].prev
+	b.nodes[i] = node{prev: tail, flags: tracked}
+	b.nodes[tail].next = i
+	b.nodes[0].prev = i
+	b.n++
 }
 
 func (b *base) Access(p PageID) {
-	if el, ok := b.index[p]; ok {
-		el.Value.(*entry).accessed = true
+	if i, ok := b.lookup(p); ok {
+		b.nodes[i].flags |= accessed
 	}
 }
 
 func (b *base) Remove(p PageID) {
-	if el, ok := b.index[p]; ok {
-		b.order.Remove(el)
-		delete(b.index, p)
+	if i, ok := b.lookup(p); ok {
+		b.take(i)
 	}
 }
 
-func (b *base) Len() int { return b.order.Len() }
+func (b *base) Len() int { return b.n }
 
 func (b *base) TotalCycles() uint64 { return b.cycles }
 
 func (b *base) Evictions() uint64 { return b.evicted }
 
-func (b *base) removeElement(el *list.Element) PageID {
-	e := el.Value.(*entry)
-	b.order.Remove(el)
-	delete(b.index, e.page)
-	return e.page
+// advance returns the index one step after i, wrapping past the sentinel to
+// the front; from 0 (hand not placed) that is the front itself.
+func (b *base) advance(i uint32) uint32 {
+	next := b.nodes[i].next
+	if next == 0 {
+		next = b.nodes[0].next
+	}
+	return next
+}
+
+// take unlinks the tracked page at index i and returns it, first moving the
+// hand to its successor (or unplacing it when i was the only page).
+func (b *base) take(i uint32) PageID {
+	if b.hand == i {
+		if b.hand = b.advance(i); b.hand == i {
+			b.hand = 0
+		}
+	}
+	nd := b.nodes[i]
+	b.nodes[nd.prev].next = nd.next
+	b.nodes[nd.next].prev = nd.prev
+	b.nodes[i] = node{}
+	b.n--
+	return PageID(i - 1)
+}
+
+// sweep moves the hand over at most steps pages, clearing accessed bits as it
+// passes, and stops on the first page whose bit is already clear. It returns
+// the cycles spent and whether the hand rests on such a page. The list must
+// not be empty.
+func (b *base) sweep(steps int) (cycles uint64, found bool) {
+	if b.hand == 0 {
+		b.hand = b.nodes[0].next
+	}
+	for ; steps > 0; steps-- {
+		cycles += b.cost.IterationCycles + b.cost.AccessedBitCycles
+		nd := &b.nodes[b.hand]
+		if nd.flags&accessed == 0 {
+			return cycles, true
+		}
+		nd.flags &^= accessed
+		b.hand = b.advance(b.hand)
+	}
+	return cycles, false
+}
+
+// evict bills one successful Evict call that spent cycles choosing the page
+// at index i.
+func (b *base) evict(i uint32, cycles uint64) (PageID, uint64, bool) {
+	b.cycles += cycles
+	b.evicted++
+	return b.take(i), cycles, true
+}
+
+// evictNone bills an Evict call on an empty policy.
+func (b *base) evictNone() (PageID, uint64, bool) {
+	b.cycles += b.cost.BaseCycles
+	return 0, b.cost.BaseCycles, false
 }
 
 // FIFO evicts the page with the oldest recorded fault.
@@ -110,24 +198,17 @@ type FIFO struct {
 }
 
 // NewFIFO returns a FIFO policy with the given cost parameters.
-func NewFIFO(cost Cost) *FIFO { return &FIFO{base: newBase(cost)} }
+func NewFIFO(cost Cost) *FIFO { return &FIFO{base{cost: cost}} }
 
 // Name implements Policy.
 func (f *FIFO) Name() string { return "fifo" }
 
 // Evict implements Policy: the victim is the front of the FIFO list.
 func (f *FIFO) Evict() (PageID, uint64, bool) {
-	cycles := f.cost.BaseCycles
-	front := f.order.Front()
-	if front == nil {
-		f.cycles += cycles
-		return 0, cycles, false
+	if f.n == 0 {
+		return f.evictNone()
 	}
-	cycles += f.cost.IterationCycles
-	victim := f.removeElement(front)
-	f.cycles += cycles
-	f.evicted++
-	return victim, cycles, true
+	return f.evict(f.nodes[0].next, f.cost.BaseCycles+f.cost.IterationCycles)
 }
 
 // ClockClearPeriod is the number of evictions between two runs of the
@@ -146,73 +227,26 @@ const ClockClearPeriod = 8
 // paper's Mixed policy was designed to curb.
 type Clock struct {
 	base
-	hand *list.Element
 }
 
 // NewClock returns a Clock policy with the given cost parameters.
-func NewClock(cost Cost) *Clock { return &Clock{base: newBase(cost)} }
+func NewClock(cost Cost) *Clock { return &Clock{base{cost: cost}} }
 
 // Name implements Policy.
 func (c *Clock) Name() string { return "clock" }
 
-// Remove implements Policy, keeping the hand valid when its element goes.
-func (c *Clock) Remove(p PageID) {
-	if el, ok := c.index[p]; ok && el == c.hand {
-		c.hand = c.advance(c.hand)
-	}
-	c.base.Remove(p)
-}
-
-// advance moves the hand one step, wrapping to the front.
-func (c *Clock) advance(el *list.Element) *list.Element {
-	if el == nil {
-		return c.order.Front()
-	}
-	next := el.Next()
-	if next == nil {
-		next = c.order.Front()
-	}
-	return next
-}
-
 // Evict implements Policy.
 func (c *Clock) Evict() (PageID, uint64, bool) {
-	cycles := c.cost.BaseCycles
-	n := c.order.Len()
-	if n == 0 {
-		c.cycles += cycles
-		return 0, cycles, false
+	if c.n == 0 {
+		return c.evictNone()
 	}
 	// Amortized cost of the periodic accessed-bit clearing daemon: every
 	// ClockClearPeriod evictions it touches the bit of every resident page.
-	cycles += uint64(n) * c.cost.AccessedBitCycles / ClockClearPeriod
-	if c.hand == nil {
-		c.hand = c.order.Front()
-	}
-	// At most two revolutions: the first may clear every bit, the second is
-	// then guaranteed to find a victim.
-	for i := 0; i < 2*n; i++ {
-		cycles += c.cost.IterationCycles + c.cost.AccessedBitCycles
-		e := c.hand.Value.(*entry)
-		if !e.accessed {
-			victimEl := c.hand
-			c.hand = c.advance(c.hand)
-			if c.hand == victimEl {
-				c.hand = nil
-			}
-			victim := c.removeElement(victimEl)
-			c.cycles += cycles
-			c.evicted++
-			return victim, cycles, true
-		}
-		e.accessed = false
-		c.hand = c.advance(c.hand)
-	}
-	// Unreachable: after one revolution every bit is clear.
-	victim := c.removeElement(c.order.Front())
-	c.cycles += cycles
-	c.evicted++
-	return victim, cycles, true
+	daemon := uint64(c.n) * c.cost.AccessedBitCycles / ClockClearPeriod
+	// One revolution clears every bit at worst, so the hand stops on a
+	// victim within n+1 steps.
+	scan, _ := c.sweep(c.n + 1)
+	return c.evict(c.hand, c.cost.BaseCycles+daemon+scan)
 }
 
 // Mixed applies the Clock policy to a bounded window of the list (advancing
@@ -225,7 +259,6 @@ func (c *Clock) Evict() (PageID, uint64, bool) {
 type Mixed struct {
 	base
 	window int
-	hand   *list.Element
 }
 
 // DefaultMixedWindow is the paper's example window (x = 5).
@@ -236,7 +269,7 @@ func NewMixed(cost Cost, window int) *Mixed {
 	if window <= 0 {
 		window = DefaultMixedWindow
 	}
-	return &Mixed{base: newBase(cost), window: window}
+	return &Mixed{base: base{cost: cost}, window: window}
 }
 
 // Name implements Policy.
@@ -245,74 +278,19 @@ func (m *Mixed) Name() string { return "mixed" }
 // Window returns the clock window size.
 func (m *Mixed) Window() int { return m.window }
 
-// Remove implements Policy, keeping the hand valid when its element goes.
-func (m *Mixed) Remove(p PageID) {
-	if el, ok := m.index[p]; ok && el == m.hand {
-		m.hand = m.advance(m.hand)
-	}
-	m.base.Remove(p)
-}
-
-// advance moves the hand one step, wrapping to the front.
-func (m *Mixed) advance(el *list.Element) *list.Element {
-	if el == nil {
-		return m.order.Front()
-	}
-	next := el.Next()
-	if next == nil {
-		next = m.order.Front()
-	}
-	return next
-}
-
 // Evict implements Policy.
 func (m *Mixed) Evict() (PageID, uint64, bool) {
-	cycles := m.cost.BaseCycles
-	n := m.order.Len()
-	if n == 0 {
-		m.cycles += cycles
-		return 0, cycles, false
+	if m.n == 0 {
+		return m.evictNone()
 	}
-	if m.hand == nil {
-		m.hand = m.order.Front()
+	scan, found := m.sweep(min(m.window, m.n))
+	if !found {
+		// Window exhausted: fall back to FIFO over the rest of the list —
+		// evict the oldest page that the clock window did not just examine
+		// (i.e. the current hand position).
+		scan += m.cost.IterationCycles
 	}
-	steps := m.window
-	if steps > n {
-		steps = n
-	}
-	for i := 0; i < steps; i++ {
-		cycles += m.cost.IterationCycles + m.cost.AccessedBitCycles
-		e := m.hand.Value.(*entry)
-		if !e.accessed {
-			victimEl := m.hand
-			m.hand = m.advance(m.hand)
-			if m.hand == victimEl {
-				m.hand = nil
-			}
-			victim := m.removeElement(victimEl)
-			m.cycles += cycles
-			m.evicted++
-			return victim, cycles, true
-		}
-		e.accessed = false
-		m.hand = m.advance(m.hand)
-	}
-	// Window exhausted: fall back to FIFO over the rest of the list — evict
-	// the oldest page that the clock window did not just examine (i.e. the
-	// current hand position).
-	cycles += m.cost.IterationCycles
-	victimEl := m.hand
-	if victimEl == nil {
-		victimEl = m.order.Front()
-	}
-	m.hand = m.advance(victimEl)
-	if m.hand == victimEl {
-		m.hand = nil
-	}
-	victim := m.removeElement(victimEl)
-	m.cycles += cycles
-	m.evicted++
-	return victim, cycles, true
+	return m.evict(m.hand, m.cost.BaseCycles+scan)
 }
 
 // New constructs a policy by name: "fifo", "clock" or "mixed".

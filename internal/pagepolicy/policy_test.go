@@ -232,3 +232,28 @@ func TestPropertyEvictionConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPolicySteadyStateAllocs: once the table covers the VM's pages, the
+// fault handler's cycle — evict a victim, fault the new page in, touch a
+// resident one — allocates nothing.
+func TestPolicySteadyStateAllocs(t *testing.T) {
+	const pages = 4096
+	for _, p := range allPolicies() {
+		for i := PageID(0); i < pages; i++ {
+			p.Fault(i)
+		}
+		next := PageID(0)
+		allocs := testing.AllocsPerRun(1000, func() {
+			victim, _, ok := p.Evict()
+			if !ok {
+				t.Fatalf("%s: nothing to evict", p.Name())
+			}
+			p.Fault(victim)
+			p.Access(next % pages)
+			next += 7
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per evict+fault+access cycle, want 0", p.Name(), allocs)
+		}
+	}
+}
