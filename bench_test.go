@@ -374,13 +374,15 @@ func BenchmarkRDMAOneSidedWrite(b *testing.B) {
 	}
 	mr, _ := z.RegisterMemory(1<<20, rdma.AccessFlags{RemoteRead: true, RemoteWrite: true})
 	page := make([]byte, 4096)
+	var wcs [64]rdma.WorkCompletion
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := qp.Write(uint64(i), page, mr.RKey(), (i%200)*4096); err != nil {
 			b.Fatal(err)
 		}
-		if i%64 == 0 {
-			cq.Poll(0)
+		if i%64 == 63 {
+			cq.Poll(wcs[:])
 		}
 	}
 }

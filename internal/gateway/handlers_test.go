@@ -2,10 +2,12 @@ package gateway
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -99,6 +101,11 @@ func TestFleetHandlers(t *testing.T) {
 			`{}`, http.StatusCreated, []string{`"racks": 2`, `"servers": 4`, `"zombies": 0`}},
 		{"create malformed JSON", http.MethodPost, "/v1/fleets", token,
 			`{"racks": `, http.StatusBadRequest, []string{"malformed JSON body"}},
+		// The 1 MiB cap falls inside the string: cut there the body would parse
+		// as malformed, so the answer must come from the size, not the decoder.
+		{"create oversized body", http.MethodPost, "/v1/fleets", token,
+			`{"racks":2,"pad":"` + strings.Repeat("x", 1<<20) + `"}`,
+			http.StatusRequestEntityTooLarge, []string{"request body exceeds 1048576 bytes"}},
 		{"create unknown field", http.MethodPost, "/v1/fleets", token,
 			`{"rackz":2}`, http.StatusBadRequest, []string{"malformed JSON body", "rackz"}},
 		{"create bad racks", http.MethodPost, "/v1/fleets", token,
@@ -199,6 +206,47 @@ func TestFleetHandlers(t *testing.T) {
 	}
 	if status, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/fleets/"+fleetID+"/report", token, ""); status != http.StatusNotFound {
 		t.Fatalf("report after delete = %d, want 404", status)
+	}
+}
+
+// TestServingSessionKeepsHeapFlat holds one warm session (the shape the
+// serve_steady benchmark uses: a zombie lender and two VMs with a remote share)
+// and serves it paging requests that keep faulting pages to and from the
+// zombie. A daemon's session lives for days, so whatever a request retains is
+// a leak: the live heap after a GC must be as large at the end as at the
+// half-way point, give or take the zombie pages the second half touched first
+// (tens of KiB; one retained completion per remote page op was 2 MiB).
+func TestServingSessionKeepsHeapFlat(t *testing.T) {
+	_, ts := newTestGateway(t, Config{})
+	id := createFleet(t, ts.URL, "", `{"racks":1,"servers":3,"mem_gib":2,"workers":1,"zombies_per_rack":1}`)
+	status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/fleets/"+id+"/vms", "", `{"count":2,"gib":1.5,"vcpus":1}`)
+	if status != http.StatusOK || strings.Contains(body, `"remote_gib": 0,`) {
+		t.Fatalf("placement without a remote share: status %d, body %s", status, body)
+	}
+	seed := 0
+	serve := func(requests int) uint64 {
+		for i := 0; i < requests; i++ {
+			seed++ // a fresh access stream each time, so the VMs keep faulting
+			req := fmt.Sprintf(`{"items":[{"vm":"%s-vm-%d","kind":"micro-benchmark","iterations":1,"seed":%d}]}`, id, i%2, seed)
+			status, body = doJSON(t, http.MethodPost, ts.URL+"/v1/fleets/"+id+"/workloads", "", req)
+			if status != http.StatusOK || strings.Contains(body, `"error"`) {
+				t.Fatalf("request %d: status %d, body %s", i, status, body)
+			}
+		}
+		if !strings.Contains(body, `"major_faults"`) {
+			t.Fatalf("no page went to the zombie, the test would prove nothing: %s", body)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const requests = 200
+	half := serve(requests / 2)
+	end := serve(requests / 2)
+	t.Logf("HeapAlloc after %d requests %d KiB, after %d %d KiB", requests/2, half>>10, requests, end>>10)
+	if end > half+512<<10 {
+		t.Errorf("live heap grew %d KiB over %d paging requests on one session (%d -> %d KiB)", (end-half)>>10, requests/2, half>>10, end>>10)
 	}
 }
 

@@ -2,8 +2,8 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -173,11 +173,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // decodeJSON reads a request body into v, rejecting trailing garbage and
-// unknown fields — a malformed body is a 400 with the decoder's reason.
+// unknown fields — a malformed body is a 400 with the decoder's reason, and
+// one past the 1 MiB cap a 413 rather than a truncated parse.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return false
+		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed JSON body: %v", err))
 		return false
 	}

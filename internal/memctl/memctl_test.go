@@ -188,6 +188,52 @@ func TestRemoteBufferReadWrite(t *testing.T) {
 	}
 }
 
+// A remote op leaves nothing on the agent's completion queue, whether the verb
+// succeeded or failed: the agent lives as long as its server, so anything left
+// per op is a leak.
+func TestRemoteOpsLeaveNoCompletions(t *testing.T) {
+	r := newTestRack(t, "user", "zombie")
+	if _, err := r.agents["zombie"].DelegateAndGoZombie(); err != nil {
+		t.Fatal(err)
+	}
+	r.devices["zombie"].SetUp(false)
+	user := r.agents["user"]
+	handles, err := user.RequestExt(testBufSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, page := handles[0], make([]byte, 4096)
+	roundTrip := func() (failed int) {
+		for i := int64(0); i < 32; i++ {
+			if _, err := h.WriteRemote(i*4096, page); err != nil {
+				failed++
+			}
+			if _, err := h.ReadRemote(i*4096, page); err != nil {
+				failed++
+			}
+		}
+		return failed
+	}
+	if failed := roundTrip(); failed != 0 {
+		t.Fatalf("%d ops failed against a serving zombie", failed)
+	}
+	r.devices["zombie"].SetServing(false) // the lender dropped to S3
+	if failed := roundTrip(); failed != 64 {
+		t.Fatalf("%d ops failed against a host that is not serving, want 64", failed)
+	}
+	r.devices["zombie"].SetServing(true)
+	r.devices["user"].SetUp(false) // the initiator's own NIC is down
+	if failed := roundTrip(); failed != 64 {
+		t.Fatalf("%d ops failed on a down device, want 64", failed)
+	}
+	if st := r.fabric.Stats(); st.Writes != 32 || st.Reads != 32 || st.FailedOps != 128 {
+		t.Errorf("fabric stats %+v, want 32 writes, 32 reads, 128 failed ops", st)
+	}
+	if depth := user.cq.Depth(); depth != 0 {
+		t.Errorf("%d completions left on the agent's queue", depth)
+	}
+}
+
 func TestZombieMemoryPriority(t *testing.T) {
 	r := newTestRack(t, "user", "zombie", "active-server")
 	// The active server lends 4 buffers while staying active; the zombie

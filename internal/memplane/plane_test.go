@@ -3,6 +3,7 @@ package memplane
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/hypervisor"
@@ -140,6 +141,56 @@ func TestPlaneBytesTraverseZombieBuffer(t *testing.T) {
 	}
 	if used := r.user(t, names).UsedBuffers(); used != 0 {
 		t.Fatalf("%d buffers still held after Close", used)
+	}
+}
+
+// A plane that keeps rewriting and rereading the remote pages it already has
+// retains nothing per op: no layer under it (transport, memctl handle, rdma
+// verb, completion queue) may grow with the number of ops served.
+func TestPlaneSteadyStateRemoteOpsAllocateNothing(t *testing.T) {
+	names := []string{"user-00", "zombie-01"}
+	r := newRig(t, names, []string{"zombie-01"})
+	p, err := New(Config{
+		VM:         "vm",
+		LocalBytes: DefaultPageSize,
+		Agent:      r.user(t, names),
+		Cost:       r.fabric.Model(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const pages = 8
+	buf := make([]byte, DefaultPageSize)
+	if _, _, err := p.Write(0, buf); err != nil { // page 0 takes the local frame
+		t.Fatal(err)
+	}
+	pass := func(ops int) {
+		for i := 0; i < ops; i++ {
+			addr := int64(1+i%(pages-1)) * DefaultPageSize
+			var err error
+			if i%2 == 0 {
+				_, _, err = p.Write(addr, buf)
+			} else {
+				_, _, err = p.Read(addr, buf)
+			}
+			if err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+	}
+	pass(4 * pages) // pages 1..7 get their zombie frames and mirror entries
+	var before, after runtime.MemStats
+	warm := p.Stats().RemoteOps
+	runtime.ReadMemStats(&before)
+	const ops = 100_000
+	pass(ops)
+	runtime.ReadMemStats(&after)
+	if remote := p.Stats().RemoteOps - warm; remote != ops {
+		t.Fatalf("%d of %d ops went remote", remote, ops)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Errorf("%d remote page ops allocated %d bytes (%.1f per op), want < 64 KiB in all", ops, grew, float64(grew)/ops)
 	}
 }
 

@@ -21,4 +21,17 @@
 // The remote side of a one-sided verb only requires its Device to be
 // "serving" (powered memory path), which the ACPI layer maps from the Sz
 // state. A remote host whose device is not serving (e.g. S3) fails the verb.
+//
+// Every verb, failed ones included, pushes one WorkCompletion on its
+// initiator's CompletionQueue (a SEND also pushes the RECV on the peer's), and
+// the queue is unbounded, so whoever creates a queue and posts on it for as
+// long as it lives reaps it: CompletionQueue.Poll(dst) has the ibv_poll_cq
+// shape, costs time proportional to what it reaps and allocates nothing. In
+// this tree memctl's RemoteBuffer.WriteRemote/ReadRemote drain the agent's
+// queue after each verb, and RPCClient.Call drains both ends of its channel.
+// A verb also returns its status and latency directly, so those callers
+// discard what they reap. CostModel.PollCostNs is the CPU cost of the poll an
+// RPC client spins on for its response, and only Call charges it (one per
+// call, counted in Stats.CompletedPolls); the data path charges none, so a
+// remote page op costs exactly the one-sided TransferNs the planes account.
 package rdma

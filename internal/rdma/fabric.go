@@ -364,10 +364,18 @@ type WorkCompletion struct {
 	Payload []byte
 }
 
-// CompletionQueue collects work completions for polling.
+// CompletionQueue collects work completions for polling. It is unbounded: a
+// completion stays queued until whoever owns the queue reaps it with Poll, so
+// an owner that posts verbs for as long as it lives must also poll.
 type CompletionQueue struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// entries[head:] are the pending completions, oldest first. Slots before
+	// head have been reaped and cleared. Poll slides the pending ones back to
+	// the front once they are no more than the reaped prefix (always, when it
+	// drains the queue), so a queue that is polled keeps one backing array of
+	// at most twice its deepest backlog.
 	entries []WorkCompletion
+	head    int
 	polls   uint64
 }
 
@@ -380,18 +388,25 @@ func (cq *CompletionQueue) push(wc WorkCompletion) {
 	cq.entries = append(cq.entries, wc)
 }
 
-// Poll removes and returns up to max completions. It models the polling
-// clients of the paper's RPC layer.
-func (cq *CompletionQueue) Poll(max int) []WorkCompletion {
+// Poll moves up to len(dst) pending completions, oldest first, into dst and
+// returns how many it moved (the ibv_poll_cq shape). It costs time
+// proportional to the completions reaped and allocates nothing. It models the
+// polling clients of the paper's RPC layer.
+func (cq *CompletionQueue) Poll(dst []WorkCompletion) int {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
 	cq.polls++
-	if max <= 0 || max > len(cq.entries) {
-		max = len(cq.entries)
+	n := copy(dst, cq.entries[cq.head:])
+	// Clear the vacated slots: the array outlives them and must not pin a
+	// RECV payload or a status error the caller has already taken.
+	clear(cq.entries[cq.head : cq.head+n])
+	cq.head += n
+	if pending := cq.entries[cq.head:]; len(pending) <= cq.head {
+		kept := copy(cq.entries, pending)
+		clear(pending)
+		cq.entries, cq.head = cq.entries[:kept], 0
 	}
-	out := cq.entries[:max]
-	cq.entries = append([]WorkCompletion(nil), cq.entries[max:]...)
-	return out
+	return n
 }
 
 // Polls returns how many times the queue was polled.
@@ -405,5 +420,5 @@ func (cq *CompletionQueue) Polls() uint64 {
 func (cq *CompletionQueue) Depth() int {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
-	return len(cq.entries)
+	return len(cq.entries) - cq.head
 }

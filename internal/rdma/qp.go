@@ -65,16 +65,14 @@ func (qp *QueuePair) LocalDevice() *Device { return qp.local }
 // RemoteDevice returns the peer device, or nil if not connected.
 func (qp *QueuePair) RemoteDevice() *Device { return qp.remote }
 
-// checkInitiator validates that this side may initiate a verb.
-func (qp *QueuePair) checkInitiator() error {
+// checkInitiatorLocked validates that this side may initiate a verb, with the
+// fabric lock held: every verb takes that lock once, for the check, the
+// transfer and the completion together.
+func (qp *QueuePair) checkInitiatorLocked() error {
 	if !qp.connected {
 		return ErrQPNotConnected
 	}
-	f := qp.local.fabric
-	f.mu.Lock()
-	up := qp.local.up
-	f.mu.Unlock()
-	if !up {
+	if !qp.local.up {
 		return ErrDeviceDown
 	}
 	return nil
@@ -88,12 +86,12 @@ func (qp *QueuePair) Read(wrID uint64, dst []byte, rkey uint32, remoteOffset, le
 	if length > len(dst) {
 		return 0, fmt.Errorf("rdma: read length %d exceeds destination buffer %d", length, len(dst))
 	}
-	if err := qp.checkInitiator(); err != nil {
-		return 0, qp.fail(wrID, "READ", err)
-	}
 	f := qp.local.fabric
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := qp.checkInitiatorLocked(); err != nil {
+		return 0, qp.failLocked(wrID, "READ", err)
+	}
 	if !qp.remote.serving {
 		return 0, qp.failLocked(wrID, "READ", ErrRemoteNotServing)
 	}
@@ -115,12 +113,12 @@ func (qp *QueuePair) Read(wrID uint64, dst []byte, rkey uint32, remoteOffset, le
 // Write performs a one-sided RDMA WRITE: copy src into the remote region at
 // remoteOffset. Like Read, it does not involve the remote CPU.
 func (qp *QueuePair) Write(wrID uint64, src []byte, rkey uint32, remoteOffset int) (int64, error) {
-	if err := qp.checkInitiator(); err != nil {
-		return 0, qp.fail(wrID, "WRITE", err)
-	}
 	f := qp.local.fabric
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := qp.checkInitiatorLocked(); err != nil {
+		return 0, qp.failLocked(wrID, "WRITE", err)
+	}
 	if !qp.remote.serving {
 		return 0, qp.failLocked(wrID, "WRITE", ErrRemoteNotServing)
 	}
@@ -152,12 +150,12 @@ func (qp *QueuePair) PostRecv(wrID uint64, size int) {
 // (the remote CPU must eventually reap the completion), so it cannot target a
 // zombie server.
 func (qp *QueuePair) Send(wrID uint64, payload []byte) (int64, error) {
-	if err := qp.checkInitiator(); err != nil {
-		return 0, qp.fail(wrID, "SEND", err)
-	}
 	f := qp.local.fabric
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := qp.checkInitiatorLocked(); err != nil {
+		return 0, qp.failLocked(wrID, "SEND", err)
+	}
 	if !qp.remote.up {
 		return 0, qp.failLocked(wrID, "SEND", ErrDeviceDown)
 	}
@@ -193,14 +191,6 @@ func (qp *QueuePair) transferNsLocked(base int64, size int) int64 {
 	f.stats.InterRackBytes += uint64(size)
 	f.stats.InterRackNs += lat
 	return lat
-}
-
-// fail records a failed work request (taking the fabric lock).
-func (qp *QueuePair) fail(wrID uint64, op string, err error) error {
-	f := qp.local.fabric
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return qp.failLocked(wrID, op, err)
 }
 
 // failLocked records a failed work request with the fabric lock held.

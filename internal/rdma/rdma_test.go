@@ -113,11 +113,12 @@ func TestOneSidedWriteRead(t *testing.T) {
 		t.Errorf("byte counters wrong: %+v", st)
 	}
 	// Completions delivered to the initiator's CQ.
-	wcs := cqA.Poll(10)
-	if len(wcs) != 2 {
-		t.Fatalf("expected 2 completions, got %d", len(wcs))
+	var wcs [10]WorkCompletion
+	n := cqA.Poll(wcs[:])
+	if n != 2 {
+		t.Fatalf("expected 2 completions, got %d", n)
 	}
-	for _, wc := range wcs {
+	for _, wc := range wcs[:n] {
 		if wc.Status != nil {
 			t.Errorf("completion %s failed: %v", wc.Op, wc.Status)
 		}
@@ -235,9 +236,9 @@ func TestSendRecv(t *testing.T) {
 	if lat <= 0 {
 		t.Error("send latency should be positive")
 	}
-	wcs := cqB.Poll(10)
-	if len(wcs) != 1 {
-		t.Fatalf("receiver should have 1 completion, got %d", len(wcs))
+	var wcs [10]WorkCompletion
+	if n := cqB.Poll(wcs[:]); n != 1 {
+		t.Fatalf("receiver should have 1 completion, got %d", n)
 	}
 	if wcs[0].WRID != 77 || wcs[0].Op != "RECV" {
 		t.Errorf("unexpected completion %+v", wcs[0])
@@ -283,19 +284,94 @@ func TestCompletionQueuePolling(t *testing.T) {
 	if cq.Depth() != 5 {
 		t.Fatalf("depth = %d, want 5", cq.Depth())
 	}
-	first := cq.Poll(2)
-	if len(first) != 2 || first[0].WRID != 0 || first[1].WRID != 1 {
-		t.Fatalf("unexpected first poll %+v", first)
+	if n := cq.Poll(nil); n != 0 || cq.Depth() != 5 {
+		t.Fatalf("poll into no room reaped %d, depth %d", n, cq.Depth())
 	}
-	rest := cq.Poll(0) // 0 means "all"
-	if len(rest) != 3 {
-		t.Fatalf("unexpected rest %+v", rest)
+	var first [2]WorkCompletion
+	if n := cq.Poll(first[:]); n != 2 || first[0].WRID != 0 || first[1].WRID != 1 {
+		t.Fatalf("first poll reaped %d: %+v", n, first)
+	}
+	if cq.Depth() != 3 {
+		t.Fatalf("depth after a partial poll = %d, want 3", cq.Depth())
+	}
+	// Completions pushed behind a partly reaped queue keep their order.
+	cq.push(WorkCompletion{WRID: 5})
+	cq.push(WorkCompletion{WRID: 6})
+	var rest [8]WorkCompletion
+	n := cq.Poll(rest[:])
+	if n != 5 {
+		t.Fatalf("second poll reaped %d, want 5", n)
+	}
+	for i, wc := range rest[:n] {
+		if wc.WRID != uint64(2+i) {
+			t.Errorf("rest[%d].WRID = %d, want %d", i, wc.WRID, 2+i)
+		}
 	}
 	if cq.Depth() != 0 {
 		t.Error("queue should be drained")
 	}
-	if cq.Polls() != 2 {
-		t.Errorf("polls = %d, want 2", cq.Polls())
+	if n := cq.Poll(rest[:]); n != 0 {
+		t.Errorf("poll of an empty queue reaped %d", n)
+	}
+	if cq.Polls() != 4 {
+		t.Errorf("polls = %d, want 4", cq.Polls())
+	}
+}
+
+// A queue that is reaped as it fills costs no allocation and no growth,
+// whether each poll drains it or a backlog stands in it throughout.
+func TestCompletionQueueSteadyStateAllocatesNothing(t *testing.T) {
+	for _, backlog := range []int{0, 3} {
+		cq := NewCompletionQueue()
+		for i := 0; i < backlog; i++ {
+			cq.push(WorkCompletion{Op: "WRITE"})
+		}
+		var wcs [2]WorkCompletion
+		step := func() {
+			cq.push(WorkCompletion{Op: "WRITE"})
+			cq.push(WorkCompletion{Op: "READ"})
+			if n := cq.Poll(wcs[:]); n != len(wcs) {
+				t.Fatalf("reaped %d, want %d", n, len(wcs))
+			}
+		}
+		for i := 0; i < 16; i++ {
+			step() // the backing array reaches its steady size
+		}
+		grown := cap(cq.entries)
+		if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+			t.Errorf("backlog %d: push/poll allocates %.1f times per round", backlog, allocs)
+		}
+		if cap(cq.entries) != grown || cq.Depth() != backlog {
+			t.Errorf("backlog %d: capacity %d -> %d, depth %d", backlog, grown, cap(cq.entries), cq.Depth())
+		}
+	}
+}
+
+// The queue's array outlives the completions reaped from it, so a reaped slot
+// must not go on referencing a RECV payload or a failed verb's status.
+func TestPollClearsReapedSlots(t *testing.T) {
+	_, a, b := newTestFabric(t)
+	qpA, qpB, cqA, cqB := connectedQP(t, a, b)
+	qpB.PostRecv(1, 64)
+	if _, err := qpA.Send(1, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qpA.Send(2, []byte("no receive posted")); err == nil {
+		t.Fatal("send without a posted receive should fail")
+	}
+	var wcs [4]WorkCompletion
+	if n := cqB.Poll(wcs[:]); n != 1 || string(wcs[0].Payload) != "payload" {
+		t.Fatalf("receiver reaped %d: %+v", n, wcs[:n])
+	}
+	if n := cqA.Poll(wcs[:]); n != 2 || wcs[1].Status == nil {
+		t.Fatalf("sender reaped %d: %+v", n, wcs[:n])
+	}
+	for _, cq := range []*CompletionQueue{cqA, cqB} {
+		for i, slot := range cq.entries[:cap(cq.entries)] {
+			if slot.Payload != nil || slot.Status != nil {
+				t.Errorf("slot %d still references %+v after it was reaped", i, slot)
+			}
+		}
 	}
 }
 
@@ -351,6 +427,13 @@ func TestRPCCall(t *testing.T) {
 	if f.Stats().Writes < 2 {
 		t.Errorf("expected at least 2 one-sided writes, got %d", f.Stats().Writes)
 	}
+	// One poll is charged per call, and neither end keeps a completion.
+	if got := f.Stats().CompletedPolls; got != 3 {
+		t.Errorf("completed polls = %d, want 3", got)
+	}
+	if c, s := cli.cq.Depth(), cli.serverCQ.Depth(); c != 0 || s != 0 {
+		t.Errorf("completions left queued: client %d, server %d", c, s)
+	}
 }
 
 func TestRPCClientValidation(t *testing.T) {
@@ -380,6 +463,9 @@ func TestRPCToSuspendedServerFails(t *testing.T) {
 	a.SetUp(false)
 	if _, err := cli.Call("ping", nil, nil); err == nil {
 		t.Fatal("rpc to a dead controller should fail")
+	}
+	if c, s := cli.cq.Depth(), cli.serverCQ.Depth(); c != 0 || s != 0 {
+		t.Errorf("the failed call left completions queued: client %d, server %d", c, s)
 	}
 }
 

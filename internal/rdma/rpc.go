@@ -80,6 +80,7 @@ type RPCClient struct {
 	reqMR    *MemoryRegion // request slot registered on the server device
 	respMR   *MemoryRegion // response slot registered on the client device
 	serverQP *QueuePair
+	serverCQ *CompletionQueue
 
 	nextWR   uint64
 	totalLat int64
@@ -124,6 +125,7 @@ func NewRPCClient(name string, clientDev *Device, server *RPCServer) (*RPCClient
 		reqMR:    reqMR,
 		respMR:   respMR,
 		serverQP: serverQP,
+		serverCQ: serverCQ,
 	}, nil
 }
 
@@ -138,8 +140,10 @@ type envelope struct {
 // response into reply (a pointer) when non-nil. It returns the simulated
 // round-trip latency. The call path is: one-sided WRITE of the request into
 // the server's request slot, server CPU dispatch, one-sided WRITE of the
-// response into the client's response slot, client CQ poll.
+// response into the client's response slot, client CQ poll. Whichever way it
+// returns, no completion is left queued on either end.
 func (c *RPCClient) Call(method string, args interface{}, reply interface{}) (int64, error) {
+	defer c.reap()
 	body, err := json.Marshal(args)
 	if err != nil {
 		return 0, fmt.Errorf("rdma: marshal rpc args: %w", err)
@@ -186,9 +190,9 @@ func (c *RPCClient) Call(method string, args interface{}, reply interface{}) (in
 		return 0, fmt.Errorf("rdma: rpc response write: %w", err)
 	}
 
-	// 4. The client polls its completion queue / response slot.
+	// 4. The client polls its completion queue / response slot: one poll is
+	//    charged per call (the reap itself runs on the way out).
 	pollCost := c.device.fabric.Model().PollCostNs
-	c.cq.Poll(16)
 	c.device.fabric.mu.Lock()
 	c.device.fabric.stats.CompletedPolls++
 	c.device.fabric.mu.Unlock()
@@ -206,6 +210,17 @@ func (c *RPCClient) Call(method string, args interface{}, reply interface{}) (in
 		}
 	}
 	return total, nil
+}
+
+// reap empties both ends' completion queues. Call has already returned each
+// verb's status and latency, so the completions are discarded; the server end
+// is reaped here too because Call plays the daemon's part of the exchange.
+func (c *RPCClient) reap() {
+	var wcs [4]WorkCompletion
+	for _, cq := range [...]*CompletionQueue{c.cq, c.serverCQ} {
+		for cq.Poll(wcs[:]) == len(wcs) {
+		}
+	}
 }
 
 // Calls returns the number of completed calls.
