@@ -14,15 +14,20 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/acpi"
 	"repro/internal/consolidation"
+	"repro/internal/core"
 	"repro/internal/dcsim"
 	"repro/internal/energy"
+	"repro/internal/fleet"
 	"repro/internal/hypervisor"
 	"repro/internal/memctl"
+	"repro/internal/memplane"
 	"repro/internal/pagepolicy"
 	"repro/internal/rdma"
 	"repro/internal/swapdev"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -439,6 +444,66 @@ func BenchmarkPageFaultHandler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ram.Access(i%8192, i%2 == 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFleetDataRequest measures one warm 4 MiB data-caching request (the
+// serve_steady data call below the gateway): a stream of page-sized reads and
+// writes through the VM's data plane. MB/s counts the bytes the plane moved.
+func BenchmarkFleetDataRequest(b *testing.B) {
+	board := acpi.DefaultBoardSpec()
+	board.MemoryBytes = 2 << 30
+	f, err := fleet.New(fleet.Config{Racks: 1, Rack: core.Config{Servers: 3, Board: board}, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := f.PushToZombie(0, f.Rack(0).Servers()[2]); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := f.PlaceVMs([]vm.VM{vm.New("vm", 1536<<20, 1536<<20)}, core.CreateVMOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	reqs := []fleet.WorkloadRequest{{VM: "vm", Kind: workload.DataCaching, Iterations: 1, Seed: 42, DataBytes: 4 << 20}}
+	run := func() memplane.Stats {
+		res := f.RunWorkloads(reqs)[0]
+		if res.Err != "" {
+			b.Fatal(res.Err)
+		}
+		return res.Data
+	}
+	cold := run()
+	warm := run()
+	b.SetBytes(int64(warm.BytesRead + warm.BytesWritten - cold.BytesRead - cold.BytesWritten))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// BenchmarkPageTableLookup measures one translation of a mapped page while a
+// second VM holds 100 000 entries in the same table.
+func BenchmarkPageTableLookup(b *testing.B) {
+	pt := memplane.NewPageTable(memplane.DefaultPageSize)
+	const pages = 1024
+	for p := int64(0); p < 100_000; p++ {
+		f := memplane.Frame{Kind: memplane.FrameLocal, Arena: "crowd", LocalOff: p * memplane.DefaultPageSize}
+		if err := pt.Map("crowd", p, f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for p := int64(0); p < pages; p++ {
+		f := memplane.Frame{Kind: memplane.FrameLocal, Arena: "vm", LocalOff: p * memplane.DefaultPageSize}
+		if err := pt.Map("vm", p, f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := pt.Lookup("vm", int64(i%pages)); !ok {
+			b.Fatal("mapped page not found")
 		}
 	}
 }

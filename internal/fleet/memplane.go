@@ -49,6 +49,23 @@ func (f *Fleet) RehomeServerMemory(rack int, server string) (memplane.RehomeRepo
 	return f.racks[rack].RehomeDataHost(server)
 }
 
+// fillPayload sets buf[i] = byte(c + 3*i), the data-traffic payload of the page
+// with c = page + seed. The sequence has period 256 in i, so one period is
+// generated and then doubled across the page; every copy starts at a multiple
+// of 256, which keeps the phase for lengths that are not.
+func fillPayload(buf []byte, c int64) {
+	n := len(buf)
+	if n > 256 {
+		n = 256
+	}
+	for i := 0; i < n; i++ {
+		buf[i] = byte(c + 3*int64(i))
+	}
+	for n < len(buf) {
+		n += copy(buf[n:], buf[:n])
+	}
+}
+
 // runDataTraffic replays a workload's access stream as real byte traffic
 // through the VM's data plane: every access becomes a full-page write or read
 // at the workload's page, so the bytes demonstrably traverse the zombie
@@ -82,9 +99,7 @@ func runDataTraffic(rack *core.Rack, req WorkloadRequest) (memplane.Stats, error
 		}
 		addr := int64(a.Page) * ps
 		if a.Write {
-			for i := range buf {
-				buf[i] = byte(int64(a.Page) + int64(i)*3 + req.Seed)
-			}
+			fillPayload(buf, int64(a.Page)+req.Seed)
 			if _, _, err := p.Write(addr, buf); err != nil {
 				return p.Stats(), err
 			}

@@ -3,12 +3,14 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/memctl"
 	"repro/internal/memplane"
+	"repro/internal/rdma"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -175,5 +177,149 @@ func TestFleetCrashRehomeData(t *testing.T) {
 		if !bytes.Equal(buf, want) {
 			t.Fatalf("page %d lost its contents across the migration", pg)
 		}
+	}
+}
+
+// TestFillPayloadMatchesFormula is the refactor oracle of the data-traffic
+// payload: byte i of a page is byte(c + 3*i) for every page size, whether or
+// not the size is a multiple of the 256-byte period, and for any c.
+func TestFillPayloadMatchesFormula(t *testing.T) {
+	for _, size := range []int{1, 255, 256, 257, 4096, 8192} {
+		for _, c := range []int64{0, 1, 255, 256, 1000003, -1, -257, math.MaxInt64, math.MinInt64} {
+			buf := bytes.Repeat([]byte{0xEE}, size) // stale bytes of a previous read
+			fillPayload(buf, c)
+			for i, got := range buf {
+				if want := byte(c + 3*int64(i)); got != want {
+					t.Fatalf("size %d c %d: byte %d = %#x, want %#x", size, c, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// lastWriters re-derives, from the documented stream, the seed of the last
+// request that wrote each page.
+func lastWriters(t *testing.T, writer map[int]int64, req WorkloadRequest, pages int) {
+	t.Helper()
+	stream, err := workload.NewStream(workload.ProfileOf(req.Kind), pages, req.Iterations, req.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a, ok := stream.Next(); ok; a, ok = stream.Next() {
+		if a.Write {
+			writer[a.Page] = req.Seed
+		}
+	}
+}
+
+// TestDataTrafficPayloadBytes pins what a DataBytes replay stores: a page
+// holds byte(page + seed + 3*i) of the last request that wrote it, on local
+// and on remote frames alike.
+func TestDataTrafficPayloadBytes(t *testing.T) {
+	f, vmID := dataFleet(t)
+	guest, err := f.Rack(0).VM(vmID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := guest.Paging.Pages()
+	reqs := []WorkloadRequest{
+		{VM: vmID, Kind: workload.MicroBench, Iterations: 10, Seed: 7, DataBytes: int64(pages) * 4096},
+		{VM: vmID, Kind: workload.DataCaching, Iterations: 1, Seed: -300, DataBytes: int64(pages) * 4096},
+	}
+	writer := make(map[int]int64)
+	for _, req := range reqs {
+		if res := f.RunWorkloads([]WorkloadRequest{req})[0]; res.Err != "" {
+			t.Fatal(res.Err)
+		}
+		lastWriters(t, writer, req, pages)
+	}
+	p, err := f.MemplaneOf(vmID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := p.PageSize()
+	got, want := make([]byte, ps), make([]byte, ps)
+	seeds, kinds := map[int64]int{}, map[memplane.FrameKind]int{}
+	for page, seed := range writer {
+		if _, _, err := p.Read(int64(page)*ps, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			want[i] = byte(int64(page) + 3*int64(i) + seed)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("page %d (last written at seed %d) does not hold its payload", page, seed)
+		}
+		frame, ok := p.Table().Lookup(vmID, int64(page))
+		if !ok {
+			t.Fatalf("written page %d is not mapped", page)
+		}
+		seeds[seed]++
+		kinds[frame.Kind]++
+	}
+	if len(p.Table().Pages(vmID)) != len(writer) {
+		t.Fatalf("%d pages mapped, the streams wrote %d", len(p.Table().Pages(vmID)), len(writer))
+	}
+	if len(seeds) != 2 || kinds[memplane.FrameLocal] == 0 || kinds[memplane.FrameRemote] == 0 {
+		t.Fatalf("coverage too thin: pages by last seed %v, by frame kind %v", seeds, kinds)
+	}
+}
+
+// TestDataTrafficStatsAreStable drives a fixed sequence of 20 data requests
+// and compares the plane's and the fabric's counters with the values the
+// sequence produced before the payload and page-table rewrite (commit
+// 0166bf7): the rewrite moves no byte, no op and no charged nanosecond.
+func TestDataTrafficStatsAreStable(t *testing.T) {
+	f, vmID := dataFleet(t)
+	kinds := workload.AllKinds()
+	var last WorkloadResult
+	for i := 0; i < 20; i++ {
+		last = f.RunWorkloads([]WorkloadRequest{{
+			VM:         vmID,
+			Kind:       kinds[i%len(kinds)],
+			Iterations: 1 + i%2,
+			Seed:       int64(100*i - 700),
+			DataBytes:  int64(1+i%7) << 22, // 4..28 MiB: reaches past the local arena
+		}})[0]
+		if last.Err != "" {
+			t.Fatalf("request %d: %s", i, last.Err)
+		}
+	}
+	wantData := memplane.Stats{
+		Reads: 292208, Writes: 92816, BytesRead: 292208 * 4096, BytesWritten: 92816 * 4096,
+		LocalOps: 372763, RemoteOps: 12261, RemoteBytesRead: 7565 * 4096, RemoteBytesWritten: 4696 * 4096,
+		ChargedNs: 72649285, LocalNs: 37276300, RemoteNs: 35372985, MirrorWrites: 4696,
+	}
+	if last.Data != wantData {
+		t.Errorf("memplane.Stats moved:\n got  %+v\n want %+v", last.Data, wantData)
+	}
+	wantFabric := rdma.Stats{
+		Reads: 7565, Writes: 4696, BytesRead: 7565 * 4096, BytesWritten: 4696 * 4096, SimulatedNs: 35372985,
+	}
+	if got := f.Rack(0).Fabric().Stats(); got != wantFabric {
+		t.Errorf("rdma.Stats moved:\n got  %+v\n want %+v", got, wantFabric)
+	}
+}
+
+// TestDataRequestAllocsAreConstant: an identical data request on a warm plane
+// allocates the same few objects (the stream, its source, the page buffer)
+// whatever its span, i.e. nothing per page op.
+func TestDataRequestAllocsAreConstant(t *testing.T) {
+	f, vmID := dataFleet(t)
+	rack := f.Rack(0)
+	allocs := func(dataBytes int64) float64 {
+		req := WorkloadRequest{VM: vmID, Kind: workload.DataCaching, Iterations: 1, Seed: 42, DataBytes: dataBytes}
+		if _, err := runDataTraffic(rack, req); err != nil { // warm: maps every page the stream writes
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := runDataTraffic(rack, req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1<<20), allocs(4<<20)
+	if small != large || small > 8 {
+		t.Fatalf("allocs per data request: %v at 1 MiB, %v at 4 MiB; want one small constant", small, large)
 	}
 }

@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 
@@ -284,6 +285,10 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		kind, err := parseKind(it.Kind)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("items[%d]: %v", i, err))
+			return
+		}
+		if it.DataMiB < 0 || it.DataMiB > math.MaxInt64>>20 {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("items[%d]: data_mib out of range", i))
 			return
 		}
 		iters := it.Iterations

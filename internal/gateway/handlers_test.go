@@ -169,6 +169,14 @@ func TestFleetHandlers(t *testing.T) {
 		{"workloads happy data plane", http.MethodPost, "/v1/fleets/" + fleetID + "/workloads", token,
 			`{"items":[{"vm":"` + fleetID + `-vm-3","kind":"spark-sql","iterations":2,"seed":7,"data_mib":16}]}`,
 			http.StatusOK, []string{`"kind": "spark-sql"`, `"local_ops"`, `"remote_ops"`, `"remote_kib"`, `"charged_ms"`}},
+		// 2^43 MiB shifts to MinInt64 bytes; both used to run a paging replay
+		// and answer 200.
+		{"workloads data_mib overflow", http.MethodPost, "/v1/fleets/" + fleetID + "/workloads", token,
+			`{"items":[{"vm":"` + fleetID + `-vm-0","kind":"micro-benchmark"},{"vm":"` + fleetID + `-vm-0","kind":"data-caching","data_mib":8796093022208}]}`,
+			http.StatusBadRequest, []string{"items[1]: data_mib out of range"}},
+		{"workloads data_mib negative", http.MethodPost, "/v1/fleets/" + fleetID + "/workloads", token,
+			`{"items":[{"vm":"` + fleetID + `-vm-0","kind":"data-caching","data_mib":-1}]}`,
+			http.StatusBadRequest, []string{"items[0]: data_mib out of range"}},
 		{"workloads unknown vm", http.MethodPost, "/v1/fleets/" + fleetID + "/workloads", token,
 			`{"items":[{"vm":"ghost","kind":"micro-benchmark"}]}`,
 			http.StatusOK, []string{`"error"`, "ghost"}},

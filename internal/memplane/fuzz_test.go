@@ -21,6 +21,13 @@ func FuzzPageTable(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 16, 1, 1, 0, 16, 2, 1, 0, 16, 3, 1, 0, 16})
 	f.Add([]byte{0, 3, 7, 200, 4, 3, 0, 0, 0, 3, 9, 100, 2, 3, 0, 255})
 	f.Add([]byte{0, 7, 255, 255, 5, 7, 255, 255, 1, 7, 1, 1})
+	// vm-a maps four pages (local and remote), frees every one of them while
+	// vm-b stays mapped, then rewrites and reads them through the same plane.
+	f.Add([]byte{
+		0, 0, 0, 255, 0, 1, 0, 255, 0, 2, 0, 255, 0, 3, 0, 255, 4, 0, 0, 255,
+		2, 0, 0, 0, 2, 1, 0, 0, 2, 2, 0, 0, 2, 3, 0, 0,
+		0, 3, 9, 99, 0, 2, 0, 255, 0, 1, 200, 255, 0, 0, 0, 0, 1, 0, 0, 255, 1, 3, 0, 255,
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const pages = 8

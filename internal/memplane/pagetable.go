@@ -91,6 +91,11 @@ type entryKey struct {
 	page int64
 }
 
+// vmIndex is one VM's translations, keyed by page number alone. A Plane holds
+// its VM's index for its whole life, so Unmap never deletes an empty one;
+// only drop (Plane.Close) does.
+type vmIndex map[int64]Frame
+
 // PageTable translates (VM, page) to frames. It enforces the one invariant
 // everything else rests on: no frame is ever mapped by two pages — two VMs
 // (or two pages of one VM) can never alias the same physical backing. It is
@@ -98,7 +103,7 @@ type entryKey struct {
 type PageTable struct {
 	mu       sync.RWMutex
 	pageSize int64
-	entries  map[entryKey]Frame
+	vms      map[string]vmIndex
 	owners   map[frameKey]entryKey
 }
 
@@ -109,13 +114,50 @@ func NewPageTable(pageSize int64) *PageTable {
 	}
 	return &PageTable{
 		pageSize: pageSize,
-		entries:  make(map[entryKey]Frame),
+		vms:      make(map[string]vmIndex),
 		owners:   make(map[frameKey]entryKey),
 	}
 }
 
 // PageSize returns the table's page size.
 func (t *PageTable) PageSize() int64 { return t.pageSize }
+
+// index returns a VM's live index, creating it on first use.
+func (t *PageTable) index(vm string) vmIndex {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.indexLocked(vm)
+}
+
+// indexLocked is index with t.mu held for writing.
+func (t *PageTable) indexLocked(vm string) vmIndex {
+	ix := t.vms[vm]
+	if ix == nil {
+		ix = make(vmIndex)
+		t.vms[vm] = ix
+	}
+	return ix
+}
+
+// drop unmaps every page of a VM and forgets its index, so a table that
+// outlives many VMs keeps nothing of them.
+func (t *PageTable) drop(vm string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, f := range t.vms[vm] {
+		delete(t.owners, keyOf(f))
+	}
+	delete(t.vms, vm)
+}
+
+// lookup is Lookup through an index the caller already holds: it hashes the
+// page number and nothing else.
+func (t *PageTable) lookup(ix vmIndex, page int64) (Frame, bool) {
+	t.mu.RLock()
+	f, ok := ix[page]
+	t.mu.RUnlock()
+	return f, ok
+}
 
 // Map installs a translation. It fails with ErrAlreadyMapped if the page has
 // a frame and with ErrFrameAliased if the frame already backs another page.
@@ -125,16 +167,15 @@ func (t *PageTable) Map(vm string, page int64, f Frame) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ek := entryKey{vm: vm, page: page}
-	if _, dup := t.entries[ek]; dup {
+	if _, dup := t.vms[vm][page]; dup {
 		return fmt.Errorf("%w: %s page %d", ErrAlreadyMapped, vm, page)
 	}
 	fk := keyOf(f)
 	if owner, taken := t.owners[fk]; taken {
 		return fmt.Errorf("%w: %s already backs %s page %d", ErrFrameAliased, f, owner.vm, owner.page)
 	}
-	t.entries[ek] = f
-	t.owners[fk] = ek
+	t.indexLocked(vm)[page] = f
+	t.owners[fk] = entryKey{vm: vm, page: page}
 	return nil
 }
 
@@ -142,12 +183,12 @@ func (t *PageTable) Map(vm string, page int64, f Frame) error {
 func (t *PageTable) Unmap(vm string, page int64) (Frame, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ek := entryKey{vm: vm, page: page}
-	f, ok := t.entries[ek]
+	ix := t.vms[vm]
+	f, ok := ix[page]
 	if !ok {
 		return Frame{}, fmt.Errorf("%w: %s page %d", ErrNotMapped, vm, page)
 	}
-	delete(t.entries, ek)
+	delete(ix, page)
 	delete(t.owners, keyOf(f))
 	return f, nil
 }
@@ -157,17 +198,18 @@ func (t *PageTable) Unmap(vm string, page int64) (Frame, error) {
 func (t *PageTable) Remap(vm string, page int64, f Frame) (Frame, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ek := entryKey{vm: vm, page: page}
-	old, ok := t.entries[ek]
+	ix := t.vms[vm]
+	old, ok := ix[page]
 	if !ok {
 		return Frame{}, fmt.Errorf("%w: %s page %d", ErrNotMapped, vm, page)
 	}
+	ek := entryKey{vm: vm, page: page}
 	fk := keyOf(f)
 	if owner, taken := t.owners[fk]; taken && owner != ek {
 		return Frame{}, fmt.Errorf("%w: %s already backs %s page %d", ErrFrameAliased, f, owner.vm, owner.page)
 	}
 	delete(t.owners, keyOf(old))
-	t.entries[ek] = f
+	ix[page] = f
 	t.owners[fk] = ek
 	return old, nil
 }
@@ -176,7 +218,7 @@ func (t *PageTable) Remap(vm string, page int64, f Frame) (Frame, error) {
 func (t *PageTable) Lookup(vm string, page int64) (Frame, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	f, ok := t.entries[entryKey{vm: vm, page: page}]
+	f, ok := t.vms[vm][page]
 	return f, ok
 }
 
@@ -184,7 +226,7 @@ func (t *PageTable) Lookup(vm string, page int64) (Frame, bool) {
 func (t *PageTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.entries)
+	return len(t.owners)
 }
 
 // Pages returns the mapped pages of a VM, sorted.
@@ -192,10 +234,8 @@ func (t *PageTable) Pages(vm string) []int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []int64
-	for ek := range t.entries {
-		if ek.vm == vm {
-			out = append(out, ek.page)
-		}
+	for page := range t.vms[vm] {
+		out = append(out, page)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -207,9 +247,9 @@ func (t *PageTable) PagesOn(vm string, host memctl.ServerID) []int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []int64
-	for ek, f := range t.entries {
-		if ek.vm == vm && f.Kind == FrameRemote && f.Host == host {
-			out = append(out, ek.page)
+	for page, f := range t.vms[vm] {
+		if f.Kind == FrameRemote && f.Host == host {
+			out = append(out, page)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -221,18 +261,22 @@ func (t *PageTable) PagesOn(vm string, host memctl.ServerID) []int64 {
 func (t *PageTable) CheckInvariants() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if len(t.entries) != len(t.owners) {
-		return fmt.Errorf("memplane: %d entries but %d frame owners", len(t.entries), len(t.owners))
+	entries := 0
+	for vm, ix := range t.vms {
+		entries += len(ix)
+		for page, f := range ix {
+			owner, ok := t.owners[keyOf(f)]
+			if !ok {
+				return fmt.Errorf("memplane: frame %s of %s page %d missing from owner index", f, vm, page)
+			}
+			if owner != (entryKey{vm: vm, page: page}) {
+				return fmt.Errorf("memplane: frame %s mapped by %s page %d is owned by %s page %d",
+					f, vm, page, owner.vm, owner.page)
+			}
+		}
 	}
-	for ek, f := range t.entries {
-		owner, ok := t.owners[keyOf(f)]
-		if !ok {
-			return fmt.Errorf("memplane: frame %s of %s page %d missing from owner index", f, ek.vm, ek.page)
-		}
-		if owner != ek {
-			return fmt.Errorf("memplane: frame %s mapped by %s page %d is owned by %s page %d",
-				f, ek.vm, ek.page, owner.vm, owner.page)
-		}
+	if entries != len(t.owners) {
+		return fmt.Errorf("memplane: %d entries but %d frame owners", entries, len(t.owners))
 	}
 	return nil
 }

@@ -130,6 +130,10 @@ type Plane struct {
 	alloc  *allocator
 	shared bool
 
+	// pages is the VM's index inside table, resolved once so a page op looks
+	// its frame up by page number alone.
+	pages vmIndex
+
 	// mirror keeps a local copy of every remotely-written page (the paper's
 	// asynchronous local-storage mirror), which is what re-homing replays.
 	mirror map[int64][]byte
@@ -194,6 +198,7 @@ func New(cfg Config) (*Plane, error) {
 	return &Plane{
 		cfg:     cfg,
 		table:   table,
+		pages:   table.index(cfg.VM),
 		shared:  shared,
 		alloc:   newAllocator(cfg.VM, cfg.PageSize, cfg.LocalBytes, cfg.SoftLimitBytes, cfg.Agent, cfg.GrantBytes, cfg.Buffers),
 		mirror:  make(map[int64][]byte),
@@ -367,7 +372,7 @@ func (p *Plane) account(n int, write bool) {
 
 // pageWrite writes one span within a page, allocating its frame if missing.
 func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
-	frame, ok := p.table.Lookup(p.cfg.VM, page)
+	frame, ok := p.table.lookup(p.pages, page)
 	fresh := false
 	if !ok {
 		var err error
@@ -416,7 +421,7 @@ func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
 
 // pageRead reads one span within a page; unmapped pages read as zeros.
 func (p *Plane) pageRead(page, off int64, dst []byte) (int64, error) {
-	frame, ok := p.table.Lookup(p.cfg.VM, page)
+	frame, ok := p.table.lookup(p.pages, page)
 	if !ok {
 		for i := range dst {
 			dst[i] = 0
@@ -587,10 +592,6 @@ func (p *Plane) Close() error {
 		return nil
 	}
 	p.closed = true
-	for _, page := range p.table.Pages(p.cfg.VM) {
-		if _, err := p.table.Unmap(p.cfg.VM, page); err != nil {
-			return err
-		}
-	}
+	p.table.drop(p.cfg.VM)
 	return p.alloc.close()
 }
