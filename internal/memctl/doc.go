@@ -18,4 +18,7 @@
 //	GS_get_lru_zombie()      -> GlobalController.LRUZombie
 //	US_reclaim(buff_IDs)     -> ReclaimNotifier.USReclaim (agent callback)
 //	AS_get_free_mem()        -> FreeMemoryProvider.ASGetFreeMem (agent callback)
+//
+// The paper carries these calls as RPC over RDMA (Section 4.1); the simulation
+// calls the controller in-process and prices no control-plane round trip.
 package memctl

@@ -591,3 +591,47 @@ func TestBufferTypeString(t *testing.T) {
 		t.Error("role names wrong")
 	}
 }
+
+func TestTransferBuffers(t *testing.T) {
+	r := newTestRack(t, "user-a", "user-b", "zombie")
+	if _, err := r.agents["zombie"].DelegateAndGoZombie(); err != nil {
+		t.Fatal(err)
+	}
+	handles, err := r.agents["user-a"].RequestExt(4 * testBufSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]BufferID, len(handles))
+	for i, h := range handles {
+		ids[i] = h.ID
+	}
+
+	// Transfer ownership to user-b (the migration ownership-pointer update).
+	if err := r.ctr.TransferBuffers("user-a", "user-b", ids); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(r.ctr.BuffersOf("user-b")); got != 4 {
+		t.Errorf("user-b owns %d buffers, want 4", got)
+	}
+	if got := len(r.ctr.BuffersOf("user-a")); got != 0 {
+		t.Errorf("user-a still owns %d buffers", got)
+	}
+	if err := r.ctr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Error paths: unknown destination, wrong current owner, unknown buffer.
+	if err := r.ctr.TransferBuffers("user-b", "ghost", ids); !errors.Is(err, ErrUnknownServer) {
+		t.Errorf("transfer to unknown server: %v", err)
+	}
+	if err := r.ctr.TransferBuffers("user-a", "user-b", ids); err == nil {
+		t.Error("transfer from the wrong owner should fail")
+	}
+	if err := r.ctr.TransferBuffers("user-b", "user-a", []BufferID{9999}); err == nil {
+		t.Error("transfer of an unknown buffer should fail")
+	}
+	// Failed transfers must not have moved anything.
+	if got := len(r.ctr.BuffersOf("user-b")); got != 4 {
+		t.Errorf("failed transfers must be atomic, user-b owns %d", got)
+	}
+}

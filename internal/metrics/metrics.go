@@ -97,48 +97,6 @@ func NearestRank(sorted []int64, q int) int64 {
 	return sorted[idx]
 }
 
-// Mean returns the arithmetic mean of the sample (0 for an empty sample).
-func Mean(sample []float64) float64 {
-	if len(sample) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range sample {
-		sum += v
-	}
-	return sum / float64(len(sample))
-}
-
-// GeoMean returns the geometric mean of the sample. Non-positive values are
-// skipped; an empty (or all-skipped) sample yields 0.
-func GeoMean(sample []float64) float64 {
-	var logSum float64
-	n := 0
-	for _, v := range sample {
-		if v <= 0 {
-			continue
-		}
-		logSum += math.Log(v)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
-}
-
-// RelativeChange returns (b-a)/a expressed as a percentage, i.e. how much
-// larger b is than a. It returns +Inf when a is zero and b is positive.
-func RelativeChange(a, b float64) float64 {
-	if a == 0 {
-		if b == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return (b - a) / a * 100
-}
-
 // Table renders aligned textual tables used by the cmd tools to print the
 // paper's tables and figure series.
 type Table struct {
@@ -171,9 +129,6 @@ func (t *Table) AddRowf(cells ...interface{}) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
@@ -298,68 +253,4 @@ func RenderSeries(title, xLabel string, series ...*Series) string {
 		t.AddRow(row...)
 	}
 	return t.String()
-}
-
-// Counter is a simple monotonic counter used for bookkeeping in simulators.
-type Counter struct {
-	n uint64
-}
-
-// Inc increments the counter by one and returns the new value.
-func (c *Counter) Inc() uint64 {
-	c.n++
-	return c.n
-}
-
-// Add increments the counter by delta and returns the new value.
-func (c *Counter) Add(delta uint64) uint64 {
-	c.n += delta
-	return c.n
-}
-
-// Value returns the current counter value.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Histogram is a fixed-bucket histogram for latency-style values.
-type Histogram struct {
-	bounds []float64 // upper bound of each bucket, ascending
-	counts []uint64
-	total  uint64
-	sum    float64
-}
-
-// NewHistogram builds a histogram with the provided ascending bucket upper
-// bounds; values above the last bound land in an implicit overflow bucket.
-func NewHistogram(bounds ...float64) *Histogram {
-	sorted := append([]float64(nil), bounds...)
-	sort.Float64s(sorted)
-	return &Histogram{bounds: sorted, counts: make([]uint64, len(sorted)+1)}
-}
-
-// Observe records a value.
-func (h *Histogram) Observe(v float64) {
-	idx := sort.SearchFloat64s(h.bounds, v)
-	h.counts[idx]++
-	h.total++
-	h.sum += v
-}
-
-// Count returns the number of observed values.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean returns the mean of observed values (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Buckets returns a copy of the bucket upper bounds and counts (the final
-// count is the overflow bucket).
-func (h *Histogram) Buckets() ([]float64, []uint64) {
-	return append([]float64(nil), h.bounds...), append([]uint64(nil), h.counts...)
 }

@@ -14,7 +14,7 @@
 //     and receive queues and an associated CompletionQueue;
 //   - one-sided READ and WRITE verbs that access remote memory without any
 //     involvement of the remote CPU — the property that makes zombie servers
-//     possible — plus two-sided SEND/RECV used by the RPC layer;
+//     possible — plus two-sided SEND/RECV, which does need the remote CPU;
 //   - Fabric: the switch connecting devices, carrying a latency/bandwidth cost
 //     model whose parameters follow FDR Infiniband magnitudes.
 //
@@ -28,10 +28,7 @@
 // long as it lives reaps it: CompletionQueue.Poll(dst) has the ibv_poll_cq
 // shape, costs time proportional to what it reaps and allocates nothing. In
 // this tree memctl's RemoteBuffer.WriteRemote/ReadRemote drain the agent's
-// queue after each verb, and RPCClient.Call drains both ends of its channel.
-// A verb also returns its status and latency directly, so those callers
-// discard what they reap. CostModel.PollCostNs is the CPU cost of the poll an
-// RPC client spins on for its response, and only Call charges it (one per
-// call, counted in Stats.CompletedPolls); the data path charges none, so a
+// queue after each verb. A verb also returns its status and latency directly,
+// so they discard what they reap, and the reap is charged no simulated time: a
 // remote page op costs exactly the one-sided TransferNs the planes account.
 package rdma

@@ -32,10 +32,6 @@ type CostModel struct {
 	SwitchHopNs int64
 	// BandwidthBytesPerSec bounds the payload transfer rate.
 	BandwidthBytesPerSec float64
-	// PollCostNs is the CPU cost of one completion-queue poll on the
-	// initiator (the paper's clients poll because inbound RDMA operations are
-	// cheaper than outbound ones).
-	PollCostNs int64
 	// InterRackHopNs is the extra one-way latency of leaving the rack: the
 	// ToR uplink, the spine switch and the longer cable run. It is charged —
 	// on top of two extra SwitchHopNs traversals — to every operation that
@@ -45,7 +41,7 @@ type CostModel struct {
 }
 
 // DefaultCostModel returns FDR-Infiniband-like parameters: ~2 microseconds
-// one-sided latency, ~5 microseconds for an RPC round involving the remote
+// one-sided latency, ~5 microseconds for a SEND/RECV pair involving the remote
 // CPU, 56 Gb/s link bandwidth.
 func DefaultCostModel() CostModel {
 	return CostModel{
@@ -53,7 +49,6 @@ func DefaultCostModel() CostModel {
 		TwoSidedLatencyNs:    5_000,
 		SwitchHopNs:          300,
 		BandwidthBytesPerSec: 7e9, // 56 Gb/s
-		PollCostNs:           150,
 		InterRackHopNs:       1_500,
 	}
 }
@@ -77,15 +72,14 @@ func (c CostModel) CrossRackTransferNs(base int64, size int) int64 {
 
 // Stats aggregates fabric traffic counters.
 type Stats struct {
-	Reads          uint64
-	Writes         uint64
-	Sends          uint64
-	BytesRead      uint64
-	BytesWritten   uint64
-	BytesSent      uint64
-	SimulatedNs    int64
-	FailedOps      uint64
-	CompletedPolls uint64
+	Reads        uint64
+	Writes       uint64
+	Sends        uint64
+	BytesRead    uint64
+	BytesWritten uint64
+	BytesSent    uint64
+	SimulatedNs  int64
+	FailedOps    uint64
 	// InterRackOps, InterRackBytes and InterRackNs account the subset of the
 	// traffic that crossed a rack boundary (operations involving an uplink
 	// device), so a fleet can tell local disaggregation from borrowed memory.

@@ -3,7 +3,6 @@ package rdma
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -372,100 +371,6 @@ func TestPollClearsReapedSlots(t *testing.T) {
 				t.Errorf("slot %d still references %+v after it was reaped", i, slot)
 			}
 		}
-	}
-}
-
-func TestRPCCall(t *testing.T) {
-	f, a, b := newTestFabric(t)
-	srv := NewRPCServer("global-mem-ctr", a)
-	type allocReq struct {
-		MemSize int `json:"memSize"`
-	}
-	type allocResp struct {
-		Buffers []int `json:"buffers"`
-	}
-	srv.Handle("GS_alloc_ext", func(args []byte) ([]byte, error) {
-		return []byte(`{"buffers":[1,2,3]}`), nil
-	})
-	srv.Handle("GS_fail", func(args []byte) ([]byte, error) {
-		return nil, fmt.Errorf("no memory available")
-	})
-
-	cli, err := NewRPCClient("server-A", b, srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	var resp allocResp
-	lat, err := cli.Call("GS_alloc_ext", allocReq{MemSize: 1 << 30}, &resp)
-	if err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	if lat <= 0 {
-		t.Error("rpc latency should be positive")
-	}
-	if len(resp.Buffers) != 3 {
-		t.Errorf("buffers = %v, want 3 entries", resp.Buffers)
-	}
-	if srv.Calls() != 1 || cli.Calls() != 1 {
-		t.Errorf("call counters srv=%d cli=%d, want 1/1", srv.Calls(), cli.Calls())
-	}
-	if cli.MeanLatencyNs() <= 0 {
-		t.Error("mean latency should be positive")
-	}
-
-	// Handler error propagates.
-	if _, err := cli.Call("GS_fail", nil, nil); err == nil {
-		t.Fatal("handler error should propagate")
-	}
-	// Unknown method.
-	if _, err := cli.Call("GS_unknown", nil, nil); err == nil {
-		t.Fatal("unknown method should fail")
-	}
-	// The RPC path uses one-sided writes under the hood.
-	if f.Stats().Writes < 2 {
-		t.Errorf("expected at least 2 one-sided writes, got %d", f.Stats().Writes)
-	}
-	// One poll is charged per call, and neither end keeps a completion.
-	if got := f.Stats().CompletedPolls; got != 3 {
-		t.Errorf("completed polls = %d, want 3", got)
-	}
-	if c, s := cli.cq.Depth(), cli.serverCQ.Depth(); c != 0 || s != 0 {
-		t.Errorf("completions left queued: client %d, server %d", c, s)
-	}
-}
-
-func TestRPCClientValidation(t *testing.T) {
-	_, a, _ := newTestFabric(t)
-	srv := NewRPCServer("ctr", a)
-	if _, err := NewRPCClient("c", nil, srv); err == nil {
-		t.Fatal("nil device must be rejected")
-	}
-	f2 := NewFabric(DefaultCostModel())
-	other, _ := f2.AttachDevice("elsewhere")
-	if _, err := NewRPCClient("c", other, srv); err == nil {
-		t.Fatal("cross-fabric client must be rejected")
-	}
-}
-
-func TestRPCToSuspendedServerFails(t *testing.T) {
-	// If the controller host is fully suspended (not serving), clients cannot
-	// even deliver requests; the secondary controller must take over.
-	_, a, b := newTestFabric(t)
-	srv := NewRPCServer("ctr", a)
-	srv.Handle("ping", func([]byte) ([]byte, error) { return []byte(`"pong"`), nil })
-	cli, err := NewRPCClient("c", b, srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetServing(false)
-	a.SetUp(false)
-	if _, err := cli.Call("ping", nil, nil); err == nil {
-		t.Fatal("rpc to a dead controller should fail")
-	}
-	if c, s := cli.cq.Depth(), cli.serverCQ.Depth(); c != 0 || s != 0 {
-		t.Errorf("the failed call left completions queued: client %d, server %d", c, s)
 	}
 }
 

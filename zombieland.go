@@ -33,7 +33,6 @@ package zombieland
 
 import (
 	"io"
-	"net/http"
 
 	"repro/internal/acpi"
 	"repro/internal/autopilot"
@@ -43,14 +42,10 @@ import (
 	"repro/internal/energy"
 	"repro/internal/fleet"
 	"repro/internal/gateway"
-	"repro/internal/hypervisor"
-	"repro/internal/memplane"
-	"repro/internal/migration"
 	"repro/internal/obs"
 	"repro/internal/pagepolicy"
 	"repro/internal/placement"
 	"repro/internal/scenario"
-	"repro/internal/swapdev"
 	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -66,17 +61,11 @@ type RackConfig = core.Config
 // Server is one server of a Rack.
 type Server = core.Server
 
-// GuestVM is a VM placed on a Rack.
-type GuestVM = core.GuestVM
-
 // CreateVMOptions tunes Rack.CreateVM.
 type CreateVMOptions = core.CreateVMOptions
 
 // VM describes a virtual machine (reserved memory, working set, vCPUs).
 type VM = vm.VM
-
-// SleepState is an ACPI global sleep state (S0..S5 plus Sz).
-type SleepState = acpi.SleepState
 
 // The ACPI sleep states, including the paper's zombie state Sz.
 const (
@@ -104,37 +93,12 @@ const (
 	SparkSQL      = workload.SparkSQL
 )
 
-// SwapDeviceKind identifies a swap technology of Table 2.
-type SwapDeviceKind = swapdev.Kind
-
-// The swap technologies compared in Table 2.
-const (
-	RemoteRAMSwap = swapdev.RemoteRAM
-	LocalSSDSwap  = swapdev.LocalSSD
-	LocalHDDSwap  = swapdev.LocalHDD
-)
-
-// PagingStats carries the paging counters of a VM (faults, policy cost,
-// simulated time).
-type PagingStats = hypervisor.Stats
-
 // Trace is a datacenter task trace (Google-cluster-like).
 type Trace = trace.Trace
 
 // ConsolidationPolicy plans fleet-level consolidation (Neat, Oasis,
 // ZombieStack).
 type ConsolidationPolicy = consolidation.Policy
-
-// MigrationResult describes one VM migration.
-type MigrationResult = migration.Result
-
-// ConsolidationReport describes one pass of the rack-level consolidation
-// loop (Rack.ConsolidateOnce).
-type ConsolidationReport = core.ConsolidationReport
-
-// RemoteSwapDevice is a guest-visible swap device backed by remote memory
-// buffers (the Explicit SD function), created with Rack.CreateSwapDevice.
-type RemoteSwapDevice = core.RemoteSwapDevice
 
 // Fleet federates many racks behind one control plane: sharded placement
 // and workload execution on a worker pool, cross-rack remote memory
@@ -145,47 +109,11 @@ type Fleet = fleet.Fleet
 // FleetConfig parameterises NewFleet (racks × per-rack template × workers).
 type FleetConfig = fleet.Config
 
-// FleetPlacement is the fleet's per-VM placement outcome, including how
-// much memory was borrowed across racks and from whom.
-type FleetPlacement = fleet.Placement
-
-// FleetBorrow is one entry of the fleet's cross-rack borrow ledger.
-type FleetBorrow = fleet.Borrow
-
 // FleetWorkloadRequest asks the fleet to replay a workload against one VM.
 type FleetWorkloadRequest = fleet.WorkloadRequest
 
-// FleetWorkloadResult is the outcome of one fleet workload replay.
-type FleetWorkloadResult = fleet.WorkloadResult
-
 // NewFleet builds a multi-rack fleet from a per-rack template configuration.
 func NewFleet(cfg FleetConfig) (*Fleet, error) { return fleet.New(cfg) }
-
-// Memplane is a VM's remote-memory data plane: an address-translating page
-// table over a local arena plus frames carved out of memctl-granted buffers,
-// so reads and writes past the local fraction move real bytes through zombie
-// servers' DRAM. Obtain one from Fleet.MemplaneOf / Rack.MemplaneOf (wired
-// into the VM's placement), or build a standalone one with NewMemplane.
-type Memplane = memplane.Plane
-
-// MemplaneConfig parameterises NewMemplane.
-type MemplaneConfig = memplane.Config
-
-// MemplaneStats summarises a data plane's traffic: op and byte counters split
-// local/remote, the simulated charges, and fault counters.
-type MemplaneStats = memplane.Stats
-
-// MemplaneRehomeReport summarises one re-homing pass: how many live pages
-// were migrated off a crashed host, their bytes, and the charged time.
-type MemplaneRehomeReport = memplane.RehomeReport
-
-// ErrRemoteTimeout is returned by data-plane operations against a crashed
-// host (and by chaos-injected remote faults).
-var ErrRemoteTimeout = memplane.ErrRemoteTimeout
-
-// NewMemplane builds a standalone data plane from an explicit configuration
-// (local arena size, page size, granted buffers or a growth agent).
-func NewMemplane(cfg MemplaneConfig) (*Memplane, error) { return memplane.New(cfg) }
 
 // NewRack builds a rack of servers wired with the zombie technology.
 func NewRack(cfg RackConfig) (*Rack, error) { return core.NewRack(cfg) }
@@ -262,9 +190,6 @@ func GenerateFamily(name string, p FamilyParams) (*Trace, error) {
 // WorkloadFamilies returns the bundled families in canonical order.
 func WorkloadFamilies() []WorkloadFamily { return trace.Families() }
 
-// WorkloadFamilyNames lists the valid GenerateFamily names, including "mix".
-func WorkloadFamilyNames() []string { return trace.FamilyNames() }
-
 // ComposeFamilies merges several families into one: the task budget is split
 // across the parts and the resulting traces are overlaid with disjoint task
 // and job ID namespaces.
@@ -272,19 +197,9 @@ func ComposeFamilies(name string, parts ...WorkloadFamily) WorkloadFamily {
 	return trace.Compose(name, parts...)
 }
 
-// OverlayTraces merges already-generated traces into one workload,
-// renumbering task and job IDs into disjoint ranges.
-func OverlayTraces(name string, parts ...*Trace) (*Trace, error) {
-	return trace.Overlay(name, parts...)
-}
-
-// TraceImportOptions tunes ImportTrace / ImportTraceFile (schema, name,
-// fleet-size and horizon overrides).
+// TraceImportOptions tunes ImportTrace (schema, name, fleet-size and horizon
+// overrides).
 type TraceImportOptions = trace.ImportOptions
-
-// TraceSchema maps one external CSV record layout onto tasks; see
-// ClusterTraceSchema for the bundled public-cluster-trace adapter.
-type TraceSchema = trace.Schema
 
 // ImportTrace streams a .csv or .csv.gz task trace from r record at a time
 // (gzip is sniffed from the magic bytes, rows validate as they decode) and
@@ -293,16 +208,6 @@ type TraceSchema = trace.Schema
 func ImportTrace(r io.Reader, opts TraceImportOptions) (*Trace, error) {
 	return trace.Import(r, opts)
 }
-
-// ImportTraceFile imports a trace from a file path; see ImportTrace.
-func ImportTraceFile(path string, opts TraceImportOptions) (*Trace, error) {
-	return trace.ImportFile(path, opts)
-}
-
-// ClusterTraceSchema decodes the public cluster-trace CSV layout
-// (vm_id,tenant_id,created_sec,deleted_sec,core_count,memory_gb,
-// avg_cpu_pct,avg_mem_pct) instead of the native one.
-func ClusterTraceSchema() TraceSchema { return trace.ClusterSchema() }
 
 // ScenarioPack is one column of the policy×scenario matrix: a named,
 // ready-to-replay workload.
@@ -318,12 +223,6 @@ type ScenarioMatrix = scenario.Matrix
 // ScenarioFamilyPacks builds one matrix column per bundled workload family.
 func ScenarioFamilyPacks(p FamilyParams) ([]ScenarioPack, error) {
 	return scenario.FamilyPacks(p)
-}
-
-// DefaultScenarioMatrixConfig crosses all families with the online policy
-// roster under light chaos — the golden-artifact grid.
-func DefaultScenarioMatrixConfig() (ScenarioMatrixConfig, error) {
-	return scenario.DefaultMatrixConfig()
 }
 
 // RunScenarioMatrix replays every scenario pack under every online policy
@@ -357,22 +256,10 @@ func DefaultServerSpec() ServerSpec { return consolidation.DefaultServerSpec() }
 // keeps local (the 50% rule of Section 5.1).
 const LocalMemoryRule = placement.LocalMemoryRule
 
-// TraceStream is an incremental iterator over a trace's arrival and
-// departure events in causal order — the feed the online control plane
-// consumes. Create one with NewTraceStream.
-type TraceStream = trace.Stream
-
-// NewTraceStream builds the streaming arrival feed of a trace.
-func NewTraceStream(tr *Trace) *TraceStream { return trace.NewStream(tr) }
-
 // AutopilotConfig parameterises one online control-plane run: the trace
 // whose arrival feed to consume, the online policy, the hardware, and the
 // re-planning tick.
 type AutopilotConfig = autopilot.Config
-
-// AutopilotResult summarises one online run with the same costed accounting
-// as the offline simulator.
-type AutopilotResult = autopilot.Result
 
 // OnlinePolicy decides fleet postures online, seeing only the present and
 // the past (reactive threshold, hysteresis watermarks, predictive EWMA).
@@ -381,19 +268,6 @@ type OnlinePolicy = autopilot.Policy
 // RegretReport compares an online policy's costed saving against the
 // offline dcsim oracle on the same trace.
 type RegretReport = autopilot.Report
-
-// AutopilotFleetExecutor mirrors the online control loop's decisions onto a
-// live Fleet as real per-server ACPI transitions. Create one with
-// NewAutopilotFleetExecutor and set it as AutopilotConfig.Executor.
-type AutopilotFleetExecutor = autopilot.FleetExecutor
-
-// RunAutopilot executes the online control loop over the trace's arrival
-// feed.
-func RunAutopilot(cfg AutopilotConfig) (AutopilotResult, error) { return autopilot.Run(cfg) }
-
-// AutopilotRegret runs the online loop and the offline oracle on the same
-// configuration and returns the regret comparison.
-func AutopilotRegret(cfg AutopilotConfig) (RegretReport, error) { return autopilot.Regret(cfg) }
 
 // CompareOnlinePolicies runs the regret comparison for every given policy on
 // the same configuration.
@@ -411,37 +285,16 @@ func RenderRegretComparison(reports []RegretReport) string {
 	return autopilot.RenderComparison(reports)
 }
 
-// NewAutopilotFleetExecutor builds the executor that applies online postures
-// to a live fleet; the fleet's server count must match the trace's machine
-// count.
-func NewAutopilotFleetExecutor(f *Fleet) *AutopilotFleetExecutor {
-	return autopilot.NewFleetExecutor(f)
-}
-
 // ChaosPlan is a seeded, reproducible fault schedule: server crashes, failed
 // S3->S0 wakes (stuck zombies), controller losses, RDMA-fabric degradation
 // windows and trace perturbations, injected deterministically through the
-// fleet, autopilot and dcsim layers. Build one with NewChaosPlan or
-// ChaosScenario.
+// fleet, autopilot and dcsim layers. Build one with ChaosScenario.
 type ChaosPlan = chaos.Plan
-
-// ChaosPlanConfig parameterises NewChaosPlan (fault counts, windows, seed).
-type ChaosPlanConfig = chaos.PlanConfig
-
-// ChaosFault is one scheduled failure event of a ChaosPlan.
-type ChaosFault = chaos.Fault
 
 // ChaosReport is the resilience report of one faulted online run: savings
 // retained vs the fault-free run, SLO violations, wasted transitions,
 // re-homed remote memory, and the oracle re-run under the same schedule.
 type ChaosReport = chaos.Report
-
-// FleetFaultInjector force-fails individual control-plane operations on a
-// live Fleet (install with Fleet.SetFaultInjector).
-type FleetFaultInjector = fleet.FaultInjector
-
-// NewChaosPlan generates a reproducible fault schedule from the config.
-func NewChaosPlan(cfg ChaosPlanConfig) (*ChaosPlan, error) { return chaos.New(cfg) }
 
 // ChaosScenario builds one of the bundled severity presets ("off", "light",
 // "heavy") for a given fleet size and horizon.
@@ -451,13 +304,6 @@ func ChaosScenario(name string, horizonSec int64, machines int, seed int64) (*Ch
 
 // ChaosScenarioNames lists the bundled chaos scenarios in severity order.
 func ChaosScenarioNames() []string { return chaos.ScenarioNames() }
-
-// RunChaos replays one online configuration under a fault plan and returns
-// the resilience report (faulted vs fault-free vs the oracle under the same
-// schedule).
-func RunChaos(cfg AutopilotConfig, plan *ChaosPlan) (ChaosReport, error) {
-	return autopilot.RunChaos(cfg, plan)
-}
 
 // CompareChaosScenarios runs the same online configuration under every given
 // fault plan, in order — how much of the paper's saving survives each
@@ -488,30 +334,16 @@ type Gateway = gateway.Server
 // httptest server, ListenAndServe on a TCP address.
 func NewGateway(cfg GatewayConfig) *Gateway { return gateway.New(cfg) }
 
-// NewGatewayHandler is the one-call form: the routed handler behind the full
-// middleware stack. The background session evictor keeps running for the
-// handler's lifetime.
-func NewGatewayHandler(cfg GatewayConfig) http.Handler { return gateway.New(cfg).Handler() }
-
-// ServeGateway serves the gateway on addr until the listener fails.
-func ServeGateway(addr string, cfg GatewayConfig) error {
-	return gateway.New(cfg).ListenAndServe(addr)
-}
-
 // Obs bundles the observability layer: an atomic metrics registry and a
-// deterministic ring-buffered trace. Attach one to a Fleet (SetObs), an
-// AutopilotConfig or a MemplaneConfig via their Obs fields; a nil bundle
-// keeps every hot path allocation-free. The gateway builds its own registry
+// deterministic ring-buffered trace. Attach one to a Fleet (SetObs) or to an
+// AutopilotConfig via its Obs field; a nil bundle keeps every hot path
+// allocation-free. The gateway builds its own registry
 // and serves it at GET /metrics.
 type Obs = obs.Obs
 
 // ObsOptions configures NewObs: trace ring capacity and the clock stamping
 // emitted events (use ObsStepClock for byte-stable exports).
 type ObsOptions = obs.Options
-
-// ObsSnapshot is a point-in-time copy of a registry's values, embedded in
-// gateway session reports.
-type ObsSnapshot = obs.Snapshot
 
 // NewObs builds an enabled observability bundle.
 func NewObs(opts ObsOptions) *Obs { return obs.New(opts) }

@@ -1,6 +1,14 @@
 package zombieland
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/acpi"
@@ -114,5 +122,92 @@ func TestGenerateTraceVariants(t *testing.T) {
 	// Defaults kick in for zero arguments.
 	if _, err := GenerateTrace(false, 0, 0, 0, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFacadeNamesAreUsed is the ratchet on zombieland.go: every exported
+// top-level name must be reached by something — written zombieland.Name in
+// another file of the module (the commands, the examples; benchmark/ is a
+// module of its own), written bare in another file of this package, or
+// referenced by the facade's own code somewhere other than its declaration
+// (the parameter and result types of live functions). A re-export nothing
+// reaches is deleted, not kept for completeness.
+func TestFacadeNamesAreUsed(t *testing.T) {
+	const facade = "zombieland.go"
+	file, err := parser.ParseFile(token.NewFileSet(), facade, nil, parser.SkipObjectResolution) // comments dropped
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Occurrences inside the facade's code. The selector of pkg.Name names
+	// the other package's identifier, not the facade's, so it is not walked.
+	own := make(map[string]int)
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if id, ok := n.X.(*ast.Ident); ok {
+				own[id.Name]++
+			}
+			return false
+		case *ast.Ident:
+			own[n.Name]++
+		}
+		return true
+	})
+
+	used := make(map[string]bool)
+	qualified := regexp.MustCompile(`\bzombieland\.([A-Z]\w*)`)
+	bare := regexp.MustCompile(`\b[A-Z]\w*`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "benchmark" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || path == facade {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range qualified.FindAllSubmatch(src, -1) {
+			used[string(m[1])] = true
+		}
+		if filepath.Dir(path) == "." {
+			for _, m := range bare.FindAll(src, -1) {
+				used[string(m)] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(id *ast.Ident) {
+		if id.IsExported() && !used[id.Name] && own[id.Name] < 2 {
+			t.Errorf("%s is declared in %s and used nowhere: delete it", id.Name, facade)
+		}
+	}
+	for _, decl := range file.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			check(decl.Name)
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					check(spec.Name)
+				case *ast.ValueSpec:
+					for _, id := range spec.Names {
+						check(id)
+					}
+				}
+			}
+		}
 	}
 }
