@@ -12,9 +12,9 @@
 //	fleetd -ttl 900                            # evict sessions idle > 15 min
 //	fleetd -pprof                              # mount /debug/pprof/* (behind auth)
 //
-// GET /metrics serves Prometheus text exposition: per-route request
-// counters and latency histograms, per-tenant quota denials, and live
-// session gauges.
+// GET /metrics serves Prometheus text exposition: per-route request counters
+// and latency histograms, per-tenant quota denials, and live session gauges.
+// SIGTERM or SIGINT drains in-flight requests (bounded) and exits 0.
 //
 // Quickstart (see README.md for the full transcript):
 //
@@ -26,14 +26,27 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
+	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	zombieland "repro"
 	"repro/internal/cliflag"
+)
+
+// No WriteTimeout: GET .../autopilot/events streams NDJSON for a whole run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second // request bodies are capped at 1 MiB
+	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 10 * time.Second // SIGTERM's wait for in-flight requests
 )
 
 func main() {
@@ -47,13 +60,23 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof/* profiling endpoints (behind auth)")
 	flag.Parse()
 
-	if err := run(*addr, *token, *quota, *quotaWindow, *ttl, *maxSessions, *maxServers, *pprofOn); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ln, err := net.Listen("tcp", *addr)
+	if err == nil {
+		err = run(ctx, ln, *token, *quota, *quotaWindow, *ttl, *maxSessions, *maxServers, *pprofOn)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, token string, quota, quotaWindow, ttl, maxSessions, maxServers int, pprofOn bool) error {
+// run serves the gateway on ln, which it owns, until ctx is cancelled, then
+// drains: Shutdown waits up to drainTimeout for in-flight requests, Close
+// drops the rest, and the gateway's evictor stops last.
+func run(ctx context.Context, ln net.Listener, token string, quota, quotaWindow, ttl, maxSessions, maxServers int, pprofOn bool) error {
+	defer ln.Close() // a second close after Shutdown's is harmless
 	// Upfront flag validation with the valid ranges (shared helpers, the
 	// same messages as fleetsim/onlinesim), before any server state exists.
 	if err := cliflag.FirstError(
@@ -78,7 +101,24 @@ func run(addr, token string, quota, quotaWindow, ttl, maxSessions, maxServers in
 		EnablePprof: pprofOn,
 	})
 	defer srv.Close()
-	logger.Info("serving", "addr", addr, "auth", token != "",
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
+	logger.Info("serving", "addr", ln.Addr().String(), "auth", token != "",
 		"quota", quota, "quota_window_s", quotaWindow, "ttl_s", ttl, "pprof", pprofOn)
-	return srv.ListenAndServe(addr)
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	logger.Info("draining", "bound", drainTimeout)
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := hs.Shutdown(drain); err != nil {
+		logger.Warn("drain bound reached; closing the remaining connections", "err", err)
+	}
+	hs.Close()
+	<-served // Serve returns as soon as Shutdown starts
+	return nil
 }

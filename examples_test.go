@@ -1,11 +1,16 @@
 package zombieland_test
 
-// Testable versions of the examples/ walk-throughs: each Example* function
-// mirrors the corresponding examples/<name>/main.go and asserts its exact
-// output, so the example code is compiled and its behaviour pinned by
-// `go test` instead of rotting alongside the library. Everything in the
-// library is deterministic, which is what makes exact-output examples
-// possible.
+// The library's walk-throughs. Each Example_* is one commented scenario —
+// a rack, its orchestration, the fleet, the online loop, chaos, the data
+// plane, the gateway — and its // Output: block is the exact transcript,
+// checked by `go test`. Everything in the library is deterministic, which is
+// what makes exact-output examples possible. Run one with
+//
+//	go test -run '^Example_quickstart$' -v .
+//
+// The paper's rack experiments (Figure 9's migration, Tables 1-2's RAM Ext vs
+// swap) are `go run ./cmd/paperfigs -exp fig9|table1|table2`, pinned by its
+// golden file.
 
 import (
 	"bufio"
@@ -20,17 +25,20 @@ import (
 	zombieland "repro"
 )
 
-// Example_quickstart is examples/quickstart as a compiled, asserted test:
-// build a four-server rack, push one server into Sz, place a VM whose memory
-// is partly served by the zombie over RDMA, run a workload through RAM Ext
-// paging, and compare the zombie's energy draw against awake servers.
+// Example_quickstart builds a four-server rack, pushes one server into the
+// zombie (Sz) state, places a VM whose memory is partly served by the zombie
+// over RDMA, runs a workload through the hypervisor's RAM Ext paging, and
+// compares the energy drawn by the zombie against the awake servers.
 func Example_quickstart() {
+	// 1. Bring up a rack of four Sz-capable servers (16 GiB each).
 	rack, err := zombieland.NewRack(zombieland.RackConfig{Servers: 4})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("rack servers:", rack.Servers())
 
+	// 2. Push server-03 into the zombie state: it suspends like S3 but keeps
+	//    its DRAM and RDMA path alive, lending its free memory to the rack.
 	if err := rack.PushToZombie("server-03"); err != nil {
 		panic(err)
 	}
@@ -41,6 +49,8 @@ func Example_quickstart() {
 	fmt.Printf("server-03 state: %v, rack remote memory: %.1f GiB\n",
 		server03.State(), gib(rack.FreeRemoteMemory()))
 
+	// 3. Create a VM bigger than any single server's free memory. The
+	//    zombie-aware scheduler backs part of it with the zombie's memory.
 	spec := zombieland.NewVM("webapp", 28<<30, 20<<30)
 	guest, err := rack.CreateVM(spec, zombieland.CreateVMOptions{})
 	if err != nil {
@@ -49,6 +59,8 @@ func Example_quickstart() {
 	fmt.Printf("VM %s on %s: %.1f GiB local + %.1f GiB remote\n",
 		spec.ID, guest.Host, gib(guest.LocalBytes), gib(guest.RemoteBytes))
 
+	// 4. Run a workload; cold pages are demoted to the zombie's memory with
+	//    one-sided RDMA writes and promoted back on demand.
 	stats, err := rack.RunWorkload("webapp", zombieland.SparkSQL, 2, 1)
 	if err != nil {
 		panic(err)
@@ -56,6 +68,8 @@ func Example_quickstart() {
 	fmt.Printf("workload: %d accesses, %d major faults, %d pages demoted, %.1f ms simulated\n",
 		stats.Accesses, stats.MajorFaults, stats.Demotions, stats.TotalNs()/1e6)
 
+	// 5. Account one hour of energy: the zombie draws ~12% of Emax versus
+	//    ~52% for an idle-but-awake server (Table 3).
 	rack.AdvanceClock(3600 * 1e9)
 	for _, rep := range rack.EnergyReportAll() {
 		fmt.Printf("%s (%v): %.0f J\n", rep.Server, rep.State, rep.Joules)
@@ -72,9 +86,84 @@ func Example_quickstart() {
 	// server-03 (Sz): 54734 J
 }
 
-// Example_consolidation is examples/consolidation as a compiled, asserted
-// test: the Figure 10 experiment at example scale, summarising how much
-// better ZombieStack does than Neat and Oasis on the memory-heavy traces.
+// Example_orchestration shows the ZombieStack cloud-management features on
+// a rack: the consolidation loop that parks idle servers in the Sz state, the
+// migration protocol that moves only a VM's hot pages and re-points its
+// remote buffers, and the transparent fail-over of the global memory
+// controller to its mirrored secondary.
+func Example_orchestration() {
+	rack, err := zombieland.NewRack(zombieland.RackConfig{Servers: 5})
+	if err != nil {
+		panic(err)
+	}
+
+	// Two lightly loaded VMs spread across the rack.
+	if _, err := rack.CreateVM(zombieland.NewVM("api", 4<<30, 2<<30), zombieland.CreateVMOptions{}); err != nil {
+		panic(err)
+	}
+	if _, err := rack.CreateVM(zombieland.NewVM("batch", 4<<30, 2<<30), zombieland.CreateVMOptions{Strategy: 1}); err != nil {
+		panic(err)
+	}
+	fmt.Println("VMs placed:", rack.VMs())
+
+	// 1. Consolidation: idle servers are pushed into the Sz zombie state so
+	//    their memory keeps serving the rack.
+	report, err := rack.ConsolidateOnce()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("consolidation pass: migrated=%v pushed-to-Sz=%v woken=%v\n",
+		report.Migrated, report.PushedToZombie, report.Woken)
+	fmt.Printf("remote memory now available: %.1f GiB\n\n", float64(rack.FreeRemoteMemory())/float64(1<<30))
+
+	// 2. Migration: move a VM with the ZombieStack protocol (hot pages only,
+	//    remote buffers re-pointed, not copied).
+	guest, err := rack.VM("api")
+	if err != nil {
+		panic(err)
+	}
+	var dest string
+	for _, name := range rack.Servers() {
+		s, _ := rack.Server(name)
+		if name != guest.Host && s.State() == zombieland.S0 {
+			dest = name
+			break
+		}
+	}
+	if dest != "" {
+		res, err := rack.MigrateVM("api", dest)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("migrated %q to %s in %.2fs: %d MiB copied, %d remote buffers re-pointed\n\n",
+			"api", dest, res.DurationSeconds(), res.BytesTransferred>>20, res.RemoteOwnershipUpdates)
+	}
+
+	// 3. Controller fail-over: silence the primary long enough for the
+	//    secondary to promote itself and rebuild the allocation state from
+	//    its mirrored operation log.
+	rebuilt, err := rack.FailoverController(rack.Now() + 10e9)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("controller fail-over complete: secondary promoted, %d servers and %.1f GiB of lent memory recovered\n",
+		len(rebuilt.Servers()), float64(rebuilt.FreeMemory())/float64(1<<30))
+
+	// Output:
+	// VMs placed: [api batch]
+	// consolidation pass: migrated=map[] pushed-to-Sz=[server-02 server-03 server-04] woken=[]
+	// remote memory now available: 45.0 GiB
+	//
+	// migrated "api" to server-01 in 2.06s: 2048 MiB copied, 0 remote buffers re-pointed
+	//
+	// controller fail-over complete: secondary promoted, 5 servers and 45.0 GiB of lent memory recovered
+}
+
+// Example_consolidation replays a Google-like datacenter trace against the
+// three consolidation systems compared in the paper (Neat, Oasis,
+// ZombieStack) and prints the energy saving of each, for the original and
+// the memory-heavy trace variants — the Figure 10 experiment at example
+// scale.
 func Example_consolidation() {
 	cfg := zombieland.Fig10Config{Machines: 100, Tasks: 1200, HorizonSec: 8 * 3600, Seed: 7}
 	res, err := zombieland.Figure10(cfg)
@@ -86,6 +175,8 @@ func Example_consolidation() {
 	printTrimmed(res.Render())
 	fmt.Println()
 
+	// Summarise the headline comparison the paper makes: how much better
+	// ZombieStack does than Neat and Oasis on the memory-heavy traces.
 	for _, machine := range []string{"HP", "Dell"} {
 		neat, _ := res.Saving("google-like-modified", machine, "neat")
 		oasis, _ := res.Saving("google-like-modified", machine, "oasis")
@@ -114,12 +205,15 @@ func Example_consolidation() {
 	// Savings are relative to a fleet with no consolidation (every server stays in S0).
 }
 
-// Example_fleet is examples/fleet as a compiled, asserted test: federate two
-// racks, push a server of rack-01 into Sz (the lender), place a
-// memory-hungry VM on the dry rack-00 — the fleet borrows the whole remote
-// part from rack-01 — then page over the inter-rack fabric at the hop
-// premium and account a simulated hour of energy.
+// Example_fleet federates two racks behind one control plane, makes one rack
+// a lender (a server in Sz feeds its memory to the rack pool) while the other
+// stays dry, then places a memory-hungry VM on the dry rack — the fleet
+// borrows the VM's whole remote part from the peer rack, pages over the
+// inter-rack fabric at the hop premium, and records the grant in the borrow
+// ledger.
 func Example_fleet() {
+	// A fleet of two racks, two servers each, placed and replayed on a
+	// two-goroutine worker pool (any pool size gives identical results).
 	f, err := zombieland.NewFleet(zombieland.FleetConfig{
 		Racks:   2,
 		Rack:    zombieland.RackConfig{Servers: 2},
@@ -130,12 +224,16 @@ func Example_fleet() {
 	}
 	fmt.Println("fleet racks:", f.RackNames())
 
+	// rack-01 lends: one server goes to Sz, its memory joins the pool.
+	// rack-00 keeps both servers awake and has no remote memory of its own.
 	if err := f.PushToZombie(1, "rack-01/server-01"); err != nil {
 		panic(err)
 	}
 	fmt.Printf("rack-00 free remote: %.1f GiB, rack-01 free remote: %.1f GiB\n",
 		gib(f.Rack(0).FreeRemoteMemory()), gib(f.Rack(1).FreeRemoteMemory()))
 
+	// A VM too big for local memory alone lands on the dry rack-00; the
+	// fleet pre-reserves the remote part on rack-01 through a gateway agent.
 	placements, err := f.PlaceVMs(
 		[]zombieland.VM{zombieland.NewVM("hungry", 28<<30, 24<<30)},
 		zombieland.CreateVMOptions{})
@@ -153,6 +251,8 @@ func Example_fleet() {
 			b.Borrower, gib(b.Bytes), b.Buffers, b.Lender, b.VM)
 	}
 
+	// Replaying a workload pages over the borrowed buffers: every one-sided
+	// verb traverses the lender's fabric and pays the inter-rack premium.
 	results := f.RunWorkloads([]zombieland.FleetWorkloadRequest{
 		{VM: "hungry", Kind: zombieland.SparkSQL, Iterations: 2, Seed: 1},
 	})
@@ -166,6 +266,7 @@ func Example_fleet() {
 	fmt.Printf("lender fabric: %d inter-rack ops, %.1f MiB, %.1f ms premium\n",
 		lender.InterRackOps, float64(lender.InterRackBytes)/float64(1<<20), float64(lender.InterRackNs)/1e6)
 
+	// One simulated hour later the zombie still undercuts the awake servers.
 	f.AdvanceClock(3600 * 1e9)
 	fmt.Printf("fleet energy after 1h: %.0f J across %d racks\n", f.TotalEnergyJoules(), f.Racks())
 
@@ -179,17 +280,23 @@ func Example_fleet() {
 	// fleet energy after 1h: 937742 J across 2 racks
 }
 
-// Example_online is examples/online as a compiled, asserted test: run the
-// online autonomic control plane (streaming arrivals, periodic re-planning)
-// under each bundled policy and compare the costed savings against the
-// offline dcsim oracle on the same trace — the regret of not knowing the
-// future. Everything is seed-deterministic, so the whole report is pinned.
+// Example_online runs the autonomic control plane over the canonical diurnal
+// trace's streaming arrival feed — admitting tasks as they arrive and
+// re-planning consolidation every five minutes without knowing the future —
+// under each bundled online policy (reactive threshold, hysteresis
+// watermarks, predictive EWMA), and compares the costed savings against the
+// offline dcsim oracle on the same trace: the regret of causal
+// decision-making. Everything is seed-deterministic, so the whole report is
+// pinned.
 func Example_online() {
 	// The canonical diurnal trace: 200 machines, 3000 tasks, one day, seed 42.
 	tr, err := zombieland.GenerateTrace(false, 0, 0, 0, 0)
 	if err != nil {
 		panic(err)
 	}
+
+	// One config, three fresh online policies over the ZombieStack planner;
+	// every run also replays the offline oracle for the regret comparison.
 	cfg := zombieland.AutopilotConfig{
 		Trace:      tr,
 		Machine:    zombieland.HPProfile(),
@@ -220,14 +327,18 @@ func Example_online() {
 	// ewma: 41.33% online vs 43.46% oracle -> 2.13 points of regret (17 emergency wakes)
 }
 
-// Example_chaos is examples/chaos as a compiled, asserted test: replay the
-// online control plane under seeded fault schedules of rising severity —
-// server crashes, failed wakes (stuck zombies), controller losses, degraded
-// fabric, arrival bursts — and report how much of the fault-free saving each
+// Example_chaos asks how much of Zombieland's consolidation saving survives
+// an unreliable fleet. The paper's savings assume servers wake from Sz and
+// resume serving remote memory on demand. This replays the online control
+// plane under seeded fault schedules of rising severity — server crashes,
+// failed wakes (stuck zombies), controller losses, degraded RDMA fabric,
+// arrival bursts — and reports how much of the fault-free saving each
 // scenario retains, alongside the oracle re-run under the identical
 // schedule. The fault plans are pure functions of their seeds, so the whole
 // resilience report is pinned bit for bit.
 func Example_chaos() {
+	// A half-scale diurnal trace keeps the walk-through quick: 100 machines,
+	// 1200 tasks over 12 hours, seed 42.
 	tr, err := zombieland.GenerateTrace(false, 100, 1200, 12*3600, 42)
 	if err != nil {
 		panic(err)
@@ -238,6 +349,9 @@ func Example_chaos() {
 		ServerSpec: zombieland.DefaultServerSpec(),
 		TickSec:    600,
 	}
+
+	// The severity axis: no faults, a handful, sustained failures. Same
+	// fault seed everywhere, so scenarios differ only in what they inject.
 	var plans []*zombieland.ChaosPlan
 	for _, name := range zombieland.ChaosScenarioNames() {
 		plan, err := zombieland.ChaosScenario(name, tr.HorizonSec, tr.Machines, 7)
@@ -289,12 +403,15 @@ func relGain(a, b float64) float64 {
 	return (a - b) / b * 100
 }
 
-// Example_memplane is examples/memplane as a compiled, asserted test: place
-// a memory-hungry VM whose pages half-live on Sz servers, push real bytes
-// through its remote-memory data plane (the workload's DataBytes mode), do a
-// direct write/read round-trip through a zombie's granted buffer, then crash
-// the serving zombie, re-home its live pages and prove the bytes survived.
+// Example_memplane places a memory-hungry VM whose pages half-live on servers
+// suspended in Sz, then pushes real bytes through its remote-memory data
+// plane — fill the address space to expose the local/remote split, replay a
+// workload as actual page reads and writes (the DataBytes mode), round-trip
+// a message through a zombie's granted buffer, and finally crash the serving
+// zombie, re-home its live pages and read the bytes back intact.
 func Example_memplane() {
+	// One rack, three servers: the first hosts the VM, the other two suspend
+	// into Sz and lend their DRAM to the rack pool.
 	f, err := zombieland.NewFleet(zombieland.FleetConfig{
 		Racks:   1,
 		Rack:    zombieland.RackConfig{Servers: 3},
@@ -308,6 +425,9 @@ func Example_memplane() {
 			panic(err)
 		}
 	}
+
+	// The VM reserves more than its host can serve locally, so the placement
+	// splits it: part local, part in buffers granted from the zombies.
 	placements, err := f.PlaceVMs(
 		[]zombieland.VM{zombieland.NewVM("vm", 28<<30, 24<<30)},
 		zombieland.CreateVMOptions{})
@@ -388,11 +508,15 @@ func Example_memplane() {
 	// after crash: "zombie memory serves bytes"
 }
 
-// Example_gateway is examples/gateway as a compiled, asserted test: the HTTP
-// control plane on loopback, one session's full lifecycle — create a fleet
-// with a zombie lending DRAM, place a split VM, replay a workload, stream an
-// autopilot run's NDJSON telemetry, read the report, tear down.
+// Example_gateway runs the control plane as an HTTP gateway on loopback and
+// drives one session's full lifecycle with plain requests — create a rack
+// fleet with a zombie lending its DRAM, place a VM whose reservation splits
+// local/remote, replay a workload, stream an autopilot run's tick telemetry
+// as NDJSON, read the consolidated report and tear the fleet down.
+// cmd/fleetd serves the same gateway as a standalone daemon.
 func Example_gateway() {
+	// The gateway behind a loopback listener — the same handler stack that
+	// cmd/fleetd serves, bearer auth included.
 	srv := zombieland.NewGateway(zombieland.GatewayConfig{Token: "demo"})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -422,6 +546,8 @@ func Example_gateway() {
 		return resp.StatusCode, b
 	}
 
+	// One rack of three small servers; the tail server suspends into Sz and
+	// lends its DRAM to the rack pool.
 	var created struct {
 		ID        string  `json:"id"`
 		Zombies   int     `json:"zombies"`
@@ -435,6 +561,8 @@ func Example_gateway() {
 	fmt.Printf("create (%d): fleet %s, %d zombie lending %.2f GiB\n",
 		status, created.ID, created.Zombies, created.RemoteGiB)
 
+	// A 1.25 GiB reservation against a host with 1 GiB free: the placement
+	// splits, and the overflow lives in the zombie's granted buffers.
 	var placed struct {
 		Placed     int `json:"placed"`
 		Placements []struct {
@@ -453,6 +581,7 @@ func Example_gateway() {
 	fmt.Printf("place (%d): %s on %s, %.2f GiB local + %.2f GiB remote\n",
 		status, p.VM, p.Host, p.LocalGiB, p.RemoteGiB)
 
+	// Replay a workload through the RAM Ext paging path.
 	var ran struct {
 		Results []struct {
 			Kind        string `json:"kind"`
@@ -468,6 +597,9 @@ func Example_gateway() {
 	fmt.Printf("workload (%d): %s, %d accesses, %d major faults\n",
 		status, ran.Results[0].Kind, ran.Results[0].Accesses, ran.Results[0].MajorFaults)
 
+	// Start an autopilot run and follow its tick telemetry as NDJSON: the
+	// buffered events replay first, then one terminal "done" line with the
+	// regret vs the offline oracle.
 	status, _ = do(http.MethodPost, "/v1/fleets/"+created.ID+"/autopilot",
 		`{"machines":10,"tasks":60,"hours":1,"seed":7,"tick_sec":600}`)
 	fmt.Printf("autopilot (%d): started\n", status)
@@ -506,6 +638,7 @@ func Example_gateway() {
 	fmt.Printf("events: %d ticks, then done — %s regret %.2f%% vs the oracle\n",
 		ticks, done.Policy, done.RegretPercent)
 
+	// The consolidated report: live fleet state plus the run's outcome.
 	var report struct {
 		Fleet struct {
 			VMs       int     `json:"vms"`
@@ -536,10 +669,14 @@ func Example_gateway() {
 	// delete (204): session retired
 }
 
-// Example_scenarios is the workload-family quickstart as a compiled,
-// asserted test: generate a scenario from a family, compose two families
-// into one workload with disjoint ID namespaces, round-trip a trace through
-// the streaming gzip importer, and run a small policy×scenario matrix.
+// Example_scenarios walks the scenario engine: workload families, the
+// streaming trace importer and the policy×scenario matrix. The paper
+// evaluates on two Google-like traces; this makes workload shape an axis
+// instead. A seeded family generates a flash-crowd scenario, two families
+// compose into one mixed workload with disjoint ID namespaces, the trace
+// round-trips through the record-at-a-time gzip importer (the path that lets
+// traces bigger than RAM replay), and a small policy×scenario matrix replays
+// two scenario packs under two online policies with chaos injected.
 func Example_scenarios() {
 	params := zombieland.FamilyParams{
 		Machines: 20, HorizonSec: 2 * 3600, Tasks: 200, Seed: 42,

@@ -5,6 +5,6 @@
 // accounting, and the ZombieStack placement and paging machinery on top.
 //
 // The Rack type is the library's integration point: the public root package
-// re-exports it, the examples drive it, and the rack-level experiments
+// re-exports it, its Example walk-throughs drive it, and the rack experiments
 // (Figure 8, Tables 1-2, Figure 9) run on top of it.
 package core

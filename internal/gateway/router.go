@@ -133,12 +133,6 @@ func (s *Server) Manager() *Manager { return s.manager }
 // Close stops the background evictor.
 func (s *Server) Close() { s.manager.Close() }
 
-// ListenAndServe serves the gateway on addr until the listener fails.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s.handler, ReadHeaderTimeout: 10 * time.Second}
-	return srv.ListenAndServe()
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -330,8 +330,8 @@ type GatewayConfig = gateway.Config
 // thin server wrapper).
 type Gateway = gateway.Server
 
-// NewGateway assembles the gateway; Handler() serves it on any mux or
-// httptest server, ListenAndServe on a TCP address.
+// NewGateway assembles the gateway; Handler() serves it on any mux,
+// httptest server or http.Server.
 func NewGateway(cfg GatewayConfig) *Gateway { return gateway.New(cfg) }
 
 // Obs bundles the observability layer: an atomic metrics registry and a

@@ -2,6 +2,7 @@ package zombieland
 
 import (
 	"go/ast"
+	"go/doc"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -127,8 +128,9 @@ func TestGenerateTraceVariants(t *testing.T) {
 
 // TestFacadeNamesAreUsed is the ratchet on zombieland.go: every exported
 // top-level name must be reached by something — written zombieland.Name in
-// another file of the module (the commands, the examples; benchmark/ is a
-// module of its own), written bare in another file of this package, or
+// another file of the module (the commands, the walk-throughs in
+// examples_test.go; benchmark/ is a module of its own), written bare in
+// another file of this package, or
 // referenced by the facade's own code somewhere other than its declaration
 // (the parameter and result types of live functions). A re-export nothing
 // reaches is deleted, not kept for completeness.
@@ -208,6 +210,34 @@ func TestFacadeNamesAreUsed(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestEveryExampleAssertsOutput keeps the walk-throughs running: go test
+// only compiles an Example without an "Output:" comment, so one that lost its
+// block would silently stop being checked.
+func TestEveryExampleAssertsOutput(t *testing.T) {
+	paths, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, path := range paths {
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, file)
+	}
+	examples := doc.Examples(files...)
+	if len(examples) == 0 {
+		t.Fatalf("no Example functions in %v", paths)
+	}
+	for _, ex := range examples {
+		if ex.Output == "" && !ex.EmptyOutput {
+			t.Errorf("Example%s has no // Output: block, so go test never runs it", ex.Name)
 		}
 	}
 }
