@@ -6,10 +6,9 @@
 //
 //	dcsim                         # default fleet (120 machines, 1500 tasks)
 //	dcsim -machines 500 -tasks 6000 -horizon 86400
-//	dcsim -parallel -workers 8    # shard epoch accounting over 8 goroutines
+//	dcsim -workers 8              # shard epoch accounting over 8 goroutines
 //	dcsim -transitions on         # charge ACPI/migration/remote-memory costs
 //	dcsim -transitions both       # print Figure 10 with and without them
-//	dcsim -rackmodel              # price epochs via the rack energy ledger
 //	dcsim -sweep                  # scenario sweep: policies × machines ×
 //	                              #   trace scales × consolidation periods ×
 //	                              #   transition-cost axis
@@ -22,13 +21,14 @@
 //	dcsim -cpuprofile cpu.pprof   # profile the run (pprof CPU profile)
 //	dcsim -memprofile mem.pprof   # write an allocation profile on exit
 //
-// The parallel engine is bit-identical to the sequential one; -parallel only
-// changes how the work is scheduled. -transitions selects the accounting
-// model: "off" integrates steady-state epoch power only (the optimistic
-// Figure 10 bound), "on" additionally charges every suspend/wake transition,
-// migration drain and remote-memory fault, and "both" reports the two side by
-// side. -sweep replaces the single Figure 10 comparison with a concurrent
-// grid of scenarios aggregated per policy.
+// The parallel engine is bit-identical to the sequential one; -workers only
+// changes how the work is scheduled (0, the default, means GOMAXPROCS).
+// -transitions selects the accounting model: "off" integrates steady-state
+// epoch power only (the optimistic Figure 10 bound), "on" additionally
+// charges every suspend/wake transition, migration drain and remote-memory
+// fault, and "both" reports the two side by side. -sweep replaces the single
+// Figure 10 comparison with a concurrent grid of scenarios aggregated per
+// policy.
 package main
 
 import (
@@ -38,10 +38,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
 	zombieland "repro"
+	"repro/internal/cliflag"
 	"repro/internal/consolidation"
 	"repro/internal/dcsim"
 	"repro/internal/energy"
@@ -49,22 +51,34 @@ import (
 	"repro/internal/trace"
 )
 
+// simConfig holds the flag values one invocation runs with.
+type simConfig struct {
+	machines, tasks int
+	horizon, seed   int64
+	workers         int
+	sweep, matrix   bool
+	scales, periods string
+	transitions     string
+	family          string
+	traceFile       string
+	matrixChaos     string
+}
+
 func main() {
-	machines := flag.Int("machines", 120, "number of servers in the simulated fleet")
-	tasks := flag.Int("tasks", 1500, "number of tasks in the generated trace")
-	horizon := flag.Int64("horizon", 12*3600, "trace horizon in seconds")
-	seed := flag.Int64("seed", 42, "trace generation seed")
-	parallel := flag.Bool("parallel", false, "shard per-epoch accounting across a worker pool (same results, more cores)")
-	sweep := flag.Bool("sweep", false, "run a scenario sweep grid instead of the single Figure 10 comparison")
-	family := flag.String("family", "", "sweep over one workload-family scenario pack instead of the google-like mixes: "+strings.Join(trace.FamilyNames(), ", "))
-	traceFile := flag.String("trace", "", "sweep over a .csv/.csv.gz trace file instead of generating traces (streamed record-at-a-time)")
-	matrix := flag.Bool("matrix", false, "run the policy x scenario matrix: every workload family (or the -family/-trace pack) x every online policy under chaos")
-	matrixChaos := flag.String("matrix-chaos", "light", "fault preset of every -matrix cell: off, light or heavy")
-	workers := flag.Int("workers", 0, "worker goroutines; setting it implies -parallel (default with -parallel/-sweep: GOMAXPROCS)")
-	scales := flag.String("scales", "1", "comma-separated trace scale factors for -sweep (scale the fleet and task count)")
-	periods := flag.String("periods", "300", "comma-separated consolidation periods in seconds for -sweep")
-	transitions := flag.String("transitions", "off", "transition-cost accounting: off (steady state), on, or both")
-	rackmodel := flag.Bool("rackmodel", false, "price steady-state epochs through the rack model's energy ledger instead of the abstract power tables")
+	var cfg simConfig
+	flag.IntVar(&cfg.machines, "machines", 120, "number of servers in the simulated fleet")
+	flag.IntVar(&cfg.tasks, "tasks", 1500, "number of tasks in the generated trace")
+	flag.Int64Var(&cfg.horizon, "horizon", 12*3600, "trace horizon in seconds")
+	flag.Int64Var(&cfg.seed, "seed", 42, "trace generation seed")
+	flag.BoolVar(&cfg.sweep, "sweep", false, "run a scenario sweep grid instead of the single Figure 10 comparison")
+	flag.StringVar(&cfg.family, "family", "", "sweep over one workload-family scenario pack instead of the google-like mixes: "+strings.Join(trace.FamilyNames(), ", "))
+	flag.StringVar(&cfg.traceFile, "trace", "", "sweep over a .csv/.csv.gz trace file instead of generating traces (streamed record-at-a-time)")
+	flag.BoolVar(&cfg.matrix, "matrix", false, "run the policy x scenario matrix: every workload family (or the -family/-trace pack) x every online policy under chaos")
+	flag.StringVar(&cfg.matrixChaos, "matrix-chaos", "light", "fault preset of every -matrix cell: off, light or heavy")
+	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines that shard epochs and sweep cells (0 = every core, runtime.GOMAXPROCS); results are identical for any value")
+	flag.StringVar(&cfg.scales, "scales", "1", "comma-separated trace scale factors for -sweep (scale the fleet and task count)")
+	flag.StringVar(&cfg.periods, "periods", "300", "comma-separated consolidation periods in seconds for -sweep")
+	flag.StringVar(&cfg.transitions, "transitions", "off", "transition-cost accounting: off (steady state), on, or both")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
@@ -83,7 +97,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if err := run(os.Stdout, *machines, *tasks, *horizon, *seed, *parallel, *sweep, *workers, *scales, *periods, *transitions, *rackmodel, *family, *traceFile, *matrix, *matrixChaos); err != nil {
+	if err := run(os.Stdout, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "dcsim:", err)
 		os.Exit(1)
 	}
@@ -103,51 +117,54 @@ func main() {
 	}
 }
 
-// run executes the tool against the given flag values, writing every report
-// to out — the entry point the golden-output test drives in-process.
-func run(out io.Writer, machines, tasks int, horizon, seed int64, parallel, sweep bool, workers int, scales, periods, transitions string, rackmodel bool, family, traceFile string, matrix bool, matrixChaos string) error {
-	if workers < 0 {
-		return fmt.Errorf("-workers must be non-negative (got %d)", workers)
+// run executes the tool with the given flag values, writing every report to
+// out — the entry point the golden-output test drives in-process.
+func run(out io.Writer, cfg simConfig) error {
+	// Upfront flag validation (the shared cliflag messages), so a bad
+	// invocation fails before any trace is generated.
+	if err := cliflag.FirstError(
+		cliflag.PositiveInt("-machines", cfg.machines),
+		cliflag.PositiveInt("-tasks", cfg.tasks),
+		cliflag.PositiveInt64("-horizon", cfg.horizon, "second"),
+		cliflag.NonNegativeInt("-workers", cfg.workers),
+	); err != nil {
+		return err
 	}
-	transitionAxis, err := parseTransitionAxis(transitions)
+	transitionAxis, err := parseTransitionAxis(cfg.transitions)
 	if err != nil {
 		return err
 	}
-	w := workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
+	if cfg.workers == 0 {
+		cfg.workers = runtime.GOMAXPROCS(0)
 	}
 
-	if matrix {
-		if sweep {
+	if cfg.matrix {
+		if cfg.sweep {
 			return fmt.Errorf("-matrix and -sweep are mutually exclusive")
 		}
-		return runMatrix(out, machines, tasks, horizon, seed, w, family, traceFile, matrixChaos)
+		return runMatrix(out, cfg)
 	}
-	pack, err := loadScenarioTrace(machines, tasks, horizon, seed, family, traceFile)
+	pack, err := loadScenarioTrace(cfg)
 	if err != nil {
 		return err
 	}
-	if sweep || pack != nil {
+	if cfg.sweep || pack != nil {
 		// -family/-trace replace the generated google-like mixes, so they
 		// always take the sweep path: the Figure 10 facade generates its own
 		// two trace variants and has no injection point.
-		return runSweep(out, machines, tasks, horizon, seed, w, scales, periods, transitionAxis, rackmodel, pack)
+		return runSweep(out, cfg, transitionAxis, pack)
 	}
 
-	cfg := zombieland.Fig10Config{
-		Machines:    machines,
-		Tasks:       tasks,
-		HorizonSec:  horizon,
-		Seed:        seed,
-		RackPricing: rackmodel,
-	}
-	if parallel || workers > 0 {
-		cfg.Workers = w
+	fig := zombieland.Fig10Config{
+		Machines:   cfg.machines,
+		Tasks:      cfg.tasks,
+		HorizonSec: cfg.horizon,
+		Seed:       cfg.seed,
+		Workers:    cfg.workers,
 	}
 	for _, costed := range transitionAxis {
-		cfg.TransitionCosts = costed
-		res, err := zombieland.Figure10(cfg)
+		fig.TransitionCosts = costed
+		res, err := zombieland.Figure10(fig)
 		if err != nil {
 			return err
 		}
@@ -159,39 +176,40 @@ func run(out io.Writer, machines, tasks int, horizon, seed int64, parallel, swee
 
 // loadScenarioTrace builds the pre-built workload selected by -family or
 // -trace, or returns nil when neither flag is set.
-func loadScenarioTrace(machines, tasks int, horizon, seed int64, family, traceFile string) (*trace.Trace, error) {
+func loadScenarioTrace(cfg simConfig) (*trace.Trace, error) {
 	switch {
-	case family != "" && traceFile != "":
+	case cfg.family != "" && cfg.traceFile != "":
 		return nil, fmt.Errorf("-family and -trace are mutually exclusive")
-	case family != "":
-		return trace.GenerateFamily(family, trace.FamilyParams{
-			Machines: machines, HorizonSec: horizon, Tasks: tasks, Seed: seed,
-		})
-	case traceFile != "":
-		return trace.ImportFile(traceFile, trace.ImportOptions{})
+	case cfg.family != "":
+		return trace.GenerateFamily(cfg.family, familyParams(cfg))
+	case cfg.traceFile != "":
+		return trace.ImportFile(cfg.traceFile, trace.ImportOptions{})
 	}
 	return nil, nil
+}
+
+// familyParams sizes a generated workload family from the fleet flags.
+func familyParams(cfg simConfig) trace.FamilyParams {
+	return trace.FamilyParams{Machines: cfg.machines, HorizonSec: cfg.horizon, Tasks: cfg.tasks, Seed: cfg.seed}
 }
 
 // runMatrix crosses the scenario packs (all workload families, or the single
 // -family/-trace pack) with the online policy roster under the chaos preset
 // and prints the policy×scenario matrix artifact.
-func runMatrix(out io.Writer, machines, tasks int, horizon, seed int64, workers int, family, traceFile, chaosName string) error {
-	pack, err := loadScenarioTrace(machines, tasks, horizon, seed, family, traceFile)
+func runMatrix(out io.Writer, cfg simConfig) error {
+	pack, err := loadScenarioTrace(cfg)
 	if err != nil {
 		return err
 	}
 	var packs []scenario.Pack
 	if pack != nil {
-		name := family
+		name := cfg.family
 		if name == "" {
 			name = pack.Name
 		}
 		packs = []scenario.Pack{{Name: name, Trace: pack}}
 	} else {
-		packs, err = scenario.FamilyPacks(trace.FamilyParams{
-			Machines: machines, HorizonSec: horizon, Tasks: tasks, Seed: seed,
-		})
+		packs, err = scenario.FamilyPacks(familyParams(cfg))
 		if err != nil {
 			return err
 		}
@@ -200,16 +218,16 @@ func runMatrix(out io.Writer, machines, tasks int, horizon, seed int64, workers 
 	m, err := scenario.Run(scenario.MatrixConfig{
 		Packs:         packs,
 		Policies:      policies,
-		ChaosScenario: chaosName,
-		ChaosSeed:     seed,
-		Workers:       workers,
+		ChaosScenario: cfg.matrixChaos,
+		ChaosSeed:     cfg.seed,
+		Workers:       cfg.workers,
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(out, m.Render())
 	fmt.Fprintf(out, "%d cells (%d scenarios x %d policies), %q chaos, %d workers. regret-%% = oracle - fault-free online; resil-regret-%% = fault-free - faulted saving.\n",
-		len(m.Cells), len(packs), len(policies), chaosName, workers)
+		len(m.Cells), len(packs), len(policies), cfg.matrixChaos, cfg.workers)
 	return nil
 }
 
@@ -230,28 +248,28 @@ func parseTransitionAxis(mode string) ([]bool, error) {
 // runSweep builds the scenario grid {policy} × {machine} × {trace variant ×
 // scale} × {period} × {transition axis} and prints the per-run table plus the
 // per-policy summary.
-func runSweep(out io.Writer, machines, tasks int, horizon, seed int64, workers int, scalesCSV, periodsCSV string, transitionAxis []bool, rackmodel bool, pack *trace.Trace) error {
-	scales, err := parseFloats(scalesCSV)
+func runSweep(out io.Writer, cfg simConfig, transitionAxis []bool, pack *trace.Trace) error {
+	scales, err := parseFloats(cfg.scales)
 	if err != nil {
 		return fmt.Errorf("-scales: %w", err)
 	}
-	periodList, err := parseInts(periodsCSV)
+	periodList, err := parseInts(cfg.periods)
 	if err != nil {
 		return fmt.Errorf("-periods: %w", err)
 	}
-	if pack != nil && scalesCSV != "1" {
-		return fmt.Errorf("-scales only applies to generated traces, not -family/-trace packs")
-	}
-
 	var traceCfgs []trace.GeneratorConfig
+	var packs []*trace.Trace
 	if pack != nil {
-		scales = nil
+		if !slices.Equal(scales, []float64{1}) {
+			return fmt.Errorf("-scales only applies to generated traces, not -family/-trace packs")
+		}
+		packs, scales = []*trace.Trace{pack}, nil
 	}
 	for _, scale := range scales {
 		if scale <= 0 {
 			return fmt.Errorf("-scales: scale %v must be positive", scale)
 		}
-		if int(float64(machines)*scale) < 1 || int(float64(tasks)*scale) < 1 {
+		if int(float64(cfg.machines)*scale) < 1 || int(float64(cfg.tasks)*scale) < 1 {
 			return fmt.Errorf("-scales: scale %v shrinks the fleet below 1 machine or 1 task", scale)
 		}
 		for _, modified := range []bool{false, true} {
@@ -259,10 +277,10 @@ func runSweep(out io.Writer, machines, tasks int, horizon, seed int64, workers i
 			if modified {
 				tc = trace.ModifiedConfig()
 			}
-			tc.Machines = int(float64(machines) * scale)
-			tc.Tasks = int(float64(tasks) * scale)
-			tc.HorizonSec = horizon
-			tc.Seed = seed
+			tc.Machines = int(float64(cfg.machines) * scale)
+			tc.Tasks = int(float64(cfg.tasks) * scale)
+			tc.HorizonSec = cfg.horizon
+			tc.Seed = cfg.seed
 			if scale != 1 {
 				tc.Name = fmt.Sprintf("%s-x%g", tc.Name, scale)
 			}
@@ -270,44 +288,23 @@ func runSweep(out io.Writer, machines, tasks int, horizon, seed int64, workers i
 		}
 	}
 
-	var packs []*trace.Trace
-	if pack != nil {
-		packs = []*trace.Trace{pack}
-	}
-	policies := consolidation.Contenders()
-	machineProfiles := energy.Profiles()
-	// The sweep pool alone saturates the CPU when the grid is at least as
-	// wide as the pool; only shard epochs inside each run when the grid is
-	// too small to occupy every worker.
-	cells := len(policies) * len(machineProfiles) * (len(traceCfgs) + len(packs)) * len(periodList) * len(transitionAxis)
-	engineWorkers := 0
-	if cells < workers {
-		engineWorkers = (workers + cells - 1) / cells
-	}
-	cfg := dcsim.SweepConfig{
-		Policies:        policies,
-		Machines:        machineProfiles,
+	res, err := dcsim.Sweep(dcsim.SweepConfig{
+		Policies:        consolidation.Contenders(),
+		Machines:        energy.Profiles(),
 		TraceConfigs:    traceCfgs,
 		Traces:          packs,
 		PeriodsSec:      periodList,
 		TransitionCosts: transitionAxis,
 		ServerSpec:      consolidation.DefaultServerSpec(),
-		RackPricing:     rackmodel,
-		SweepWorkers:    workers,
-		EngineWorkers:   engineWorkers,
-	}
-	res, err := dcsim.Sweep(cfg)
+		SweepWorkers:    cfg.workers,
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(out, res.Render())
 	fmt.Fprintln(out, res.RenderSummary())
-	pricing := "abstract power tables"
-	if rackmodel {
-		pricing = "rack energy ledger"
-	}
-	fmt.Fprintf(out, "%d scenarios, %d sweep workers, steady state priced by the %s. Energy saving is relative to a no-consolidation fleet.\n",
-		len(res.Runs), workers, pricing)
+	fmt.Fprintf(out, "%d scenarios, %d sweep workers, steady state priced by the abstract power tables. Energy saving is relative to a no-consolidation fleet.\n",
+		len(res.Runs), cfg.workers)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,12 +36,23 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
+// small is the fleet most tests run on: 30 machines, 150 tasks, two hours,
+// two workers, steady state only.
+func small() simConfig {
+	return simConfig{
+		machines: 30, tasks: 150, horizon: 2 * 3600, seed: 42, workers: 2,
+		scales: "1", periods: "300", transitions: "off", matrixChaos: "light",
+	}
+}
+
 // TestGoldenFigure10 pins the Figure 10 report (transition costs off and on)
 // on a small fixed-seed fleet, with the parallel engine on two workers —
 // which the engine guarantees is bit-identical to sequential.
 func TestGoldenFigure10(t *testing.T) {
+	cfg := small()
+	cfg.machines, cfg.tasks, cfg.horizon, cfg.transitions = 40, 300, 4*3600, "both"
 	var buf bytes.Buffer
-	if err := run(&buf, 40, 300, 4*3600, 42, false, false, 2, "1", "300", "both", false, "", "", false, "light"); err != nil {
+	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "dcsim", buf.Bytes())
@@ -48,8 +60,10 @@ func TestGoldenFigure10(t *testing.T) {
 
 // TestGoldenSweep pins the scenario-sweep tables on a small grid.
 func TestGoldenSweep(t *testing.T) {
+	cfg := small()
+	cfg.tasks, cfg.sweep, cfg.periods = 200, true, "300,600"
 	var buf bytes.Buffer
-	if err := run(&buf, 30, 200, 2*3600, 42, false, true, 2, "1", "300,600", "off", false, "", "", false, "light"); err != nil {
+	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "dcsim_sweep", buf.Bytes())
@@ -57,12 +71,17 @@ func TestGoldenSweep(t *testing.T) {
 
 // TestGoldenFamilySweep pins the sweep over a workload-family scenario pack:
 // -family replaces the generated google-like mixes with one family trace.
+// "-scales 1.0" is the default scale spelled differently, so it is accepted.
 func TestGoldenFamilySweep(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, 30, 200, 2*3600, 42, false, false, 2, "1", "300", "off", false, "mlbatch", "", false, "light"); err != nil {
-		t.Fatal(err)
+	for _, scales := range []string{"1", "1.0"} {
+		cfg := small()
+		cfg.tasks, cfg.family, cfg.scales = 200, "mlbatch", scales
+		var buf bytes.Buffer
+		if err := run(&buf, cfg); err != nil {
+			t.Fatalf("-scales %s: %v", scales, err)
+		}
+		checkGolden(t, "dcsim_family", buf.Bytes())
 	}
-	checkGolden(t, "dcsim_family", buf.Bytes())
 }
 
 // TestGoldenMatrix pins the dcsim -matrix artifact on a small grid, run with
@@ -71,8 +90,10 @@ func TestGoldenFamilySweep(t *testing.T) {
 func TestGoldenMatrix(t *testing.T) {
 	var first []byte
 	for _, workers := range []int{1, 4} {
+		cfg := small()
+		cfg.workers, cfg.matrix = workers, true
 		var buf bytes.Buffer
-		if err := run(&buf, 30, 150, 2*3600, 42, false, false, workers, "1", "300", "off", false, "", "", true, "light"); err != nil {
+		if err := run(&buf, cfg); err != nil {
 			t.Fatal(err)
 		}
 		// The trailer names the worker count; the matrix itself must not.
@@ -110,8 +131,10 @@ func TestTraceFlagSweep(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	cfg := small()
+	cfg.machines, cfg.tasks, cfg.traceFile = 20, 120, path
 	var buf bytes.Buffer
-	if err := run(&buf, 20, 120, 2*3600, 42, false, false, 2, "1", "300", "off", false, "", path, false, "light"); err != nil {
+	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("imported")) {
@@ -121,20 +144,49 @@ func TestTraceFlagSweep(t *testing.T) {
 
 // TestScenarioFlagErrors pins the validation of the new trace-source flags.
 func TestScenarioFlagErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, 30, 150, 2*3600, 42, false, false, 2, "1", "300", "off", false, "diurnal", "x.csv", false, "light"); err == nil {
-		t.Error("-family with -trace accepted")
+	cases := []struct {
+		name string
+		edit func(*simConfig)
+	}{
+		{"-family with -trace", func(c *simConfig) { c.family, c.traceFile = "diurnal", "x.csv" }},
+		{"unknown family", func(c *simConfig) { c.family = "nope" }},
+		{"-scales with -family", func(c *simConfig) { c.family, c.scales = "diurnal", "0.5,1" }},
+		{"-matrix with -sweep", func(c *simConfig) { c.matrix, c.sweep = true, true }},
+		{"unknown -matrix-chaos preset", func(c *simConfig) { c.matrix, c.matrixChaos = true, "nope" }},
 	}
-	if err := run(&buf, 30, 150, 2*3600, 42, false, false, 2, "1", "300", "off", false, "nope", "", false, "light"); err == nil {
-		t.Error("unknown family accepted")
+	for _, c := range cases {
+		cfg := small()
+		c.edit(&cfg)
+		if err := run(io.Discard, cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if err := run(&buf, 30, 150, 2*3600, 42, false, false, 2, "0.5,1", "300", "off", false, "diurnal", "", false, "light"); err == nil {
-		t.Error("-scales with -family accepted")
+}
+
+// TestFleetFlagErrors pins the upfront validation of the fleet-size and
+// worker flags: each is rejected with the shared cliflag message before any
+// trace is generated, in every mode.
+func TestFleetFlagErrors(t *testing.T) {
+	cases := []struct {
+		edit func(*simConfig)
+		want string
+	}{
+		{func(c *simConfig) { c.machines = 0 }, "-machines 0 out of range (need >= 1)"},
+		{func(c *simConfig) { c.machines, c.sweep = -5, true }, "-machines -5 out of range (need >= 1)"},
+		{func(c *simConfig) { c.tasks = 0 }, "-tasks 0 out of range (need >= 1)"},
+		{func(c *simConfig) { c.horizon, c.matrix = 0, true }, "-horizon 0 out of range (need >= 1 second)"},
+		{func(c *simConfig) { c.workers = -1 }, "-workers -1 out of range (need >= 0)"},
 	}
-	if err := run(&buf, 30, 150, 2*3600, 42, false, true, 2, "1", "300", "off", false, "", "", true, "light"); err == nil {
-		t.Error("-matrix with -sweep accepted")
-	}
-	if err := run(&buf, 30, 150, 2*3600, 42, false, false, 2, "1", "300", "off", false, "", "", true, "nope"); err == nil {
-		t.Error("unknown -matrix-chaos preset accepted")
+	for _, c := range cases {
+		cfg := small()
+		c.edit(&cfg)
+		var buf bytes.Buffer
+		err := run(&buf, cfg)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("run(%+v) = %v, want %q", cfg, err, c.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("run(%+v) printed a report before failing:\n%s", cfg, buf.Bytes())
+		}
 	}
 }

@@ -404,9 +404,6 @@ type Fig10Result struct {
 	Cells []Fig10Cell
 	// TransitionCosts reports whether the runs charged transition events.
 	TransitionCosts bool
-	// RackPriced reports whether epoch energy was integrated through the
-	// rack model's ledger (Fig10Config.RackPricing).
-	RackPriced bool
 }
 
 // Fig10Config bounds the size of the Figure 10 simulation.
@@ -424,9 +421,6 @@ type Fig10Config struct {
 	// dcsim.Config.TransitionCosts). Off reproduces the paper's optimistic
 	// steady-state bound; on reports the faithful costed savings.
 	TransitionCosts bool
-	// RackPricing integrates epoch energy through the rack model's energy
-	// ledger instead of the abstract power tables (dcsim.Config.RackPricing).
-	RackPricing bool
 }
 
 // DefaultFig10Config returns a configuration sized to run in seconds while
@@ -440,13 +434,12 @@ func DefaultFig10Config() Fig10Config {
 // modified Google-like traces for both machine profiles.
 func Figure10(cfg Fig10Config) (Fig10Result, error) {
 	if cfg.Machines <= 0 {
-		workers, transitions, rackPricing := cfg.Workers, cfg.TransitionCosts, cfg.RackPricing
+		workers, transitions := cfg.Workers, cfg.TransitionCosts
 		cfg = DefaultFig10Config()
 		cfg.Workers = workers
 		cfg.TransitionCosts = transitions
-		cfg.RackPricing = rackPricing
 	}
-	res := Fig10Result{TransitionCosts: cfg.TransitionCosts, RackPriced: cfg.RackPricing}
+	res := Fig10Result{TransitionCosts: cfg.TransitionCosts}
 	for _, modified := range []bool{false, true} {
 		genCfg := trace.DefaultConfig()
 		if modified {
@@ -461,7 +454,7 @@ func Figure10(cfg Fig10Config) (Fig10Result, error) {
 			return Fig10Result{}, err
 		}
 		cmp, err := dcsim.CompareOpts(tr, energy.Profiles(), consolidation.DefaultServerSpec(),
-			dcsim.CompareOptions{Workers: cfg.Workers, TransitionCosts: cfg.TransitionCosts, RackPricing: cfg.RackPricing})
+			dcsim.CompareOptions{Workers: cfg.Workers, TransitionCosts: cfg.TransitionCosts})
 		if err != nil {
 			return Fig10Result{}, err
 		}
@@ -492,9 +485,6 @@ func (r Fig10Result) Render() string {
 	model := "steady state"
 	if r.TransitionCosts {
 		model = "with transition costs"
-	}
-	if r.RackPriced {
-		model += ", rack-ledger priced"
 	}
 	out := ""
 	for _, traceName := range []string{"google-like", "google-like-modified"} {

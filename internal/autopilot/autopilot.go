@@ -30,13 +30,6 @@ type Config struct {
 	// TickSec is the re-planning period of the control loop; 300 s by
 	// default. The regret oracle runs with the same consolidation period.
 	TickSec int64
-	// OasisMemoryServerFraction is the relative power of an Oasis memory
-	// server (0.4 per the paper).
-	OasisMemoryServerFraction float64
-	// Transitions prices every posture change; nil selects
-	// dcsim.DefaultTransitionModel, the same model the offline oracle pays
-	// under.
-	Transitions *dcsim.TransitionModel
 	// Executor, when set, mirrors every decision onto a backing system (a
 	// live fleet.Fleet via FleetExecutor). Nil keeps the run on the abstract
 	// energy ledger only.
@@ -65,6 +58,10 @@ type Config struct {
 	// simulated clock so exports are byte-stable. Telemetry only — a nil
 	// bundle leaves the loop bit-identical and allocation-free.
 	Obs *obs.Obs
+
+	// transitions prices every posture change: dcsim.DefaultTransitionModel,
+	// the same model the offline oracle pays under, built by applyDefaults.
+	transitions *dcsim.TransitionModel
 }
 
 // TickEvent is the telemetry snapshot OnTick receives after each re-planning
@@ -116,11 +113,6 @@ func (c *Config) Validate() error {
 	if c.TickSec < 0 {
 		return fmt.Errorf("autopilot: negative tick period %d", c.TickSec)
 	}
-	if c.Transitions != nil {
-		if err := c.Transitions.Validate(); err != nil {
-			return err
-		}
-	}
 	if c.Workers < 0 {
 		return fmt.Errorf("autopilot: negative worker count %d", c.Workers)
 	}
@@ -161,11 +153,8 @@ func (c *Config) applyDefaults() {
 	if c.TickSec == 0 {
 		c.TickSec = 300
 	}
-	if c.OasisMemoryServerFraction <= 0 {
-		c.OasisMemoryServerFraction = 0.4
-	}
-	if c.Transitions == nil {
-		c.Transitions = dcsim.DefaultTransitionModel()
+	if c.transitions == nil {
+		c.transitions = dcsim.DefaultTransitionModel()
 	}
 }
 
@@ -451,7 +440,7 @@ func (l *loop) billInterval(to int64) {
 	}
 	billed := l.posture
 	billed.ActiveCPUUtilization = utilization(usedCPU, billed.ActiveHosts, l.cfg.ServerSpec.Cores)
-	l.res.EnergyJoules += dcsim.PosturePowerWatts(l.cfg.Machine, billed, l.cfg.OasisMemoryServerFraction) * dt
+	l.res.EnergyJoules += dcsim.PosturePowerWatts(l.cfg.Machine, billed) * dt
 	l.res.BaselineJoules += dcsim.BaselinePowerWatts(l.cfg.Machine, l.cfg.ServerSpec, usedCPU, l.total) * dt
 }
 
@@ -726,7 +715,7 @@ func (l *loop) applyPosture(nowSec int64, next consolidation.FleetPlan, withChur
 	if next.ActiveHosts < l.posture.ActiveHosts {
 		vms = l.runningVMs()
 	}
-	bill := l.cfg.Transitions.CostWithFabric(l.cfg.Machine, l.planner.Name(), l.posture, priced, vms, dtSec, fabric)
+	bill := l.cfg.transitions.Cost(l.cfg.Machine, l.planner.Name(), l.posture, priced, vms, dtSec, fabric)
 	l.res.EnergyJoules += bill.Joules
 	l.res.TransitionJoules += bill.Joules
 	l.res.StateTransitions += bill.Transitions

@@ -248,7 +248,7 @@ func (l *loop) reHome(now int64, shareGiB float64, zombie bool) {
 	m := l.cfg.Machine
 	if shareGiB > 0 {
 		l.res.ReHomedGiB += shareGiB
-		tm := l.cfg.Transitions
+		tm := l.cfg.transitions
 		sec := float64(tm.Fabric.TransferNs(tm.Fabric.OneSidedLatencyNs, int(shareGiB*float64(1<<30)))) / 1e9
 		sec *= l.chaos.plan.FabricFactorAt(now)
 		l.addPenalty(sec * m.PowerWatts(acpi.S0, l.posture.ActiveCPUUtilization))

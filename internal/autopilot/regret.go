@@ -150,16 +150,14 @@ func (r *replay) report(i int) Report {
 // posture changes), aligned with the online configuration field by field.
 func oracleConfig(cfg *Config, planner consolidation.Policy) dcsim.Config {
 	return dcsim.Config{
-		Trace:                     cfg.Trace,
-		Policy:                    planner,
-		Machine:                   cfg.Machine,
-		ServerSpec:                cfg.ServerSpec,
-		ConsolidationPeriodSec:    cfg.TickSec,
-		OasisMemoryServerFraction: cfg.OasisMemoryServerFraction,
-		TransitionCosts:           true,
-		Transitions:               cfg.Transitions,
-		Workers:                   cfg.Workers,
-		Chaos:                     cfg.Chaos,
+		Trace:                  cfg.Trace,
+		Policy:                 planner,
+		Machine:                cfg.Machine,
+		ServerSpec:             cfg.ServerSpec,
+		ConsolidationPeriodSec: cfg.TickSec,
+		TransitionCosts:        true,
+		Workers:                cfg.Workers,
+		Chaos:                  cfg.Chaos,
 	}
 }
 

@@ -21,7 +21,7 @@
 //   - controller losses bill one machine's worth of S0 idle power for the
 //     secondary's rebuild window;
 //   - fabric degradation is priced in the transition bill itself
-//     (CostWithFabric), not here.
+//     (TransitionModel.Cost), not here.
 //
 // All penalties land on EnergyJoules and never on the baseline, so faults
 // can only lower the reported saving.
@@ -176,7 +176,7 @@ func reHomeJoules(cfg *Config, shareGiB float64, plan consolidation.FleetPlan, a
 	if shareGiB <= 0 {
 		return 0
 	}
-	tm := cfg.Transitions
+	tm := cfg.transitions
 	bytes := int(shareGiB * float64(1<<30))
 	sec := float64(tm.Fabric.TransferNs(tm.Fabric.OneSidedLatencyNs, bytes)) / 1e9
 	sec *= cfg.Chaos.FabricFactorAt(atSec)

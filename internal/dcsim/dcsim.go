@@ -29,9 +29,6 @@ type Config struct {
 	// ConsolidationPeriodSec is how often the policy re-plans (OpenStack Neat
 	// style periodic consolidation); 300 s by default.
 	ConsolidationPeriodSec int64
-	// OasisMemoryServerFraction is the relative power of an Oasis memory
-	// server (0.4 per the paper) — only used when the policy plans them.
-	OasisMemoryServerFraction float64
 	// Workers shards the per-epoch accounting across that many goroutines.
 	// 0 or 1 selects the sequential engine. Results are identical either way.
 	Workers int
@@ -41,19 +38,6 @@ type Config struct {
 	// implied by the change of plan (see transitions.go). Off by default,
 	// which reproduces the optimistic Figure 10 bound.
 	TransitionCosts bool
-	// Transitions overrides the transition cost parameters; nil selects
-	// DefaultTransitionModel. Ignored unless TransitionCosts is set.
-	Transitions *TransitionModel
-	// RackPricing switches the steady-state epoch pricing from the abstract
-	// per-state power tables to the rack model's energy ledger: every
-	// epoch's posture is applied to a model core.Rack (real ACPI
-	// transitions, Sz included) and integrated through energy.Accumulator,
-	// one server at a time (see rackpricing.go). Oasis memory servers keep
-	// the abstract fractional charge — they have no rack analogue. The
-	// parallel engine remains bit-identical to the sequential one: each
-	// shard prices with its own model rack and the per-epoch charge is a
-	// pure function of the epoch's plan.
-	RackPricing bool
 	// Chaos replays the run under a deterministic fault schedule: crashed
 	// servers shrink the capacity the policy plans against and burn S0 idle
 	// power, fabric degradation windows scale the remote-memory churn, failed
@@ -62,6 +46,10 @@ type Config struct {
 	// function of (plan, epoch span, epoch posture), so the parallel engine
 	// stays bit-identical — and an empty plan is bit-identical to no plan.
 	Chaos *chaos.Plan
+
+	// transitions is DefaultTransitionModel, built by applyDefaults when
+	// transition costs or chaos pricing need it.
+	transitions *TransitionModel
 }
 
 // Validate checks the configuration.
@@ -87,11 +75,6 @@ func (c *Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("dcsim: negative worker count %d", c.Workers)
 	}
-	if c.Transitions != nil {
-		if err := c.Transitions.Validate(); err != nil {
-			return err
-		}
-	}
 	if err := c.Chaos.Validate(); err != nil {
 		return err
 	}
@@ -103,14 +86,11 @@ func (c *Config) applyDefaults() {
 	if c.ConsolidationPeriodSec <= 0 {
 		c.ConsolidationPeriodSec = 300
 	}
-	if c.OasisMemoryServerFraction <= 0 {
-		c.OasisMemoryServerFraction = 0.4
-	}
 	// Chaos pricing needs the transition model even when the steady-state
 	// run leaves TransitionCosts off (wasted wakes and re-homing are priced
 	// through it).
-	if (c.TransitionCosts || !c.Chaos.Empty()) && c.Transitions == nil {
-		c.Transitions = DefaultTransitionModel()
+	if c.TransitionCosts || !c.Chaos.Empty() {
+		c.transitions = DefaultTransitionModel()
 	}
 }
 
@@ -153,9 +133,6 @@ type Result struct {
 	Migrations int
 	// MigrationSeconds is the total host time spent draining VMs.
 	MigrationSeconds float64
-	// RackPriced reports whether the run integrated epoch energy through
-	// the rack model's energy ledger instead of the abstract power tables.
-	RackPriced bool
 	// ChaosScenario names the fault plan the run was priced under ("" when
 	// no faults were injected); ChaosJoules is the energy charged to fault
 	// penalties (crashed-server burn, wasted wakes, re-homing transfers,
@@ -425,33 +402,24 @@ func (r *replayer) population(span epochSpan) []consolidation.VMDemand {
 }
 
 // simulateEpoch evaluates the policy on one epoch's population, integrates
-// the fleet power over the epoch — through the abstract tables, or through
-// the caller's rack pricer when rack pricing is on — and, when transition
-// costs are enabled, charges the events implied by moving from prev's
-// posture to this epoch's. It returns the epoch's plan so the caller can
-// thread it into the next epoch's delta.
-func simulateEpoch(cfg *Config, pricer *rackPricer, vms []consolidation.VMDemand, span epochSpan, prev consolidation.FleetPlan) (epochStats, consolidation.FleetPlan, error) {
+// the fleet power over the epoch and, when transition costs are enabled,
+// charges the events implied by moving from prev's posture to this epoch's.
+// It returns the epoch's plan so the caller can thread it into the next
+// epoch's delta.
+func simulateEpoch(cfg *Config, vms []consolidation.VMDemand, span epochSpan, prev consolidation.FleetPlan) (epochStats, consolidation.FleetPlan) {
 	plan := epochPlan(cfg, vms, span)
 	dt := float64(span.end - span.start)
 	stats := epochStats{
-		activeDt: float64(plan.ActiveHosts) * dt,
-		zombieDt: float64(plan.ZombieHosts) * dt,
-		sleepDt:  float64(plan.SleepHosts) * dt,
-		utilDt:   plan.ActiveCPUUtilization * dt,
-		dt:       dt,
-	}
-	if pricer != nil {
-		energyJ, baselineJ, err := pricer.priceEpoch(plan, vms, dt)
-		if err != nil {
-			return epochStats{}, plan, err
-		}
-		stats.energyJ, stats.baselineJ = energyJ, baselineJ
-	} else {
-		stats.energyJ = fleetPower(*cfg, plan) * dt
-		stats.baselineJ = baselinePower(*cfg, vms, cfg.Trace.Machines) * dt
+		activeDt:  float64(plan.ActiveHosts) * dt,
+		zombieDt:  float64(plan.ZombieHosts) * dt,
+		sleepDt:   float64(plan.SleepHosts) * dt,
+		utilDt:    plan.ActiveCPUUtilization * dt,
+		dt:        dt,
+		energyJ:   PosturePowerWatts(cfg.Machine, plan) * dt,
+		baselineJ: baselinePower(cfg, vms) * dt,
 	}
 	if cfg.TransitionCosts {
-		c := cfg.Transitions.CostWithFabric(cfg.Machine, cfg.Policy.Name(), chaosAlignPrev(cfg, prev, plan), plan, vms, dt, chaosFabricFactor(cfg, span))
+		c := cfg.transitions.Cost(cfg.Machine, cfg.Policy.Name(), chaosAlignPrev(cfg, prev, plan), plan, vms, dt, chaosFabricFactor(cfg, span))
 		stats.energyJ += c.Joules
 		stats.transitionJ = c.Joules
 		stats.transitions = c.Transitions
@@ -466,7 +434,7 @@ func simulateEpoch(cfg *Config, pricer *rackPricer, vms []consolidation.VMDemand
 		stats.wasted = ch.wasted
 		stats.reHomedGiB = ch.reHomedGiB
 	}
-	return stats, plan, nil
+	return stats, plan
 }
 
 // epochPlan evaluates the policy on one epoch's population against the
@@ -518,33 +486,15 @@ func RunIndexed(cfg Config, idx *ReplayIndex) (Result, error) {
 
 	stats := make([]epochStats, len(spans))
 	if cfg.Workers > 1 && len(spans) > 1 {
-		if err := simulateShards(&cfg, idx, spans, live, stats); err != nil {
-			return Result{}, err
-		}
+		simulateShards(&cfg, idx, spans, live, stats)
 	} else {
-		pricer, err := newPricer(&cfg)
-		if err != nil {
-			return Result{}, err
-		}
 		rep := newReplayer(idx, live)
 		prev := initialPlan(&cfg)
 		for i, span := range spans {
-			stats[i], prev, err = simulateEpoch(&cfg, pricer, rep.population(span), span, prev)
-			if err != nil {
-				return Result{}, err
-			}
+			stats[i], prev = simulateEpoch(&cfg, rep.population(span), span, prev)
 		}
 	}
 	return mergeEpochStats(cfg, stats), nil
-}
-
-// newPricer returns a rack pricer when rack pricing is enabled, nil for the
-// abstract tables.
-func newPricer(cfg *Config) (*rackPricer, error) {
-	if !cfg.RackPricing {
-		return nil, nil
-	}
-	return newRackPricer(cfg)
 }
 
 // mergeEpochStats folds per-epoch contributions into a Result in epoch order,
@@ -556,7 +506,6 @@ func mergeEpochStats(cfg Config, stats []epochStats) Result {
 		Trace:           cfg.Trace.Name,
 		PeriodSec:       cfg.ConsolidationPeriodSec,
 		TransitionCosts: cfg.TransitionCosts,
-		RackPriced:      cfg.RackPricing,
 	}
 	if !cfg.Chaos.Empty() {
 		res.ChaosScenario = cfg.Chaos.Name
@@ -591,17 +540,17 @@ func mergeEpochStats(cfg Config, stats []epochStats) Result {
 	return res
 }
 
-// fleetPower returns the fleet's power (watts) under a consolidation plan.
-func fleetPower(cfg Config, plan consolidation.FleetPlan) float64 {
-	return PosturePowerWatts(cfg.Machine, plan, cfg.OasisMemoryServerFraction)
-}
+// oasisMemoryServerFraction is the power of an Oasis memory server relative
+// to the machine's peak (0.4 per the paper).
+const oasisMemoryServerFraction = 0.4
 
 // PosturePowerWatts returns the steady-state fleet power (watts) of one
 // consolidation posture: active hosts at their operating point, zombies in
-// Sz, Oasis memory servers at their fractional power, sleepers in S3. It is
-// the single pricing rule shared by the offline engine and the online control
-// plane, so the two sides of a regret comparison integrate identical power.
-func PosturePowerWatts(m *energy.MachineProfile, plan consolidation.FleetPlan, oasisMemoryServerFraction float64) float64 {
+// Sz, Oasis memory servers at oasisMemoryServerFraction of peak power,
+// sleepers in S3. It is the single pricing rule shared by the offline engine
+// and the online control plane, so the two sides of a regret comparison
+// integrate identical power.
+func PosturePowerWatts(m *energy.MachineProfile, plan consolidation.FleetPlan) float64 {
 	p := float64(plan.ActiveHosts) * m.PowerWatts(acpi.S0, plan.ActiveCPUUtilization)
 	p += float64(plan.ZombieHosts) * m.PowerWatts(acpi.Sz, 0)
 	p += float64(plan.MemoryServers) * oasisMemoryServerFraction * m.MaxPowerWatts
@@ -611,12 +560,12 @@ func PosturePowerWatts(m *energy.MachineProfile, plan consolidation.FleetPlan, o
 
 // baselinePower returns the fleet's power without consolidation: every server
 // stays in S0 and the load spreads across the whole fleet.
-func baselinePower(cfg Config, vms []consolidation.VMDemand, totalServers int) float64 {
+func baselinePower(cfg *Config, vms []consolidation.VMDemand) float64 {
 	var usedCPU float64
 	for _, v := range vms {
 		usedCPU += v.UsedCPU
 	}
-	return BaselinePowerWatts(cfg.Machine, cfg.ServerSpec, usedCPU, totalServers)
+	return BaselinePowerWatts(cfg.Machine, cfg.ServerSpec, usedCPU, cfg.Trace.Machines)
 }
 
 // BaselinePowerWatts returns the no-consolidation fleet power: every server
@@ -652,31 +601,17 @@ type Comparison struct {
 	Results []Result
 }
 
-// Compare runs Neat, Oasis and ZombieStack (plus the baseline used for the
-// saving computation) on the trace for each machine profile, sequentially.
-func Compare(tr *trace.Trace, machines []*energy.MachineProfile, spec consolidation.ServerSpec) (Comparison, error) {
-	return CompareWorkers(tr, machines, spec, 0)
-}
-
-// CompareWorkers is Compare with each run's per-epoch accounting sharded
-// across the given number of workers (0 or 1 keeps the sequential engine).
-func CompareWorkers(tr *trace.Trace, machines []*energy.MachineProfile, spec consolidation.ServerSpec, workers int) (Comparison, error) {
-	return CompareOpts(tr, machines, spec, CompareOptions{Workers: workers})
-}
-
 // CompareOptions bundles the engine knobs of a comparison run.
 type CompareOptions struct {
 	// Workers shards each run's per-epoch accounting (Config.Workers).
 	Workers int
 	// TransitionCosts enables the event-driven transition accounting.
 	TransitionCosts bool
-	// RackPricing prices steady-state epochs through the rack model's
-	// energy ledger (Config.RackPricing).
-	RackPricing bool
 }
 
-// CompareOpts runs the Figure 10 contenders on the trace for each machine
-// profile with the given engine options.
+// CompareOpts runs Neat, Oasis and ZombieStack (plus the baseline used for
+// the saving computation) on the trace for each machine profile with the
+// given engine options.
 func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consolidation.ServerSpec, opts CompareOptions) (Comparison, error) {
 	idx, err := NewReplayIndex(tr)
 	if err != nil {
@@ -688,7 +623,6 @@ func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consol
 			res, err := RunIndexed(Config{
 				Trace: tr, Policy: pol, Machine: m, ServerSpec: spec,
 				Workers: opts.Workers, TransitionCosts: opts.TransitionCosts,
-				RackPricing: opts.RackPricing,
 			}, idx)
 			if err != nil {
 				return Comparison{}, err

@@ -1,8 +1,11 @@
 package dcsim
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/acpi"
 	"repro/internal/consolidation"
 	"repro/internal/energy"
 	"repro/internal/trace"
@@ -82,7 +85,7 @@ func TestFigure10Ordering(t *testing.T) {
 	var gapOriginal, gapModified float64
 	for _, modified := range []bool{false, true} {
 		tr := testTrace(t, modified)
-		cmp, err := Compare(tr, machines, spec)
+		cmp, err := CompareOpts(tr, machines, spec, CompareOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +138,61 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	cfg := Config{}
 	cfg.applyDefaults()
-	if cfg.ConsolidationPeriodSec != 300 || cfg.OasisMemoryServerFraction != 0.4 {
+	if cfg.ConsolidationPeriodSec != 300 || cfg.transitions != nil {
 		t.Errorf("defaults = %+v", cfg)
+	}
+	cfg.TransitionCosts = true
+	cfg.applyDefaults()
+	if !reflect.DeepEqual(cfg.transitions, DefaultTransitionModel()) {
+		t.Errorf("costed run prices with %+v, want the default transition model", cfg.transitions)
+	}
+}
+
+// TestPosturePowerMatchesLedger checks the one pricing rule against the
+// rack's energy ledger: a posture's PosturePowerWatts·dt, and the baseline's
+// BaselinePowerWatts·dt, equal the sum of per-server energy.Accumulator
+// joules for the same states over the same interval. An Oasis memory server
+// has no ACPI state of its own; the ledger charges it 0.4 of peak power.
+func TestPosturePowerMatchesLedger(t *testing.T) {
+	const dtSec = 300.0
+	ledger := func(m *energy.MachineProfile, state acpi.SleepState, util float64, n int) float64 {
+		var joules float64
+		for range n {
+			acc := energy.NewAccumulator(m)
+			acc.SetState(0, state)
+			acc.SetUtilization(0, util)
+			acc.AdvanceTo(int64(dtSec * 1e9))
+			joules += acc.Joules()
+		}
+		return joules
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
+	postures := []consolidation.FleetPlan{
+		{ActiveHosts: 10},
+		{ActiveHosts: 7, ActiveCPUUtilization: 0.37},
+		{ActiveHosts: 4, ActiveCPUUtilization: 1, ZombieHosts: 5, SleepHosts: 3},
+		{ActiveHosts: 2, ActiveCPUUtilization: 0.6, MemoryServers: 3, SleepHosts: 7},
+		{ActiveHosts: 3, ActiveCPUUtilization: 0.25, ZombieHosts: 2, MemoryServers: 1, SleepHosts: 6},
+		{SleepHosts: 12},
+	}
+	spec := consolidation.DefaultServerSpec()
+	for _, m := range energy.Profiles() {
+		for _, plan := range postures {
+			want := ledger(m, acpi.S0, plan.ActiveCPUUtilization, plan.ActiveHosts) +
+				ledger(m, acpi.Sz, 0, plan.ZombieHosts) +
+				ledger(m, acpi.S3, 0, plan.SleepHosts) +
+				float64(plan.MemoryServers)*0.4*m.MaxPowerWatts*dtSec
+			if got := PosturePowerWatts(m, plan) * dtSec; !near(got, want) {
+				t.Errorf("%s %+v: posture %v J, ledger %v J", m.Name, plan, got, want)
+			}
+		}
+		for _, usedCPU := range []float64{0, 13.5, 80, 1e6} {
+			const servers = 12
+			util := min(usedCPU/(servers*spec.Cores), 1)
+			want := ledger(m, acpi.S0, util, servers)
+			if got := BaselinePowerWatts(m, spec, usedCPU, servers) * dtSec; !near(got, want) {
+				t.Errorf("%s used %v cores: baseline %v J, ledger %v J", m.Name, usedCPU, got, want)
+			}
+		}
 	}
 }

@@ -5,6 +5,13 @@
 // energy saving relative to the no-consolidation baseline, which is what
 // Figure 10 reports for Neat, Oasis and ZombieStack on HP and Dell servers.
 //
+// A posture is priced by one rule, PosturePowerWatts: the number of hosts in
+// each state times that state's power from the machine profile (Table 3),
+// with an Oasis memory server at a constant 0.4 of the machine's peak power.
+// The no-consolidation baseline, BaselinePowerWatts, keeps every server in S0
+// with the load spread across the fleet. The transition bill always uses
+// DefaultTransitionModel.
+//
 // Two accounting models are available. The steady-state model integrates each
 // epoch as if the fleet had always been in the epoch plan's posture — the
 // optimistic bound. With Config.TransitionCosts the engine becomes

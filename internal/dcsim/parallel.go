@@ -56,23 +56,12 @@ func shardEpochs(live []int, workers int) []shard {
 // before its range and evaluates the policy on it — exactly the evaluation
 // the neighbouring shard performs for that epoch — and shard independence
 // (and therefore bit-identity with the sequential engine) is preserved.
-//
-// Rack pricing keeps the same contract: every shard owns a private model
-// rack, and the per-epoch ledger charge is a pure function of the epoch's
-// plan, so where the shard starts does not matter.
-func simulateShards(cfg *Config, idx *ReplayIndex, spans []epochSpan, live []int, stats []epochStats) error {
-	shards := shardEpochs(live, cfg.Workers)
-	errs := make([]error, len(shards))
+func simulateShards(cfg *Config, idx *ReplayIndex, spans []epochSpan, live []int, stats []epochStats) {
 	var wg sync.WaitGroup
-	for si, sh := range shards {
+	for _, sh := range shardEpochs(live, cfg.Workers) {
 		wg.Add(1)
-		go func(si int, sh shard) {
+		go func(sh shard) {
 			defer wg.Done()
-			pricer, err := newPricer(cfg)
-			if err != nil {
-				errs[si] = err
-				return
-			}
 			rep := newReplayer(idx, live)
 			prev := initialPlan(cfg)
 			if (cfg.TransitionCosts || !cfg.Chaos.Empty()) && sh.lo > 0 {
@@ -80,19 +69,9 @@ func simulateShards(cfg *Config, idx *ReplayIndex, spans []epochSpan, live []int
 				prev = epochPlan(cfg, rep.population(lookback), lookback)
 			}
 			for i := sh.lo; i < sh.hi; i++ {
-				stats[i], prev, err = simulateEpoch(cfg, pricer, rep.population(spans[i]), spans[i], prev)
-				if err != nil {
-					errs[si] = err
-					return
-				}
+				stats[i], prev = simulateEpoch(cfg, rep.population(spans[i]), spans[i], prev)
 			}
-		}(si, sh)
+		}(sh)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

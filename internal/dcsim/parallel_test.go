@@ -162,20 +162,20 @@ func TestRunRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
-// TestCompareWorkersMatchesCompare checks the comparison wrapper is engine
-// agnostic too.
-func TestCompareWorkersMatchesCompare(t *testing.T) {
+// TestCompareOptsWorkersMatchSequential checks the comparison entry point is
+// engine agnostic too.
+func TestCompareOptsWorkersMatchSequential(t *testing.T) {
 	tr := engineTestTrace(t)
 	spec := consolidation.DefaultServerSpec()
-	seq, err := Compare(tr, energy.Profiles(), spec)
+	seq, err := CompareOpts(tr, energy.Profiles(), spec, CompareOptions{Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompareWorkers(tr, energy.Profiles(), spec, 4)
+	par, err := CompareOpts(tr, energy.Profiles(), spec, CompareOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("CompareWorkers diverges from Compare:\nseq: %+v\npar: %+v", seq, par)
+		t.Fatalf("CompareOpts with 4 workers diverges from sequential:\nseq: %+v\npar: %+v", seq, par)
 	}
 }

@@ -43,14 +43,10 @@ type SweepConfig struct {
 	TransitionCosts []bool
 	// ServerSpec is the capacity of every server in every scenario.
 	ServerSpec consolidation.ServerSpec
-	// RackPricing prices every scenario's steady-state epochs through the
-	// rack model's energy ledger instead of the abstract power tables (see
-	// Config.RackPricing).
-	RackPricing bool
 	// SweepWorkers bounds how many scenarios run concurrently; 1 by default.
+	// When the grid has fewer cells than that, each run also shards its
+	// epochs so the spare workers are not left idle (Config.Workers).
 	SweepWorkers int
-	// EngineWorkers is the per-run epoch-shard worker count (Config.Workers).
-	EngineWorkers int
 }
 
 // DefaultSweepConfig returns the Figure 10 grid: the three contender policies
@@ -132,7 +128,15 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if len(transitionAxis) == 0 {
 		transitionAxis = []bool{false}
 	}
-	var cells []Config
+	// The sweep pool alone saturates its workers when the grid is at least as
+	// wide as the pool; only a narrower grid shards epochs inside each run.
+	workers := max(cfg.SweepWorkers, 1)
+	ncells := len(traces) * len(cfg.Machines) * len(cfg.Policies) * len(cfg.PeriodsSec) * len(transitionAxis)
+	engineWorkers := 0
+	if ncells < workers {
+		engineWorkers = (workers + ncells - 1) / ncells
+	}
+	cells := make([]Config, 0, ncells)
 	var index []*ReplayIndex // index[i] replays cells[i].Trace: one per trace, shared by its runs
 	for _, tr := range traces {
 		idx, err := NewReplayIndex(tr)
@@ -149,9 +153,8 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 							Machine:                m,
 							ServerSpec:             spec,
 							ConsolidationPeriodSec: period,
-							Workers:                cfg.EngineWorkers,
+							Workers:                engineWorkers,
 							TransitionCosts:        transitions,
-							RackPricing:            cfg.RackPricing,
 						})
 						index = append(index, idx)
 					}
@@ -160,13 +163,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		}
 	}
 
-	workers := cfg.SweepWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+	workers = min(workers, len(cells))
 	res := &SweepResult{Runs: make([]Result, len(cells))}
 	errs := make([]error, len(cells))
 	work := make(chan int)

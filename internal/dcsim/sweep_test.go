@@ -60,22 +60,44 @@ func TestSweepCoversFullGrid(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministic checks two identical sweeps (with different worker
-// counts) produce identical results.
+// TestSweepDeterministic runs a grid narrower than its worker pool, so Sweep
+// also shards each run's epochs, and requires every run to equal a direct
+// sequential Run of the same cell, transition costs on and off.
 func TestSweepDeterministic(t *testing.T) {
-	cfg := smallSweepConfig()
-	a, err := Sweep(cfg)
+	tc := trace.DefaultConfig()
+	tc.Machines, tc.Tasks, tc.HorizonSec = 40, 300, 4*3600
+	cfg := SweepConfig{
+		Policies:        consolidation.Contenders(),
+		Machines:        []*energy.MachineProfile{energy.HPProfile()},
+		TraceConfigs:    []trace.GeneratorConfig{tc},
+		PeriodsSec:      []int64{300},
+		TransitionCosts: []bool{false, true},
+		ServerSpec:      consolidation.DefaultServerSpec(),
+		SweepWorkers:    16, // 6 cells: each run shards its epochs over 3 workers
+	}
+	res, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.SweepWorkers = 1
-	cfg.EngineWorkers = 3
-	b, err := Sweep(cfg)
+	tr, err := trace.Generate(tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("sweep results depend on worker scheduling")
+	var want []Result
+	for _, pol := range cfg.Policies {
+		for _, costed := range cfg.TransitionCosts {
+			r, err := Run(Config{
+				Trace: tr, Policy: pol, Machine: cfg.Machines[0], ServerSpec: cfg.ServerSpec,
+				ConsolidationPeriodSec: 300, TransitionCosts: costed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, r)
+		}
+	}
+	if !reflect.DeepEqual(res.Runs, want) {
+		t.Fatalf("sharded sweep diverges from sequential runs:\nsweep: %+v\nruns:  %+v", res.Runs, want)
 	}
 }
 

@@ -21,8 +21,6 @@
 package dcsim
 
 import (
-	"fmt"
-
 	"repro/internal/acpi"
 	"repro/internal/consolidation"
 	"repro/internal/energy"
@@ -65,21 +63,6 @@ func DefaultTransitionModel() *TransitionModel {
 	}
 }
 
-// Validate checks the model's parameters.
-func (tm *TransitionModel) Validate() error {
-	switch {
-	case tm.Vanilla == nil || tm.Zombie == nil:
-		return fmt.Errorf("dcsim: transition model needs both migration protocols")
-	case tm.LocalMemoryFraction <= 0 || tm.LocalMemoryFraction > 1:
-		return fmt.Errorf("dcsim: transition model local memory fraction %v outside (0,1]", tm.LocalMemoryFraction)
-	case tm.RemoteFaultsPerGiBPerSec < 0:
-		return fmt.Errorf("dcsim: negative remote fault rate %v", tm.RemoteFaultsPerGiBPerSec)
-	case tm.RemotePageBytes <= 0:
-		return fmt.Errorf("dcsim: transition model needs a positive remote page size")
-	}
-	return nil
-}
-
 // TransitionBill is the priced outcome of one posture change. It is the
 // exported face of the per-epoch transition accounting, shared with the
 // online control plane (internal/autopilot), whose ticks and emergency wakes
@@ -102,17 +85,12 @@ type TransitionBill struct {
 // policy name — the ZombieStack protocol for "zombiestack", vanilla pre-copy
 // otherwise), and the remote-memory churn of the new posture over dt seconds.
 // dt also caps each freed host's drain, so a host is never charged for
-// draining longer than the interval it drains in.
-func (tm *TransitionModel) Cost(m *energy.MachineProfile, policy string, prev, plan consolidation.FleetPlan, vms []consolidation.VMDemand, dt float64) TransitionBill {
-	return tm.CostWithFabric(m, policy, prev, plan, vms, dt, 1)
-}
-
-// CostWithFabric is Cost with the remote-memory churn scaled by a fabric
-// latency multiplier — the chaos layer's degraded-fabric pricing. A factor of
-// exactly 1 reproduces Cost bit for bit (multiplying by 1.0 is exact in IEEE
-// arithmetic), which is what keeps an empty fault plan indistinguishable from
+// draining longer than the interval it drains in. fabricFactor scales the
+// churn's fabric latency — the chaos layer's degraded-fabric pricing; a
+// factor of exactly 1 is the healthy fabric, and multiplying by 1.0 is exact
+// in IEEE arithmetic, which keeps an empty fault plan indistinguishable from
 // the no-chaos path.
-func (tm *TransitionModel) CostWithFabric(m *energy.MachineProfile, policy string, prev, plan consolidation.FleetPlan, vms []consolidation.VMDemand, dt, fabricFactor float64) TransitionBill {
+func (tm *TransitionModel) Cost(m *energy.MachineProfile, policy string, prev, plan consolidation.FleetPlan, vms []consolidation.VMDemand, dt, fabricFactor float64) TransitionBill {
 	d := consolidation.Delta(prev, plan, len(vms))
 	var c TransitionBill
 	c.Transitions = d.Transitions()

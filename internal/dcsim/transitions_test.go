@@ -166,36 +166,6 @@ func TestMigrationDrainCharged(t *testing.T) {
 	}
 }
 
-// TestTransitionModelValidation rejects broken models.
-func TestTransitionModelValidation(t *testing.T) {
-	tr := engineTestTrace(t)
-	base := Config{
-		Trace:           tr,
-		Policy:          consolidation.NewNeat(),
-		Machine:         energy.HPProfile(),
-		ServerSpec:      consolidation.DefaultServerSpec(),
-		TransitionCosts: true,
-	}
-	bad := []*TransitionModel{
-		{},
-		func() *TransitionModel { m := DefaultTransitionModel(); m.LocalMemoryFraction = 1.5; return m }(),
-		func() *TransitionModel { m := DefaultTransitionModel(); m.RemoteFaultsPerGiBPerSec = -1; return m }(),
-		func() *TransitionModel { m := DefaultTransitionModel(); m.RemotePageBytes = 0; return m }(),
-	}
-	for i, tm := range bad {
-		cfg := base
-		cfg.Transitions = tm
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("bad transition model %d accepted", i)
-		}
-	}
-	cfg := base
-	cfg.Transitions = DefaultTransitionModel()
-	if _, err := Run(cfg); err != nil {
-		t.Errorf("default transition model rejected: %v", err)
-	}
-}
-
 // TestSweepTransitionAxis checks the sweep's transition-cost axis: the grid
 // doubles, both branches are retrievable, and the costed branch saves less.
 func TestSweepTransitionAxis(t *testing.T) {
