@@ -231,15 +231,6 @@ func NewPlatform(spec BoardSpec) (*Platform, error) {
 	return p, nil
 }
 
-// MustNewPlatform is NewPlatform for known-good specs; it panics on error.
-func MustNewPlatform(spec BoardSpec) *Platform {
-	p, err := NewPlatform(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // State returns the current global sleep state.
 func (p *Platform) State() SleepState { return p.state }
 
@@ -261,9 +252,6 @@ func (p *Platform) Rails() []string {
 
 // Rail returns the named power rail, or nil.
 func (p *Platform) Rail(name string) *PowerRail { return p.rails[name] }
-
-// Registers returns a copy of the PM1 sleep registers.
-func (p *Platform) Registers() SleepRegisters { return p.regs }
 
 // LastTrace returns the execution trace of the most recent transition.
 func (p *Platform) LastTrace() []TransitionStep {

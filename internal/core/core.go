@@ -321,13 +321,6 @@ func (r *Rack) ResolveDevice(name string) *rdma.Device {
 	return s.Device
 }
 
-// AdmittableRemoteBytes returns the guaranteed remote memory the rack's own
-// admission controller could still accept (capacity minus commitments).
-func (r *Rack) AdmittableRemoteBytes() int64 {
-	r.syncAdmissionCapacity()
-	return r.admission.Available()
-}
-
 // HostCapacities returns the scheduler's current view of every server, in
 // name order: CPU and local-memory headroom plus the power state. The fleet
 // partitioner plans cross-rack placement against this snapshot.
@@ -763,8 +756,9 @@ func (r *Rack) TotalEnergyJoules() float64 {
 }
 
 // bufferStore adapts a set of memctl remote buffers into the hypervisor's
-// page-granular RemoteStore. Pages are spread across the buffers so that a
-// single remote server failure affects only part of a VM's remote memory.
+// page-granular RemoteStore: a VM's RAM Ext pages and the remote half of a
+// RemoteSwapDevice both go through it. Pages are spread across the buffers
+// so that a single remote server failure affects only part of the store.
 type bufferStore struct {
 	buffers []*memctl.RemoteBuffer
 	slots   int

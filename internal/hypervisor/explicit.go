@@ -1,10 +1,6 @@
 package hypervisor
 
-import (
-	"fmt"
-
-	"repro/internal/swapdev"
-)
+import "fmt"
 
 // ExplicitSD models the second remote-memory function of Section 4: a swap
 // device, visible to the VM, backed by remote RAM (or by a local SSD/HDD in
@@ -21,7 +17,7 @@ import (
 type ExplicitSD struct {
 	pages       int
 	localFrames int
-	device      swapdev.Device
+	device      RemoteStore
 	cost        CostModel
 
 	// aggressiveness multiplies the swap traffic relative to what a
@@ -35,6 +31,8 @@ type ExplicitSD struct {
 	fifo      []int
 	slotOf    map[int]int
 	freeSlots []int
+	// buf carries a swapped page's contents: its page number's low byte.
+	buf [1]byte
 
 	stats Stats
 }
@@ -51,8 +49,9 @@ type ExplicitConfig struct {
 	Pages int
 	// LocalFrames is the guest-visible RAM in pages.
 	LocalFrames int
-	// Device is the swap device (remote RAM, SSD or HDD).
-	Device swapdev.Device
+	// Device is the swap device: a swapdev.Store of a Table 2 kind (remote
+	// RAM, SSD or HDD), or the rack's core.RemoteSwapDevice.
+	Device RemoteStore
 	// Cost is the CPU cost model; DefaultCostModel when zero.
 	Cost CostModel
 	// Aggressiveness scales swap traffic; DefaultAggressiveness when zero.
@@ -161,7 +160,7 @@ func (e *ExplicitSD) Access(page int, write bool) (float64, error) {
 
 	// Swap the requested page in if it had been swapped out before.
 	if slot, ok := e.slotOf[page]; ok {
-		inLat, err := e.swapIn(page, slot)
+		inLat, err := e.swapIn(slot)
 		if err != nil {
 			return ns, err
 		}
@@ -188,17 +187,14 @@ func (e *ExplicitSD) swapOut(page int) (float64, error) {
 		e.freeSlots = e.freeSlots[:len(e.freeSlots)-1]
 		e.slotOf[page] = slot
 	}
-	lat, err := e.device.SwapOut(slot, []byte{byte(page)})
+	e.buf[0] = byte(page)
+	lat, err := e.device.WritePage(slot, e.buf[:])
 	return float64(lat), err
 }
 
-func (e *ExplicitSD) swapIn(page, slot int) (float64, error) {
-	dst := make([]byte, 1)
-	lat, err := e.device.SwapIn(slot, dst)
-	if err != nil {
-		return 0, err
-	}
-	return float64(lat), nil
+func (e *ExplicitSD) swapIn(slot int) (float64, error) {
+	lat, err := e.device.ReadPage(slot, e.buf[:])
+	return float64(lat), err
 }
 
 // SwapTraffic returns the total pages moved to/from the swap device; the

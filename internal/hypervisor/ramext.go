@@ -15,9 +15,7 @@ var (
 )
 
 // RemoteStore is the hypervisor's view of remote memory: a page-granular
-// store addressed by slot index. internal/core provides an implementation
-// backed by memctl remote buffers and the RDMA fabric; tests and large sweeps
-// use latency-model implementations.
+// store addressed by slot index. The package doc lists its implementations.
 type RemoteStore interface {
 	// Slots returns the store capacity in pages.
 	Slots() int
@@ -213,11 +211,6 @@ func (r *RAMExt) ResidentPages() int { return r.localFrames - r.freeLocal }
 
 // RemotePages returns the number of pages currently demoted to remote memory.
 func (r *RAMExt) RemotePages() int { return int(r.stats.Demotions - r.stats.Promotions) }
-
-// IsLocal reports whether the page is resident in local memory.
-func (r *RAMExt) IsLocal(page int) bool {
-	return page >= 0 && page < r.pages && r.loc[page] == locLocal
-}
 
 // Access simulates one guest access (read or write) to the page and returns
 // the simulated latency in nanoseconds. It reproduces the modified KVM page

@@ -9,19 +9,19 @@ import (
 	"repro/internal/swapdev"
 )
 
-// recordingStore is a LatencyStore that remembers the highest slot written.
+// recordingStore wraps a RemoteStore and remembers the highest slot written.
 type recordingStore struct {
-	*LatencyStore
+	RemoteStore
 	highest int
 }
 
-func newRecordingStore(slots int) *recordingStore {
-	return &recordingStore{LatencyStore: NewInfinibandStore(slots), highest: -1}
+func newRecordingStore(s RemoteStore) *recordingStore {
+	return &recordingStore{RemoteStore: s, highest: -1}
 }
 
 func (s *recordingStore) WritePage(slot int, page []byte) (int64, error) {
 	s.highest = max(s.highest, slot)
-	return s.LatencyStore.WritePage(slot, page)
+	return s.RemoteStore.WritePage(slot, page)
 }
 
 // TestSlotHighWaterBound: the slot tables cover needRemote+1 slots however
@@ -34,7 +34,7 @@ func TestSlotHighWaterBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := newRecordingStore(32 * needRemote)
+		store := newRecordingStore(NewInfinibandStore(32 * needRemote))
 		r, err := NewRAMExt(Config{Pages: pages, LocalFrames: localFrames, Policy: pol, Remote: store})
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +67,7 @@ func TestExactlyNeedRemoteSlotsRunsDry(t *testing.T) {
 	r, err := NewRAMExt(Config{
 		Pages: pages, LocalFrames: localFrames,
 		Policy: pagepolicy.NewFIFO(pagepolicy.DefaultCost()),
-		Remote: newRecordingStore(pages - localFrames),
+		Remote: NewInfinibandStore(pages - localFrames),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestExactlyNeedRemoteSlotsRunsDry(t *testing.T) {
 
 // failingStore fails the failAt-th WritePage (1-based) and serves the rest.
 type failingStore struct {
-	*recordingStore
+	RemoteStore
 	writes, failAt int
 }
 
@@ -92,14 +92,14 @@ func (s *failingStore) WritePage(slot int, page []byte) (int64, error) {
 	if s.writes++; s.writes == s.failAt {
 		return 0, errors.New("injected write failure")
 	}
-	return s.recordingStore.WritePage(slot, page)
+	return s.RemoteStore.WritePage(slot, page)
 }
 
 // TestFailedDemoteReturnsItsSlot: with only needRemote+1 slots a slot lost to
 // a failed write would leave the VM one short at its next peak.
 func TestFailedDemoteReturnsItsSlot(t *testing.T) {
 	const pages, localFrames = 8, 4
-	store := &failingStore{recordingStore: newRecordingStore(64), failAt: 3}
+	store := &failingStore{RemoteStore: NewInfinibandStore(64), failAt: 3}
 	r, err := NewRAMExt(Config{
 		Pages: pages, LocalFrames: localFrames,
 		Policy: pagepolicy.NewFIFO(pagepolicy.DefaultCost()),
@@ -125,17 +125,6 @@ func TestFailedDemoteReturnsItsSlot(t *testing.T) {
 	}
 }
 
-// recordingDevice wraps a swap device and remembers the highest slot used.
-type recordingDevice struct {
-	swapdev.Device
-	highest int
-}
-
-func (d *recordingDevice) SwapOut(slot int, page []byte) (int64, error) {
-	d.highest = max(d.highest, slot)
-	return d.Device.SwapOut(slot, page)
-}
-
 // TestExplicitSDSlotBound: a swapped-in page keeps its slot, so a guest can
 // come to hold one slot per page — and never more, whatever the device offers.
 func TestExplicitSDSlotBound(t *testing.T) {
@@ -144,7 +133,7 @@ func TestExplicitSDSlotBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recordingDevice{Device: dev, highest: -1}
+	rec := newRecordingStore(dev)
 	e, err := NewExplicitSD(ExplicitConfig{Pages: pages, LocalFrames: localFrames, Device: rec})
 	if err != nil {
 		t.Fatal(err)

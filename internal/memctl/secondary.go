@@ -16,29 +16,18 @@ type SecondaryController struct {
 	lastSeq uint64
 
 	// Heartbeat monitoring.
-	heartbeatTimeoutNs int64
-	lastHeartbeatNs    int64
-	nowNs              int64
-	promoted           bool
-	missedHeartbeats   int
+	lastHeartbeatNs int64
+	nowNs           int64
+	promoted        bool
 }
 
 // DefaultHeartbeatTimeoutNs is the failure-detection timeout (2 seconds).
 const DefaultHeartbeatTimeoutNs int64 = 2_000_000_000
 
-// NewSecondaryController creates a secondary controller with the default
-// heartbeat timeout.
+// NewSecondaryController creates a secondary controller that promotes itself
+// after DefaultHeartbeatTimeoutNs without a heartbeat.
 func NewSecondaryController() *SecondaryController {
-	return &SecondaryController{heartbeatTimeoutNs: DefaultHeartbeatTimeoutNs}
-}
-
-// SetHeartbeatTimeout overrides the failure-detection timeout.
-func (s *SecondaryController) SetHeartbeatTimeout(ns int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ns > 0 {
-		s.heartbeatTimeoutNs = ns
-	}
+	return &SecondaryController{}
 }
 
 // Apply implements Mirror: the primary streams every operation here
@@ -66,13 +55,6 @@ func (s *SecondaryController) LastSeq() uint64 {
 	return s.lastSeq
 }
 
-// Log returns a copy of the mirrored operation log.
-func (s *SecondaryController) Log() []Operation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Operation(nil), s.ops...)
-}
-
 // Heartbeat records a heartbeat from the primary at the given simulated time.
 func (s *SecondaryController) Heartbeat(nowNs int64) {
 	s.mu.Lock()
@@ -81,7 +63,6 @@ func (s *SecondaryController) Heartbeat(nowNs int64) {
 		s.nowNs = nowNs
 	}
 	s.lastHeartbeatNs = nowNs
-	s.missedHeartbeats = 0
 }
 
 // Tick advances the secondary's clock and checks the heartbeat deadline. It
@@ -96,8 +77,7 @@ func (s *SecondaryController) Tick(nowNs int64) bool {
 	if s.promoted {
 		return true
 	}
-	if s.nowNs-s.lastHeartbeatNs > s.heartbeatTimeoutNs {
-		s.missedHeartbeats++
+	if s.nowNs-s.lastHeartbeatNs > DefaultHeartbeatTimeoutNs {
 		s.promoted = true
 	}
 	return s.promoted

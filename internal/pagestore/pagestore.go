@@ -4,12 +4,14 @@
 // written to it, reads of untouched ranges return zeros without allocating,
 // and an operation on already-materialised chunks allocates nothing.
 //
-// It sits under rdma.MemoryRegion (the DRAM a zombie lends) and under the
-// memplane local arena (a VM's local frames), so lending a GiB costs the
-// lender no heap until a borrower actually stores bytes in it.
+// It sits under rdma.MemoryRegion (the DRAM a zombie lends), under the
+// memplane local arena (a VM's local frames) and under swapdev.Store (the
+// slots of a swap device or a latency-model paging store), so lending a GiB
+// costs the lender no heap until a borrower actually stores bytes in it.
 //
 // A Store is not safe for concurrent use; its owners serialise access
-// (rdma under the fabric lock, memplane under the plane lock).
+// (rdma under the fabric lock, memplane under the plane lock, swapdev under
+// the store's own lock).
 package pagestore
 
 import "errors"

@@ -95,12 +95,11 @@ type Fabric struct {
 	devices map[string]*Device
 	stats   Stats
 	nextKey uint32
-	nextQPN uint32
 }
 
 // NewFabric creates a fabric with the given cost model.
 func NewFabric(model CostModel) *Fabric {
-	return &Fabric{model: model, devices: make(map[string]*Device), nextKey: 1, nextQPN: 1}
+	return &Fabric{model: model, devices: make(map[string]*Device), nextKey: 1}
 }
 
 // Model returns the fabric cost model.
@@ -193,11 +192,6 @@ func (f *Fabric) DetachDevice(name string) {
 func (f *Fabric) allocKey() uint32 {
 	f.nextKey++
 	return f.nextKey
-}
-
-func (f *Fabric) allocQPN() uint32 {
-	f.nextQPN++
-	return f.nextQPN
 }
 
 func (f *Fabric) addTime(ns int64) {

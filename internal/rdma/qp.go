@@ -9,7 +9,6 @@ import (
 // CompletionQueue. One-sided verbs (Read, Write) never involve the remote
 // CPU: they only require the remote device's memory path to be serving.
 type QueuePair struct {
-	qpn    uint32
 	local  *Device
 	remote *Device
 	cq     *CompletionQueue
@@ -30,13 +29,8 @@ type recvWR struct {
 // CreateQueuePair creates a queue pair on the device, bound to the completion
 // queue. It must be connected with Connect before use.
 func (d *Device) CreateQueuePair(cq *CompletionQueue) *QueuePair {
-	d.fabric.mu.Lock()
-	defer d.fabric.mu.Unlock()
-	return &QueuePair{qpn: d.fabric.allocQPN(), local: d, cq: cq}
+	return &QueuePair{local: d, cq: cq}
 }
-
-// QPN returns the queue pair number.
-func (qp *QueuePair) QPN() uint32 { return qp.qpn }
 
 // Connect pairs two queue pairs (the out-of-band connection establishment a
 // real deployment does through a connection manager).
@@ -58,12 +52,6 @@ func Connect(a, b *QueuePair) error {
 
 // Connected reports whether the queue pair has a peer.
 func (qp *QueuePair) Connected() bool { return qp.connected }
-
-// LocalDevice returns the device the queue pair was created on.
-func (qp *QueuePair) LocalDevice() *Device { return qp.local }
-
-// RemoteDevice returns the peer device, or nil if not connected.
-func (qp *QueuePair) RemoteDevice() *Device { return qp.remote }
 
 // checkInitiatorLocked validates that this side may initiate a verb, with the
 // fabric lock held: every verb takes that lock once, for the check, the

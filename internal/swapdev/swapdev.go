@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/pagestore"
 )
 
 // PageSize is the swap granularity.
@@ -13,7 +15,6 @@ const PageSize = 4096
 var (
 	ErrSlotOutOfRange = errors.New("swapdev: slot out of range")
 	ErrEmptySlot      = errors.New("swapdev: slot holds no page")
-	ErrDeviceFull     = errors.New("swapdev: device is full")
 )
 
 // Kind identifies a swap device technology.
@@ -21,10 +22,9 @@ type Kind int
 
 // Swap device technologies of Table 2.
 const (
-	RemoteRAM  Kind = iota // Explicit SD backed by a zombie server's RAM
-	LocalSSD               // local fast swap device (the paper's Samsung SSD)
-	LocalHDD               // local slow swap device (the paper's Seagate HDD)
-	NullDevice             // accepts pages and loses them (testing aid)
+	RemoteRAM Kind = iota // Explicit SD backed by a zombie server's RAM
+	LocalSSD              // local fast swap device (the paper's Samsung SSD)
+	LocalHDD              // local slow swap device (the paper's Seagate HDD)
 )
 
 // String names the kind.
@@ -36,8 +36,6 @@ func (k Kind) String() string {
 		return "local-ssd"
 	case LocalHDD:
 		return "local-hdd"
-	case NullDevice:
-		return "null"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -69,23 +67,7 @@ func LatencyOf(k Kind) Latency {
 	}
 }
 
-// Device is a fixed-capacity page store with simulated latencies.
-type Device interface {
-	// Kind returns the device technology.
-	Kind() Kind
-	// Slots returns the device capacity in pages.
-	Slots() int
-	// SwapOut stores a page into the slot and returns the simulated latency.
-	SwapOut(slot int, page []byte) (int64, error)
-	// SwapIn loads the page stored in the slot into dst.
-	SwapIn(slot int, dst []byte) (int64, error)
-	// Free marks the slot empty.
-	Free(slot int)
-	// Stats returns the device counters.
-	Stats() Stats
-}
-
-// Stats aggregates device activity.
+// Stats aggregates store activity.
 type Stats struct {
 	SwapOuts     uint64
 	SwapIns      uint64
@@ -94,159 +76,89 @@ type Stats struct {
 	TotalNs      int64
 }
 
-// memDevice is the common implementation: an in-memory page store with a
-// latency profile. RemoteRAM, LocalSSD, LocalHDD and NullDevice all use it;
-// only the latency (and whether data is retained) differ.
-type memDevice struct {
+// Store is a fixed number of page slots with a latency fixed at
+// construction. Its bytes live in a pagestore.Store of slots × PageSize, so
+// a slot costs no host memory until a page is written to it. A slot holds
+// the last page written to it, zero-padded to PageSize. It implements
+// hypervisor.RemoteStore and is safe for concurrent use.
+type Store struct {
 	mu      sync.Mutex
-	kind    Kind
 	lat     Latency
-	pages   [][]byte
+	pages   *pagestore.Store
 	present []bool
 	stats   Stats
-	retain  bool
 }
 
-// New creates a swap device of the given kind with the given capacity in
-// pages, using the canonical latency for the kind.
-func New(kind Kind, slots int) (Device, error) {
-	return NewWithLatency(kind, slots, LatencyOf(kind))
+// New creates a store of the given kind with the given capacity in pages,
+// using the canonical latency for the kind.
+func New(kind Kind, slots int) (*Store, error) {
+	return NewWithLatency(slots, LatencyOf(kind))
 }
 
-// NewWithLatency creates a swap device with an explicit latency profile
-// (used by the ablation benches).
-func NewWithLatency(kind Kind, slots int, lat Latency) (Device, error) {
+// NewWithLatency creates a store with an explicit latency profile.
+func NewWithLatency(slots int, lat Latency) (*Store, error) {
 	if slots <= 0 {
 		return nil, fmt.Errorf("swapdev: capacity must be positive, got %d", slots)
 	}
-	return &memDevice{
-		kind:    kind,
-		lat:     lat,
-		pages:   make([][]byte, slots),
-		present: make([]bool, slots),
-		retain:  kind != NullDevice,
-	}, nil
+	return &Store{lat: lat, pages: pagestore.New(int64(slots) * PageSize), present: make([]bool, slots)}, nil
 }
 
-func (d *memDevice) Kind() Kind { return d.kind }
+// Slots returns the capacity in pages.
+func (s *Store) Slots() int { return len(s.present) }
 
-func (d *memDevice) Slots() int { return len(d.pages) }
-
-func (d *memDevice) SwapOut(slot int, page []byte) (int64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if slot < 0 || slot >= len(d.pages) {
+// WritePage stores a page of at most PageSize bytes in the slot and returns
+// the write latency.
+func (s *Store) WritePage(slot int, page []byte) (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if slot < 0 || slot >= len(s.present) {
 		return 0, ErrSlotOutOfRange
 	}
 	if len(page) > PageSize {
 		return 0, fmt.Errorf("swapdev: page of %d bytes exceeds %d", len(page), PageSize)
 	}
-	if d.retain {
-		buf := make([]byte, len(page))
-		copy(buf, page)
-		d.pages[slot] = buf
-		d.present[slot] = true
-	}
-	d.stats.SwapOuts++
-	d.stats.BytesWritten += uint64(len(page))
-	d.stats.TotalNs += d.lat.WriteNs
-	return d.lat.WriteNs, nil
+	// Both calls lie inside the store: the slot and the length are checked.
+	off := int64(slot) * PageSize
+	_ = s.pages.WriteAt(page, off)
+	_ = s.pages.Zero(off+int64(len(page)), PageSize-int64(len(page)))
+	s.present[slot] = true
+	s.stats.SwapOuts++
+	s.stats.BytesWritten += uint64(len(page))
+	s.stats.TotalNs += s.lat.WriteNs
+	return s.lat.WriteNs, nil
 }
 
-func (d *memDevice) SwapIn(slot int, dst []byte) (int64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if slot < 0 || slot >= len(d.pages) {
+// ReadPage copies the slot's page, up to len(dst) bytes, into dst and
+// returns the read latency.
+func (s *Store) ReadPage(slot int, dst []byte) (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if slot < 0 || slot >= len(s.present) {
 		return 0, ErrSlotOutOfRange
 	}
-	if !d.present[slot] {
+	if !s.present[slot] {
 		return 0, ErrEmptySlot
 	}
-	n := copy(dst, d.pages[slot])
-	d.stats.SwapIns++
-	d.stats.BytesRead += uint64(n)
-	d.stats.TotalNs += d.lat.ReadNs
-	return d.lat.ReadNs, nil
+	n := min(len(dst), PageSize)
+	_ = s.pages.ReadAt(dst[:n], int64(slot)*PageSize) // inside the store: the slot is checked
+	s.stats.SwapIns++
+	s.stats.BytesRead += uint64(n)
+	s.stats.TotalNs += s.lat.ReadNs
+	return s.lat.ReadNs, nil
 }
 
-func (d *memDevice) Free(slot int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if slot >= 0 && slot < len(d.pages) {
-		d.pages[slot] = nil
-		d.present[slot] = false
+// Free marks the slot empty; a slot outside the store is ignored.
+func (s *Store) Free(slot int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if slot >= 0 && slot < len(s.present) {
+		s.present[slot] = false
 	}
 }
 
-func (d *memDevice) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
-// Mirror is the asynchronous local-storage mirror of Section 4.3 (footnote
-// 3): every write to a remote buffer is also written to local storage so the
-// data survives a remote server reclaim or crash. Because it is asynchronous
-// it adds no latency to the foreground path; it only counts the background
-// traffic it would generate.
-type Mirror struct {
-	mu      sync.Mutex
-	backing Device
-	writes  uint64
-	dropped uint64
-	next    int
-	slotOf  map[uint64]int
-}
-
-// NewMirror creates a mirror on top of a backing (local) device.
-func NewMirror(backing Device) *Mirror {
-	return &Mirror{backing: backing, slotOf: make(map[uint64]int)}
-}
-
-// WriteAsync records a mirror write for the page key. It returns immediately;
-// the simulated latency is not charged to the caller.
-func (m *Mirror) WriteAsync(key uint64, page []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	slot, ok := m.slotOf[key]
-	if !ok {
-		if m.next >= m.backing.Slots() {
-			m.dropped++
-			return
-		}
-		slot = m.next
-		m.next++
-		m.slotOf[key] = slot
-	}
-	if _, err := m.backing.SwapOut(slot, page); err != nil {
-		m.dropped++
-		return
-	}
-	m.writes++
-}
-
-// Recover reads a mirrored page back (the slow path used when the remote copy
-// was reclaimed). It returns the simulated latency of the local read.
-func (m *Mirror) Recover(key uint64, dst []byte) (int64, error) {
-	m.mu.Lock()
-	slot, ok := m.slotOf[key]
-	m.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("swapdev: page %d was never mirrored", key)
-	}
-	return m.backing.SwapIn(slot, dst)
-}
-
-// Writes returns the number of successful mirror writes.
-func (m *Mirror) Writes() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.writes
-}
-
-// Dropped returns the number of mirror writes that could not be stored.
-func (m *Mirror) Dropped() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dropped
+// Stats returns the store counters.
+func (s *Store) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }

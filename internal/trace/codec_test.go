@@ -45,7 +45,7 @@ func TestCodecGzipRoundTrip(t *testing.T) {
 }
 
 func TestDecodeCSVPlainCompatibility(t *testing.T) {
-	// DecodeCSV must accept output of the pre-existing WriteCSV unchanged.
+	// DecodeCSV reads plain EncodeCSV output back task for task.
 	tr, err := Generate(GeneratorConfig{
 		Name: "small", Machines: 10, HorizonSec: 3600, Tasks: 25, Seed: 3,
 	})
@@ -53,7 +53,7 @@ func TestDecodeCSVPlainCompatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := tr.EncodeCSV(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	tasks, err := DecodeCSV(&buf)
@@ -61,7 +61,7 @@ func TestDecodeCSVPlainCompatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(tasks, tr.Tasks) {
-		t.Fatal("DecodeCSV disagrees with ReadCSV on plain WriteCSV output")
+		t.Fatal("DecodeCSV lost tasks of plain EncodeCSV output")
 	}
 }
 

@@ -42,10 +42,10 @@ func familyUnderTest(t *testing.T, f Family, p FamilyParams) *Trace {
 		t.Fatalf("%s: second generate: %v", f.Name(), err)
 	}
 	var a, b bytes.Buffer
-	if err := tr.WriteCSV(&a); err != nil {
+	if err := tr.EncodeCSV(&a, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := again.WriteCSV(&b); err != nil {
+	if err := again.EncodeCSV(&b, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -59,7 +59,7 @@ func familyUnderTest(t *testing.T, f Family, p FamilyParams) *Trace {
 		t.Fatalf("%s: reseeded generate: %v", f.Name(), err)
 	}
 	b.Reset()
-	if err := reseeded.WriteCSV(&b); err != nil {
+	if err := reseeded.EncodeCSV(&b, false); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -15,7 +15,7 @@ import (
 )
 
 // The streaming importer: real cluster traces run to millions of tasks, and
-// the original ReadCSV slurped every raw record through csv.ReadAll before
+// the original CSV decoder slurped every raw record through csv.ReadAll before
 // decoding — holding the whole file's strings and the whole task list in
 // memory at once, and happily accepting invalid tasks and duplicate IDs
 // (whose task-%d VMIDs silently merge distinct VMs in both planners). The
@@ -25,7 +25,7 @@ import (
 // .csv.gz replays with nothing but the Task structs resident.
 
 // Schema adapts one CSV column layout onto Task fields. The bundled schemas
-// are NativeSchema (the WriteCSV layout) and ClusterSchema (a public
+// are NativeSchema (the EncodeCSV layout) and ClusterSchema (a public
 // cluster-trace VM layout in the style of the Azure/Google releases).
 type Schema interface {
 	// Name labels the schema in errors and tooling.
@@ -39,7 +39,7 @@ type Schema interface {
 	Decode(rec []string) (Task, error)
 }
 
-// nativeSchema is the WriteCSV column layout.
+// nativeSchema is the EncodeCSV column layout.
 type nativeSchema struct{}
 
 // NativeSchema returns the repository's own CSV layout:
@@ -204,10 +204,6 @@ func (r *Reader) Read() (Task, error) {
 	}
 }
 
-// Row returns the 1-based physical row of the last record read (the header
-// counts), for callers reporting progress or errors of their own.
-func (r *Reader) Row() int { return r.row }
-
 // importCoresPerServer sizes the derived fleet when ImportOptions.Machines
 // is left zero: 8 cores per server, consolidation.DefaultServerSpec's shape.
 const importCoresPerServer = 8.0
@@ -263,7 +259,7 @@ func Import(r io.Reader, opts ImportOptions) (*Trace, error) {
 }
 
 // finalizeImported sorts the tasks and derives the missing fleet metadata.
-// WriteCSV emits rows in this order already, so the usual import only checks
+// EncodeCSV emits rows in this order already, so the usual import only checks
 // it.
 func finalizeImported(tr *Trace) {
 	byStartThenID := func(a, b Task) int {

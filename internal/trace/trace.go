@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -305,52 +303,3 @@ func Generate(cfg GeneratorConfig) (*Trace, error) {
 
 // csvHeader is the column layout of the CSV codec.
 var csvHeader = []string{"id", "job", "start_sec", "end_sec", "booked_cpu", "booked_mem_gib", "used_cpu", "used_mem_gib"}
-
-// WriteCSV encodes the trace tasks as CSV (with a header row).
-func (tr *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	for _, t := range tr.Tasks {
-		rec := []string{
-			strconv.Itoa(t.ID),
-			strconv.Itoa(t.JobID),
-			strconv.FormatInt(t.StartSec, 10),
-			strconv.FormatInt(t.EndSec, 10),
-			strconv.FormatFloat(t.BookedCPU, 'g', -1, 64),
-			strconv.FormatFloat(t.BookedMemGiB, 'g', -1, 64),
-			strconv.FormatFloat(t.UsedCPU, 'g', -1, 64),
-			strconv.FormatFloat(t.UsedMemGiB, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV decodes tasks from CSV produced by WriteCSV (or converted from the
-// real Google traces), record-at-a-time through Reader: raw records are never
-// materialized in bulk, every task must pass Task.Validate, and duplicate
-// task IDs — whose task-%d VMIDs would silently merge distinct VMs in both
-// the offline replayer and the online admitted set — are rejected with the
-// offending row numbers. Machines and HorizonSec must be set by the caller.
-func ReadCSV(r io.Reader) ([]Task, error) {
-	rd, err := NewReader(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	var tasks []Task
-	for {
-		t, err := rd.Read()
-		if err == io.EOF {
-			return tasks, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, t)
-	}
-}

@@ -210,13 +210,13 @@ func TestComputeStatsEmpty(t *testing.T) {
 func TestCSVRoundTrip(t *testing.T) {
 	tr, _ := Generate(DefaultConfig())
 	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := tr.EncodeCSV(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "id,job,start_sec") {
 		t.Error("CSV should start with the header")
 	}
-	tasks, err := ReadCSV(&buf)
+	tasks, err := DecodeCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +231,11 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err != nil {
+	if _, err := DecodeCSV(strings.NewReader("")); err != nil {
 		t.Errorf("empty input should not error: %v", err)
 	}
 	// Wrong column count (csv reader catches ragged rows itself).
-	if _, err := ReadCSV(strings.NewReader("1,2,3\n")); err == nil {
+	if _, err := DecodeCSV(strings.NewReader("1,2,3\n")); err == nil {
 		t.Error("short row should fail")
 	}
 	// Bad numbers.
@@ -250,12 +250,12 @@ func TestReadCSVErrors(t *testing.T) {
 		"1,1,0,10,1,1,0.5,x",
 	}
 	for i, row := range badRows {
-		if _, err := ReadCSV(strings.NewReader(row + "\n")); err == nil {
+		if _, err := DecodeCSV(strings.NewReader(row + "\n")); err == nil {
 			t.Errorf("bad row %d should fail", i)
 		}
 	}
 	// Without a header row the first line is data.
-	tasks, err := ReadCSV(strings.NewReader("1,1,0,10,1,1,0.5,0.5\n"))
+	tasks, err := DecodeCSV(strings.NewReader("1,1,0,10,1,1,0.5,0.5\n"))
 	if err != nil || len(tasks) != 1 {
 		t.Errorf("headerless parse: %v %d", err, len(tasks))
 	}
