@@ -485,7 +485,7 @@ func BenchmarkFleetDataRequest(b *testing.B) {
 // BenchmarkPageTableLookup measures one translation of a mapped page while a
 // second VM holds 100 000 entries in the same table.
 func BenchmarkPageTableLookup(b *testing.B) {
-	pt := memplane.NewPageTable(memplane.DefaultPageSize)
+	pt := memplane.NewPageTable()
 	const pages = 1024
 	for p := int64(0); p < 100_000; p++ {
 		f := memplane.Frame{Kind: memplane.FrameLocal, Arena: "crowd", LocalOff: p * memplane.DefaultPageSize}

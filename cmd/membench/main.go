@@ -151,7 +151,6 @@ func run(w io.Writer, cfg benchConfig) error {
 		LocalBytes:      int64(cfg.localMiB) << 20,
 		AddressBytes:    span,
 		Agent:           user,
-		Cost:            fabric.Model(),
 		Chaos:           plan,
 		Now:             func() int64 { return now },
 		RecordLatencies: true,

@@ -115,27 +115,17 @@ func run(out io.Writer, machines, tasks int, hours float64, seed int64, modified
 	if err != nil {
 		return err
 	}
-	var profile *energy.MachineProfile
-	switch strings.ToLower(machine) {
-	case "hp":
-		profile = energy.HPProfile()
-	case "dell":
-		profile = energy.DellProfile()
-	default:
-		return fmt.Errorf("unknown -machine %q (valid: hp, dell)", machine)
+	profile, err := energy.ProfileByName(machine)
+	if err != nil {
+		return err
 	}
-	var policies []autopilot.Policy
-	switch policy {
-	case "all":
-		policies = autopilot.Policies(base)
-	case "reactive":
-		policies = []autopilot.Policy{autopilot.NewReactive(base)}
-	case "hysteresis":
-		policies = []autopilot.Policy{autopilot.NewHysteresis(base)}
-	case "ewma":
-		policies = []autopilot.Policy{autopilot.NewPredictiveEWMA(base)}
-	default:
-		return fmt.Errorf("unknown -policy %q (valid: reactive, hysteresis, ewma, all)", policy)
+	policies := autopilot.Policies(base)
+	if policy != "all" {
+		p, err := autopilot.PolicyByName(policy, base)
+		if err != nil {
+			return err
+		}
+		policies = []autopilot.Policy{p}
 	}
 
 	var tr *trace.Trace

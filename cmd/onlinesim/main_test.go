@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro"
+	"repro/internal/gateway"
 	"repro/internal/trace"
 )
 
@@ -140,5 +146,64 @@ func TestFamilyTraceFlagErrors(t *testing.T) {
 	if err := run(&buf, 40, 300, 4, 42, false, "", filepath.Join(t.TempDir(), "missing.csv"), 600,
 		"all", "zombiestack", "hp", false, 0, 0, 0, "", 42, false); err == nil {
 		t.Error("missing trace file accepted")
+	}
+}
+
+// TestMachineNamesAcceptedByEveryFrontEnd: the three front ends that take a
+// machine name — onlinesim -machine, the gateway's autopilot "machine" field
+// and paperfigs -machine (Figure1) — resolve it through one lookup, so each
+// accepts both spellings of both profiles.
+func TestMachineNamesAcceptedByEveryFrontEnd(t *testing.T) {
+	srv := gateway.New(gateway.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+
+	for _, name := range []string{"hp", "HP", "dell", "Dell"} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(&buf, 10, 60, 1, 7, false, "", "", 600, "reactive", "zombiestack", name,
+				false, 0, 0, 0, "", 42, false); err != nil {
+				t.Errorf("onlinesim -machine %s: %v", name, err)
+			}
+			if _, err := zombieland.Figure1(name, 3); err != nil {
+				t.Errorf("paperfigs -machine %s: %v", name, err)
+			}
+
+			status, body := post("/v1/fleets", `{}`)
+			var fleet struct {
+				ID string `json:"id"`
+			}
+			if err := json.Unmarshal(body, &fleet); status != http.StatusCreated || err != nil {
+				t.Fatalf("create fleet = %d %s", status, body)
+			}
+			status, body = post("/v1/fleets/"+fleet.ID+"/autopilot",
+				`{"machines":10,"tasks":60,"hours":1,"tick_sec":600,"machine":"`+name+`"}`)
+			if status != http.StatusAccepted {
+				t.Fatalf("gateway machine %q = %d %s, want 202", name, status, body)
+			}
+			// Drain the event stream so the run finishes before teardown.
+			resp, err := http.Get(ts.URL + "/v1/fleets/" + fleet.ID + "/autopilot/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		})
 	}
 }

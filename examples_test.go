@@ -446,8 +446,8 @@ func Example_memplane() {
 	if err != nil {
 		panic(err)
 	}
-	page := make([]byte, p.PageSize())
-	for addr := int64(0); addr < 16<<20; addr += p.PageSize() {
+	page := make([]byte, 4096) // one guest page
+	for addr := int64(0); addr < 16<<20; addr += int64(len(page)) {
 		for i := range page {
 			page[i] = byte(addr >> 12)
 		}

@@ -58,10 +58,6 @@ type Config struct {
 	// simulated clock so exports are byte-stable. Telemetry only — a nil
 	// bundle leaves the loop bit-identical and allocation-free.
 	Obs *obs.Obs
-
-	// transitions prices every posture change: dcsim.DefaultTransitionModel,
-	// the same model the offline oracle pays under, built by applyDefaults.
-	transitions *dcsim.TransitionModel
 }
 
 // TickEvent is the telemetry snapshot OnTick receives after each re-planning
@@ -152,9 +148,6 @@ func validatePolicy(p Policy) error {
 func (c *Config) applyDefaults() {
 	if c.TickSec == 0 {
 		c.TickSec = 300
-	}
-	if c.transitions == nil {
-		c.transitions = dcsim.DefaultTransitionModel()
 	}
 }
 
@@ -715,7 +708,7 @@ func (l *loop) applyPosture(nowSec int64, next consolidation.FleetPlan, withChur
 	if next.ActiveHosts < l.posture.ActiveHosts {
 		vms = l.runningVMs()
 	}
-	bill := l.cfg.transitions.Cost(l.cfg.Machine, l.planner.Name(), l.posture, priced, vms, dtSec, fabric)
+	bill := dcsim.TransitionCost(l.cfg.Machine, l.planner.Name(), l.posture, priced, vms, dtSec, fabric)
 	l.res.EnergyJoules += bill.Joules
 	l.res.TransitionJoules += bill.Joules
 	l.res.StateTransitions += bill.Transitions

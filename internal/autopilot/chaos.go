@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
+	"repro/internal/rdma"
 )
 
 // Fault-aware re-planning: the online loop consumes a chaos.Plan as a fourth
@@ -248,8 +249,8 @@ func (l *loop) reHome(now int64, shareGiB float64, zombie bool) {
 	m := l.cfg.Machine
 	if shareGiB > 0 {
 		l.res.ReHomedGiB += shareGiB
-		tm := l.cfg.transitions
-		sec := float64(tm.Fabric.TransferNs(tm.Fabric.OneSidedLatencyNs, int(shareGiB*float64(1<<30)))) / 1e9
+		fab := rdma.DefaultCostModel()
+		sec := float64(fab.TransferNs(fab.OneSidedLatencyNs, int(shareGiB*float64(1<<30)))) / 1e9
 		sec *= l.chaos.plan.FabricFactorAt(now)
 		l.addPenalty(sec * m.PowerWatts(acpi.S0, l.posture.ActiveCPUUtilization))
 	}

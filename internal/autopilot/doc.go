@@ -12,12 +12,11 @@
 // number an optimistic bound (the paper's consolidation manager, §6.6, runs
 // online and has no such knowledge). The autopilot closes that gap: it only
 // ever sees the past, pays for every posture change through the same
-// transition-cost model as the offline engine (dcsim.DefaultTransitionModel,
-// priced by TransitionModel.Cost), and bills steady-state power through the
-// same pricing rules (dcsim.PosturePowerWatts, with an Oasis memory server
-// at a constant 0.4 of peak power, and dcsim.BaselinePowerWatts) on a
-// tick-quantized
-// ledger that mirrors the oracle's epoch accounting (see Run), so the regret
+// transition bill as the offline engine (dcsim.TransitionCost), and bills
+// steady-state power through the same pricing rules (dcsim.PosturePowerWatts,
+// with an Oasis memory server at a constant 0.4 of peak power, and
+// dcsim.BaselinePowerWatts) on a tick-quantized ledger that mirrors the
+// oracle's epoch accounting (see Run), so the regret
 // report (Regret) comparing its costed saving against dcsim.Oracle on the
 // same trace isolates decision quality alone. Everything is
 // seed-deterministic: a fixed trace seed reproduces the full regret report

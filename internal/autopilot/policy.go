@@ -1,6 +1,7 @@
 package autopilot
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/consolidation"
@@ -262,4 +263,16 @@ func addHeadroom(p consolidation.FleetPlan, fraction float64) consolidation.Flee
 // given base planner, in presentation order (reactive, hysteresis, ewma).
 func Policies(base consolidation.Policy) []Policy {
 	return []Policy{NewReactive(base), NewHysteresis(base), NewPredictiveEWMA(base)}
+}
+
+// PolicyByName returns a fresh instance of the named bundled online policy
+// over the base planner. Every front end that takes a policy name resolves it
+// here.
+func PolicyByName(name string, base consolidation.Policy) (Policy, error) {
+	for _, p := range Policies(base) {
+		if p.Name() == name {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("autopilot: unknown policy %q (valid: reactive, hysteresis, ewma)", name)
 }

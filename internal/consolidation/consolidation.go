@@ -450,39 +450,23 @@ func (p *StepPlan) DestinationOf(vmID string) (string, bool) {
 	return "", false
 }
 
-// StepConfig parameterises the step-wise loop.
-type StepConfig struct {
-	// UnderloadThreshold marks a host underloaded (default 0.2, the paper's
-	// Oasis experiment uses 20%).
-	UnderloadThreshold float64
-	// OverloadThreshold marks a host overloaded (default 0.9).
-	OverloadThreshold float64
-	// ZombieAware relaxes the placement constraint to the 30%-of-WSS rule and
-	// suspends to Sz instead of S3.
-	ZombieAware bool
-	// WSSFraction is the fraction of a VM's WSS that must fit on the target
-	// (0.3 in Section 5.2) when ZombieAware.
-	WSSFraction float64
-}
-
-// DefaultStepConfig returns the thresholds used in the paper.
-func DefaultStepConfig(zombieAware bool) StepConfig {
-	return StepConfig{UnderloadThreshold: 0.2, OverloadThreshold: 0.9, ZombieAware: zombieAware, WSSFraction: 0.3}
-}
+// The step-wise loop's thresholds, as in the paper.
+const (
+	// underloadThreshold marks a host underloaded (the paper's Oasis
+	// experiment uses 20%).
+	underloadThreshold = 0.2
+	// overloadThreshold marks a host overloaded.
+	overloadThreshold = 0.9
+	// wssFraction is the fraction of a VM's WSS that must fit on the target
+	// when zombie-aware (Section 5.2).
+	wssFraction = 0.3
+)
 
 // PlanSteps runs the four Neat steps over the current host loads: determine
 // underloaded hosts, determine overloaded hosts, select VMs to migrate, and
-// place them (waking suspended hosts when nothing else fits).
-func PlanSteps(hosts []HostLoad, cfg StepConfig) StepPlan {
-	if cfg.UnderloadThreshold <= 0 {
-		cfg.UnderloadThreshold = 0.2
-	}
-	if cfg.OverloadThreshold <= 0 || cfg.OverloadThreshold > 1 {
-		cfg.OverloadThreshold = 0.9
-	}
-	if cfg.WSSFraction <= 0 {
-		cfg.WSSFraction = 0.3
-	}
+// place them (waking suspended hosts when nothing else fits). A zombie-aware
+// plan relaxes the placement constraint to the 30%-of-WSS rule.
+func PlanSteps(hosts []HostLoad, zombieAware bool) StepPlan {
 	plan := StepPlan{Names: ident.NewRegistry()}
 
 	// Hosts are interned first, in input order, so host ident IDs double as
@@ -499,10 +483,10 @@ func PlanSteps(hosts []HostLoad, cfg StepConfig) StepPlan {
 			continue
 		}
 		switch {
-		case h.CPUUtilization < cfg.UnderloadThreshold:
+		case h.CPUUtilization < underloadThreshold:
 			under = append(under, i)
 			plan.UnderloadedHosts = append(plan.UnderloadedHosts, hostID[i])
-		case h.CPUUtilization > cfg.OverloadThreshold:
+		case h.CPUUtilization > overloadThreshold:
 			over = append(over, i)
 			plan.OverloadedHosts = append(plan.OverloadedHosts, hostID[i])
 		default:
@@ -547,8 +531,8 @@ func PlanSteps(hosts []HostLoad, cfg StepConfig) StepPlan {
 	var woken ident.Set
 	for _, p := range toMigrate {
 		need := p.vm.BookedMemGiB
-		if cfg.ZombieAware {
-			need = p.vm.WSSGiB() * cfg.WSSFraction
+		if zombieAware {
+			need = p.vm.WSSGiB() * wssFraction
 		}
 		placed := false
 		for i := range hosts {

@@ -225,7 +225,7 @@ func TestPlanStepsClassification(t *testing.T) {
 		}},
 		{ID: "asleep", Suspended: true, FreeMemGiB: 16},
 	}
-	plan := PlanSteps(hosts, DefaultStepConfig(false))
+	plan := PlanSteps(hosts, false)
 	if names := plan.HostNames(plan.UnderloadedHosts); len(names) != 1 || names[0] != "under" {
 		t.Errorf("underloaded = %v", names)
 	}
@@ -257,7 +257,7 @@ func TestPlanStepsWakesSuspendedHost(t *testing.T) {
 		{ID: "busy", CPUUtilization: 0.6, FreeMemGiB: 1},
 		{ID: "zzz", Suspended: true, FreeMemGiB: 16},
 	}
-	plan := PlanSteps(hosts, DefaultStepConfig(false))
+	plan := PlanSteps(hosts, false)
 	if names := plan.HostNames(plan.Wake); len(names) != 1 || names[0] != "zzz" {
 		t.Errorf("wake = %v", names)
 	}
@@ -276,11 +276,11 @@ func TestPlanStepsZombieAwareNeedsLessMemory(t *testing.T) {
 		{ID: "tight", CPUUtilization: 0.5, FreeMemGiB: 2},
 		{ID: "zzz", Suspended: true, FreeMemGiB: 16},
 	}
-	vanilla := PlanSteps(hosts, DefaultStepConfig(false))
+	vanilla := PlanSteps(hosts, false)
 	if dest, _ := vanilla.DestinationOf("a"); dest != "zzz" {
 		t.Errorf("vanilla should need the suspended host, got %q", dest)
 	}
-	zombie := PlanSteps(hosts, DefaultStepConfig(true))
+	zombie := PlanSteps(hosts, true)
 	if dest, _ := zombie.DestinationOf("a"); dest != "tight" {
 		t.Errorf("zombie-aware placement should fit on the tight host, got %q", dest)
 	}
@@ -296,26 +296,11 @@ func TestPlanStepsUnplaceableVMKeepsHostUp(t *testing.T) {
 		}},
 		{ID: "small", CPUUtilization: 0.5, FreeMemGiB: 2},
 	}
-	plan := PlanSteps(hosts, DefaultStepConfig(false))
+	plan := PlanSteps(hosts, false)
 	if len(plan.Suspend) != 0 {
 		t.Errorf("host with an unplaceable VM must stay up, suspend=%v", plan.Suspend)
 	}
 	if _, ok := plan.DestinationOf("a"); ok {
 		t.Error("the unplaceable VM must not be migrated")
-	}
-}
-
-func TestDefaultStepConfigDefaults(t *testing.T) {
-	cfg := StepConfig{}
-	plan := PlanSteps([]HostLoad{{ID: "h", CPUUtilization: 0.5}}, cfg)
-	if plan.Names == nil {
-		t.Error("plan should always carry its name registry")
-	}
-	if len(plan.Migrations) != 0 {
-		t.Errorf("nothing to migrate, got %d moves", len(plan.Migrations))
-	}
-	got := DefaultStepConfig(true)
-	if got.UnderloadThreshold != 0.2 || got.WSSFraction != 0.3 || !got.ZombieAware {
-		t.Errorf("default config = %+v", got)
 	}
 }

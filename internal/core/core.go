@@ -123,15 +123,11 @@ type Config struct {
 	NamePrefix string
 	// Board describes every server's hardware; DefaultBoardSpec if zero.
 	Board acpi.BoardSpec
-	// MachineProfile is the per-server power model; the HP profile if nil.
-	MachineProfile *energy.MachineProfile
 	// BufferSize is the rack-wide remote buffer size; memctl default if 0.
 	BufferSize int64
 	// HostReservedBytes is the memory each server keeps for itself (host OS,
 	// hypervisor); 1 GiB if 0.
 	HostReservedBytes int64
-	// CostModel is the RDMA fabric cost model; the default if zero.
-	CostModel rdma.CostModel
 }
 
 // Rack is the assembled system.
@@ -179,22 +175,13 @@ func NewRack(cfg Config) (*Rack, error) {
 	if err := cfg.Board.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MachineProfile == nil {
-		cfg.MachineProfile = energy.HPProfile()
-	}
-	if err := cfg.MachineProfile.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.HostReservedBytes <= 0 {
 		cfg.HostReservedBytes = 1 << 30
-	}
-	if cfg.CostModel == (rdma.CostModel{}) {
-		cfg.CostModel = rdma.DefaultCostModel()
 	}
 
 	r := &Rack{
 		cfg:       cfg,
-		fabric:    rdma.NewFabric(cfg.CostModel),
+		fabric:    rdma.NewFabric(rdma.DefaultCostModel()),
 		secondary: memctl.NewSecondaryController(),
 		scheduler: placement.NewScheduler(),
 		names:     ident.NewRegistry(),
@@ -214,6 +201,8 @@ func NewRack(cfg Config) (*Rack, error) {
 		return s.Device
 	}
 
+	// Every server draws power like the paper's HP machine (Table 3).
+	profile := energy.HPProfile()
 	for i := 0; i < cfg.Servers; i++ {
 		name := fmt.Sprintf("%sserver-%02d", cfg.NamePrefix, i)
 		platform, err := acpi.NewPlatform(cfg.Board)
@@ -241,7 +230,7 @@ func NewRack(cfg Config) (*Rack, error) {
 			Platform: platform,
 			Device:   dev,
 			Agent:    agent,
-			Energy:   energy.NewAccumulator(cfg.MachineProfile),
+			Energy:   energy.NewAccumulator(profile),
 			role:     RoleActive,
 			vms:      make(map[string]*GuestVM),
 		})

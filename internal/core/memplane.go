@@ -8,7 +8,6 @@ import (
 	"repro/internal/ident"
 	"repro/internal/memctl"
 	"repro/internal/memplane"
-	"repro/internal/vm"
 )
 
 // MemplaneOf returns (building on first use) the VM's remote-memory data
@@ -34,15 +33,12 @@ func (r *Rack) MemplaneOf(vmID string) (*memplane.Plane, error) {
 		return guest.plane, nil
 	}
 	host, _ := r.server(guest.Host)
-	pageSize := int64(vm.DefaultPageSize)
 	p, err := memplane.New(memplane.Config{
 		VM:           vmID,
-		LocalBytes:   int64(guest.Paging.LocalFrames()) * pageSize,
-		AddressBytes: int64(guest.Paging.Pages()) * pageSize,
-		PageSize:     pageSize,
+		LocalBytes:   int64(guest.Paging.LocalFrames()) * memplane.DefaultPageSize,
+		AddressBytes: int64(guest.Paging.Pages()) * memplane.DefaultPageSize,
 		Agent:        host.Agent,
 		Buffers:      guest.buffers,
-		Cost:         r.cfg.CostModel,
 		Chaos:        r.dataChaos,
 		Now:          r.dataNow,
 	})
@@ -87,10 +83,10 @@ func (r *Rack) dataPlanes() []*memplane.Plane {
 
 // ResidentBytes returns the host memory the rack's simulated DRAM occupies:
 // the materialised part of every region lent on the fabric plus that of every
-// live data plane's local arena. The gateway evaluates it on every scrape and
-// session report, so it allocates nothing; and it never holds the rack lock
-// while taking a plane's, since a plane calls its Now hook under its own lock
-// and that hook may read the rack clock.
+// live data plane's local arena and mirror. The gateway evaluates it on every
+// scrape and session report, so it allocates nothing; and it never holds the
+// rack lock while taking a plane's, since a plane calls its Now hook under its
+// own lock and that hook may read the rack clock.
 func (r *Rack) ResidentBytes() int64 {
 	total := r.fabric.ResidentBytes()
 	for i := 0; ; i++ {

@@ -157,7 +157,7 @@ func (r *Rack) ConsolidateOnce() (ConsolidationReport, error) {
 		})
 	}
 
-	plan := consolidation.PlanSteps(loads, consolidation.DefaultStepConfig(true))
+	plan := consolidation.PlanSteps(loads, true)
 	report.Underloaded = plan.HostNames(plan.UnderloadedHosts)
 	report.Overloaded = plan.HostNames(plan.OverloadedHosts)
 

@@ -46,10 +46,6 @@ type Config struct {
 	// function of (plan, epoch span, epoch posture), so the parallel engine
 	// stays bit-identical — and an empty plan is bit-identical to no plan.
 	Chaos *chaos.Plan
-
-	// transitions is DefaultTransitionModel, built by applyDefaults when
-	// transition costs or chaos pricing need it.
-	transitions *TransitionModel
 }
 
 // Validate checks the configuration.
@@ -85,12 +81,6 @@ func (c *Config) Validate() error {
 func (c *Config) applyDefaults() {
 	if c.ConsolidationPeriodSec <= 0 {
 		c.ConsolidationPeriodSec = 300
-	}
-	// Chaos pricing needs the transition model even when the steady-state
-	// run leaves TransitionCosts off (wasted wakes and re-homing are priced
-	// through it).
-	if c.TransitionCosts || !c.Chaos.Empty() {
-		c.transitions = DefaultTransitionModel()
 	}
 }
 
@@ -419,7 +409,7 @@ func simulateEpoch(cfg *Config, vms []consolidation.VMDemand, span epochSpan, pr
 		baselineJ: baselinePower(cfg, vms) * dt,
 	}
 	if cfg.TransitionCosts {
-		c := cfg.transitions.Cost(cfg.Machine, cfg.Policy.Name(), chaosAlignPrev(cfg, prev, plan), plan, vms, dt, chaosFabricFactor(cfg, span))
+		c := TransitionCost(cfg.Machine, cfg.Policy.Name(), chaosAlignPrev(cfg, prev, plan), plan, vms, dt, chaosFabricFactor(cfg, span))
 		stats.energyJ += c.Joules
 		stats.transitionJ = c.Joules
 		stats.transitions = c.Transitions

@@ -2,7 +2,6 @@ package dcsim
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/acpi"
@@ -138,13 +137,8 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	cfg := Config{}
 	cfg.applyDefaults()
-	if cfg.ConsolidationPeriodSec != 300 || cfg.transitions != nil {
+	if cfg.ConsolidationPeriodSec != 300 {
 		t.Errorf("defaults = %+v", cfg)
-	}
-	cfg.TransitionCosts = true
-	cfg.applyDefaults()
-	if !reflect.DeepEqual(cfg.transitions, DefaultTransitionModel()) {
-		t.Errorf("costed run prices with %+v, want the default transition model", cfg.transitions)
 	}
 }
 

@@ -9,8 +9,8 @@
 // each state times that state's power from the machine profile (Table 3),
 // with an Oasis memory server at a constant 0.4 of the machine's peak power.
 // The no-consolidation baseline, BaselinePowerWatts, keeps every server in S0
-// with the load spread across the fleet. The transition bill always uses
-// DefaultTransitionModel.
+// with the load spread across the fleet. A posture change is billed by one
+// function too, TransitionCost, over the paper's fixed parameters.
 //
 // Two accounting models are available. The steady-state model integrates each
 // epoch as if the fleet had always been in the epoch plan's posture — the
@@ -61,7 +61,7 @@
 // for the online control plane: Oracle runs the engine with transition costs
 // forced on, and internal/autopilot measures its regret against that
 // configuration using the same exported pricing rules (PosturePowerWatts, BaselinePowerWatts,
-// TransitionModel.Cost).
+// TransitionCost).
 //
 // Config.Chaos re-runs any of the above under a deterministic fault schedule
 // (internal/chaos): epochs plan against the then-surviving fleet, crashed

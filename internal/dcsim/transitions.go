@@ -29,39 +29,30 @@ import (
 	"repro/internal/vm"
 )
 
-// TransitionModel parameterises the per-epoch transition costs.
-type TransitionModel struct {
-	// Vanilla is the pre-copy migration protocol used to drain hosts under
-	// the neat and oasis policies.
-	Vanilla *migration.Vanilla
-	// Zombie is the ZombieStack migration protocol (hot local pages only,
-	// remote buffers re-pointed) used under the zombiestack policy.
-	Zombie *migration.ZombieStack
-	// LocalMemoryFraction is the share of a VM's memory kept local under the
-	// zombiestack policy (the 50% placement rule), fed to Zombie.Migrate.
-	LocalMemoryFraction float64
-	// Fabric prices the remote-memory page faults.
-	Fabric rdma.CostModel
-	// RemoteFaultsPerGiBPerSec is the rate at which active hosts fault on
-	// remotely-served memory, per GiB of remote memory.
-	RemoteFaultsPerGiBPerSec float64
-	// RemotePageBytes is the payload of one remote fault (guest page size).
-	RemotePageBytes int
-}
+// The transition costs use the paper's parameters: the Figure 9 migration
+// protocols, the FDR-Infiniband fabric constants, the 50% local-memory rule
+// and a moderate remote-fault rate. The protocols and the fabric are only
+// ever read, so every run and every shard shares them.
+var (
+	// vanillaMigration drains hosts under the neat and oasis policies.
+	vanillaMigration = migration.NewVanilla()
+	// zombieMigration (hot local pages only, remote buffers re-pointed)
+	// drains hosts under the zombiestack policy.
+	zombieMigration = migration.NewZombieStack()
+	// fabric prices the remote-memory page faults.
+	fabric = rdma.DefaultCostModel()
+)
 
-// DefaultTransitionModel returns the model with the paper's parameters: the
-// Figure 9 migration protocols, the FDR-Infiniband fabric constants, the 50%
-// local-memory rule and a moderate remote-fault rate.
-func DefaultTransitionModel() *TransitionModel {
-	return &TransitionModel{
-		Vanilla:                  migration.NewVanilla(),
-		Zombie:                   migration.NewZombieStack(),
-		LocalMemoryFraction:      0.5,
-		Fabric:                   rdma.DefaultCostModel(),
-		RemoteFaultsPerGiBPerSec: 50,
-		RemotePageBytes:          vm.DefaultPageSize,
-	}
-}
+const (
+	// localMemoryFraction is the share of a VM's memory kept local under the
+	// zombiestack policy (the 50% placement rule).
+	localMemoryFraction = 0.5
+	// remoteFaultsPerGiBPerSec is the rate at which active hosts fault on
+	// remotely-served memory, per GiB of remote memory.
+	remoteFaultsPerGiBPerSec = 50
+	// remotePageBytes is the payload of one remote fault (guest page size).
+	remotePageBytes = vm.DefaultPageSize
+)
 
 // TransitionBill is the priced outcome of one posture change. It is the
 // exported face of the per-epoch transition accounting, shared with the
@@ -79,18 +70,19 @@ type TransitionBill struct {
 	MigrationSeconds float64
 }
 
-// Cost prices moving the fleet from the prev posture to the next one, with
-// the given VM population running: the ACPI suspend/wake events of the plan
-// delta, the migration drains of the freed hosts (protocol selected by the
-// policy name — the ZombieStack protocol for "zombiestack", vanilla pre-copy
-// otherwise), and the remote-memory churn of the new posture over dt seconds.
+// TransitionCost prices moving the fleet from the prev posture to the next
+// one, with the given VM population running: the ACPI suspend/wake events of
+// the plan delta, the migration drains of the freed hosts (protocol selected
+// by the policy name — the ZombieStack protocol for "zombiestack", vanilla
+// pre-copy otherwise), and the remote-memory churn of the new posture over dt
+// seconds.
 // dt also caps each freed host's drain, so a host is never charged for
 // draining longer than the interval it drains in. fabricFactor scales the
 // churn's fabric latency — the chaos layer's degraded-fabric pricing; a
 // factor of exactly 1 is the healthy fabric, and multiplying by 1.0 is exact
 // in IEEE arithmetic, which keeps an empty fault plan indistinguishable from
 // the no-chaos path.
-func (tm *TransitionModel) Cost(m *energy.MachineProfile, policy string, prev, plan consolidation.FleetPlan, vms []consolidation.VMDemand, dt, fabricFactor float64) TransitionBill {
+func TransitionCost(m *energy.MachineProfile, policy string, prev, plan consolidation.FleetPlan, vms []consolidation.VMDemand, dt, fabricFactor float64) TransitionBill {
 	d := consolidation.Delta(prev, plan, len(vms))
 	var c TransitionBill
 	c.Transitions = d.Transitions()
@@ -108,7 +100,7 @@ func (tm *TransitionModel) Cost(m *energy.MachineProfile, policy string, prev, p
 	// Migration drain: the freed hosts stay in S0 at idle power while their
 	// VMs leave, in parallel across hosts, serially within a host.
 	if d.Migrations > 0 && d.FreedHosts > 0 {
-		if perMigSec := tm.migrationSeconds(policy, vms); perMigSec > 0 {
+		if perMigSec := migrationSeconds(policy, vms); perMigSec > 0 {
 			perHost := perMigSec * float64(d.Migrations) / float64(d.FreedHosts)
 			if perHost > dt {
 				perHost = dt
@@ -122,9 +114,9 @@ func (tm *TransitionModel) Cost(m *energy.MachineProfile, policy string, prev, p
 	// Remote-memory churn: faults on zombie- or memory-server-hosted pages
 	// stall the faulting active host at its operating power for the fabric
 	// round trip of one page.
-	if plan.RemoteMemoryGiB > 0 && tm.RemoteFaultsPerGiBPerSec > 0 {
-		faults := tm.RemoteFaultsPerGiBPerSec * plan.RemoteMemoryGiB * dt
-		perFaultSec := float64(tm.Fabric.TransferNs(tm.Fabric.OneSidedLatencyNs, tm.RemotePageBytes)) / 1e9 * fabricFactor
+	if plan.RemoteMemoryGiB > 0 {
+		faults := remoteFaultsPerGiBPerSec * plan.RemoteMemoryGiB * dt
+		perFaultSec := float64(fabric.TransferNs(fabric.OneSidedLatencyNs, remotePageBytes)) / 1e9 * fabricFactor
 		c.Joules += faults * perFaultSec * m.PowerWatts(acpi.S0, plan.ActiveCPUUtilization)
 	}
 	return c
@@ -132,7 +124,7 @@ func (tm *TransitionModel) Cost(m *energy.MachineProfile, policy string, prev, p
 
 // migrationSeconds returns the duration of migrating the epoch's mean VM
 // under the policy's protocol, or 0 when the population is empty.
-func (tm *TransitionModel) migrationSeconds(policy string, vms []consolidation.VMDemand) float64 {
+func migrationSeconds(policy string, vms []consolidation.VMDemand) float64 {
 	var bookedGiB, usedGiB float64
 	for _, v := range vms {
 		bookedGiB += v.BookedMemGiB
@@ -152,9 +144,9 @@ func (tm *TransitionModel) migrationSeconds(policy string, vms []consolidation.V
 	var res migration.Result
 	var err error
 	if policy == "zombiestack" {
-		res, err = tm.Zombie.Migrate(meanVM, wssRatio, tm.LocalMemoryFraction)
+		res, err = zombieMigration.Migrate(meanVM, wssRatio, localMemoryFraction)
 	} else {
-		res, err = tm.Vanilla.Migrate(meanVM, wssRatio)
+		res, err = vanillaMigration.Migrate(meanVM, wssRatio)
 	}
 	if err != nil {
 		return 0

@@ -3,6 +3,7 @@ package energy
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/acpi"
 )
@@ -90,14 +91,15 @@ func Profiles() []*MachineProfile {
 	return []*MachineProfile{hp, dell}
 }
 
-// ProfileByName returns the named profile ("HP" or "Dell"), Sz filled in.
+// ProfileByName returns the named profile ("HP" or "Dell", in any case), Sz
+// filled in. Every front end that takes a machine name resolves it here.
 func ProfileByName(name string) (*MachineProfile, error) {
 	for _, p := range Profiles() {
-		if p.Name == name {
+		if strings.EqualFold(p.Name, name) {
 			return p, nil
 		}
 	}
-	return nil, fmt.Errorf("energy: unknown machine profile %q", name)
+	return nil, fmt.Errorf("energy: unknown machine %q (valid: HP, Dell)", name)
 }
 
 // EstimateSz computes the Sz power fraction with the paper's Equation 1:

@@ -79,7 +79,7 @@ func runDataTraffic(rack *core.Rack, req WorkloadRequest) (memplane.Stats, error
 	if err != nil {
 		return memplane.Stats{}, err
 	}
-	ps := p.PageSize()
+	ps := memplane.DefaultPageSize
 	pages := int(req.DataBytes / ps)
 	if pages < 1 {
 		pages = 1

@@ -80,7 +80,7 @@ func TestFleetDataTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := []byte("zombie memory serves bytes")
-	addr := int64(guest.Paging.Pages()-2) * p.PageSize() // past the local frames
+	addr := int64(guest.Paging.Pages()-2) * memplane.DefaultPageSize // past the local frames
 	if _, _, err := p.Write(addr, src); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFleetCrashRehomeData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := p.PageSize()
+	ps := memplane.DefaultPageSize
 	total := int64(guest.Paging.LocalFrames()) + 100
 	if max := int64(guest.Paging.Pages()); total > max {
 		t.Fatalf("paging scale too small: %d local frames of %d pages", guest.Paging.LocalFrames(), max)
@@ -237,7 +237,7 @@ func TestDataTrafficPayloadBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := p.PageSize()
+	ps := memplane.DefaultPageSize
 	got, want := make([]byte, ps), make([]byte, ps)
 	seeds, kinds := map[int64]int{}, map[memplane.FrameKind]int{}
 	for page, seed := range writer {

@@ -59,8 +59,12 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.Machines < 1 || req.HorizonSec < 1 {
-		writeError(w, http.StatusBadRequest, "machines and horizon_sec must be >= 1")
+	switch {
+	case req.Machines < 1 || req.Machines > maxAPMachines:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("machines %d out of range (need 1..%d)", req.Machines, maxAPMachines))
+		return
+	case req.HorizonSec < 1 || req.HorizonSec > maxAPHours*3600:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("horizon_sec %d out of range (need 1..%d)", req.HorizonSec, maxAPHours*3600))
 		return
 	}
 	plan, err := chaos.Scenario(req.Scenario, req.HorizonSec, req.Machines, req.Seed)
@@ -102,29 +106,6 @@ type autopilotRequest struct {
 	Modified bool    `json:"modified"`
 }
 
-// policyByName builds a fresh online policy over the base planner.
-func policyByName(name string, base consolidation.Policy) (autopilot.Policy, error) {
-	switch name {
-	case "reactive":
-		return autopilot.NewReactive(base), nil
-	case "hysteresis":
-		return autopilot.NewHysteresis(base), nil
-	case "ewma":
-		return autopilot.NewPredictiveEWMA(base), nil
-	}
-	return nil, fmt.Errorf("unknown policy %q (valid: reactive, hysteresis, ewma)", name)
-}
-
-func machineByName(name string) (*energy.MachineProfile, error) {
-	switch name {
-	case "hp":
-		return energy.HPProfile(), nil
-	case "dell":
-		return energy.DellProfile(), nil
-	}
-	return nil, fmt.Errorf("unknown machine %q (valid: hp, dell)", name)
-}
-
 func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(w, r)
 	if sess == nil {
@@ -136,14 +117,21 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case req.Machines < 1 || req.Tasks < 1:
-		writeError(w, http.StatusBadRequest, "machines and tasks must be >= 1")
+	case req.Machines < 1 || req.Machines > maxAPMachines:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("machines %d out of range (need 1..%d)", req.Machines, maxAPMachines))
 		return
-	case req.Hours <= 0:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("hours %g out of range (need > 0)", req.Hours))
+	case req.Tasks < 1 || req.Tasks > maxAPTasks:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("tasks %d out of range (need 1..%d)", req.Tasks, maxAPTasks))
+		return
+	case !(req.Hours > 0 && req.Hours <= maxAPHours):
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("hours %g out of range (need more than 0, at most %d)", req.Hours, maxAPHours))
 		return
 	case req.TickSec < 1:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("tick_sec %d out of range (need >= 1)", req.TickSec))
+		return
+	case req.Hours*3600/float64(req.TickSec) > maxAPTicks:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("hours %g at tick_sec %d is %.0f ticks (need at most %d)",
+			req.Hours, req.TickSec, req.Hours*3600/float64(req.TickSec), maxAPTicks))
 		return
 	}
 	base, err := consolidation.PolicyByName(req.Planner)
@@ -151,12 +139,12 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	policy, err := policyByName(req.Policy, base)
+	policy, err := autopilot.PolicyByName(req.Policy, base)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	profile, err := machineByName(req.Machine)
+	profile, err := energy.ProfileByName(req.Machine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -44,16 +44,28 @@ func TestAutopilotHandlers(t *testing.T) {
 		{"chaos unknown fleet", http.MethodPost, "/v1/fleets/nope/chaos",
 			`{}`, http.StatusNotFound, []string{"unknown fleet"}},
 		{"chaos bad shape", http.MethodPost, "/v1/fleets/" + fleetID + "/chaos",
-			`{"machines":0}`, http.StatusBadRequest, []string{"machines and horizon_sec"}},
+			`{"machines":0}`, http.StatusBadRequest, []string{"machines 0 out of range"}},
+		{"chaos too many machines", http.MethodPost, "/v1/fleets/" + fleetID + "/chaos",
+			`{"machines":10001}`, http.StatusBadRequest, []string{"machines 10001 out of range", "1..10000"}},
+		{"chaos horizon past a week", http.MethodPost, "/v1/fleets/" + fleetID + "/chaos",
+			`{"horizon_sec":604801}`, http.StatusBadRequest, []string{"horizon_sec 604801 out of range", "1..604800"}},
 
 		{"autopilot bad policy", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
 			`{"policy":"psychic"}`, http.StatusBadRequest, []string{"unknown policy", "psychic", "hysteresis"}},
 		{"autopilot bad planner", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
 			`{"planner":"bogus"}`, http.StatusBadRequest, []string{"bogus"}},
 		{"autopilot bad machine", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
-			`{"machine":"toaster"}`, http.StatusBadRequest, []string{"unknown machine", "toaster", "hp, dell"}},
+			`{"machine":"toaster"}`, http.StatusBadRequest, []string{"unknown machine", "toaster", "HP, Dell"}},
 		{"autopilot bad hours", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
 			`{"hours":-1}`, http.StatusBadRequest, []string{"hours -1 out of range"}},
+		{"autopilot too many machines", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
+			`{"machines":10001}`, http.StatusBadRequest, []string{"machines 10001 out of range", "1..10000"}},
+		{"autopilot too many tasks", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
+			`{"tasks":100001}`, http.StatusBadRequest, []string{"tasks 100001 out of range", "1..100000"}},
+		{"autopilot hours past a week", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
+			`{"hours":168.5}`, http.StatusBadRequest, []string{"hours 168.5 out of range", "at most 168"}},
+		{"autopilot too many ticks", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
+			`{"hours":28,"tick_sec":1}`, http.StatusBadRequest, []string{"100800 ticks", "at most 100000"}},
 		{"autopilot bad tick", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
 			`{"tick_sec":0}`, http.StatusBadRequest, []string{"tick_sec 0 out of range"}},
 		{"autopilot unknown fleet", http.MethodPost, "/v1/fleets/nope/autopilot",

@@ -38,12 +38,19 @@ type createFleetResponse struct {
 // past the paper's 16 GiB servers and keeps mem_gib<<30 inside a uint64,
 // workers past 256 goroutines buy nothing on any host, 4096 VMs overfill the
 // largest fleet the gateway builds, and a workloads item is a replay of at
-// most 1000 passes, not a request that pins a core for hours.
+// most 1000 passes, not a request that pins a core for hours. The same holds
+// for an autopilot or chaos run: its trace is generated before the request is
+// answered, so a fleet of 10 000 machines, 100 000 tasks, a week of horizon
+// and 100 000 ticks bound what one request can make the daemon compute.
 const (
 	maxMemGiB     = 1024
 	maxWorkers    = 256
 	maxPlaceCount = 4096
 	maxIterations = 1000
+	maxAPMachines = 10_000
+	maxAPTasks    = 100_000
+	maxAPHours    = 168
+	maxAPTicks    = 100_000
 )
 
 func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {

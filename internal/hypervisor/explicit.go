@@ -18,7 +18,6 @@ type ExplicitSD struct {
 	pages       int
 	localFrames int
 	device      RemoteStore
-	cost        CostModel
 
 	// aggressiveness multiplies the swap traffic relative to what a
 	// hypervisor-managed policy would generate (>= 1).
@@ -52,8 +51,6 @@ type ExplicitConfig struct {
 	// Device is the swap device: a swapdev.Store of a Table 2 kind (remote
 	// RAM, SSD or HDD), or the rack's core.RemoteSwapDevice.
 	Device RemoteStore
-	// Cost is the CPU cost model; DefaultCostModel when zero.
-	Cost CostModel
 	// Aggressiveness scales swap traffic; DefaultAggressiveness when zero.
 	Aggressiveness float64
 }
@@ -68,9 +65,6 @@ func NewExplicitSD(cfg ExplicitConfig) (*ExplicitSD, error) {
 	}
 	if cfg.LocalFrames > cfg.Pages {
 		cfg.LocalFrames = cfg.Pages
-	}
-	if cfg.Cost == (CostModel{}) {
-		cfg.Cost = DefaultCostModel()
 	}
 	if cfg.Aggressiveness <= 0 {
 		cfg.Aggressiveness = DefaultAggressiveness
@@ -88,7 +82,6 @@ func NewExplicitSD(cfg ExplicitConfig) (*ExplicitSD, error) {
 		pages:          cfg.Pages,
 		localFrames:    cfg.LocalFrames,
 		device:         cfg.Device,
-		cost:           cfg.Cost,
 		aggressiveness: cfg.Aggressiveness,
 		resident:       make(map[int]bool, cfg.LocalFrames),
 		slotOf:         make(map[int]int),
@@ -120,15 +113,15 @@ func (e *ExplicitSD) Access(page int, write bool) (float64, error) {
 		return 0, ErrBadPage
 	}
 	e.stats.Accesses++
-	ns := e.cost.LocalAccessNs
-	e.stats.LocalNs += e.cost.LocalAccessNs
+	ns := localAccessNs
+	e.stats.LocalNs += localAccessNs
 	if e.resident[page] {
 		return ns, nil
 	}
 
 	// Page fault inside the guest.
-	ns += e.cost.FaultTrapNs
-	e.stats.FaultNs += e.cost.FaultTrapNs
+	ns += faultTrapNs
+	e.stats.FaultNs += faultTrapNs
 
 	// Make room if guest RAM is full: swap out the oldest resident page. The
 	// aggressiveness factor models the extra traffic a guest-managed policy

@@ -25,31 +25,16 @@ type RemoteStore interface {
 	ReadPage(slot int, dst []byte) (int64, error)
 }
 
-// CostModel carries the CPU-side costs of the paging machinery.
-type CostModel struct {
-	// LocalAccessNs is the guest-visible cost of one benchmark operation on a
-	// resident page (the micro-benchmark's read/write of a 4 KiB entry).
-	LocalAccessNs float64
-	// FaultTrapNs is the VM-exit + handler entry cost of a page fault.
-	FaultTrapNs float64
-	// CyclesPerNs converts policy cycles to time (CPU frequency in GHz).
-	CyclesPerNs float64
-	// PageSize is the page size in bytes.
-	PageSize int
-}
-
-// DefaultCostModel returns the cost parameters used across the repository:
-// ~3.5 GHz cores, 1 microsecond of useful work per touched page (the
-// micro-benchmark iterates and performs read/write operations on each 4 KiB
-// entry), 2 microseconds of trap overhead per fault.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		LocalAccessNs: 1000,
-		FaultTrapNs:   2000,
-		CyclesPerNs:   3.5,
-		PageSize:      4096,
-	}
-}
+// The CPU-side costs of the paging machinery: ~3.5 GHz cores, 1 microsecond
+// of useful work per touched page (the micro-benchmark iterates and performs
+// read/write operations on each 4 KiB entry), 2 microseconds of trap overhead
+// per fault.
+const (
+	localAccessNs = 1000.0 // one benchmark operation on a resident page
+	faultTrapNs   = 2000.0 // VM exit + handler entry of a page fault
+	cyclesPerNs   = 3.5    // converts policy cycles to time (GHz)
+	pageSize      = 4096
+)
 
 // pageLocation describes where a pseudo-physical page currently lives.
 type pageLocation uint8
@@ -106,7 +91,6 @@ type RAMExt struct {
 	localFrames int
 	policy      pagepolicy.Policy
 	remote      RemoteStore
-	cost        CostModel
 
 	loc        []pageLocation
 	remoteSlot []int32 // page -> remote slot (when locRemote)
@@ -138,8 +122,6 @@ type Config struct {
 	Policy pagepolicy.Policy
 	// Remote backs the demoted pages; required when LocalFrames < Pages.
 	Remote RemoteStore
-	// Cost is the CPU cost model; DefaultCostModel when zero.
-	Cost CostModel
 }
 
 // NewRAMExt validates the configuration and builds the paging context.
@@ -152,9 +134,6 @@ func NewRAMExt(cfg Config) (*RAMExt, error) {
 	}
 	if cfg.LocalFrames > cfg.Pages {
 		cfg.LocalFrames = cfg.Pages
-	}
-	if cfg.Cost == (CostModel{}) {
-		cfg.Cost = DefaultCostModel()
 	}
 	needRemote := cfg.Pages - cfg.LocalFrames
 	if needRemote == 0 && cfg.Policy == nil {
@@ -178,11 +157,10 @@ func NewRAMExt(cfg Config) (*RAMExt, error) {
 		localFrames: cfg.LocalFrames,
 		policy:      cfg.Policy,
 		remote:      cfg.Remote,
-		cost:        cfg.Cost,
 		loc:         make([]pageLocation, cfg.Pages),
 		remoteSlot:  make([]int32, cfg.Pages),
 		pageSeal:    make([]byte, cfg.Pages),
-		buf:         make([]byte, cfg.Cost.PageSize),
+		buf:         make([]byte, pageSize),
 		freeLocal:   cfg.LocalFrames,
 	}
 	if cfg.Remote != nil {
@@ -223,8 +201,8 @@ func (r *RAMExt) Access(page int, write bool) (float64, error) {
 		return 0, ErrBadPage
 	}
 	r.stats.Accesses++
-	ns := r.cost.LocalAccessNs
-	r.stats.LocalNs += r.cost.LocalAccessNs
+	ns := localAccessNs
+	r.stats.LocalNs += localAccessNs
 
 	switch r.loc[page] {
 	case locLocal:
@@ -261,13 +239,13 @@ func (r *RAMExt) Access(page int, write bool) (float64, error) {
 // faultIn makes the page resident, returning the simulated fault latency.
 // fetchRemote indicates the page has contents to reload from remote memory.
 func (r *RAMExt) faultIn(page int, fetchRemote bool) (float64, error) {
-	ns := r.cost.FaultTrapNs
-	r.stats.FaultNs += r.cost.FaultTrapNs
+	ns := faultTrapNs
+	r.stats.FaultNs += faultTrapNs
 
 	if r.freeLocal == 0 {
 		// Demote a victim to free a frame.
 		victim, cycles, ok := r.policy.Evict()
-		policyNs := float64(cycles) / r.cost.CyclesPerNs
+		policyNs := float64(cycles) / cyclesPerNs
 		r.stats.PolicyCycles += cycles
 		r.stats.PolicyNs += policyNs
 		ns += policyNs

@@ -12,21 +12,18 @@ import (
 // can back another frame.
 var ErrOutOfMemory = errors.New("memplane: out of local and remote memory")
 
-// allocator hands out frames: local arena offsets up to a soft limit, then
-// remote frames carved from buffers granted through the agent's GS_alloc_ext
+// allocator hands out frames: local arena offsets until the arena is full,
+// then remote frames carved from buffers granted through the agent's GS_alloc_ext
 // path (the soft-limit overflow shape of SNIPPETS §3). It is not safe for
 // concurrent use; the owning Plane serialises access.
 type allocator struct {
-	vm       string
-	pageSize int64
+	vm string
 
 	arena     *pagestore.Store
-	softLimit int64
 	nextLocal int64
 	freeLocal []int64
 
-	agent      *memctl.Agent
-	grantBytes int64
+	agent *memctl.Agent
 
 	// The remote free list is bucketed per serving host (buckets in
 	// first-carve order, each a FIFO with a compacted consumed prefix), so a
@@ -81,17 +78,11 @@ type AllocStats struct {
 	DiscardedFrames int
 }
 
-func newAllocator(vm string, pageSize, localBytes, softLimit int64, agent *memctl.Agent, grantBytes int64, seed []*memctl.RemoteBuffer) *allocator {
-	if softLimit <= 0 || softLimit > localBytes {
-		softLimit = localBytes
-	}
+func newAllocator(vm string, localBytes int64, agent *memctl.Agent, seed []*memctl.RemoteBuffer) *allocator {
 	al := &allocator{
-		vm:         vm,
-		pageSize:   pageSize,
-		arena:      pagestore.New(localBytes),
-		softLimit:  softLimit,
-		agent:      agent,
-		grantBytes: grantBytes,
+		vm:    vm,
+		arena: pagestore.New(localBytes),
+		agent: agent,
 	}
 	for _, rb := range seed {
 		if rb == nil {
@@ -122,7 +113,7 @@ func (al *allocator) carve(rb *memctl.RemoteBuffer) {
 	al.stats.BuffersGranted++
 	al.stats.GrantedBytes += rb.Size
 	b := al.bucket(rb.Host)
-	for off := int64(0); off+al.pageSize <= rb.Size; off += al.pageSize {
+	for off := int64(0); off+DefaultPageSize <= rb.Size; off += DefaultPageSize {
 		b.push(Frame{
 			Kind:   FrameRemote,
 			Host:   rb.Host,
@@ -148,7 +139,7 @@ func (al *allocator) popRemote(avoid map[memctl.ServerID]bool) (Frame, bool) {
 	return Frame{}, false
 }
 
-// alloc returns the next frame: local until the soft limit, then remote.
+// alloc returns the next frame: local until the arena is full, then remote.
 func (al *allocator) alloc() (Frame, error) {
 	if n := len(al.freeLocal); n > 0 {
 		off := al.freeLocal[n-1]
@@ -156,9 +147,9 @@ func (al *allocator) alloc() (Frame, error) {
 		al.stats.LocalFrames++
 		return Frame{Kind: FrameLocal, Arena: al.vm, LocalOff: off}, nil
 	}
-	if al.nextLocal+al.pageSize <= al.softLimit {
+	if al.nextLocal+DefaultPageSize <= al.arena.Len() {
 		off := al.nextLocal
-		al.nextLocal += al.pageSize
+		al.nextLocal += DefaultPageSize
 		al.stats.LocalFrames++
 		return Frame{Kind: FrameLocal, Arena: al.vm, LocalOff: off}, nil
 	}
@@ -200,7 +191,7 @@ func (al *allocator) allocRemote(avoid map[memctl.ServerID]bool) (Frame, error) 
 		if al.agent == nil {
 			return bail(fmt.Errorf("%w: no agent to grow through", ErrOutOfMemory))
 		}
-		bufs, err := al.agent.RequestExt(al.grantBytes)
+		bufs, err := al.agent.RequestExt(al.agent.ControllerBufferSize())
 		if err != nil {
 			return bail(fmt.Errorf("%w: %v", ErrOutOfMemory, err))
 		}

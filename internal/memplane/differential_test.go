@@ -49,13 +49,13 @@ func newDiffHarness(t *testing.T, ledger bool, plan *chaos.Plan, now func() int6
 		transport = LedgerTransport{Model: r.fabric.Model()}
 	}
 	p, err := New(Config{
-		VM:         "vm",
-		LocalBytes: 4 * DefaultPageSize,
-		Agent:      r.user(t, names),
-		Transport:  transport,
-		Cost:       r.fabric.Model(),
-		Chaos:      plan,
-		Now:        now,
+		VM:           "vm",
+		AddressBytes: testSpan,
+		LocalBytes:   4 * DefaultPageSize,
+		Agent:        r.user(t, names),
+		Transport:    transport,
+		Chaos:        plan,
+		Now:          now,
 	})
 	if err != nil {
 		t.Fatal(err)

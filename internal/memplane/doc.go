@@ -8,7 +8,10 @@
 // GS_alloc_ext protocol — the memory a zombie server keeps serving from Sz,
 // held in the same kind of store under the rdma region. A PageTable translates
 // (VM, page) to frames and enforces the no-aliasing invariant; the allocator
-// is local-first up to a soft limit and then overflows to remote grants.
+// fills the local arena first and then overflows to remote grants. Every
+// remote write is journalled into the plane's mirror, a third
+// pagestore.Store the size of the address space, which is what Rehome
+// replays.
 //
 // The remote path runs behind a Transport: InProcessTransport issues real
 // one-sided RDMA verbs against the granted regions, TCPTransport forwards

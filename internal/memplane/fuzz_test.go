@@ -2,17 +2,25 @@ package memplane
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"repro/internal/memctl"
 )
 
 // FuzzPageTable drives two VMs' planes over one shared page table with an
 // op stream decoded from the fuzz input, checking the two properties the data
 // plane stands on: no frame ever backs two pages (CheckInvariants after every
-// step) and reads always return the last write (byte-exact shadow).
+// step) and reads always return the last write (byte-exact shadow), including
+// after a serving zombie crashes and its pages are re-homed from the mirror.
 //
-// Each op consumes 4 bytes: [opcode, page, off, len]. The opcode's low bits
-// pick the action (write / read / free) and the VM; page, off and len are
-// folded into the 8-page address space so every input decodes to valid ops.
+// Each op consumes 4 bytes: [opcode, page, off, len]. An opcode with bit 3
+// set crashes the zombie picked by the page byte's low bit, re-homes its
+// pages on both planes and revives it (at most maxRehomes times per input:
+// every re-home discards the dead host's frames). Otherwise the opcode's low
+// bits pick the action (write / read / free) and the VM; page, off and len
+// are folded into the 8-page address space so every input decodes to valid
+// ops.
 func FuzzPageTable(f *testing.F) {
 	// Seed corpus: a write+read pair, cross-VM traffic, free/rewrite churn,
 	// unaligned spans, and an empty input.
@@ -28,12 +36,23 @@ func FuzzPageTable(f *testing.F) {
 		2, 0, 0, 0, 2, 1, 0, 0, 2, 2, 0, 0, 2, 3, 0, 0,
 		0, 3, 9, 99, 0, 2, 0, 255, 0, 1, 200, 255, 0, 0, 0, 0, 1, 0, 0, 255, 1, 3, 0, 255,
 	})
+	// Both VMs spill onto both zombies, each zombie crashes and is re-homed
+	// in turn, then a partial rewrite lands on a re-homed page and is read.
+	f.Add([]byte{
+		0, 0, 0, 255, 0, 1, 0, 255, 0, 2, 0, 255, 0, 3, 0, 255, 0, 4, 0, 255, 0, 5, 0, 255,
+		4, 2, 0, 255, 4, 3, 0, 255, 4, 4, 0, 255, 4, 5, 0, 255, 4, 6, 0, 255, 4, 7, 0, 255,
+		8, 1, 0, 0, 8, 0, 0, 0, 0, 4, 100, 10, 1, 4, 0, 255, 8, 1, 0, 0,
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const pages = 8
-		names := []string{"user-00", "zombie-01"}
-		r := newRig(t, names, []string{"zombie-01"})
-		table := NewPageTable(DefaultPageSize)
+		const (
+			pages      = 8
+			maxRehomes = 4
+		)
+		names := []string{"user-00", "zombie-01", "zombie-02"}
+		zombies := names[1:]
+		r := newRig(t, names, zombies)
+		table := NewPageTable()
 		span := pages * DefaultPageSize
 
 		mk := func(vm string) *Plane {
@@ -52,9 +71,43 @@ func FuzzPageTable(f *testing.F) {
 		planes := []*Plane{mk("vm-a"), mk("vm-b")}
 		shadows := [][]byte{make([]byte, span), make([]byte, span)}
 
+		// sweep checks that both VMs read back exactly their own shadow —
+		// proof that no frame was ever shared across the two address spaces
+		// and that no re-home lost a byte.
+		got := make([]byte, DefaultPageSize)
+		sweep := func(when string) {
+			for vm, p := range planes {
+				for base := int64(0); base < span; base += DefaultPageSize {
+					if _, _, err := p.Read(base, got); err != nil {
+						t.Fatalf("%s: sweep vm=%d page %d: %v", when, vm, base/DefaultPageSize, err)
+					}
+					if !bytes.Equal(got, shadows[vm][base:base+DefaultPageSize]) {
+						t.Fatalf("%s: vm=%d page %d corrupted", when, vm, base/DefaultPageSize)
+					}
+				}
+			}
+		}
+
 		buf := make([]byte, DefaultPageSize)
+		rehomes := 0
 		for i := 0; i+4 <= len(data); i += 4 {
 			op, pg, off, ln := data[i], data[i+1], data[i+2], data[i+3]
+			if op&8 != 0 && rehomes < maxRehomes {
+				rehomes++
+				host := memctl.ServerID(zombies[pg&1])
+				for _, p := range planes {
+					p.CrashHost(host)
+					if _, err := p.Rehome(host); err != nil {
+						t.Fatalf("rehome %s off %s: %v", p.VM(), host, err)
+					}
+					p.ReviveHost(host)
+				}
+				if err := table.CheckInvariants(); err != nil {
+					t.Fatalf("after op %d: %v", i/4, err)
+				}
+				sweep(fmt.Sprintf("after re-homing %s", host))
+				continue
+			}
 			vm := int(op>>2) & 1
 			p, shadow := planes[vm], shadows[vm]
 			addr := int64(pg%pages)*DefaultPageSize + int64(off)
@@ -93,19 +146,7 @@ func FuzzPageTable(f *testing.F) {
 			}
 		}
 
-		// Full-space sweep: both VMs read back exactly their own shadow —
-		// proof that no frame was ever shared across the two address spaces.
-		got := make([]byte, DefaultPageSize)
-		for vm, p := range planes {
-			for base := int64(0); base < span; base += DefaultPageSize {
-				if _, _, err := p.Read(base, got); err != nil {
-					t.Fatalf("sweep vm=%d page %d: %v", vm, base/DefaultPageSize, err)
-				}
-				if !bytes.Equal(got, shadows[vm][base:base+DefaultPageSize]) {
-					t.Fatalf("vm=%d page %d corrupted", vm, base/DefaultPageSize)
-				}
-			}
-		}
+		sweep("at the end")
 		for _, p := range planes {
 			if err := p.Close(); err != nil {
 				t.Fatal(err)

@@ -17,12 +17,11 @@ func runObservedPlane(t *testing.T) (*obs.Obs, Stats) {
 	r := newRig(t, names, []string{"zombie-01", "zombie-02"})
 	o := obs.New(obs.Options{TraceCapacity: 512})
 	p, err := New(Config{
-		VM:         "vm",
-		LocalBytes: DefaultPageSize,
-		Agent:      r.user(t, names),
-		Cost:       r.fabric.Model(),
-		GrantBytes: rigBufSize,
-		Obs:        o,
+		VM:           "vm",
+		AddressBytes: testSpan,
+		LocalBytes:   DefaultPageSize,
+		Agent:        r.user(t, names),
+		Obs:          o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +102,7 @@ func TestPlaneObsTraceDeterministic(t *testing.T) {
 // bundle leaves the plane's stats bit-identical to an unobserved plane.
 func TestPlaneObsNilIdentical(t *testing.T) {
 	run := func(o *obs.Obs) Stats {
-		p, err := New(Config{VM: "vm", LocalBytes: 4 * DefaultPageSize, Obs: o})
+		p, err := New(Config{VM: "vm", AddressBytes: testSpan, LocalBytes: 4 * DefaultPageSize, Obs: o})
 		if err != nil {
 			t.Fatal(err)
 		}

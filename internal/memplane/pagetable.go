@@ -101,26 +101,18 @@ type vmIndex map[int64]Frame
 // (or two pages of one VM) can never alias the same physical backing. It is
 // safe for concurrent use.
 type PageTable struct {
-	mu       sync.RWMutex
-	pageSize int64
-	vms      map[string]vmIndex
-	owners   map[frameKey]entryKey
+	mu     sync.RWMutex
+	vms    map[string]vmIndex
+	owners map[frameKey]entryKey
 }
 
-// NewPageTable creates an empty table with the given page size.
-func NewPageTable(pageSize int64) *PageTable {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
+// NewPageTable creates an empty table.
+func NewPageTable() *PageTable {
 	return &PageTable{
-		pageSize: pageSize,
-		vms:      make(map[string]vmIndex),
-		owners:   make(map[frameKey]entryKey),
+		vms:    make(map[string]vmIndex),
+		owners: make(map[frameKey]entryKey),
 	}
 }
-
-// PageSize returns the table's page size.
-func (t *PageTable) PageSize() int64 { return t.pageSize }
 
 // index returns a VM's live index, creating it on first use.
 func (t *PageTable) index(vm string) vmIndex {

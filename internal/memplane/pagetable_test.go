@@ -19,7 +19,7 @@ func remoteFrame(host string, buf memctl.BufferID, off int64) Frame {
 }
 
 func TestPageTableMapUnmap(t *testing.T) {
-	pt := NewPageTable(4096)
+	pt := NewPageTable()
 	if err := pt.Map("vm-a", 0, localFrame("vm-a", 0)); err != nil {
 		t.Fatalf("map: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestPageTableMapUnmap(t *testing.T) {
 }
 
 func TestPageTableRejectsAliasing(t *testing.T) {
-	pt := NewPageTable(4096)
+	pt := NewPageTable()
 	shared := remoteFrame("zombie-01", 7, 8192)
 	if err := pt.Map("vm-a", 3, shared); err != nil {
 		t.Fatalf("map: %v", err)
@@ -76,7 +76,7 @@ func TestPageTableRejectsAliasing(t *testing.T) {
 }
 
 func TestPageTableRemap(t *testing.T) {
-	pt := NewPageTable(4096)
+	pt := NewPageTable()
 	oldF := remoteFrame("zombie-01", 1, 0)
 	newF := remoteFrame("zombie-02", 2, 0)
 	if err := pt.Map("vm", 9, oldF); err != nil {
@@ -107,7 +107,7 @@ func TestPageTableRemap(t *testing.T) {
 }
 
 func TestPageTablePagesOn(t *testing.T) {
-	pt := NewPageTable(4096)
+	pt := NewPageTable()
 	for i, f := range []Frame{
 		remoteFrame("z1", 1, 0),
 		remoteFrame("z2", 2, 0),
@@ -134,7 +134,7 @@ func TestPageTablePagesOn(t *testing.T) {
 // depend on how much another VM has mapped, looking a VM up never creates
 // state for it, and the aliasing check still spans VMs.
 func TestPageTablePerVMIsolation(t *testing.T) {
-	pt := NewPageTable(4096)
+	pt := NewPageTable()
 	for i, f := range []Frame{
 		remoteFrame("z1", 1, 0),
 		localFrame("vm-a", 0),
@@ -191,10 +191,10 @@ func TestPageTablePerVMIsolation(t *testing.T) {
 func TestPlaneIndexSurvivesFreeingEveryPage(t *testing.T) {
 	names := []string{"user-00", "zombie-01"}
 	r := newRig(t, names, []string{"zombie-01"})
-	table := NewPageTable(DefaultPageSize)
+	table := NewPageTable()
 	const pages = 6 // 2 local frames, the rest on the zombie
 	mk := func(vm string) *Plane {
-		p, err := New(Config{VM: vm, LocalBytes: 2 * DefaultPageSize, Agent: r.user(t, names), Table: table})
+		p, err := New(Config{VM: vm, AddressBytes: testSpan, LocalBytes: 2 * DefaultPageSize, Agent: r.user(t, names), Table: table})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,10 +250,10 @@ func TestPlaneIndexSurvivesFreeingEveryPage(t *testing.T) {
 // TestSharedTableKeepsNoResidueOfClosedPlanes: a table that outlives its VMs
 // holds nothing of them.
 func TestSharedTableKeepsNoResidueOfClosedPlanes(t *testing.T) {
-	table := NewPageTable(DefaultPageSize)
+	table := NewPageTable()
 	buf := make([]byte, DefaultPageSize)
 	for i := 0; i < 1000; i++ {
-		p, err := New(Config{VM: fmt.Sprintf("vm-%04d", i), LocalBytes: 2 * DefaultPageSize, Table: table})
+		p, err := New(Config{VM: fmt.Sprintf("vm-%04d", i), AddressBytes: testSpan, LocalBytes: 2 * DefaultPageSize, Table: table})
 		if err != nil {
 			t.Fatal(err)
 		}

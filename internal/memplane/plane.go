@@ -8,6 +8,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/memctl"
 	"repro/internal/obs"
+	"repro/internal/pagestore"
 	"repro/internal/rdma"
 )
 
@@ -33,36 +34,24 @@ var (
 type Config struct {
 	// VM names the address space (and the local arena).
 	VM string
-	// LocalBytes sizes the local arena backing the fast path.
+	// LocalBytes sizes the local arena backing the fast path; allocations
+	// overflow to remote grants once it is full.
 	LocalBytes int64
-	// SoftLimitBytes caps how much of the arena is used before allocations
-	// overflow to remote grants; defaults to LocalBytes.
-	SoftLimitBytes int64
-	// PageSize is the translation granularity; DefaultPageSize if 0.
-	PageSize int64
-	// AddressBytes bounds the VM-visible address space; 0 means unbounded.
+	// AddressBytes bounds the VM-visible address space and sizes the mirror.
 	AddressBytes int64
 
 	// Agent is the growth path: overflow allocations request buffers through
-	// its guaranteed GS_alloc_ext entry point. Optional when Buffers is
-	// enough.
+	// its guaranteed GS_alloc_ext entry point, one controller buffer per
+	// round. Optional when Buffers is enough.
 	Agent *memctl.Agent
 	// Buffers seeds the allocator with already-granted buffers.
 	Buffers []*memctl.RemoteBuffer
-	// GrantBytes is the request size of one growth round; the controller's
-	// buffer size if 0.
-	GrantBytes int64
 
 	// Transport serves the remote path; InProcessTransport if nil.
 	Transport Transport
-	// Cost prices timeouts and the ledger cross-check; the rdma default if
-	// zero.
+	// Cost is read by nothing: the transports price every hop. It is kept
+	// only because the benchmark module still sets it.
 	Cost rdma.CostModel
-	// LocalNs is the charge of one local page access; DefaultLocalNs if 0.
-	LocalNs int64
-	// TimeoutNs is the charge of one timed-out remote operation;
-	// DefaultTimeoutNs if 0.
-	TimeoutNs int64
 
 	// Chaos, when set, degrades remote charges during FabricDegrade windows.
 	Chaos *chaos.Plan
@@ -122,7 +111,7 @@ type Stats struct {
 // either in a local arena (fast path) or in memctl-granted buffers on other
 // servers (remote path through a Transport). Reads of never-written pages
 // return zeros without allocating; writes allocate local-first and overflow
-// to remote grants past the soft limit.
+// to remote grants once the arena is full.
 type Plane struct {
 	mu     sync.Mutex
 	cfg    Config
@@ -135,8 +124,11 @@ type Plane struct {
 	pages vmIndex
 
 	// mirror keeps a local copy of every remotely-written page (the paper's
-	// asynchronous local-storage mirror), which is what re-homing replays.
-	mirror map[int64][]byte
+	// asynchronous local-storage mirror) at the page's own address, which is
+	// what re-homing replays. Pages never written remotely read as zeros.
+	mirror *pagestore.Store
+	// page is Rehome's reusable one-page buffer.
+	page []byte
 
 	crashed map[memctl.ServerID]bool
 	closed  bool
@@ -157,14 +149,11 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.LocalBytes < 0 {
 		return nil, fmt.Errorf("memplane: negative local size %d", cfg.LocalBytes)
 	}
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = DefaultPageSize
+	if cfg.LocalBytes%DefaultPageSize != 0 {
+		return nil, fmt.Errorf("memplane: local size %d is not a multiple of the page size %d", cfg.LocalBytes, DefaultPageSize)
 	}
-	if cfg.LocalBytes%cfg.PageSize != 0 {
-		return nil, fmt.Errorf("memplane: local size %d is not a multiple of the page size %d", cfg.LocalBytes, cfg.PageSize)
-	}
-	if cfg.AddressBytes < 0 {
-		return nil, fmt.Errorf("memplane: negative address space %d", cfg.AddressBytes)
+	if cfg.AddressBytes <= 0 || cfg.AddressBytes%DefaultPageSize != 0 {
+		return nil, fmt.Errorf("memplane: address space %d is not a positive multiple of the page size %d", cfg.AddressBytes, DefaultPageSize)
 	}
 	if cfg.Agent == nil && len(cfg.Buffers) == 0 && cfg.LocalBytes == 0 {
 		return nil, fmt.Errorf("memplane: plane has no local arena, no buffers and no agent to grow through")
@@ -172,36 +161,18 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.Transport == nil {
 		cfg.Transport = InProcessTransport{}
 	}
-	if cfg.Cost == (rdma.CostModel{}) {
-		cfg.Cost = rdma.DefaultCostModel()
-	}
-	if cfg.LocalNs <= 0 {
-		cfg.LocalNs = DefaultLocalNs
-	}
-	if cfg.TimeoutNs <= 0 {
-		cfg.TimeoutNs = DefaultTimeoutNs
-	}
-	if cfg.GrantBytes <= 0 {
-		if cfg.Agent != nil {
-			cfg.GrantBytes = cfg.Agent.ControllerBufferSize()
-		} else {
-			cfg.GrantBytes = memctl.DefaultBufferSize
-		}
-	}
 	table := cfg.Table
 	shared := table != nil
 	if table == nil {
-		table = NewPageTable(cfg.PageSize)
-	} else if table.PageSize() != cfg.PageSize {
-		return nil, fmt.Errorf("memplane: shared table page size %d != plane page size %d", table.PageSize(), cfg.PageSize)
+		table = NewPageTable()
 	}
 	return &Plane{
 		cfg:     cfg,
 		table:   table,
 		pages:   table.index(cfg.VM),
 		shared:  shared,
-		alloc:   newAllocator(cfg.VM, cfg.PageSize, cfg.LocalBytes, cfg.SoftLimitBytes, cfg.Agent, cfg.GrantBytes, cfg.Buffers),
-		mirror:  make(map[int64][]byte),
+		alloc:   newAllocator(cfg.VM, cfg.LocalBytes, cfg.Agent, cfg.Buffers),
+		mirror:  pagestore.New(cfg.AddressBytes),
 		crashed: make(map[memctl.ServerID]bool),
 		obs:     newPlaneObs(cfg.Obs),
 	}, nil
@@ -209,9 +180,6 @@ func New(cfg Config) (*Plane, error) {
 
 // VM returns the plane's address-space name.
 func (p *Plane) VM() string { return p.cfg.VM }
-
-// PageSize returns the translation granularity.
-func (p *Plane) PageSize() int64 { return p.cfg.PageSize }
 
 // Table returns the plane's page table.
 func (p *Plane) Table() *PageTable { return p.table }
@@ -230,11 +198,12 @@ func (p *Plane) AllocStats() AllocStats {
 	return p.alloc.stats
 }
 
-// ResidentBytes returns the host memory materialised under the local arena.
+// ResidentBytes returns the host memory materialised under the local arena
+// and the mirror.
 func (p *Plane) ResidentBytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.alloc.arena.Resident()
+	return p.alloc.arena.Resident() + p.mirror.Resident()
 }
 
 // Latencies returns the recorded per-operation charges (RecordLatencies).
@@ -325,7 +294,7 @@ func (p *Plane) run(addr int64, n int, op func(page, off int64, span []byte) (in
 	if p.closed {
 		return 0, 0, ErrClosed
 	}
-	if p.cfg.AddressBytes > 0 && addr+int64(n) > p.cfg.AddressBytes {
+	if addr+int64(n) > p.cfg.AddressBytes {
 		return 0, 0, fmt.Errorf("%w: [%d,%d) exceeds %d", ErrBadAddress, addr, addr+int64(n), p.cfg.AddressBytes)
 	}
 	if write {
@@ -333,7 +302,7 @@ func (p *Plane) run(addr int64, n int, op func(page, off int64, span []byte) (in
 	} else {
 		p.stats.Reads++
 	}
-	ps := p.cfg.PageSize
+	ps := DefaultPageSize
 	done := 0
 	var total int64
 	for done < n {
@@ -391,8 +360,8 @@ func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
 			return 0, fmt.Errorf("memplane: write of %s: %w", frame, err)
 		}
 		p.stats.LocalOps++
-		p.stats.LocalNs += p.cfg.LocalNs
-		return p.cfg.LocalNs, nil
+		p.stats.LocalNs += DefaultLocalNs
+		return DefaultLocalNs, nil
 	}
 	if p.crashed[frame.Host] {
 		return p.timeout(frame, "write")
@@ -401,8 +370,8 @@ func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
 	// tenant; a partial first write therefore writes the whole page (zeros
 	// patched with the payload) so unwritten parts read back as zeros.
 	writeOff, payload := off, src
-	if fresh && (off != 0 || int64(len(src)) != p.cfg.PageSize) {
-		full := make([]byte, p.cfg.PageSize)
+	if fresh && (off != 0 || int64(len(src)) != DefaultPageSize) {
+		full := make([]byte, DefaultPageSize)
 		copy(full[off:], src)
 		writeOff, payload = 0, full
 	}
@@ -414,7 +383,10 @@ func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
 	p.stats.RemoteOps++
 	p.stats.RemoteNs += ns
 	p.stats.RemoteBytesWritten += uint64(len(payload))
-	p.patchMirror(page, writeOff, payload)
+	if err := p.mirror.WriteAt(payload, page*DefaultPageSize+writeOff); err != nil {
+		return ns, fmt.Errorf("memplane: mirror of %s: %w", frame, err)
+	}
+	p.stats.MirrorWrites++
 	p.obs.observeHop(p.stats.ChargedNs+ns, frame.Host, "write", ns)
 	return ns, nil
 }
@@ -427,16 +399,16 @@ func (p *Plane) pageRead(page, off int64, dst []byte) (int64, error) {
 			dst[i] = 0
 		}
 		p.stats.LocalOps++
-		p.stats.LocalNs += p.cfg.LocalNs
-		return p.cfg.LocalNs, nil
+		p.stats.LocalNs += DefaultLocalNs
+		return DefaultLocalNs, nil
 	}
 	if frame.Kind == FrameLocal {
 		if err := p.alloc.arena.ReadAt(dst, frame.LocalOff+off); err != nil {
 			return 0, fmt.Errorf("memplane: read of %s: %w", frame, err)
 		}
 		p.stats.LocalOps++
-		p.stats.LocalNs += p.cfg.LocalNs
-		return p.cfg.LocalNs, nil
+		p.stats.LocalNs += DefaultLocalNs
+		return DefaultLocalNs, nil
 	}
 	if p.crashed[frame.Host] {
 		p.stats.ShortReads++
@@ -455,7 +427,9 @@ func (p *Plane) pageRead(page, off int64, dst []byte) (int64, error) {
 	if !p.cfg.Transport.MovesBytes() {
 		// The ledger transport moved nothing; serve the bytes from the mirror
 		// so reads still return the last write.
-		p.readMirror(page, off, dst)
+		if err := p.mirror.ReadAt(dst, page*DefaultPageSize+off); err != nil {
+			return ns, fmt.Errorf("memplane: mirror of %s: %w", frame, err)
+		}
 	}
 	return ns, nil
 }
@@ -463,32 +437,9 @@ func (p *Plane) pageRead(page, off int64, dst []byte) (int64, error) {
 // timeout books a deterministic timed-out remote operation.
 func (p *Plane) timeout(frame Frame, op string) (int64, error) {
 	p.stats.Timeouts++
-	p.stats.TimeoutNs += p.cfg.TimeoutNs
-	p.obs.observeTimeout(p.stats.ChargedNs+p.cfg.TimeoutNs, frame.Host, op)
-	return p.cfg.TimeoutNs, fmt.Errorf("%w: %s of %s (host crashed)", ErrRemoteTimeout, op, frame)
-}
-
-// patchMirror journals a remote write into the local mirror page.
-func (p *Plane) patchMirror(page, off int64, src []byte) {
-	m, ok := p.mirror[page]
-	if !ok {
-		m = make([]byte, p.cfg.PageSize)
-		p.mirror[page] = m
-	}
-	copy(m[off:], src)
-	p.stats.MirrorWrites++
-}
-
-// readMirror serves a read from the mirror (ledger transport only).
-func (p *Plane) readMirror(page, off int64, dst []byte) {
-	m, ok := p.mirror[page]
-	if !ok {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	copy(dst, m[off:off+int64(len(dst))])
+	p.stats.TimeoutNs += DefaultTimeoutNs
+	p.obs.observeTimeout(p.stats.ChargedNs+DefaultTimeoutNs, frame.Host, op)
+	return DefaultTimeoutNs, fmt.Errorf("%w: %s of %s (host crashed)", ErrRemoteTimeout, op, frame)
 }
 
 // RehomeReport summarises one migration.
@@ -521,11 +472,14 @@ func (p *Plane) Rehome(host memctl.ServerID) (RehomeReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		data, ok := p.mirror[page]
-		if !ok {
-			data = make([]byte, p.cfg.PageSize)
+		if p.page == nil {
+			p.page = make([]byte, DefaultPageSize)
 		}
-		ns, err := p.cfg.Transport.WriteRemote(frame, 0, data)
+		if err := p.mirror.ReadAt(p.page, page*DefaultPageSize); err != nil {
+			p.alloc.free(frame)
+			return rep, fmt.Errorf("memplane: mirror of page %d: %w", page, err)
+		}
+		ns, err := p.cfg.Transport.WriteRemote(frame, 0, p.page)
 		if err != nil {
 			p.alloc.free(frame)
 			return rep, err
@@ -538,10 +492,10 @@ func (p *Plane) Rehome(host memctl.ServerID) (RehomeReport, error) {
 		}
 		p.alloc.discard(old)
 		rep.Pages++
-		rep.Bytes += p.cfg.PageSize
+		rep.Bytes += DefaultPageSize
 		rep.Ns += ns
 		p.stats.RehomedPages++
-		p.stats.RehomedBytes += uint64(p.cfg.PageSize)
+		p.stats.RehomedBytes += uint64(DefaultPageSize)
 		p.stats.RehomeNs += ns
 		p.charge(ns)
 	}
@@ -560,7 +514,7 @@ func (p *Plane) Free(addr int64) error {
 	if p.closed {
 		return ErrClosed
 	}
-	page := addr / p.cfg.PageSize
+	page := addr / DefaultPageSize
 	f, err := p.table.Unmap(p.cfg.VM, page)
 	if err != nil {
 		if errors.Is(err, ErrNotMapped) {
@@ -570,11 +524,13 @@ func (p *Plane) Free(addr int64) error {
 	}
 	if f.Kind == FrameLocal {
 		// Scrub so a re-allocation of the frame reads as zeros.
-		if err := p.alloc.arena.Zero(f.LocalOff, p.cfg.PageSize); err != nil {
+		if err := p.alloc.arena.Zero(f.LocalOff, DefaultPageSize); err != nil {
 			return fmt.Errorf("memplane: scrub of %s: %w", f, err)
 		}
 	}
-	delete(p.mirror, page)
+	if err := p.mirror.Zero(page*DefaultPageSize, DefaultPageSize); err != nil {
+		return fmt.Errorf("memplane: mirror of %s: %w", f, err)
+	}
 	if f.Kind == FrameRemote && p.crashed[f.Host] {
 		p.alloc.discard(f)
 	} else {

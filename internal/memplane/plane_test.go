@@ -12,7 +12,7 @@ import (
 )
 
 func TestPlaneLocalFastPath(t *testing.T) {
-	p, err := New(Config{VM: "vm", LocalBytes: 4 * DefaultPageSize})
+	p, err := New(Config{VM: "vm", AddressBytes: testSpan, LocalBytes: 4 * DefaultPageSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestPlaneLocalFastPath(t *testing.T) {
 }
 
 func TestPlaneZeroFillAndUnalignedSpans(t *testing.T) {
-	p, err := New(Config{VM: "vm", LocalBytes: 8 * DefaultPageSize})
+	p, err := New(Config{VM: "vm", AddressBytes: testSpan, LocalBytes: 8 * DefaultPageSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +83,10 @@ func TestPlaneBytesTraverseZombieBuffer(t *testing.T) {
 	names := []string{"user-00", "zombie-01"}
 	r := newRig(t, names, []string{"zombie-01"})
 	p, err := New(Config{
-		VM:         "vm",
-		LocalBytes: DefaultPageSize, // one local page, everything else overflows
-		Agent:      r.user(t, names),
-		Cost:       r.fabric.Model(),
+		VM:           "vm",
+		AddressBytes: testSpan,
+		LocalBytes:   DefaultPageSize, // one local page, everything else overflows
+		Agent:        r.user(t, names),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +144,31 @@ func TestPlaneBytesTraverseZombieBuffer(t *testing.T) {
 	}
 }
 
+// TestResidentBytesCoversRemotePages: the mirror keeps a host copy of every
+// remotely-written page, so the plane's resident count covers those pages as
+// well as the local arena.
+func TestResidentBytesCoversRemotePages(t *testing.T) {
+	names := []string{"user-00", "zombie-01"}
+	r := newRig(t, names, []string{"zombie-01"})
+	p, err := New(Config{VM: "vm", AddressBytes: testSpan, LocalBytes: DefaultPageSize, Agent: r.user(t, names)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const pages = 6
+	src := make([]byte, pages*DefaultPageSize)
+	fillPattern(src, 0, 4)
+	if _, _, err := p.Write(0, src); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Table().PagesOn("vm", "zombie-01"); len(got) != pages-1 {
+		t.Fatalf("zombie hosts %d pages, want %d", len(got), pages-1)
+	}
+	if got, want := p.ResidentBytes(), int64(pages)*DefaultPageSize; got < want {
+		t.Fatalf("ResidentBytes() = %d after writing %d pages (%d remote), want >= %d", got, pages, pages-1, want)
+	}
+}
+
 // A plane that keeps rewriting and rereading the remote pages it already has
 // retains nothing per op: no layer under it (transport, memctl handle, rdma
 // verb, completion queue) may grow with the number of ops served.
@@ -151,10 +176,10 @@ func TestPlaneSteadyStateRemoteOpsAllocateNothing(t *testing.T) {
 	names := []string{"user-00", "zombie-01"}
 	r := newRig(t, names, []string{"zombie-01"})
 	p, err := New(Config{
-		VM:         "vm",
-		LocalBytes: DefaultPageSize,
-		Agent:      r.user(t, names),
-		Cost:       r.fabric.Model(),
+		VM:           "vm",
+		AddressBytes: testSpan,
+		LocalBytes:   DefaultPageSize,
+		Agent:        r.user(t, names),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,10 +223,10 @@ func TestPlaneCrashSurfacesTimeoutsAndShortReads(t *testing.T) {
 	names := []string{"user-00", "zombie-01"}
 	r := newRig(t, names, []string{"zombie-01"})
 	p, err := New(Config{
-		VM:         "vm",
-		LocalBytes: DefaultPageSize,
-		Agent:      r.user(t, names),
-		Cost:       r.fabric.Model(),
+		VM:           "vm",
+		AddressBytes: testSpan,
+		LocalBytes:   DefaultPageSize,
+		Agent:        r.user(t, names),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,11 +275,10 @@ func TestPlaneRehomeMigratesLivePages(t *testing.T) {
 	names := []string{"user-00", "zombie-01", "zombie-02"}
 	r := newRig(t, names, []string{"zombie-01", "zombie-02"})
 	p, err := New(Config{
-		VM:         "vm",
-		LocalBytes: DefaultPageSize,
-		Agent:      r.user(t, names),
-		Cost:       r.fabric.Model(),
-		GrantBytes: rigBufSize,
+		VM:           "vm",
+		AddressBytes: testSpan,
+		LocalBytes:   DefaultPageSize,
+		Agent:        r.user(t, names),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +332,7 @@ func TestPlaneRehomeMigratesLivePages(t *testing.T) {
 }
 
 func TestPlaneFreeScrubsAndReuses(t *testing.T) {
-	p, err := New(Config{VM: "vm", LocalBytes: DefaultPageSize})
+	p, err := New(Config{VM: "vm", AddressBytes: testSpan, LocalBytes: DefaultPageSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,9 +384,9 @@ func TestPageStoreBacksRAMExt(t *testing.T) {
 	r := newRig(t, names, []string{"zombie-01"})
 	// A purely-remote plane: every store slot lives on the zombie.
 	p, err := New(Config{
-		VM:    "vm-store",
-		Agent: r.user(t, names),
-		Cost:  r.fabric.Model(),
+		VM:           "vm-store",
+		AddressBytes: testSpan,
+		Agent:        r.user(t, names),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +400,6 @@ func TestPageStoreBacksRAMExt(t *testing.T) {
 		LocalFrames: 4,
 		Policy:      pagepolicy.NewMixed(pagepolicy.DefaultCost(), pagepolicy.DefaultMixedWindow),
 		Remote:      store,
-		Cost:        hypervisor.DefaultCostModel(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -427,23 +450,26 @@ func TestLedgerTransportChargesMatchQP(t *testing.T) {
 
 // TestPlaneRequiresBacking pins constructor validation.
 func TestPlaneRequiresBacking(t *testing.T) {
-	if _, err := New(Config{VM: "vm"}); err == nil {
+	if _, err := New(Config{VM: "vm", AddressBytes: testSpan}); err == nil {
 		t.Fatal("plane with no arena, buffers or agent must be rejected")
 	}
 	if _, err := New(Config{LocalBytes: DefaultPageSize}); err == nil {
 		t.Fatal("plane without a VM name must be rejected")
 	}
-	if _, err := New(Config{VM: "vm", LocalBytes: 100}); err == nil {
+	if _, err := New(Config{VM: "vm", AddressBytes: testSpan, LocalBytes: 100}); err == nil {
 		t.Fatal("non-page-multiple local size must be rejected")
 	}
-	if _, err := New(Config{VM: "vm", LocalBytes: DefaultPageSize, Table: NewPageTable(8192)}); err == nil {
-		t.Fatal("page-size mismatch with shared table must be rejected")
+	if _, err := New(Config{VM: "vm", LocalBytes: DefaultPageSize}); err == nil {
+		t.Fatal("plane without an address space must be rejected")
+	}
+	if _, err := New(Config{VM: "vm", AddressBytes: 100, LocalBytes: DefaultPageSize}); err == nil {
+		t.Fatal("non-page-multiple address space must be rejected")
 	}
 }
 
 // TestPlaneClosedRejectsOps pins ErrClosed.
 func TestPlaneClosedRejectsOps(t *testing.T) {
-	p, err := New(Config{VM: "vm", LocalBytes: DefaultPageSize})
+	p, err := New(Config{VM: "vm", AddressBytes: testSpan, LocalBytes: DefaultPageSize})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,10 @@ func TestMemplaneUnderRace(t *testing.T) {
 	r := newRig(t, names, zombies)
 
 	p, err := New(Config{
-		VM:         "vm",
-		LocalBytes: 0, // force every page through the remote path
-		Agent:      r.user(t, names),
+		VM:           "vm",
+		AddressBytes: testSpan,
+		LocalBytes:   0, // force every page through the remote path
+		Agent:        r.user(t, names),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +44,7 @@ func TestMemplaneUnderRace(t *testing.T) {
 		maxRetries  = 10_000
 		totalPages  = workers * pagesPerW
 	)
-	ps := p.PageSize()
+	ps := DefaultPageSize
 
 	// Touch every page once so the chaos actor always has mapped pages to
 	// migrate and workers never allocate mid-crash.

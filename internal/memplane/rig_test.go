@@ -22,6 +22,9 @@ type rig struct {
 const (
 	rigBufSize  = int64(16 << 10) // 4 pages per buffer
 	rigTotalMem = int64(256 << 10)
+	// testSpan is the address space of a test plane: larger than any test
+	// touches, and free until written since the mirror is sparse.
+	testSpan = 64 * DefaultPageSize
 )
 
 // newRig builds a rig. The first name is the user server (fully reserved, so

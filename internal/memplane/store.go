@@ -25,7 +25,7 @@ func NewPageStore(p *Plane, slots int) (*PageStore, error) {
 	if slots <= 0 {
 		return nil, fmt.Errorf("memplane: page store needs positive slots, got %d", slots)
 	}
-	if p.cfg.AddressBytes > 0 && int64(slots)*p.PageSize() > p.cfg.AddressBytes {
+	if int64(slots)*DefaultPageSize > p.cfg.AddressBytes {
 		return nil, fmt.Errorf("memplane: %d slots exceed the plane's %d-byte address space", slots, p.cfg.AddressBytes)
 	}
 	return &PageStore{p: p, slots: slots}, nil
@@ -36,12 +36,12 @@ func (s *PageStore) Slots() int { return s.slots }
 
 // WritePage implements hypervisor.RemoteStore.
 func (s *PageStore) WritePage(slot int, page []byte) (int64, error) {
-	_, ns, err := s.p.Write(int64(slot)*s.p.PageSize(), page)
+	_, ns, err := s.p.Write(int64(slot)*DefaultPageSize, page)
 	return ns, err
 }
 
 // ReadPage implements hypervisor.RemoteStore.
 func (s *PageStore) ReadPage(slot int, dst []byte) (int64, error) {
-	_, ns, err := s.p.Read(int64(slot)*s.p.PageSize(), dst)
+	_, ns, err := s.p.Read(int64(slot)*DefaultPageSize, dst)
 	return ns, err
 }

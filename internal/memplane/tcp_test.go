@@ -36,18 +36,16 @@ func tcpPlanePair(t *testing.T) (tcpPlane, inprocPlane *Plane, cleanup func()) {
 		t.Fatal(err)
 	}
 	tcpPlane, err = New(Config{
-		VM: "vm", LocalBytes: DefaultPageSize,
+		VM: "vm", AddressBytes: testSpan, LocalBytes: DefaultPageSize,
 		Buffers:   bufsTCP,
 		Transport: tr,
-		Cost:      rigTCP.fabric.Model(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inprocPlane, err = New(Config{
-		VM: "vm", LocalBytes: DefaultPageSize,
+		VM: "vm", AddressBytes: testSpan, LocalBytes: DefaultPageSize,
 		Buffers: bufsIP,
-		Cost:    rigIP.fabric.Model(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,6 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/autopilot"
@@ -128,18 +126,13 @@ func (c *MatrixConfig) roster() ([]autopilot.Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	all := autopilot.Policies(base)
 	policies := make([]autopilot.Policy, 0, len(c.Policies))
 	for _, name := range c.Policies {
-		i := slices.IndexFunc(all, func(p autopilot.Policy) bool { return p.Name() == name })
-		if i < 0 {
-			valid := make([]string, len(all))
-			for k, p := range all {
-				valid[k] = p.Name()
-			}
-			return nil, fmt.Errorf("scenario: unknown policy %q (valid: %s)", name, strings.Join(valid, ", "))
+		p, err := autopilot.PolicyByName(name, base)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
 		}
-		policies = append(policies, all[i])
+		policies = append(policies, p)
 	}
 	return policies, nil
 }

@@ -41,18 +41,15 @@ type Result struct {
 // Runner replays workload streams against paging configurations and reports
 // penalties relative to an all-local baseline.
 type Runner struct {
-	// Cost is the hypervisor CPU cost model shared by all configurations.
-	Cost hypervisor.CostModel
 	// Seed makes runs reproducible.
 	Seed int64
 	// Iterations is the number of passes over the VM's pages per run.
 	Iterations int
 }
 
-// NewRunner returns a runner with the default cost model, seed 1 and two
-// iterations per run.
+// NewRunner returns a runner with seed 1 and two iterations per run.
 func NewRunner() *Runner {
-	return &Runner{Cost: hypervisor.DefaultCostModel(), Seed: 1, Iterations: 2}
+	return &Runner{Seed: 1, Iterations: 2}
 }
 
 // scaledPages converts a VM reservation to a tractable simulated page count.
@@ -95,7 +92,6 @@ func (r *Runner) RunRAMExt(kind Kind, machine vm.VM, localFraction float64, poli
 		LocalFrames: localFrames,
 		Policy:      policy,
 		Remote:      store,
-		Cost:        r.Cost,
 	})
 	if err != nil {
 		return Result{}, err
@@ -123,7 +119,6 @@ func (r *Runner) RunExplicitSD(kind Kind, machine vm.VM, localFraction float64, 
 		Pages:       pages,
 		LocalFrames: localFrames,
 		Device:      dev,
-		Cost:        r.Cost,
 	})
 	if err != nil {
 		return Result{}, err
@@ -140,7 +135,7 @@ func (r *Runner) replay(kind Kind, pages int, localFraction float64, target Acce
 	}
 	profile := ProfileOf(kind)
 
-	baseline, err := hypervisor.NewRAMExt(hypervisor.Config{Pages: pages, LocalFrames: pages, Cost: r.Cost})
+	baseline, err := hypervisor.NewRAMExt(hypervisor.Config{Pages: pages, LocalFrames: pages})
 	if err != nil {
 		return Result{}, err
 	}
