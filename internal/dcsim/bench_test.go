@@ -71,6 +71,27 @@ func BenchmarkDCSimLargeLive(b *testing.B) {
 	}
 }
 
+// BenchmarkCompareOpts is one offline_compare pass over its memory-heavy
+// trace: the six Figure 10 runs in one walk, transition costs on, epochs
+// sharded over GOMAXPROCS workers. Run it with -cpuprofile to see where a
+// comparison spends its time.
+func BenchmarkCompareOpts(b *testing.B) {
+	gen := trace.ModifiedConfig()
+	gen.Machines, gen.Tasks, gen.HorizonSec, gen.Seed = 1300, 20000, 24*3600, 42
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := CompareOptions{Workers: runtime.GOMAXPROCS(0), TransitionCosts: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CompareOpts(tr, energy.Profiles(), consolidation.DefaultServerSpec(), opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // countAllocs returns the number of heap allocations fn performs.
 func countAllocs(fn func()) uint64 {
 	var before, after runtime.MemStats

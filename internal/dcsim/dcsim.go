@@ -77,13 +77,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// applyDefaults fills optional fields.
-func (c *Config) applyDefaults() {
-	if c.ConsolidationPeriodSec <= 0 {
-		c.ConsolidationPeriodSec = 300
-	}
-}
-
 // Result summarises one simulation run.
 type Result struct {
 	Policy  string
@@ -175,7 +168,7 @@ type epochStats struct {
 }
 
 // ReplayIndex is the read-only replay view of one trace, built once and
-// shared by everything that replays it: dcsim's runs, shards and replayers,
+// shared by everything that replays it: dcsim's walks, shards and replayers,
 // and autopilot's online loop. A VM's rank is its position in the
 // lexicographic order of the VM IDs — the order the policies and the energy
 // integrals have always seen populations in — so a replay keeps its running
@@ -348,7 +341,7 @@ type replayer struct {
 }
 
 // newReplayer sizes every buffer once for the largest population the walk
-// will meet (live is the run's liveCounts), so the epoch loop allocates
+// will meet (live is the walk's liveCounts), so the epoch loop allocates
 // nothing and population writes by position.
 func newReplayer(idx *ReplayIndex, live []int) *replayer {
 	peak := slices.Max(live)
@@ -394,9 +387,10 @@ func (r *replayer) population(span epochSpan) []consolidation.VMDemand {
 // simulateEpoch evaluates the policy on one epoch's population, integrates
 // the fleet power over the epoch and, when transition costs are enabled,
 // charges the events implied by moving from prev's posture to this epoch's.
-// It returns the epoch's plan so the caller can thread it into the next
-// epoch's delta.
-func simulateEpoch(cfg *Config, vms []consolidation.VMDemand, span epochSpan, prev consolidation.FleetPlan) (epochStats, consolidation.FleetPlan) {
+// usedCPU is the population's summed UsedCPU, which the walk folds once for
+// every config. It returns the epoch's plan so the caller can thread it into
+// the next epoch's delta.
+func simulateEpoch(cfg *Config, vms []consolidation.VMDemand, usedCPU float64, span epochSpan, prev consolidation.FleetPlan) (epochStats, consolidation.FleetPlan) {
 	plan := epochPlan(cfg, vms, span)
 	dt := float64(span.end - span.start)
 	stats := epochStats{
@@ -406,7 +400,7 @@ func simulateEpoch(cfg *Config, vms []consolidation.VMDemand, span epochSpan, pr
 		utilDt:    plan.ActiveCPUUtilization * dt,
 		dt:        dt,
 		energyJ:   PosturePowerWatts(cfg.Machine, plan) * dt,
-		baselineJ: baselinePower(cfg, vms) * dt,
+		baselineJ: BaselinePowerWatts(cfg.Machine, cfg.ServerSpec, usedCPU, cfg.Trace.Machines) * dt,
 	}
 	if cfg.TransitionCosts {
 		c := TransitionCost(cfg.Machine, cfg.Policy.Name(), chaosAlignPrev(cfg, prev, plan), plan, vms, dt, chaosFabricFactor(cfg, span))
@@ -430,8 +424,8 @@ func simulateEpoch(cfg *Config, vms []consolidation.VMDemand, span epochSpan, pr
 // epochPlan evaluates the policy on one epoch's population against the
 // capacity actually available: the full fleet, minus any servers the chaos
 // plan holds crashed at the epoch start. It is the single planning entry
-// point shared by the sequential walk and the parallel shards' lookback, so
-// both derive identical plans whatever the worker count.
+// point shared by a shard's epochs and its lookback, so every shard derives
+// identical plans whatever the worker count.
 func epochPlan(cfg *Config, vms []consolidation.VMDemand, span epochSpan) consolidation.FleetPlan {
 	total := cfg.Trace.Machines
 	if crashed := cfg.Chaos.CrashedAt(span.start); crashed > 0 {
@@ -441,13 +435,6 @@ func epochPlan(cfg *Config, vms []consolidation.VMDemand, span epochSpan) consol
 		}
 	}
 	return cfg.Policy.Plan(vms, cfg.ServerSpec, total)
-}
-
-// initialPlan is the fleet posture before the first epoch: all servers awake
-// in S0, so the first epoch pays for consolidating the fleet out of the
-// baseline posture.
-func initialPlan(cfg *Config) consolidation.FleetPlan {
-	return consolidation.InitialPlan(cfg.Trace.Machines)
 }
 
 // Run executes the simulation, sequentially or sharded across
@@ -461,30 +448,25 @@ func Run(cfg Config) (Result, error) {
 }
 
 // RunIndexed is Run over an index the caller built from cfg.Trace, so
-// whatever replays one trace more than once (CompareOpts, Sweep, autopilot's
-// regret reports and the scenario matrix) builds it once.
+// whatever replays one trace more than once (autopilot's regret reports and
+// the scenario matrix) builds it once. It is the one-config walk.
 func RunIndexed(cfg Config, idx *ReplayIndex) (Result, error) {
-	if idx == nil || idx.tr != cfg.Trace {
-		return Result{}, fmt.Errorf("dcsim: the replay index was built from another trace")
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := prepare(&cfg, idx); err != nil {
 		return Result{}, err
 	}
-	cfg.applyDefaults()
-	spans := epochSpans(cfg.Trace.HorizonSec, cfg.ConsolidationPeriodSec)
-	live := idx.liveCounts(cfg.ConsolidationPeriodSec, len(spans))
+	return walk(idx, []Config{cfg})[0], nil
+}
 
-	stats := make([]epochStats, len(spans))
-	if cfg.Workers > 1 && len(spans) > 1 {
-		simulateShards(&cfg, idx, spans, live, stats)
-	} else {
-		rep := newReplayer(idx, live)
-		prev := initialPlan(&cfg)
-		for i, span := range spans {
-			stats[i], prev = simulateEpoch(&cfg, rep.population(span), span, prev)
-		}
+// prepare validates cfg, checks idx replays its trace, and fills the default
+// 300 s period: what a config needs before it joins a walk.
+func prepare(cfg *Config, idx *ReplayIndex) error {
+	if idx == nil || idx.tr != cfg.Trace {
+		return fmt.Errorf("dcsim: the replay index was built from another trace")
 	}
-	return mergeEpochStats(cfg, stats), nil
+	if cfg.ConsolidationPeriodSec <= 0 {
+		cfg.ConsolidationPeriodSec = 300
+	}
+	return cfg.Validate()
 }
 
 // mergeEpochStats folds per-epoch contributions into a Result in epoch order,
@@ -548,16 +530,6 @@ func PosturePowerWatts(m *energy.MachineProfile, plan consolidation.FleetPlan) f
 	return p
 }
 
-// baselinePower returns the fleet's power without consolidation: every server
-// stays in S0 and the load spreads across the whole fleet.
-func baselinePower(cfg *Config, vms []consolidation.VMDemand) float64 {
-	var usedCPU float64
-	for _, v := range vms {
-		usedCPU += v.UsedCPU
-	}
-	return BaselinePowerWatts(cfg.Machine, cfg.ServerSpec, usedCPU, cfg.Trace.Machines)
-}
-
 // BaselinePowerWatts returns the no-consolidation fleet power: every server
 // in S0 with the aggregate used CPU (cores) spread across the whole fleet.
 // Shared with the online control plane for the same reason as
@@ -601,26 +573,27 @@ type CompareOptions struct {
 
 // CompareOpts runs Neat, Oasis and ZombieStack (plus the baseline used for
 // the saving computation) on the trace for each machine profile with the
-// given engine options.
+// given engine options, all in one walk: each epoch's population is built once
+// and planned by every run.
 func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consolidation.ServerSpec, opts CompareOptions) (Comparison, error) {
 	idx, err := NewReplayIndex(tr)
 	if err != nil {
 		return Comparison{}, err
 	}
-	cmp := Comparison{Trace: tr.Name}
+	var cfgs []Config
 	for _, m := range machines {
 		for _, pol := range consolidation.Contenders() {
-			res, err := RunIndexed(Config{
+			cfg := Config{
 				Trace: tr, Policy: pol, Machine: m, ServerSpec: spec,
 				Workers: opts.Workers, TransitionCosts: opts.TransitionCosts,
-			}, idx)
-			if err != nil {
+			}
+			if err := prepare(&cfg, idx); err != nil {
 				return Comparison{}, err
 			}
-			cmp.Results = append(cmp.Results, res)
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	return cmp, nil
+	return Comparison{Trace: tr.Name, Results: walk(idx, cfgs)}, nil
 }
 
 // Saving returns the saving of a given policy/machine pair from a comparison.

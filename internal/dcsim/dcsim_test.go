@@ -135,10 +135,15 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	cfg := Config{}
-	cfg.applyDefaults()
-	if cfg.ConsolidationPeriodSec != 300 {
-		t.Errorf("defaults = %+v", cfg)
+	res, err := Run(Config{
+		Trace: engineTestTrace(t), Policy: consolidation.NewNeat(), Machine: energy.HPProfile(),
+		ServerSpec: consolidation.DefaultServerSpec(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PeriodSec != 300 {
+		t.Errorf("default period = %d, want 300", res.PeriodSec)
 	}
 }
 

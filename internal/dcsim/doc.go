@@ -28,23 +28,25 @@
 // populations are planned and integrated in, its demand ready to copy, and
 // its VM ID as a substring of one buffer. The ranks are sorted by an integer
 // key that orders like the "task-%d" strings, so the build compares no string
-// either. Run builds the index; CompareOpts and Sweep build it once per trace
-// and share it across every run and shard; internal/autopilot, whose online
-// loop keeps its running set by rank, builds it once per trace and fault plan
-// and hands it to its online runs and, through RunIndexed, to the oracle. The
-// index is always passed as an argument and never cached on the trace. A
-// replayer
+// either. Run builds the index; internal/autopilot, whose online loop keeps
+// its running set by rank, builds it once per trace and fault plan and hands
+// it to its online runs and, through RunIndexed, to the oracle. The index is
+// always passed as an argument and never cached on the trace. A replayer
 // derives an epoch's population by merging the epoch's arrivals, sorted by
 // rank, with the surviving running set — linear, no string compared, nothing
 // allocated — and seeks to any epoch with one filtered scan of the tasks
 // started by then. A trace that repeats a task ID is rejected at the build.
 //
+// Runs that share a trace and a consolidation period share one epoch walk
+// (parallel.go): CompareOpts and Sweep build the index once per trace, and the
+// walk builds each epoch's population once for every run to plan and price.
+//
 // The simulation decomposes into independent consolidation epochs, so the
-// engine can shard the per-epoch accounting (placement evaluation, energy
+// walk can shard the per-epoch accounting (placement evaluation, energy
 // integration and transition pricing) across a pool of workers: set
 // Config.Workers above 1 and the epochs are split into contiguous shards of
 // near-equal population, each seeking to its own start, simulated
-// concurrently, and merged back in epoch order. Transition events
+// concurrently, and merged back per run in epoch order. Transition events
 // depend only on the previous and current epoch plans, both pure functions of
 // their epoch populations, so a shard derives its predecessor plan with a
 // one-epoch lookback and the merge performs exactly the same floating-point
@@ -53,8 +55,8 @@
 //
 // On top of single runs, sweep.go provides a scenario-sweep harness that runs
 // a grid of {policy, machine profile, trace, consolidation period,
-// transition-cost on/off} scenarios concurrently and aggregates the results
-// with internal/metrics.
+// transition-cost on/off} scenarios, one walk per (trace, period) group, the
+// groups concurrently, and aggregates the results with internal/metrics.
 //
 // Because the engine plans each epoch with the epoch's whole population —
 // knowledge no causal controller has — a run is also the offline upper bound

@@ -1,15 +1,17 @@
-// The parallel engine: consolidation epochs are split into contiguous shards
-// and simulated by a pool of workers, each walking the run's shared replay
-// index with its own replayer. Every worker writes the per-epoch contributions
-// of its shard into a disjoint part of a shared slice, and the caller merges
-// the slice in epoch order, so the accumulation order — and therefore every
-// floating-point result — matches the sequential engine exactly: independent
-// workers, deterministic merge.
+// The epoch walk: one walk over a trace's consolidation epochs carries every
+// config that shares the trace, the period and the worker count — the one
+// config of Run, the six of CompareOpts, one (trace, period) group of a Sweep.
+// Contiguous shards of epochs are walked concurrently, and each config's
+// per-epoch contributions are merged in epoch order, so the accumulation
+// order — and therefore every floating-point result — matches a lone
+// sequential run exactly: independent workers, deterministic merge.
 
 package dcsim
 
 import (
 	"sync"
+
+	"repro/internal/consolidation"
 )
 
 // shard is a half-open range [lo, hi) of epoch indices.
@@ -41,37 +43,70 @@ func shardEpochs(live []int, workers int) []shard {
 	return shards
 }
 
-// simulateShards fills stats[i] for every epoch i, one goroutine per shard.
+// walk simulates every config over the epochs of the trace idx replays and
+// returns their results in config order. The configs are validated and
+// defaulted, and share one trace, one consolidation period and one Workers
+// value; Workers of 0 or 1 is a single shard.
+//
 // Each shard's replayer seeks to the shard's first epoch — one filtered scan
 // of the tasks started by then, one integer sort of those still running — and
-// holds the same running set the sequential walk would at that epoch, so a
-// shard costs its own epochs and nothing else. No cross-shard state is shared
-// and no locks are needed: the index is read-only and the goroutines write
-// disjoint ranges of stats.
+// holds the same running set a sequential walk would at that epoch. It builds
+// each epoch's population and used-CPU sum once, and every config plans and
+// prices that read-only population from its own previous plan, starting from
+// the all-awake posture. No locks are needed: the index is read-only and the
+// goroutines write disjoint ranges of stats.
 //
-// With transition costs enabled, each epoch additionally depends on the
+// With transition costs or chaos, each epoch additionally depends on the
 // PREVIOUS epoch's plan. That plan is itself a pure function of the previous
 // epoch's population, so a shard that does not start at epoch 0 derives it
 // with a one-epoch lookback: it replays the population of the epoch just
 // before its range and evaluates the policy on it — exactly the evaluation
 // the neighbouring shard performs for that epoch — and shard independence
 // (and therefore bit-identity with the sequential engine) is preserved.
-func simulateShards(cfg *Config, idx *ReplayIndex, spans []epochSpan, live []int, stats []epochStats) {
+func walk(idx *ReplayIndex, cfgs []Config) []Result {
+	if len(cfgs) == 0 {
+		return nil
+	}
+	lead := &cfgs[0]
+	spans := epochSpans(lead.Trace.HorizonSec, lead.ConsolidationPeriodSec)
+	live := idx.liveCounts(lead.ConsolidationPeriodSec, len(spans))
+	n := len(spans)
+	stats := make([]epochStats, len(cfgs)*n) // config c's epoch i is stats[c*n+i]
 	var wg sync.WaitGroup
-	for _, sh := range shardEpochs(live, cfg.Workers) {
+	for _, sh := range shardEpochs(live, lead.Workers) {
 		wg.Add(1)
-		go func(sh shard) {
+		go func() {
 			defer wg.Done()
 			rep := newReplayer(idx, live)
-			prev := initialPlan(cfg)
-			if (cfg.TransitionCosts || !cfg.Chaos.Empty()) && sh.lo > 0 {
+			prev := make([]consolidation.FleetPlan, len(cfgs))
+			for c := range prev {
+				prev[c] = consolidation.InitialPlan(lead.Trace.Machines)
+			}
+			if sh.lo > 0 {
 				lookback := spans[sh.lo-1]
-				prev = epochPlan(cfg, rep.population(lookback), lookback)
+				vms := rep.population(lookback)
+				for c := range cfgs {
+					if cfgs[c].TransitionCosts || !cfgs[c].Chaos.Empty() {
+						prev[c] = epochPlan(&cfgs[c], vms, lookback)
+					}
+				}
 			}
 			for i := sh.lo; i < sh.hi; i++ {
-				stats[i], prev = simulateEpoch(cfg, rep.population(spans[i]), spans[i], prev)
+				vms := rep.population(spans[i])
+				var usedCPU float64
+				for _, v := range vms {
+					usedCPU += v.UsedCPU
+				}
+				for c := range cfgs {
+					stats[c*n+i], prev[c] = simulateEpoch(&cfgs[c], vms, usedCPU, spans[i], prev[c])
+				}
 			}
-		}(sh)
+		}()
 	}
 	wg.Wait()
+	results := make([]Result, len(cfgs))
+	for c := range cfgs {
+		results[c] = mergeEpochStats(cfgs[c], stats[c*n:(c+1)*n])
+	}
+	return results
 }

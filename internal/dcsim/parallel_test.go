@@ -179,3 +179,46 @@ func TestCompareOptsWorkersMatchSequential(t *testing.T) {
 		t.Fatalf("CompareOpts with 4 workers diverges from sequential:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
+
+// TestCompareOptsMatchesSeparateRuns: a comparison walks its six runs
+// together, planning one population per epoch, and each result must equal the
+// same config walked alone — on a balanced and a gang-skewed trace, sequential
+// and sharded, transition costs off and on.
+func TestCompareOptsMatchesSeparateRuns(t *testing.T) {
+	ml, err := trace.GenerateFamily("mlbatch", trace.FamilyParams{Machines: 60, HorizonSec: 6 * 3600, Tasks: 500, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := consolidation.DefaultServerSpec()
+	for _, tr := range []*trace.Trace{engineTestTrace(t), ml} {
+		idx, err := NewReplayIndex(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 2, 4} {
+			for _, costed := range []bool{false, true} {
+				got, err := CompareOpts(tr, energy.Profiles(), spec, CompareOptions{Workers: workers, TransitionCosts: costed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []Result
+				for _, m := range energy.Profiles() {
+					for _, pol := range consolidation.Contenders() {
+						r, err := RunIndexed(Config{
+							Trace: tr, Policy: pol, Machine: m, ServerSpec: spec,
+							Workers: workers, TransitionCosts: costed,
+						}, idx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want = append(want, r)
+					}
+				}
+				if !reflect.DeepEqual(got.Results, want) {
+					t.Errorf("%s workers=%d transitions=%v: CompareOpts diverges from separate runs\ncompare: %+v\nruns:    %+v",
+						tr.Name, workers, costed, got.Results, want)
+				}
+			}
+		}
+	}
+}

@@ -129,9 +129,10 @@ func TestRunRejectsDuplicateTaskIDs(t *testing.T) {
 }
 
 // TestCompareFormatsVMIDsOncePerTrace pins the sharing: a comparison is six
-// runs on one trace, and it allocates a small constant per run plus the
-// index's few buffers — the VM IDs are one buffer, not one string per task,
-// let alone one per task per run.
+// runs in one walk of one trace. It allocates the index's few buffers and the
+// walk's replayer once, plus a small constant per run — the VM IDs are one
+// buffer, not one string per task, let alone one per task per run, and a
+// replayer per run (four buffers each) does not fit the budget.
 func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	tr := engineTestTrace(t)
 	spec := consolidation.DefaultServerSpec()
@@ -143,7 +144,7 @@ func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	compare()
 	runs := len(energy.Profiles()) * len(consolidation.Contenders())
 	got := countAllocs(compare)
-	if budget := uint64(16 + 16*runs); got > budget {
+	if budget := uint64(24 + 4*runs); got > budget {
 		t.Fatalf("CompareOpts over %d tasks x %d runs costs %d allocs, budget %d", len(tr.Tasks), runs, got, budget)
 	}
 	t.Logf("CompareOpts: %d allocs for %d tasks x %d runs", got, len(tr.Tasks), runs)

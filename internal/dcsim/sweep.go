@@ -1,9 +1,10 @@
 // The scenario-sweep harness: a grid of {consolidation policy, machine power
-// profile, trace, consolidation period} scenarios is executed concurrently by
-// a pool of sweep workers (each scenario may itself shard its epochs, see
-// parallel.go). Results land in grid order regardless of scheduling, so a
-// sweep is deterministic, and the aggregation helpers summarise the grid with
-// internal/metrics.
+// profile, trace, consolidation period} scenarios is grouped by (trace,
+// period), and each group is one epoch walk (parallel.go) that every machine,
+// policy and transition branch of the group plans. A pool of sweep workers
+// runs the groups concurrently (a group may itself shard its epochs). Results
+// land in grid order regardless of scheduling, so a sweep is deterministic,
+// and the aggregation helpers summarise the grid with internal/metrics.
 
 package dcsim
 
@@ -43,9 +44,10 @@ type SweepConfig struct {
 	TransitionCosts []bool
 	// ServerSpec is the capacity of every server in every scenario.
 	ServerSpec consolidation.ServerSpec
-	// SweepWorkers bounds how many scenarios run concurrently; 1 by default.
-	// When the grid has fewer cells than that, each run also shards its
-	// epochs so the spare workers are not left idle (Config.Workers).
+	// SweepWorkers bounds how many (trace, period) groups run concurrently;
+	// 1 by default. When the grid has fewer groups than that, each group also
+	// shards its epochs so the spare workers are not left idle
+	// (Config.Workers).
 	SweepWorkers int
 }
 
@@ -91,10 +93,10 @@ type SweepResult struct {
 	Runs []Result
 }
 
-// Sweep generates each trace once, then runs the scenario grid concurrently
-// on SweepWorkers goroutines. The returned runs are in grid order and
-// independent of scheduling; with the same config a sweep is fully
-// deterministic.
+// Sweep generates each trace once, then walks each (trace, period) group of
+// the scenario grid once, concurrently on SweepWorkers goroutines. The
+// returned runs are in grid order and independent of scheduling; with the
+// same config a sweep is fully deterministic.
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -128,26 +130,36 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if len(transitionAxis) == 0 {
 		transitionAxis = []bool{false}
 	}
-	// The sweep pool alone saturates its workers when the grid is at least as
-	// wide as the pool; only a narrower grid shards epochs inside each run.
+	// The sweep pool alone saturates its workers when there are at least as
+	// many groups as workers; only fewer groups shard epochs inside each walk.
 	workers := max(cfg.SweepWorkers, 1)
-	ncells := len(traces) * len(cfg.Machines) * len(cfg.Policies) * len(cfg.PeriodsSec) * len(transitionAxis)
+	ngroups := len(traces) * len(cfg.PeriodsSec)
 	engineWorkers := 0
-	if ncells < workers {
-		engineWorkers = (workers + ncells - 1) / ncells
+	if ngroups < workers {
+		engineWorkers = (workers + ngroups - 1) / ngroups
 	}
-	cells := make([]Config, 0, ncells)
-	var index []*ReplayIndex // index[i] replays cells[i].Trace: one per trace, shared by its runs
+	// A group is one walk: its configs, and the grid position of each.
+	type group struct {
+		idx   *ReplayIndex
+		cfgs  []Config
+		cells []int
+	}
+	groups := make([]group, 0, ngroups)
+	ncells := 0
 	for _, tr := range traces {
 		idx, err := NewReplayIndex(tr)
 		if err != nil {
 			return nil, err
 		}
+		first := len(groups)
+		for range cfg.PeriodsSec {
+			groups = append(groups, group{idx: idx})
+		}
 		for _, m := range cfg.Machines {
 			for _, pol := range cfg.Policies {
-				for _, period := range cfg.PeriodsSec {
+				for p, period := range cfg.PeriodsSec {
 					for _, transitions := range transitionAxis {
-						cells = append(cells, Config{
+						c := Config{
 							Trace:                  tr,
 							Policy:                 pol,
 							Machine:                m,
@@ -155,38 +167,39 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 							ConsolidationPeriodSec: period,
 							Workers:                engineWorkers,
 							TransitionCosts:        transitions,
-						})
-						index = append(index, idx)
+						}
+						if err := prepare(&c, idx); err != nil {
+							return nil, err
+						}
+						g := &groups[first+p]
+						g.cfgs = append(g.cfgs, c)
+						g.cells = append(g.cells, ncells)
+						ncells++
 					}
 				}
 			}
 		}
 	}
 
-	workers = min(workers, len(cells))
-	res := &SweepResult{Runs: make([]Result, len(cells))}
-	errs := make([]error, len(cells))
-	work := make(chan int)
+	res := &SweepResult{Runs: make([]Result, ncells)}
+	work := make(chan *group)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(groups)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				res.Runs[i], errs[i] = RunIndexed(cells[i], index[i])
+			for g := range work {
+				for j, run := range walk(g.idx, g.cfgs) {
+					res.Runs[g.cells[j]] = run
+				}
 			}
 		}()
 	}
-	for i := range cells {
-		work <- i
+	for i := range groups {
+		work <- &groups[i]
 	}
 	close(work)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 

@@ -73,7 +73,7 @@ func TestSweepDeterministic(t *testing.T) {
 		PeriodsSec:      []int64{300},
 		TransitionCosts: []bool{false, true},
 		ServerSpec:      consolidation.DefaultServerSpec(),
-		SweepWorkers:    16, // 6 cells: each run shards its epochs over 3 workers
+		SweepWorkers:    16, // 1 (trace, period) group: its walk shards epochs over 16 workers
 	}
 	res, err := Sweep(cfg)
 	if err != nil {
@@ -98,6 +98,51 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Runs, want) {
 		t.Fatalf("sharded sweep diverges from sequential runs:\nsweep: %+v\nruns:  %+v", res.Runs, want)
+	}
+}
+
+// TestSweepGroupsMatchSeparateRuns runs a grid of two periods and both
+// transition branches — two walks of twelve configs, each sharding its epochs
+// over the spare workers — and requires every run to equal its cell run alone.
+func TestSweepGroupsMatchSeparateRuns(t *testing.T) {
+	tc := trace.ModifiedConfig()
+	tc.Machines, tc.Tasks, tc.HorizonSec = 40, 300, 4*3600
+	cfg := SweepConfig{
+		Policies:        consolidation.Contenders(),
+		Machines:        energy.Profiles(),
+		TraceConfigs:    []trace.GeneratorConfig{tc},
+		PeriodsSec:      []int64{300, 900},
+		TransitionCosts: []bool{false, true},
+		ServerSpec:      consolidation.DefaultServerSpec(),
+		SweepWorkers:    3,
+	}
+	res, err := Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Generate(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Result
+	for _, m := range cfg.Machines {
+		for _, pol := range cfg.Policies {
+			for _, period := range cfg.PeriodsSec {
+				for _, costed := range cfg.TransitionCosts {
+					r, err := Run(Config{
+						Trace: tr, Policy: pol, Machine: m, ServerSpec: cfg.ServerSpec,
+						ConsolidationPeriodSec: period, TransitionCosts: costed,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, r)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(res.Runs, want) {
+		t.Fatalf("grouped sweep diverges from separate runs:\nsweep: %+v\nruns:  %+v", res.Runs, want)
 	}
 }
 
