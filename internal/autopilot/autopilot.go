@@ -297,17 +297,22 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
+	// Both builds only read the trace, so the event order is sorted on a
+	// second core while this one builds the index.
+	streamc := make(chan *trace.Stream, 1)
+	go func() { streamc <- trace.NewStream(cfg.Trace) }()
 	idx, err := dcsim.NewReplayIndex(cfg.Trace)
+	stream := <-streamc
 	if err != nil {
 		return Result{}, err
 	}
-	return run(cfg, idx)
+	return run(cfg, idx, stream)
 }
 
-// run is Run on a validated configuration, over an index the caller built
-// from cfg.Trace: a regret comparison builds it once for its online runs and
-// its oracle.
-func run(cfg Config, idx *dcsim.ReplayIndex) (Result, error) {
+// run is Run on a validated configuration, over an index and an unread
+// arrival feed the caller built from cfg.Trace: a regret comparison builds the
+// index once for its online runs and its oracle.
+func run(cfg Config, idx *dcsim.ReplayIndex, stream *trace.Stream) (Result, error) {
 	cfg.applyDefaults()
 
 	l := &loop{
@@ -333,7 +338,6 @@ func run(cfg Config, idx *dcsim.ReplayIndex) (Result, error) {
 	}
 
 	horizon := cfg.Trace.HorizonSec
-	stream := trace.NewStream(cfg.Trace)
 	ev, evOK := stream.Next()
 	now := int64(0)
 	nextTick := cfg.TickSec

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/acpi"
 	"repro/internal/consolidation"
@@ -511,6 +512,33 @@ func TestRunRejectsDuplicateTaskIDs(t *testing.T) {
 	}
 	if _, err := RunChaos(cfg, nil); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("RunChaos on a duplicate task ID: got error %v", err)
+	}
+}
+
+// TestRunLeavesNoGoroutine: Run sorts the event order on a goroutine while it
+// builds the replay index, and waits for it whether the index builds or not.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	tr := diurnalTrace(t)
+	dup := *tr
+	dup.Tasks = slices.Clone(tr.Tasks)
+	dup.Tasks[len(dup.Tasks)-1].ID = dup.Tasks[3].ID
+	base := runtime.NumGoroutine()
+	for _, c := range []struct {
+		tr   *trace.Trace
+		fail bool
+	}{{tr, false}, {&dup, true}} {
+		cfg := baseConfig(c.tr)
+		cfg.Policy = NewReactive(consolidation.NewZombieStack())
+		if _, err := Run(cfg); (err != nil) != c.fail {
+			t.Fatalf("Run on %d tasks: error %v, want failure %v", len(c.tr.Tasks), err, c.fail)
+		}
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("Run (failure %v) left %d goroutines running, %d before", c.fail, n, base)
+		}
 	}
 }
 

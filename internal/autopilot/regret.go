@@ -9,6 +9,7 @@ import (
 	"repro/internal/consolidation"
 	"repro/internal/dcsim"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // Report is the regret report of one online run: the online policy's costed
@@ -106,7 +107,7 @@ func (r *replay) jobs() []func() error {
 		jobs = append(jobs, func() (err error) {
 			cfg := r.cfg
 			cfg.Policy = pol
-			r.online[i], err = run(cfg, r.idx)
+			r.online[i], err = run(cfg, r.idx, trace.NewStream(cfg.Trace))
 			return err
 		})
 	}

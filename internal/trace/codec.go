@@ -53,26 +53,13 @@ func (tr *Trace) EncodeCSV(w io.Writer, compress bool) error {
 
 // DecodeCSV decodes tasks from CSV produced by EncodeCSV (or converted from
 // the real Google traces), transparently inflating gzip input by sniffing
-// the magic bytes; plain CSV passes straight through. It reads one record at
-// a time through Reader: raw records are never materialized in bulk, every
-// task must pass Task.Validate, and duplicate task IDs — whose task-%d VMIDs
-// would silently merge distinct VMs in both the offline replayer and the
-// online admitted set — are rejected with the offending row numbers.
+// the magic bytes; plain CSV passes straight through. It is Import's decoder
+// without the sorting and the derived metadata: raw records are never
+// materialized in bulk, every task must pass Task.Validate, and duplicate
+// task IDs — whose task-%d VMIDs would silently merge distinct VMs in both the
+// offline replayer and the online admitted set — are rejected with the
+// offending row numbers.
 // Machines and HorizonSec must be set by the caller.
 func DecodeCSV(r io.Reader) ([]Task, error) {
-	rd, err := NewReader(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	var tasks []Task
-	for {
-		t, err := rd.Read()
-		if err == io.EOF {
-			return tasks, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, t)
-	}
+	return decodeTasks(r, nil)
 }

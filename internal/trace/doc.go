@@ -24,7 +24,7 @@
 //     diurnal sinusoid, flash-crowd bursts, serverless short tasks,
 //     gang-scheduled ML batches and heavy-tail Pareto sizes, composable via
 //     Compose/Overlay into mixed workloads with disjoint ID namespaces;
-//   - a record-at-a-time importer (Import, ImportFile, Reader) for .csv and
+//   - a record-at-a-time importer (Import, ImportFile) for .csv and
 //     .csv.gz traces bigger than RAM, with pluggable column schemas (Schema;
 //     ClusterSchema adapts the public cluster-trace layout) and row-numbered
 //     rejection of malformed tasks and duplicate IDs.

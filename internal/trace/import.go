@@ -19,7 +19,7 @@ import (
 // decoding — holding the whole file's strings and the whole task list in
 // memory at once, and happily accepting invalid tasks and duplicate IDs
 // (whose task-%d VMIDs silently merge distinct VMs in both planners). The
-// Reader here decodes one record at a time straight into validated Tasks,
+// importer here decodes one record at a time straight into validated Tasks,
 // rejects duplicates with row-numbered errors, sniffs gzip transparently,
 // and adapts external column layouts through a Schema — so a million-task
 // .csv.gz replays with nothing but the Task structs resident.
@@ -35,7 +35,7 @@ type Schema interface {
 	// Header reports whether a record is the layout's header row.
 	Header(rec []string) bool
 	// Decode parses one record into a task. Field errors name the column
-	// ("id: ..."); the Reader prefixes the row number.
+	// ("id: ..."); the importer prefixes the row number.
 	Decode(rec []string) (Task, error)
 }
 
@@ -138,69 +138,76 @@ func (clusterSchema) Decode(rec []string) (Task, error) {
 	return t, nil
 }
 
-// Reader decodes tasks record-at-a-time from plain or gzip CSV. Nothing but
-// the csv.Reader's reused record buffer and the duplicate-ID index is held
-// between calls, so the peak footprint of a full read is the tasks the
-// caller keeps — never the raw records. A Reader is single-consumer.
-type Reader struct {
-	cr     *csv.Reader
-	schema Schema
-	row    int         // 1-based physical row of the last record read
-	seen   map[int]int // task ID -> first row it appeared on
-}
-
-// NewReader wraps r in a streaming task decoder for the schema (nil selects
-// NativeSchema). Gzip input is sniffed by its magic bytes and inflated
-// transparently, as with DecodeCSV.
-func NewReader(r io.Reader, schema Schema) (*Reader, error) {
+// decodeTasks decodes plain or gzip CSV for the schema (nil selects
+// NativeSchema) one record at a time: besides the tasks it returns it holds
+// only the csv reader's reused record buffer and the duplicate-ID index, never
+// the raw records. Every row must have the schema's columns; a leading header
+// row is skipped; every task must pass Task.Validate and carry a previously
+// unseen ID, because a duplicate would silently merge two distinct VMs under
+// one task-%d VMID in both the offline replayer and the online admitted set.
+// Violations error with the 1-based row number.
+//
+// Gzip input is sniffed by its magic bytes and inflated on a goroutine of its
+// own, at most one pipe write ahead of the decoder, so the two halves of a
+// .csv.gz import run on two cores. Every return closes the pipe's read end and
+// waits for the inflater to exit, so it never reads r after the call.
+func decodeTasks(r io.Reader, schema Schema) ([]Task, error) {
 	if schema == nil {
 		schema = NativeSchema()
 	}
 	br := bufio.NewReader(r)
+	var in io.Reader = br
 	if magic, err := br.Peek(2); err == nil && magic[0] == gzipMagic[0] && magic[1] == gzipMagic[1] {
 		zr, err := gzip.NewReader(br)
 		if err != nil {
 			return nil, err
 		}
-		cr := csv.NewReader(zr)
-		cr.ReuseRecord = true
-		return &Reader{cr: cr, schema: schema, seen: make(map[int]int)}, nil
+		pr, pw := io.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, err := io.Copy(pw, zr)
+			pw.CloseWithError(err)
+		}()
+		defer func() {
+			pr.Close()
+			<-done
+		}()
+		// Room for two of io.Copy's 32 KiB writes: the decoder takes each
+		// write whole, which frees the inflater to produce the next one.
+		in = bufio.NewReaderSize(pr, 64<<10)
 	}
-	cr := csv.NewReader(br)
+	cr := csv.NewReader(in)
 	cr.ReuseRecord = true
-	return &Reader{cr: cr, schema: schema, seen: make(map[int]int)}, nil
-}
-
-// Read returns the next task, or io.EOF when the input is exhausted. A
-// leading header row is skipped; every decoded task must pass Task.Validate
-// and carry a previously unseen ID — violations error with the 1-based row
-// number, because a duplicate ID would silently merge two distinct VMs under
-// one task-%d VMID in both the offline replayer and the online admitted set.
-func (r *Reader) Read() (Task, error) {
-	for {
-		rec, err := r.cr.Read()
-		if err != nil {
-			return Task{}, err
+	cr.FieldsPerRecord = -1 // a ragged row gets the schema's row-numbered error
+	var tasks []Task
+	seen := make(map[int]int) // task ID -> first row it appeared on
+	for row := 1; ; row++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return tasks, nil
 		}
-		r.row++
-		if r.row == 1 && r.schema.Header(rec) {
+		if err != nil {
+			return nil, err
+		}
+		if len(rec) != schema.Columns() {
+			return nil, fmt.Errorf("trace: row %d has %d columns, want %d", row, len(rec), schema.Columns())
+		}
+		if row == 1 && schema.Header(rec) {
 			continue
 		}
-		if len(rec) != r.schema.Columns() {
-			return Task{}, fmt.Errorf("trace: row %d has %d columns, want %d", r.row, len(rec), r.schema.Columns())
-		}
-		t, err := r.schema.Decode(rec)
+		t, err := schema.Decode(rec)
 		if err != nil {
-			return Task{}, fmt.Errorf("trace: row %d %v", r.row, err)
+			return nil, fmt.Errorf("trace: row %d %v", row, err)
 		}
 		if err := t.Validate(); err != nil {
-			return Task{}, fmt.Errorf("trace: row %d: %w", r.row, err)
+			return nil, fmt.Errorf("trace: row %d: %w", row, err)
 		}
-		if first, dup := r.seen[t.ID]; dup {
-			return Task{}, fmt.Errorf("trace: row %d duplicates task ID %d (first seen on row %d)", r.row, t.ID, first)
+		if first, dup := seen[t.ID]; dup {
+			return nil, fmt.Errorf("trace: row %d duplicates task ID %d (first seen on row %d)", row, t.ID, first)
 		}
-		r.seen[t.ID] = r.row
-		return t, nil
+		seen[t.ID] = row
+		tasks = append(tasks, t)
 	}
 }
 
@@ -224,36 +231,26 @@ type ImportOptions struct {
 }
 
 // Import streams a .csv/.csv.gz trace into a replayable Trace: records are
-// decoded and validated one at a time through Reader (raw records are never
-// materialized in bulk), tasks land sorted by (StartSec, ID), and the fleet
-// size and horizon are derived when not given. The result always passes
+// decoded and validated one at a time (raw records are never materialized in
+// bulk), tasks land sorted by (StartSec, ID), and the fleet size and horizon
+// are derived when not given. The result always passes
 // Trace.Validate. Feed it to NewStream for the online control plane or to
 // the offline engines directly.
 func Import(r io.Reader, opts ImportOptions) (*Trace, error) {
-	rd, err := NewReader(r, opts.Schema)
+	tasks, err := decodeTasks(r, opts.Schema)
 	if err != nil {
 		return nil, err
 	}
-	tr := &Trace{Name: opts.Name, Machines: opts.Machines, HorizonSec: opts.HorizonSec}
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("trace: import: no tasks in input")
+	}
+	tr := &Trace{Name: opts.Name, Machines: opts.Machines, HorizonSec: opts.HorizonSec, Tasks: tasks}
 	if tr.Name == "" {
 		tr.Name = "imported"
 	}
-	for {
-		t, err := rd.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		tr.Tasks = append(tr.Tasks, t)
-	}
-	if len(tr.Tasks) == 0 {
-		return nil, fmt.Errorf("trace: import: no tasks in input")
-	}
 	finalizeImported(tr)
 	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: import: %w", err)
+		return nil, err // already "trace: ..."
 	}
 	return tr, nil
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func writeTestFile(path string, data []byte) error {
@@ -150,6 +153,9 @@ func TestReadCSVRejectsInvalidTasks(t *testing.T) {
 		{"implausible usage", "1,1,0,100,1,2,9,1", "row 2"},
 		{"non-finite demands", "1,1,0,10,NaN,Inf,NaN,NaN", "row 2"},
 		{"infinite booking", "1,1,0,10,+Inf,2,0.5,1", "row 2"},
+		// A ragged row after a good one is the schema's to reject, not the
+		// csv reader's, which would not say "trace:" or the row it expected.
+		{"short row mid-file", "1,1,0,10,1,2,0.5,1\n2,1,0,10,1,2,0.5", "trace: row 3 has 7 columns, want 8"},
 	} {
 		in := "id,job,start_sec,end_sec,booked_cpu,booked_mem_gib,used_cpu,used_mem_gib\n" + tc.row + "\n"
 		_, err := DecodeCSV(strings.NewReader(in))
@@ -191,8 +197,8 @@ func TestImportErrors(t *testing.T) {
 		t.Error("header-only input should fail (no tasks)")
 	}
 	_, err := Import(strings.NewReader(header+"1,1,0,100,1,2,0.5,1\n"), ImportOptions{HorizonSec: 50})
-	if err == nil {
-		t.Error("task beyond the forced horizon should fail trace validation")
+	if want := "trace: task 1 outside the horizon"; err == nil || err.Error() != want {
+		t.Errorf("task beyond the forced horizon: error %v, want %q", err, want)
 	}
 	if _, err := Import(strings.NewReader("not,a,trace\nx,y,z\n"), ImportOptions{}); err == nil {
 		t.Error("garbage input should fail")
@@ -221,6 +227,115 @@ func TestImportFile(t *testing.T) {
 	}
 	if _, err := ImportFile(filepath.Join(t.TempDir(), "missing.csv"), ImportOptions{}); err == nil {
 		t.Error("missing file should fail")
+	}
+}
+
+// serverlessTrace is the 100k-task serverless trace, a replay at the scale
+// real cluster traces need.
+func serverlessTrace(tb testing.TB) *Trace {
+	tb.Helper()
+	tr, err := GenerateFamily("serverless", FamilyParams{
+		Machines: 500, HorizonSec: 24 * 3600, Tasks: 100_000, Seed: 42,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// serverlessGzip returns serverlessTrace and its .csv.gz form.
+func serverlessGzip(tb testing.TB) (*Trace, []byte) {
+	tb.Helper()
+	tr := serverlessTrace(tb)
+	var encoded bytes.Buffer
+	if err := tr.EncodeCSV(&encoded, true); err != nil {
+		tb.Fatal(err)
+	}
+	return tr, encoded.Bytes()
+}
+
+// goroutinesSettle reports whether the goroutine count falls back to base
+// within a second.
+func goroutinesSettle(base int) bool {
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestInflaterNeverOutlivesItsCall: gzip input is inflated on a goroutine of
+// its own, and a decode that fails halfway must stop it too. The failures are
+// a truncated member, a non-positive booking and a repeated ID, the last two
+// at row 50 000 of a 100k-task trace; each keeps the error text the
+// single-goroutine importer gave for the same bytes.
+func TestInflaterNeverOutlivesItsCall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-task import in -short mode")
+	}
+	tr := serverlessTrace(t)
+	const row = 50_000 // the header is row 1, so task row-2 sits on it
+	// BestSpeed keeps the three 10 MB encodes cheap; the decoder sees the
+	// same kind of stream either way.
+	encodeWith := func(edit func(*Task)) []byte {
+		tasks := slices.Clone(tr.Tasks)
+		edit(&tasks[row-2])
+		var plain, zipped bytes.Buffer
+		if err := (&Trace{Tasks: tasks}).EncodeCSV(&plain, false); err != nil {
+			t.Fatal(err)
+		}
+		zw, err := gzip.NewWriterLevel(&zipped, gzip.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := zw.Write(plain.Bytes()); err != nil || zw.Close() != nil {
+			t.Fatal("gzip:", err)
+		}
+		return zipped.Bytes()
+	}
+	good := encodeWith(func(*Task) {})
+	cases := []struct {
+		name string
+		in   []byte
+		want string // "" for success
+	}{
+		{"whole", good, ""},
+		{"truncated member", good[:len(good)/2], "unexpected EOF"},
+		{"non-positive booking", encodeWith(func(task *Task) { task.BookedCPU = 0 }),
+			fmt.Sprintf("trace: row %d: trace: task %d books non-positive resources", row, tr.Tasks[row-2].ID)},
+		{"repeated ID", encodeWith(func(task *Task) { task.ID = tr.Tasks[0].ID }),
+			fmt.Sprintf("trace: row %d duplicates task ID %d (first seen on row 2)", row, tr.Tasks[0].ID)},
+	}
+	base := runtime.NumGoroutine()
+	for _, c := range cases {
+		for name, decode := range map[string]func([]byte) error{
+			"DecodeCSV": func(in []byte) error { _, err := DecodeCSV(bytes.NewReader(in)); return err },
+			"Import":    func(in []byte) error { _, err := Import(bytes.NewReader(in), ImportOptions{}); return err },
+		} {
+			err := decode(c.in)
+			if got := fmt.Sprint(err); (err == nil) != (c.want == "") || err != nil && got != c.want {
+				t.Errorf("%s of the %s trace: error %q, want %q", name, c.name, got, c.want)
+			}
+			if !goroutinesSettle(base) {
+				t.Errorf("%s of the %s trace left %d goroutines running, %d before", name, c.name, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+}
+
+// BenchmarkImportGzip imports the 100k-task serverless .csv.gz, the trace a
+// replay pass reads; -cpuprofile shows how the inflate and the decode share
+// the cores.
+func BenchmarkImportGzip(b *testing.B) {
+	tr, encoded := serverlessGzip(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(encoded)))
+	b.ResetTimer()
+	for range b.N {
+		if _, err := Import(bytes.NewReader(encoded), ImportOptions{Machines: tr.Machines, HorizonSec: tr.HorizonSec}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -254,23 +369,14 @@ func TestImportStreamsWithoutMaterializing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-task import in -short mode")
 	}
-	const tasks = 100_000
-	tr, err := GenerateFamily("serverless", FamilyParams{
-		Machines: 500, HorizonSec: 24 * 3600, Tasks: tasks, Seed: 42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var encoded bytes.Buffer
-	if err := tr.EncodeCSV(&encoded, true); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("input: %d tasks, %d gzip bytes", tasks, encoded.Len())
+	tr, encoded := serverlessGzip(t)
+	tasks := len(tr.Tasks)
+	t.Logf("input: %d tasks, %d gzip bytes", tasks, len(encoded))
 
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
-	probe := &eofProbe{r: bytes.NewReader(encoded.Bytes())}
+	probe := &eofProbe{r: bytes.NewReader(encoded)}
 	got, err := Import(probe, ImportOptions{Machines: tr.Machines, HorizonSec: tr.HorizonSec})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +388,7 @@ func TestImportStreamsWithoutMaterializing(t *testing.T) {
 		t.Fatalf("%d tasks, want %d", len(got.Tasks), tasks)
 	}
 	live := int64(probe.liveAtEOF) - int64(before.HeapAlloc)
-	perTask := float64(live) / tasks
+	perTask := float64(live) / float64(tasks)
 	t.Logf("live heap at EOF: %d B (%.0f B/task)", live, perTask)
 	// 224 B/task = 3.5x the Task struct: room for the tasks slice's append
 	// slack and the duplicate-ID map, none for slurped records.
@@ -293,5 +399,5 @@ func TestImportStreamsWithoutMaterializing(t *testing.T) {
 	// through the probe's snapshot, or its collection masks the importer's own
 	// footprint in the delta.
 	runtime.KeepAlive(tr)
-	runtime.KeepAlive(&encoded)
+	runtime.KeepAlive(encoded)
 }

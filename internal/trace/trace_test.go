@@ -234,7 +234,7 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := DecodeCSV(strings.NewReader("")); err != nil {
 		t.Errorf("empty input should not error: %v", err)
 	}
-	// Wrong column count (csv reader catches ragged rows itself).
+	// Wrong column count.
 	if _, err := DecodeCSV(strings.NewReader("1,2,3\n")); err == nil {
 		t.Error("short row should fail")
 	}
