@@ -177,16 +177,25 @@ func BenchmarkFig10DatacenterEnergy(b *testing.B) {
 
 // ----------------------------------------------------- dcsim engine benches
 
-// BenchmarkDCSimSweep measures the scenario-sweep harness on the default
-// Figure 10 grid (scaled down to benchmark size).
+// BenchmarkDCSimSweep measures the scenario-sweep harness on the Figure 10
+// grid (scaled down to benchmark size); the two traces are opened once,
+// outside the timed loop.
 func BenchmarkDCSimSweep(b *testing.B) {
-	cfg := dcsim.DefaultSweepConfig()
-	for i := range cfg.TraceConfigs {
-		cfg.TraceConfigs[i].Machines = 80
-		cfg.TraceConfigs[i].Tasks = 800
-		cfg.TraceConfigs[i].HorizonSec = 6 * 3600
+	cfg := dcsim.SweepConfig{
+		Policies:        consolidation.Contenders(),
+		Machines:        energy.Profiles(),
+		PeriodsSec:      []int64{300},
+		TransitionCosts: []bool{false, true},
+		ServerSpec:      consolidation.DefaultServerSpec(),
+		SweepWorkers:    runtime.GOMAXPROCS(0),
 	}
-	cfg.SweepWorkers = runtime.GOMAXPROCS(0)
+	for _, modified := range []bool{false, true} {
+		tr, err := GenerateTrace(modified, 80, 800, 6*3600, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Traces = append(cfg.Traces, tr)
+	}
 	b.ResetTimer()
 	var runs int
 	for i := 0; i < b.N; i++ {

@@ -51,28 +51,26 @@ import (
 	"repro/internal/trace"
 )
 
-// simConfig holds the flag values one invocation runs with.
+// simConfig holds the flag values one invocation runs with: the trace spec
+// (-machines, -tasks, -horizon, -seed, -family, -trace) and the run's shape.
 type simConfig struct {
-	machines, tasks int
-	horizon, seed   int64
+	trace.Spec
 	workers         int
 	sweep, matrix   bool
 	scales, periods string
 	transitions     string
-	family          string
-	traceFile       string
 	matrixChaos     string
 }
 
 func main() {
 	var cfg simConfig
-	flag.IntVar(&cfg.machines, "machines", 120, "number of servers in the simulated fleet")
-	flag.IntVar(&cfg.tasks, "tasks", 1500, "number of tasks in the generated trace")
-	flag.Int64Var(&cfg.horizon, "horizon", 12*3600, "trace horizon in seconds")
-	flag.Int64Var(&cfg.seed, "seed", 42, "trace generation seed")
+	flag.IntVar(&cfg.Machines, "machines", 120, "number of servers in the simulated fleet")
+	flag.IntVar(&cfg.Tasks, "tasks", 1500, "number of tasks in the generated trace")
+	flag.Int64Var(&cfg.HorizonSec, "horizon", 12*3600, "trace horizon in seconds")
+	flag.Int64Var(&cfg.Seed, "seed", 42, "trace generation seed")
 	flag.BoolVar(&cfg.sweep, "sweep", false, "run a scenario sweep grid instead of the single Figure 10 comparison")
-	flag.StringVar(&cfg.family, "family", "", "sweep over one workload-family scenario pack instead of the google-like mixes: "+strings.Join(trace.FamilyNames(), ", "))
-	flag.StringVar(&cfg.traceFile, "trace", "", "sweep over a .csv/.csv.gz trace file instead of generating traces (streamed record-at-a-time)")
+	flag.StringVar(&cfg.Family, "family", "", "sweep over one workload-family scenario pack instead of the google-like mixes: "+strings.Join(trace.FamilyNames(), ", "))
+	flag.StringVar(&cfg.File, "trace", "", "sweep over a .csv/.csv.gz trace file instead of generating traces (streamed record-at-a-time)")
 	flag.BoolVar(&cfg.matrix, "matrix", false, "run the policy x scenario matrix: every workload family (or the -family/-trace pack) x every online policy under chaos")
 	flag.StringVar(&cfg.matrixChaos, "matrix-chaos", "light", "fault preset of every -matrix cell: off, light or heavy")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines that shard epochs and sweep cells (0 = every core, runtime.GOMAXPROCS); results are identical for any value")
@@ -120,14 +118,9 @@ func main() {
 // run executes the tool with the given flag values, writing every report to
 // out — the entry point the golden-output test drives in-process.
 func run(out io.Writer, cfg simConfig) error {
-	// Upfront flag validation (the shared cliflag messages), so a bad
-	// invocation fails before any trace is generated.
-	if err := cliflag.FirstError(
-		cliflag.PositiveInt("-machines", cfg.machines),
-		cliflag.PositiveInt("-tasks", cfg.tasks),
-		cliflag.PositiveInt64("-horizon", cfg.horizon, "second"),
-		cliflag.NonNegativeInt("-workers", cfg.workers),
-	); err != nil {
+	// Upfront flag validation (the trace spec's own check, then -workers),
+	// so a bad invocation fails before any trace is generated.
+	if err := cliflag.FirstError(cfg.Validate(), cliflag.NonNegativeInt("-workers", cfg.workers)); err != nil {
 		return err
 	}
 	transitionAxis, err := parseTransitionAxis(cfg.transitions)
@@ -138,15 +131,18 @@ func run(out io.Writer, cfg simConfig) error {
 		cfg.workers = runtime.GOMAXPROCS(0)
 	}
 
-	if cfg.matrix {
-		if cfg.sweep {
-			return fmt.Errorf("-matrix and -sweep are mutually exclusive")
-		}
-		return runMatrix(out, cfg)
+	if cfg.matrix && cfg.sweep {
+		return fmt.Errorf("-matrix and -sweep are mutually exclusive")
 	}
-	pack, err := loadScenarioTrace(cfg)
-	if err != nil {
-		return err
+	// -family or -trace selects a pre-built workload, opened through the spec.
+	var pack *trace.Trace
+	if cfg.Family != "" || cfg.File != "" {
+		if pack, err = cfg.Open(); err != nil {
+			return err
+		}
+	}
+	if cfg.matrix {
+		return runMatrix(out, cfg, pack)
 	}
 	if cfg.sweep || pack != nil {
 		// -family/-trace replace the generated google-like mixes, so they
@@ -156,10 +152,10 @@ func run(out io.Writer, cfg simConfig) error {
 	}
 
 	fig := zombieland.Fig10Config{
-		Machines:   cfg.machines,
-		Tasks:      cfg.tasks,
-		HorizonSec: cfg.horizon,
-		Seed:       cfg.seed,
+		Machines:   cfg.Machines,
+		Tasks:      cfg.Tasks,
+		HorizonSec: cfg.HorizonSec,
+		Seed:       cfg.Seed,
 		Workers:    cfg.workers,
 	}
 	for _, costed := range transitionAxis {
@@ -174,42 +170,20 @@ func run(out io.Writer, cfg simConfig) error {
 	return nil
 }
 
-// loadScenarioTrace builds the pre-built workload selected by -family or
-// -trace, or returns nil when neither flag is set.
-func loadScenarioTrace(cfg simConfig) (*trace.Trace, error) {
-	switch {
-	case cfg.family != "" && cfg.traceFile != "":
-		return nil, fmt.Errorf("-family and -trace are mutually exclusive")
-	case cfg.family != "":
-		return trace.GenerateFamily(cfg.family, familyParams(cfg))
-	case cfg.traceFile != "":
-		return trace.ImportFile(cfg.traceFile, trace.ImportOptions{})
-	}
-	return nil, nil
-}
-
-// familyParams sizes a generated workload family from the fleet flags.
-func familyParams(cfg simConfig) trace.FamilyParams {
-	return trace.FamilyParams{Machines: cfg.machines, HorizonSec: cfg.horizon, Tasks: cfg.tasks, Seed: cfg.seed}
-}
-
 // runMatrix crosses the scenario packs (all workload families, or the single
 // -family/-trace pack) with the online policy roster under the chaos preset
 // and prints the policy×scenario matrix artifact.
-func runMatrix(out io.Writer, cfg simConfig) error {
-	pack, err := loadScenarioTrace(cfg)
-	if err != nil {
-		return err
-	}
+func runMatrix(out io.Writer, cfg simConfig, pack *trace.Trace) error {
 	var packs []scenario.Pack
+	var err error
 	if pack != nil {
-		name := cfg.family
+		name := cfg.Family
 		if name == "" {
 			name = pack.Name
 		}
 		packs = []scenario.Pack{{Name: name, Trace: pack}}
 	} else {
-		packs, err = scenario.FamilyPacks(familyParams(cfg))
+		packs, err = scenario.FamilyPacks(cfg.Spec)
 		if err != nil {
 			return err
 		}
@@ -219,7 +193,7 @@ func runMatrix(out io.Writer, cfg simConfig) error {
 		Packs:         packs,
 		Policies:      policies,
 		ChaosScenario: cfg.matrixChaos,
-		ChaosSeed:     cfg.seed,
+		ChaosSeed:     cfg.Seed,
 		Workers:       cfg.workers,
 	})
 	if err != nil {
@@ -257,7 +231,6 @@ func runSweep(out io.Writer, cfg simConfig, transitionAxis []bool, pack *trace.T
 	if err != nil {
 		return fmt.Errorf("-periods: %w", err)
 	}
-	var traceCfgs []trace.GeneratorConfig
 	var packs []*trace.Trace
 	if pack != nil {
 		if !slices.Equal(scales, []float64{1}) {
@@ -265,33 +238,26 @@ func runSweep(out io.Writer, cfg simConfig, transitionAxis []bool, pack *trace.T
 		}
 		packs, scales = []*trace.Trace{pack}, nil
 	}
+	// Each scale opens the original and the memory-heavy modified trace.
 	for _, scale := range scales {
-		if scale <= 0 {
-			return fmt.Errorf("-scales: scale %v must be positive", scale)
-		}
-		if int(float64(cfg.machines)*scale) < 1 || int(float64(cfg.tasks)*scale) < 1 {
-			return fmt.Errorf("-scales: scale %v shrinks the fleet below 1 machine or 1 task", scale)
-		}
+		sp := cfg.Spec
+		sp.Machines, sp.Tasks = int(float64(sp.Machines)*scale), int(float64(sp.Tasks)*scale)
 		for _, modified := range []bool{false, true} {
-			tc := trace.DefaultConfig()
-			if modified {
-				tc = trace.ModifiedConfig()
+			sp.Modified = modified
+			tr, err := sp.Open()
+			if err != nil {
+				return fmt.Errorf("-scales: scale %v: %w", scale, err)
 			}
-			tc.Machines = int(float64(cfg.machines) * scale)
-			tc.Tasks = int(float64(cfg.tasks) * scale)
-			tc.HorizonSec = cfg.horizon
-			tc.Seed = cfg.seed
 			if scale != 1 {
-				tc.Name = fmt.Sprintf("%s-x%g", tc.Name, scale)
+				tr.Name = fmt.Sprintf("%s-x%g", tr.Name, scale)
 			}
-			traceCfgs = append(traceCfgs, tc)
+			packs = append(packs, tr)
 		}
 	}
 
 	res, err := dcsim.Sweep(dcsim.SweepConfig{
 		Policies:        consolidation.Contenders(),
 		Machines:        energy.Profiles(),
-		TraceConfigs:    traceCfgs,
 		Traces:          packs,
 		PeriodsSec:      periodList,
 		TransitionCosts: transitionAxis,

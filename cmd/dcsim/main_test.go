@@ -2,46 +2,21 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files with the current output")
-
-// checkGolden compares got against testdata/<name>.golden, rewriting the
-// file under -update. Everything the tool prints is a pure function of its
-// flags and seeds, so report-format regressions show up as a byte diff.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	golden := filepath.Join("testdata", name+".golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (bless the golden file with: go test ./cmd/... -run Golden -update)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("output drifted from %s (re-bless with -update after checking the diff):\n--- got ---\n%s", golden, got)
-	}
-}
 
 // small is the fleet most tests run on: 30 machines, 150 tasks, two hours,
 // two workers, steady state only.
 func small() simConfig {
 	return simConfig{
-		machines: 30, tasks: 150, horizon: 2 * 3600, seed: 42, workers: 2,
-		scales: "1", periods: "300", transitions: "off", matrixChaos: "light",
+		Spec:    trace.Spec{Machines: 30, Tasks: 150, HorizonSec: 2 * 3600, Seed: 42},
+		workers: 2, scales: "1", periods: "300", transitions: "off", matrixChaos: "light",
 	}
 }
 
@@ -50,23 +25,23 @@ func small() simConfig {
 // which the engine guarantees is bit-identical to sequential.
 func TestGoldenFigure10(t *testing.T) {
 	cfg := small()
-	cfg.machines, cfg.tasks, cfg.horizon, cfg.transitions = 40, 300, 4*3600, "both"
+	cfg.Machines, cfg.Tasks, cfg.HorizonSec, cfg.transitions = 40, 300, 4*3600, "both"
 	var buf bytes.Buffer
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "dcsim", buf.Bytes())
+	golden.Check(t, "dcsim", buf.Bytes())
 }
 
 // TestGoldenSweep pins the scenario-sweep tables on a small grid.
 func TestGoldenSweep(t *testing.T) {
 	cfg := small()
-	cfg.tasks, cfg.sweep, cfg.periods = 200, true, "300,600"
+	cfg.Tasks, cfg.sweep, cfg.periods = 200, true, "300,600"
 	var buf bytes.Buffer
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "dcsim_sweep", buf.Bytes())
+	golden.Check(t, "dcsim_sweep", buf.Bytes())
 }
 
 // TestGoldenFamilySweep pins the sweep over a workload-family scenario pack:
@@ -75,12 +50,12 @@ func TestGoldenSweep(t *testing.T) {
 func TestGoldenFamilySweep(t *testing.T) {
 	for _, scales := range []string{"1", "1.0"} {
 		cfg := small()
-		cfg.tasks, cfg.family, cfg.scales = 200, "mlbatch", scales
+		cfg.Tasks, cfg.Family, cfg.scales = 200, "mlbatch", scales
 		var buf bytes.Buffer
 		if err := run(&buf, cfg); err != nil {
 			t.Fatalf("-scales %s: %v", scales, err)
 		}
-		checkGolden(t, "dcsim_family", buf.Bytes())
+		golden.Check(t, "dcsim_family", buf.Bytes())
 	}
 }
 
@@ -109,7 +84,7 @@ func TestGoldenMatrix(t *testing.T) {
 			t.Fatalf("matrix with %d workers differs:\n%s\n--- vs ---\n%s", workers, got, first)
 		}
 	}
-	checkGolden(t, "dcsim_matrix", first)
+	golden.Check(t, "dcsim_matrix", first)
 }
 
 // TestTraceFlagSweep routes an on-disk .csv.gz trace through the sweep.
@@ -132,7 +107,7 @@ func TestTraceFlagSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := small()
-	cfg.machines, cfg.tasks, cfg.traceFile = 20, 120, path
+	cfg.Machines, cfg.Tasks, cfg.File = 20, 120, path
 	var buf bytes.Buffer
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
@@ -148,9 +123,9 @@ func TestScenarioFlagErrors(t *testing.T) {
 		name string
 		edit func(*simConfig)
 	}{
-		{"-family with -trace", func(c *simConfig) { c.family, c.traceFile = "diurnal", "x.csv" }},
-		{"unknown family", func(c *simConfig) { c.family = "nope" }},
-		{"-scales with -family", func(c *simConfig) { c.family, c.scales = "diurnal", "0.5,1" }},
+		{"-family with -trace", func(c *simConfig) { c.Family, c.File = "diurnal", "x.csv" }},
+		{"unknown family", func(c *simConfig) { c.Family = "nope" }},
+		{"-scales with -family", func(c *simConfig) { c.Family, c.scales = "diurnal", "0.5,1" }},
 		{"-matrix with -sweep", func(c *simConfig) { c.matrix, c.sweep = true, true }},
 		{"unknown -matrix-chaos preset", func(c *simConfig) { c.matrix, c.matrixChaos = true, "nope" }},
 	}
@@ -171,11 +146,14 @@ func TestFleetFlagErrors(t *testing.T) {
 		edit func(*simConfig)
 		want string
 	}{
-		{func(c *simConfig) { c.machines = 0 }, "-machines 0 out of range (need >= 1)"},
-		{func(c *simConfig) { c.machines, c.sweep = -5, true }, "-machines -5 out of range (need >= 1)"},
-		{func(c *simConfig) { c.tasks = 0 }, "-tasks 0 out of range (need >= 1)"},
-		{func(c *simConfig) { c.horizon, c.matrix = 0, true }, "-horizon 0 out of range (need >= 1 second)"},
+		{func(c *simConfig) { c.Machines = 0 }, "machines 0 out of range (need >= 1)"},
+		{func(c *simConfig) { c.Machines, c.sweep = -5, true }, "machines -5 out of range (need >= 1)"},
+		{func(c *simConfig) { c.Tasks = 0 }, "tasks 0 out of range (need >= 1)"},
+		{func(c *simConfig) { c.HorizonSec, c.matrix = 0, true }, "horizon_sec 0 out of range (need >= 1)"},
 		{func(c *simConfig) { c.workers = -1 }, "-workers -1 out of range (need >= 0)"},
+		{func(c *simConfig) { c.Family, c.File = "diurnal", "x.csv" }, "family and file are mutually exclusive"},
+		{func(c *simConfig) { c.sweep, c.scales = true, "0.01" }, "-scales: scale 0.01: machines 0 out of range (need >= 1)"},
+		{func(c *simConfig) { c.sweep, c.scales = true, "1,-1" }, "-scales: scale -1: machines -30 out of range (need >= 1)"},
 	}
 	for _, c := range cases {
 		cfg := small()

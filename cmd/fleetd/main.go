@@ -12,6 +12,10 @@
 //	fleetd -ttl 900                            # evict sessions idle > 15 min
 //	fleetd -pprof                              # mount /debug/pprof/* (behind auth)
 //
+// The autopilot body is a run spec (autopilot.Spec): machines, tasks,
+// horizon_sec, seed, tick_sec, planner, policy, machine, and modified or
+// family for the trace source; a file source is refused.
+//
 // GET /metrics serves Prometheus text exposition: per-route request counters
 // and latency histograms, per-tenant quota denials, and live session gauges.
 // SIGTERM or SIGINT drains in-flight requests (bounded) and exits 0.
@@ -21,6 +25,7 @@
 //	curl -s -XPOST localhost:8870/v1/fleets -d '{"racks":2,"servers":4,"zombies_per_rack":1}'
 //	curl -s -XPOST localhost:8870/v1/fleets/f-1/vms -d '{"count":2,"gib":24}'
 //	curl -s -XPOST localhost:8870/v1/fleets/f-1/autopilot -d '{}'
+//	curl -s -XPOST localhost:8870/v1/fleets/f-1/autopilot -d '{"family":"flashcrowd","horizon_sec":7200}'
 //	curl -sN  localhost:8870/v1/fleets/f-1/autopilot/events
 //	curl -s   localhost:8870/v1/fleets/f-1/report
 package main

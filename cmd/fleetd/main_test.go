@@ -8,6 +8,10 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	// fleetd pins no golden file; the import registers -update so the bless
+	// command, go test ./cmd/... -run Golden -update, passes every command.
+	_ "repro/internal/golden"
 )
 
 // TestRunDrainsOnCancel walks the close path SIGTERM takes: run serves until

@@ -2,38 +2,15 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/golden"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files with the current output")
-
-// checkGolden compares got against testdata/<name>.golden, rewriting the
-// file under -update.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	golden := filepath.Join("testdata", name+".golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (bless the golden file with: go test ./cmd/... -run Golden -update)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("output drifted from %s (re-bless with -update after checking the diff):\n--- got ---\n%s", golden, got)
-	}
-}
 
 // steppingNow returns a clock that advances by step on every call, making
 // every request's latency exactly one step and the elapsed span a pure
@@ -66,7 +43,7 @@ func TestGoldenFleetload(t *testing.T) {
 	if err := run(&buf, cfg); err != nil {
 		t.Fatalf("run: %v\n%s", err, buf.String())
 	}
-	checkGolden(t, "fleetload", buf.Bytes())
+	golden.Check(t, "fleetload", buf.Bytes())
 }
 
 // TestFleetloadWritesReport checks the -out artifact: schema v1 JSON with

@@ -32,53 +32,64 @@ import (
 	"repro/internal/cliflag"
 	"repro/internal/metrics"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-func main() {
-	racks := flag.Int("racks", 4, "number of racks in the fleet")
-	servers := flag.Int("servers", 4, "servers per rack")
-	zombies := flag.Int("zombies", 2, "servers pushed into Sz on every second rack (the lenders)")
-	memGiB := flag.Int("mem-gib", 16, "memory per server in GiB")
-	vms := flag.Int("vms", 6, "VMs to place across the fleet")
-	vmGiB := flag.Float64("vm-gib", 28, "VM reserved memory in GiB")
-	mix := flag.String("mix", "spark-sql,elasticsearch", "comma-separated workload mix rotated across the VMs")
-	family := flag.String("family", "", "derive the VM batch from the first -vms tasks of a workload family (seed 42) instead of the uniform -vm-gib batch: "+strings.Join(trace.FamilyNames(), ", "))
-	traceFile := flag.String("trace", "", "derive the VM batch from the first -vms tasks of a .csv/.csv.gz trace file")
-	workers := flag.Int("workers", 0, "worker-pool size for placement and workload execution (0 = every core, runtime.GOMAXPROCS)")
-	hours := flag.Float64("hours", 1, "simulated hours to account energy over")
-	iterations := flag.Int("iterations", 2, "paging-replay iterations per workload")
-	chaosOn := flag.Bool("chaos", false, "inject a scripted fault sequence (server crash before placement, controller kill after, a failed wake) and print the fault log")
-	obsOn := flag.Bool("obs", false, "attach the observability layer and append its dump: metrics snapshot + deterministic NDJSON event trace")
-	flag.Parse()
+// fleetConfig holds the fleet-shape flags. The VM batch's trace source
+// (-family, -trace) and its horizon (-hours) travel in a trace.Spec.
+type fleetConfig struct {
+	racks, servers, zombies, memGiB int
+	vms, workers, iterations        int
+	vmGiB                           float64
+	mix                             string
+	chaos, obs                      bool
+}
 
-	if err := run(os.Stdout, *racks, *servers, *zombies, *memGiB, *vms, *vmGiB, *mix, *family, *traceFile, *workers, *hours, *iterations, *chaosOn, *obsOn); err != nil {
+func main() {
+	sp, cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(os.Stdout, sp, cfg)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetsim:", err)
 		os.Exit(1)
 	}
 }
 
+// parseFlags binds the command line into the trace spec and the fleet shape.
+func parseFlags(fs *flag.FlagSet, args []string) (trace.Spec, fleetConfig, error) {
+	var sp trace.Spec
+	var cfg fleetConfig
+	fs.IntVar(&cfg.racks, "racks", 4, "number of racks in the fleet")
+	fs.IntVar(&cfg.servers, "servers", 4, "servers per rack")
+	fs.IntVar(&cfg.zombies, "zombies", 2, "servers pushed into Sz on every second rack (the lenders)")
+	fs.IntVar(&cfg.memGiB, "mem-gib", 16, "memory per server in GiB")
+	fs.IntVar(&cfg.vms, "vms", 6, "VMs to place across the fleet")
+	fs.Float64Var(&cfg.vmGiB, "vm-gib", 28, "VM reserved memory in GiB")
+	fs.StringVar(&cfg.mix, "mix", "spark-sql,elasticsearch", "comma-separated workload mix rotated across the VMs")
+	fs.StringVar(&sp.Family, "family", "", "derive the VM batch from the first -vms tasks of a workload family (seed 42) instead of the uniform -vm-gib batch: "+strings.Join(trace.FamilyNames(), ", "))
+	fs.StringVar(&sp.File, "trace", "", "derive the VM batch from the first -vms tasks of a .csv/.csv.gz trace file")
+	fs.IntVar(&cfg.workers, "workers", 0, "worker-pool size for placement and workload execution (0 = every core, runtime.GOMAXPROCS)")
+	hours := fs.Float64("hours", 1, "simulated hours to account energy over")
+	fs.IntVar(&cfg.iterations, "iterations", 2, "paging-replay iterations per workload")
+	fs.BoolVar(&cfg.chaos, "chaos", false, "inject a scripted fault sequence (server crash before placement, controller kill after, a failed wake) and print the fault log")
+	fs.BoolVar(&cfg.obs, "obs", false, "attach the observability layer and append its dump: metrics snapshot + deterministic NDJSON event trace")
+	err := fs.Parse(args)
+	sp.HorizonSec = int64(*hours * 3600)
+	return sp, cfg, err
+}
+
 func parseMix(csv string) ([]zombieland.Workload, error) {
 	var kinds []zombieland.Workload
 	for _, name := range strings.Split(csv, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
+		if name = strings.TrimSpace(name); name == "" {
 			continue
 		}
-		found := false
-		for _, k := range zombieland.Workloads() {
-			if k.String() == name {
-				kinds = append(kinds, k)
-				found = true
-				break
-			}
+		k, err := workload.KindByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("-mix: %w", err)
 		}
-		if !found {
-			var valid []string
-			for _, k := range zombieland.Workloads() {
-				valid = append(valid, k.String())
-			}
-			return nil, fmt.Errorf("unknown workload %q in -mix (valid: %s)", name, strings.Join(valid, ", "))
-		}
+		kinds = append(kinds, k)
 	}
 	if len(kinds) == 0 {
 		return nil, fmt.Errorf("-mix selects no workloads")
@@ -87,21 +98,11 @@ func parseMix(csv string) ([]zombieland.Workload, error) {
 }
 
 // vmSpecs builds the VM batch: the uniform -vm-gib batch by default, or VMs
-// derived from the first -vms tasks of a workload family / imported trace —
-// reserved memory from the task's booking, working set from its usage.
-func vmSpecs(vms int, vmGiB float64, family, traceFile string, machines int, hours float64) ([]zombieland.VM, error) {
-	var tr *zombieland.Trace
-	var err error
-	switch {
-	case family != "" && traceFile != "":
-		return nil, fmt.Errorf("-family and -trace are mutually exclusive")
-	case family != "":
-		tr, err = trace.GenerateFamily(family, trace.FamilyParams{
-			Machines: machines, HorizonSec: int64(hours * 3600), Tasks: vms, Seed: 42,
-		})
-	case traceFile != "":
-		tr, err = trace.ImportFile(traceFile, trace.ImportOptions{})
-	default:
+// derived from the first -vms tasks of the spec's workload family / imported
+// trace — reserved memory from the task's booking, working set from its
+// usage.
+func vmSpecs(sp trace.Spec, vms int, vmGiB float64) ([]zombieland.VM, error) {
+	if sp.Family == "" && sp.File == "" {
 		var specs []zombieland.VM
 		for i := 0; i < vms; i++ {
 			specs = append(specs, zombieland.NewVM(fmt.Sprintf("vm-%02d", i),
@@ -109,6 +110,7 @@ func vmSpecs(vms int, vmGiB float64, family, traceFile string, machines int, hou
 		}
 		return specs, nil
 	}
+	tr, err := sp.Open()
 	if err != nil {
 		return nil, err
 	}
@@ -127,40 +129,46 @@ func vmSpecs(vms int, vmGiB float64, family, traceFile string, machines int, hou
 	return specs, nil
 }
 
-func run(out io.Writer, racks, servers, zombies, memGiB, vms int, vmGiB float64, mix, family, traceFile string, workers int, hours float64, iterations int, chaosOn, obsOn bool) error {
-	// Upfront flag validation with the valid ranges (shared helpers, the
-	// same messages as onlinesim/fleetload), so a bad invocation fails
-	// before any fleet state is built.
+func run(out io.Writer, sp trace.Spec, cfg fleetConfig) error {
+	// Upfront flag validation with the valid ranges (the fleet shape through
+	// the shared helpers, the batch's trace through its spec), so a bad
+	// invocation fails before any fleet state is built. The batch's trace
+	// targets the whole fleet and draws seed 42.
+	sp.Machines, sp.Tasks, sp.Seed = cfg.racks*cfg.servers, cfg.vms, 42
 	if err := cliflag.FirstError(
-		cliflag.PositiveInt("-racks", racks),
-		cliflag.PositiveInt("-servers", servers),
-		cliflag.PositiveInt("-vms", vms),
-		cliflag.NonNegativeInt("-workers", workers),
-		cliflag.NonNegativeInt("-zombies", zombies),
+		cliflag.PositiveInt("-racks", cfg.racks),
+		cliflag.PositiveInt("-servers", cfg.servers),
+		cliflag.PositiveInt("-mem-gib", cfg.memGiB),
+		cliflag.PositiveInt("-vms", cfg.vms),
+		cliflag.PositiveFloat("-vm-gib", cfg.vmGiB),
+		cliflag.PositiveInt("-iterations", cfg.iterations),
+		cliflag.NonNegativeInt("-workers", cfg.workers),
+		cliflag.NonNegativeInt("-zombies", cfg.zombies),
+		sp.Validate(),
 	); err != nil {
 		return err
 	}
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cfg.workers == 0 {
+		cfg.workers = runtime.GOMAXPROCS(0)
 	}
-	if zombies >= servers {
-		return fmt.Errorf("-zombies %d must leave at least one active server per rack (-servers %d)", zombies, servers)
+	if cfg.zombies >= cfg.servers {
+		return fmt.Errorf("-zombies %d must leave at least one active server per rack (-servers %d)", cfg.zombies, cfg.servers)
 	}
-	kinds, err := parseMix(mix)
+	kinds, err := parseMix(cfg.mix)
 	if err != nil {
 		return err
 	}
-	specs, err := vmSpecs(vms, vmGiB, family, traceFile, racks*servers, hours)
+	specs, err := vmSpecs(sp, cfg.vms, cfg.vmGiB)
 	if err != nil {
 		return err
 	}
 
 	board := zombieland.DefaultBoardSpec()
-	board.MemoryBytes = uint64(memGiB) << 30
+	board.MemoryBytes = uint64(cfg.memGiB) << 30
 	f, err := zombieland.NewFleet(zombieland.FleetConfig{
-		Racks:   racks,
-		Rack:    zombieland.RackConfig{Servers: servers, Board: board},
-		Workers: workers,
+		Racks:   cfg.racks,
+		Rack:    zombieland.RackConfig{Servers: cfg.servers, Board: board},
+		Workers: cfg.workers,
 	})
 	if err != nil {
 		return err
@@ -168,18 +176,18 @@ func run(out io.Writer, racks, servers, zombies, memGiB, vms int, vmGiB float64,
 	// The step clock (not wall time) stamps trace events, so the -obs dump of
 	// a given invocation is byte-identical run to run, for any -workers value.
 	var o *zombieland.Obs
-	if obsOn {
+	if cfg.obs {
 		o = zombieland.NewObs(zombieland.ObsOptions{Clock: zombieland.ObsStepClock()})
 		f.SetObs(o)
 	}
-	fmt.Fprintf(out, "Fleet up: %d racks x %d servers (%d GiB each), worker pool %d.\n\n", racks, servers, memGiB, workers)
+	fmt.Fprintf(out, "Fleet up: %d racks x %d servers (%d GiB each), worker pool %d.\n\n", cfg.racks, cfg.servers, cfg.memGiB, cfg.workers)
 
 	// Every second rack lends: its tail servers go to Sz and feed the
 	// fleet-wide remote memory pool; the other racks stay dry and must
 	// borrow across racks for memory-hungry VMs.
-	for ri := 1; ri < racks; ri += 2 {
+	for ri := 1; ri < cfg.racks; ri += 2 {
 		names := f.Rack(ri).Servers()
-		for z := 0; z < zombies; z++ {
+		for z := 0; z < cfg.zombies; z++ {
 			if err := f.PushToZombie(ri, names[len(names)-1-z]); err != nil {
 				return err
 			}
@@ -195,9 +203,9 @@ func run(out io.Writer, racks, servers, zombies, memGiB, vms int, vmGiB float64,
 	// stuck-zombie fault) before succeeding on retry.
 	var chaosEvents *metrics.Table
 	var crashedServer string
-	if chaosOn {
+	if cfg.chaos {
 		chaosEvents = metrics.NewTable("Chaos events (scripted)", "event", "target", "outcome")
-		crashedServer = f.Rack(0).Servers()[servers-1]
+		crashedServer = f.Rack(0).Servers()[cfg.servers-1]
 		if err := f.CrashServer(0, crashedServer); err != nil {
 			return err
 		}
@@ -227,7 +235,7 @@ func run(out io.Writer, racks, servers, zombies, memGiB, vms int, vmGiB float64,
 		reqs = append(reqs, zombieland.FleetWorkloadRequest{
 			VM:         p.VM,
 			Kind:       kinds[i%len(kinds)],
-			Iterations: iterations,
+			Iterations: cfg.iterations,
 			Seed:       int64(i + 1),
 		})
 	}
@@ -262,20 +270,20 @@ func run(out io.Writer, racks, servers, zombies, memGiB, vms int, vmGiB float64,
 	}
 	fmt.Fprintln(out, ft.String())
 
-	if chaosOn {
-		if err := runChaosScript(out, f, chaosEvents, crashedServer, racks); err != nil {
+	if cfg.chaos {
+		if err := runChaosScript(out, f, chaosEvents, crashedServer, cfg.racks); err != nil {
 			return err
 		}
 	}
 
-	f.AdvanceClock(int64(hours * 3600 * 1e9))
-	perRack := metrics.NewTable(fmt.Sprintf("Energy over %.1f simulated hour(s)", hours), "rack", "joules")
+	f.AdvanceClock(sp.HorizonSec * 1e9)
+	perRack := metrics.NewTable(fmt.Sprintf("Energy over %.1f simulated hour(s)", float64(sp.HorizonSec)/3600), "rack", "joules")
 	for i := 0; i < f.Racks(); i++ {
 		perRack.AddRowf(f.RackNames()[i], f.Rack(i).TotalEnergyJoules())
 	}
 	fmt.Fprintln(out, perRack.String())
 	fmt.Fprintf(out, "Fleet total: %.0f J across %d racks.\n", f.TotalEnergyJoules(), f.Racks())
-	if obsOn {
+	if cfg.obs {
 		fmt.Fprintln(out)
 		return o.Dump(out)
 	}

@@ -7,34 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files with the current output")
-
-// checkGolden compares got against testdata/<name>.golden, rewriting the
-// file under -update.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	golden := filepath.Join("testdata", name+".golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (bless the golden file with: go test ./cmd/... -run Golden -update)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("output drifted from %s (re-bless with -update after checking the diff):\n--- got ---\n%s", golden, got)
-	}
-}
 
 // TestGoldenFleetScenario pins the full fleetsim report — placement table,
 // borrow ledger, workload and fabric tables, energy — on a small fleet with
@@ -46,14 +25,33 @@ func TestGoldenFleetScenario(t *testing.T) { runGolden(t, "fleetsim_chaos") }
 // golden tests and the heap-flatness test.
 var goldens = map[string]func(w io.Writer) error{
 	"fleetsim_chaos": func(w io.Writer) error {
-		return run(w, 2, 3, 1, 16, 3, 20, "spark-sql,elasticsearch", "", "", 2, 1, 1, true, false)
+		return runArgs(w, small("-vms", "3", "-chaos")...)
 	},
 	"fleetsim_chaos_obs": func(w io.Writer) error {
-		return run(w, 2, 3, 1, 16, 3, 20, "spark-sql,elasticsearch", "", "", 2, 1, 1, true, true)
+		return runArgs(w, small("-vms", "3", "-chaos", "-obs")...)
 	},
 	"fleetsim_family": func(w io.Writer) error {
-		return run(w, 2, 3, 1, 16, 4, 20, "spark-sql,elasticsearch", "heavytail", "", 2, 1, 1, false, false)
+		return runArgs(w, small("-vms", "4", "-family", "heavytail")...)
 	},
+}
+
+// runArgs runs the tool on a command line, writing the report to out.
+func runArgs(out io.Writer, args ...string) error {
+	fs := flag.NewFlagSet("fleetsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	sp, cfg, err := parseFlags(fs, args)
+	if err != nil {
+		return err
+	}
+	return run(out, sp, cfg)
+}
+
+// small is the command line of the pinned scenarios — two racks of three
+// 16 GiB servers, one zombie per lender, 20 GiB VMs, two workers, one hour,
+// one paging pass — followed by extra.
+func small(extra ...string) []string {
+	return append([]string{"-racks", "2", "-servers", "3", "-zombies", "1", "-mem-gib", "16",
+		"-vm-gib", "20", "-workers", "2", "-hours", "1", "-iterations", "1"}, extra...)
 }
 
 func runGolden(t *testing.T, name string) {
@@ -62,7 +60,7 @@ func runGolden(t *testing.T, name string) {
 	if err := goldens[name](&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, name, buf.Bytes())
+	golden.Check(t, name, buf.Bytes())
 }
 
 // TestGoldensKeepHeapFlat runs every golden scenario ten times in one
@@ -102,7 +100,7 @@ func TestGoldenFleetScenarioObs(t *testing.T) { runGolden(t, "fleetsim_chaos_obs
 func TestObsDumpByteStable(t *testing.T) {
 	render := func(workers int) []byte {
 		var buf bytes.Buffer
-		if err := run(&buf, 2, 3, 1, 16, 3, 20, "spark-sql,elasticsearch", "", "", workers, 1, 1, true, true); err != nil {
+		if err := runArgs(&buf, small("-vms", "3", "-chaos", "-obs", "-workers", strconv.Itoa(workers))...); err != nil {
 			t.Fatal(err)
 		}
 		i := bytes.Index(buf.Bytes(), []byte("--- obs metrics ---"))
@@ -145,7 +143,7 @@ func TestTraceFlagBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, 2, 3, 1, 16, 4, 20, "spark-sql,elasticsearch", "", path, 2, 1, 1, false, false); err != nil {
+	if err := runArgs(&buf, small("-vms", "4", "-trace", path)...); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(tr.Tasks[0].VMID())) {
@@ -155,14 +153,51 @@ func TestTraceFlagBatch(t *testing.T) {
 
 // TestVMSpecsErrors pins the trace-source validation of the batch builder.
 func TestVMSpecsErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, 2, 3, 1, 16, 4, 20, "spark-sql,elasticsearch", "diurnal", "x.csv", 2, 1, 1, false, false); err == nil {
-		t.Error("-family with -trace accepted")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-family", "diurnal", "-trace", "x.csv"}, "family and file are mutually exclusive"},
+		{[]string{"-family", "nope"}, `family: trace: unknown family "nope"`},
+		{[]string{"-trace", filepath.Join(t.TempDir(), "missing.csv")}, "no such file"},
 	}
-	if err := run(&buf, 2, 3, 1, 16, 4, 20, "spark-sql,elasticsearch", "nope", "", 2, 1, 1, false, false); err == nil {
-		t.Error("unknown family accepted")
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := runArgs(&buf, small(append([]string{"-vms", "4"}, c.args...)...)...); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("fleetsim %v = %v, want %q", c.args, err, c.want)
+		}
 	}
-	if err := run(&buf, 2, 3, 1, 16, 4, 20, "spark-sql,elasticsearch", "", filepath.Join(t.TempDir(), "missing.csv"), 2, 1, 1, false, false); err == nil {
-		t.Error("missing trace file accepted")
+}
+
+// TestFleetFlagErrors pins the upfront validation of the fleet-shape and
+// horizon flags: each bad value gets its canonical out-of-range message
+// before any fleet is built, so nothing is printed.
+func TestFleetFlagErrors(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-hours", "-1"}, "horizon_sec -3600 out of range (need >= 1)"},
+		{[]string{"-hours", "0"}, "horizon_sec 0 out of range (need >= 1)"},
+		{[]string{"-vm-gib", "0"}, "-vm-gib 0 out of range (need > 0)"},
+		{[]string{"-vm-gib", "-2"}, "-vm-gib -2 out of range (need > 0)"},
+		{[]string{"-iterations", "0"}, "-iterations 0 out of range (need >= 1)"},
+		{[]string{"-iterations", "-3"}, "-iterations -3 out of range (need >= 1)"},
+		{[]string{"-mem-gib", "0"}, "-mem-gib 0 out of range (need >= 1)"},
+		{[]string{"-mem-gib", "-1"}, "-mem-gib -1 out of range (need >= 1)"},
+		{[]string{"-racks", "0"}, "-racks 0 out of range (need >= 1)"},
+		{[]string{"-vms", "0"}, "-vms 0 out of range (need >= 1)"},
+		{[]string{"-workers", "-1"}, "-workers -1 out of range (need >= 0)"},
+		{[]string{"-zombies", "3"}, "-zombies 3 must leave at least one active server per rack (-servers 3)"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		err := runArgs(&buf, small(c.args...)...)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("fleetsim %v = %v, want %q", c.args, err, c.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("fleetsim %v printed a report before failing:\n%s", c.args, buf.Bytes())
+		}
 	}
 }

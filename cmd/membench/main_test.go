@@ -2,36 +2,11 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files with the current output")
-
-// checkGolden compares got against testdata/<name>.golden, rewriting the
-// file under -update.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	golden := filepath.Join("testdata", name+".golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (bless the golden file with: go test ./cmd/... -run Golden -update)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("output drifted from %s (re-bless with -update after checking the diff):\n--- got ---\n%s", golden, got)
-	}
-}
 
 func benchCfg() benchConfig {
 	return benchConfig{
@@ -56,7 +31,7 @@ func TestGoldenMembench(t *testing.T) {
 	if err := run(&buf, benchCfg()); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "membench", buf.Bytes())
+	golden.Check(t, "membench", buf.Bytes())
 }
 
 // TestGoldenMembenchChaos pins the ledger transport under a fabric
@@ -71,7 +46,7 @@ func TestGoldenMembenchChaos(t *testing.T) {
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "membench_chaos", buf.Bytes())
+	golden.Check(t, "membench_chaos", buf.Bytes())
 }
 
 // TestGoldenMembenchObs pins the -obs dump on a short run (few enough ops
@@ -91,7 +66,7 @@ func TestGoldenMembenchObs(t *testing.T) {
 	if i < 0 {
 		t.Fatal("no obs dump in -obs output")
 	}
-	checkGolden(t, "membench_obs", buf.Bytes()[i:])
+	golden.Check(t, "membench_obs", buf.Bytes()[i:])
 }
 
 // TestMembenchObsTransportInvariant demands the obs dump be byte-identical

@@ -35,168 +35,142 @@ import (
 	"repro/internal/autopilot"
 	"repro/internal/chaos"
 	"repro/internal/cliflag"
-	"repro/internal/consolidation"
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-func main() {
-	machines := flag.Int("machines", 200, "servers in the simulated fleet")
-	tasks := flag.Int("tasks", 3000, "tasks in the generated trace")
-	hours := flag.Float64("hours", 24, "trace horizon in hours")
-	seed := flag.Int64("seed", 42, "trace generator seed (the report is bit-reproducible per seed)")
-	modified := flag.Bool("modified", false, "use the paper's memory-heavy modified traces")
-	family := flag.String("family", "", "generate the trace from a workload family instead: "+strings.Join(trace.FamilyNames(), ", "))
-	traceFile := flag.String("trace", "", "replay a .csv/.csv.gz trace file instead of generating one (fleet size and horizon are derived; streamed record-at-a-time)")
-	tick := flag.Int64("tick", 300, "re-planning tick of the online loop in seconds")
-	policy := flag.String("policy", "all", "online policy: reactive, hysteresis, ewma or all")
-	planner := flag.String("planner", "zombiestack", "base consolidation planner: neat, oasis or zombiestack")
-	machine := flag.String("machine", "hp", "machine power profile: hp or dell")
-	execute := flag.Bool("execute", false, "mirror every decision onto a live multi-rack fleet (real ACPI transitions)")
-	racks := flag.Int("racks", 25, "racks of the live fleet (with -execute; racks*servers must equal -machines)")
-	servers := flag.Int("servers", 8, "servers per rack of the live fleet (with -execute)")
-	memGiB := flag.Int("mem-gib", 1, "memory per live-fleet server in GiB (with -execute; every Sz entry delegates this much real buffer memory, so keep it small)")
-	chaosMode := flag.String("chaos", "", "fault-injection scenario: off, light, heavy or all (empty disables the chaos axis)")
-	chaosSeed := flag.Int64("chaos-seed", 42, "fault-schedule seed (with -chaos; the report is bit-reproducible per seed)")
-	obsOn := flag.Bool("obs", false, "attach the observability layer and append its dump: metrics snapshot + deterministic NDJSON event trace")
-	flag.Parse()
+// options are the flags outside the run spec: the live fleet of -execute,
+// the chaos axis and the obs dump.
+type options struct {
+	execute                bool
+	racks, servers, memGiB int
+	chaos                  string
+	chaosSeed              int64
+	obs                    bool
+}
 
-	if err := run(os.Stdout, *machines, *tasks, *hours, *seed, *modified, *family, *traceFile, *tick, *policy, *planner, *machine, *execute, *racks, *servers, *memGiB, *chaosMode, *chaosSeed, *obsOn); err != nil {
+func main() {
+	sp, opt, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(os.Stdout, sp, opt)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "onlinesim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out io.Writer, machines, tasks int, hours float64, seed int64, modified bool, family, traceFile string, tick int64, policy, planner, machine string, execute bool, racks, servers, memGiB int, chaosMode string, chaosSeed int64, obsOn bool) error {
-	// Upfront flag validation with the valid ranges (shared helpers, the
-	// same messages as fleetsim/fleetload), so a bad invocation fails
-	// before any simulation state is built.
-	if err := cliflag.FirstError(
-		cliflag.PositiveInt("-machines", machines),
-		cliflag.PositiveInt("-tasks", tasks),
-		cliflag.PositiveFloat("-hours", hours),
-		cliflag.PositiveInt64("-tick", tick, "second"),
-	); err != nil {
-		return err
-	}
-	if execute {
+// parseFlags binds the command line into the run spec and the options.
+func parseFlags(fs *flag.FlagSet, args []string) (autopilot.Spec, options, error) {
+	var sp autopilot.Spec
+	var opt options
+	fs.IntVar(&sp.Machines, "machines", 200, "servers in the simulated fleet")
+	fs.IntVar(&sp.Tasks, "tasks", 3000, "tasks in the generated trace")
+	hours := fs.Float64("hours", 24, "trace horizon in hours")
+	fs.Int64Var(&sp.Seed, "seed", 42, "trace generator seed (the report is bit-reproducible per seed)")
+	fs.BoolVar(&sp.Modified, "modified", false, "use the paper's memory-heavy modified traces")
+	fs.StringVar(&sp.Family, "family", "", "generate the trace from a workload family instead: "+strings.Join(trace.FamilyNames(), ", "))
+	fs.StringVar(&sp.File, "trace", "", "replay a .csv/.csv.gz trace file instead of generating one (fleet size and horizon are derived; streamed record-at-a-time)")
+	fs.Int64Var(&sp.TickSec, "tick", 300, "re-planning tick of the online loop in seconds")
+	fs.StringVar(&sp.Policy, "policy", "all", "online policy: reactive, hysteresis, ewma or all")
+	fs.StringVar(&sp.Planner, "planner", "zombiestack", "base consolidation planner: neat, oasis or zombiestack")
+	fs.StringVar(&sp.Machine, "machine", "hp", "machine power profile: hp or dell")
+	fs.BoolVar(&opt.execute, "execute", false, "mirror every decision onto a live multi-rack fleet (real ACPI transitions)")
+	fs.IntVar(&opt.racks, "racks", 25, "racks of the live fleet (with -execute; racks*servers must equal -machines)")
+	fs.IntVar(&opt.servers, "servers", 8, "servers per rack of the live fleet (with -execute)")
+	fs.IntVar(&opt.memGiB, "mem-gib", 1, "memory per live-fleet server in GiB (with -execute; every Sz entry delegates this much real buffer memory, so keep it small)")
+	fs.StringVar(&opt.chaos, "chaos", "", "fault-injection scenario: off, light, heavy or all (empty disables the chaos axis)")
+	fs.Int64Var(&opt.chaosSeed, "chaos-seed", 42, "fault-schedule seed (with -chaos; the report is bit-reproducible per seed)")
+	fs.BoolVar(&opt.obs, "obs", false, "attach the observability layer and append its dump: metrics snapshot + deterministic NDJSON event trace")
+	err := fs.Parse(args)
+	sp.HorizonSec = int64(*hours * 3600)
+	return sp, opt, err
+}
+
+func run(out io.Writer, sp autopilot.Spec, opt options) error {
+	// Upfront validation, so a bad invocation fails before any simulation
+	// state is built: the options here, then the spec's own check (the
+	// gateway's messages) in Config before it opens the trace.
+	if opt.execute {
 		if err := cliflag.FirstError(
-			cliflag.PositiveInt("-racks", racks),
-			cliflag.PositiveInt("-servers", servers),
-			cliflag.PositiveInt("-mem-gib", memGiB),
+			cliflag.PositiveInt("-racks", opt.racks),
+			cliflag.PositiveInt("-servers", opt.servers),
+			cliflag.PositiveInt("-mem-gib", opt.memGiB),
 		); err != nil {
 			return err
 		}
 	}
-	if family != "" && traceFile != "" {
-		return fmt.Errorf("-family and -trace are mutually exclusive")
-	}
-	if modified && (family != "" || traceFile != "") {
-		return fmt.Errorf("-modified applies to the built-in generator only; drop it with -family/-trace")
-	}
 	var chaosScenarios []string
-	switch chaosMode {
+	switch opt.chaos {
 	case "":
 		// Chaos axis disabled.
 	case "all":
 		chaosScenarios = chaos.ScenarioNames()
 	case "off", "light", "heavy":
-		chaosScenarios = []string{chaosMode}
+		chaosScenarios = []string{opt.chaos}
 	default:
-		return fmt.Errorf("unknown -chaos %q (valid: off, light, heavy, all)", chaosMode)
+		return fmt.Errorf("unknown -chaos %q (valid: off, light, heavy, all)", opt.chaos)
 	}
-	if len(chaosScenarios) > 0 && execute {
+	if len(chaosScenarios) > 0 && opt.execute {
 		return fmt.Errorf("-chaos runs on the abstract ledger; drop -execute (live-fleet faults go through the fleet fault surface)")
 	}
-	base, err := consolidation.PolicyByName(planner)
-	if err != nil {
-		return err
-	}
-	profile, err := energy.ProfileByName(machine)
-	if err != nil {
-		return err
-	}
-	policies := autopilot.Policies(base)
-	if policy != "all" {
-		p, err := autopilot.PolicyByName(policy, base)
-		if err != nil {
-			return err
-		}
-		policies = []autopilot.Policy{p}
-	}
 
-	var tr *trace.Trace
-	switch {
-	case family != "":
-		tr, err = trace.GenerateFamily(family, trace.FamilyParams{
-			Machines: machines, HorizonSec: int64(hours * 3600), Tasks: tasks, Seed: seed,
-		})
-	case traceFile != "":
-		// Streams the file record-at-a-time (gzip sniffed); fleet size and
-		// horizon are derived from the tasks themselves.
-		tr, err = trace.ImportFile(traceFile, trace.ImportOptions{})
-	default:
-		gc := trace.DefaultConfig()
-		if modified {
-			gc = trace.ModifiedConfig()
-		}
-		gc.Machines = machines
-		gc.Tasks = tasks
-		gc.HorizonSec = int64(hours * 3600)
-		gc.Seed = seed
-		tr, err = trace.Generate(gc)
+	// "all" is onlinesim's policy axis, not a policy: the spec is checked
+	// with the first bundled policy and the runs walk the whole roster.
+	all := sp.Policy == "all"
+	if all {
+		sp.Policy = "reactive"
 	}
+	cfg, err := sp.Config()
 	if err != nil {
 		return err
 	}
-	if execute && racks*servers != tr.Machines {
+	tr, base := cfg.Trace, cfg.Policy.Planner()
+	policies := []autopilot.Policy{cfg.Policy}
+	if all {
+		policies = autopilot.Policies(base)
+	}
+	if opt.execute && opt.racks*opt.servers != tr.Machines {
 		return fmt.Errorf("-racks %d x -servers %d = %d servers, but the trace fleet has %d machines",
-			racks, servers, racks*servers, tr.Machines)
+			opt.racks, opt.servers, opt.racks*opt.servers, tr.Machines)
 	}
 	fmt.Fprintf(out, "Trace %s: %d machines, %d tasks over %.1f h (seed %d). Online tick %d s, planner %s, %s profile.\n\n",
-		tr.Name, tr.Machines, len(tr.Tasks), float64(tr.HorizonSec)/3600, seed, tick, base.Name(), profile.Name)
+		tr.Name, tr.Machines, len(tr.Tasks), float64(tr.HorizonSec)/3600, sp.Seed, sp.TickSec, base.Name(), cfg.Machine.Name)
 
-	cfg := autopilot.Config{
-		Trace:      tr,
-		Machine:    profile,
-		ServerSpec: consolidation.DefaultServerSpec(),
-		TickSec:    tick,
-	}
 	// The loop stamps every event with its own simulated clock, so the -obs
 	// dump is byte-identical run to run for a fixed invocation. With several
 	// policies the runs share the bundle in policy order.
 	var o *obs.Obs
-	if obsOn {
+	if opt.obs {
 		o = obs.New(obs.Options{TraceCapacity: 8192})
 		cfg.Obs = o
 	}
 	if len(chaosScenarios) > 0 {
-		if err := runChaos(out, cfg, policies, chaosScenarios, chaosSeed); err != nil {
+		if err := runChaos(out, cfg, policies, chaosScenarios, opt.chaosSeed); err != nil {
 			return err
 		}
 		return dumpObs(out, o)
 	}
-	if execute {
+	if opt.execute {
 		// Each policy run needs its own live fleet: the executor replays real
 		// ACPI transitions and the ledger is cumulative.
-		fmt.Fprintf(out, "Executing against a live %dx%d fleet per policy.\n\n", racks, servers)
+		fmt.Fprintf(out, "Executing against a live %dx%d fleet per policy.\n\n", opt.racks, opt.servers)
 	}
 
 	var reports []autopilot.Report
 	for _, pol := range policies {
 		c := cfg
 		c.Policy = pol
-		if execute {
+		if opt.execute {
 			// The live fleet only mirrors postures and integrates energy — no
 			// VMs are placed on it — but every Sz entry delegates the
 			// server's free memory as real RDMA buffer allocations, so the
 			// boards stay small (-mem-gib) to keep posture churn cheap.
 			board := acpi.DefaultBoardSpec()
-			board.MemoryBytes = uint64(memGiB) << 30
-			f, err := fleet.New(fleet.Config{Racks: racks, Rack: core.Config{Servers: servers, Board: board}, Workers: 1})
+			board.MemoryBytes = uint64(opt.memGiB) << 30
+			f, err := fleet.New(fleet.Config{Racks: opt.racks, Rack: core.Config{Servers: opt.servers, Board: board}, Workers: 1})
 			if err != nil {
 				return err
 			}
@@ -216,7 +190,7 @@ func run(out io.Writer, machines, tasks int, hours float64, seed int64, modified
 		}
 		reports = append(reports, rep)
 	}
-	if execute {
+	if opt.execute {
 		fmt.Fprintln(out)
 	}
 

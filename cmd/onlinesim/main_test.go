@@ -14,80 +14,63 @@ import (
 
 	"repro"
 	"repro/internal/gateway"
+	"repro/internal/golden"
 	"repro/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files with the current output")
-
-// checkGolden compares got against testdata/<name>.golden, rewriting the
-// file under -update.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	golden := filepath.Join("testdata", name+".golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
+// runArgs runs the tool on a command line, writing the report to out.
+func runArgs(out io.Writer, args ...string) error {
+	fs := flag.NewFlagSet("onlinesim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	sp, opt, err := parseFlags(fs, args)
 	if err != nil {
-		t.Fatalf("%v (bless the golden file with: go test ./cmd/... -run Golden -update)", err)
+		return err
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("output drifted from %s (re-bless with -update after checking the diff):\n--- got ---\n%s", golden, got)
+	return run(out, sp, opt)
+}
+
+// smallArgs is the fleet the goldens run on: 40 machines, 300 tasks, four
+// hours, a 600 s tick.
+var smallArgs = []string{"-machines", "40", "-tasks", "300", "-hours", "4", "-tick", "600"}
+
+// runGolden runs the small fleet with extra flags and returns the report.
+func runGolden(t *testing.T, extra ...string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := runArgs(&buf, append(append([]string{}, smallArgs...), extra...)...); err != nil {
+		t.Fatal(err)
 	}
+	return buf.Bytes()
 }
 
 // TestGoldenRegretComparison pins the three-policy regret comparison on a
 // small fixed-seed trace.
 func TestGoldenRegretComparison(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, 40, 300, 4, 42, false, "", "", 600, "all", "zombiestack", "hp",
-		false, 0, 0, 0, "", 42, false); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "onlinesim", buf.Bytes())
+	golden.Check(t, "onlinesim", runGolden(t))
 }
 
 // TestGoldenObsDump pins the -obs dump for a single-policy chaos run: the
 // schedule emission, the loop's sim-time-stamped events and the metrics
 // snapshot are all deterministic, so the whole report is golden-testable.
 func TestGoldenObsDump(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, 40, 300, 4, 42, false, "", "", 600, "hysteresis", "zombiestack", "hp",
-		false, 0, 0, 0, "heavy", 42, true); err != nil {
-		t.Fatal(err)
-	}
-	i := bytes.Index(buf.Bytes(), []byte("--- obs metrics ---"))
+	out := runGolden(t, "-policy", "hysteresis", "-chaos", "heavy", "-obs")
+	i := bytes.Index(out, []byte("--- obs metrics ---"))
 	if i < 0 {
 		t.Fatal("no obs dump in -obs output")
 	}
-	checkGolden(t, "onlinesim_obs", buf.Bytes()[i:])
+	golden.Check(t, "onlinesim_obs", out[i:])
 }
 
 // TestGoldenChaosAxis pins the chaos severity sweep (off/light/heavy) for
 // one policy — the resilience table format and its numbers.
 func TestGoldenChaosAxis(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, 40, 300, 4, 42, false, "", "", 600, "hysteresis", "zombiestack", "hp",
-		false, 0, 0, 0, "all", 42, false); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "onlinesim_chaos", buf.Bytes())
+	golden.Check(t, "onlinesim_chaos", runGolden(t, "-policy", "hysteresis", "-chaos", "all"))
 }
 
 // TestGoldenFamily pins the regret comparison on a workload-family scenario,
 // the -family axis of the scenario engine.
 func TestGoldenFamily(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, 40, 300, 4, 42, false, "flashcrowd", "", 600, "all", "zombiestack", "hp",
-		false, 0, 0, 0, "", 42, false); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "onlinesim_family", buf.Bytes())
+	golden.Check(t, "onlinesim_family", runGolden(t, "-family", "flashcrowd"))
 }
 
 // TestTraceFlagStreams100kTasks is the huge-trace acceptance path: a
@@ -117,8 +100,8 @@ func TestTraceFlagStreams100kTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, 1, 1, 1, 42, false, "", path, 3600, "reactive", "neat", "hp",
-		false, 0, 0, 0, "", 42, false); err != nil {
+	if err := runArgs(&buf, "-machines", "1", "-tasks", "1", "-hours", "1", "-trace", path,
+		"-tick", "3600", "-policy", "reactive", "-planner", "neat"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -128,38 +111,39 @@ func TestTraceFlagStreams100kTasks(t *testing.T) {
 }
 
 // TestFamilyTraceFlagErrors pins the mutual-exclusion and pass-through
-// validation of the new trace-source flags.
+// validation of the trace-source flags.
 func TestFamilyTraceFlagErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, 40, 300, 4, 42, false, "diurnal", "x.csv", 600, "all", "zombiestack", "hp",
-		false, 0, 0, 0, "", 42, false); err == nil {
-		t.Error("-family with -trace accepted")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-family", "diurnal", "-trace", "x.csv"}, "family and file are mutually exclusive"},
+		{[]string{"-modified", "-family", "diurnal"}, "modified applies to the built-in generator only; drop it with family or file"},
+		{[]string{"-modified", "-trace", "x.csv"}, "modified applies to the built-in generator only; drop it with family or file"},
+		{[]string{"-family", "nope"}, `family: trace: unknown family "nope"`},
+		{[]string{"-trace", filepath.Join(t.TempDir(), "missing.csv")}, "no such file"},
 	}
-	if err := run(&buf, 40, 300, 4, 42, true, "diurnal", "", 600, "all", "zombiestack", "hp",
-		false, 0, 0, 0, "", 42, false); err == nil {
-		t.Error("-modified with -family accepted")
-	}
-	if err := run(&buf, 40, 300, 4, 42, false, "nope", "", 600, "all", "zombiestack", "hp",
-		false, 0, 0, 0, "", 42, false); err == nil {
-		t.Error("unknown family accepted")
-	}
-	if err := run(&buf, 40, 300, 4, 42, false, "", filepath.Join(t.TempDir(), "missing.csv"), 600,
-		"all", "zombiestack", "hp", false, 0, 0, 0, "", 42, false); err == nil {
-		t.Error("missing trace file accepted")
+	for _, c := range cases {
+		var buf bytes.Buffer
+		err := runArgs(&buf, append(append([]string{}, smallArgs...), c.args...)...)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("onlinesim %v = %v, want %q", c.args, err, c.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("onlinesim %v printed a report before failing:\n%s", c.args, buf.Bytes())
+		}
 	}
 }
 
-// TestMachineNamesAcceptedByEveryFrontEnd: the three front ends that take a
-// machine name — onlinesim -machine, the gateway's autopilot "machine" field
-// and paperfigs -machine (Figure1) — resolve it through one lookup, so each
-// accepts both spellings of both profiles.
-func TestMachineNamesAcceptedByEveryFrontEnd(t *testing.T) {
+// gatewayClient starts an in-process gateway with one fleet and returns a
+// poster for that fleet's routes.
+func gatewayClient(t *testing.T) func(route, body string) (int, []byte) {
 	srv := gateway.New(gateway.Config{})
 	ts := httptest.NewServer(srv.Handler())
-	defer func() {
+	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
-	}()
+	})
 	post := func(path, body string) (int, []byte) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
@@ -173,30 +157,17 @@ func TestMachineNamesAcceptedByEveryFrontEnd(t *testing.T) {
 		}
 		return resp.StatusCode, b
 	}
-
-	for _, name := range []string{"hp", "HP", "dell", "Dell"} {
-		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := run(&buf, 10, 60, 1, 7, false, "", "", 600, "reactive", "zombiestack", name,
-				false, 0, 0, 0, "", 42, false); err != nil {
-				t.Errorf("onlinesim -machine %s: %v", name, err)
-			}
-			if _, err := zombieland.Figure1(name, 3); err != nil {
-				t.Errorf("paperfigs -machine %s: %v", name, err)
-			}
-
-			status, body := post("/v1/fleets", `{}`)
-			var fleet struct {
-				ID string `json:"id"`
-			}
-			if err := json.Unmarshal(body, &fleet); status != http.StatusCreated || err != nil {
-				t.Fatalf("create fleet = %d %s", status, body)
-			}
-			status, body = post("/v1/fleets/"+fleet.ID+"/autopilot",
-				`{"machines":10,"tasks":60,"hours":1,"tick_sec":600,"machine":"`+name+`"}`)
-			if status != http.StatusAccepted {
-				t.Fatalf("gateway machine %q = %d %s, want 202", name, status, body)
-			}
+	status, body := post("/v1/fleets", `{}`)
+	var fleet struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &fleet); status != http.StatusCreated || err != nil {
+		t.Fatalf("create fleet = %d %s", status, body)
+	}
+	return func(route, body string) (int, []byte) {
+		t.Helper()
+		status, b := post("/v1/fleets/"+fleet.ID+route, body)
+		if route == "/autopilot" && status == http.StatusAccepted {
 			// Drain the event stream so the run finishes before teardown.
 			resp, err := http.Get(ts.URL + "/v1/fleets/" + fleet.ID + "/autopilot/events")
 			if err != nil {
@@ -204,6 +175,80 @@ func TestMachineNamesAcceptedByEveryFrontEnd(t *testing.T) {
 			}
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
+		}
+		return status, b
+	}
+}
+
+// TestMachineNamesAcceptedByEveryFrontEnd: the three front ends that take a
+// machine name — onlinesim -machine, the gateway's autopilot "machine" field
+// and paperfigs -machine (Figure1) — resolve it through one lookup, so each
+// accepts both spellings of both profiles.
+func TestMachineNamesAcceptedByEveryFrontEnd(t *testing.T) {
+	post := gatewayClient(t)
+	for _, name := range []string{"hp", "HP", "dell", "Dell"} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := runArgs(&buf, "-machines", "10", "-tasks", "60", "-hours", "1", "-seed", "7",
+				"-tick", "600", "-policy", "reactive", "-machine", name); err != nil {
+				t.Errorf("onlinesim -machine %s: %v", name, err)
+			}
+			if _, err := zombieland.Figure1(name, 3); err != nil {
+				t.Errorf("paperfigs -machine %s: %v", name, err)
+			}
+			status, body := post("/autopilot",
+				`{"machines":10,"tasks":60,"horizon_sec":3600,"tick_sec":600,"machine":"`+name+`"}`)
+			if status != http.StatusAccepted {
+				t.Fatalf("gateway machine %q = %d %s, want 202", name, status, body)
+			}
+		})
+	}
+}
+
+// TestBadSpecsRejectedByEveryFrontEnd feeds the same bad run spec through
+// onlinesim's flags and through the gateway's autopilot body: both decode
+// into one autopilot.Spec and fail its one shape check, so each field gets
+// the same message, naming its JSON key, from either front end.
+func TestBadSpecsRejectedByEveryFrontEnd(t *testing.T) {
+	post := gatewayClient(t)
+	cases := []struct {
+		args []string
+		body string
+		want string
+	}{
+		{[]string{"-machines", "0"}, `{"machines":0}`, "machines 0 out of range (need >= 1)"},
+		{[]string{"-tasks", "0"}, `{"tasks":0}`, "tasks 0 out of range (need >= 1)"},
+		{[]string{"-tick", "0"}, `{"tick_sec":0}`, "tick_sec 0 out of range (need >= 1)"},
+		{[]string{"-hours", "0.0001"}, `{"horizon_sec":0}`, "horizon_sec 0 out of range (need >= 1)"},
+		{[]string{"-hours", "-1"}, `{"horizon_sec":-3600}`, "horizon_sec -3600 out of range (need >= 1)"},
+		{[]string{"-family", "diurnal", "-trace", "x.csv"}, `{"family":"diurnal","file":"x.csv"}`,
+			"family and file are mutually exclusive"},
+		{[]string{"-modified", "-family", "diurnal"}, `{"modified":true,"family":"diurnal"}`,
+			"modified applies to the built-in generator only; drop it with family or file"},
+		{[]string{"-family", "nope"}, `{"family":"nope"}`,
+			`family: trace: unknown family "nope" (valid: diurnal, flashcrowd, serverless, mlbatch, heavytail, mix)`},
+		{[]string{"-planner", "bogus"}, `{"planner":"bogus"}`, `planner: consolidation: unknown policy "bogus"`},
+		{[]string{"-policy", "psychic"}, `{"policy":"psychic"}`,
+			`policy: autopilot: unknown policy "psychic" (valid: reactive, hysteresis, ewma)`},
+		{[]string{"-machine", "toaster"}, `{"machine":"toaster"}`,
+			`machine: energy: unknown machine "toaster" (valid: HP, Dell)`},
+	}
+	for _, c := range cases {
+		t.Run(c.want, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := runArgs(&buf, c.args...); err == nil || err.Error() != c.want {
+				t.Errorf("onlinesim %v = %v, want %q", c.args, err, c.want)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("onlinesim %v printed a report before failing:\n%s", c.args, buf.Bytes())
+			}
+			status, body := post("/autopilot", c.body)
+			var resp struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body, &resp); err != nil || status != http.StatusBadRequest || resp.Error != c.want {
+				t.Errorf("POST autopilot %s = %d %s, want 400 %q", c.body, status, body, c.want)
+			}
 		})
 	}
 }

@@ -2,36 +2,13 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files with the current output")
-
-// checkGolden compares got against testdata/<name>.golden, rewriting the
-// file under -update.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	golden := filepath.Join("testdata", name+".golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (bless the golden file with: go test ./cmd/... -run Golden -update)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("output drifted from %s (re-bless with -update after checking the diff):\n--- got ---\n%s", golden, got)
-	}
-}
 
 func figCfg() figConfig {
 	return figConfig{exp: "all", seed: 1, machine: "HP", points: 11}
@@ -45,7 +22,7 @@ func TestGoldenPaperfigs(t *testing.T) {
 	if err := run(&buf, figCfg()); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "paperfigs", buf.Bytes())
+	golden.Check(t, "paperfigs", buf.Bytes())
 }
 
 // TestSingleExperimentIsItsSliceOfAll runs two experiments alone, one from

@@ -601,7 +601,7 @@ func Example_gateway() {
 	// buffered events replay first, then one terminal "done" line with the
 	// regret vs the offline oracle.
 	status, _ = do(http.MethodPost, "/v1/fleets/"+created.ID+"/autopilot",
-		`{"machines":10,"tasks":60,"hours":1,"seed":7,"tick_sec":600}`)
+		`{"machines":10,"tasks":60,"horizon_sec":3600,"seed":7,"tick_sec":600}`)
 	fmt.Printf("autopilot (%d): started\n", status)
 
 	req, err := http.NewRequest(http.MethodGet, base+"/v1/fleets/"+created.ID+"/autopilot/events", nil)

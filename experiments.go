@@ -431,9 +431,10 @@ func DefaultFig10Config() Fig10Config {
 }
 
 // Figure10 runs the Neat / Oasis / ZombieStack comparison on the original and
-// modified Google-like traces for both machine profiles.
+// modified Google-like traces for both machine profiles. Zero Machines runs
+// DefaultFig10Config's fleet; a negative size is rejected.
 func Figure10(cfg Fig10Config) (Fig10Result, error) {
-	if cfg.Machines <= 0 {
+	if cfg.Machines == 0 {
 		workers, transitions := cfg.Workers, cfg.TransitionCosts
 		cfg = DefaultFig10Config()
 		cfg.Workers = workers
@@ -441,15 +442,8 @@ func Figure10(cfg Fig10Config) (Fig10Result, error) {
 	}
 	res := Fig10Result{TransitionCosts: cfg.TransitionCosts}
 	for _, modified := range []bool{false, true} {
-		genCfg := trace.DefaultConfig()
-		if modified {
-			genCfg = trace.ModifiedConfig()
-		}
-		genCfg.Machines = cfg.Machines
-		genCfg.Tasks = cfg.Tasks
-		genCfg.HorizonSec = cfg.HorizonSec
-		genCfg.Seed = cfg.Seed
-		tr, err := trace.Generate(genCfg)
+		tr, err := trace.Spec{Modified: modified, Machines: cfg.Machines, Tasks: cfg.Tasks,
+			HorizonSec: cfg.HorizonSec, Seed: cfg.Seed}.Open()
 		if err != nil {
 			return Fig10Result{}, err
 		}

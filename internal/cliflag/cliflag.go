@@ -1,13 +1,14 @@
-// Package cliflag holds the shared flag-validation helpers of the command
-// line tools. Every cmd/ binary validates its numeric flags upfront — before
-// any fleet or simulation state is built — and the error strings are pinned
-// by CLI tests, so the helpers produce one canonical message format:
+// Package cliflag holds the shared flag-validation helpers for the command
+// line flags that are not part of a run spec (trace.Spec, autopilot.Spec):
+// fleetd's serving knobs, fleetload's load shape, fleetsim's fleet shape and
+// the -workers pools. Every such flag is validated upfront — before any
+// fleet or simulation state is built — and the error strings are pinned by
+// CLI tests, so the helpers produce one canonical message format:
 //
 //	-racks 0 out of range (need >= 1)
-//	-hours 0 out of range (need > 0)
+//	-vm-gib 0 out of range (need > 0)
 //
-// A new command gets the same messages (and the same corner-case handling)
-// for free instead of hand-rolling its own drifting copies.
+// The spec's own fields are checked by the spec and name their JSON key.
 package cliflag
 
 import "fmt"
@@ -21,21 +22,10 @@ func PositiveInt(name string, v int) error {
 	return nil
 }
 
-// PositiveInt64 is PositiveInt for 64-bit flags. The unit, when non-empty,
-// is appended to the message ("-tick 0 out of range (need >= 1 second)").
-func PositiveInt64(name string, v int64, unit string) error {
-	if v < 1 {
-		if unit != "" {
-			return fmt.Errorf("%s %d out of range (need >= 1 %s)", name, v, unit)
-		}
-		return fmt.Errorf("%s %d out of range (need >= 1)", name, v)
-	}
-	return nil
-}
-
-// PositiveFloat checks a float flag that must be strictly positive.
+// PositiveFloat checks a float flag that must be strictly positive (NaN is
+// not).
 func PositiveFloat(name string, v float64) error {
-	if v <= 0 {
+	if !(v > 0) {
 		return fmt.Errorf("%s %g out of range (need > 0)", name, v)
 	}
 	return nil

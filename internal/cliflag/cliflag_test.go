@@ -29,30 +29,16 @@ func TestPositiveInt(t *testing.T) {
 	}
 }
 
-func TestPositiveInt64(t *testing.T) {
-	if err := PositiveInt64("-tick", 300, "second"); err != nil {
-		t.Errorf("valid tick rejected: %v", err)
-	}
-	want := "-tick 0 out of range (need >= 1 second)"
-	if err := PositiveInt64("-tick", 0, "second"); err == nil || err.Error() != want {
-		t.Errorf("PositiveInt64(-tick, 0, second) = %v, want %q", err, want)
-	}
-	want = "-requests -1 out of range (need >= 1)"
-	if err := PositiveInt64("-requests", -1, ""); err == nil || err.Error() != want {
-		t.Errorf("PositiveInt64(-requests, -1) = %v, want %q", err, want)
-	}
-}
-
 func TestPositiveFloat(t *testing.T) {
-	if err := PositiveFloat("-hours", 0.5); err != nil {
-		t.Errorf("valid hours rejected: %v", err)
+	if err := PositiveFloat("-vm-gib", 0.5); err != nil {
+		t.Errorf("valid -vm-gib rejected: %v", err)
 	}
-	want := "-hours 0 out of range (need > 0)"
-	if err := PositiveFloat("-hours", 0); err == nil || err.Error() != want {
-		t.Errorf("PositiveFloat(-hours, 0) = %v, want %q", err, want)
+	want := "-vm-gib 0 out of range (need > 0)"
+	if err := PositiveFloat("-vm-gib", 0); err == nil || err.Error() != want {
+		t.Errorf("PositiveFloat(-vm-gib, 0) = %v, want %q", err, want)
 	}
-	if err := PositiveFloat("-hours", -2.5); err == nil {
-		t.Error("negative hours accepted")
+	if err := PositiveFloat("-vm-gib", -2.5); err == nil {
+		t.Error("negative -vm-gib accepted")
 	}
 }
 

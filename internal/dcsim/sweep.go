@@ -19,21 +19,17 @@ import (
 )
 
 // SweepConfig describes a scenario grid: the cross product of Policies,
-// Machines, TraceConfigs and PeriodsSec.
+// Machines, Traces and PeriodsSec.
 type SweepConfig struct {
 	// Policies are the consolidation policies to compare. Plan must be safe
 	// for concurrent use (the bundled policies are stateless).
 	Policies []consolidation.Policy
 	// Machines are the per-machine power profiles to sweep.
 	Machines []*energy.MachineProfile
-	// TraceConfigs generate the workload of each scenario column (e.g. the
-	// original and memory-heavy Google-like traces at several scales). Each
-	// config is generated exactly once and shared read-only by the runs.
-	TraceConfigs []trace.GeneratorConfig
-	// Traces are pre-built workload columns appended after the generated ones
-	// — scenario packs from the family engine (trace.GenerateFamily) or
-	// imported cluster traces (trace.Import). Shared read-only by the runs;
-	// at least one of TraceConfigs and Traces must be non-empty.
+	// Traces are the workload columns, each opened once by the caller (the
+	// original and memory-heavy Google-like traces at several scales, a
+	// workload family, an imported cluster trace) and shared read-only by the
+	// runs.
 	Traces []*trace.Trace
 	// PeriodsSec are the consolidation periods to sweep.
 	PeriodsSec []int64
@@ -51,21 +47,6 @@ type SweepConfig struct {
 	SweepWorkers int
 }
 
-// DefaultSweepConfig returns the Figure 10 grid: the three contender policies
-// on both testbed machines, on the original and memory-heavy traces, at the
-// paper's 300 s consolidation period, reported both without and with
-// transition costs.
-func DefaultSweepConfig() SweepConfig {
-	return SweepConfig{
-		Policies:        consolidation.Contenders(),
-		Machines:        energy.Profiles(),
-		TraceConfigs:    []trace.GeneratorConfig{trace.DefaultConfig(), trace.ModifiedConfig()},
-		PeriodsSec:      []int64{300},
-		TransitionCosts: []bool{false, true},
-		ServerSpec:      consolidation.DefaultServerSpec(),
-	}
-}
-
 // validate checks the grid is non-empty in every dimension.
 func (c *SweepConfig) validate() error {
 	switch {
@@ -73,8 +54,8 @@ func (c *SweepConfig) validate() error {
 		return fmt.Errorf("dcsim: sweep needs at least one policy")
 	case len(c.Machines) == 0:
 		return fmt.Errorf("dcsim: sweep needs at least one machine profile")
-	case len(c.TraceConfigs) == 0 && len(c.Traces) == 0:
-		return fmt.Errorf("dcsim: sweep needs at least one trace config or pre-built trace")
+	case len(c.Traces) == 0:
+		return fmt.Errorf("dcsim: sweep needs at least one trace")
 	case len(c.PeriodsSec) == 0:
 		return fmt.Errorf("dcsim: sweep needs at least one consolidation period")
 	}
@@ -93,30 +74,22 @@ type SweepResult struct {
 	Runs []Result
 }
 
-// Sweep generates each trace once, then walks each (trace, period) group of
-// the scenario grid once, concurrently on SweepWorkers goroutines. The
-// returned runs are in grid order and independent of scheduling; with the
-// same config a sweep is fully deterministic.
+// Sweep walks each (trace, period) group of the scenario grid once,
+// concurrently on SweepWorkers goroutines. The returned runs are in grid
+// order and independent of scheduling; with the same config a sweep is fully
+// deterministic.
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	traces := make([]*trace.Trace, len(cfg.TraceConfigs), len(cfg.TraceConfigs)+len(cfg.Traces))
-	for i, tc := range cfg.TraceConfigs {
-		tr, err := trace.Generate(tc)
-		if err != nil {
-			return nil, fmt.Errorf("dcsim: sweep trace %q: %w", tc.Name, err)
-		}
-		traces[i] = tr
-	}
-	for _, tr := range cfg.Traces {
+	traces := cfg.Traces
+	for _, tr := range traces {
 		if tr == nil {
-			return nil, fmt.Errorf("dcsim: sweep given a nil pre-built trace")
+			return nil, fmt.Errorf("dcsim: sweep given a nil trace")
 		}
 		if err := tr.Validate(); err != nil {
 			return nil, fmt.Errorf("dcsim: sweep trace %q: %w", tr.Name, err)
 		}
-		traces = append(traces, tr)
 	}
 
 	// A zero-value spec gets the default; a partially-set spec is passed

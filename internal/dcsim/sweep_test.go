@@ -10,17 +10,28 @@ import (
 	"repro/internal/trace"
 )
 
+// figure10Traces opens Figure 10's two columns, the original and the
+// memory-heavy Google-like trace, on a small fleet.
+func figure10Traces(t testing.TB) []*trace.Trace {
+	t.Helper()
+	var traces []*trace.Trace
+	for _, modified := range []bool{false, true} {
+		tr, err := trace.Spec{Modified: modified, Machines: 40, Tasks: 300, HorizonSec: 4 * 3600, Seed: 42}.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, tr)
+	}
+	return traces
+}
+
 // smallSweepConfig returns a fast grid covering every policy × machine
 // combination on two traces and two consolidation periods.
-func smallSweepConfig() SweepConfig {
-	orig := trace.DefaultConfig()
-	orig.Machines, orig.Tasks, orig.HorizonSec = 40, 300, 4*3600
-	mod := trace.ModifiedConfig()
-	mod.Machines, mod.Tasks, mod.HorizonSec = 40, 300, 4*3600
+func smallSweepConfig(t testing.TB) SweepConfig {
 	return SweepConfig{
 		Policies:     consolidation.AllPolicies(),
 		Machines:     energy.Profiles(),
-		TraceConfigs: []trace.GeneratorConfig{orig, mod},
+		Traces:       figure10Traces(t),
 		PeriodsSec:   []int64{300, 900},
 		ServerSpec:   consolidation.DefaultServerSpec(),
 		SweepWorkers: 4,
@@ -30,17 +41,17 @@ func smallSweepConfig() SweepConfig {
 // TestSweepCoversFullGrid runs the grid and checks every policy × machine ×
 // trace × period combination is present exactly once, in grid order.
 func TestSweepCoversFullGrid(t *testing.T) {
-	cfg := smallSweepConfig()
+	cfg := smallSweepConfig(t)
 	res, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(cfg.Policies) * len(cfg.Machines) * len(cfg.TraceConfigs) * len(cfg.PeriodsSec)
+	want := len(cfg.Policies) * len(cfg.Machines) * len(cfg.Traces) * len(cfg.PeriodsSec)
 	if len(res.Runs) != want {
 		t.Fatalf("sweep produced %d runs, want %d", len(res.Runs), want)
 	}
 	i := 0
-	for _, tc := range cfg.TraceConfigs {
+	for _, tc := range cfg.Traces {
 		for _, m := range cfg.Machines {
 			for _, pol := range cfg.Policies {
 				for _, period := range cfg.PeriodsSec {
@@ -64,22 +75,17 @@ func TestSweepCoversFullGrid(t *testing.T) {
 // also shards each run's epochs, and requires every run to equal a direct
 // sequential Run of the same cell, transition costs on and off.
 func TestSweepDeterministic(t *testing.T) {
-	tc := trace.DefaultConfig()
-	tc.Machines, tc.Tasks, tc.HorizonSec = 40, 300, 4*3600
+	tr := figure10Traces(t)[0]
 	cfg := SweepConfig{
 		Policies:        consolidation.Contenders(),
 		Machines:        []*energy.MachineProfile{energy.HPProfile()},
-		TraceConfigs:    []trace.GeneratorConfig{tc},
+		Traces:          []*trace.Trace{tr},
 		PeriodsSec:      []int64{300},
 		TransitionCosts: []bool{false, true},
 		ServerSpec:      consolidation.DefaultServerSpec(),
 		SweepWorkers:    16, // 1 (trace, period) group: its walk shards epochs over 16 workers
 	}
 	res, err := Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Generate(tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,22 +111,17 @@ func TestSweepDeterministic(t *testing.T) {
 // transition branches — two walks of twelve configs, each sharding its epochs
 // over the spare workers — and requires every run to equal its cell run alone.
 func TestSweepGroupsMatchSeparateRuns(t *testing.T) {
-	tc := trace.ModifiedConfig()
-	tc.Machines, tc.Tasks, tc.HorizonSec = 40, 300, 4*3600
+	tr := figure10Traces(t)[1]
 	cfg := SweepConfig{
 		Policies:        consolidation.Contenders(),
 		Machines:        energy.Profiles(),
-		TraceConfigs:    []trace.GeneratorConfig{tc},
+		Traces:          []*trace.Trace{tr},
 		PeriodsSec:      []int64{300, 900},
 		TransitionCosts: []bool{false, true},
 		ServerSpec:      consolidation.DefaultServerSpec(),
 		SweepWorkers:    3,
 	}
 	res, err := Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Generate(tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,15 +150,12 @@ func TestSweepGroupsMatchSeparateRuns(t *testing.T) {
 // TestSweepMatchesDirectRuns cross-checks a few grid cells against direct
 // dcsim.Run invocations.
 func TestSweepMatchesDirectRuns(t *testing.T) {
-	cfg := smallSweepConfig()
+	cfg := smallSweepConfig(t)
 	res, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Generate(cfg.TraceConfigs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := cfg.Traces[0]
 	for _, pol := range cfg.Policies {
 		direct, err := Run(Config{
 			Trace: tr, Policy: pol, Machine: cfg.Machines[0],
@@ -178,13 +176,13 @@ func TestSweepMatchesDirectRuns(t *testing.T) {
 
 // TestSweepAggregation checks the metrics aggregation and rendering.
 func TestSweepAggregation(t *testing.T) {
-	cfg := smallSweepConfig()
+	cfg := smallSweepConfig(t)
 	res, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sums := res.SummaryByPolicy()
-	perPolicy := len(cfg.Machines) * len(cfg.TraceConfigs) * len(cfg.PeriodsSec)
+	perPolicy := len(cfg.Machines) * len(cfg.Traces) * len(cfg.PeriodsSec)
 	for _, pol := range cfg.Policies {
 		s, ok := sums[pol.Name()]
 		if !ok {
@@ -211,11 +209,11 @@ func TestSweepAggregation(t *testing.T) {
 
 // TestSweepValidation checks empty grid dimensions are rejected.
 func TestSweepValidation(t *testing.T) {
-	base := smallSweepConfig()
+	base := smallSweepConfig(t)
 	mutations := []func(*SweepConfig){
 		func(c *SweepConfig) { c.Policies = nil },
 		func(c *SweepConfig) { c.Machines = nil },
-		func(c *SweepConfig) { c.TraceConfigs = nil },
+		func(c *SweepConfig) { c.Traces = nil },
 		func(c *SweepConfig) { c.PeriodsSec = nil },
 		func(c *SweepConfig) { c.PeriodsSec = []int64{0} },
 		// A partially-set server spec must be rejected, not silently replaced
@@ -232,8 +230,8 @@ func TestSweepValidation(t *testing.T) {
 }
 
 // TestSweepPreBuiltTraces runs the grid over scenario packs from the family
-// engine: pre-built traces join the grid after the generated columns, in the
-// order given, and a nil or invalid pack is rejected upfront.
+// engine next to a generated column: the columns run in the order given, and
+// a nil or invalid trace is rejected upfront.
 func TestSweepPreBuiltTraces(t *testing.T) {
 	packParams := trace.FamilyParams{Machines: 40, HorizonSec: 4 * 3600, Tasks: 300, Seed: 42}
 	var packs []*trace.Trace
@@ -244,9 +242,8 @@ func TestSweepPreBuiltTraces(t *testing.T) {
 		}
 		packs = append(packs, tr)
 	}
-	cfg := smallSweepConfig()
-	cfg.TraceConfigs = cfg.TraceConfigs[:1]
-	cfg.Traces = packs
+	cfg := smallSweepConfig(t)
+	cfg.Traces = append(cfg.Traces[:1], packs...)
 	res, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +252,7 @@ func TestSweepPreBuiltTraces(t *testing.T) {
 	if want := 3 * perTrace; len(res.Runs) != want {
 		t.Fatalf("sweep produced %d runs, want %d", len(res.Runs), want)
 	}
-	// Generated columns first, then the packs in the order given.
-	for i, name := range []string{cfg.TraceConfigs[0].Name, "diurnal", "serverless"} {
+	for i, name := range []string{"google-like", "diurnal", "serverless"} {
 		for j := 0; j < perTrace; j++ {
 			if run := res.Runs[i*perTrace+j]; run.Trace != name {
 				t.Fatalf("run %d on trace %q, want %q", i*perTrace+j, run.Trace, name)
@@ -264,7 +260,7 @@ func TestSweepPreBuiltTraces(t *testing.T) {
 		}
 	}
 	// Pack-only grids are valid; nil and invalid packs are not.
-	cfg.TraceConfigs = nil
+	cfg.Traces = packs
 	if _, err := Sweep(cfg); err != nil {
 		t.Fatalf("pack-only sweep: %v", err)
 	}

@@ -169,18 +169,20 @@ func TestMigrationDrainCharged(t *testing.T) {
 // TestSweepTransitionAxis checks the sweep's transition-cost axis: the grid
 // doubles, both branches are retrievable, and the costed branch saves less.
 func TestSweepTransitionAxis(t *testing.T) {
-	cfg := DefaultSweepConfig()
-	for i := range cfg.TraceConfigs {
-		cfg.TraceConfigs[i].Machines = 40
-		cfg.TraceConfigs[i].Tasks = 300
-		cfg.TraceConfigs[i].HorizonSec = 4 * 3600
+	cfg := SweepConfig{
+		Policies:        consolidation.Contenders(),
+		Machines:        energy.Profiles(),
+		Traces:          figure10Traces(t),
+		PeriodsSec:      []int64{300},
+		TransitionCosts: []bool{false, true},
+		ServerSpec:      consolidation.DefaultServerSpec(),
+		SweepWorkers:    4,
 	}
-	cfg.SweepWorkers = 4
 	res, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRuns := len(cfg.Policies) * len(cfg.Machines) * len(cfg.TraceConfigs) * len(cfg.PeriodsSec) * 2
+	wantRuns := len(cfg.Policies) * len(cfg.Machines) * len(cfg.Traces) * len(cfg.PeriodsSec) * 2
 	if len(res.Runs) != wantRuns {
 		t.Fatalf("runs = %d, want %d", len(res.Runs), wantRuns)
 	}

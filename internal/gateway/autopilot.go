@@ -2,26 +2,48 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
 	"repro/internal/autopilot"
 	"repro/internal/chaos"
-	"repro/internal/consolidation"
-	"repro/internal/energy"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// Default shape of a gateway autopilot run: small enough to finish in well
-// under a second, big enough for the policies to differentiate.
-const (
-	defaultAPMachines = 100
-	defaultAPTasks    = 800
-	defaultAPHours    = 6.0
-	defaultAPSeed     = 42
-	defaultAPTick     = 300
-)
+// defaultSpec is the shape of a gateway autopilot run before the body
+// overrides it: small enough to finish in well under a second, big enough
+// for the policies to differentiate.
+func defaultSpec() autopilot.Spec {
+	return autopilot.Spec{
+		Spec:    trace.Spec{Machines: 100, Tasks: 800, HorizonSec: 6 * 3600, Seed: 42},
+		Planner: "zombiestack", Policy: "hysteresis", Machine: "hp", TickSec: 300,
+	}
+}
+
+// admit is the gateway's one check of an autopilot spec: the spec's own
+// shape check, then the serving caps (maxAP*) and the refusal of the file
+// source, since the daemon reads no client-named paths.
+func admit(sp autopilot.Spec) error {
+	if err := sp.Validate(); err != nil {
+		return err
+	}
+	ticks := (sp.HorizonSec-1)/sp.TickSec + 1
+	switch {
+	case sp.File != "":
+		return errors.New("file is not served over HTTP (use family or the built-in generator)")
+	case sp.Machines > maxAPMachines:
+		return trace.OutOfRange("machines", int64(sp.Machines), fmt.Sprintf("1..%d", maxAPMachines))
+	case sp.Tasks > maxAPTasks:
+		return trace.OutOfRange("tasks", int64(sp.Tasks), fmt.Sprintf("1..%d", maxAPTasks))
+	case sp.HorizonSec > maxAPHorizonSec:
+		return trace.OutOfRange("horizon_sec", sp.HorizonSec, fmt.Sprintf("1..%d", maxAPHorizonSec))
+	case ticks > maxAPTicks:
+		return fmt.Errorf("horizon_sec %d at tick_sec %d is %d ticks (need at most %d)", sp.HorizonSec, sp.TickSec, ticks, maxAPTicks)
+	}
+	return nil
+}
 
 // chaosRequest arms the session with a fault scenario: every subsequent
 // autopilot run replays under a plan rebuilt from this scenario and seed for
@@ -54,17 +76,14 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	req := chaosRequest{Scenario: "light", Seed: defaultAPSeed, Machines: defaultAPMachines,
-		HorizonSec: int64(defaultAPHours * 3600)}
+	sp := defaultSpec()
+	req := chaosRequest{Scenario: "light", Seed: sp.Seed, Machines: sp.Machines, HorizonSec: sp.HorizonSec}
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	switch {
-	case req.Machines < 1 || req.Machines > maxAPMachines:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("machines %d out of range (need 1..%d)", req.Machines, maxAPMachines))
-		return
-	case req.HorizonSec < 1 || req.HorizonSec > maxAPHours*3600:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("horizon_sec %d out of range (need 1..%d)", req.HorizonSec, maxAPHours*3600))
+	sp.Machines, sp.HorizonSec = req.Machines, req.HorizonSec
+	if err := admit(sp); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	plan, err := chaos.Scenario(req.Scenario, req.HorizonSec, req.Machines, req.Seed)
@@ -92,73 +111,23 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// autopilotRequest starts one online control-plane run in the background;
-// its tick telemetry streams on GET .../autopilot/events.
-type autopilotRequest struct {
-	Machines int     `json:"machines"`
-	Tasks    int     `json:"tasks"`
-	Hours    float64 `json:"hours"`
-	Seed     int64   `json:"seed"`
-	TickSec  int64   `json:"tick_sec"`
-	Policy   string  `json:"policy"`
-	Planner  string  `json:"planner"`
-	Machine  string  `json:"machine"`
-	Modified bool    `json:"modified"`
-}
-
+// handleAutopilotStart starts one online control-plane run in the
+// background; its tick telemetry streams on GET .../autopilot/events. The
+// body is an autopilot.Spec over defaultSpec.
 func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(w, r)
 	if sess == nil {
 		return
 	}
-	req := autopilotRequest{Machines: defaultAPMachines, Tasks: defaultAPTasks, Hours: defaultAPHours,
-		Seed: defaultAPSeed, TickSec: defaultAPTick, Policy: "hysteresis", Planner: "zombiestack", Machine: "hp"}
-	if !decodeJSON(w, r, &req) {
+	sp := defaultSpec()
+	if !decodeJSON(w, r, &sp) {
 		return
 	}
-	switch {
-	case req.Machines < 1 || req.Machines > maxAPMachines:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("machines %d out of range (need 1..%d)", req.Machines, maxAPMachines))
-		return
-	case req.Tasks < 1 || req.Tasks > maxAPTasks:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("tasks %d out of range (need 1..%d)", req.Tasks, maxAPTasks))
-		return
-	case !(req.Hours > 0 && req.Hours <= maxAPHours):
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("hours %g out of range (need more than 0, at most %d)", req.Hours, maxAPHours))
-		return
-	case req.TickSec < 1:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("tick_sec %d out of range (need >= 1)", req.TickSec))
-		return
-	case req.Hours*3600/float64(req.TickSec) > maxAPTicks:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("hours %g at tick_sec %d is %.0f ticks (need at most %d)",
-			req.Hours, req.TickSec, req.Hours*3600/float64(req.TickSec), maxAPTicks))
-		return
-	}
-	base, err := consolidation.PolicyByName(req.Planner)
-	if err != nil {
+	if err := admit(sp); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	policy, err := autopilot.PolicyByName(req.Policy, base)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	profile, err := energy.ProfileByName(req.Machine)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	gc := trace.DefaultConfig()
-	if req.Modified {
-		gc = trace.ModifiedConfig()
-	}
-	gc.Machines = req.Machines
-	gc.Tasks = req.Tasks
-	gc.HorizonSec = int64(req.Hours * 3600)
-	gc.Seed = req.Seed
-	tr, err := trace.Generate(gc)
+	cfg, err := sp.Config()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -177,25 +146,18 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 	}
 	var plan *chaos.Plan
 	if sess.chaosName != "" {
-		plan, err = chaos.Scenario(sess.chaosName, gc.HorizonSec, gc.Machines, sess.chaosSeed)
+		plan, err = chaos.Scenario(sess.chaosName, sp.HorizonSec, sp.Machines, sess.chaosSeed)
 		if err != nil {
 			sess.mu.Unlock()
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 	}
-	run := newAutopilotRun(req.Policy, req.Planner, !plan.Empty())
+	run := newAutopilotRun(sp.Policy, sp.Planner, !plan.Empty())
 	sess.run = run
 	sess.mu.Unlock()
 
-	cfg := autopilot.Config{
-		Trace:      tr,
-		Policy:     policy,
-		Machine:    profile,
-		ServerSpec: consolidation.DefaultServerSpec(),
-		TickSec:    req.TickSec,
-		OnTick:     run.append,
-	}
+	cfg.OnTick = run.append
 	go func() {
 		if plan != nil {
 			chaosR, err := autopilot.RunChaos(cfg, plan)
@@ -208,10 +170,10 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"status":   "started",
-		"policy":   req.Policy,
-		"planner":  req.Planner,
-		"machines": req.Machines,
-		"tasks":    req.Tasks,
+		"policy":   sp.Policy,
+		"planner":  sp.Planner,
+		"machines": sp.Machines,
+		"tasks":    sp.Tasks,
 		"chaos":    run.chaotic,
 	})
 }

@@ -14,7 +14,7 @@ import (
 
 // smallRun is a fleet-shaped autopilot request that finishes in well under a
 // second — the test runs wait for its done line, so keep it tiny.
-const smallRun = `{"machines":10,"tasks":60,"hours":1,"seed":7,"tick_sec":600}`
+const smallRun = `{"machines":10,"tasks":60,"horizon_sec":3600,"seed":7,"tick_sec":600}`
 
 // TestAutopilotHandlers is the table for the autopilot-facing routes (chaos,
 // autopilot start, events, report): validation failures, unknown fleets,
@@ -57,15 +57,15 @@ func TestAutopilotHandlers(t *testing.T) {
 		{"autopilot bad machine", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
 			`{"machine":"toaster"}`, http.StatusBadRequest, []string{"unknown machine", "toaster", "HP, Dell"}},
 		{"autopilot bad hours", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
-			`{"hours":-1}`, http.StatusBadRequest, []string{"hours -1 out of range"}},
+			`{"horizon_sec":-1}`, http.StatusBadRequest, []string{"horizon_sec -1 out of range"}},
 		{"autopilot too many machines", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
 			`{"machines":10001}`, http.StatusBadRequest, []string{"machines 10001 out of range", "1..10000"}},
 		{"autopilot too many tasks", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
 			`{"tasks":100001}`, http.StatusBadRequest, []string{"tasks 100001 out of range", "1..100000"}},
 		{"autopilot hours past a week", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
-			`{"hours":168.5}`, http.StatusBadRequest, []string{"hours 168.5 out of range", "at most 168"}},
+			`{"horizon_sec":604801}`, http.StatusBadRequest, []string{"horizon_sec 604801 out of range (need 1..604800)"}},
 		{"autopilot too many ticks", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
-			`{"hours":28,"tick_sec":1}`, http.StatusBadRequest, []string{"100800 ticks", "at most 100000"}},
+			`{"horizon_sec":100800,"tick_sec":1}`, http.StatusBadRequest, []string{"100800 ticks", "at most 100000"}},
 		{"autopilot bad tick", http.MethodPost, "/v1/fleets/" + fleetID + "/autopilot",
 			`{"tick_sec":0}`, http.StatusBadRequest, []string{"tick_sec 0 out of range"}},
 		{"autopilot unknown fleet", http.MethodPost, "/v1/fleets/nope/autopilot",
@@ -241,6 +241,62 @@ func TestAutopilotChaosRun(t *testing.T) {
 	status, body = doJSON(t, http.MethodGet, ts.URL+"/v1/fleets/"+fleetID+"/report", token, "")
 	if status != http.StatusOK || !strings.Contains(body, `"chaos"`) || !strings.Contains(body, `"scenario": "light"`) {
 		t.Fatalf("chaotic report = %d %s, want chaos block", status, body)
+	}
+}
+
+// TestAutopilotSpecCaps pins admit's serving caps through HTTP: each cap is
+// accepted and each cap+1 refused, and so is the file source. A run is
+// planted as in progress, so an admitted spec answers 409 after its trace is
+// built instead of starting a loop.
+func TestAutopilotSpecCaps(t *testing.T) {
+	const token = "secret"
+	srv, ts := newTestGateway(t, Config{Token: token})
+	fleetID := createFleet(t, ts.URL, token, `{}`)
+	sess, _ := srv.Manager().Get(fleetID)
+	sess.mu.Lock()
+	sess.run = newAutopilotRun("hysteresis", "zombiestack", false)
+	sess.mu.Unlock()
+
+	cases := []struct {
+		body string
+		want string // empty: admitted
+	}{
+		{`{"machines":10000,"tasks":10}`, ""},
+		{`{"machines":10001}`, "machines 10001 out of range (need 1..10000)"},
+		{`{"machines":10,"tasks":100000,"horizon_sec":3600}`, ""},
+		{`{"tasks":100001}`, "tasks 100001 out of range (need 1..100000)"},
+		{`{"machines":10,"tasks":10,"horizon_sec":604800}`, ""},
+		{`{"horizon_sec":604801}`, "horizon_sec 604801 out of range (need 1..604800)"},
+		{`{"machines":10,"tasks":10,"horizon_sec":100000,"tick_sec":1}`, ""},
+		{`{"horizon_sec":100001,"tick_sec":1}`, "horizon_sec 100001 at tick_sec 1 is 100001 ticks (need at most 100000)"},
+		{`{"horizon_sec":200001,"tick_sec":2}`, "horizon_sec 200001 at tick_sec 2 is 100001 ticks (need at most 100000)"},
+		{`{"family":"flashcrowd","machines":10,"tasks":60,"horizon_sec":3600}`, ""},
+		{`{"file":"/etc/passwd"}`, "file is not served over HTTP (use family or the built-in generator)"},
+		{`{"hours":1}`, `malformed JSON body: json: unknown field "hours"`},
+	}
+	for _, c := range cases {
+		status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/fleets/"+fleetID+"/autopilot", token, c.body)
+		if c.want == "" {
+			if status != http.StatusConflict {
+				t.Errorf("%s = %d %s, want 409 (admitted, run in progress)", c.body, status, body)
+			}
+			continue
+		}
+		var resp struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(body), &resp); err != nil || status != http.StatusBadRequest || resp.Error != c.want {
+			t.Errorf("%s = %d %s, want 400 %q", c.body, status, body, c.want)
+		}
+	}
+	// The chaos body's machines and horizon_sec pass the same caps.
+	for body, want := range map[string]int{
+		`{"machines":10000}`: http.StatusOK, `{"machines":10001}`: http.StatusBadRequest,
+		`{"horizon_sec":604800}`: http.StatusOK, `{"horizon_sec":604801}`: http.StatusBadRequest,
+	} {
+		if status, got := doJSON(t, http.MethodPost, ts.URL+"/v1/fleets/"+fleetID+"/chaos", token, body); status != want {
+			t.Errorf("chaos %s = %d %s, want %d", body, status, got, want)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 
 	"repro/internal/acpi"
 	"repro/internal/core"
@@ -43,14 +42,14 @@ type createFleetResponse struct {
 // answered, so a fleet of 10 000 machines, 100 000 tasks, a week of horizon
 // and 100 000 ticks bound what one request can make the daemon compute.
 const (
-	maxMemGiB     = 1024
-	maxWorkers    = 256
-	maxPlaceCount = 4096
-	maxIterations = 1000
-	maxAPMachines = 10_000
-	maxAPTasks    = 100_000
-	maxAPHours    = 168
-	maxAPTicks    = 100_000
+	maxMemGiB       = 1024
+	maxWorkers      = 256
+	maxPlaceCount   = 4096
+	maxIterations   = 1000
+	maxAPMachines   = 10_000
+	maxAPTasks      = 100_000
+	maxAPHorizonSec = 7 * 24 * 3600
+	maxAPTicks      = 100_000
 )
 
 func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
@@ -264,20 +263,6 @@ type workloadResultJSON struct {
 	ChargedMs   float64 `json:"charged_ms,omitempty"`
 }
 
-// parseKind resolves a workload name; the error lists the valid set.
-func parseKind(name string) (workload.Kind, error) {
-	for _, k := range workload.AllKinds() {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	valid := make([]string, 0, len(workload.AllKinds()))
-	for _, k := range workload.AllKinds() {
-		valid = append(valid, k.String())
-	}
-	return 0, fmt.Errorf("unknown workload %q (valid: %s)", name, strings.Join(valid, ", "))
-}
-
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(w, r)
 	if sess == nil {
@@ -293,7 +278,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	}
 	reqs := make([]fleet.WorkloadRequest, 0, len(req.Items))
 	for i, it := range req.Items {
-		kind, err := parseKind(it.Kind)
+		kind, err := workload.KindByName(it.Kind)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("items[%d]: %v", i, err))
 			return

@@ -2,14 +2,11 @@ package obs
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the golden files with the current output")
+	"repro/internal/golden"
+)
 
 // emitScenario drives a fixed sequence of events through a trace: the same
 // mix of Emit (fake clock) and EmitAt (explicit sim time) the runtime
@@ -38,22 +35,7 @@ func TestGoldenNDJSON(t *testing.T) {
 	if err := tr.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "trace.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (bless with: go test ./internal/obs -run Golden -update)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("NDJSON drifted from golden:\n--- got ---\n%s", buf.Bytes())
-	}
+	golden.Check(t, "trace", buf.Bytes())
 }
 
 // TestNDJSONByteStable runs the identical scenario twice with fresh fake

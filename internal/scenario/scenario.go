@@ -49,19 +49,11 @@ func FamilyPacks(p trace.FamilyParams) ([]Pack, error) {
 type MatrixConfig struct {
 	// Packs are the scenario columns, replayed in order.
 	Packs []Pack
-	// Policies are online policy names ("reactive", "hysteresis", "ewma");
-	// a fresh instance is built per cell, so no state leaks across cells.
+	// Policies are online policy names ("reactive", "hysteresis", "ewma")
+	// over the Neat planner, on HP servers of the default spec with a 300 s
+	// tick; a fresh instance is built per cell, so no state leaks across
+	// cells.
 	Policies []string
-	// Planner is the base consolidation planner under every policy ("neat"
-	// by default).
-	Planner string
-	// Machine is the power profile of every server (the HP testbed machine
-	// by default).
-	Machine *energy.MachineProfile
-	// ServerSpec is the capacity of every server (default spec when zero).
-	ServerSpec consolidation.ServerSpec
-	// TickSec is the control loop's re-planning period (300 s by default).
-	TickSec int64
 	// ChaosScenario is the fault preset every cell is stressed under
 	// ("off", "light", "heavy"; "light" by default) and ChaosSeed its seed.
 	ChaosScenario string
@@ -115,17 +107,10 @@ func (c *MatrixConfig) validate() error {
 	return nil
 }
 
-// roster builds the online policies by name, in order, over one base
+// roster builds the online policies by name, in order, over one Neat
 // planner: sharing it is what lets a row compute each oracle once.
 func (c *MatrixConfig) roster() ([]autopilot.Policy, error) {
-	plannerName := c.Planner
-	if plannerName == "" {
-		plannerName = "neat"
-	}
-	base, err := consolidation.PolicyByName(plannerName)
-	if err != nil {
-		return nil, err
-	}
+	base := consolidation.NewNeat()
 	policies := make([]autopilot.Policy, 0, len(c.Policies))
 	for _, name := range c.Policies {
 		p, err := autopilot.PolicyByName(name, base)
@@ -169,18 +154,6 @@ func Run(cfg MatrixConfig) (*Matrix, error) {
 	if chaosName == "" {
 		chaosName = "light"
 	}
-	machine := cfg.Machine
-	if machine == nil {
-		machine = energy.Profiles()[0]
-	}
-	spec := cfg.ServerSpec
-	if spec == (consolidation.ServerSpec{}) {
-		spec = consolidation.DefaultServerSpec()
-	}
-	tick := cfg.TickSec
-	if tick == 0 {
-		tick = 300
-	}
 	// An unknown policy fails here, before any simulation work.
 	policies, err := cfg.roster()
 	if err != nil {
@@ -201,9 +174,9 @@ func Run(cfg MatrixConfig) (*Matrix, error) {
 		}
 		row, err := autopilot.NewChaosRow(autopilot.Config{
 			Trace:      pack.Trace,
-			Machine:    machine,
-			ServerSpec: spec,
-			TickSec:    tick,
+			Machine:    energy.Profiles()[0],
+			ServerSpec: consolidation.DefaultServerSpec(),
+			TickSec:    300,
 		}, plan, policies)
 		if err == nil {
 			err = runPool(row.Jobs(), cfg.Workers)

@@ -1,10 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,10 +9,9 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/energy"
+	"repro/internal/golden"
 	"repro/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files with the current output")
 
 // smallConfig returns a fast two-pack, two-policy grid.
 func smallConfig(t *testing.T) MatrixConfig {
@@ -160,22 +155,7 @@ func TestGoldenMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := []byte(m.Render())
-	golden := filepath.Join("testdata", "matrix.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (bless the golden file with: go test ./internal/scenario -run Golden -update)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("matrix drifted from %s (re-bless with -update after checking the diff):\n--- got ---\n%s", golden, got)
-	}
+	golden.Check(t, "matrix", got)
 }
 
 func TestMatrixValidation(t *testing.T) {
@@ -187,7 +167,6 @@ func TestMatrixValidation(t *testing.T) {
 		func(c *MatrixConfig) { c.Packs[0].Trace = &trace.Trace{Name: "broken"} },
 		func(c *MatrixConfig) { c.Policies = nil },
 		func(c *MatrixConfig) { c.Policies = []string{"nope"} },
-		func(c *MatrixConfig) { c.Planner = "nope" },
 		func(c *MatrixConfig) { c.ChaosScenario = "nope" },
 	} {
 		cfg := smallConfig(t)

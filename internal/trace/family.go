@@ -19,33 +19,12 @@ import (
 // task-%d VMIDs of the merged parts can never collide and silently merge VMs
 // at the consolidation layer.
 
-// FamilyParams is the common envelope every family generates into: the fleet
-// the trace targets, its duration, the task budget and the seed. The same
-// params with the same family always produce a byte-identical trace.
-type FamilyParams struct {
-	// Machines is the fleet size the trace targets.
-	Machines int
-	// HorizonSec is the trace duration.
-	HorizonSec int64
-	// Tasks is the number of tasks to generate.
-	Tasks int
-	// Seed makes generation deterministic.
-	Seed int64
-}
-
-// Validate rejects non-positive envelope values upfront with the valid range.
-func (p FamilyParams) Validate() error {
-	if p.Machines < 1 {
-		return fmt.Errorf("trace: family Machines %d out of range (need >= 1)", p.Machines)
-	}
-	if p.HorizonSec < 1 {
-		return fmt.Errorf("trace: family HorizonSec %d out of range (need >= 1)", p.HorizonSec)
-	}
-	if p.Tasks < 1 {
-		return fmt.Errorf("trace: family Tasks %d out of range (need >= 1)", p.Tasks)
-	}
-	return nil
-}
+// FamilyParams is the envelope every family generates into: a Spec, of which
+// a family reads the fleet the trace targets (Machines), its duration
+// (HorizonSec), the task budget (Tasks) and the seed, and Validate checks
+// them. The same params with the same family always produce a byte-identical
+// trace.
+type FamilyParams = Spec
 
 // DefaultFamilyParams mirrors DefaultConfig's envelope: one simulated day on
 // a 200-machine fleet, 3000 tasks, seed 42.

@@ -216,8 +216,8 @@ func ModifiedConfig() GeneratorConfig {
 // than silently rewritten, so a typo'd experiment config fails loudly instead
 // of producing a subtly different workload.
 func Generate(cfg GeneratorConfig) (*Trace, error) {
-	if cfg.Machines <= 0 || cfg.Tasks <= 0 || cfg.HorizonSec <= 0 {
-		return nil, fmt.Errorf("trace: generator needs positive machines, tasks and horizon")
+	if err := (Spec{Machines: cfg.Machines, Tasks: cfg.Tasks, HorizonSec: cfg.HorizonSec}).Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.MemoryToCPURatio == 0 {
 		cfg.MemoryToCPURatio = 3.0

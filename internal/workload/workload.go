@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 )
 
 // Kind identifies one of the evaluated workloads.
@@ -35,6 +36,19 @@ func (k Kind) String() string {
 // AllKinds returns the workloads in the paper's presentation order.
 func AllKinds() []Kind {
 	return []Kind{MicroBench, Elasticsearch, DataCaching, SparkSQL}
+}
+
+// KindByName resolves a workload name ("spark-sql", ...). Every front end
+// that takes one resolves it here; the error lists the valid set.
+func KindByName(name string) (Kind, error) {
+	valid := make([]string, 0, len(AllKinds()))
+	for _, k := range AllKinds() {
+		if k.String() == name {
+			return k, nil
+		}
+		valid = append(valid, k.String())
+	}
+	return 0, fmt.Errorf("unknown workload %q (valid: %s)", name, strings.Join(valid, ", "))
 }
 
 // Profile describes the locality structure of a workload's memory accesses.

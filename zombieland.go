@@ -32,6 +32,7 @@
 package zombieland
 
 import (
+	"cmp"
 	"io"
 
 	"repro/internal/acpi"
@@ -151,25 +152,13 @@ func LocalFractions() []float64 { return workload.LocalFractions() }
 func PaperVM() VM { return workload.PaperVM() }
 
 // GenerateTrace builds a synthetic Google-like trace. Set modified to true
-// for the paper's memory-heavy variant (memory demand doubled).
+// for the paper's memory-heavy variant (memory demand doubled). A zero
+// argument takes the default (200 machines, 3000 tasks, one day, seed 42); a
+// negative one is rejected.
 func GenerateTrace(modified bool, machines, tasks int, horizonSec int64, seed int64) (*Trace, error) {
-	cfg := trace.DefaultConfig()
-	if modified {
-		cfg = trace.ModifiedConfig()
-	}
-	if machines > 0 {
-		cfg.Machines = machines
-	}
-	if tasks > 0 {
-		cfg.Tasks = tasks
-	}
-	if horizonSec > 0 {
-		cfg.HorizonSec = horizonSec
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	return trace.Generate(cfg)
+	d := trace.DefaultConfig()
+	return trace.Spec{Modified: modified, Machines: cmp.Or(machines, d.Machines), Tasks: cmp.Or(tasks, d.Tasks),
+		HorizonSec: cmp.Or(horizonSec, d.HorizonSec), Seed: cmp.Or(seed, d.Seed)}.Open()
 }
 
 // WorkloadFamily is a seeded, deterministic workload generator: a named
@@ -184,7 +173,8 @@ type FamilyParams = trace.FamilyParams
 // GenerateFamily builds a trace from the named workload family ("mix"
 // composes all of them into one trace).
 func GenerateFamily(name string, p FamilyParams) (*Trace, error) {
-	return trace.GenerateFamily(name, p)
+	p.Family = name
+	return p.Open()
 }
 
 // WorkloadFamilies returns the bundled families in canonical order.

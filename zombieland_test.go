@@ -121,8 +121,36 @@ func TestGenerateTraceVariants(t *testing.T) {
 		t.Errorf("modified trace should be memory-heavier: %.2f vs %.2f", sm.MemToCPURatio, so.MemToCPURatio)
 	}
 	// Defaults kick in for zero arguments.
-	if _, err := GenerateTrace(false, 0, 0, 0, 0); err != nil {
+	def, err := GenerateTrace(false, 0, 0, 0, 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if def.Machines != 200 || len(def.Tasks) != 3000 || def.HorizonSec != 86400 {
+		t.Errorf("default trace = %d machines, %d tasks, %d s; want 200, 3000, 86400", def.Machines, len(def.Tasks), def.HorizonSec)
+	}
+}
+
+// TestFacadeRejectsNegativeSizes: zero still means "default", but a negative
+// size is the trace spec's error, not a silently substituted default.
+func TestFacadeRejectsNegativeSizes(t *testing.T) {
+	cases := []struct {
+		machines, tasks int
+		horizonSec      int64
+		want            string
+	}{
+		{-5, -1, -3600, "machines -5 out of range (need >= 1)"},
+		{0, -1, 0, "tasks -1 out of range (need >= 1)"},
+		{0, 0, -3600, "horizon_sec -3600 out of range (need >= 1)"},
+	}
+	for _, c := range cases {
+		tr, err := GenerateTrace(false, c.machines, c.tasks, c.horizonSec, 7)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("GenerateTrace(false, %d, %d, %d, 7) = %v, %v; want %q", c.machines, c.tasks, c.horizonSec, tr, err, c.want)
+		}
+	}
+	if _, err := Figure10(Fig10Config{Machines: -5, Tasks: 100, HorizonSec: 3600}); err == nil ||
+		err.Error() != "machines -5 out of range (need >= 1)" {
+		t.Errorf("Figure10 with -5 machines = %v, want the spec's error", err)
 	}
 }
 
