@@ -707,12 +707,12 @@ func (l *loop) applyPosture(nowSec int64, next consolidation.FleetPlan, withChur
 	}
 	// The bill reads the population only to price the drain of freed hosts.
 	// An emergency wake frees none, and there are thousands per run, so the
-	// view is not made for them.
-	var vms []consolidation.VMDemand
+	// population is not folded for them.
+	var running consolidation.Demand
 	if next.ActiveHosts < l.posture.ActiveHosts {
-		vms = l.runningVMs()
+		running = consolidation.SumDemand(l.runningVMs())
 	}
-	bill := dcsim.TransitionCost(l.cfg.Machine, l.planner.Name(), l.posture, priced, vms, dtSec, fabric)
+	bill := dcsim.TransitionCost(l.cfg.Machine, l.planner.Name(), l.posture, priced, running, dtSec, fabric)
 	l.res.EnergyJoules += bill.Joules
 	l.res.TransitionJoules += bill.Joules
 	l.res.StateTransitions += bill.Transitions

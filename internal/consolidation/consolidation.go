@@ -62,20 +62,74 @@ type Policy interface {
 	// Name identifies the policy in result tables.
 	Name() string
 	// Plan distributes the currently running VMs over totalServers servers of
-	// the given spec and decides every server's power state.
+	// the given spec and decides every server's power state. It equals
+	// PlanDemand(SumDemand(vms), spec, totalServers) field for field.
 	Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan
+	// PlanDemand is Plan for any population whose sums are d: a caller that
+	// keeps a population's sums, rather than the population, plans from them.
+	PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPlan
 }
 
-// sumDemand returns the aggregate CPU (cores) and memory (GiB) demand, booked
-// and used.
-func sumDemand(vms []VMDemand) (bookedCPU, bookedMem, usedCPU, usedMem float64) {
-	for _, v := range vms {
+// Demand is what the built-in policies read of a population: its size, its
+// booked and used totals, and Oasis's split of it into busy and idle VMs
+// (VMDemand.Idle). Every sum adds the population's terms left to right in the
+// population's order, so planning from a population's Demand is bit-identical
+// to planning from the population.
+type Demand struct {
+	VMs                                          int
+	BookedCPU, BookedMemGiB, UsedCPU, UsedMemGiB float64
+	// BusyVMs counts the VMs that are not idle, summed in the Busy totals.
+	BusyVMs                                      int
+	BusyBookedCPU, BusyBookedMemGiB, BusyUsedCPU float64
+	// IdleWSSGiB is the idle VMs' working sets and IdleColdGiB the rest of
+	// their booked memory.
+	IdleWSSGiB, IdleColdGiB float64
+}
+
+// SumDemand folds a population, in order, into its Demand.
+func SumDemand(vms []VMDemand) Demand {
+	d, s := sumTotals(vms), sumSplit(vms)
+	d.BusyVMs, d.BusyBookedCPU, d.BusyBookedMemGiB, d.BusyUsedCPU = s.BusyVMs, s.BusyBookedCPU, s.BusyBookedMemGiB, s.BusyUsedCPU
+	d.IdleWSSGiB, d.IdleColdGiB = s.IdleWSSGiB, s.IdleColdGiB
+	return d
+}
+
+// sumTotals folds the population's size and its booked and used totals, the
+// part of its Demand every policy but Oasis reads. The sums accumulate in
+// locals, not through the struct, so they stay in registers.
+func sumTotals(vms []VMDemand) Demand {
+	var bookedCPU, bookedMem, usedCPU, usedMem float64
+	for i := range vms {
+		v := &vms[i]
 		bookedCPU += v.BookedCPU
 		bookedMem += v.BookedMemGiB
 		usedCPU += v.UsedCPU
 		usedMem += v.UsedMemGiB
 	}
-	return
+	return Demand{VMs: len(vms), BookedCPU: bookedCPU, BookedMemGiB: bookedMem, UsedCPU: usedCPU, UsedMemGiB: usedMem}
+}
+
+// sumSplit folds the population's busy/idle split, the part of its Demand
+// Oasis reads.
+func sumSplit(vms []VMDemand) Demand {
+	var busyCPU, busyMem, busyUsedCPU, idleWSS, idleCold float64
+	busy := 0
+	for i := range vms {
+		v := &vms[i]
+		if v.Idle() {
+			idleWSS += v.WSSGiB()
+			idleCold += v.BookedMemGiB - v.WSSGiB()
+		} else {
+			busyCPU += v.BookedCPU
+			busyMem += v.BookedMemGiB
+			busyUsedCPU += v.UsedCPU
+			busy++
+		}
+	}
+	return Demand{
+		VMs: len(vms), BusyVMs: busy, BusyBookedCPU: busyCPU, BusyBookedMemGiB: busyMem, BusyUsedCPU: busyUsedCPU,
+		IdleWSSGiB: idleWSS, IdleColdGiB: idleCold,
+	}
 }
 
 // clampHosts bounds n to [0, total].
@@ -97,21 +151,25 @@ func packTarget(t float64) float64 {
 	return t
 }
 
-// hostsFor is the sizing rule Neat and ZombieStack share: the servers that
+// ceilHosts is the servers that hold demand at perHost each, capped at total.
+// The cap comes before the conversion, which keeps int() in range: a demand
+// too large for an int takes the whole fleet.
+func ceilHosts(demand, perHost float64, total int) int {
+	h := math.Ceil(demand / perHost)
+	if h > float64(total) {
+		return total
+	}
+	return int(h)
+}
+
+// hostsFor is the sizing rule every built-in policy shares: the servers that
 // hold cpu cores at cpuPerHost each and mem GiB at memPerHost each, at least
 // one for a non-empty population, within the fleet. It is nondecreasing in cpu
 // and mem (correctly rounded division by a positive constant, Ceil, max and
-// clamps all are; clamping before the conversion keeps int() in range), so
-// bounds on the two sums (SumBracket) give bounds on the answer.
+// clamps all are), so bounds on the two sums (SumBracket) give bounds on the
+// answer.
 func hostsFor(n int, cpu, cpuPerHost, mem, memPerHost float64, total int) int {
-	ceilHosts := func(demand, perHost float64) int {
-		h := math.Ceil(demand / perHost)
-		if h > float64(total) {
-			return total
-		}
-		return int(h)
-	}
-	active := max(ceilHosts(cpu, cpuPerHost), ceilHosts(mem, memPerHost))
+	active := max(ceilHosts(cpu, cpuPerHost, total), ceilHosts(mem, memPerHost, total))
 	if n > 0 && active < 1 {
 		active = 1
 	}
@@ -139,11 +197,15 @@ type NoConsolidation struct{}
 func (NoConsolidation) Name() string { return "none" }
 
 // Plan implements Policy.
-func (NoConsolidation) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan {
-	_, _, usedCPU, _ := sumDemand(vms)
+func (p NoConsolidation) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan {
+	return p.PlanDemand(sumTotals(vms), spec, totalServers)
+}
+
+// PlanDemand implements Policy.
+func (NoConsolidation) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPlan {
 	util := 0.0
 	if totalServers > 0 && spec.Cores > 0 {
-		util = usedCPU / (float64(totalServers) * spec.Cores)
+		util = d.UsedCPU / (float64(totalServers) * spec.Cores)
 	}
 	if util > 1 {
 		util = 1
@@ -178,21 +240,27 @@ func (n *Neat) ActiveHostsFor(vms int, bookedCPU, bookedMem float64, spec Server
 
 // Plan implements Policy.
 func (n *Neat) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan {
-	bookedCPU, bookedMem, usedCPU, _ := sumDemand(vms)
-	active := n.ActiveHostsFor(len(vms), bookedCPU, bookedMem, spec, totalServers)
-	util := 0.0
-	if active > 0 {
-		util = usedCPU / (float64(active) * spec.Cores)
-		if util > 1 {
-			util = 1
-		}
-	}
+	return n.PlanDemand(sumTotals(vms), spec, totalServers)
+}
+
+// PlanDemand implements Policy.
+func (n *Neat) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPlan {
+	active := n.ActiveHostsFor(d.VMs, d.BookedCPU, d.BookedMemGiB, spec, totalServers)
 	return FleetPlan{
 		Policy:               n.Name(),
 		ActiveHosts:          active,
 		SleepHosts:           totalServers - active,
-		ActiveCPUUtilization: util,
+		ActiveCPUUtilization: activeUtil(d.UsedCPU, active, spec),
 	}
+}
+
+// activeUtil is the mean CPU utilization of active hosts running usedCPU
+// cores, at most 1 (0 with no active host).
+func activeUtil(usedCPU float64, active int, spec ServerSpec) float64 {
+	if active <= 0 {
+		return 0
+	}
+	return min(usedCPU/(float64(active)*spec.Cores), 1)
 }
 
 // Oasis extends Neat: idle VMs are partially migrated, their non-working-set
@@ -217,62 +285,27 @@ func (o *Oasis) Name() string { return "oasis" }
 
 // Plan implements Policy.
 func (o *Oasis) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan {
+	return o.PlanDemand(sumSplit(vms), spec, totalServers)
+}
+
+// PlanDemand implements Policy. Busy VMs are packed like Neat (full
+// reservations local), and the active servers must also hold the idle VMs'
+// working sets; the rest of the idle VMs' memory moves to memory servers.
+func (o *Oasis) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPlan {
 	target := packTarget(o.TargetUtilization)
-	// Split the fleet into busy and idle demand in one pass. The sums
-	// accumulate in the same subsequence order the old busy/idle slices
-	// preserved, so the floats are bit-identical — without materialising
-	// either slice (Plan runs once per epoch in the simulator's hot loop).
-	var busyCPU, busyMem, usedCPU float64
-	var idleWSS, idleCold float64
-	var nBusy int
-	for _, v := range vms {
-		if v.Idle() {
-			// Idle VMs keep only their working set on the active servers; the
-			// rest of their memory moves to memory servers.
-			idleWSS += v.WSSGiB()
-			idleCold += v.BookedMemGiB - v.WSSGiB()
-		} else {
-			busyCPU += v.BookedCPU
-			busyMem += v.BookedMemGiB
-			usedCPU += v.UsedCPU
-			nBusy++
-		}
-	}
-	// Busy VMs are packed like Neat (full reservations local).
-	cpuHosts := int(math.Ceil(busyCPU / (spec.Cores * target)))
-	memHosts := int(math.Ceil(busyMem / (spec.MemGiB * target)))
-	active := cpuHosts
-	if memHosts > active {
-		active = memHosts
-	}
-	if nBusy > 0 && active < 1 {
-		active = 1
-	}
-	// The working sets must still fit on active servers' memory.
-	extraForWSS := int(math.Ceil((busyMem + idleWSS) / (spec.MemGiB * target)))
-	if extraForWSS > active {
-		active = extraForWSS
-	}
+	active := hostsFor(d.BusyVMs, d.BusyBookedCPU, spec.Cores*target, d.BusyBookedMemGiB, spec.MemGiB*target, totalServers)
+	active = max(active, ceilHosts(d.BusyBookedMemGiB+d.IdleWSSGiB, spec.MemGiB*target, totalServers))
 	memServers := 0
-	if idleCold > 0 {
-		memServers = int(math.Ceil(idleCold / spec.MemGiB))
-	}
-	active = clampHosts(active, totalServers)
-	memServers = clampHosts(memServers, totalServers-active)
-	util := 0.0
-	if active > 0 {
-		util = usedCPU / (float64(active) * spec.Cores)
-		if util > 1 {
-			util = 1
-		}
+	if d.IdleColdGiB > 0 {
+		memServers = clampHosts(ceilHosts(d.IdleColdGiB, spec.MemGiB, totalServers), totalServers-active)
 	}
 	return FleetPlan{
 		Policy:               o.Name(),
 		ActiveHosts:          active,
 		MemoryServers:        memServers,
 		SleepHosts:           totalServers - active - memServers,
-		ActiveCPUUtilization: util,
-		RemoteMemoryGiB:      idleCold,
+		ActiveCPUUtilization: activeUtil(d.BusyUsedCPU, active, spec),
+		RemoteMemoryGiB:      d.IdleColdGiB,
 	}
 }
 
@@ -316,34 +349,28 @@ func (z *ZombieStack) ActiveHostsFor(vms int, bookedCPU, bookedMem float64, spec
 
 // Plan implements Policy.
 func (z *ZombieStack) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan {
-	target := packTarget(z.TargetUtilization)
-	bookedCPU, bookedMem, usedCPU, _ := sumDemand(vms)
-	active := z.ActiveHostsFor(len(vms), bookedCPU, bookedMem, spec, totalServers)
+	return z.PlanDemand(sumTotals(vms), spec, totalServers)
+}
 
-	// The remaining memory demand is served remotely: first from the active
-	// servers' own leftover memory, then from zombie servers.
-	remoteNeed := bookedMem - float64(active)*spec.MemGiB*target
+// PlanDemand implements Policy. The memory demand beyond the active servers'
+// local share is served remotely: first from the active servers' own leftover
+// memory, then from zombie servers.
+func (z *ZombieStack) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPlan {
+	active := z.ActiveHostsFor(d.VMs, d.BookedCPU, d.BookedMemGiB, spec, totalServers)
+	remoteNeed := d.BookedMemGiB - float64(active)*spec.MemGiB*packTarget(z.TargetUtilization)
 	if remoteNeed < 0 {
 		remoteNeed = 0
 	}
 	zombies := 0
 	if remoteNeed > 0 {
-		zombies = int(math.Ceil(remoteNeed / spec.MemGiB))
-	}
-	zombies = clampHosts(zombies, totalServers-active)
-	util := 0.0
-	if active > 0 {
-		util = usedCPU / (float64(active) * spec.Cores)
-		if util > 1 {
-			util = 1
-		}
+		zombies = clampHosts(ceilHosts(remoteNeed, spec.MemGiB, totalServers), totalServers-active)
 	}
 	return FleetPlan{
 		Policy:               z.Name(),
 		ActiveHosts:          active,
 		ZombieHosts:          zombies,
 		SleepHosts:           totalServers - active - zombies,
-		ActiveCPUUtilization: util,
+		ActiveCPUUtilization: activeUtil(d.UsedCPU, active, spec),
 		RemoteMemoryGiB:      remoteNeed,
 	}
 }

@@ -167,6 +167,25 @@ func TestPlanClampsToFleetSize(t *testing.T) {
 	}
 }
 
+// TestOasisSizesHugePopulation: a sum too large for an int once divided by a
+// server's capacity takes the whole fleet, as Neat and ZombieStack size it,
+// instead of wrapping to a negative host count on the conversion.
+func TestOasisSizesHugePopulation(t *testing.T) {
+	spec := DefaultServerSpec()
+	cores := []VMDemand{{ID: "cores", BookedCPU: 1e300, BookedMemGiB: 1, UsedCPU: 1, UsedMemGiB: 1}}
+	for _, p := range Contenders() {
+		if got := p.Plan(cores, spec, 100).ActiveHosts; got != 100 {
+			t.Errorf("%s: a 1e300-core population gets %d active hosts, want all 100", p.Name(), got)
+		}
+	}
+	cold := []VMDemand{{ID: "cold", BookedCPU: 1, BookedMemGiB: 1e300, UsedMemGiB: 1}}
+	plan := NewOasis().Plan(cold, spec, 100)
+	if plan.ActiveHosts != 1 || plan.MemoryServers != 99 || plan.TotalHosts() != 100 {
+		t.Errorf("1e300 idle GiB: %d active hosts and %d memory servers of %d, want 1 and 99 of 100",
+			plan.ActiveHosts, plan.MemoryServers, plan.TotalHosts())
+	}
+}
+
 func TestDegenerateTargets(t *testing.T) {
 	neat := &Neat{TargetUtilization: 0}
 	if plan := neat.Plan(memoryHeavyFleet(10), DefaultServerSpec(), 50); plan.ActiveHosts == 0 {
@@ -302,5 +321,22 @@ func TestPlanStepsUnplaceableVMKeepsHostUp(t *testing.T) {
 	}
 	if _, ok := plan.DestinationOf("a"); ok {
 		t.Error("the unplaceable VM must not be migrated")
+	}
+}
+
+// BenchmarkPlan times one Plan call per built-in policy on 5 000 VMs: the
+// fold and sizing the online loop pays at every tick.
+func BenchmarkPlan(b *testing.B) {
+	vms := sizingPopulation(1, 5000, 0)
+	for i := range vms[:len(vms)/4] {
+		vms[4*i].UsedCPU = 0 // every fourth VM idle, so Oasis splits the population
+	}
+	spec := DefaultServerSpec()
+	for _, p := range AllPolicies() {
+		b.Run(p.Name(), func(b *testing.B) {
+			for b.Loop() {
+				p.Plan(vms, spec, 600)
+			}
+		})
 	}
 }

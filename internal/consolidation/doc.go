@@ -15,6 +15,14 @@
 //     zombies with the fewest allocated buffers are woken first.
 //
 // Two views are provided: a fleet-level planner (Policy) used by the
-// datacenter simulator to reproduce Figure 10, and the step-wise Neat loop
-// (PlanSteps) used at rack level.
+// datacenter simulator to reproduce Figure 10 and by the online control
+// plane, and the step-wise Neat loop (PlanSteps) used at rack level.
+//
+// A Policy plans either a population (Plan) or its sums (PlanDemand, over a
+// Demand: the VM count, the booked and used totals and the busy/idle split).
+// The contract is Plan(vms) ≡ PlanDemand(SumDemand(vms)), field for field and
+// bit for bit: each built-in policy has one sizing implementation,
+// PlanDemand, and its Plan folds only the sums that policy reads. The
+// datacenter simulator folds each epoch once and calls PlanDemand for every
+// contender; the online loop holds its population and calls Plan.
 package consolidation

@@ -33,7 +33,7 @@ func sizingPopulation(seed int64, n int, shape uint8) []VMDemand {
 	if n < 2 || shape%4 == 0 {
 		return vms
 	}
-	prefixCPU, prefixMem, _, _ := sumDemand(vms[:n-1])
+	prefix := sumTotals(vms[:n-1])
 	edge := func(prefix, perHost float64) float64 {
 		b := perHost * math.Ceil(prefix/perHost+1)
 		switch shape % 4 {
@@ -44,8 +44,8 @@ func sizingPopulation(seed int64, n int, shape uint8) []VMDemand {
 		}
 		return b - prefix
 	}
-	vms[n-1].BookedCPU = edge(prefixCPU, 8*0.9)
-	vms[n-1].BookedMemGiB = edge(prefixMem, 16*0.9)
+	vms[n-1].BookedCPU = edge(prefix.BookedCPU, 8*0.9)
+	vms[n-1].BookedMemGiB = edge(prefix.BookedMemGiB, 16*0.9)
 	return vms
 }
 
@@ -66,7 +66,8 @@ func FuzzSizingBracket(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, shape uint8, total uint16) {
 		vms := sizingPopulation(seed, int(size)%5001, shape)
 		n, fleet, spec := len(vms), int(total), DefaultServerSpec()
-		foldCPU, foldMem, _, _ := sumDemand(vms)
+		fold := sumTotals(vms)
+		foldCPU, foldMem := fold.BookedCPU, fold.BookedMemGiB
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		for _, p := range []sizer{NewNeat(), NewZombieStack(), &ZombieStack{TargetUtilization: 0.7, LocalMemoryFraction: 0.3}} {
 			rule := func(cpu, mem float64) int { return p.ActiveHostsFor(n, cpu, mem, spec, fleet) }
@@ -85,7 +86,8 @@ func FuzzSizingBracket(f *testing.F) {
 				default:
 					rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 				}
-				cpu, mem, _, _ := sumDemand(perm)
+				sums := sumTotals(perm)
+				cpu, mem := sums.BookedCPU, sums.BookedMemGiB
 				cpuLo, cpuHi := SumBracket(cpu, n)
 				memLo, memHi := SumBracket(mem, n)
 				if foldCPU < cpuLo || foldCPU > cpuHi || foldMem < memLo || foldMem > memHi {

@@ -78,7 +78,7 @@ func chaosAlignPrev(cfg *Config, prev, plan consolidation.FleetPlan) consolidati
 }
 
 // chaosEpochCost prices the epoch's fault penalties.
-func chaosEpochCost(cfg *Config, prev, plan consolidation.FleetPlan, vms []consolidation.VMDemand, span epochSpan) chaosBill {
+func chaosEpochCost(cfg *Config, prev, plan consolidation.FleetPlan, vms int, span epochSpan) chaosBill {
 	p := cfg.Chaos
 	m := cfg.Machine
 	var bill chaosBill
@@ -116,7 +116,7 @@ func chaosEpochCost(cfg *Config, prev, plan consolidation.FleetPlan, vms []conso
 	// Failed wakes: the wasted S3->S0 attempt, bounded by the epoch's actual
 	// wake count and the plan's budget for the span.
 	if budget := p.WakeFailureBudget(span.start, span.end); budget > 0 {
-		d := consolidation.Delta(prev, plan, len(vms))
+		d := consolidation.Delta(prev, plan, vms)
 		wakes := d.SleepExits + d.MemoryServerStarts
 		if budget > wakes {
 			budget = wakes

@@ -337,7 +337,6 @@ type replayer struct {
 	running []int32
 	spare   []int32
 	batch   []int32
-	buf     []consolidation.VMDemand
 }
 
 // newReplayer sizes every buffer once for the largest population the walk
@@ -348,15 +347,15 @@ func newReplayer(idx *ReplayIndex, live []int) *replayer {
 	return &replayer{
 		idx:     idx,
 		running: make([]int32, 0, peak), spare: make([]int32, peak), batch: make([]int32, 0, peak),
-		buf: make([]consolidation.VMDemand, peak),
 	}
 }
 
-// population returns the epoch's VM population sorted by ID, valid until the
-// next call. The tasks starting before the epoch end and ending after its
-// start are sorted by rank and merged with the running set into the spare
-// buffer, dropping finished VMs and materialising demands in the same pass.
-func (r *replayer) population(span epochSpan) []consolidation.VMDemand {
+// population returns the Demand of the epoch's VM population, folded in ID
+// order, and leaves the population's ranks, ascending, in r.running. The tasks
+// starting before the epoch end and ending after its start are sorted by rank
+// and merged with the running set into the spare buffer, dropping finished
+// VMs.
+func (r *replayer) population(span epochSpan) consolidation.Demand {
 	idx := r.idx
 	batch := r.batch[:0]
 	for ; r.next < len(idx.starts) && idx.starts[r.next] < span.end; r.next++ {
@@ -366,7 +365,7 @@ func (r *replayer) population(span epochSpan) []consolidation.VMDemand {
 	}
 	slices.Sort(batch)
 	r.batch = batch
-	live, buf, n := r.spare[:cap(r.spare)], r.buf, 0
+	live, n := r.spare[:cap(r.spare)], 0
 	for running := r.running; len(running) > 0 || len(batch) > 0; {
 		var rank int32
 		if len(batch) == 0 || len(running) > 0 && running[0] < batch[0] {
@@ -377,21 +376,49 @@ func (r *replayer) population(span epochSpan) []consolidation.VMDemand {
 		} else {
 			rank, batch = batch[0], batch[1:]
 		}
-		live[n], buf[n] = rank, idx.demand[rank]
+		live[n] = rank
 		n++
 	}
 	r.running, r.spare = live[:n], r.running
-	return buf[:n]
+	return idx.sum(r.running)
 }
 
-// simulateEpoch evaluates the policy on one epoch's population, integrates
-// the fleet power over the epoch and, when transition costs are enabled,
-// charges the events implied by moving from prev's posture to this epoch's.
-// usedCPU is the population's summed UsedCPU, which the walk folds once for
-// every config. It returns the epoch's plan so the caller can thread it into
-// the next epoch's delta.
-func simulateEpoch(cfg *Config, vms []consolidation.VMDemand, usedCPU float64, span epochSpan, prev consolidation.FleetPlan) (epochStats, consolidation.FleetPlan) {
-	plan := epochPlan(cfg, vms, span)
+// sum is consolidation.SumDemand of the VMs of the given ranks, in that order,
+// with no population materialised: one pass that keeps every sum in a local.
+func (idx *ReplayIndex) sum(ranks []int32) consolidation.Demand {
+	var bookedCPU, bookedMem, usedCPU, usedMem float64
+	var busyCPU, busyMem, busyUsedCPU, idleWSS, idleCold float64
+	busy := 0
+	for _, rank := range ranks {
+		v := &idx.demand[rank]
+		bookedCPU += v.BookedCPU
+		bookedMem += v.BookedMemGiB
+		usedCPU += v.UsedCPU
+		usedMem += v.UsedMemGiB
+		if v.Idle() {
+			idleWSS += v.WSSGiB()
+			idleCold += v.BookedMemGiB - v.WSSGiB()
+		} else {
+			busyCPU += v.BookedCPU
+			busyMem += v.BookedMemGiB
+			busyUsedCPU += v.UsedCPU
+			busy++
+		}
+	}
+	return consolidation.Demand{
+		VMs: len(ranks), BookedCPU: bookedCPU, BookedMemGiB: bookedMem, UsedCPU: usedCPU, UsedMemGiB: usedMem,
+		BusyVMs: busy, BusyBookedCPU: busyCPU, BusyBookedMemGiB: busyMem, BusyUsedCPU: busyUsedCPU,
+		IdleWSSGiB: idleWSS, IdleColdGiB: idleCold,
+	}
+}
+
+// simulateEpoch evaluates the policy on the Demand of one epoch's population,
+// which the walk folds once for every config, integrates the fleet power over
+// the epoch and, when transition costs are enabled, charges the events
+// implied by moving from prev's posture to this epoch's. It returns the
+// epoch's plan so the caller can thread it into the next epoch's delta.
+func simulateEpoch(cfg *Config, d consolidation.Demand, span epochSpan, prev consolidation.FleetPlan) (epochStats, consolidation.FleetPlan) {
+	plan := epochPlan(cfg, d, span)
 	dt := float64(span.end - span.start)
 	stats := epochStats{
 		activeDt:  float64(plan.ActiveHosts) * dt,
@@ -400,10 +427,10 @@ func simulateEpoch(cfg *Config, vms []consolidation.VMDemand, usedCPU float64, s
 		utilDt:    plan.ActiveCPUUtilization * dt,
 		dt:        dt,
 		energyJ:   PosturePowerWatts(cfg.Machine, plan) * dt,
-		baselineJ: BaselinePowerWatts(cfg.Machine, cfg.ServerSpec, usedCPU, cfg.Trace.Machines) * dt,
+		baselineJ: BaselinePowerWatts(cfg.Machine, cfg.ServerSpec, d.UsedCPU, cfg.Trace.Machines) * dt,
 	}
 	if cfg.TransitionCosts {
-		c := TransitionCost(cfg.Machine, cfg.Policy.Name(), chaosAlignPrev(cfg, prev, plan), plan, vms, dt, chaosFabricFactor(cfg, span))
+		c := TransitionCost(cfg.Machine, cfg.Policy.Name(), chaosAlignPrev(cfg, prev, plan), plan, d, dt, chaosFabricFactor(cfg, span))
 		stats.energyJ += c.Joules
 		stats.transitionJ = c.Joules
 		stats.transitions = c.Transitions
@@ -411,7 +438,7 @@ func simulateEpoch(cfg *Config, vms []consolidation.VMDemand, usedCPU float64, s
 		stats.migrationSec = c.MigrationSeconds
 	}
 	if !cfg.Chaos.Empty() {
-		ch := chaosEpochCost(cfg, prev, plan, vms, span)
+		ch := chaosEpochCost(cfg, prev, plan, d.VMs, span)
 		stats.energyJ += ch.joules
 		stats.chaosJ = ch.joules
 		stats.transitions += ch.transitions
@@ -421,12 +448,12 @@ func simulateEpoch(cfg *Config, vms []consolidation.VMDemand, usedCPU float64, s
 	return stats, plan
 }
 
-// epochPlan evaluates the policy on one epoch's population against the
-// capacity actually available: the full fleet, minus any servers the chaos
-// plan holds crashed at the epoch start. It is the single planning entry
-// point shared by a shard's epochs and its lookback, so every shard derives
-// identical plans whatever the worker count.
-func epochPlan(cfg *Config, vms []consolidation.VMDemand, span epochSpan) consolidation.FleetPlan {
+// epochPlan evaluates the policy on the Demand of one epoch's population
+// against the capacity actually available: the full fleet, minus any servers
+// the chaos plan holds crashed at the epoch start. It is the single planning
+// entry point shared by a shard's epochs and its lookback, so every shard
+// derives identical plans whatever the worker count.
+func epochPlan(cfg *Config, d consolidation.Demand, span epochSpan) consolidation.FleetPlan {
 	total := cfg.Trace.Machines
 	if crashed := cfg.Chaos.CrashedAt(span.start); crashed > 0 {
 		total -= crashed
@@ -434,7 +461,7 @@ func epochPlan(cfg *Config, vms []consolidation.VMDemand, span epochSpan) consol
 			total = 1
 		}
 	}
-	return cfg.Policy.Plan(vms, cfg.ServerSpec, total)
+	return cfg.Policy.PlanDemand(d, cfg.ServerSpec, total)
 }
 
 // Run executes the simulation, sequentially or sharded across

@@ -25,8 +25,8 @@
 //
 // A run replays its trace through one read-only ReplayIndex (dcsim.go): the
 // tasks in start order, each VM's rank in the lexicographic VM-ID order
-// populations are planned and integrated in, its demand ready to copy, and
-// its VM ID as a substring of one buffer. The ranks are sorted by an integer
+// populations are planned and integrated in, its demand, and its VM ID as a
+// substring of one buffer. The ranks are sorted by an integer
 // key that orders like the "task-%d" strings, so the build compares no string
 // either. Run builds the index; internal/autopilot, whose online loop keeps
 // its running set by rank, builds it once per trace and fault plan and hands
@@ -34,12 +34,14 @@
 // always passed as an argument and never cached on the trace. A replayer
 // derives an epoch's population by merging the epoch's arrivals, sorted by
 // rank, with the surviving running set — linear, no string compared, nothing
-// allocated — and seeks to any epoch with one filtered scan of the tasks
-// started by then. A trace that repeats a task ID is rejected at the build.
+// allocated — and folds it in rank order into a consolidation.Demand, the
+// sums every policy plans from; no []VMDemand is built. It seeks to any epoch
+// with one filtered scan of the tasks started by then. A trace that repeats a
+// task ID is rejected at the build.
 //
 // Runs that share a trace and a consolidation period share one epoch walk
 // (parallel.go): CompareOpts and Sweep build the index once per trace, and the
-// walk builds each epoch's population once for every run to plan and price.
+// walk folds each epoch's population once for every run to plan and price.
 //
 // The simulation decomposes into independent consolidation epochs, so the
 // walk can shard the per-epoch accounting (placement evaluation, energy

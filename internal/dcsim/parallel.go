@@ -50,9 +50,9 @@ func shardEpochs(live []int, workers int) []shard {
 //
 // Each shard's replayer seeks to the shard's first epoch — one filtered scan
 // of the tasks started by then, one integer sort of those still running — and
-// holds the same running set a sequential walk would at that epoch. It builds
-// each epoch's population and used-CPU sum once, and every config plans and
-// prices that read-only population from its own previous plan, starting from
+// holds the same running set a sequential walk would at that epoch. It folds
+// each epoch's population once into a consolidation.Demand, and every config
+// plans and prices that Demand from its own previous plan, starting from
 // the all-awake posture. No locks are needed: the index is read-only and the
 // goroutines write disjoint ranges of stats.
 //
@@ -84,21 +84,17 @@ func walk(idx *ReplayIndex, cfgs []Config) []Result {
 			}
 			if sh.lo > 0 {
 				lookback := spans[sh.lo-1]
-				vms := rep.population(lookback)
+				d := rep.population(lookback)
 				for c := range cfgs {
 					if cfgs[c].TransitionCosts || !cfgs[c].Chaos.Empty() {
-						prev[c] = epochPlan(&cfgs[c], vms, lookback)
+						prev[c] = epochPlan(&cfgs[c], d, lookback)
 					}
 				}
 			}
 			for i := sh.lo; i < sh.hi; i++ {
-				vms := rep.population(spans[i])
-				var usedCPU float64
-				for _, v := range vms {
-					usedCPU += v.UsedCPU
-				}
+				d := rep.population(spans[i])
 				for c := range cfgs {
-					stats[c*n+i], prev[c] = simulateEpoch(&cfgs[c], vms, usedCPU, spans[i], prev[c])
+					stats[c*n+i], prev[c] = simulateEpoch(&cfgs[c], d, spans[i], prev[c])
 				}
 			}
 		}()

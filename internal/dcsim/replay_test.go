@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -37,9 +38,10 @@ func seekCase(data []byte) (*trace.Trace, int64) {
 }
 
 // checkSeek is the brute-force oracle: whatever epoch a replayer starts at,
-// the population it yields for every later epoch must equal "filter the tasks
-// overlapping the span, sort by VM-ID string", element for element, and fit
-// the buffers sized from liveCounts.
+// the population it holds for every later epoch must equal "filter the tasks
+// overlapping the span, sort by VM-ID string", element for element, its
+// Demand must be SumDemand of that slice, and it must fit the buffers sized
+// from liveCounts.
 func checkSeek(t *testing.T, tr *trace.Trace, periodSec int64) {
 	t.Helper()
 	idx, err := NewReplayIndex(tr)
@@ -67,8 +69,16 @@ func checkSeek(t *testing.T, tr *trace.Trace, periodSec int64) {
 	for k := range spans {
 		rep := newReplayer(idx, live)
 		for j := k; j < len(spans); j++ {
-			if got := rep.population(spans[j]); !slices.Equal(got, want[j]) {
+			d := rep.population(spans[j])
+			got := make([]consolidation.VMDemand, len(rep.running))
+			for i, rank := range rep.running {
+				got[i] = idx.Demand(rank)
+			}
+			if !slices.Equal(got, want[j]) {
 				t.Fatalf("period %d: seek to epoch %d, population of epoch %d\n got %v\nwant %v", periodSec, k, j, got, want[j])
+			}
+			if sum := consolidation.SumDemand(want[j]); d != sum {
+				t.Fatalf("period %d: seek to epoch %d, Demand of epoch %d\n got %+v\nwant %+v", periodSec, k, j, d, sum)
 			}
 		}
 		if cap(rep.batch) != peak {
@@ -104,6 +114,80 @@ func FuzzReplayerSeek(f *testing.F) {
 	})
 }
 
+// demandCase builds a trace of size%5001 tasks that all run through its one
+// 300 s epoch, with IDs shuffled so rank order is not trace order. About
+// idle percent of them are idle (below 1 % of a core) and the rest busy.
+// Their demands spread over eight binary orders of magnitude, scaled by
+// 2^(8·(mag%128)), so the sums may round, overflow or lose every small term.
+func demandCase(seed int64, size uint16, idle uint8, mag int8) *trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	scale := math.Ldexp(1, 8*(int(mag)%128))
+	draw := func() float64 { return scale * math.Ldexp(1+rng.Float64(), rng.Intn(8)-4) }
+	tr := &trace.Trace{Name: "demand", Machines: 100, HorizonSec: 300}
+	for _, id := range rng.Perm(int(size) % 5001) {
+		task := trace.Task{ID: id, EndSec: 300, BookedCPU: draw(), BookedMemGiB: draw()}
+		task.UsedMemGiB = task.BookedMemGiB * 1.5 * rng.Float64()
+		if rng.Intn(100) < int(idle) {
+			task.UsedCPU = 0.0099 * rng.Float64()
+		} else {
+			task.UsedCPU = 0.01 + task.BookedCPU*rng.Float64()
+		}
+		tr.Tasks = append(tr.Tasks, task)
+	}
+	return tr
+}
+
+// bitEqual reports whether two structs hold the same fields, floats compared
+// bit for bit (so -0 differs from 0 and a NaN equals itself).
+func bitEqual(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := range va.NumField() {
+		fa, fb := va.Field(i), vb.Field(i)
+		if fa.Kind() == reflect.Float64 {
+			if math.Float64bits(fa.Float()) != math.Float64bits(fb.Float()) {
+				return false
+			}
+		} else if !fa.Equal(fb) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzPlanDemand pins planning from sums to planning from the population:
+// the replayer's rank fold is SumDemand of the population it materialises,
+// and every built-in policy's Plan of that population is PlanDemand of its
+// SumDemand, bit for bit. The corpus checked in under testdata/fuzz holds an
+// empty population, one VM, all idle, none idle, 5 000 VMs and 5 000 VMs
+// whose sums overflow.
+func FuzzPlanDemand(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, idle uint8, mag int8, total uint16) {
+		tr := demandCase(seed, size, idle, mag)
+		idx, err := NewReplayIndex(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		span := epochSpans(tr.HorizonSec, tr.HorizonSec)[0]
+		rep := newReplayer(idx, idx.liveCounts(tr.HorizonSec, 1))
+		got := rep.population(span)
+		vms := make([]consolidation.VMDemand, len(rep.running))
+		for i, rank := range rep.running {
+			vms[i] = idx.Demand(rank)
+		}
+		want := consolidation.SumDemand(vms)
+		if len(vms) != len(tr.Tasks) || !bitEqual(got, want) {
+			t.Fatalf("%d tasks: the rank fold of %d VMs is\n%+v\nSumDemand of them\n%+v", len(tr.Tasks), len(vms), got, want)
+		}
+		spec := consolidation.DefaultServerSpec()
+		for _, p := range consolidation.AllPolicies() {
+			plan, fromSums := p.Plan(vms, spec, int(total)), p.PlanDemand(want, spec, int(total))
+			if !bitEqual(plan, fromSums) {
+				t.Fatalf("%s on %d VMs, %d servers: Plan\n%+v\nPlanDemand of the sums\n%+v", p.Name(), len(vms), total, plan, fromSums)
+			}
+		}
+	})
+}
+
 // TestRunRejectsDuplicateTaskIDs: two tasks with one ID would be two VMs with
 // one task-%d identity in the sorted population. trace.Validate does not look
 // for that (only the CSV reader does), so the index build must, naming the ID.
@@ -132,7 +216,7 @@ func TestRunRejectsDuplicateTaskIDs(t *testing.T) {
 // runs in one walk of one trace. It allocates the index's few buffers and the
 // walk's replayer once, plus a small constant per run — the VM IDs are one
 // buffer, not one string per task, let alone one per task per run, and a
-// replayer per run (four buffers each) does not fit the budget.
+// replayer per run (three buffers each) does not fit the budget.
 func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	tr := engineTestTrace(t)
 	spec := consolidation.DefaultServerSpec()

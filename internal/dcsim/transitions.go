@@ -71,19 +71,19 @@ type TransitionBill struct {
 }
 
 // TransitionCost prices moving the fleet from the prev posture to the next
-// one, with the given VM population running: the ACPI suspend/wake events of
-// the plan delta, the migration drains of the freed hosts (protocol selected
-// by the policy name — the ZombieStack protocol for "zombiestack", vanilla
-// pre-copy otherwise), and the remote-memory churn of the new posture over dt
-// seconds.
+// one, with a VM population whose Demand is running: the ACPI suspend/wake
+// events of the plan delta, the migration drains of the freed hosts (protocol
+// selected by the policy name — the ZombieStack protocol for "zombiestack",
+// vanilla pre-copy otherwise), and the remote-memory churn of the new posture
+// over dt seconds. Only the Demand's VM count and memory totals are read.
 // dt also caps each freed host's drain, so a host is never charged for
 // draining longer than the interval it drains in. fabricFactor scales the
 // churn's fabric latency — the chaos layer's degraded-fabric pricing; a
 // factor of exactly 1 is the healthy fabric, and multiplying by 1.0 is exact
 // in IEEE arithmetic, which keeps an empty fault plan indistinguishable from
 // the no-chaos path.
-func TransitionCost(m *energy.MachineProfile, policy string, prev, plan consolidation.FleetPlan, vms []consolidation.VMDemand, dt, fabricFactor float64) TransitionBill {
-	d := consolidation.Delta(prev, plan, len(vms))
+func TransitionCost(m *energy.MachineProfile, policy string, prev, plan consolidation.FleetPlan, running consolidation.Demand, dt, fabricFactor float64) TransitionBill {
+	d := consolidation.Delta(prev, plan, running.VMs)
 	var c TransitionBill
 	c.Transitions = d.Transitions()
 
@@ -100,7 +100,7 @@ func TransitionCost(m *energy.MachineProfile, policy string, prev, plan consolid
 	// Migration drain: the freed hosts stay in S0 at idle power while their
 	// VMs leave, in parallel across hosts, serially within a host.
 	if d.Migrations > 0 && d.FreedHosts > 0 {
-		if perMigSec := migrationSeconds(policy, vms); perMigSec > 0 {
+		if perMigSec := migrationSeconds(policy, running); perMigSec > 0 {
 			perHost := perMigSec * float64(d.Migrations) / float64(d.FreedHosts)
 			if perHost > dt {
 				perHost = dt
@@ -122,22 +122,18 @@ func TransitionCost(m *energy.MachineProfile, policy string, prev, plan consolid
 	return c
 }
 
-// migrationSeconds returns the duration of migrating the epoch's mean VM
-// under the policy's protocol, or 0 when the population is empty.
-func migrationSeconds(policy string, vms []consolidation.VMDemand) float64 {
-	var bookedGiB, usedGiB float64
-	for _, v := range vms {
-		bookedGiB += v.BookedMemGiB
-		usedGiB += v.UsedMemGiB
-	}
-	if len(vms) == 0 || bookedGiB <= 0 {
+// migrationSeconds returns the duration of migrating the mean VM of the
+// population whose Demand is d under the policy's protocol, or 0 when the
+// population is empty.
+func migrationSeconds(policy string, d consolidation.Demand) float64 {
+	if d.VMs == 0 || d.BookedMemGiB <= 0 {
 		return 0
 	}
-	wssRatio := usedGiB / bookedGiB
+	wssRatio := d.UsedMemGiB / d.BookedMemGiB
 	if wssRatio > 1 {
 		wssRatio = 1
 	}
-	meanVM := vm.New("epoch-mean", int64(bookedGiB/float64(len(vms))*float64(1<<30)), 0)
+	meanVM := vm.New("epoch-mean", int64(d.BookedMemGiB/float64(d.VMs)*float64(1<<30)), 0)
 	if meanVM.ReservedBytes <= 0 {
 		return 0
 	}
