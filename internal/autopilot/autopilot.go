@@ -229,7 +229,8 @@ type loop struct {
 	sizer   hostSizer // planner's sizing rule, nil when it only has Plan
 
 	// idx is the trace's replay index: the loop knows a VM by its rank, its
-	// position in VM-ID order, and reads its demand from the index.
+	// position in VM-ID order. An arrival or departure reads the VM's demand
+	// from its event's task; a population read takes it from the index.
 	idx *dcsim.ReplayIndex
 	// running is the admitted population, a bitset over ranks. vms is its
 	// ID-sorted view, written into a reused buffer only when someone reads
@@ -244,23 +245,26 @@ type loop struct {
 
 	posture consolidation.FleetPlan
 	// intervalStart is the beginning of the current tick interval and cum the
-	// interval's cumulative population: every task that has been admitted at
-	// any point since the interval started, departures included. The ledger
-	// bills whole intervals against cum (see billInterval), and emergency
-	// wakes size against it too — a departure's capacity is only reclaimed at
-	// the next re-plan tick, the way a periodic consolidation manager works.
-	// An arrival reads only the planner's requirement for cum, which
-	// requiredHosts sizes from cumCPU and cumMem: cum's booked sums, folded in
-	// ID order when a tick resets cum and only added to in between, so each is
-	// a sum of exactly cum's terms in some order. cum and cumRanks (the same
-	// VMs' ranks) are sorted by ID up to the last read: an arrival appends its
-	// rank to pending, and intervalVMs, the one way to read cum, merges pending
-	// in first — once per tick under a planner with a sizing rule, one
-	// binary-search insert per arrival under one without.
+	// interval's cumulative population, a bitset over ranks of cumN members:
+	// every task admitted at any point since the interval started, departures
+	// included. A tick resets cum to the running set and an arrival adds its
+	// rank. The ledger bills whole intervals against cum (see billInterval),
+	// and emergency wakes size against it too — a departure's capacity is only
+	// reclaimed at the next re-plan tick, the way a periodic consolidation
+	// manager works. An arrival reads only the planner's requirement for cum,
+	// which requiredHosts sizes from cumCPU and cumMem: cum's booked sums,
+	// folded in ID order when a tick resets cum and only added to in between,
+	// so each is a sum of exactly cum's terms in some order. cumVMs is cum's
+	// ID-sorted view for the exact fold and cumRanks its ranks (see
+	// intervalVMs): it lacks the arrivals since its last read, the latest of
+	// which is lastRank, and is void after a tick (cumStale).
 	intervalStart  int64
-	cum            []consolidation.VMDemand
+	cum            ident.Set
+	cumN           int
+	cumVMs         []consolidation.VMDemand
 	cumRanks       []int32
-	pending        []int32
+	cumStale       bool
+	lastRank       int32
 	cumCPU, cumMem float64
 
 	res      Result
@@ -297,21 +301,26 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	// Both builds only read the trace, so the event order is sorted on a
-	// second core while this one builds the index.
-	streamc := make(chan *trace.Stream, 1)
-	go func() { streamc <- trace.NewStream(cfg.Trace) }()
-	idx, err := dcsim.NewReplayIndex(cfg.Trace)
-	stream := <-streamc
+	idx, stream, err := index(cfg.Trace)
 	if err != nil {
 		return Result{}, err
 	}
 	return run(cfg, idx, stream)
 }
 
+// index builds what a replay of the trace reads: its replay index and its
+// event order. Both builds only read the trace, so the order is sorted on a
+// second core while this one builds the index.
+func index(tr *trace.Trace) (*dcsim.ReplayIndex, *trace.Stream, error) {
+	streamc := make(chan *trace.Stream, 1)
+	go func() { streamc <- trace.NewStream(tr) }()
+	idx, err := dcsim.NewReplayIndex(tr)
+	return idx, <-streamc, err
+}
+
 // run is Run on a validated configuration, over an index and an unread
-// arrival feed the caller built from cfg.Trace: a regret comparison builds the
-// index once for its online runs and its oracle.
+// arrival feed the caller built from cfg.Trace: a regret comparison builds
+// both once for its online runs and its oracles.
 func run(cfg Config, idx *dcsim.ReplayIndex, stream *trace.Stream) (Result, error) {
 	cfg.applyDefaults()
 
@@ -377,8 +386,8 @@ func run(cfg Config, idx *dcsim.ReplayIndex, stream *trace.Stream) (Result, erro
 		}
 		for evOK && ev.AtSec == now {
 			if ev.Kind == trace.Depart {
-				l.depart(idx.Rank(ev.Index))
-			} else if err := l.arrive(now, idx.Rank(ev.Index)); err != nil {
+				l.depart(idx.Rank(ev.Index), &ev.Task)
+			} else if err := l.arrive(now, idx.Rank(ev.Index), &ev.Task); err != nil {
 				return Result{}, err
 			}
 			ev, evOK = stream.Next()
@@ -432,9 +441,7 @@ func (l *loop) billInterval(to int64) {
 		return
 	}
 	var usedCPU float64
-	for _, v := range l.intervalVMs() {
-		usedCPU += v.UsedCPU
-	}
+	l.cum.Each(func(rank ident.ID) { usedCPU += l.idx.Demand(int32(rank)).UsedCPU })
 	billed := l.posture
 	billed.ActiveCPUUtilization = utilization(usedCPU, billed.ActiveHosts, l.cfg.ServerSpec.Cores)
 	l.res.EnergyJoules += dcsim.PosturePowerWatts(l.cfg.Machine, billed) * dt
@@ -468,9 +475,8 @@ func (l *loop) available() int {
 // is the degraded one: crashed and stuck servers neither admit nor host, and
 // an arrival squeezed out (or placed short of the planner's requirement) by
 // faults counts as an SLO violation.
-func (l *loop) arrive(now int64, rank int32) error {
+func (l *loop) arrive(now int64, rank int32, v *trace.Task) error {
 	l.res.Arrivals++
-	v := l.idx.Demand(rank)
 	capacity := l.available()
 	if l.bookedCPU+v.BookedCPU > float64(capacity)*l.cfg.ServerSpec.Cores ||
 		l.bookedMem+v.BookedMemGiB > float64(capacity)*l.cfg.ServerSpec.MemGiB {
@@ -490,7 +496,9 @@ func (l *loop) arrive(now int64, rank int32) error {
 	l.bookedMem += v.BookedMemGiB
 	l.usedCPU += v.UsedCPU
 	l.usedMem += v.UsedMemGiB
-	l.pending = append(l.pending, rank)
+	l.cum.Add(ident.ID(rank))
+	l.cumN++
+	l.lastRank = rank
 	l.cumCPU += v.BookedCPU
 	l.cumMem += v.BookedMemGiB
 	l.res.Admitted++
@@ -528,7 +536,7 @@ func (l *loop) arrive(now int64, rank int32) error {
 func (l *loop) requiredHosts() int {
 	spec, avail := l.cfg.ServerSpec, l.available()
 	if l.sizer != nil {
-		n := len(l.cum) + len(l.pending)
+		n := l.cumN
 		cpuLo, cpuHi := consolidation.SumBracket(l.cumCPU, n)
 		memLo, memHi := consolidation.SumBracket(l.cumMem, n)
 		if cpuHi <= math.MaxFloat64 && memHi <= math.MaxFloat64 {
@@ -542,27 +550,25 @@ func (l *loop) requiredHosts() int {
 	return l.planner.Plan(l.intervalVMs(), spec, avail).ActiveHosts
 }
 
-// intervalVMs returns cum sorted by ID, after merging in the arrivals
-// admitted since the last read, from the back: each pending rank, largest
-// first, is found by binary search and the block of cum above it moves up
-// once — one search and one memmove for one arrival, one pass for many.
+// intervalVMs returns cum sorted by ID, valid until the next arrival or tick.
+// Under a planner without a sizing rule every arrival reads it, so the one
+// arrival since the last read is inserted at its rank's place; after a tick,
+// or several arrivals, the view is written afresh from the bitset.
 func (l *loop) intervalVMs() []consolidation.VMDemand {
-	if m := len(l.pending); m > 0 {
-		slices.Sort(l.pending)
-		hi := len(l.cum) // cum[:hi] is not placed yet
-		l.cum = slices.Grow(l.cum, m)[:hi+m]
-		l.cumRanks = slices.Grow(l.cumRanks, m)[:hi+m]
-		for j := m - 1; j >= 0; j-- {
-			rank := l.pending[j]
-			at, _ := slices.BinarySearch(l.cumRanks[:hi], rank)
-			copy(l.cum[at+j+1:], l.cum[at:hi])
-			copy(l.cumRanks[at+j+1:], l.cumRanks[at:hi])
-			l.cum[at+j], l.cumRanks[at+j] = l.idx.Demand(rank), rank
-			hi = at
-		}
-		l.pending = l.pending[:0]
+	switch {
+	case l.cumStale || l.cumN > len(l.cumVMs)+1:
+		l.cumVMs, l.cumRanks = l.cumVMs[:0], l.cumRanks[:0]
+		l.cum.Each(func(rank ident.ID) {
+			l.cumVMs = append(l.cumVMs, l.idx.Demand(int32(rank)))
+			l.cumRanks = append(l.cumRanks, int32(rank))
+		})
+		l.cumStale = false
+	case l.cumN > len(l.cumVMs):
+		at, _ := slices.BinarySearch(l.cumRanks, l.lastRank)
+		l.cumVMs = slices.Insert(l.cumVMs, at, l.idx.Demand(l.lastRank))
+		l.cumRanks = slices.Insert(l.cumRanks, at, l.lastRank)
 	}
-	return l.cum
+	return l.cumVMs
 }
 
 // ensureActive raises the posture to the required number of active hosts
@@ -600,13 +606,12 @@ func (l *loop) ensureActive(nowSec int64, required int) error {
 }
 
 // depart retires one admitted task.
-func (l *loop) depart(rank int32) {
+func (l *loop) depart(rank int32, v *trace.Task) {
 	if !l.running.Has(ident.ID(rank)) {
 		return // was rejected at admission
 	}
 	l.running.Remove(ident.ID(rank))
 	l.stale = true
-	v := l.idx.Demand(rank)
 	l.bookedCPU -= v.BookedCPU
 	l.bookedMem -= v.BookedMemGiB
 	l.usedCPU -= v.UsedCPU
@@ -659,11 +664,11 @@ func (l *loop) tick(now, horizon int64) error {
 	}
 	l.res.Ticks++
 	l.intervalStart = now
-	l.cum = append(l.cum[:0], l.runningVMs()...)
-	l.cumRanks, l.pending = l.cumRanks[:0], l.pending[:0]
-	l.running.Each(func(rank ident.ID) { l.cumRanks = append(l.cumRanks, int32(rank)) })
+	l.cum.Clear()
+	l.cum.Union(l.running)
+	l.cumN, l.cumStale = l.population(), true
 	l.cumCPU, l.cumMem = 0, 0
-	for _, v := range l.cum {
+	for _, v := range l.runningVMs() {
 		l.cumCPU += v.BookedCPU
 		l.cumMem += v.BookedMemGiB
 	}

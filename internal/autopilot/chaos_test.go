@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/chaos"
@@ -272,5 +273,74 @@ func TestCompareChaosScenarios(t *testing.T) {
 	}
 	if rendered := chaos.RenderComparison(reports); !strings.Contains(rendered, "heavy") {
 		t.Errorf("rendered comparison missing the heavy row:\n%s", rendered)
+	}
+}
+
+// TestReplaySharesOneOrder: the online runs of a replay walk cursors over one
+// event order, sorted once, and a pool may walk them at the same time; every
+// result still equals a lone run over its own freshly sorted stream. The
+// roster has planners with a sizing rule and without one (planOnly, Oasis), so
+// the exact fold is covered off and on, and the comparison runs without chaos
+// while the row runs under light chaos.
+func TestReplaySharesOneOrder(t *testing.T) {
+	tr := chaosTrace(t)
+	roster := func() []Policy {
+		return []Policy{
+			NewReactive(consolidation.NewZombieStack()),
+			NewHysteresis(planOnly{consolidation.NewZombieStack()}),
+			NewPredictiveEWMA(consolidation.NewOasis()),
+		}
+	}
+	cfg := baseConfig(tr)
+	cfg.Workers = 2
+	lone := func(i int) Config {
+		c := cfg
+		c.Policy = roster()[i]
+		return c
+	}
+	got, err := CompareOnline(cfg, roster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		want, err := Run(lone(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i].Online, want) {
+			t.Errorf("policy %d: CompareOnline ran\n%+v\nRun alone\n%+v", i, got[i].Online, want)
+		}
+	}
+
+	light, err := chaos.Scenario("light", tr.HorizonSec, tr.Machines, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := NewChaosRow(cfg, light, roster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := row.Jobs()
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, job := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = job()
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range row.Reports() {
+		want, err := RunChaos(lone(i), light)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep, want) {
+			t.Errorf("policy %d: the row reports\n%+v\nRunChaos alone\n%+v", i, rep, want)
+		}
 	}
 }

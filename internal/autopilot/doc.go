@@ -23,20 +23,22 @@
 // bit for bit.
 //
 // The loop replays through the trace's dcsim.ReplayIndex: it knows a VM by
-// its rank in VM-ID order, keeps the running set as a bitset over ranks, and
-// writes the ID-sorted population into a reused buffer only when the policy,
-// the interval reset or a migration bill reads it, so a run allocates nothing
-// per task or per tick. An admitted arrival is sized against the interval's
-// cumulative population without reading it: the loop keeps that population's
-// booked sums (folded in ID order at each tick, added to per arrival) and
+// its rank in VM-ID order, reads an event's demand from the event's task,
+// and keeps the running set and the interval's cumulative population as
+// bitsets over ranks. The ID-sorted population is written into a reused
+// buffer only when the policy, a tick or a migration bill reads it, and the
+// bill folds straight off the bitset, so a run allocates nothing per task
+// or tick. An admitted arrival is sized against the interval's cumulative
+// population without reading it: the loop keeps that population's booked
+// sums (folded in ID order at each tick, added to per arrival) and
 // evaluates the planner's sizing rule at both ends of the rounding bracket
-// around them (consolidation.SumBracket has the bound and its proof sketch),
-// folding the population only if the ends disagree or the planner has no
-// rule; the sorted view is brought up to date when the bill, a tick or that
-// fold reads it. Whatever replays one trace more than once passes the
-// index on instead of rebuilding it: Regret hands it to the online loop and
-// the oracle, and CompareOnline, RunChaos, CompareChaos and ChaosRow also
-// compute each oracle once, since it does not depend on the online policy.
+// around them (consolidation.SumBracket has the bound and its proof
+// sketch), folding the population only if the ends disagree or the planner
+// has no rule. Whatever replays one trace more than once sorts its event
+// order and builds its index once: Regret, CompareOnline, RunChaos,
+// CompareChaos and ChaosRow give each online run a trace.Stream.Restart
+// cursor and the index, which the oracle shares, and compute each oracle
+// once, since it ignores the online policy.
 //
 // Decisions can additionally be executed against a live multi-rack
 // fleet.Fleet through FleetExecutor, which mirrors every posture as real

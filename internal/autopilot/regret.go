@@ -32,13 +32,14 @@ type Report struct {
 }
 
 // replay is one trace under one fault plan, replayed for a set of online
-// policies: what the runs share (the perturbed trace, its replay index, the
-// defaulted configuration) is made once, and each oracle is computed once,
-// because the oracle depends on the trace, planner, machine, spec, tick and
-// fault plan but not on the online policy measured against it.
+// policies: what the runs share (the perturbed trace, its replay index and
+// event order, the defaulted configuration) is made once, and each oracle is
+// computed once, because the oracle depends on the trace, planner, machine,
+// spec, tick and fault plan but not on the online policy measured against it.
 type replay struct {
 	cfg      Config // validated, defaults applied, Trace perturbed; Policy is not read
 	idx      *dcsim.ReplayIndex
+	order    *trace.Stream // the event order; each online run walks a Restart of it
 	policies []Policy
 	online   []Result // by policy
 	// planners lists the distinct planners under the policies and oracles the
@@ -69,12 +70,12 @@ func newReplay(cfg Config, policies []Policy) (*replay, error) {
 	if !cfg.Chaos.Empty() {
 		cfg.Trace = cfg.Chaos.PerturbTrace(cfg.Trace)
 	}
-	idx, err := dcsim.NewReplayIndex(cfg.Trace)
+	idx, order, err := index(cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
 	r := &replay{
-		cfg: cfg, idx: idx, policies: policies,
+		cfg: cfg, idx: idx, order: order, policies: policies,
 		online: make([]Result, len(policies)), oracleOf: make([]int, len(policies)),
 	}
 	for i, pol := range policies {
@@ -107,7 +108,7 @@ func (r *replay) jobs() []func() error {
 		jobs = append(jobs, func() (err error) {
 			cfg := r.cfg
 			cfg.Policy = pol
-			r.online[i], err = run(cfg, r.idx, trace.NewStream(cfg.Trace))
+			r.online[i], err = run(cfg, r.idx, r.order.Restart())
 			return err
 		})
 	}

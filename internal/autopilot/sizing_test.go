@@ -65,7 +65,7 @@ func TestArrivalSizingEqualsExactFold(t *testing.T) {
 // has the sizing rule: every task books exactly one server's packing target
 // (8 cores and 16 GiB at 0.9), so the running sums sit on a Ceil boundary
 // after almost every arrival, the bracket straddles it, and the loop must
-// merge the pending arrivals and fold — to the same Result as a loop that
+// bring the interval's view up to date and fold — to the same Result as a loop that
 // always folds.
 func TestStraddledBracketFoldsExactly(t *testing.T) {
 	tr := &trace.Trace{Name: "boundary", Machines: 120, HorizonSec: 3600}
@@ -116,6 +116,38 @@ func BenchmarkOnlineArrivals(b *testing.B) {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tasks), "ns/arrival")
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkRun guards the exact-fold path: under a planner without a sizing
+// rule (Oasis, or any planner behind planOnly) every admitted arrival reads
+// the interval's whole population. The 20 000-task traces are mlbatch, whose
+// population stays large, and serverless, whose tasks are many and short.
+func BenchmarkRun(b *testing.B) {
+	for _, c := range []struct {
+		family   string
+		machines int
+	}{{"mlbatch", 400}, {"serverless", 200}} {
+		tr, err := trace.GenerateFamily(c.family, trace.FamilyParams{Machines: c.machines, HorizonSec: 24 * 3600, Tasks: 20000, Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, base := range []consolidation.Policy{consolidation.NewOasis(), planOnly{consolidation.NewZombieStack()}} {
+			name := c.family + "/" + base.Name()
+			if _, wrapped := base.(planOnly); wrapped {
+				name += "-plan-only"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					cfg := baseConfig(tr)
+					cfg.Policy = NewReactive(base)
+					if _, err := Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/energy"
+	"repro/internal/radix"
 	"repro/internal/trace"
 )
 
@@ -227,19 +228,19 @@ func (a vmOrder) compare(b vmOrder) int {
 // prefix is the key's 32 most significant bits: ordering by it never
 // contradicts compare, and IDs below 10^9 share one only when one ID's digits
 // are the other's followed by zeros.
-func (a vmOrder) prefix() uint64 {
-	p := a.scaled >> 33
+func (a vmOrder) prefix() uint32 {
+	p := uint32(a.scaled >> 33)
 	if a.positive {
 		p |= 1 << 31
 	}
 	return p
 }
 
-// NewReplayIndex builds the index. The ranks come from sorting packed
-// (key prefix, task) integers, which needs no comparator, and then each run of
-// equal prefixes by the full key. That puts a repeated task ID next to itself,
-// so a trace in which two VMs would share one identity is rejected here with
-// the ID named.
+// NewReplayIndex builds the index. The ranks come from a radix sort of the
+// tasks by key prefix, which needs no comparator, and then a sort of each run
+// of equal prefixes by the full key. That puts a repeated task ID next to
+// itself, so a trace in which two VMs would share one identity is rejected
+// here with the ID named.
 func NewReplayIndex(tr *trace.Trace) (*ReplayIndex, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("dcsim: a trace is required")
@@ -250,33 +251,29 @@ func NewReplayIndex(tr *trace.Trace) (*ReplayIndex, error) {
 		starts: make([]int64, n), ranks: make([]int32, n), rankOf: make([]int32, n),
 		ends: make([]int64, n), demand: make([]consolidation.VMDemand, n),
 	}
-	byID := make([]uint64, n) // prefix<<32 | position in tr.Tasks
+	// The ID order is built in idx.ranks, with idx.rankOf as the sort's
+	// scratch: both are rewritten below once the order has been read.
+	byID, prefix := idx.ranks, make([]uint32, n)
 	idBytes := 0
 	for i := range tr.Tasks {
 		k := vmOrderOf(tr.Tasks[i].ID)
-		byID[i] = k.prefix()<<32 | uint64(i)
+		byID[i], prefix[i] = int32(i), k.prefix()
 		idBytes += len("task-") + int(k.digits)
 		if !k.positive {
 			idBytes++
 		}
 	}
-	slices.Sort(byID)
-	for i, j := 0, 1; i < n; i = j {
-		for j = i + 1; j < n && byID[j]>>32 == byID[i]>>32; j++ {
-		}
-		slices.SortFunc(byID[i:j], func(a, b uint64) int {
-			return vmOrderOf(tr.Tasks[uint32(a)].ID).compare(vmOrderOf(tr.Tasks[uint32(b)].ID))
-		})
-	}
+	radix.Sort(byID, idx.rankOf, prefix, func(a, b int32) int {
+		return vmOrderOf(tr.Tasks[a].ID).compare(vmOrderOf(tr.Tasks[b].ID))
+	})
 	// Every VM ID is a substring of one buffer: Grow sizes it exactly, so the
 	// substrings taken while it fills are substrings of the final string.
 	var ids strings.Builder
 	ids.Grow(idBytes)
 	var digits [20]byte
-	for rank, key := range byID {
-		ti := uint32(key)
+	for rank, ti := range byID {
 		t := &tr.Tasks[ti]
-		if rank > 0 && t.ID == tr.Tasks[uint32(byID[rank-1])].ID {
+		if rank > 0 && t.ID == tr.Tasks[byID[rank-1]].ID {
 			return nil, fmt.Errorf("dcsim: trace %q repeats task ID %d", tr.Name, t.ID)
 		}
 		at := ids.Len()

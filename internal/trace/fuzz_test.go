@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -244,6 +246,35 @@ func FuzzStreamVsSlurp(f *testing.F) {
 		}
 		if got := s.Running(); got != 0 {
 			t.Fatalf("Running() = %d after exhaustion, want 0", got)
+		}
+	})
+}
+
+// FuzzEventOrder pins the stream's sort against a stable comparator sort by
+// (time, ID) on arbitrary tasks. The first byte scales the times, so the
+// corpus reaches spans of 2^32 seconds and beyond, where eventOrder falls back
+// to the comparator; then three bytes make each task, two for its time and
+// one that shuffles its (always distinct) ID.
+func FuzzEventOrder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		shift := data[0] % 48
+		var tasks []Task
+		for i := 1; i+2 < len(data) && len(tasks) < 1024; i += 3 {
+			at := int64(int16(uint16(data[i])<<8|uint16(data[i+1]))) << shift
+			tasks = append(tasks, Task{ID: int(int8(data[i+2]))*1024 + len(tasks), StartSec: at, EndSec: at + 1})
+		}
+		want := make([]int32, len(tasks))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(tasks[a].StartSec, tasks[b].StartSec), cmp.Compare(tasks[a].ID, tasks[b].ID))
+		})
+		if got := eventOrder(tasks, func(t *Task) int64 { return t.StartSec }); !slices.Equal(got, want) {
+			t.Fatalf("eventOrder %v, want %v", got, want)
 		}
 	})
 }

@@ -3,6 +3,8 @@ package trace
 import (
 	"cmp"
 	"slices"
+
+	"repro/internal/radix"
 )
 
 // The streaming arrival feed: the offline simulator replays a trace by
@@ -12,7 +14,8 @@ import (
 // consumer only ever sees the past. The stream sorts two index permutations
 // of the tasks once, one by start and one by end (no Task copies), and walks
 // a cursor over each; memory beyond the trace itself is those two int32
-// permutations, whatever the number of tasks running.
+// permutations, whatever the number of tasks running. A Restart cursor shares
+// the permutations, so a feed read by several consumers is sorted once.
 
 // EventKind distinguishes the two stream events.
 type EventKind uint8
@@ -75,8 +78,8 @@ func NewStream(tr *Trace) *Stream {
 // their tasks by start, so the arrival order is a scan; the departure order is
 // a real sort, and a comparator call per comparison made it the most expensive
 // part of a short replay. When the times span less than 2^32 seconds the
-// indices are therefore sorted as packed (time, index) integers, which needs
-// no comparator, and only the runs of equal times are left to put in ID order.
+// indices are therefore radix-sorted by their offset from the earliest time,
+// and only the runs of equal times are left to a comparator, for ID order.
 func eventOrder(tasks []Task, at func(*Task) int64) []int32 {
 	order := make([]int32, len(tasks))
 	for i := range order {
@@ -96,20 +99,18 @@ func eventOrder(tasks []Task, at func(*Task) int64) []int32 {
 		slices.SortFunc(order, byTimeThenID)
 		return order
 	}
-	packed := make([]uint64, len(tasks))
+	keys := make([]uint32, len(tasks))
 	for i := range tasks {
-		packed[i] = (uint64(at(&tasks[i]))-uint64(lo))<<32 | uint64(i)
+		keys[i] = uint32(at(&tasks[i]) - lo)
 	}
-	slices.Sort(packed)
-	for i, key := range packed {
-		order[i] = int32(uint32(key))
-	}
-	for i, j := 0, 1; i < len(order); i = j {
-		for j = i + 1; j < len(order) && packed[j]>>32 == packed[i]>>32; j++ {
-		}
-		slices.SortFunc(order[i:j], byTimeThenID)
-	}
+	radix.Sort(order, make([]int32, len(tasks)), keys, byTimeThenID)
 	return order
+}
+
+// Restart returns a new cursor at the start of the same feed. It shares the
+// sorted permutations read-only, so cursors may be walked concurrently.
+func (s *Stream) Restart() *Stream {
+	return &Stream{tasks: s.tasks, byStart: s.byStart, byEnd: s.byEnd}
 }
 
 // Next returns the next event in time order, or ok=false when the stream is

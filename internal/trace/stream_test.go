@@ -142,3 +142,49 @@ func TestStreamEmptyTrace(t *testing.T) {
 		t.Fatal("empty trace has running tasks")
 	}
 }
+
+// TestStreamRestart interleaves two cursors over one sorted feed and restarts
+// one of them mid-walk: each must yield exactly NewStream's events, so sharing
+// the permutations never lets one consumer move another.
+func TestStreamRestart(t *testing.T) {
+	tr, err := Generate(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Event
+	for s := NewStream(tr); ; {
+		ev, ok := s.Next()
+		if !ok {
+			break
+		}
+		want = append(want, ev)
+	}
+	first := NewStream(tr)
+	cursors := []*Stream{first, first.Restart()}
+	pos := []int{0, 0}
+	step := func(c int) {
+		ev, ok := cursors[c].Next()
+		if pos[c] == len(want) {
+			if ok {
+				t.Fatalf("cursor %d yielded %+v past the end", c, ev)
+			}
+			return
+		}
+		if !ok || ev != want[pos[c]] {
+			t.Fatalf("cursor %d event %d: got %+v (ok %v), want %+v", c, pos[c], ev, ok, want[pos[c]])
+		}
+		pos[c]++
+	}
+	restarted := false
+	for pos[0] < len(want) || pos[1] < len(want) {
+		step(0)
+		step(1)
+		step(1)
+		if !restarted && pos[0] == len(want)/2 {
+			cursors[0], pos[0], restarted = cursors[1].Restart(), 0, true
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the trace yielded no events")
+	}
+}
