@@ -55,21 +55,15 @@ const (
 )
 
 func main() {
-	addr := flag.String("addr", ":8870", "listen address")
-	token := flag.String("token", "", "bearer token every request must present (empty disables auth)")
-	quota := flag.Int("quota", 0, "per-tenant request budget per quota window (0 disables rate limiting)")
-	quotaWindow := flag.Int("quota-window", 1, "quota window in seconds")
-	ttl := flag.Int("ttl", 0, "evict sessions idle longer than this many seconds (0 disables)")
-	maxSessions := flag.Int("max-sessions", 64, "maximum live sessions")
-	maxServers := flag.Int("max-servers", 256, "maximum racks*servers per created fleet")
-	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof/* profiling endpoints (behind auth)")
-	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ln, err := net.Listen("tcp", *addr)
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	var ln net.Listener
 	if err == nil {
-		err = run(ctx, ln, *token, *quota, *quotaWindow, *ttl, *maxSessions, *maxServers, *pprofOn)
+		ln, err = net.Listen("tcp", cfg.addr)
+	}
+	if err == nil {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		err = run(ctx, ln, cfg)
+		stop()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetd:", err)
@@ -77,39 +71,60 @@ func main() {
 	}
 }
 
+// config is fleetd's command line.
+type config struct {
+	addr, token             string
+	quota, quotaWindow, ttl int
+	maxSessions, maxServers int
+	pprof                   bool
+}
+
+// parseFlags binds the command line into one config and validates it with
+// the valid ranges (shared helpers, the same messages as fleetsim/onlinesim),
+// so a bad flag fails before anything listens.
+func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
+	var cfg config
+	fs.StringVar(&cfg.addr, "addr", ":8870", "listen address")
+	fs.StringVar(&cfg.token, "token", "", "bearer token every request must present (empty disables auth)")
+	fs.IntVar(&cfg.quota, "quota", 0, "per-tenant request budget per quota window (0 disables rate limiting)")
+	fs.IntVar(&cfg.quotaWindow, "quota-window", 1, "quota window in seconds")
+	fs.IntVar(&cfg.ttl, "ttl", 0, "evict sessions idle longer than this many seconds (0 disables)")
+	fs.IntVar(&cfg.maxSessions, "max-sessions", 64, "maximum live sessions")
+	fs.IntVar(&cfg.maxServers, "max-servers", 256, "maximum racks*servers per created fleet")
+	fs.BoolVar(&cfg.pprof, "pprof", false, "mount /debug/pprof/* profiling endpoints (behind auth)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	return cfg, cliflag.FirstError(
+		cliflag.NonNegativeInt("-quota", cfg.quota),
+		cliflag.PositiveInt("-quota-window", cfg.quotaWindow),
+		cliflag.NonNegativeInt("-ttl", cfg.ttl),
+		cliflag.PositiveInt("-max-sessions", cfg.maxSessions),
+		cliflag.PositiveInt("-max-servers", cfg.maxServers),
+	)
+}
+
 // run serves the gateway on ln, which it owns, until ctx is cancelled, then
 // drains: Shutdown waits up to drainTimeout for in-flight requests, Close
 // drops the rest, and the gateway's evictor stops last.
-func run(ctx context.Context, ln net.Listener, token string, quota, quotaWindow, ttl, maxSessions, maxServers int, pprofOn bool) error {
+func run(ctx context.Context, ln net.Listener, cfg config) error {
 	defer ln.Close() // a second close after Shutdown's is harmless
-	// Upfront flag validation with the valid ranges (shared helpers, the
-	// same messages as fleetsim/onlinesim), before any server state exists.
-	if err := cliflag.FirstError(
-		cliflag.NonNegativeInt("-quota", quota),
-		cliflag.PositiveInt("-quota-window", quotaWindow),
-		cliflag.NonNegativeInt("-ttl", ttl),
-		cliflag.PositiveInt("-max-sessions", maxSessions),
-		cliflag.PositiveInt("-max-servers", maxServers),
-	); err != nil {
-		return err
-	}
-
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	srv := zombieland.NewGateway(zombieland.GatewayConfig{
-		Token:       token,
-		QuotaLimit:  quota,
-		QuotaWindow: time.Duration(quotaWindow) * time.Second,
-		SessionTTL:  time.Duration(ttl) * time.Second,
-		MaxSessions: maxSessions,
-		MaxServers:  maxServers,
+		Token:       cfg.token,
+		QuotaLimit:  cfg.quota,
+		QuotaWindow: time.Duration(cfg.quotaWindow) * time.Second,
+		SessionTTL:  time.Duration(cfg.ttl) * time.Second,
+		MaxSessions: cfg.maxSessions,
+		MaxServers:  cfg.maxServers,
 		LogHandler:  logger.Handler(),
-		EnablePprof: pprofOn,
+		EnablePprof: cfg.pprof,
 	})
 	defer srv.Close()
 	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
-	logger.Info("serving", "addr", ln.Addr().String(), "auth", token != "",
-		"quota", quota, "quota_window_s", quotaWindow, "ttl_s", ttl, "pprof", pprofOn)
+	logger.Info("serving", "addr", ln.Addr().String(), "auth", cfg.token != "",
+		"quota", cfg.quota, "quota_window_s", cfg.quotaWindow, "ttl_s", cfg.ttl, "pprof", cfg.pprof)
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 	select {

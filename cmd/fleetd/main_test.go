@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"io"
 	"net"
 	"net/http"
@@ -27,7 +28,11 @@ func TestRunDrainsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, ln, "", 0, 1, 0, 64, 256, false) }()
+	cfg, err := parseFlags(flag.NewFlagSet("fleetd", flag.ContinueOnError), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { done <- run(ctx, ln, cfg) }()
 
 	// A keep-alive client that reads the body to EOF, so the connection goes
 	// back to its pool and the drain has an idle connection to close.
@@ -64,5 +69,44 @@ func TestRunDrainsOnCancel(t *testing.T) {
 			t.Fatalf("%d goroutines 5s after run returned, %d before it started", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFleetdFlagErrors pins the upfront validation of the serving flags: each
+// is rejected with the shared cliflag message, and parsing a bad command line
+// leaves its -addr unbound, so the flag error is what a user sees even when
+// the port is taken.
+func TestFleetdFlagErrors(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-quota", "-1"}, "-quota -1 out of range (need >= 0)"},
+		{[]string{"-quota-window", "0"}, "-quota-window 0 out of range (need >= 1)"},
+		{[]string{"-ttl", "-5"}, "-ttl -5 out of range (need >= 0)"},
+		{[]string{"-max-sessions", "0"}, "-max-sessions 0 out of range (need >= 1)"},
+		{[]string{"-max-servers", "-1"}, "-max-servers -1 out of range (need >= 1)"},
+		{[]string{"-quota", "-1", "-ttl", "-1"}, "-quota -1 out of range (need >= 0)"},
+	}
+	for _, c := range cases {
+		// A port that was free a moment ago: parsing must not take it.
+		probe, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := probe.Addr().String()
+		probe.Close()
+
+		fs := flag.NewFlagSet("fleetd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err = parseFlags(fs, append([]string{"-addr", addr}, c.args...))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("fleetd %v = %v, want %q", c.args, err, c.want)
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("fleetd %v left %s bound: %v", c.args, addr, err)
+		}
+		ln.Close()
 	}
 }

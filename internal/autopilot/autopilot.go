@@ -65,25 +65,25 @@ type Config struct {
 // cumulative stream and energy counters up to that instant.
 type TickEvent struct {
 	// AtSec is the tick instant; Tick its ordinal (1-based).
-	AtSec int64
-	Tick  int
+	AtSec int64 `json:"at_sec"`
+	Tick  int   `json:"tick"`
 	// The posture installed for the next interval.
-	ActiveHosts     int
-	ZombieHosts     int
-	MemoryServers   int
-	SleepHosts      int
-	RemoteMemoryGiB float64
+	ActiveHosts     int     `json:"active_hosts"`
+	ZombieHosts     int     `json:"zombie_hosts"`
+	MemoryServers   int     `json:"memory_servers"`
+	SleepHosts      int     `json:"sleep_hosts"`
+	RemoteMemoryGiB float64 `json:"remote_gib"`
 	// Running is the admitted population present at the tick.
-	Running int
+	Running int `json:"running"`
 	// Cumulative stream counters as of this tick.
-	Arrivals       int
-	Admitted       int
-	Rejected       int
-	EmergencyWakes int
+	Arrivals       int `json:"arrivals"`
+	Admitted       int `json:"admitted"`
+	Rejected       int `json:"rejected"`
+	EmergencyWakes int `json:"emergency_wakes"`
 	// Cumulative energy ledger as of this tick (the interval just billed
 	// included), in joules.
-	EnergyJoules   float64
-	BaselineJoules float64
+	EnergyJoules   float64 `json:"energy_j"`
+	BaselineJoules float64 `json:"baseline_j"`
 }
 
 // Validate checks the configuration.

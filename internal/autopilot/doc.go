@@ -3,7 +3,6 @@
 // (trace.Stream), admits and places each task at its arrival instant, and on
 // a configurable tick re-plans consolidation incrementally — the adopted
 // posture is diffed into suspend/zombie/wake events via consolidation.Delta
-// (consolidation.Replan packages plan and delta for cost-aware controllers)
 // — under a pluggable online policy: reactive threshold, hysteresis
 // watermarks, or predictive EWMA forecasting.
 //

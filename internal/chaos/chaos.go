@@ -179,11 +179,11 @@ func (p *Plan) Validate() error {
 
 // Tally counts the plan's faults per kind.
 type Tally struct {
-	Crashes            int
-	WakeFailures       int
-	ControllerLosses   int
-	FabricDegradations int
-	TraceBursts        int
+	Crashes            int `json:"crashes"`
+	WakeFailures       int `json:"wake_failures"`
+	ControllerLosses   int `json:"controller_losses"`
+	FabricDegradations int `json:"fabric_degradations"`
+	TraceBursts        int `json:"trace_bursts"`
 }
 
 // Total sums the tally.

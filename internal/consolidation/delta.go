@@ -59,19 +59,6 @@ func Delta(prev, next FleetPlan, vmCount int) PlanDelta {
 	return d
 }
 
-// Replan is the incremental re-plan entry point for online controllers: it
-// evaluates the policy on the currently observed population and derives, in
-// the same call, the transition delta that moves the fleet from its previous
-// posture to the new plan — what a cost-aware tick needs to weigh adopting
-// the fresh plan against the churn it implies. Offline replay calls Plan and
-// Delta separately because it walks whole epochs with the epoch's posture
-// pair in hand; Replan answers against whatever posture the fleet actually
-// holds.
-func Replan(p Policy, prev FleetPlan, vms []VMDemand, spec ServerSpec, totalServers int) (FleetPlan, PlanDelta) {
-	next := p.Plan(vms, spec, totalServers)
-	return next, Delta(prev, next, len(vms))
-}
-
 // split decomposes a signed count into (increase, decrease).
 func split(delta int) (up, down int) {
 	if delta > 0 {

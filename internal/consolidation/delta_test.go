@@ -128,22 +128,3 @@ func TestDeltaMemoryServerOnlyChange(t *testing.T) {
 		t.Errorf("transitions = %d, want 4 (2 starts + 2 sleep exits)", d.Transitions())
 	}
 }
-
-func TestReplan(t *testing.T) {
-	// Replan must return exactly what Plan + Delta return separately.
-	vms := []VMDemand{
-		{ID: "a", BookedCPU: 4, BookedMemGiB: 12, UsedCPU: 2, UsedMemGiB: 6},
-		{ID: "b", BookedCPU: 2, BookedMemGiB: 6, UsedCPU: 0.005, UsedMemGiB: 2},
-	}
-	spec := DefaultServerSpec()
-	pol := NewZombieStack()
-	prev := InitialPlan(10)
-	plan, delta := Replan(pol, prev, vms, spec, 10)
-	wantPlan := pol.Plan(vms, spec, 10)
-	if plan != wantPlan {
-		t.Errorf("Replan plan = %+v, want %+v", plan, wantPlan)
-	}
-	if want := Delta(prev, wantPlan, len(vms)); delta != want {
-		t.Errorf("Replan delta = %+v, want %+v", delta, want)
-	}
-}

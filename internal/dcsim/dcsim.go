@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
@@ -182,8 +180,8 @@ type ReplayIndex struct {
 	ranks  []int32
 	// rankOf is indexed by a task's position in the trace.
 	rankOf []int32
-	// ends and demand are indexed by rank. The demands' VM IDs are substrings
-	// of one buffer, formatted once per trace.
+	// ends and demand are indexed by rank. A demand carries no VM ID: no
+	// simulation reads one, and the rank already holds the ID order.
 	ends   []int64
 	demand []consolidation.VMDemand
 }
@@ -254,35 +252,21 @@ func NewReplayIndex(tr *trace.Trace) (*ReplayIndex, error) {
 	// The ID order is built in idx.ranks, with idx.rankOf as the sort's
 	// scratch: both are rewritten below once the order has been read.
 	byID, prefix := idx.ranks, make([]uint32, n)
-	idBytes := 0
 	for i := range tr.Tasks {
-		k := vmOrderOf(tr.Tasks[i].ID)
-		byID[i], prefix[i] = int32(i), k.prefix()
-		idBytes += len("task-") + int(k.digits)
-		if !k.positive {
-			idBytes++
-		}
+		byID[i], prefix[i] = int32(i), vmOrderOf(tr.Tasks[i].ID).prefix()
 	}
 	radix.Sort(byID, idx.rankOf, prefix, func(a, b int32) int {
 		return vmOrderOf(tr.Tasks[a].ID).compare(vmOrderOf(tr.Tasks[b].ID))
 	})
-	// Every VM ID is a substring of one buffer: Grow sizes it exactly, so the
-	// substrings taken while it fills are substrings of the final string.
-	var ids strings.Builder
-	ids.Grow(idBytes)
-	var digits [20]byte
 	for rank, ti := range byID {
 		t := &tr.Tasks[ti]
 		if rank > 0 && t.ID == tr.Tasks[byID[rank-1]].ID {
 			return nil, fmt.Errorf("dcsim: trace %q repeats task ID %d", tr.Name, t.ID)
 		}
-		at := ids.Len()
-		ids.WriteString("task-")
-		ids.Write(strconv.AppendInt(digits[:0], int64(t.ID), 10))
 		idx.rankOf[ti] = int32(rank)
 		idx.ends[rank] = t.EndSec
 		idx.demand[rank] = consolidation.VMDemand{
-			ID: ids.String()[at:], BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB,
+			BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB,
 			UsedCPU: t.UsedCPU, UsedMemGiB: t.UsedMemGiB,
 		}
 	}
@@ -304,7 +288,8 @@ func NewReplayIndex(tr *trace.Trace) (*ReplayIndex, error) {
 // Rank returns the rank of the task at position task of the trace's Tasks.
 func (idx *ReplayIndex) Rank(task int) int32 { return idx.rankOf[task] }
 
-// Demand returns the consolidation-level view of the VM of the given rank.
+// Demand returns the consolidation-level view of the VM of the given rank,
+// whose ID is left empty.
 func (idx *ReplayIndex) Demand(rank int32) consolidation.VMDemand { return idx.demand[rank] }
 
 // liveCounts returns how many VMs each epoch's population holds, in one sweep

@@ -37,17 +37,28 @@ func seekCase(data []byte) (*trace.Trace, int64) {
 	return tr, period
 }
 
+// vmIDsByRank returns the VM ID of every rank, taken from the tasks through
+// Rank: the index itself keeps no ID strings.
+func vmIDsByRank(tr *trace.Trace, idx *ReplayIndex) []string {
+	ids := make([]string, len(tr.Tasks))
+	for i, task := range tr.Tasks {
+		ids[idx.Rank(i)] = task.VMID()
+	}
+	return ids
+}
+
 // checkSeek is the brute-force oracle: whatever epoch a replayer starts at,
 // the population it holds for every later epoch must equal "filter the tasks
 // overlapping the span, sort by VM-ID string", element for element, its
 // Demand must be SumDemand of that slice, and it must fit the buffers sized
-// from liveCounts.
+// from liveCounts. A held VM's ID is its task's, reached through Rank.
 func checkSeek(t *testing.T, tr *trace.Trace, periodSec int64) {
 	t.Helper()
 	idx, err := NewReplayIndex(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ids := vmIDsByRank(tr, idx)
 	spans := epochSpans(tr.HorizonSec, periodSec)
 	live := idx.liveCounts(periodSec, len(spans))
 	want := make([][]consolidation.VMDemand, len(spans))
@@ -73,6 +84,7 @@ func checkSeek(t *testing.T, tr *trace.Trace, periodSec int64) {
 			got := make([]consolidation.VMDemand, len(rep.running))
 			for i, rank := range rep.running {
 				got[i] = idx.Demand(rank)
+				got[i].ID = ids[rank]
 			}
 			if !slices.Equal(got, want[j]) {
 				t.Fatalf("period %d: seek to epoch %d, population of epoch %d\n got %v\nwant %v", periodSec, k, j, got, want[j])
@@ -214,8 +226,8 @@ func TestRunRejectsDuplicateTaskIDs(t *testing.T) {
 
 // TestCompareFormatsVMIDsOncePerTrace pins the sharing: a comparison is six
 // runs in one walk of one trace. It allocates the index's few buffers and the
-// walk's replayer once, plus a small constant per run — the VM IDs are one
-// buffer, not one string per task, let alone one per task per run, and a
+// walk's replayer once, plus a small constant per run — no VM ID is formatted
+// at all (ranks carry the ID order), let alone one per task per run, and a
 // replayer per run (three buffers each) does not fit the budget.
 func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	tr := engineTestTrace(t)
@@ -228,7 +240,7 @@ func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	compare()
 	runs := len(energy.Profiles()) * len(consolidation.Contenders())
 	got := countAllocs(compare)
-	if budget := uint64(24 + 4*runs); got > budget {
+	if budget := uint64(23 + 4*runs); got > budget {
 		t.Fatalf("CompareOpts over %d tasks x %d runs costs %d allocs, budget %d", len(tr.Tasks), runs, got, budget)
 	}
 	t.Logf("CompareOpts: %d allocs for %d tasks x %d runs", got, len(tr.Tasks), runs)
@@ -277,17 +289,34 @@ func TestVMOrderIsTheStringOrder(t *testing.T) {
 	}
 }
 
-// FuzzVMOrder feeds checkVMOrder arbitrary pairs; the corpus checked in under
-// testdata/fuzz holds the pairs of vmOrderCases named in its comment.
+// FuzzVMOrder feeds checkVMOrder arbitrary pairs, and checks that an index
+// over the two tasks ranks them in the string order of their VM IDs; the
+// corpus checked in under testdata/fuzz holds the pairs of vmOrderCases named
+// in its comment.
 func FuzzVMOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b int64) {
 		checkVMOrder(t, int(a), int(b))
+		if a == b {
+			return
+		}
+		tr := &trace.Trace{Name: "pair", Machines: 1, HorizonSec: 1, Tasks: []trace.Task{
+			{ID: int(a), EndSec: 1, BookedCPU: 1, BookedMemGiB: 1},
+			{ID: int(b), EndSec: 1, BookedCPU: 1, BookedMemGiB: 1},
+		}}
+		idx, err := NewReplayIndex(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := vmIDsByRank(tr, idx)
+		if strings.Compare(ids[0], ids[1]) >= 0 {
+			t.Fatalf("ranks order %s before %s", ids[0], ids[1])
+		}
 	})
 }
 
 // TestReplayIndexRanksAreTheStringOrder builds the index over IDs chosen to
-// collide in the presort (shared prefixes) and checks ranks, lookups and the
-// shared ID buffer against the formatted strings.
+// collide in the presort (shared prefixes) and checks ranks and lookups
+// against the formatted strings.
 func TestReplayIndexRanksAreTheStringOrder(t *testing.T) {
 	tr := &trace.Trace{Name: "ranks", Machines: 1, HorizonSec: 10}
 	for i, id := range vmOrderCases {
@@ -303,12 +332,12 @@ func TestReplayIndexRanksAreTheStringOrder(t *testing.T) {
 	}
 	slices.Sort(want)
 	for i, task := range tr.Tasks {
-		v := idx.Demand(idx.Rank(i))
-		if v.ID != task.VMID() || v.BookedMemGiB != task.BookedMemGiB {
+		rank := idx.Rank(i)
+		if v := idx.Demand(rank); v.BookedMemGiB != task.BookedMemGiB {
 			t.Fatalf("task %d (%s): index holds %+v", i, task.VMID(), v)
 		}
-		if want[idx.Rank(i)] != v.ID {
-			t.Fatalf("%s has rank %d, sorted strings put %s there", v.ID, idx.Rank(i), want[idx.Rank(i)])
+		if want[rank] != task.VMID() {
+			t.Fatalf("%s has rank %d, sorted strings put %s there", task.VMID(), rank, want[rank])
 		}
 	}
 }

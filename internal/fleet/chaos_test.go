@@ -58,12 +58,12 @@ func TestCrashedServerExcludedFromPlacement(t *testing.T) {
 	if err := f.CrashServer(0, names[0]); err != nil {
 		t.Fatal(err)
 	}
-	p, err := f.PlaceVM(vm.New("vm-0", 256<<20, 128<<20), core.CreateVMOptions{})
+	ps, err := f.PlaceVMs([]vm.VM{vm.New("vm-0", 256<<20, 128<<20)}, core.CreateVMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Host == names[0] {
-		t.Fatalf("VM placed on crashed server %s", p.Host)
+	if p := ps[0]; p.Err != "" || p.Host == names[0] {
+		t.Fatalf("placement %+v, want a host other than crashed %s", p, names[0])
 	}
 }
 
@@ -175,12 +175,12 @@ func TestFleetChaosUnderRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			id := fmt.Sprintf("race-vm-%02d", i)
-			p, err := f.PlaceVM(vm.New(id, 1<<30, 512<<20), core.CreateVMOptions{})
-			if err != nil {
+			ps, err := f.PlaceVMs([]vm.VM{vm.New(id, 1<<30, 512<<20)}, core.CreateVMOptions{})
+			if err != nil || ps[0].Err != "" {
 				continue // capacity pressure and crashes may refuse arrivals
 			}
 			placedMu.Lock()
-			placed[p.VM] = true
+			placed[id] = true
 			placedMu.Unlock()
 			if i%3 == 0 {
 				if err := f.DestroyVM(id); err == nil {

@@ -1,53 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-
-	"repro/internal/acpi"
-	"repro/internal/core"
-	"repro/internal/vm"
-)
-
-// Dynamic arrival/departure surface: the batch entry points serve offline
-// replay, but an online control plane admits one VM at a time and wants to
-// observe the fleet's churn. PlaceVM is the single-arrival convenience and
-// VMHooks the observation channel; both reuse the batched machinery so a
-// dynamic arrival follows exactly the same partitioning, borrowing and
-// admission path as a batch of one.
-
-// VMHooks observes dynamic VM arrivals and departures on a fleet. Hooks are
-// called synchronously after the fleet bookkeeping is updated, while the
-// batch lock is still held: read-only accessors (RackOf, BorrowLedger,
-// FabricStats...) are safe inside a hook, batch entry points (PlaceVMs,
-// DestroyVM, RunWorkloads, FailoverRack) are not.
-type VMHooks struct {
-	// OnArrival fires for every successfully placed VM, batch or single.
-	OnArrival func(Placement)
-	// OnDeparture fires for every destroyed VM with the rack that hosted it.
-	OnDeparture func(vmID, rack string)
-}
-
-// SetVMHooks installs the hooks (replacing any previous set).
-func (f *Fleet) SetVMHooks(h VMHooks) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.hooks = h
-}
-
-// PlaceVM places a single VM through the batched placement path — the
-// dynamic-arrival entry point of the online control plane. Unlike a batch,
-// a placement failure is returned as an error.
-func (f *Fleet) PlaceVM(spec vm.VM, opts core.CreateVMOptions) (Placement, error) {
-	placements, err := f.PlaceVMs([]vm.VM{spec}, opts)
-	if err != nil {
-		return Placement{}, err
-	}
-	p := placements[0]
-	if p.Err != "" {
-		return p, fmt.Errorf("fleet: placing VM %s: %s", spec.ID, p.Err)
-	}
-	return p, nil
-}
+import "repro/internal/acpi"
 
 // Suspend moves one rack's server into a conventional sleep state (S3/S4);
 // Sz routes through the zombie path. The counterpart of PushToZombie for

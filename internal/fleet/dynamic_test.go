@@ -4,56 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/acpi"
-	"repro/internal/core"
-	"repro/internal/vm"
 )
 
-// TestFleetDynamicArrivalHooks drives the online control plane's surface:
-// single-VM placement through PlaceVM, arrival/departure observation through
-// VMHooks, and the conventional-sleep path through Suspend.
-func TestFleetDynamicArrivalHooks(t *testing.T) {
+// TestFleetSuspend drives the conventional-sleep path: Suspend routes S3
+// through the server's sleep transition and refuses a bad rack index.
+func TestFleetSuspend(t *testing.T) {
 	f, err := New(testConfig(2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	var arrived []Placement
-	var departed []string
-	f.SetVMHooks(VMHooks{
-		OnArrival:   func(p Placement) { arrived = append(arrived, p) },
-		OnDeparture: func(vmID, rack string) { departed = append(departed, vmID+"@"+rack) },
-	})
-
-	p, err := f.PlaceVM(vm.New("solo", 256<<20, 128<<20), core.CreateVMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arrived) != 1 || arrived[0].VM != "solo" || arrived[0].Rack != p.Rack {
-		t.Fatalf("arrival hook saw %+v, want the solo placement on %s", arrived, p.Rack)
-	}
-
-	// Batch placements feed the same hook, one call per placed VM.
-	if _, err := f.PlaceVMs([]vm.VM{
-		vm.New("batch-a", 128<<20, 64<<20),
-		vm.New("batch-b", 128<<20, 64<<20),
-	}, core.CreateVMOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(arrived) != 3 {
-		t.Fatalf("after a batch of two, arrival hook fired %d times, want 3", len(arrived))
-	}
-
-	if err := f.DestroyVM("solo"); err != nil {
-		t.Fatal(err)
-	}
-	if len(departed) != 1 || departed[0] != "solo@"+p.Rack {
-		t.Fatalf("departure hook saw %v, want [solo@%s]", departed, p.Rack)
-	}
-
-	// An oversized single arrival surfaces the placement failure as an error
-	// instead of a silent Err field.
-	if _, err := f.PlaceVM(vm.New("whale", 64<<30, 32<<30), core.CreateVMOptions{}); err == nil {
-		t.Fatal("PlaceVM accepted a VM larger than the fleet")
 	}
 
 	// Suspend routes S3 through the conventional sleep path and Sz through

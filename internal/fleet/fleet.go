@@ -50,7 +50,6 @@ type Fleet struct {
 	gateways  map[gwKey]*memctl.Agent
 	ledger    []Borrow
 	overflows []*rackOverflow
-	hooks     VMHooks
 	// crashed and injector are the fault surface (see chaos.go): crashed
 	// servers are refused by every control-plane path and skipped by batch
 	// placement; the injector force-fails individual wake attempts. The
@@ -341,11 +340,7 @@ func (f *Fleet) DestroyVM(vmID string) error {
 	}
 	f.mu.Lock()
 	f.setVMRackLocked(vmID, -1)
-	onDeparture := f.hooks.OnDeparture
 	f.mu.Unlock()
-	if onDeparture != nil {
-		onDeparture(vmID, f.names[rack])
-	}
 	return nil
 }
 

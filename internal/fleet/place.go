@@ -140,15 +140,7 @@ func (f *Fleet) PlaceVMs(specs []vm.VM, opts core.CreateVMOptions) ([]Placement,
 			f.setVMRackLocked(results[i].VM, int(rackIdx[i]))
 		}
 	}
-	onArrival := f.hooks.OnArrival
 	f.mu.Unlock()
-	if onArrival != nil {
-		for _, p := range results {
-			if p.Err == "" {
-				onArrival(p)
-			}
-		}
-	}
 	f.observePlacement(len(specs), plans, results)
 	return results, nil
 }

@@ -57,18 +57,12 @@ type chaosRequest struct {
 }
 
 type chaosResponse struct {
-	Scenario string    `json:"scenario"`
-	Seed     int64     `json:"seed"`
-	Faults   tallyJSON `json:"faults"`
-}
-
-type tallyJSON struct {
-	Crashes            int `json:"crashes"`
-	WakeFailures       int `json:"wake_failures"`
-	ControllerLosses   int `json:"controller_losses"`
-	FabricDegradations int `json:"fabric_degradations"`
-	TraceBursts        int `json:"trace_bursts"`
-	Total              int `json:"total"`
+	Scenario string `json:"scenario"`
+	Seed     int64  `json:"seed"`
+	Faults   struct {
+		chaos.Tally
+		Total int `json:"total"`
+	} `json:"faults"`
 }
 
 func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
@@ -96,19 +90,10 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	sess.chaosSeed = req.Seed
 	sess.chaosPreview = plan
 	sess.mu.Unlock()
-	t := plan.Tally()
-	writeJSON(w, http.StatusOK, chaosResponse{
-		Scenario: req.Scenario,
-		Seed:     req.Seed,
-		Faults: tallyJSON{
-			Crashes:            t.Crashes,
-			WakeFailures:       t.WakeFailures,
-			ControllerLosses:   t.ControllerLosses,
-			FabricDegradations: t.FabricDegradations,
-			TraceBursts:        t.TraceBursts,
-			Total:              t.Total(),
-		},
-	})
+	resp := chaosResponse{Scenario: req.Scenario, Seed: req.Seed}
+	resp.Faults.Tally = plan.Tally()
+	resp.Faults.Total = resp.Faults.Tally.Total()
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleAutopilotStart starts one online control-plane run in the
@@ -178,43 +163,10 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// tickJSON is one NDJSON line of the event stream.
-type tickJSON struct {
-	Type           string  `json:"type"`
-	AtSec          int64   `json:"at_sec"`
-	Tick           int     `json:"tick"`
-	ActiveHosts    int     `json:"active_hosts"`
-	ZombieHosts    int     `json:"zombie_hosts"`
-	MemoryServers  int     `json:"memory_servers"`
-	SleepHosts     int     `json:"sleep_hosts"`
-	RemoteGiB      float64 `json:"remote_gib"`
-	Running        int     `json:"running"`
-	Arrivals       int     `json:"arrivals"`
-	Admitted       int     `json:"admitted"`
-	Rejected       int     `json:"rejected"`
-	EmergencyWakes int     `json:"emergency_wakes"`
-	EnergyJoules   float64 `json:"energy_j"`
-	BaselineJoules float64 `json:"baseline_j"`
-}
-
-func tickLine(ev autopilot.TickEvent) tickJSON {
-	return tickJSON{
-		Type:           "tick",
-		AtSec:          ev.AtSec,
-		Tick:           ev.Tick,
-		ActiveHosts:    ev.ActiveHosts,
-		ZombieHosts:    ev.ZombieHosts,
-		MemoryServers:  ev.MemoryServers,
-		SleepHosts:     ev.SleepHosts,
-		RemoteGiB:      ev.RemoteMemoryGiB,
-		Running:        ev.Running,
-		Arrivals:       ev.Arrivals,
-		Admitted:       ev.Admitted,
-		Rejected:       ev.Rejected,
-		EmergencyWakes: ev.EmergencyWakes,
-		EnergyJoules:   ev.EnergyJoules,
-		BaselineJoules: ev.BaselineJoules,
-	}
+// tickLine is one NDJSON line of the event stream.
+type tickLine struct {
+	Type string `json:"type"`
+	autopilot.TickEvent
 }
 
 // handleAutopilotEvents streams the run's tick telemetry as NDJSON: the
@@ -243,7 +195,7 @@ func (s *Server) handleAutopilotEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		evs, done, wait := run.snapshot(next)
 		for _, ev := range evs {
-			if err := enc.Encode(tickLine(ev)); err != nil {
+			if err := enc.Encode(tickLine{"tick", ev}); err != nil {
 				return // subscriber went away
 			}
 		}

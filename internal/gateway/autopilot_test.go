@@ -369,3 +369,57 @@ func TestAutopilotEventsCancel(t *testing.T) {
 		t.Fatalf("healthz after cancelled stream = %d", status)
 	}
 }
+
+// TestAutopilotWireBytes pins the exact bytes of one NDJSON tick line and of
+// the chaos response's faults object: their keys, key order and number
+// formatting are the wire contract, whichever Go types render them.
+func TestAutopilotWireBytes(t *testing.T) {
+	const token = "secret"
+	_, ts := newTestGateway(t, Config{Token: token})
+	fleetID := createFleet(t, ts.URL, token, `{}`)
+
+	status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/fleets/"+fleetID+"/chaos", token, `{"scenario":"light","seed":11}`)
+	if status != http.StatusOK {
+		t.Fatalf("chaos = %d %s", status, body)
+	}
+	const wantChaos = `{
+  "scenario": "light",
+  "seed": 11,
+  "faults": {
+    "crashes": 2,
+    "wake_failures": 3,
+    "controller_losses": 1,
+    "fabric_degradations": 1,
+    "trace_bursts": 1,
+    "total": 8
+  }
+}
+`
+	if body != wantChaos {
+		t.Errorf("chaos response bytes:\n%s\nwant:\n%s", body, wantChaos)
+	}
+
+	// A fresh fleet has no chaos armed, so its run is the fault-free loop.
+	fleetID = createFleet(t, ts.URL, token, `{}`)
+	if status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/fleets/"+fleetID+"/autopilot", token, smallRun); status != http.StatusAccepted {
+		t.Fatalf("start = %d %s", status, body)
+	}
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/fleets/"+fleetID+"/autopilot/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	first, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantTick = `{"type":"tick","at_sec":600,"tick":1,"active_hosts":4,"zombie_hosts":1,"memory_servers":0,"sleep_hosts":5,"remote_gib":4.514763689352378,"running":7,"arrivals":15,"admitted":15,"rejected":0,"emergency_wakes":0,"energy_j":425342.9609645446,"baseline_j":423296.4925746485}` + "\n"
+	if first != wantTick {
+		t.Errorf("first tick line:\n%q\nwant:\n%q", first, wantTick)
+	}
+}

@@ -302,23 +302,55 @@ func seriesName(name, k1, v1, k2, v2 string) string {
 	return s + "}"
 }
 
-// CounterVec is a family of counters keyed by one label value. The fast
-// path (an existing label value) is one RLock'd map hit with no
-// allocations.
-type CounterVec struct {
-	r          *Registry
-	name, help string
-	key        string
-	mu         sync.RWMutex
-	m          map[string]*Counter
+// keyedVec is the one routine behind every labelled family: a series per
+// key, created through create on first use. The fast path (an existing key)
+// is one RLock'd map hit with no allocations; past maxVecSeries distinct
+// keys every new key resolves to the shared overflow series.
+type keyedVec[K comparable, M any] struct {
+	mu       sync.RWMutex
+	m        map[K]*M
+	overflow K
+	create   func(K) *M
 }
+
+func newKeyedVec[K comparable, M any](overflow K, create func(K) *M) keyedVec[K, M] {
+	return keyedVec[K, M]{m: make(map[K]*M), overflow: overflow, create: create}
+}
+
+func (v *keyedVec[K, M]) with(k K) *M {
+	v.mu.RLock()
+	s := v.m[k]
+	v.mu.RUnlock()
+	if s != nil {
+		return s
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if s := v.m[k]; s != nil {
+		return s
+	}
+	if len(v.m) >= maxVecSeries {
+		k = v.overflow
+		if s := v.m[k]; s != nil {
+			return s
+		}
+	}
+	s = v.create(k)
+	v.m[k] = s
+	return s
+}
+
+// CounterVec is a family of counters keyed by one label value.
+type CounterVec struct{ keyedVec[string, Counter] }
 
 // CounterVec returns a one-label counter family.
 func (r *Registry) CounterVec(name, help, labelKey string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{r: r, name: name, help: help, key: labelKey, m: make(map[string]*Counter)}
+	return &CounterVec{newKeyedVec(overflowLabel, func(val string) *Counter {
+		return r.Counter(seriesName(name, labelKey, val, "", ""), help)
+	})}
 }
 
 // With returns the counter for one label value, creating (and registering)
@@ -328,26 +360,7 @@ func (v *CounterVec) With(val string) *Counter {
 	if v == nil {
 		return nil
 	}
-	v.mu.RLock()
-	c := v.m[val]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c := v.m[val]; c != nil {
-		return c
-	}
-	if len(v.m) >= maxVecSeries {
-		val = overflowLabel
-		if c := v.m[val]; c != nil {
-			return c
-		}
-	}
-	c = v.r.Counter(seriesName(v.name, v.key, val, "", ""), v.help)
-	v.m[val] = c
-	return c
+	return v.with(val)
 }
 
 // vecKey2 is the comparable composite key of a two-label vec; using an
@@ -355,20 +368,16 @@ func (v *CounterVec) With(val string) *Counter {
 type vecKey2 [2]string
 
 // CounterVec2 is a family of counters keyed by two label values.
-type CounterVec2 struct {
-	r          *Registry
-	name, help string
-	k1, k2     string
-	mu         sync.RWMutex
-	m          map[vecKey2]*Counter
-}
+type CounterVec2 struct{ keyedVec[vecKey2, Counter] }
 
 // CounterVec2 returns a two-label counter family.
 func (r *Registry) CounterVec2(name, help, key1, key2 string) *CounterVec2 {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec2{r: r, name: name, help: help, k1: key1, k2: key2, m: make(map[vecKey2]*Counter)}
+	return &CounterVec2{newKeyedVec(vecKey2{overflowLabel, overflowLabel}, func(k vecKey2) *Counter {
+		return r.Counter(seriesName(name, key1, k[0], key2, k[1]), help)
+	})}
 }
 
 // With returns the counter for one (v1, v2) label pair.
@@ -376,44 +385,20 @@ func (v *CounterVec2) With(v1, v2 string) *Counter {
 	if v == nil {
 		return nil
 	}
-	k := vecKey2{v1, v2}
-	v.mu.RLock()
-	c := v.m[k]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c := v.m[k]; c != nil {
-		return c
-	}
-	if len(v.m) >= maxVecSeries {
-		k = vecKey2{overflowLabel, overflowLabel}
-		if c := v.m[k]; c != nil {
-			return c
-		}
-	}
-	c = v.r.Counter(seriesName(v.name, v.k1, k[0], v.k2, k[1]), v.help)
-	v.m[k] = c
-	return c
+	return v.with(vecKey2{v1, v2})
 }
 
 // HistogramVec is a family of histograms keyed by one label value.
-type HistogramVec struct {
-	r          *Registry
-	name, help string
-	key        string
-	mu         sync.RWMutex
-	m          map[string]*Histogram
-}
+type HistogramVec struct{ keyedVec[string, Histogram] }
 
 // HistogramVec returns a one-label histogram family.
 func (r *Registry) HistogramVec(name, help, labelKey string) *HistogramVec {
 	if r == nil {
 		return nil
 	}
-	return &HistogramVec{r: r, name: name, help: help, key: labelKey, m: make(map[string]*Histogram)}
+	return &HistogramVec{newKeyedVec(overflowLabel, func(val string) *Histogram {
+		return r.Histogram(seriesName(name, labelKey, val, "", ""), help)
+	})}
 }
 
 // With returns the histogram for one label value.
@@ -421,26 +406,7 @@ func (v *HistogramVec) With(val string) *Histogram {
 	if v == nil {
 		return nil
 	}
-	v.mu.RLock()
-	h := v.m[val]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h := v.m[val]; h != nil {
-		return h
-	}
-	if len(v.m) >= maxVecSeries {
-		val = overflowLabel
-		if h := v.m[val]; h != nil {
-			return h
-		}
-	}
-	h = v.r.Histogram(seriesName(v.name, v.key, val, "", ""), v.help)
-	v.m[val] = h
-	return h
+	return v.with(val)
 }
 
 // Snapshot is a point-in-time copy of every registered value, embedded into

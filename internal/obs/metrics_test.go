@@ -112,13 +112,19 @@ func TestEnabledHotPathAllocs(t *testing.T) {
 	h := r.Histogram("h", "")
 	cv := r.CounterVec2("v", "", "route", "status")
 	cv.With("GET /x", "200") // pre-create the series
+	cv1 := r.CounterVec("v1", "", "route")
+	hv := r.HistogramVec("hv", "", "route")
+	hv.With("GET /x")
 	// A one-label series resolved once and incremented through its handle,
 	// the way the runtime layers hold their per-route counters.
-	route := r.CounterVec("v1", "", "route").With("GET /x")
+	route := cv1.With("GET /x")
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		h.Observe(123456)
+		// Every vector kind's With on an existing key.
 		cv.With("GET /x", "200").Inc()
+		cv1.With("GET /x").Inc()
+		hv.With("GET /x").Observe(7)
 		route.Inc()
 	}); n != 0 {
 		t.Fatalf("enabled hot path allocates %v allocs/op, want 0", n)
@@ -190,20 +196,45 @@ func TestConcurrentIncrements(t *testing.T) {
 // registry without bound: past maxVecSeries distinct values everything
 // lands in the shared overflow series.
 func TestVecOverflowCap(t *testing.T) {
-	r := NewRegistry()
-	cv := r.CounterVec("denials", "", "tenant")
-	for i := 0; i < maxVecSeries*3; i++ {
-		cv.With("tenant-" + string(rune('0'+i%10)) + string(rune('a'+i/10))).Inc()
+	kinds := []struct {
+		name string
+		// bump builds the vec on r and returns "bump label i's series".
+		bump func(r *Registry) func(i int)
+		// overflow is the snapshot key of the overflow series.
+		overflow string
+	}{
+		{"CounterVec", func(r *Registry) func(int) {
+			v := r.CounterVec("denials", "", "tenant")
+			return func(i int) { v.With(tenantLabel(i)).Inc() }
+		}, `denials{tenant="overflow"}`},
+		{"CounterVec2", func(r *Registry) func(int) {
+			v := r.CounterVec2("denials", "", "tenant", "route")
+			return func(i int) { v.With(tenantLabel(i), "GET /x").Inc() }
+		}, `denials{tenant="overflow",route="overflow"}`},
+		{"HistogramVec", func(r *Registry) func(int) {
+			v := r.HistogramVec("lat", "", "tenant")
+			return func(i int) { v.With(tenantLabel(i)).Observe(1) }
+		}, `lat{tenant="overflow"}_count`},
 	}
-	snap := r.Snapshot()
-	if len(snap.Counters) > maxVecSeries+1 {
-		t.Fatalf("vec grew to %d series, cap is %d + overflow", len(snap.Counters), maxVecSeries)
-	}
-	over := cv.With(overflowLabel).Value()
-	if over == 0 {
-		t.Fatal("overflow series never used despite exceeding the cap")
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			r := NewRegistry()
+			bump := k.bump(r)
+			for i := 0; i < maxVecSeries*3; i++ {
+				bump(i)
+			}
+			snap := r.Snapshot()
+			if len(snap.Counters) > maxVecSeries+1 {
+				t.Fatalf("vec grew to %d series, cap is %d + overflow", len(snap.Counters), maxVecSeries)
+			}
+			if got := snap.Counters[k.overflow]; got != maxVecSeries*2 {
+				t.Fatalf("overflow series %s counted %d, want the %d values past the cap", k.overflow, got, maxVecSeries*2)
+			}
+		})
 	}
 }
+
+func tenantLabel(i int) string { return "tenant-" + string(rune('0'+i%10)) + string(rune('a'+i/10)) }
 
 // TestSnapshotContents checks the report-embedding shape: counters by
 // value, histograms as _count/_sum entries, gauges (including callbacks)

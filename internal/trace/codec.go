@@ -9,16 +9,16 @@ import (
 
 // Gzip-aware CSV codec: real-trace conversions are written once and replayed
 // many times, and the flat CSV of a month-scale trace balloons on disk.
-// EncodeCSV optionally wraps the CSV stream in gzip and DecodeCSV sniffs the
+// EncodeCSV optionally wraps the CSV stream in gzip and Import sniffs the
 // gzip magic bytes, so callers handle .csv and .csv.gz files through one
-// pair of functions.
+// writer and one reader.
 
 // gzipMagic opens every gzip stream (RFC 1952).
 var gzipMagic = [2]byte{0x1f, 0x8b}
 
 // EncodeCSV writes the trace tasks as CSV, header row first, to w. With
 // compress set the payload is wrapped in a gzip stream — the .csv.gz form
-// DecodeCSV (and any standard tooling) inflates transparently.
+// Import (and any standard tooling) inflates transparently.
 func (tr *Trace) EncodeCSV(w io.Writer, compress bool) error {
 	var zw *gzip.Writer
 	if compress {
@@ -49,17 +49,4 @@ func (tr *Trace) EncodeCSV(w io.Writer, compress bool) error {
 		return err
 	}
 	return zw.Close()
-}
-
-// DecodeCSV decodes tasks from CSV produced by EncodeCSV (or converted from
-// the real Google traces), transparently inflating gzip input by sniffing
-// the magic bytes; plain CSV passes straight through. It is Import's decoder
-// without the sorting and the derived metadata: raw records are never
-// materialized in bulk, every task must pass Task.Validate, and duplicate
-// task IDs — whose task-%d VMIDs would silently merge distinct VMs in both the
-// offline replayer and the online admitted set — are rejected with the
-// offending row numbers.
-// Machines and HorizonSec must be set by the caller.
-func DecodeCSV(r io.Reader) ([]Task, error) {
-	return decodeTasks(r, nil)
 }

@@ -28,11 +28,11 @@ func TestCodecGzipRoundTrip(t *testing.T) {
 	}
 
 	// Both forms decode through the one sniffing entry point.
-	fromPlain, err := DecodeCSV(bytes.NewReader(plain.Bytes()))
+	fromPlain, err := decodeTasks(bytes.NewReader(plain.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromGzip, err := DecodeCSV(bytes.NewReader(compressed.Bytes()))
+	fromGzip, err := decodeTasks(bytes.NewReader(compressed.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestCodecGzipRoundTrip(t *testing.T) {
 }
 
 func TestDecodeCSVPlainCompatibility(t *testing.T) {
-	// DecodeCSV reads plain EncodeCSV output back task for task.
+	// The decoder reads plain EncodeCSV output back task for task.
 	tr, err := Generate(GeneratorConfig{
 		Name: "small", Machines: 10, HorizonSec: 3600, Tasks: 25, Seed: 3,
 	})
@@ -56,25 +56,25 @@ func TestDecodeCSVPlainCompatibility(t *testing.T) {
 	if err := tr.EncodeCSV(&buf, false); err != nil {
 		t.Fatal(err)
 	}
-	tasks, err := DecodeCSV(&buf)
+	tasks, err := decodeTasks(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(tasks, tr.Tasks) {
-		t.Fatal("DecodeCSV lost tasks of plain EncodeCSV output")
+		t.Fatal("decodeTasks lost tasks of plain EncodeCSV output")
 	}
 }
 
 func TestDecodeCSVShortInputs(t *testing.T) {
 	// Streams shorter than the two magic bytes cannot be gzip and must fall
 	// through to the CSV reader instead of erroring on the sniff.
-	if tasks, err := DecodeCSV(strings.NewReader("")); err != nil || len(tasks) != 0 {
+	if tasks, err := decodeTasks(strings.NewReader(""), nil); err != nil || len(tasks) != 0 {
 		t.Fatalf("empty input: tasks=%d err=%v, want none", len(tasks), err)
 	}
 	// A one-byte stream reaches the CSV reader, whose column check rejects
 	// it — the error proves the sniff fell through rather than failing as a
 	// truncated gzip header.
-	if _, err := DecodeCSV(strings.NewReader("x")); err == nil || !strings.Contains(err.Error(), "columns") {
+	if _, err := decodeTasks(strings.NewReader("x"), nil); err == nil || !strings.Contains(err.Error(), "columns") {
 		t.Fatalf("one-byte input: err=%v, want the CSV column error", err)
 	}
 }

@@ -14,7 +14,7 @@
 //     CPU demand, matching the demand trend of Figure 2;
 //   - CSV encoding/decoding in a compact schema so that users who do have the
 //     real traces can convert and replay them — gzip-aware on both sides
-//     (EncodeCSV writes .csv.gz on request, DecodeCSV sniffs the magic
+//     (EncodeCSV writes .csv.gz on request, Import sniffs the magic
 //     bytes), since month-scale conversions balloon on disk as flat CSV;
 //   - a streaming arrival feed (Stream) that yields arrivals and departures
 //     one event at a time in causal order, the input of the online control
@@ -24,8 +24,8 @@
 //     diurnal sinusoid, flash-crowd bursts, serverless short tasks,
 //     gang-scheduled ML batches and heavy-tail Pareto sizes, composable via
 //     Compose/Overlay into mixed workloads with disjoint ID namespaces;
-//   - a record-at-a-time importer (Import, ImportFile) for .csv and
-//     .csv.gz traces bigger than RAM, with pluggable column schemas (Schema;
+//   - a record-at-a-time importer (Import; Spec.Open reads a file) for .csv
+//     and .csv.gz traces bigger than RAM, with pluggable column schemas (Schema;
 //     ClusterSchema adapts the public cluster-trace layout) and row-numbered
 //     rejection of malformed tasks and duplicate IDs.
 package trace

@@ -57,12 +57,12 @@ func FuzzDecodeCSV(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tasks, err := DecodeCSV(bytes.NewReader(data))
+		tasks, err := decodeTasks(bytes.NewReader(data), nil)
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
 		first := encodeTasks(t, tasks)
-		again, err := DecodeCSV(bytes.NewReader(first))
+		again, err := decodeTasks(bytes.NewReader(first), nil)
 		if err != nil {
 			t.Fatalf("decoder rejected its own encoder's output: %v\n%s", err, first)
 		}
@@ -73,7 +73,7 @@ func FuzzDecodeCSV(f *testing.F) {
 		if err := (&Trace{Name: "fuzz", Machines: 1, HorizonSec: 1, Tasks: tasks}).EncodeCSV(&zipped, true); err != nil {
 			t.Fatalf("gzip encode: %v", err)
 		}
-		unzipped, err := DecodeCSV(&zipped)
+		unzipped, err := decodeTasks(&zipped, nil)
 		if err != nil {
 			t.Fatalf("decoder rejected its own gzip output: %v", err)
 		}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"slices"
 	"sort"
 	"strconv"
@@ -311,14 +310,4 @@ func derivedMachines(tasks []Task) int {
 		m = 1
 	}
 	return m
-}
-
-// ImportFile opens and imports a .csv or .csv.gz trace from disk.
-func ImportFile(path string, opts ImportOptions) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Import(f, opts)
 }

@@ -158,7 +158,7 @@ func TestReadCSVRejectsInvalidTasks(t *testing.T) {
 		{"short row mid-file", "1,1,0,10,1,2,0.5,1\n2,1,0,10,1,2,0.5", "trace: row 3 has 7 columns, want 8"},
 	} {
 		in := "id,job,start_sec,end_sec,booked_cpu,booked_mem_gib,used_cpu,used_mem_gib\n" + tc.row + "\n"
-		_, err := DecodeCSV(strings.NewReader(in))
+		_, err := decodeTasks(strings.NewReader(in), nil)
 		if err == nil {
 			t.Errorf("%s: invalid task accepted", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
@@ -177,7 +177,7 @@ func TestReadCSVRejectsDuplicateIDs(t *testing.T) {
 		"6,1,0,100,1,2,0.5,1",
 		"5,2,50,200,2,4,1,2",
 	}, "\n")
-	_, err := DecodeCSV(strings.NewReader(in))
+	_, err := decodeTasks(strings.NewReader(in), nil)
 	if err == nil {
 		t.Fatal("duplicate task ID accepted")
 	}
@@ -205,7 +205,9 @@ func TestImportErrors(t *testing.T) {
 	}
 }
 
-func TestImportFile(t *testing.T) {
+// TestSpecOpenFile: a file spec streams a .csv.gz trace from disk through
+// Import, and a missing file fails.
+func TestSpecOpenFile(t *testing.T) {
 	tr, err := GenerateFamily("serverless", FamilyParams{Machines: 50, HorizonSec: 3600, Tasks: 500, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -218,14 +220,16 @@ func TestImportFile(t *testing.T) {
 	if err := writeTestFile(path, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ImportFile(path, ImportOptions{Machines: tr.Machines, HorizonSec: tr.HorizonSec})
+	sp := Spec{File: path, Machines: 1, Tasks: 1, HorizonSec: 1}
+	got, err := sp.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Tasks) != len(tr.Tasks) {
 		t.Fatalf("%d tasks, want %d", len(got.Tasks), len(tr.Tasks))
 	}
-	if _, err := ImportFile(filepath.Join(t.TempDir(), "missing.csv"), ImportOptions{}); err == nil {
+	sp.File = filepath.Join(t.TempDir(), "missing.csv")
+	if _, err := sp.Open(); err == nil {
 		t.Error("missing file should fail")
 	}
 }
@@ -310,8 +314,8 @@ func TestInflaterNeverOutlivesItsCall(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, c := range cases {
 		for name, decode := range map[string]func([]byte) error{
-			"DecodeCSV": func(in []byte) error { _, err := DecodeCSV(bytes.NewReader(in)); return err },
-			"Import":    func(in []byte) error { _, err := Import(bytes.NewReader(in), ImportOptions{}); return err },
+			"decodeTasks": func(in []byte) error { _, err := decodeTasks(bytes.NewReader(in), nil); return err },
+			"Import":      func(in []byte) error { _, err := Import(bytes.NewReader(in), ImportOptions{}); return err },
 		} {
 			err := decode(c.in)
 			if got := fmt.Sprint(err); (err == nil) != (c.want == "") || err != nil && got != c.want {

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"os"
 )
 
 // Spec names one trace the way every front end asks for it: where it comes
@@ -65,7 +66,12 @@ func (s Spec) Open() (*Trace, error) {
 	case s.Family != "":
 		return GenerateFamily(s.Family, s)
 	case s.File != "":
-		return ImportFile(s.File, ImportOptions{})
+		f, err := os.Open(s.File)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return Import(f, ImportOptions{})
 	}
 	cfg := DefaultConfig()
 	if s.Modified {

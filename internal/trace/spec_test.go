@@ -48,7 +48,11 @@ func TestSpecOpensEachSource(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want, err = ImportFile(path, ImportOptions{})
+	if f, err = os.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want, err = Import(f, ImportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

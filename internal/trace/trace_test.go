@@ -216,7 +216,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), "id,job,start_sec") {
 		t.Error("CSV should start with the header")
 	}
-	tasks, err := DecodeCSV(&buf)
+	tasks, err := decodeTasks(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +231,11 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := DecodeCSV(strings.NewReader("")); err != nil {
+	if _, err := decodeTasks(strings.NewReader(""), nil); err != nil {
 		t.Errorf("empty input should not error: %v", err)
 	}
 	// Wrong column count.
-	if _, err := DecodeCSV(strings.NewReader("1,2,3\n")); err == nil {
+	if _, err := decodeTasks(strings.NewReader("1,2,3\n"), nil); err == nil {
 		t.Error("short row should fail")
 	}
 	// Bad numbers.
@@ -250,12 +250,12 @@ func TestReadCSVErrors(t *testing.T) {
 		"1,1,0,10,1,1,0.5,x",
 	}
 	for i, row := range badRows {
-		if _, err := DecodeCSV(strings.NewReader(row + "\n")); err == nil {
+		if _, err := decodeTasks(strings.NewReader(row+"\n"), nil); err == nil {
 			t.Errorf("bad row %d should fail", i)
 		}
 	}
 	// Without a header row the first line is data.
-	tasks, err := DecodeCSV(strings.NewReader("1,1,0,10,1,1,0.5,0.5\n"))
+	tasks, err := decodeTasks(strings.NewReader("1,1,0,10,1,1,0.5,0.5\n"), nil)
 	if err != nil || len(tasks) != 1 {
 		t.Errorf("headerless parse: %v %d", err, len(tasks))
 	}
