@@ -28,6 +28,7 @@ import (
 	"sort"
 
 	"repro/internal/chaos"
+	"repro/internal/cliflag"
 	"repro/internal/memctl"
 	"repro/internal/memplane"
 	"repro/internal/metrics"
@@ -51,38 +52,63 @@ type benchConfig struct {
 }
 
 func main() {
-	var cfg benchConfig
-	flag.IntVar(&cfg.servers, "servers", 3, "servers in the rack (the first hosts the VM)")
-	flag.IntVar(&cfg.zombies, "zombies", 2, "servers pushed into Sz to lend their memory")
-	flag.IntVar(&cfg.memMiB, "mem-mib", 64, "memory per server in MiB")
-	flag.IntVar(&cfg.localMiB, "local-mib", 1, "the plane's local arena in MiB")
-	flag.IntVar(&cfg.spanMiB, "span-mib", 8, "address span the traffic covers in MiB")
-	flag.IntVar(&cfg.ops, "ops", 20000, "operations to run")
-	flag.IntVar(&cfg.block, "block", 4096, "bytes per operation")
-	flag.Float64Var(&cfg.writeFrac, "write-frac", 0.6, "fraction of operations that write")
-	flag.Int64Var(&cfg.seed, "seed", 1, "PRNG seed for the address/op stream")
-	flag.StringVar(&cfg.transport, "transport", "inproc", "remote path: inproc (live RDMA verbs), tcp (loopback TCP server), ledger (cost arithmetic only)")
-	flag.BoolVar(&cfg.chaosOn, "chaos", false, "degrade the fabric 2.5x for the middle third of the run")
-	flag.BoolVar(&cfg.obsOn, "obs", false, "attach the observability layer and append its dump: metrics snapshot + deterministic NDJSON event trace")
-	flag.Parse()
-
-	if err := run(os.Stdout, cfg); err != nil {
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(os.Stdout, cfg)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "membench:", err)
 		os.Exit(1)
 	}
 }
 
+// parseFlags binds the command line into one config and validates every
+// flag with its valid range (the shared cliflag messages), so a bad flag
+// fails before any rack is built.
+func parseFlags(fs *flag.FlagSet, args []string) (benchConfig, error) {
+	var cfg benchConfig
+	fs.IntVar(&cfg.servers, "servers", 3, "servers in the rack (the first hosts the VM)")
+	fs.IntVar(&cfg.zombies, "zombies", 2, "servers pushed into Sz to lend their memory")
+	fs.IntVar(&cfg.memMiB, "mem-mib", 64, "memory per server in MiB")
+	fs.IntVar(&cfg.localMiB, "local-mib", 1, "the plane's local arena in MiB")
+	fs.IntVar(&cfg.spanMiB, "span-mib", 8, "address span the traffic covers in MiB")
+	fs.IntVar(&cfg.ops, "ops", 20000, "operations to run")
+	fs.IntVar(&cfg.block, "block", 4096, "bytes per operation")
+	fs.Float64Var(&cfg.writeFrac, "write-frac", 0.6, "fraction of operations that write")
+	fs.Int64Var(&cfg.seed, "seed", 1, "PRNG seed for the address/op stream")
+	fs.StringVar(&cfg.transport, "transport", "inproc", "remote path: inproc (live RDMA verbs), tcp (loopback TCP server), ledger (cost arithmetic only)")
+	fs.BoolVar(&cfg.chaosOn, "chaos", false, "degrade the fabric 2.5x for the middle third of the run")
+	fs.BoolVar(&cfg.obsOn, "obs", false, "attach the observability layer and append its dump: metrics snapshot + deterministic NDJSON event trace")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	if err := cliflag.FirstError(
+		cliflag.PositiveInt("-servers", cfg.servers),
+		cliflag.NonNegativeInt("-zombies", cfg.zombies),
+		cliflag.PositiveInt("-mem-mib", cfg.memMiB),
+		cliflag.NonNegativeInt("-local-mib", cfg.localMiB),
+		cliflag.PositiveInt("-span-mib", cfg.spanMiB),
+		cliflag.PositiveInt("-ops", cfg.ops),
+		cliflag.PositiveInt("-block", cfg.block),
+	); err != nil {
+		return cfg, err
+	}
+	switch {
+	case cfg.zombies >= cfg.servers:
+		return cfg, fmt.Errorf("-zombies %d out of range (need < -servers %d)", cfg.zombies, cfg.servers)
+	case int64(cfg.block) > int64(cfg.spanMiB)<<20:
+		return cfg, fmt.Errorf("-block %d out of range (need <= -span-mib %d MiB)", cfg.block, cfg.spanMiB)
+	case !(cfg.writeFrac >= 0 && cfg.writeFrac <= 1):
+		return cfg, fmt.Errorf("-write-frac %g out of range (need 0 <= f <= 1)", cfg.writeFrac)
+	case cfg.transport != "inproc" && cfg.transport != "tcp" && cfg.transport != "ledger":
+		return cfg, fmt.Errorf("-transport %q out of range (need inproc, tcp or ledger)", cfg.transport)
+	}
+	return cfg, nil
+}
+
+// run drives the benchmark for a config parseFlags accepted.
 func run(w io.Writer, cfg benchConfig) error {
-	if cfg.zombies >= cfg.servers {
-		return fmt.Errorf("need at least one non-zombie server (%d servers, %d zombies)", cfg.servers, cfg.zombies)
-	}
-	if cfg.block <= 0 || cfg.ops <= 0 {
-		return fmt.Errorf("block and ops must be positive")
-	}
 	span := int64(cfg.spanMiB) << 20
-	if int64(cfg.block) > span {
-		return fmt.Errorf("block %d exceeds the %d MiB span", cfg.block, cfg.spanMiB)
-	}
 
 	// The miniature rack: a fabric, a controller, one agent per server. The
 	// first server hosts the VM and keeps its memory reserved; the zombies
@@ -157,8 +183,7 @@ func run(w io.Writer, cfg benchConfig) error {
 		Obs:             o,
 	}
 	var cleanup func()
-	switch cfg.transport {
-	case "inproc":
+	switch cfg.transport { // inproc: the agent's live verbs
 	case "ledger":
 		pcfg.Transport = memplane.LedgerTransport{Model: fabric.Model()}
 	case "tcp":
@@ -186,8 +211,6 @@ func run(w io.Writer, cfg benchConfig) error {
 			_ = tr.Close()
 			_ = srv.Close()
 		}
-	default:
-		return fmt.Errorf("unknown transport %q (inproc, tcp or ledger)", cfg.transport)
 	}
 	p, err := memplane.New(pcfg)
 	if err != nil {

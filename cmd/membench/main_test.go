@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"strings"
 	"testing"
 
@@ -120,5 +121,47 @@ func TestMembenchTCPMatchesInproc(t *testing.T) {
 	}
 	if !strings.Contains(inproc, "read-back ok") {
 		t.Errorf("verification failed:\n%s", inproc)
+	}
+}
+
+// TestMembenchFlagErrors pins the upfront flag validation: each bad flag is
+// rejected with its canonical message before any rack is built, and parsing
+// prints nothing (no usage dump, no report).
+func TestMembenchFlagErrors(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-servers", "0"}, "-servers 0 out of range (need >= 1)"},
+		{[]string{"-zombies", "-1"}, "-zombies -1 out of range (need >= 0)"},
+		{[]string{"-mem-mib", "0"}, "-mem-mib 0 out of range (need >= 1)"},
+		{[]string{"-local-mib", "-1"}, "-local-mib -1 out of range (need >= 0)"},
+		{[]string{"-span-mib", "0"}, "-span-mib 0 out of range (need >= 1)"},
+		{[]string{"-ops", "0"}, "-ops 0 out of range (need >= 1)"},
+		{[]string{"-block", "-4096"}, "-block -4096 out of range (need >= 1)"},
+		{[]string{"-zombies", "3"}, "-zombies 3 out of range (need < -servers 3)"},
+		{[]string{"-block", "9000000"}, "-block 9000000 out of range (need <= -span-mib 8 MiB)"},
+		{[]string{"-write-frac", "1.5"}, "-write-frac 1.5 out of range (need 0 <= f <= 1)"},
+		{[]string{"-write-frac", "-0.1"}, "-write-frac -0.1 out of range (need 0 <= f <= 1)"},
+		{[]string{"-write-frac", "NaN"}, "-write-frac NaN out of range (need 0 <= f <= 1)"},
+		{[]string{"-transport", "rdma"}, `-transport "rdma" out of range (need inproc, tcp or ledger)`},
+		{[]string{"-zombies", "-1", "-ops", "0"}, "-zombies -1 out of range (need >= 0)"},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("membench", flag.ContinueOnError)
+		var out bytes.Buffer
+		fs.SetOutput(&out)
+		_, err := parseFlags(fs, c.args)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: parsing printed %q", c.args, out.String())
+		}
+	}
+	fs := flag.NewFlagSet("membench", flag.ContinueOnError)
+	cfg, err := parseFlags(fs, []string{"-ops", "2000", "-write-frac", "0"})
+	if err != nil || cfg.ops != 2000 || cfg.writeFrac != 0 {
+		t.Errorf("valid flags: cfg %+v, err %v", cfg, err)
 	}
 }

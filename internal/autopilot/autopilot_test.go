@@ -544,11 +544,14 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 
 // TestCompareOnlineEqualsRegretPerPolicy: sharing the replay index and the
 // oracle between the policies of a comparison changes no number. The roster
-// spans two planners, so it also covers one oracle per distinct planner.
+// spans three planners, so it also covers one oracle per distinct planner,
+// and builds Neat twice: the two zero-size values may compare equal and then
+// share one oracle.
 func TestCompareOnlineEqualsRegretPerPolicy(t *testing.T) {
 	tr := diurnalTrace(t)
 	roster := func() []Policy {
-		return append(Policies(consolidation.NewZombieStack()), NewReactive(consolidation.NewNeat()))
+		return append(Policies(consolidation.NewZombieStack()), NewReactive(consolidation.NewNeat()),
+			NewHysteresis(consolidation.NewNeat()), NewReactive(consolidation.NewOasis()))
 	}
 	got, err := CompareOnline(baseConfig(tr), roster())
 	if err != nil {

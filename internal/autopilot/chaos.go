@@ -463,9 +463,10 @@ func CompareChaos(cfg Config, plans []*chaos.Plan) ([]chaos.Report, error) {
 	return reports, nil
 }
 
-// freshPolicies returns a clean instance of each policy for one run: the
-// bundled policies implement Clone (forecasting state reset); anything else
-// is used as-is and then belongs to that single run.
+// freshPolicies returns a clean instance of each policy for one run: a policy
+// with state implements Clone (the EWMA forecaster resets its forecast);
+// anything else, the stateless reactive and hysteresis policies included, is
+// used as-is.
 func freshPolicies(policies []Policy) []Policy {
 	fresh := make([]Policy, len(policies))
 	for i, p := range policies {

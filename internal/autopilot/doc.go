@@ -4,7 +4,8 @@
 // a configurable tick re-plans consolidation incrementally — the adopted
 // posture is diffed into suspend/zombie/wake events via consolidation.Delta
 // — under a pluggable online policy: reactive threshold, hysteresis
-// watermarks, or predictive EWMA forecasting.
+// watermarks, or predictive EWMA forecasting, each with fixed parameters
+// (the headrooms, watermarks and smoothing constants in policy.go).
 //
 // The offline simulator (internal/dcsim) replays whole epochs with oracle
 // knowledge of each epoch's population, which makes every Figure 10 savings

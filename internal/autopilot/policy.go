@@ -39,6 +39,28 @@ type Policy interface {
 	Decide(obs Observation) consolidation.FleetPlan
 }
 
+// The online policies' fixed parameters. A headroom is the fraction of extra
+// active hosts kept awake above the planner's requirement.
+const (
+	reactiveHeadroom float64 = 0.15 // the reactive policy's standing headroom
+	// wakeHeadroom is kept on a hysteresis scale-up: enough to absorb
+	// arrivals, cheaper than the reactive policy's standing headroom.
+	wakeHeadroom float64 = 0.05
+	// suspendWatermark is the fraction of the currently active hosts the
+	// requirement must fall below before hysteresis releases any server.
+	suspendWatermark float64 = 0.2
+	ewmaAlpha        float64 = 0.4 // EWMA smoothing factor
+	ewmaTrendGain    float64 = 1.0 // weight of the one-step demand slope in the forecast
+	// ewmaMaxInflation caps the forecast relative to the present demand,
+	// bounding how much capacity a spike forecast can hold awake.
+	ewmaMaxInflation float64 = 1.5
+	// ewmaMinHeadroom is the forecast-uncertainty margin. A point forecast
+	// is wrong most ticks: arrivals it missed land on this margin instead of
+	// forcing a wake each, and without a margin the policy would ride the
+	// planner's bare requirement, which no deployable controller does.
+	ewmaMinHeadroom float64 = 0.1
+)
+
 // ReactiveThreshold re-plans from scratch at every tick and keeps a fixed
 // headroom of extra active hosts above the planner's requirement, absorbing
 // the arrivals of the coming interval. It reacts instantly in both
@@ -47,16 +69,10 @@ type Policy interface {
 type ReactiveThreshold struct {
 	// Base is the consolidation planner sizing the posture.
 	Base consolidation.Policy
-	// Headroom is the fraction of extra active hosts kept awake above the
-	// planner's requirement (0.15 by default).
-	Headroom float64
 }
 
-// NewReactive returns the reactive policy over the given planner with the
-// default headroom.
-func NewReactive(base consolidation.Policy) *ReactiveThreshold {
-	return &ReactiveThreshold{Base: base, Headroom: 0.15}
-}
+// NewReactive returns the reactive policy over the given planner.
+func NewReactive(base consolidation.Policy) *ReactiveThreshold { return &ReactiveThreshold{Base: base} }
 
 // Name implements Policy.
 func (r *ReactiveThreshold) Name() string { return "reactive" }
@@ -64,21 +80,9 @@ func (r *ReactiveThreshold) Name() string { return "reactive" }
 // Planner implements Policy.
 func (r *ReactiveThreshold) Planner() consolidation.Policy { return r.Base }
 
-// Clone returns a fresh instance for a new run (the policy is stateless, so
-// this is a plain copy).
-func (r *ReactiveThreshold) Clone() Policy {
-	c := *r
-	return &c
-}
-
 // Decide implements Policy.
 func (r *ReactiveThreshold) Decide(obs Observation) consolidation.FleetPlan {
-	plan := r.Base.Plan(obs.VMs, obs.Spec, obs.TotalServers)
-	headroom := r.Headroom
-	if headroom < 0 {
-		headroom = 0
-	}
-	return addHeadroom(plan, headroom)
+	return addHeadroom(r.Base.Plan(obs.VMs, obs.Spec, obs.TotalServers), reactiveHeadroom)
 }
 
 // Hysteresis damps the reactive policy with separate suspend and wake
@@ -90,21 +94,10 @@ func (r *ReactiveThreshold) Decide(obs Observation) consolidation.FleetPlan {
 type Hysteresis struct {
 	// Base is the consolidation planner sizing the posture.
 	Base consolidation.Policy
-	// WakeHeadroom is the fraction of extra active hosts kept on scale-up
-	// (0.05 by default) — enough to absorb arrivals, cheaper than the
-	// reactive policy's standing headroom.
-	WakeHeadroom float64
-	// SuspendWatermark is the fraction of the currently active hosts the
-	// planner's requirement must fall below before any server is released
-	// (0.2 by default).
-	SuspendWatermark float64
 }
 
-// NewHysteresis returns the hysteresis policy over the given planner with
-// the default watermarks.
-func NewHysteresis(base consolidation.Policy) *Hysteresis {
-	return &Hysteresis{Base: base, WakeHeadroom: 0.05, SuspendWatermark: 0.2}
-}
+// NewHysteresis returns the hysteresis policy over the given planner.
+func NewHysteresis(base consolidation.Policy) *Hysteresis { return &Hysteresis{Base: base} }
 
 // Name implements Policy.
 func (h *Hysteresis) Name() string { return "hysteresis" }
@@ -112,24 +105,17 @@ func (h *Hysteresis) Name() string { return "hysteresis" }
 // Planner implements Policy.
 func (h *Hysteresis) Planner() consolidation.Policy { return h.Base }
 
-// Clone returns a fresh instance for a new run (the policy reads only the
-// observation's Prev posture, so this is a plain copy).
-func (h *Hysteresis) Clone() Policy {
-	c := *h
-	return &c
-}
-
 // Decide implements Policy.
 func (h *Hysteresis) Decide(obs Observation) consolidation.FleetPlan {
 	plan := h.Base.Plan(obs.VMs, obs.Spec, obs.TotalServers)
-	target := addHeadroom(plan, h.WakeHeadroom)
+	target := addHeadroom(plan, wakeHeadroom)
 	prevActive := obs.Prev.ActiveHosts
 	if target.ActiveHosts >= prevActive {
 		// Scale-up (or steady): adopt the target immediately — capacity
 		// safety beats transition thrift.
 		return target
 	}
-	watermark := int(math.Ceil(h.SuspendWatermark * float64(prevActive)))
+	watermark := int(math.Ceil(suspendWatermark * float64(prevActive)))
 	if watermark < 1 {
 		watermark = 1
 	}
@@ -148,28 +134,13 @@ func (h *Hysteresis) Decide(obs Observation) consolidation.FleetPlan {
 // PredictiveEWMA forecasts the next interval's demand with an exponentially
 // weighted moving average plus a one-step trend, and sizes the posture for
 // the forecast instead of the instantaneous population, holding a
-// forecast-uncertainty safety margin (MinHeadroom) on top. Rising load is
+// forecast-uncertainty safety margin (ewmaMinHeadroom) on top. Rising load is
 // anticipated, so the policy tracks demand more tightly than a standing
 // reactive headroom ever can; the forecast never plans below the present
 // demand, so admission safety matches the reactive policy.
 type PredictiveEWMA struct {
 	// Base is the consolidation planner sizing the posture.
 	Base consolidation.Policy
-	// Alpha is the EWMA smoothing factor in (0,1]; 0.4 by default.
-	Alpha float64
-	// TrendGain scales the one-step demand slope added to the forecast;
-	// 1.0 by default.
-	TrendGain float64
-	// MaxInflation caps the forecast relative to the present demand (1.5 by
-	// default), bounding how much capacity a spike forecast can hold awake.
-	MaxInflation float64
-	// MinHeadroom is the forecast-uncertainty safety margin: the fraction of
-	// extra active hosts always kept awake above the sized posture (0.1 by
-	// default). A point forecast is wrong most ticks — mid-interval arrivals
-	// the forecast missed land on this margin instead of forcing a wake per
-	// arrival, and without any margin the policy would ride the planner's bare
-	// requirement, which no deployable controller does.
-	MinHeadroom float64
 
 	haveState        bool
 	ewmaCPU, ewmaMem float64
@@ -179,11 +150,8 @@ type PredictiveEWMA struct {
 	scaled []consolidation.VMDemand
 }
 
-// NewPredictiveEWMA returns the forecasting policy over the given planner
-// with the default smoothing parameters.
-func NewPredictiveEWMA(base consolidation.Policy) *PredictiveEWMA {
-	return &PredictiveEWMA{Base: base, Alpha: 0.4, TrendGain: 1.0, MaxInflation: 1.5, MinHeadroom: 0.1}
-}
+// NewPredictiveEWMA returns the forecasting policy over the given planner.
+func NewPredictiveEWMA(base consolidation.Policy) *PredictiveEWMA { return &PredictiveEWMA{Base: base} }
 
 // Name implements Policy.
 func (p *PredictiveEWMA) Name() string { return "ewma" }
@@ -191,13 +159,8 @@ func (p *PredictiveEWMA) Name() string { return "ewma" }
 // Planner implements Policy.
 func (p *PredictiveEWMA) Planner() consolidation.Policy { return p.Base }
 
-// Clone returns a fresh instance for a new run: the smoothing parameters are
-// copied, the forecasting state is reset.
-func (p *PredictiveEWMA) Clone() Policy {
-	c := PredictiveEWMA{Base: p.Base, Alpha: p.Alpha, TrendGain: p.TrendGain,
-		MaxInflation: p.MaxInflation, MinHeadroom: p.MinHeadroom}
-	return &c
-}
+// Clone returns a fresh instance for a new run, its forecasting state reset.
+func (p *PredictiveEWMA) Clone() Policy { return NewPredictiveEWMA(p.Base) }
 
 // Decide implements Policy.
 func (p *PredictiveEWMA) Decide(obs Observation) consolidation.FleetPlan {
@@ -211,10 +174,10 @@ func (p *PredictiveEWMA) Decide(obs Observation) consolidation.FleetPlan {
 		p.prevCPU, p.prevMem = curCPU, curMem
 		p.haveState = true
 	}
-	p.ewmaCPU = p.Alpha*curCPU + (1-p.Alpha)*p.ewmaCPU
-	p.ewmaMem = p.Alpha*curMem + (1-p.Alpha)*p.ewmaMem
-	forecastCPU := p.ewmaCPU + p.TrendGain*(curCPU-p.prevCPU)
-	forecastMem := p.ewmaMem + p.TrendGain*(curMem-p.prevMem)
+	p.ewmaCPU = ewmaAlpha*curCPU + (1-ewmaAlpha)*p.ewmaCPU
+	p.ewmaMem = ewmaAlpha*curMem + (1-ewmaAlpha)*p.ewmaMem
+	forecastCPU := p.ewmaCPU + ewmaTrendGain*(curCPU-p.prevCPU)
+	forecastMem := p.ewmaMem + ewmaTrendGain*(curMem-p.prevMem)
 	p.prevCPU, p.prevMem = curCPU, curMem
 
 	factor := 1.0
@@ -224,8 +187,8 @@ func (p *PredictiveEWMA) Decide(obs Observation) consolidation.FleetPlan {
 	if curMem > 0 && forecastMem/curMem > factor {
 		factor = forecastMem / curMem
 	}
-	if lim := p.MaxInflation; lim > 1 && factor > lim {
-		factor = lim
+	if factor > ewmaMaxInflation {
+		factor = ewmaMaxInflation
 	}
 
 	vms := obs.VMs
@@ -241,15 +204,12 @@ func (p *PredictiveEWMA) Decide(obs Observation) consolidation.FleetPlan {
 		vms = p.scaled
 	}
 	plan := p.Base.Plan(vms, obs.Spec, obs.TotalServers)
-	return addHeadroom(plan, p.MinHeadroom)
+	return addHeadroom(plan, ewmaMinHeadroom)
 }
 
 // addHeadroom wakes ceil(fraction*active) extra hosts out of the plan's
 // sleepers.
 func addHeadroom(p consolidation.FleetPlan, fraction float64) consolidation.FleetPlan {
-	if fraction <= 0 {
-		return p
-	}
 	extra := int(math.Ceil(float64(p.ActiveHosts) * fraction))
 	if extra > p.SleepHosts {
 		extra = p.SleepHosts

@@ -1,7 +1,7 @@
 // Package cliflag holds the shared flag-validation helpers for the command
 // line flags that are not part of a run spec (trace.Spec, autopilot.Spec):
-// fleetd's serving knobs, fleetload's load shape, fleetsim's fleet shape and
-// the -workers pools. Every such flag is validated upfront — before any
+// fleetd's serving knobs, fleetload's load shape, fleetsim's fleet shape,
+// membench's rack and traffic and the -workers pools. Every such flag is validated upfront — before any
 // fleet or simulation state is built — and the error strings are pinned by
 // CLI tests, so the helpers produce one canonical message format:
 //

@@ -143,13 +143,9 @@ func clampHosts(n, total int) int {
 	return n
 }
 
-// packTarget is a planner's packing target: 0.9 unless set within (0,1].
-func packTarget(t float64) float64 {
-	if t <= 0 || t > 1 {
-		return 0.9
-	}
-	return t
-}
+// packTarget caps how full Neat, Oasis and ZombieStack pack the active
+// servers (QoS headroom).
+const packTarget float64 = 0.9
 
 // ceilHosts is the servers that hold demand at perHost each, capped at total.
 // The cap comes before the conversion, which keeps int() in range: a demand
@@ -217,14 +213,10 @@ func (NoConsolidation) PlanDemand(d Demand, spec ServerSpec, totalServers int) F
 // VM booked, so the number of active servers is driven by whichever resource
 // dimension saturates first (memory, for memory-heavy fleets). Freed servers
 // suspend to S3.
-type Neat struct {
-	// TargetUtilization caps how full Neat packs the active servers (QoS
-	// headroom); 0.9 by default.
-	TargetUtilization float64
-}
+type Neat struct{}
 
-// NewNeat returns Neat with its default packing target.
-func NewNeat() *Neat { return &Neat{TargetUtilization: 0.9} }
+// NewNeat returns the Neat planner.
+func NewNeat() *Neat { return &Neat{} }
 
 // Name implements Policy.
 func (n *Neat) Name() string { return "neat" }
@@ -234,8 +226,7 @@ func (n *Neat) Name() string { return "neat" }
 // both sums: the online loop sizes an arrival with it instead of folding the
 // population again. Memory is the binding dimension in the paper's fleets.
 func (n *Neat) ActiveHostsFor(vms int, bookedCPU, bookedMem float64, spec ServerSpec, totalServers int) int {
-	target := packTarget(n.TargetUtilization)
-	return hostsFor(vms, bookedCPU, spec.Cores*target, bookedMem, spec.MemGiB*target, totalServers)
+	return hostsFor(vms, bookedCPU, spec.Cores*packTarget, bookedMem, spec.MemGiB*packTarget, totalServers)
 }
 
 // Plan implements Policy.
@@ -266,19 +257,10 @@ func activeUtil(usedCPU float64, active int, spec ServerSpec) float64 {
 // Oasis extends Neat: idle VMs are partially migrated, their non-working-set
 // memory relocated to dedicated low-power memory servers so that the servers
 // hosting only idle VMs can be suspended.
-type Oasis struct {
-	// TargetUtilization is the packing target for the active servers.
-	TargetUtilization float64
-	// MemoryServerPowerFraction is the power of one memory server relative to
-	// a regular server (the paper assumes about 40%); kept here so the energy
-	// model and the planner agree.
-	MemoryServerPowerFraction float64
-}
+type Oasis struct{}
 
-// NewOasis returns Oasis with the paper's assumptions.
-func NewOasis() *Oasis {
-	return &Oasis{TargetUtilization: 0.9, MemoryServerPowerFraction: 0.4}
-}
+// NewOasis returns the Oasis planner.
+func NewOasis() *Oasis { return &Oasis{} }
 
 // Name implements Policy.
 func (o *Oasis) Name() string { return "oasis" }
@@ -292,9 +274,8 @@ func (o *Oasis) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPla
 // reservations local), and the active servers must also hold the idle VMs'
 // working sets; the rest of the idle VMs' memory moves to memory servers.
 func (o *Oasis) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPlan {
-	target := packTarget(o.TargetUtilization)
-	active := hostsFor(d.BusyVMs, d.BusyBookedCPU, spec.Cores*target, d.BusyBookedMemGiB, spec.MemGiB*target, totalServers)
-	active = max(active, ceilHosts(d.BusyBookedMemGiB+d.IdleWSSGiB, spec.MemGiB*target, totalServers))
+	active := hostsFor(d.BusyVMs, d.BusyBookedCPU, spec.Cores*packTarget, d.BusyBookedMemGiB, spec.MemGiB*packTarget, totalServers)
+	active = max(active, ceilHosts(d.BusyBookedMemGiB+d.IdleWSSGiB, spec.MemGiB*packTarget, totalServers))
 	memServers := 0
 	if d.IdleColdGiB > 0 {
 		memServers = clampHosts(ceilHosts(d.IdleColdGiB, spec.MemGiB, totalServers), totalServers-active)
@@ -314,22 +295,14 @@ func (o *Oasis) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPla
 // zombie servers in Sz. Servers that are neither active nor needed as
 // zombies suspend to S3.
 type ZombieStack struct {
-	// TargetUtilization is the packing target for active servers.
-	TargetUtilization float64
 	// LocalMemoryFraction is the share of each VM's reserved memory that must
 	// be local (the 50% placement rule; consolidation tolerates down to the
 	// 30% WSS rule before waking a zombie).
 	LocalMemoryFraction float64
-	// WakeThresholdWSS is the fraction of a VM's WSS that must be available
-	// before re-using an active server instead of waking a zombie (Section
-	// 5.2 uses 30%).
-	WakeThresholdWSS float64
 }
 
-// NewZombieStack returns the policy with the paper's parameters.
-func NewZombieStack() *ZombieStack {
-	return &ZombieStack{TargetUtilization: 0.9, LocalMemoryFraction: 0.5, WakeThresholdWSS: 0.3}
-}
+// NewZombieStack returns the policy with the paper's 50% placement rule.
+func NewZombieStack() *ZombieStack { return &ZombieStack{LocalMemoryFraction: 0.5} }
 
 // Name implements Policy.
 func (z *ZombieStack) Name() string { return "zombiestack" }
@@ -339,12 +312,11 @@ func (z *ZombieStack) Name() string { return "zombiestack" }
 // both sums (see Neat.ActiveHostsFor): active servers are sized by CPU demand
 // and by the LOCAL part of the memory demand only.
 func (z *ZombieStack) ActiveHostsFor(vms int, bookedCPU, bookedMem float64, spec ServerSpec, totalServers int) int {
-	target := packTarget(z.TargetUtilization)
 	localFrac := z.LocalMemoryFraction
 	if localFrac <= 0 || localFrac > 1 {
 		localFrac = 0.5
 	}
-	return hostsFor(vms, bookedCPU, spec.Cores*target, bookedMem*localFrac, spec.MemGiB*target, totalServers)
+	return hostsFor(vms, bookedCPU, spec.Cores*packTarget, bookedMem*localFrac, spec.MemGiB*packTarget, totalServers)
 }
 
 // Plan implements Policy.
@@ -357,7 +329,7 @@ func (z *ZombieStack) Plan(vms []VMDemand, spec ServerSpec, totalServers int) Fl
 // memory, then from zombie servers.
 func (z *ZombieStack) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPlan {
 	active := z.ActiveHostsFor(d.VMs, d.BookedCPU, d.BookedMemGiB, spec, totalServers)
-	remoteNeed := d.BookedMemGiB - float64(active)*spec.MemGiB*packTarget(z.TargetUtilization)
+	remoteNeed := d.BookedMemGiB - float64(active)*spec.MemGiB*packTarget
 	if remoteNeed < 0 {
 		remoteNeed = 0
 	}

@@ -187,17 +187,9 @@ func TestOasisSizesHugePopulation(t *testing.T) {
 }
 
 func TestDegenerateTargets(t *testing.T) {
-	neat := &Neat{TargetUtilization: 0}
-	if plan := neat.Plan(memoryHeavyFleet(10), DefaultServerSpec(), 50); plan.ActiveHosts == 0 {
-		t.Error("degenerate target should fall back to a sane default")
-	}
-	z := &ZombieStack{TargetUtilization: 2, LocalMemoryFraction: -1}
+	z := &ZombieStack{LocalMemoryFraction: -1}
 	if plan := z.Plan(memoryHeavyFleet(10), DefaultServerSpec(), 50); plan.ActiveHosts == 0 {
 		t.Error("degenerate zombie parameters should fall back to defaults")
-	}
-	o := &Oasis{TargetUtilization: -3}
-	if plan := o.Plan(memoryHeavyFleet(10), DefaultServerSpec(), 50); plan.ActiveHosts == 0 {
-		t.Error("degenerate oasis target should fall back to defaults")
 	}
 }
 

@@ -69,7 +69,7 @@ func FuzzSizingBracket(f *testing.F) {
 		fold := sumTotals(vms)
 		foldCPU, foldMem := fold.BookedCPU, fold.BookedMemGiB
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-		for _, p := range []sizer{NewNeat(), NewZombieStack(), &ZombieStack{TargetUtilization: 0.7, LocalMemoryFraction: 0.3}} {
+		for _, p := range []sizer{NewNeat(), NewZombieStack(), &ZombieStack{LocalMemoryFraction: 0.3}} {
 			rule := func(cpu, mem float64) int { return p.ActiveHostsFor(n, cpu, mem, spec, fleet) }
 			exact := p.Plan(vms, spec, fleet).ActiveHosts
 			if got := rule(foldCPU, foldMem); got != exact {

@@ -6,26 +6,22 @@ import (
 	"repro/internal/vm"
 )
 
-// Network carries the transfer characteristics of the migration path.
-type Network struct {
-	// BandwidthBytesPerSec is the sustained migration throughput.
-	BandwidthBytesPerSec float64
-	// PerPageOverheadNs is the per-page protocol overhead.
-	PerPageOverheadNs float64
-	// RTTNs is the control-message round-trip (start, handshakes, switchover).
-	RTTNs float64
-}
-
-// DefaultNetwork returns 10 GbE-like migration characteristics (live
-// migration traffic normally rides the datacenter network, not the RDMA
-// fabric).
-func DefaultNetwork() Network {
-	return Network{
-		BandwidthBytesPerSec: 1.1e9,
-		PerPageOverheadNs:    200,
-		RTTNs:                200_000,
-	}
-}
+// The migration path is 10 GbE-like (live migration traffic normally rides
+// the datacenter network, not the RDMA fabric), and the protocols' costs are
+// fixed.
+const (
+	bandwidthBytesPerSec float64 = 1.1e9   // sustained migration throughput
+	perPageOverheadNs    float64 = 200     // per-page protocol overhead
+	rttNs                float64 = 200_000 // control round-trip: start, handshakes, switchover
+	// copyRounds is vanilla's pre-copy iteration count. The paper observes
+	// that vanilla migration time barely depends on the WSS because this
+	// count is fixed.
+	copyRounds int = 3
+	// dirtyRate is the share of the WSS redirtied (and therefore recopied)
+	// per pre-copy round while the VM keeps running.
+	dirtyRate         float64 = 0.12
+	ownershipUpdateNs float64 = 20_000 // ZombieStack's cost of re-pointing one remote buffer
+)
 
 // Result describes one migration.
 type Result struct {
@@ -47,36 +43,21 @@ type Result struct {
 // DurationSeconds returns the migration time in seconds, the unit of Fig. 9.
 func (r Result) DurationSeconds() float64 { return r.DurationNs / 1e9 }
 
-// Vanilla models the unmodified pre-copy protocol.
-type Vanilla struct {
-	Network Network
-	// CopyRounds is the fixed number of pre-copy iterations. The paper
-	// observes that vanilla migration time barely depends on the WSS because
-	// this iteration count is fixed.
-	CopyRounds int
-	// DirtyRate is the fraction of the WSS redirtied (and therefore
-	// recopied) per round while the VM keeps running.
-	DirtyRate float64
-}
+// Vanilla models the unmodified pre-copy protocol: copyRounds rounds, each
+// after the first recopying the dirtyRate share of the WSS.
+type Vanilla struct{}
 
-// NewVanilla returns the vanilla protocol with 3 copy rounds and a 12% per-
-// round redirty rate.
-func NewVanilla() *Vanilla {
-	return &Vanilla{Network: DefaultNetwork(), CopyRounds: 3, DirtyRate: 0.12}
-}
+// NewVanilla returns the vanilla protocol.
+func NewVanilla() *Vanilla { return &Vanilla{} }
 
 // Migrate estimates the migration of the VM. wssRatio is the fraction of the
 // VM's reserved memory that is actively written (the x axis of Fig. 9).
-func (v *Vanilla) Migrate(machine vm.VM, wssRatio float64) (Result, error) {
+func (*Vanilla) Migrate(machine vm.VM, wssRatio float64) (Result, error) {
 	if err := machine.Validate(); err != nil {
 		return Result{}, err
 	}
 	if wssRatio < 0 || wssRatio > 1 {
 		return Result{}, fmt.Errorf("migration: wss ratio %v outside [0,1]", wssRatio)
-	}
-	rounds := v.CopyRounds
-	if rounds < 1 {
-		rounds = 1
 	}
 	pageSize := int64(machine.EffectivePageSize())
 
@@ -84,17 +65,17 @@ func (v *Vanilla) Migrate(machine vm.VM, wssRatio float64) (Result, error) {
 	// pages the running VM redirtied (a fraction of the WSS).
 	bytes := machine.ReservedBytes
 	wssBytes := int64(float64(machine.ReservedBytes) * wssRatio)
-	for i := 1; i < rounds; i++ {
-		bytes += int64(float64(wssBytes) * v.DirtyRate)
+	for i := 1; i < copyRounds; i++ {
+		bytes += int64(float64(wssBytes) * dirtyRate)
 	}
 	// The final stop-and-copy round transfers the last dirty set.
-	finalDirty := int64(float64(wssBytes) * v.DirtyRate)
+	finalDirty := int64(float64(wssBytes) * dirtyRate)
 	bytes += finalDirty
 
 	pages := bytes / pageSize
-	transferNs := float64(bytes)/v.Network.BandwidthBytesPerSec*1e9 +
-		float64(pages)*v.Network.PerPageOverheadNs + v.Network.RTTNs
-	downtime := float64(finalDirty)/v.Network.BandwidthBytesPerSec*1e9 + v.Network.RTTNs
+	transferNs := float64(bytes)/bandwidthBytesPerSec*1e9 +
+		float64(pages)*perPageOverheadNs + rttNs
+	downtime := float64(finalDirty)/bandwidthBytesPerSec*1e9 + rttNs
 	return Result{
 		Protocol:         "vanilla-precopy",
 		BytesTransferred: bytes,
@@ -107,18 +88,12 @@ func (v *Vanilla) Migrate(machine vm.VM, wssRatio float64) (Result, error) {
 // ZombieStack models the paper's protocol: stop the VM, copy the local (hot)
 // part, update ownership of the remote buffers, resume on the destination.
 type ZombieStack struct {
-	Network Network
-	// OwnershipUpdateNs is the cost of re-pointing one remote buffer.
-	OwnershipUpdateNs float64
 	// BufferSize is the remote buffer granularity (for counting updates).
 	BufferSize int64
 }
 
-// NewZombieStack returns the protocol with default parameters (64 MiB
-// buffers, 20 microseconds per ownership update through the controller).
-func NewZombieStack() *ZombieStack {
-	return &ZombieStack{Network: DefaultNetwork(), OwnershipUpdateNs: 20_000, BufferSize: 64 << 20}
-}
+// NewZombieStack returns the protocol over 64 MiB remote buffers.
+func NewZombieStack() *ZombieStack { return &ZombieStack{BufferSize: 64 << 20} }
 
 // Migrate estimates the migration of a VM whose localFraction of reserved
 // memory is local to the source host (the rest lives in remote buffers).
@@ -153,9 +128,9 @@ func (z *ZombieStack) Migrate(machine vm.VM, wssRatio, localFraction float64) (R
 		updates = int((remoteBytes + z.BufferSize - 1) / z.BufferSize)
 	}
 
-	transferNs := float64(hotLocal)/z.Network.BandwidthBytesPerSec*1e9 +
-		float64(pages)*z.Network.PerPageOverheadNs +
-		float64(updates)*z.OwnershipUpdateNs + z.Network.RTTNs
+	transferNs := float64(hotLocal)/bandwidthBytesPerSec*1e9 +
+		float64(pages)*perPageOverheadNs +
+		float64(updates)*ownershipUpdateNs + rttNs
 	// Post-copy style: the VM is stopped for the whole (short) transfer.
 	return Result{
 		Protocol:               "zombiestack",

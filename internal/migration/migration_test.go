@@ -43,11 +43,6 @@ func TestVanillaValidation(t *testing.T) {
 	if _, err := v.Migrate(testVM(), 1.1); err == nil {
 		t.Error("wss ratio above 1 should fail")
 	}
-	// Degenerate round count clamps to 1.
-	v.CopyRounds = 0
-	if _, err := v.Migrate(testVM(), 0.5); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestVanillaInsensitiveToWSS(t *testing.T) {

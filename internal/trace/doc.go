@@ -22,8 +22,10 @@
 //     materialized population;
 //   - a scenario engine of seeded workload families (Family, GenerateFamily):
 //     diurnal sinusoid, flash-crowd bursts, serverless short tasks,
-//     gang-scheduled ML batches and heavy-tail Pareto sizes, composable via
-//     Compose/Overlay into mixed workloads with disjoint ID namespaces;
+//     gang-scheduled ML batches and heavy-tail Pareto sizes, each with a
+//     fixed shape that only the envelope (fleet, horizon, tasks, seed)
+//     scales, composable via Compose/Overlay into mixed workloads with
+//     disjoint ID namespaces;
 //   - a record-at-a-time importer (Import; Spec.Open reads a file) for .csv
 //     and .csv.gz traces bigger than RAM, with pluggable column schemas (Schema;
 //     ClusterSchema adapts the public cluster-trace layout) and row-numbered

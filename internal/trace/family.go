@@ -33,8 +33,8 @@ func DefaultFamilyParams() FamilyParams {
 }
 
 // Family is one seeded, deterministic workload generator. Implementations
-// are stateless value types: Generate is a pure function of the receiver's
-// tuning fields and the params, so a family value is safe to share and reuse.
+// are stateless value types: Generate is a pure function of the params, so a
+// family value is safe to share and reuse.
 type Family interface {
 	// Name is the family's registry key ("diurnal", "serverless", ...).
 	Name() string
@@ -47,7 +47,7 @@ type Family interface {
 
 // Families returns the bundled generator families in registry order.
 func Families() []Family {
-	return []Family{NewDiurnal(), NewFlashCrowd(), NewServerless(), NewMLBatch(), NewHeavyTail()}
+	return []Family{Diurnal{}, FlashCrowd{}, Serverless{}, MLBatch{}, HeavyTail{}}
 }
 
 // FamilyNames lists the registry keys in Families order, plus the built-in
@@ -141,20 +141,15 @@ func clampSpan(start, dur, horizon, minDur int64) (int64, int64) {
 }
 
 // Diurnal generates a sinusoidal day/night arrival pattern: the arrival rate
-// follows 1 + Amplitude*sin over Peaks cycles of the horizon, so the fleet
-// sees a deep night trough and a midday crest — the regime where hysteresis
-// and EWMA forecasting pay off against a purely reactive policy.
-type Diurnal struct {
-	// Amplitude in [0, 1] scales the day/night swing (0.8 by default: the
-	// trough runs at 1/9 of the crest's arrival rate).
-	Amplitude float64
-	// Peaks is the number of sinusoid cycles across the horizon (1: a single
-	// day in a one-day trace).
-	Peaks int
-}
+// follows 1 + diurnalAmplitude*sin over diurnalPeaks cycles of the horizon,
+// so the fleet sees a deep night trough and a midday crest — the regime where
+// hysteresis and EWMA forecasting pay off against a purely reactive policy.
+type Diurnal struct{}
 
-// NewDiurnal returns the diurnal family with the default swing.
-func NewDiurnal() Diurnal { return Diurnal{Amplitude: 0.8, Peaks: 1} }
+const (
+	diurnalAmplitude float64 = 0.8 // the trough runs at 1/9 of the crest's arrival rate
+	diurnalPeaks     int     = 1   // a single day in a one-day trace
+)
 
 // Name implements Family.
 func (Diurnal) Name() string { return "diurnal" }
@@ -169,13 +164,6 @@ func (d Diurnal) Generate(p FamilyParams) (*Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if d.Amplitude < 0 || d.Amplitude > 1 {
-		return nil, fmt.Errorf("trace: diurnal Amplitude %g out of range (need 0 <= a <= 1)", d.Amplitude)
-	}
-	peaks := d.Peaks
-	if peaks < 1 {
-		peaks = 1
-	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	tasks := make([]Task, 0, p.Tasks)
 	for i := 0; i < p.Tasks; i++ {
@@ -184,8 +172,8 @@ func (d Diurnal) Generate(p FamilyParams) (*Trace, error) {
 		var start int64
 		for {
 			u := rng.Float64()
-			density := 1 + d.Amplitude*math.Sin(2*math.Pi*float64(peaks)*u-math.Pi/2)
-			if rng.Float64()*(1+d.Amplitude) <= density {
+			density := 1 + diurnalAmplitude*math.Sin(2*math.Pi*float64(diurnalPeaks)*u-math.Pi/2)
+			if rng.Float64()*(1+diurnalAmplitude) <= density {
 				start = int64(u * float64(p.HorizonSec))
 				break
 			}
@@ -208,21 +196,13 @@ func (d Diurnal) Generate(p FamilyParams) (*Trace, error) {
 // FlashCrowd generates a low background arrival rate punctuated by a few
 // tightly clustered bursts of short, hot tasks — the pattern that punishes a
 // consolidated fleet with emergency wakes and rewards standing headroom.
-type FlashCrowd struct {
-	// Bursts is the number of flash crowds across the horizon (3 by default).
-	Bursts int
-	// BurstFraction in [0, 1) is the share of tasks arriving inside bursts
-	// (0.6 by default); the rest trickle uniformly.
-	BurstFraction float64
-	// WidthFraction is each burst's width as a fraction of the horizon
-	// (0.02 by default — a half-hour spike in a one-day trace).
-	WidthFraction float64
-}
+type FlashCrowd struct{}
 
-// NewFlashCrowd returns the flash-crowd family with the default burst shape.
-func NewFlashCrowd() FlashCrowd {
-	return FlashCrowd{Bursts: 3, BurstFraction: 0.6, WidthFraction: 0.02}
-}
+const (
+	flashBursts        int     = 3    // flash crowds across the horizon
+	flashBurstFraction float64 = 0.6  // share of tasks inside bursts; the rest trickle uniformly
+	flashWidthFraction float64 = 0.02 // burst width over horizon: a half-hour spike in a day
+)
 
 // Name implements Family.
 func (FlashCrowd) Name() string { return "flashcrowd" }
@@ -237,26 +217,17 @@ func (fc FlashCrowd) Generate(p FamilyParams) (*Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if fc.Bursts < 1 {
-		return nil, fmt.Errorf("trace: flashcrowd Bursts %d out of range (need >= 1)", fc.Bursts)
-	}
-	if fc.BurstFraction < 0 || fc.BurstFraction >= 1 {
-		return nil, fmt.Errorf("trace: flashcrowd BurstFraction %g out of range (need 0 <= f < 1)", fc.BurstFraction)
-	}
-	if fc.WidthFraction <= 0 || fc.WidthFraction > 0.25 {
-		return nil, fmt.Errorf("trace: flashcrowd WidthFraction %g out of range (need 0 < w <= 0.25)", fc.WidthFraction)
-	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	centers := make([]float64, fc.Bursts)
+	centers := make([]float64, flashBursts)
 	for i := range centers {
 		centers[i] = (0.1 + 0.8*rng.Float64()) * float64(p.HorizonSec)
 	}
-	width := fc.WidthFraction * float64(p.HorizonSec)
+	width := flashWidthFraction * float64(p.HorizonSec)
 	tasks := make([]Task, 0, p.Tasks)
 	for i := 0; i < p.Tasks; i++ {
 		var start, dur int64
 		var bookedCPU float64
-		if rng.Float64() < fc.BurstFraction {
+		if rng.Float64() < flashBurstFraction {
 			// Burst task: clustered start, short and hot.
 			c := centers[rng.Intn(len(centers))]
 			start = int64(c + rng.NormFloat64()*width/2)
@@ -285,22 +256,13 @@ func (fc FlashCrowd) Generate(p FamilyParams) (*Trace, error) {
 // durations are dominated by execution times of seconds to minutes, with a
 // fraction paying a cold-start penalty on top — the churn-heavy regime where
 // per-transition ACPI costs matter most.
-type Serverless struct {
-	// ColdFraction in [0, 1] is the share of invocations paying a cold
-	// start (0.3 by default).
-	ColdFraction float64
-	// ColdStartSec is the cold-start penalty added to a cold invocation's
-	// duration (30 s by default).
-	ColdStartSec int64
-	// MeanExecSec is the mean warm execution time (120 s by default).
-	MeanExecSec float64
-}
+type Serverless struct{}
 
-// NewServerless returns the serverless family with the default invocation
-// shape.
-func NewServerless() Serverless {
-	return Serverless{ColdFraction: 0.3, ColdStartSec: 30, MeanExecSec: 120}
-}
+const (
+	serverlessColdFraction float64 = 0.3 // share of invocations paying a cold start
+	serverlessColdStartSec int64   = 30  // penalty added to a cold invocation's duration
+	serverlessMeanExecSec  float64 = 120 // mean warm execution time
+)
 
 // Name implements Family.
 func (Serverless) Name() string { return "serverless" }
@@ -315,22 +277,13 @@ func (s Serverless) Generate(p FamilyParams) (*Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if s.ColdFraction < 0 || s.ColdFraction > 1 {
-		return nil, fmt.Errorf("trace: serverless ColdFraction %g out of range (need 0 <= f <= 1)", s.ColdFraction)
-	}
-	if s.ColdStartSec < 0 {
-		return nil, fmt.Errorf("trace: serverless ColdStartSec %d out of range (need >= 0)", s.ColdStartSec)
-	}
-	if s.MeanExecSec <= 0 {
-		return nil, fmt.Errorf("trace: serverless MeanExecSec %g out of range (need > 0)", s.MeanExecSec)
-	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	tasks := make([]Task, 0, p.Tasks)
 	for i := 0; i < p.Tasks; i++ {
 		start := int64(rng.Float64() * float64(p.HorizonSec))
-		dur := int64(rng.ExpFloat64() * s.MeanExecSec)
-		if rng.Float64() < s.ColdFraction {
-			dur += s.ColdStartSec
+		dur := int64(rng.ExpFloat64() * serverlessMeanExecSec)
+		if rng.Float64() < serverlessColdFraction {
+			dur += serverlessColdStartSec
 		}
 		start, dur = clampSpan(start, dur, p.HorizonSec, 10)
 		bookedCPU := 0.1 + rng.Float64()*0.9
@@ -350,20 +303,13 @@ func (s Serverless) Generate(p FamilyParams) (*Trace, error) {
 // together, each holding large CPU and memory bookings at high utilization
 // for a large fraction of the horizon — the stable, dense regime where
 // consolidation has little slack to harvest.
-type MLBatch struct {
-	// GangSize is the number of tasks per job arriving together (4 by
-	// default).
-	GangSize int
-	// MinDurationFrac and MaxDurationFrac bound job durations as fractions
-	// of the horizon (0.25 and 0.9 by default).
-	MinDurationFrac float64
-	MaxDurationFrac float64
-}
+type MLBatch struct{}
 
-// NewMLBatch returns the ML-batch family with the default gang shape.
-func NewMLBatch() MLBatch {
-	return MLBatch{GangSize: 4, MinDurationFrac: 0.25, MaxDurationFrac: 0.9}
-}
+const (
+	mlGangSize        int     = 4    // tasks per job, arriving together
+	mlMinDurationFrac float64 = 0.25 // job duration bounds, as fractions of the horizon
+	mlMaxDurationFrac float64 = 0.9
+)
 
 // Name implements Family.
 func (MLBatch) Name() string { return "mlbatch" }
@@ -378,23 +324,16 @@ func (m MLBatch) Generate(p FamilyParams) (*Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if m.GangSize < 1 {
-		return nil, fmt.Errorf("trace: mlbatch GangSize %d out of range (need >= 1)", m.GangSize)
-	}
-	if m.MinDurationFrac <= 0 || m.MaxDurationFrac > 1 || m.MinDurationFrac > m.MaxDurationFrac {
-		return nil, fmt.Errorf("trace: mlbatch duration fractions (%g, %g) out of range (need 0 < min <= max <= 1)",
-			m.MinDurationFrac, m.MaxDurationFrac)
-	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	tasks := make([]Task, 0, p.Tasks)
 	var gangStart int64
 	var gangDur int64
 	for i := 0; i < p.Tasks; i++ {
-		if i%m.GangSize == 0 {
+		if i%mlGangSize == 0 {
 			// A new gang: submitted in the first 60% of the horizon, running
 			// for a large fraction of it.
 			gangStart = int64(rng.Float64() * 0.6 * float64(p.HorizonSec))
-			frac := m.MinDurationFrac + rng.Float64()*(m.MaxDurationFrac-m.MinDurationFrac)
+			frac := mlMinDurationFrac + rng.Float64()*(mlMaxDurationFrac-mlMinDurationFrac)
 			gangDur = int64(frac * float64(p.HorizonSec))
 		}
 		start, dur := clampSpan(gangStart, gangDur, p.HorizonSec, 600)
@@ -402,7 +341,7 @@ func (m MLBatch) Generate(p FamilyParams) (*Trace, error) {
 		bookedMem := bookedCPU * 4 * (0.9 + rng.Float64()*0.2)
 		util := 0.6 + rng.Float64()*0.3
 		tasks = append(tasks, Task{
-			ID: i, JobID: i/m.GangSize + 1, StartSec: start, EndSec: start + dur,
+			ID: i, JobID: i/mlGangSize + 1, StartSec: start, EndSec: start + dur,
 			BookedCPU: bookedCPU, BookedMemGiB: bookedMem,
 			UsedCPU: bookedCPU * util, UsedMemGiB: bookedMem * util,
 		})
@@ -414,17 +353,13 @@ func (m MLBatch) Generate(p FamilyParams) (*Trace, error) {
 // HeavyTail generates Pareto-distributed task sizes: most tasks are small,
 // but a heavy tail of elephants books an outsized share of the fleet — the
 // regime that stresses bin-packing quality and remote-memory placement.
-type HeavyTail struct {
-	// Alpha is the Pareto shape (1.5 by default; smaller is heavier).
-	Alpha float64
-	// MinCPU and MaxCPU bound the booked-CPU distribution (0.25 and 16 by
-	// default).
-	MinCPU float64
-	MaxCPU float64
-}
+type HeavyTail struct{}
 
-// NewHeavyTail returns the heavy-tail family with the default Pareto shape.
-func NewHeavyTail() HeavyTail { return HeavyTail{Alpha: 1.5, MinCPU: 0.25, MaxCPU: 16} }
+const (
+	heavyAlpha  float64 = 1.5  // Pareto shape (smaller is heavier)
+	heavyMinCPU float64 = 0.25 // booked-CPU bounds
+	heavyMaxCPU float64 = 16
+)
 
 // Name implements Family.
 func (HeavyTail) Name() string { return "heavytail" }
@@ -439,21 +374,14 @@ func (h HeavyTail) Generate(p FamilyParams) (*Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if h.Alpha <= 0 {
-		return nil, fmt.Errorf("trace: heavytail Alpha %g out of range (need > 0)", h.Alpha)
-	}
-	if h.MinCPU <= 0 || h.MaxCPU < h.MinCPU {
-		return nil, fmt.Errorf("trace: heavytail CPU bounds (%g, %g) out of range (need 0 < min <= max)",
-			h.MinCPU, h.MaxCPU)
-	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	tasks := make([]Task, 0, p.Tasks)
 	for i := 0; i < p.Tasks; i++ {
 		start := int64(rng.Float64() * float64(p.HorizonSec))
-		// Bounded Pareto via inverse transform, clamped to [MinCPU, MaxCPU].
-		bookedCPU := h.MinCPU / math.Pow(1-rng.Float64(), 1/h.Alpha)
-		if bookedCPU > h.MaxCPU {
-			bookedCPU = h.MaxCPU
+		// Bounded Pareto via inverse transform, clamped to the CPU bounds.
+		bookedCPU := heavyMinCPU / math.Pow(1-rng.Float64(), 1/heavyAlpha)
+		if bookedCPU > heavyMaxCPU {
+			bookedCPU = heavyMaxCPU
 		}
 		// Duration follows the size: elephants run longer.
 		dur := int64(rng.ExpFloat64() * float64(p.HorizonSec) / 24 * (1 + bookedCPU/4))

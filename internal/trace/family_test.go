@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -85,7 +88,7 @@ func TestFamilyProperties(t *testing.T) {
 }
 
 func TestDiurnalShape(t *testing.T) {
-	tr := familyUnderTest(t, NewDiurnal(), DefaultFamilyParams())
+	tr := familyUnderTest(t, Diurnal{}, DefaultFamilyParams())
 	// The sinusoid troughs at the horizon's edges and crests mid-cycle:
 	// ~75% of arrivals belong in the middle half.
 	mid := 0
@@ -100,7 +103,7 @@ func TestDiurnalShape(t *testing.T) {
 }
 
 func TestFlashCrowdShape(t *testing.T) {
-	tr := familyUnderTest(t, NewFlashCrowd(), DefaultFamilyParams())
+	tr := familyUnderTest(t, FlashCrowd{}, DefaultFamilyParams())
 	// Bucket arrivals; the burst bins must tower over the background.
 	const bins = 50
 	counts := make([]int, bins)
@@ -123,7 +126,7 @@ func TestFlashCrowdShape(t *testing.T) {
 }
 
 func TestServerlessShape(t *testing.T) {
-	tr := familyUnderTest(t, NewServerless(), DefaultFamilyParams())
+	tr := familyUnderTest(t, Serverless{}, DefaultFamilyParams())
 	s := tr.ComputeStats()
 	// Function invocations are seconds-to-minutes, tiny bookings.
 	if s.MeanDurationSec > 600 {
@@ -136,7 +139,7 @@ func TestServerlessShape(t *testing.T) {
 
 func TestMLBatchShape(t *testing.T) {
 	p := DefaultFamilyParams()
-	tr := familyUnderTest(t, NewMLBatch(), p)
+	tr := familyUnderTest(t, MLBatch{}, p)
 	s := tr.ComputeStats()
 	if s.MeanDurationSec < float64(p.HorizonSec)/5 {
 		t.Errorf("mean duration %.0fs, want long-running jobs (>= horizon/5)", s.MeanDurationSec)
@@ -159,7 +162,7 @@ func TestMLBatchShape(t *testing.T) {
 }
 
 func TestHeavyTailShape(t *testing.T) {
-	tr := familyUnderTest(t, NewHeavyTail(), DefaultFamilyParams())
+	tr := familyUnderTest(t, HeavyTail{}, DefaultFamilyParams())
 	cpus := make([]float64, len(tr.Tasks))
 	for i, task := range tr.Tasks {
 		cpus[i] = task.BookedCPU
@@ -276,26 +279,71 @@ func TestFamilyParamsValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
-		if _, err := NewDiurnal().Generate(p); err == nil {
+		if _, err := (Diurnal{}).Generate(p); err == nil {
 			t.Errorf("%s: family should reject the params", tc.name)
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		f    Family
-	}{
-		{"diurnal amplitude", Diurnal{Amplitude: 2}},
-		{"flashcrowd bursts", FlashCrowd{Bursts: 0, BurstFraction: 0.5, WidthFraction: 0.02}},
-		{"flashcrowd width", FlashCrowd{Bursts: 1, BurstFraction: 0.5, WidthFraction: 0.5}},
-		{"serverless cold fraction", Serverless{ColdFraction: 2, MeanExecSec: 100}},
-		{"serverless exec", Serverless{MeanExecSec: 0}},
-		{"mlbatch gang", MLBatch{GangSize: 0, MinDurationFrac: 0.2, MaxDurationFrac: 0.8}},
-		{"mlbatch fractions", MLBatch{GangSize: 2, MinDurationFrac: 0.9, MaxDurationFrac: 0.2}},
-		{"heavytail alpha", HeavyTail{Alpha: 0, MinCPU: 1, MaxCPU: 2}},
-		{"heavytail bounds", HeavyTail{Alpha: 1, MinCPU: 4, MaxCPU: 2}},
-	} {
-		if _, err := tc.f.Generate(DefaultFamilyParams()); err == nil {
-			t.Errorf("%s: want a tuning-range error", tc.name)
+}
+
+// TestFamilyTracesArePinned pins every generator's exact output: the sha256
+// of each family's and each Generate preset's uncompressed CSV at two seeds.
+// A golden shows a drift only once it reaches a printed fourth decimal; this
+// test fails on any moved byte. Re-record a hash only for a deliberate change
+// to a generator's model.
+func TestFamilyTracesArePinned(t *testing.T) {
+	want := map[string]string{
+		"diurnal/42":              "1c7ea7e44d938cd9d3fd7dc7a377ec8674b0cfb0b57904492861fe9f756fee33",
+		"diurnal/7":               "66e302f44d069fadac1a0633489eb0f910baf46d8156d04a8e1971ed6a3286e4",
+		"flashcrowd/42":           "26bebcdfa9fc63946381ecd38ceee44b82ed8c47d17318b758bf67f334480a71",
+		"flashcrowd/7":            "707310b42c830cceecc3ac536d89fab46ae159fa1928cef194b8ea6e9cc21700",
+		"google-like-modified/42": "5d508083f00f3328d6c93b1026feb3efb166f05a1c8833597496b14f8a648f82",
+		"google-like-modified/7":  "2321559ac0648a86f110e0175484fb8f5b49c0c63deaf8e0000b9fb0f27d1f74",
+		"google-like/42":          "d9ec8c02acbe23a56d4846e5b1b12ebe03701995ade0d978d7667e13bf434962",
+		"google-like/7":           "ad505509268a3edc0d1e10f4ef0f94f9e66c5bc79bfe8c71838cc1feb0a961d3",
+		"heavytail/42":            "2abeb1b0afff21ed12f33fa34162b43de0c78a8ae874780a9dd1d9121b0eb6cb",
+		"heavytail/7":             "c360e39671a673485ea4a77d5d8579d6ce028863ad64d900b94b169a4f67f223",
+		"mlbatch/42":              "096984c5c0d92c740c574e81950f0d904da0d4e622aa4aa3a70b530d56720215",
+		"mlbatch/7":               "9fde964daf18e5186f7ed27bbb228e302f7c142f6a883c02ac4c5dd98890ec6d",
+		"serverless/42":           "7bef95f9c70c9544b7ee058b28dd6bdce22781e45a1fbf8b543f7814114bfce5",
+		"serverless/7":            "7e2a5803316f9911ed6851918051598e351e2c66c0367031651ba271ae178d63",
+	}
+	gen := map[string]func(seed int64) (*Trace, error){
+		"google-like": func(seed int64) (*Trace, error) {
+			cfg := DefaultConfig()
+			cfg.Seed = seed
+			return Generate(cfg)
+		},
+		"google-like-modified": func(seed int64) (*Trace, error) {
+			cfg := ModifiedConfig()
+			cfg.Seed = seed
+			return Generate(cfg)
+		},
+	}
+	for _, f := range Families() {
+		gen[f.Name()] = func(seed int64) (*Trace, error) {
+			p := DefaultFamilyParams()
+			p.Seed = seed
+			return f.Generate(p)
+		}
+	}
+	if len(want) != 2*len(gen) {
+		t.Fatalf("%d pinned hashes for %d generators at two seeds", len(want), len(gen))
+	}
+	for name, g := range gen {
+		for _, seed := range []int64{42, 7} {
+			tr, err := g(seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			var buf bytes.Buffer
+			if err := tr.EncodeCSV(&buf, false); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			key := fmt.Sprintf("%s/%d", name, seed)
+			if got := hex.EncodeToString(sum[:]); got != want[key] {
+				t.Errorf("%s: sha256 %s, want %s", key, got, want[key])
+			}
 		}
 	}
 }
