@@ -73,8 +73,8 @@ func BenchmarkDCSimLargeLive(b *testing.B) {
 
 // BenchmarkCompareOpts is one offline_compare pass over its memory-heavy
 // trace: the six Figure 10 runs in one walk, transition costs on, epochs
-// sharded over GOMAXPROCS workers. Run it with -cpuprofile to see where a
-// comparison spends its time.
+// walked sequentially and sharded over GOMAXPROCS workers. Run it with
+// -cpuprofile to see where a comparison spends its time.
 func BenchmarkCompareOpts(b *testing.B) {
 	gen := trace.ModifiedConfig()
 	gen.Machines, gen.Tasks, gen.HorizonSec, gen.Seed = 1300, 20000, 24*3600, 42
@@ -82,13 +82,16 @@ func BenchmarkCompareOpts(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := CompareOptions{Workers: runtime.GOMAXPROCS(0), TransitionCosts: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CompareOpts(tr, energy.Profiles(), consolidation.DefaultServerSpec(), opts); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{0, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opts := CompareOptions{Workers: workers, TransitionCosts: true}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := CompareOpts(tr, energy.Profiles(), consolidation.DefaultServerSpec(), opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -103,7 +106,7 @@ func countAllocs(fn func()) uint64 {
 
 // TestEpochLoopAllocationBudget pins the allocation-free epoch loop: a run's
 // allocation count is dominated by per-run setup (the replay index, the
-// replayer and its buffers, the spans and stats slices) and must NOT scale
+// departure buckets, the spans and stats slices) and must NOT scale
 // with the number of epochs. Tripling the epoch count by shrinking the
 // consolidation period may only add a fixed slack — if the per-epoch path
 // (population, plan, pricing, stats) starts allocating, the growth is at

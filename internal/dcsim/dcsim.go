@@ -9,6 +9,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/energy"
+	"repro/internal/exact"
 	"repro/internal/radix"
 	"repro/internal/trace"
 )
@@ -55,6 +56,11 @@ func (c *Config) Validate() error {
 	if err := c.Trace.Validate(); err != nil {
 		return err
 	}
+	return c.validateRun()
+}
+
+// validateRun checks everything the configuration adds to its trace.
+func (c *Config) validateRun() error {
 	if c.Policy == nil {
 		return fmt.Errorf("dcsim: a consolidation policy is required")
 	}
@@ -169,9 +175,9 @@ type epochStats struct {
 // ReplayIndex is the read-only replay view of one trace, built once and
 // shared by everything that replays it: dcsim's walks, shards and replayers,
 // and autopilot's online loop. A VM's rank is its position in the
-// lexicographic order of the VM IDs — the order the policies and the energy
-// integrals have always seen populations in — so a replay keeps its running
-// set as ascending integers and never compares a string.
+// lexicographic order of the VM IDs, which the online loop folds in (dcsim's
+// exact sums need no order), so it keeps its running set as ascending
+// integers and never compares a string.
 type ReplayIndex struct {
 	tr *trace.Trace
 	// starts and ranks list the tasks in start order: the i-th task to start
@@ -271,9 +277,9 @@ func NewReplayIndex(tr *trace.Trace) (*ReplayIndex, error) {
 		}
 	}
 	// Traces list their tasks by start already, so this sort is close to a
-	// scan. Equal starts need no order: they are admitted in one batch, which
-	// population sorts by rank. The order is built in idx.ranks itself: the
-	// last loop reads entry i before it overwrites it.
+	// scan. Equal starts need no order: a replay admits them in one batch.
+	// The order is built in idx.ranks itself: the last loop reads entry i
+	// before it overwrites it.
 	byStart := idx.ranks
 	for i := range byStart {
 		byStart[i] = int32(i)
@@ -292,110 +298,87 @@ func (idx *ReplayIndex) Rank(task int) int32 { return idx.rankOf[task] }
 // whose ID is left empty.
 func (idx *ReplayIndex) Demand(rank int32) consolidation.VMDemand { return idx.demand[rank] }
 
-// liveCounts returns how many VMs each epoch's population holds, in one sweep
-// over the index: a task is live from the epoch it starts in to the epoch its
-// last second falls in.
-func (idx *ReplayIndex) liveCounts(periodSec int64, epochs int) []int {
-	live := make([]int, epochs+1)
-	for i, start := range idx.starts {
-		live[start/periodSec]++
-		live[(idx.ends[idx.ranks[i]]-1)/periodSec+1]--
+// departures counting-sorts the ranks by the epoch whose start retires them,
+// ⌈end/period⌉: bucket e is ranks[first[e]:first[e+1]]. A walk sorts once for
+// its period, and its shards share the buckets read-only.
+func (idx *ReplayIndex) departures(periodSec int64, epochs int) (first, ranks []int32) {
+	buf := make([]int32, epochs+3+len(idx.ends))
+	first, ranks = buf[:epochs+3], buf[epochs+3:]
+	for _, end := range idx.ends {
+		first[(end+periodSec-1)/periodSec+2]++
 	}
-	for e := 1; e < epochs; e++ {
-		live[e] += live[e-1]
+	for e := 1; e < len(first); e++ {
+		first[e] += first[e-1]
 	}
-	return live[:epochs]
+	for rank, end := range idx.ends { // moves first[e+1] from bucket e's start to its end
+		at := &first[(end+periodSec-1)/periodSec+1]
+		ranks[*at], *at = int32(rank), *at+1
+	}
+	return first, ranks
 }
 
-// replayer walks consolidation epochs in order over a shared index, keeping
-// the ranks of the running VMs ascending. It may start at any epoch: admission
-// only depends on the epoch end and retirement only on the epoch start, so its
-// first population call seeks — one scan of the tasks started so far that
-// keeps those still running, one integer sort of the survivors — and every
-// later call costs that epoch's arrivals and live set, whatever came before.
+// replayer walks consolidation epochs in order over a shared index, holding
+// the population's Demand as exact running sums (internal/exact): a VM is
+// added when it arrives and subtracted when it departs. Its first population
+// call may be at any epoch: it seeks, with one scan of the tasks started by
+// then that admits those still running.
 type replayer struct {
-	idx     *ReplayIndex
-	next    int
-	running []int32
-	spare   []int32
-	batch   []int32
+	idx          *ReplayIndex
+	spans        []epochSpan
+	goneAt, gone []int32 // the walk's departures
+	next         int     // the start-order position of the next arrival
+
+	vms, busy                                        int
+	bookedCPU, bookedMem, usedCPU, usedMem           exact.Sum
+	busyCPU, busyMem, busyUsedCPU, idleWSS, idleCold exact.Sum
 }
 
-// newReplayer sizes every buffer once for the largest population the walk
-// will meet (live is the walk's liveCounts), so the epoch loop allocates
-// nothing and population writes by position.
-func newReplayer(idx *ReplayIndex, live []int) *replayer {
-	peak := slices.Max(live)
-	return &replayer{
-		idx:     idx,
-		running: make([]int32, 0, peak), spare: make([]int32, peak), batch: make([]int32, 0, peak),
+// population returns the Demand of epoch e, the epoch after the previous
+// call's: it retires the VMs whose last second fell in the previous epoch and
+// admits the tasks starting before e ends and running at its start. Until it
+// has scanned a task a replayer has no VM to retire, so a seek retires none.
+func (r *replayer) population(e int) consolidation.Demand {
+	if r.next > 0 {
+		for _, rank := range r.gone[r.goneAt[e]:r.goneAt[e+1]] {
+			r.count(rank, -1)
+		}
 	}
-}
-
-// population returns the Demand of the epoch's VM population, folded in ID
-// order, and leaves the population's ranks, ascending, in r.running. The tasks
-// starting before the epoch end and ending after its start are sorted by rank
-// and merged with the running set into the spare buffer, dropping finished
-// VMs.
-func (r *replayer) population(span epochSpan) consolidation.Demand {
-	idx := r.idx
-	batch := r.batch[:0]
+	idx, span := r.idx, r.spans[e]
 	for ; r.next < len(idx.starts) && idx.starts[r.next] < span.end; r.next++ {
 		if rank := idx.ranks[r.next]; idx.ends[rank] > span.start {
-			batch = append(batch, rank)
-		}
-	}
-	slices.Sort(batch)
-	r.batch = batch
-	live, n := r.spare[:cap(r.spare)], 0
-	for running := r.running; len(running) > 0 || len(batch) > 0; {
-		var rank int32
-		if len(batch) == 0 || len(running) > 0 && running[0] < batch[0] {
-			rank, running = running[0], running[1:]
-			if idx.ends[rank] <= span.start {
-				continue
-			}
-		} else {
-			rank, batch = batch[0], batch[1:]
-		}
-		live[n] = rank
-		n++
-	}
-	r.running, r.spare = live[:n], r.running
-	return idx.sum(r.running)
-}
-
-// sum is consolidation.SumDemand of the VMs of the given ranks, in that order,
-// with no population materialised: one pass that keeps every sum in a local.
-func (idx *ReplayIndex) sum(ranks []int32) consolidation.Demand {
-	var bookedCPU, bookedMem, usedCPU, usedMem float64
-	var busyCPU, busyMem, busyUsedCPU, idleWSS, idleCold float64
-	busy := 0
-	for _, rank := range ranks {
-		v := &idx.demand[rank]
-		bookedCPU += v.BookedCPU
-		bookedMem += v.BookedMemGiB
-		usedCPU += v.UsedCPU
-		usedMem += v.UsedMemGiB
-		if v.Idle() {
-			idleWSS += v.WSSGiB()
-			idleCold += v.BookedMemGiB - v.WSSGiB()
-		} else {
-			busyCPU += v.BookedCPU
-			busyMem += v.BookedMemGiB
-			busyUsedCPU += v.UsedCPU
-			busy++
+			r.count(rank, 1)
 		}
 	}
 	return consolidation.Demand{
-		VMs: len(ranks), BookedCPU: bookedCPU, BookedMemGiB: bookedMem, UsedCPU: usedCPU, UsedMemGiB: usedMem,
-		BusyVMs: busy, BusyBookedCPU: busyCPU, BusyBookedMemGiB: busyMem, BusyUsedCPU: busyUsedCPU,
-		IdleWSSGiB: idleWSS, IdleColdGiB: idleCold,
+		VMs: r.vms, BookedCPU: r.bookedCPU.Float(), BookedMemGiB: r.bookedMem.Float(),
+		UsedCPU: r.usedCPU.Float(), UsedMemGiB: r.usedMem.Float(),
+		BusyVMs: r.busy, BusyBookedCPU: r.busyCPU.Float(), BusyBookedMemGiB: r.busyMem.Float(),
+		BusyUsedCPU: r.busyUsedCPU.Float(), IdleWSSGiB: r.idleWSS.Float(), IdleColdGiB: r.idleCold.Float(),
+	}
+}
+
+// count adds (sign 1) or subtracts (sign -1) the terms consolidation.SumDemand
+// folds for the VM of the given rank.
+func (r *replayer) count(rank int32, sign int) {
+	v, s := &r.idx.demand[rank], float64(sign)
+	r.vms += sign
+	r.bookedCPU.Add(s * v.BookedCPU)
+	r.bookedMem.Add(s * v.BookedMemGiB)
+	r.usedCPU.Add(s * v.UsedCPU)
+	r.usedMem.Add(s * v.UsedMemGiB)
+	if v.Idle() {
+		r.idleWSS.Add(s * v.WSSGiB())
+		r.idleCold.Add(s * (v.BookedMemGiB - v.WSSGiB()))
+	} else {
+		r.busy += sign
+		r.busyCPU.Add(s * v.BookedCPU)
+		r.busyMem.Add(s * v.BookedMemGiB)
+		r.busyUsedCPU.Add(s * v.UsedCPU)
 	}
 }
 
 // simulateEpoch evaluates the policy on the Demand of one epoch's population,
-// which the walk folds once for every config, integrates the fleet power over
+// which the walk keeps once for every config, integrates the fleet power over
 // the epoch and, when transition costs are enabled, charges the events
 // implied by moving from prev's posture to this epoch's. It returns the
 // epoch's plan so the caller can thread it into the next epoch's delta.
@@ -460,22 +443,32 @@ func Run(cfg Config) (Result, error) {
 // whatever replays one trace more than once (autopilot's regret reports and
 // the scenario matrix) builds it once. It is the one-config walk.
 func RunIndexed(cfg Config, idx *ReplayIndex) (Result, error) {
-	if err := prepare(&cfg, idx); err != nil {
+	cfgs := []Config{cfg}
+	if err := prepare(idx, cfgs); err != nil {
 		return Result{}, err
 	}
-	return walk(idx, []Config{cfg})[0], nil
+	return walk(idx, cfgs)[0], nil
 }
 
-// prepare validates cfg, checks idx replays its trace, and fills the default
-// 300 s period: what a config needs before it joins a walk.
-func prepare(cfg *Config, idx *ReplayIndex) error {
-	if idx == nil || idx.tr != cfg.Trace {
+// prepare readies the configs of one walk: they must replay the trace idx
+// was built from, which is validated once for all of them, then each gets
+// the default 300 s period and is validated itself. The first error wins.
+func prepare(idx *ReplayIndex, cfgs []Config) error {
+	if len(cfgs) > 0 && (idx == nil || idx.tr != cfgs[0].Trace) { // a walk's configs share its trace
 		return fmt.Errorf("dcsim: the replay index was built from another trace")
 	}
-	if cfg.ConsolidationPeriodSec <= 0 {
-		cfg.ConsolidationPeriodSec = 300
+	if err := idx.tr.Validate(); err != nil {
+		return err
 	}
-	return cfg.Validate()
+	for i := range cfgs {
+		if cfgs[i].ConsolidationPeriodSec <= 0 {
+			cfgs[i].ConsolidationPeriodSec = 300
+		}
+		if err := cfgs[i].validateRun(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // mergeEpochStats folds per-epoch contributions into a Result in epoch order,
@@ -592,15 +585,14 @@ func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consol
 	var cfgs []Config
 	for _, m := range machines {
 		for _, pol := range consolidation.Contenders() {
-			cfg := Config{
+			cfgs = append(cfgs, Config{
 				Trace: tr, Policy: pol, Machine: m, ServerSpec: spec,
 				Workers: opts.Workers, TransitionCosts: opts.TransitionCosts,
-			}
-			if err := prepare(&cfg, idx); err != nil {
-				return Comparison{}, err
-			}
-			cfgs = append(cfgs, cfg)
+			})
 		}
+	}
+	if err := prepare(idx, cfgs); err != nil {
+		return Comparison{}, err
 	}
 	return Comparison{Trace: tr.Name, Results: walk(idx, cfgs)}, nil
 }

@@ -2,6 +2,7 @@ package dcsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/acpi"
@@ -193,5 +194,34 @@ func TestPosturePowerMatchesLedger(t *testing.T) {
 				t.Errorf("%s used %v cores: baseline %v J, ledger %v J", m.Name, usedCPU, got, want)
 			}
 		}
+	}
+}
+
+// TestTraceErrorWinsOverConfig: a walk validates its trace once, before any
+// config, so when the trace and a config are both bad every entry point
+// reports the trace's own error, and a good trace lets the config's through.
+func TestTraceErrorWinsOverConfig(t *testing.T) {
+	bad := *engineTestTrace(t)
+	bad.Tasks = slices.Clone(bad.Tasks)
+	bad.Tasks[7].UsedCPU = 2 * bad.Tasks[7].BookedCPU
+	traceErr := bad.Validate()
+	if traceErr == nil {
+		t.Fatal("the trace validates")
+	}
+	spec := consolidation.DefaultServerSpec()
+	noMachine := Config{Trace: &bad, Policy: consolidation.NewNeat(), ServerSpec: spec}
+	if _, err := Run(noMachine); err == nil || err.Error() != traceErr.Error() {
+		t.Fatalf("Run: got %v, want %v", err, traceErr)
+	}
+	if _, err := CompareOpts(&bad, []*energy.MachineProfile{nil}, spec, CompareOptions{}); err == nil || err.Error() != traceErr.Error() {
+		t.Fatalf("CompareOpts: got %v, want %v", err, traceErr)
+	}
+	good := engineTestTrace(t)
+	want := "dcsim: a machine power profile is required"
+	if _, err := CompareOpts(good, []*energy.MachineProfile{energy.HPProfile(), nil}, spec, CompareOptions{}); err == nil || err.Error() != want {
+		t.Fatalf("CompareOpts with a valid trace: got %v, want %q", err, want)
+	}
+	if _, err := Sweep(SweepConfig{Policies: consolidation.Contenders(), Machines: []*energy.MachineProfile{nil}, Traces: []*trace.Trace{good}, PeriodsSec: []int64{300, 600}}); err == nil || err.Error() != want {
+		t.Fatalf("Sweep with a valid trace: got %v, want %q", err, want)
 	}
 }

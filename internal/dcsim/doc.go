@@ -24,36 +24,35 @@
 // so enabling transition costs can only lower the reported saving.
 //
 // A run replays its trace through one read-only ReplayIndex (dcsim.go): the
-// tasks in start order, each VM's rank in the lexicographic VM-ID order
-// populations are planned and integrated in, its demand, and its VM ID as a
-// substring of one buffer. The ranks are sorted by an integer
-// key that orders like the "task-%d" strings, so the build compares no string
-// either. Run builds the index; internal/autopilot, whose online loop keeps
-// its running set by rank, builds it once per trace and fault plan and hands
-// it to its online runs and, through RunIndexed, to the oracle. The index is
-// always passed as an argument and never cached on the trace. A replayer
-// derives an epoch's population by merging the epoch's arrivals, sorted by
-// rank, with the surviving running set — linear, no string compared, nothing
-// allocated — and folds it in rank order into a consolidation.Demand, the
-// sums every policy plans from; no []VMDemand is built. It seeks to any epoch
-// with one filtered scan of the tasks started by then. A trace that repeats a
-// task ID is rejected at the build.
+// tasks in start order, each VM's rank in the lexicographic VM-ID order, and
+// its demand. The ranks are sorted by an integer key that orders like the
+// "task-%d" strings, so the build compares no string, and serve
+// internal/autopilot, whose online loop keeps its running set by rank; it
+// builds the index once per trace and fault plan and hands it to its online
+// runs and, through RunIndexed, to the oracle. The index is always passed as
+// an argument and never cached on the trace. A trace that repeats a task ID
+// is rejected at the build.
+//
+// A replayer keeps an epoch's consolidation.Demand, the sums every policy
+// plans from, as exact running sums (internal/exact), so an epoch costs its
+// arrivals and departures, and no Demand depends on the tasks' order, their
+// IDs or the epoch the replayer started at.
 //
 // Runs that share a trace and a consolidation period share one epoch walk
-// (parallel.go): CompareOpts and Sweep build the index once per trace, and the
-// walk folds each epoch's population once for every run to plan and price.
+// (parallel.go), which validates the trace once and keeps each epoch's
+// Demand once for every run to plan and price.
 //
 // The simulation decomposes into independent consolidation epochs, so the
 // walk can shard the per-epoch accounting (placement evaluation, energy
 // integration and transition pricing) across a pool of workers: set
 // Config.Workers above 1 and the epochs are split into contiguous shards of
-// near-equal population, each seeking to its own start, simulated
-// concurrently, and merged back per run in epoch order. Transition events
-// depend only on the previous and current epoch plans, both pure functions of
-// their epoch populations, so a shard derives its predecessor plan with a
-// one-epoch lookback and the merge performs exactly the same floating-point
-// additions in exactly the same order as the sequential path: a parallel run
-// is bit-identical to a sequential one (see parallel.go).
+// near-equal cost, each seeking to its own start, simulated concurrently,
+// and merged back per run in epoch order. Transition events depend only on
+// the previous and current epoch plans, both pure functions of their epoch
+// Demands, so a shard derives its predecessor plan with a one-epoch lookback
+// and the merge performs exactly the same floating-point additions in
+// exactly the same order as the sequential path: a parallel run is
+// bit-identical to a sequential one (see parallel.go).
 //
 // On top of single runs, sweep.go provides a scenario-sweep harness that runs
 // a grid of {policy, machine profile, trace, consolidation period,

@@ -1,10 +1,13 @@
 package dcsim
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/energy"
 	"repro/internal/trace"
@@ -84,50 +87,88 @@ func TestParallelEnergySavingExact(t *testing.T) {
 	}
 }
 
+// bounds is the bucket bounds departures returns for buckets of the given
+// sizes: bucket e spans [bounds[e], bounds[e+1]).
+func bounds(sizes []int) []int32 {
+	b := make([]int32, len(sizes)+1)
+	for e, n := range sizes {
+		b[e+1] = b[e] + int32(n)
+	}
+	return b
+}
+
 // TestShardEpochs checks the shard plan covers every epoch exactly once with
-// contiguous, non-empty ranges, that equal populations give near-equal shards,
-// and that skewed populations are cut by weight, not by epoch count.
+// contiguous, non-empty ranges, that epochs of equal cost give shards of
+// near-equal length (a shard's seek may merge two short ones), that skewed
+// events are cut by cost, not by epoch count, and that a live set costlier
+// to seek than the epochs after it is not cut.
 func TestShardEpochs(t *testing.T) {
-	uniform := func(n int) []int { return slices.Repeat([]int{40}, n) }
-	skewed := append(slices.Repeat([]int{900}, 10), slices.Repeat([]int{0}, 90)...)
-	cases := []struct {
-		live    []int
-		workers int
-	}{
-		{uniform(1), 1}, {uniform(1), 8}, {uniform(5), 2}, {uniform(7), 3}, {uniform(8), 8},
-		{uniform(100), 7}, {uniform(3), 0}, {skewed, 2}, {skewed, 64}, {[]int{0, 0, 5000, 0}, 3},
+	steady := func(n, events int) ([]int, []int) {
+		depart := slices.Repeat([]int{events}, n)
+		depart[0] = 0
+		return slices.Repeat([]int{events}, n), depart
+	}
+	skewArrive := append(slices.Repeat([]int{9000}, 10), slices.Repeat([]int{0}, 90)...)
+	skewDepart := append([]int{0}, skewArrive[:99]...)
+	heavyArrive, heavyDepart := make([]int, 100), make([]int, 100)
+	heavyArrive[0] = 100000
+	type shardCase struct {
+		name           string
+		arrive, depart []int
+		workers        int
+		steady         bool
+	}
+	cases := []shardCase{
+		{"one-epoch", []int{40}, []int{0}, 8, true},
+		{"sequential", skewArrive, skewDepart, 1, false},
+		{"no-workers", skewArrive, skewDepart, 0, false},
+		{"skewed", skewArrive, skewDepart, 2, false},
+		{"skewed-wide", skewArrive, skewDepart, 64, false},
+		{"heavy-seek", heavyArrive, heavyDepart, 4, false},
+	}
+	for _, c := range []struct{ n, workers int }{{5, 2}, {7, 3}, {8, 8}, {100, 7}, {288, 2}} {
+		arrive, depart := steady(c.n, 40)
+		cases = append(cases, shardCase{fmt.Sprintf("steady-%d/%d", c.n, c.workers), arrive, depart, c.workers, true})
 	}
 	for _, c := range cases {
-		n := len(c.live)
-		shards := shardEpochs(c.live, c.workers)
+		n := len(c.arrive)
+		shards := shardEpochs(c.arrive, bounds(c.depart), c.workers, 6)
 		if len(shards) > max(1, c.workers) {
-			t.Fatalf("n=%d workers=%d: %d shards", n, c.workers, len(shards))
+			t.Fatalf("%s: %d shards for %d workers", c.name, len(shards), c.workers)
 		}
 		lo := 0
 		for _, sh := range shards {
 			if sh.lo != lo {
-				t.Fatalf("n=%d workers=%d: gap or overlap at %d (shard starts at %d)", n, c.workers, lo, sh.lo)
+				t.Fatalf("%s: gap or overlap at %d (shard starts at %d)", c.name, lo, sh.lo)
 			}
 			if sh.hi <= sh.lo {
-				t.Fatalf("n=%d workers=%d: empty shard %+v", n, c.workers, sh)
+				t.Fatalf("%s: empty shard %+v", c.name, sh)
 			}
 			lo = sh.hi
 		}
 		if lo != n {
-			t.Fatalf("n=%d workers=%d: shards end at %d, want %d", n, c.workers, lo, n)
+			t.Fatalf("%s: shards end at %d, want %d", c.name, lo, n)
 		}
-		if slices.Min(c.live) != slices.Max(c.live) {
+		if !c.steady {
 			continue
 		}
+		if want := (min(n, c.workers) + 1) / 2; len(shards) < want {
+			t.Fatalf("%s: %d shards, want at least %d: %+v", c.name, len(shards), want, shards)
+		}
 		for _, sh := range shards {
-			if size := sh.hi - sh.lo; size > n/max(1, min(c.workers, n))+1 {
-				t.Fatalf("n=%d workers=%d: unbalanced shard %+v", n, c.workers, sh)
+			if size := sh.hi - sh.lo; 4*size > 5*(n/len(shards)+1) {
+				t.Fatalf("%s: unbalanced shard %+v of %+v", c.name, sh, shards)
 			}
 		}
 	}
 	// Ten busy epochs then ninety idle ones: two workers split the busy ten.
-	if got := shardEpochs(skewed, 2); got[0].hi > 6 {
-		t.Fatalf("skewed load cut by epoch count, not weight: %+v", got)
+	if got := shardEpochs(skewArrive, bounds(skewDepart), 2, 6); len(got) != 2 || got[0].hi > 6 {
+		t.Fatalf("skewed events cut by epoch count, not cost: %+v", got)
+	}
+	// 100 000 VMs arrive at once and stay: a second shard's seek would admit
+	// them all again, which costs more than the idle epochs it would take.
+	if got := shardEpochs(heavyArrive, bounds(heavyDepart), 4, 6); len(got) != 1 {
+		t.Fatalf("a seek dearer than the epochs it saves was cut: %+v", got)
 	}
 }
 
@@ -218,6 +259,63 @@ func TestCompareOptsMatchesSeparateRuns(t *testing.T) {
 					t.Errorf("%s workers=%d transitions=%v: CompareOpts diverges from separate runs\ncompare: %+v\nruns:    %+v",
 						tr.Name, workers, costed, got.Results, want)
 				}
+			}
+		}
+	}
+}
+
+// relabel returns a copy of tr with its rows shuffled and every task ID
+// replaced through a random bijection onto IDs of one to nineteen digits,
+// either sign, so the ID order of the copy's tasks is unrelated to theirs.
+func relabel(tr *trace.Trace, seed int64) *trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	out := *tr
+	out.Tasks = make([]trace.Task, 0, len(tr.Tasks))
+	used := map[int]bool{}
+	for _, i := range rng.Perm(len(tr.Tasks)) {
+		task := tr.Tasks[i]
+		for used[task.ID] || task.ID == tr.Tasks[i].ID {
+			task.ID = int(rng.Int63()>>uint(rng.Intn(63))) * (1 - 2*rng.Intn(2))
+		}
+		used[task.ID] = true
+		out.Tasks = append(out.Tasks, task)
+	}
+	return &out
+}
+
+// TestRelabelLeavesResultsBitIdentical is the offline relabel law: any
+// bijection of task IDs, rows shuffled too, leaves every Result bit for bit
+// — with transition costs, under chaos and sharded — because every demand
+// sum is exact and so does not depend on the ID order the ranks follow.
+func TestRelabelLeavesResultsBitIdentical(t *testing.T) {
+	tr := engineTestTrace(t)
+	plan, err := chaos.Scenario("heavy", tr.HorizonSec, tr.Machines, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := consolidation.DefaultServerSpec()
+	results := func(tr *trace.Trace) []Result {
+		cmp, err := CompareOpts(tr, energy.Profiles(), spec, CompareOptions{Workers: 3, TransitionCosts: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range consolidation.AllPolicies() {
+			res, err := Run(Config{
+				Trace: tr, Policy: pol, Machine: energy.HPProfile(), ServerSpec: spec,
+				ConsolidationPeriodSec: 120, TransitionCosts: true, Chaos: plan,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmp.Results = append(cmp.Results, res)
+		}
+		return cmp.Results
+	}
+	want := results(tr)
+	for seed := int64(1); seed <= 3; seed++ {
+		for i, got := range results(relabel(tr, seed)) {
+			if !bitEqual(got, want[i]) {
+				t.Fatalf("relabelling %d: run %d differs\n got %+v\nwant %+v", seed, i, got, want[i])
 			}
 		}
 	}

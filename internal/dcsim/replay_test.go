@@ -3,6 +3,7 @@ package dcsim
 import (
 	"cmp"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -47,54 +48,74 @@ func vmIDsByRank(tr *trace.Trace, idx *ReplayIndex) []string {
 	return ids
 }
 
+// exactDemand is the oracle for the replayer's sums: the terms SumDemand
+// folds, summed in big.Floats wide enough to hold any float64 sum exactly and
+// rounded once each.
+func exactDemand(vms []consolidation.VMDemand) consolidation.Demand {
+	var sums [9]big.Float
+	add := func(i int, x float64) {
+		sums[i].SetPrec(2400).Add(&sums[i], new(big.Float).SetFloat64(x))
+	}
+	d := consolidation.Demand{VMs: len(vms)}
+	for _, v := range vms {
+		add(0, v.BookedCPU)
+		add(1, v.BookedMemGiB)
+		add(2, v.UsedCPU)
+		add(3, v.UsedMemGiB)
+		if v.Idle() {
+			add(4, v.WSSGiB())
+			add(5, v.BookedMemGiB-v.WSSGiB())
+		} else {
+			d.BusyVMs++
+			add(6, v.BookedCPU)
+			add(7, v.BookedMemGiB)
+			add(8, v.UsedCPU)
+		}
+	}
+	var f [9]float64
+	for i := range sums {
+		f[i], _ = sums[i].Float64()
+	}
+	d.BookedCPU, d.BookedMemGiB, d.UsedCPU, d.UsedMemGiB = f[0], f[1], f[2], f[3]
+	d.IdleWSSGiB, d.IdleColdGiB = f[4], f[5]
+	d.BusyBookedCPU, d.BusyBookedMemGiB, d.BusyUsedCPU = f[6], f[7], f[8]
+	return d
+}
+
+// taskDemand is the consolidation view of one task.
+func taskDemand(task trace.Task) consolidation.VMDemand {
+	return consolidation.VMDemand{
+		BookedCPU: task.BookedCPU, BookedMemGiB: task.BookedMemGiB, UsedCPU: task.UsedCPU, UsedMemGiB: task.UsedMemGiB,
+	}
+}
+
 // checkSeek is the brute-force oracle: whatever epoch a replayer starts at,
-// the population it holds for every later epoch must equal "filter the tasks
-// overlapping the span, sort by VM-ID string", element for element, its
-// Demand must be SumDemand of that slice, and it must fit the buffers sized
-// from liveCounts. A held VM's ID is its task's, reached through Rank.
+// the Demand it holds for that and every later epoch must be, bit for bit,
+// the exact sums of "filter the tasks overlapping the span".
 func checkSeek(t *testing.T, tr *trace.Trace, periodSec int64) {
 	t.Helper()
 	idx, err := NewReplayIndex(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := vmIDsByRank(tr, idx)
 	spans := epochSpans(tr.HorizonSec, periodSec)
-	live := idx.liveCounts(periodSec, len(spans))
-	want := make([][]consolidation.VMDemand, len(spans))
+	goneAt, gone := idx.departures(periodSec, len(spans))
+	want := make([]consolidation.Demand, len(spans))
 	for j, span := range spans {
+		var vms []consolidation.VMDemand
 		for _, task := range tr.Tasks {
 			if task.StartSec < span.end && task.EndSec > span.start {
-				want[j] = append(want[j], consolidation.VMDemand{
-					ID: task.VMID(), BookedCPU: task.BookedCPU, BookedMemGiB: task.BookedMemGiB,
-					UsedCPU: task.UsedCPU, UsedMemGiB: task.UsedMemGiB,
-				})
+				vms = append(vms, taskDemand(task))
 			}
 		}
-		slices.SortFunc(want[j], func(a, b consolidation.VMDemand) int { return strings.Compare(a.ID, b.ID) })
-		if live[j] != len(want[j]) {
-			t.Fatalf("period %d: liveCounts says epoch %d holds %d VMs, brute force %d", periodSec, j, live[j], len(want[j]))
-		}
+		want[j] = exactDemand(vms)
 	}
-	peak := slices.Max(live)
 	for k := range spans {
-		rep := newReplayer(idx, live)
+		rep := &replayer{idx: idx, spans: spans, goneAt: goneAt, gone: gone}
 		for j := k; j < len(spans); j++ {
-			d := rep.population(spans[j])
-			got := make([]consolidation.VMDemand, len(rep.running))
-			for i, rank := range rep.running {
-				got[i] = idx.Demand(rank)
-				got[i].ID = ids[rank]
+			if d := rep.population(j); !bitEqual(d, want[j]) {
+				t.Fatalf("period %d: seek to epoch %d, Demand of epoch %d\n got %+v\nwant %+v", periodSec, k, j, d, want[j])
 			}
-			if !slices.Equal(got, want[j]) {
-				t.Fatalf("period %d: seek to epoch %d, population of epoch %d\n got %v\nwant %v", periodSec, k, j, got, want[j])
-			}
-			if sum := consolidation.SumDemand(want[j]); d != sum {
-				t.Fatalf("period %d: seek to epoch %d, Demand of epoch %d\n got %+v\nwant %+v", periodSec, k, j, d, sum)
-			}
-		}
-		if cap(rep.batch) != peak {
-			t.Fatalf("period %d: seek to epoch %d regrew the batch buffer sized for the peak of %d", periodSec, k, peak)
 		}
 	}
 }
@@ -167,11 +188,11 @@ func bitEqual(a, b any) bool {
 }
 
 // FuzzPlanDemand pins planning from sums to planning from the population:
-// the replayer's rank fold is SumDemand of the population it materialises,
-// and every built-in policy's Plan of that population is PlanDemand of its
-// SumDemand, bit for bit. The corpus checked in under testdata/fuzz holds an
-// empty population, one VM, all idle, none idle, 5 000 VMs and 5 000 VMs
-// whose sums overflow.
+// the replayer's Demand is the exact sums of the population, and every
+// built-in policy's Plan of that population is PlanDemand of its SumDemand,
+// bit for bit. The corpus checked in under testdata/fuzz holds an empty
+// population, one VM, all idle, none idle, 5 000 VMs and 5 000 VMs whose
+// sums overflow.
 func FuzzPlanDemand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, idle uint8, mag int8, total uint16) {
 		tr := demandCase(seed, size, idle, mag)
@@ -179,17 +200,16 @@ func FuzzPlanDemand(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		span := epochSpans(tr.HorizonSec, tr.HorizonSec)[0]
-		rep := newReplayer(idx, idx.liveCounts(tr.HorizonSec, 1))
-		got := rep.population(span)
-		vms := make([]consolidation.VMDemand, len(rep.running))
-		for i, rank := range rep.running {
-			vms[i] = idx.Demand(rank)
+		spans := epochSpans(tr.HorizonSec, tr.HorizonSec)
+		rep := &replayer{idx: idx, spans: spans}
+		vms := make([]consolidation.VMDemand, len(tr.Tasks))
+		for i, task := range tr.Tasks {
+			vms[i] = taskDemand(task)
+		}
+		if got, want := rep.population(0), exactDemand(vms); !bitEqual(got, want) {
+			t.Fatalf("%d tasks: the replayer's Demand is\n%+v\nthe exact sums\n%+v", len(vms), got, want)
 		}
 		want := consolidation.SumDemand(vms)
-		if len(vms) != len(tr.Tasks) || !bitEqual(got, want) {
-			t.Fatalf("%d tasks: the rank fold of %d VMs is\n%+v\nSumDemand of them\n%+v", len(tr.Tasks), len(vms), got, want)
-		}
 		spec := consolidation.DefaultServerSpec()
 		for _, p := range consolidation.AllPolicies() {
 			plan, fromSums := p.Plan(vms, spec, int(total)), p.PlanDemand(want, spec, int(total))
@@ -226,9 +246,9 @@ func TestRunRejectsDuplicateTaskIDs(t *testing.T) {
 
 // TestCompareFormatsVMIDsOncePerTrace pins the sharing: a comparison is six
 // runs in one walk of one trace. It allocates the index's few buffers and the
-// walk's replayer once, plus a small constant per run — no VM ID is formatted
-// at all (ranks carry the ID order), let alone one per task per run, and a
-// replayer per run (three buffers each) does not fit the budget.
+// walk's departure buckets once, plus a small constant per run — no VM ID is
+// formatted at all (ranks carry the ID order), let alone one per task per
+// run.
 func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	tr := engineTestTrace(t)
 	spec := consolidation.DefaultServerSpec()

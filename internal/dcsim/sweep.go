@@ -132,7 +132,8 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 			for _, pol := range cfg.Policies {
 				for p, period := range cfg.PeriodsSec {
 					for _, transitions := range transitionAxis {
-						c := Config{
+						g := &groups[first+p]
+						g.cfgs = append(g.cfgs, Config{
 							Trace:                  tr,
 							Policy:                 pol,
 							Machine:                m,
@@ -140,16 +141,17 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 							ConsolidationPeriodSec: period,
 							Workers:                engineWorkers,
 							TransitionCosts:        transitions,
-						}
-						if err := prepare(&c, idx); err != nil {
-							return nil, err
-						}
-						g := &groups[first+p]
-						g.cfgs = append(g.cfgs, c)
+						})
 						g.cells = append(g.cells, ncells)
 						ncells++
 					}
 				}
+			}
+		}
+		// Validity is period-free: group one holds the first bad config.
+		for _, g := range groups[first:] {
+			if err := prepare(idx, g.cfgs); err != nil {
+				return nil, err
 			}
 		}
 	}
