@@ -75,9 +75,10 @@ type Agent struct {
 type RemoteBuffer struct {
 	Buffer
 	agent *Agent
-	// gen is the generation of the controller that issued the buffer. A
-	// rebuilt controller restarts ID numbering, so a release is only safe
-	// when the generations still match.
+	// gen is the generation of the controller that issued the buffer, and 0
+	// once the handle is released. A rebuilt controller lists the lent memory
+	// as free under the same IDs and a released ID can be granted again, so a
+	// release is only safe when the generations still match.
 	gen uint64
 }
 
@@ -336,7 +337,7 @@ func (a *Agent) DelegateWhileActive(keepBytes int64) (int, error) {
 // The controller notifies any user servers first; on return the memory is
 // local again.
 func (a *Agent) WakeAndReclaim(nbBuffers int) (int, error) {
-	bufs, err := a.controller.ReclaimBuffers(a.id, nbBuffers)
+	bufs, err := a.controller.Reclaim(a.id, nbBuffers)
 	if err != nil {
 		return 0, err
 	}
@@ -476,20 +477,23 @@ func ReleaseHandles(handles []*RemoteBuffer) error {
 	return nil
 }
 
-// ReleaseBuffers returns remote buffers to the controller. Handles issued by
-// a controller that has since failed over are dropped instead of released:
-// the rebuilt database reconstructed the lent memory as free and restarted
-// ID numbering, so a stale handle's ID may name someone else's allocation.
+// ReleaseBuffers returns remote buffers to the controller. A handle that was
+// already released, or was issued by a controller that has since failed over,
+// is dropped instead of released: its ID may since have been granted again,
+// to this server or another.
 func (a *Agent) ReleaseBuffers(handles []*RemoteBuffer) error {
 	ids := make([]BufferID, 0, len(handles))
 	a.mu.Lock()
 	ctrl := a.controller
 	gen := ctrl.Generation()
 	for _, h := range handles {
-		delete(a.used, h.ID)
-		if h.gen != 0 && h.gen != gen {
+		if a.used[h.ID] == h {
+			delete(a.used, h.ID)
+		}
+		if h.gen != gen {
 			continue
 		}
+		h.gen = 0
 		ids = append(ids, h.ID)
 	}
 	a.mu.Unlock()

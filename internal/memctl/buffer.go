@@ -1,9 +1,10 @@
 package memctl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DefaultBufferSize is the rack-wide BUFF_SIZE: 64 MiB, a compromise between
@@ -47,206 +48,97 @@ type Buffer struct {
 	// RKey is the RDMA remote key a user server needs to address the buffer
 	// with one-sided verbs.
 	RKey uint32
+	// Guaranteed marks a grant made through GS_alloc_ext; admission control
+	// sums the guaranteed grants. It is cleared when the grant ends.
+	Guaranteed bool
 }
 
 // Allocated reports whether the buffer is currently lent to a user server.
 func (b Buffer) Allocated() bool { return b.User != "" }
 
-// bufferDB is the controller's buffer database. It is not safe for concurrent
-// use; the owning controller serialises access.
+// bufferDB is the controller's buffer database: one table of records in
+// ascending ID order. IDs only grow, so a new record appends and a lookup is a
+// binary search; every view is a scan and comes out in ID order. It is not
+// safe for concurrent use; the owning controller serialises access.
 type bufferDB struct {
-	nextID  BufferID
-	byID    map[BufferID]*Buffer
-	byHost  map[ServerID][]BufferID
-	byUser  map[ServerID][]BufferID
-	freeIDs map[BufferID]struct{}
+	nextID BufferID
+	recs   []*Buffer
 }
 
-func newBufferDB() *bufferDB {
-	return &bufferDB{
-		byID:    make(map[BufferID]*Buffer),
-		byHost:  make(map[ServerID][]BufferID),
-		byUser:  make(map[ServerID][]BufferID),
-		freeIDs: make(map[BufferID]struct{}),
-	}
+// add appends a record whose ID is above every ID in the table.
+func (db *bufferDB) add(b Buffer) {
+	db.nextID = b.ID
+	db.recs = append(db.recs, &b)
 }
 
-// add inserts a new unallocated buffer served by host and returns it.
-func (db *bufferDB) add(host ServerID, offset, size int64, typ BufferType, rkey uint32) *Buffer {
-	db.nextID++
-	b := &Buffer{ID: db.nextID, Host: host, Offset: offset, Size: size, Type: typ, RKey: rkey}
-	db.byID[b.ID] = b
-	db.byHost[host] = append(db.byHost[host], b.ID)
-	db.freeIDs[b.ID] = struct{}{}
-	return b
-}
-
-// get returns the buffer with the given id.
-func (db *bufferDB) get(id BufferID) (*Buffer, bool) {
-	b, ok := db.byID[id]
-	return b, ok
-}
-
-// remove deletes a buffer entirely (its host reclaimed the memory).
-func (db *bufferDB) remove(id BufferID) {
-	b, ok := db.byID[id]
+// get returns the buffer with the given id, or nil.
+func (db *bufferDB) get(id BufferID) *Buffer {
+	i, ok := slices.BinarySearchFunc(db.recs, id, func(b *Buffer, id BufferID) int { return cmp.Compare(b.ID, id) })
 	if !ok {
-		return
+		return nil
 	}
-	delete(db.byID, id)
-	delete(db.freeIDs, id)
-	db.byHost[b.Host] = removeID(db.byHost[b.Host], id)
-	if b.User != "" {
-		db.byUser[b.User] = removeID(db.byUser[b.User], id)
-	}
+	return db.recs[i]
 }
 
-// allocate marks the buffer as used by user.
-func (db *bufferDB) allocate(id BufferID, user ServerID) error {
-	b, ok := db.byID[id]
-	if !ok {
-		return fmt.Errorf("memctl: buffer %d does not exist", id)
-	}
-	if b.User != "" {
-		return fmt.Errorf("memctl: buffer %d already allocated to %s", id, b.User)
-	}
-	b.User = user
-	delete(db.freeIDs, id)
-	db.byUser[user] = append(db.byUser[user], id)
-	return nil
+// remove deletes buffers entirely (their host reclaimed the memory).
+func (db *bufferDB) remove(ids []BufferID) {
+	gone := slices.Sorted(slices.Values(ids))
+	db.recs = slices.DeleteFunc(db.recs, func(b *Buffer) bool {
+		_, ok := slices.BinarySearch(gone, b.ID)
+		return ok
+	})
 }
 
-// release returns the buffer to the free pool.
-func (db *bufferDB) release(id BufferID) error {
-	b, ok := db.byID[id]
-	if !ok {
-		return fmt.Errorf("memctl: buffer %d does not exist", id)
+// where returns the buffers keep accepts, in ascending ID order.
+func (db *bufferDB) where(keep func(*Buffer) bool) []*Buffer {
+	var out []*Buffer
+	for _, b := range db.recs {
+		if keep(b) {
+			out = append(out, b)
+		}
 	}
-	if b.User == "" {
-		return fmt.Errorf("memctl: buffer %d is not allocated", id)
+	return out
+}
+
+// bytes sums the sizes of the buffers keep accepts.
+func (db *bufferDB) bytes(keep func(*Buffer) bool) int64 {
+	var total int64
+	for _, b := range db.recs {
+		if keep(b) {
+			total += b.Size
+		}
 	}
-	db.byUser[b.User] = removeID(db.byUser[b.User], id)
-	b.User = ""
-	db.freeIDs[id] = struct{}{}
-	return nil
+	return total
 }
 
 // retype changes the buffer type of every buffer served by host (when the
 // host transitions between zombie and active).
 func (db *bufferDB) retype(host ServerID, typ BufferType) {
-	for _, id := range db.byHost[host] {
-		db.byID[id].Type = typ
-	}
-}
-
-// freeByType returns the IDs of unallocated buffers of the given type, in
-// ascending ID order for determinism.
-func (db *bufferDB) freeByType(typ BufferType) []BufferID {
-	var out []BufferID
-	for id := range db.freeIDs {
-		if db.byID[id].Type == typ {
-			out = append(out, id)
+	for _, b := range db.recs {
+		if b.Host == host {
+			b.Type = typ
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
-// hostBuffers returns the IDs of buffers served by host, ascending.
-func (db *bufferDB) hostBuffers(host ServerID) []BufferID {
-	out := append([]BufferID(nil), db.byHost[host]...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// userBuffers returns the IDs of buffers used by user, ascending.
-func (db *bufferDB) userBuffers(user ServerID) []BufferID {
-	out := append([]BufferID(nil), db.byUser[user]...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// allocatedCount returns the number of allocated buffers served by host.
-func (db *bufferDB) allocatedCount(host ServerID) int {
-	n := 0
-	for _, id := range db.byHost[host] {
-		if db.byID[id].User != "" {
-			n++
-		}
-	}
-	return n
-}
-
-// totalFreeBytes returns the free (unallocated) remote memory.
-func (db *bufferDB) totalFreeBytes() int64 {
-	var total int64
-	for id := range db.freeIDs {
-		total += db.byID[id].Size
-	}
-	return total
-}
-
-// checkInvariants validates the cross-index consistency of the database. It
-// is exercised by the property-based tests.
+// checkInvariants validates every record of the table. It is exercised by the
+// property-based tests and the state-space check.
 func (db *bufferDB) checkInvariants() error {
-	for id, b := range db.byID {
-		if b.ID != id {
-			return fmt.Errorf("memctl: buffer %d stored under id %d", b.ID, id)
+	var prev BufferID
+	for _, b := range db.recs {
+		switch {
+		case b.ID <= prev || b.ID > db.nextID:
+			return fmt.Errorf("memctl: buffer %d out of order after %d (next id %d)", b.ID, prev, db.nextID)
+		case b.Size <= 0:
+			return fmt.Errorf("memctl: buffer %d has non-positive size", b.ID)
+		case b.Host == "":
+			return fmt.Errorf("memctl: buffer %d has no host", b.ID)
+		case b.Guaranteed && !b.Allocated():
+			return fmt.Errorf("memctl: free buffer %d carries a guarantee", b.ID)
 		}
-		if b.Size <= 0 {
-			return fmt.Errorf("memctl: buffer %d has non-positive size", id)
-		}
-		if _, free := db.freeIDs[id]; free == (b.User != "") {
-			return fmt.Errorf("memctl: buffer %d free-set membership inconsistent with user %q", id, b.User)
-		}
-		if !containsID(db.byHost[b.Host], id) {
-			return fmt.Errorf("memctl: buffer %d missing from host index", id)
-		}
-		if b.User != "" && !containsID(db.byUser[b.User], id) {
-			return fmt.Errorf("memctl: buffer %d missing from user index", id)
-		}
-	}
-	for host, ids := range db.byHost {
-		for _, id := range ids {
-			b, ok := db.byID[id]
-			if !ok {
-				return fmt.Errorf("memctl: host %s indexes unknown buffer %d", host, id)
-			}
-			if b.Host != host {
-				return fmt.Errorf("memctl: buffer %d indexed under wrong host", id)
-			}
-		}
-	}
-	for user, ids := range db.byUser {
-		for _, id := range ids {
-			b, ok := db.byID[id]
-			if !ok {
-				return fmt.Errorf("memctl: user %s indexes unknown buffer %d", user, id)
-			}
-			if b.User != user {
-				return fmt.Errorf("memctl: buffer %d indexed under wrong user", id)
-			}
-		}
+		prev = b.ID
 	}
 	return nil
-}
-
-func removeID(ids []BufferID, id BufferID) []BufferID {
-	for i, v := range ids {
-		if v == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
-}
-
-func containsID(ids []BufferID, id BufferID) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Errors returned by the controller.

@@ -2,6 +2,7 @@ package memctl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,6 +74,9 @@ type Operation struct {
 	Server ServerID
 	IDs    []BufferID
 	Bytes  int64
+	// Buffers are the records a lending files (goto_zombie and
+	// delegate_active, scavenged buffers included), IDs and rkeys as lent.
+	Buffers []Buffer
 }
 
 // Mirror receives the synchronous operation stream of the controller. The
@@ -92,16 +96,11 @@ type GlobalController struct {
 	mirror     Mirror
 	seq        uint64
 	// gen identifies this controller instance. A rebuilt controller (after a
-	// fail-over) restarts buffer-ID numbering, so handles issued by a dead
-	// primary can collide with the rebuilt database; agents compare the
-	// handle's generation against their controller's to drop such stale
-	// handles instead of releasing someone else's allocation.
+	// fail-over) lists the lent memory as free under the primary's IDs, so a
+	// handle issued by a dead primary can name a buffer granted again since;
+	// agents compare the handle's generation against their controller's to
+	// drop such stale handles instead of releasing someone else's allocation.
 	gen uint64
-
-	// extAllocated tracks guaranteed (RAM Ext) bytes per user for admission
-	// control: the sum of guarantees can never exceed the delegatable memory
-	// of the rack.
-	extAllocated map[ServerID]int64
 
 	stats ControllerStats
 }
@@ -137,11 +136,10 @@ func WithMirror(m Mirror) Option {
 // NewGlobalController creates a controller with an empty buffer database.
 func NewGlobalController(opts ...Option) *GlobalController {
 	g := &GlobalController{
-		bufferSize:   DefaultBufferSize,
-		db:           newBufferDB(),
-		servers:      make(map[ServerID]*serverRecord),
-		extAllocated: make(map[ServerID]int64),
-		gen:          controllerGen.Add(1),
+		bufferSize: DefaultBufferSize,
+		db:         &bufferDB{},
+		servers:    make(map[ServerID]*serverRecord),
+		gen:        controllerGen.Add(1),
 	}
 	for _, o := range opts {
 		o(g)
@@ -179,8 +177,8 @@ func (g *GlobalController) RegisterServer(id ServerID, totalMem int64, agent Rec
 	if totalMem <= 0 {
 		return fmt.Errorf("memctl: server %s needs positive memory", id)
 	}
-	g.servers[id] = &serverRecord{id: id, role: RoleActive, totalMem: totalMem, agent: agent, provider: provider}
-	g.record(Operation{Kind: "register", Server: id, Bytes: totalMem})
+	g.applyLocked(Operation{Kind: "register", Server: id, Bytes: totalMem})
+	g.servers[id].agent, g.servers[id].provider = agent, provider
 	return nil
 }
 
@@ -209,14 +207,9 @@ func (g *GlobalController) UnregisterServer(id ServerID) error {
 	if _, ok := g.servers[id]; !ok {
 		return ErrUnknownServer
 	}
-	ids := g.db.hostBuffers(id)
-	g.notifyUsersLocked(ids)
-	for _, bid := range ids {
-		g.db.remove(bid)
-	}
-	delete(g.servers, id)
-	delete(g.extAllocated, id)
-	g.record(Operation{Kind: "unregister", Server: id, IDs: ids})
+	served := g.db.where(func(b *Buffer) bool { return b.Host == id })
+	g.notifyUsersLocked(served)
+	g.applyLocked(Operation{Kind: "unregister", Server: id, IDs: bufferIDs(served)})
 	return nil
 }
 
@@ -263,25 +256,11 @@ func (g *GlobalController) Zombies() []ServerID {
 func (g *GlobalController) GotoZombie(host ServerID, buffers []BufferSpec) ([]BufferID, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	rec, ok := g.servers[host]
-	if !ok {
+	if _, ok := g.servers[host]; !ok {
 		return nil, ErrUnknownServer
 	}
 	g.stats.GotoZombieCalls++
-	rec.role = RoleZombie
-	// Any buffer the host was already serving as an active server becomes a
-	// zombie buffer (higher allocation priority).
-	g.db.retype(host, ZombieBuffer)
-	ids := make([]BufferID, 0, len(buffers))
-	for _, spec := range buffers {
-		if spec.Size <= 0 {
-			continue
-		}
-		b := g.db.add(host, spec.Offset, spec.Size, ZombieBuffer, spec.RKey)
-		ids = append(ids, b.ID)
-	}
-	g.record(Operation{Kind: "goto_zombie", Server: host, IDs: ids})
-	return ids, nil
+	return bufferIDs(g.lendLocked("goto_zombie", host, buffers)), nil
 }
 
 // DelegateActive records buffers lent by a server that stays active (the
@@ -293,107 +272,106 @@ func (g *GlobalController) DelegateActive(host ServerID, buffers []BufferSpec) (
 	if _, ok := g.servers[host]; !ok {
 		return nil, ErrUnknownServer
 	}
-	ids := make([]BufferID, 0, len(buffers))
-	for _, spec := range buffers {
-		if spec.Size <= 0 {
-			continue
-		}
-		b := g.db.add(host, spec.Offset, spec.Size, ActiveBuffer, spec.RKey)
-		ids = append(ids, b.ID)
+	return bufferIDs(g.lendLocked("delegate_active", host, buffers)), nil
+}
+
+// lendLocked files the buffers host lends through kind (goto_zombie or
+// delegate_active) under fresh IDs and returns the new records, which are the
+// table's tail.
+func (g *GlobalController) lendLocked(kind string, host ServerID, specs []BufferSpec) []*Buffer {
+	typ := ActiveBuffer
+	if kind == "goto_zombie" {
+		typ = ZombieBuffer
 	}
-	g.record(Operation{Kind: "delegate_active", Server: host, IDs: ids})
-	return ids, nil
+	recs := make([]Buffer, 0, len(specs))
+	for _, spec := range specs {
+		if spec.Size > 0 {
+			id := g.db.nextID + BufferID(len(recs)) + 1
+			recs = append(recs, Buffer{ID: id, Host: host, Offset: spec.Offset, Size: spec.Size, Type: typ, RKey: spec.RKey})
+		}
+	}
+	g.applyLocked(Operation{Kind: kind, Server: host, Buffers: recs})
+	return g.db.recs[len(g.db.recs)-len(recs):]
+}
+
+// applyLocked applies a membership, lending or reclaim operation to the
+// controller's state and mirrors it. The primary and a controller rebuilt from
+// the mirrored log share it, so a fail-over restores exactly the lent records
+// and removes exactly the reclaimed IDs.
+func (g *GlobalController) applyLocked(op Operation) {
+	switch op.Kind {
+	case "register":
+		g.servers[op.Server] = &serverRecord{id: op.Server, role: RoleActive, totalMem: op.Bytes}
+	case "unregister":
+		g.db.remove(op.IDs)
+		delete(g.servers, op.Server)
+	case "goto_zombie":
+		// Any buffer the host was already serving as an active server becomes
+		// a zombie buffer (higher allocation priority).
+		g.servers[op.Server].role = RoleZombie
+		g.db.retype(op.Server, ZombieBuffer)
+	case "reclaim":
+		g.db.remove(op.IDs)
+		// The host becomes active again once it reclaims memory.
+		g.servers[op.Server].role = RoleActive
+		g.db.retype(op.Server, ActiveBuffer)
+	}
+	for _, b := range op.Buffers {
+		g.db.add(b)
+	}
+	g.record(op)
 }
 
 // Reclaim is GS_reclaim(nbBuffers): a server waking from Sz reclaims
 // nbBuffers of the memory it had lent (everything it serves when nbBuffers
 // is negative, including buffers scavenged while it was active). Unallocated
 // buffers are returned first; if more are needed, buffers allocated to other
-// servers are reclaimed with US_reclaim. The reclaimed buffer IDs are removed
-// from the database and returned to the caller.
-func (g *GlobalController) Reclaim(host ServerID, nbBuffers int) ([]BufferID, error) {
-	bufs, err := g.ReclaimBuffers(host, nbBuffers)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]BufferID, len(bufs))
-	for i, b := range bufs {
-		ids[i] = b.ID
-	}
-	return ids, nil
-}
-
-// ReclaimBuffers is Reclaim returning the full buffer records instead of bare
-// IDs. Agents need the rkeys: buffers lent through AS_get_free_mem get their
-// IDs assigned by the controller after the callback returns, so the rkey is
+// servers are reclaimed with US_reclaim. The reclaimed buffers are removed
+// from the database and their records returned: buffers lent through
+// AS_get_free_mem get their IDs after the callback returns, so the rkey is
 // the only key under which the lending agent can file (and later deregister)
 // the backing RDMA region.
-func (g *GlobalController) ReclaimBuffers(host ServerID, nbBuffers int) ([]Buffer, error) {
+func (g *GlobalController) Reclaim(host ServerID, nbBuffers int) ([]Buffer, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	rec, ok := g.servers[host]
-	if !ok {
+	if _, ok := g.servers[host]; !ok {
 		return nil, ErrUnknownServer
 	}
 	g.stats.ReclaimCalls++
-	all := g.db.hostBuffers(host)
-	if nbBuffers < 0 || nbBuffers > len(all) {
-		nbBuffers = len(all)
+	served := g.db.where(func(b *Buffer) bool { return b.Host == host })
+	if nbBuffers < 0 || nbBuffers > len(served) {
+		nbBuffers = len(served)
 	}
-	// Unallocated first.
-	var chosen []BufferID
-	var bufs []Buffer
-	take := func(b *Buffer) {
-		chosen = append(chosen, b.ID)
-		bufs = append(bufs, *b)
-	}
-	for _, id := range all {
-		if len(chosen) >= nbBuffers {
-			break
-		}
-		if b, _ := g.db.get(id); !b.Allocated() {
-			take(b)
+	// Unallocated first, then allocated ones, notifying their users.
+	var chosen []*Buffer
+	for _, allocated := range []bool{false, true} {
+		for _, b := range served {
+			if len(chosen) < nbBuffers && b.Allocated() == allocated {
+				chosen = append(chosen, b)
+			}
 		}
 	}
-	// Then allocated ones, notifying their users.
-	var toNotify []BufferID
-	for _, id := range all {
-		if len(chosen) >= nbBuffers {
-			break
-		}
-		if b, _ := g.db.get(id); b.Allocated() && !containsID(chosen, id) {
-			take(b)
-			toNotify = append(toNotify, id)
-		}
-	}
-	g.notifyUsersLocked(toNotify)
-	for _, id := range chosen {
-		g.db.remove(id)
-	}
-	// The host becomes active again once it reclaims memory.
-	rec.role = RoleActive
-	g.db.retype(host, ActiveBuffer)
+	g.notifyUsersLocked(chosen)
 	g.stats.BuffersReturned += uint64(len(chosen))
-	g.record(Operation{Kind: "reclaim", Server: host, IDs: chosen})
-	return bufs, nil
+	g.applyLocked(Operation{Kind: "reclaim", Server: host, IDs: bufferIDs(chosen)})
+	return copies(chosen), nil
 }
 
-// notifyUsersLocked groups the buffers by user and invokes each user agent's
-// USReclaim callback.
-func (g *GlobalController) notifyUsersLocked(ids []BufferID) {
+// notifyUsersLocked groups the allocated buffers by user and invokes each
+// user agent's USReclaim callback.
+func (g *GlobalController) notifyUsersLocked(bufs []*Buffer) {
 	byUser := make(map[ServerID][]BufferID)
-	for _, id := range ids {
-		b, ok := g.db.get(id)
-		if !ok || !b.Allocated() {
+	var users []ServerID
+	for _, b := range bufs {
+		if !b.Allocated() {
 			continue
 		}
-		byUser[b.User] = append(byUser[b.User], id)
+		if _, ok := byUser[b.User]; !ok {
+			users = append(users, b.User)
+		}
+		byUser[b.User] = append(byUser[b.User], b.ID)
 	}
-	users := make([]ServerID, 0, len(byUser))
-	for u := range byUser {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
+	slices.Sort(users)
 	for _, u := range users {
 		g.stats.USReclaims++
 		if rec, ok := g.servers[u]; ok && rec.agent != nil {
@@ -402,16 +380,6 @@ func (g *GlobalController) notifyUsersLocked(ids []BufferID) {
 			_ = rec.agent.USReclaim(byUser[u])
 		}
 	}
-}
-
-// delegatableBytes returns the total size of all buffers currently in the
-// database (the rack's lendable memory), used by admission control.
-func (g *GlobalController) delegatableBytes() int64 {
-	var total int64
-	for id := range g.db.byID {
-		total += g.db.byID[id].Size
-	}
-	return total
 }
 
 // AllocExt is GS_alloc_ext(memSize): a guaranteed RAM Extension allocation.
@@ -431,14 +399,12 @@ func (g *GlobalController) AllocExt(user ServerID, memSize int64) ([]Buffer, err
 		return nil, nil
 	}
 	// Admission control: guaranteed allocations must fit in the delegated pool.
-	var guaranteed int64
-	for _, v := range g.extAllocated {
-		guaranteed += v
-	}
-	if guaranteed+int64(need)*g.bufferSize > g.delegatableBytes() {
+	delegated := func(*Buffer) bool { return true }
+	want := int64(need)*g.bufferSize + g.db.bytes(func(b *Buffer) bool { return b.Guaranteed })
+	if short := want - g.db.bytes(delegated); short > 0 {
 		// Try to scavenge more memory from active servers before rejecting.
-		g.scavengeActiveLocked(int64(need)*g.bufferSize-(g.delegatableBytes()-guaranteed), user)
-		if guaranteed+int64(need)*g.bufferSize > g.delegatableBytes() {
+		g.scavengeActiveLocked(short, user)
+		if want > g.db.bytes(delegated) {
 			return nil, ErrAdmissionControl
 		}
 	}
@@ -446,9 +412,8 @@ func (g *GlobalController) AllocExt(user ServerID, memSize int64) ([]Buffer, err
 	if err != nil {
 		return nil, err
 	}
-	g.extAllocated[user] += int64(len(got)) * g.bufferSize
 	g.record(Operation{Kind: "alloc_ext", Server: user, IDs: bufferIDs(got), Bytes: memSize})
-	return got, nil
+	return copies(got), nil
 }
 
 // AllocSwap is GS_alloc_swap(memSize): a best-effort allocation backing an
@@ -460,10 +425,9 @@ func (g *GlobalController) AllocSwap(user ServerID, memSize int64) ([]Buffer, er
 		return nil, ErrUnknownServer
 	}
 	g.stats.AllocSwapCalls++
-	need := buffersFor(memSize, g.bufferSize)
-	got, _ := g.allocateLocked(user, need, false)
+	got, _ := g.allocateLocked(user, buffersFor(memSize, g.bufferSize), false)
 	g.record(Operation{Kind: "alloc_swap", Server: user, IDs: bufferIDs(got), Bytes: memSize})
-	return got, nil
+	return copies(got), nil
 }
 
 // allocateLocked hands out up to need free buffers to user, zombie buffers
@@ -472,11 +436,10 @@ func (g *GlobalController) AllocSwap(user ServerID, memSize int64) ([]Buffer, er
 // be fulfilled it fails without allocating anything. Best-effort (swap)
 // allocations only consume what is already free: fast swap is not part of the
 // VM's SLA, so the controller does not disturb active servers for it.
-func (g *GlobalController) allocateLocked(user ServerID, need int, guaranteed bool) ([]Buffer, error) {
-	pick := func() []BufferID {
-		ids := g.db.freeByType(ZombieBuffer)
-		ids = append(ids, g.db.freeByType(ActiveBuffer)...)
-		return ids
+func (g *GlobalController) allocateLocked(user ServerID, need int, guaranteed bool) ([]*Buffer, error) {
+	pick := func() []*Buffer {
+		free := g.db.where(func(b *Buffer) bool { return !b.Allocated() && b.Type == ZombieBuffer })
+		return append(free, g.db.where(func(b *Buffer) bool { return !b.Allocated() && b.Type == ActiveBuffer })...)
 	}
 	free := pick()
 	if guaranteed && len(free) < need {
@@ -486,25 +449,18 @@ func (g *GlobalController) allocateLocked(user ServerID, need int, guaranteed bo
 	if guaranteed && len(free) < need {
 		return nil, ErrNotEnoughMemory
 	}
-	n := need
-	if n > len(free) {
-		n = len(free)
-	}
-	out := make([]Buffer, 0, n)
-	for _, id := range free[:n] {
-		if err := g.db.allocate(id, user); err != nil {
-			return nil, err
-		}
-		b, _ := g.db.get(id)
-		out = append(out, *b)
+	got := free[:min(need, len(free))]
+	for _, b := range got {
+		b.User, b.Guaranteed = user, guaranteed
 		g.stats.BuffersLent++
 	}
-	return out, nil
+	return got, nil
 }
 
 // scavengeActiveLocked asks active servers (other than exclude) for
 // additional lendable memory until at least wantBytes of new buffers have
-// been added (or providers run out). This is the AS_get_free_mem() path.
+// been added (or providers run out). This is the AS_get_free_mem() path; the
+// scavenged buffers are mirrored as an active delegation.
 func (g *GlobalController) scavengeActiveLocked(wantBytes int64, exclude ServerID) {
 	if wantBytes <= 0 {
 		return
@@ -523,45 +479,28 @@ func (g *GlobalController) scavengeActiveLocked(wantBytes int64, exclude ServerI
 		if id == exclude || rec.role != RoleActive || rec.provider == nil {
 			continue
 		}
-		for _, spec := range rec.provider.ASGetFreeMem() {
-			if spec.Size <= 0 {
-				continue
-			}
-			g.db.add(id, spec.Offset, spec.Size, ActiveBuffer, spec.RKey)
-			added += spec.Size
+		for _, b := range g.lendLocked("delegate_active", id, rec.provider.ASGetFreeMem()) {
+			added += b.Size
 		}
 	}
 }
 
-// Release returns buffers a user no longer needs to the free pool.
+// Release returns buffers a user no longer needs to the free pool. A buffer
+// that is already free or gone is skipped, so a repeated release changes
+// nothing.
 func (g *GlobalController) Release(user ServerID, ids []BufferID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, id := range ids {
-		b, ok := g.db.get(id)
-		if !ok {
-			continue
-		}
-		if !b.Allocated() {
-			// A stale handle — e.g. from an allocation made before a
-			// controller fail-over — maps to a buffer that is already free;
-			// releasing it again is a no-op.
+		b := g.db.get(id)
+		if b == nil || !b.Allocated() {
 			continue
 		}
 		if b.User != user {
 			return fmt.Errorf("memctl: server %s cannot release buffer %d owned by %s", user, id, b.User)
 		}
-		if err := g.db.release(id); err != nil {
-			return err
-		}
+		b.User, b.Guaranteed = "", false
 		g.stats.BuffersReturned++
-	}
-	if ext, ok := g.extAllocated[user]; ok {
-		released := int64(len(ids)) * g.bufferSize
-		if released > ext {
-			released = ext
-		}
-		g.extAllocated[user] = ext - released
 	}
 	g.record(Operation{Kind: "release", Server: user, IDs: ids})
 	return nil
@@ -570,7 +509,8 @@ func (g *GlobalController) Release(user ServerID, ids []BufferID) error {
 // TransferBuffers moves the ownership of allocated buffers from one user
 // server to another without touching the data. This is the ownership-pointer
 // update of the ZombieStack migration protocol (Section 5.3): the VM's remote
-// memory does not move; only the record of which server uses it changes.
+// memory does not move; only the record of which server uses it changes. A
+// guarantee stays on its grant.
 func (g *GlobalController) TransferBuffers(from, to ServerID, ids []BufferID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -578,8 +518,8 @@ func (g *GlobalController) TransferBuffers(from, to ServerID, ids []BufferID) er
 		return fmt.Errorf("%w: %s", ErrUnknownServer, to)
 	}
 	for _, id := range ids {
-		b, ok := g.db.get(id)
-		if !ok {
+		b := g.db.get(id)
+		if b == nil {
 			return fmt.Errorf("memctl: buffer %d does not exist", id)
 		}
 		if b.User != from {
@@ -587,19 +527,7 @@ func (g *GlobalController) TransferBuffers(from, to ServerID, ids []BufferID) er
 		}
 	}
 	for _, id := range ids {
-		b, _ := g.db.get(id)
-		g.db.byUser[from] = removeID(g.db.byUser[from], id)
-		b.User = to
-		g.db.byUser[to] = append(g.db.byUser[to], id)
-	}
-	// Guaranteed-allocation accounting follows the buffers.
-	moved := int64(len(ids)) * g.bufferSize
-	if ext := g.extAllocated[from]; ext > 0 {
-		if moved > ext {
-			moved = ext
-		}
-		g.extAllocated[from] -= moved
-		g.extAllocated[to] += moved
+		g.db.get(id).User = to
 	}
 	g.record(Operation{Kind: "transfer", Server: to, IDs: ids})
 	return nil
@@ -622,7 +550,7 @@ func (g *GlobalController) LRUZombie() (ServerID, error) {
 		if g.servers[id].role != RoleZombie {
 			continue
 		}
-		c := g.db.allocatedCount(id)
+		c := len(g.db.where(func(b *Buffer) bool { return b.Host == id && b.Allocated() }))
 		if bestCount == -1 || c < bestCount {
 			best, bestCount = id, c
 		}
@@ -637,33 +565,21 @@ func (g *GlobalController) LRUZombie() (ServerID, error) {
 func (g *GlobalController) FreeMemory() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.db.totalFreeBytes()
+	return g.db.bytes(func(b *Buffer) bool { return !b.Allocated() })
 }
 
 // BuffersOf returns copies of the buffers currently used by a server.
 func (g *GlobalController) BuffersOf(user ServerID) []Buffer {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	ids := g.db.userBuffers(user)
-	out := make([]Buffer, 0, len(ids))
-	for _, id := range ids {
-		b, _ := g.db.get(id)
-		out = append(out, *b)
-	}
-	return out
+	return copies(g.db.where(func(b *Buffer) bool { return b.User == user }))
 }
 
 // BuffersServedBy returns copies of the buffers served by a host.
 func (g *GlobalController) BuffersServedBy(host ServerID) []Buffer {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	ids := g.db.hostBuffers(host)
-	out := make([]Buffer, 0, len(ids))
-	for _, id := range ids {
-		b, _ := g.db.get(id)
-		out = append(out, *b)
-	}
-	return out
+	return copies(g.db.where(func(b *Buffer) bool { return b.Host == host }))
 }
 
 // CheckInvariants validates the buffer database (used by tests).
@@ -694,10 +610,19 @@ func buffersFor(memSize, bufSize int64) int {
 	return int(n)
 }
 
-func bufferIDs(bufs []Buffer) []BufferID {
+func bufferIDs(bufs []*Buffer) []BufferID {
 	out := make([]BufferID, len(bufs))
 	for i, b := range bufs {
 		out[i] = b.ID
+	}
+	return out
+}
+
+// copies returns the records by value, so callers never alias the table.
+func copies(bufs []*Buffer) []Buffer {
+	out := make([]Buffer, len(bufs))
+	for i, b := range bufs {
+		out[i] = *b
 	}
 	return out
 }

@@ -7,7 +7,18 @@
 // have a uniform size across the rack (BUFF_SIZE in the paper, BufferSize
 // here). The controller keeps an in-memory database of every buffer: which
 // host serves it, whether that host is a zombie or an active server, and
-// which user server (if any) currently uses it.
+// which user server (if any) currently uses it. The database is one table of
+// buffer records in ascending ID order; every view (a host's buffers, a
+// user's, the free pool) is a scan of it.
+//
+// A guarantee lives on its grant: a record granted through GS_alloc_ext is
+// marked Guaranteed until it is released or reclaimed, and admission control
+// sums the marked records, so a repeated release cannot shrink it.
+//
+// The secondary's mirrored log carries each lending's records (scavenged
+// buffers included) and each reclaim's IDs. Rebuild replays that log by ID,
+// so after a fail-over the rebuilt controller serves exactly the primary's
+// buffers under the same IDs and rkeys, and lenders can take all of them back.
 //
 // The protocol functions follow the paper's naming:
 //

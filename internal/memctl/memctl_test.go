@@ -3,6 +3,8 @@ package memctl
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +22,15 @@ type testRack struct {
 	agents  map[ServerID]*Agent
 }
 
+// newTestRack builds servers of 16 buffers with 4 reserved (12 lendable).
 func newTestRack(t *testing.T, servers ...ServerID) *testRack {
+	t.Helper()
+	return newSizedRack(t, 16, 4, servers...)
+}
+
+// newSizedRack builds servers of total buffers with reserved of them kept for
+// local use.
+func newSizedRack(t *testing.T, total, reserved int64, servers ...ServerID) *testRack {
 	t.Helper()
 	r := &testRack{
 		sec:     NewSecondaryController(),
@@ -42,8 +52,8 @@ func newTestRack(t *testing.T, servers ...ServerID) *testRack {
 			ID:            id,
 			Controller:    r.ctr,
 			Device:        r.devices[id],
-			TotalMem:      16 * testBufSize,
-			ReservedMem:   4 * testBufSize,
+			TotalMem:      total * testBufSize,
+			ReservedMem:   reserved * testBufSize,
 			ResolveDevice: resolve,
 		})
 		if err != nil {
@@ -52,6 +62,23 @@ func newTestRack(t *testing.T, servers ...ServerID) *testRack {
 		r.agents[id] = a
 	}
 	return r
+}
+
+// failover kills the primary: the secondary promotes itself and rebuilds the
+// controller, mirrored to a fresh secondary, and every agent retargets to it.
+func (r *testRack) failover() error {
+	if !r.sec.Tick(10_000_000_000) {
+		return errors.New("secondary did not promote after missed heartbeats")
+	}
+	sec := NewSecondaryController()
+	rebuilt := r.sec.Rebuild(WithBufferSize(testBufSize), WithMirror(sec))
+	for _, id := range slices.Sorted(maps.Keys(r.agents)) {
+		if err := r.agents[id].Retarget(rebuilt); err != nil {
+			return err
+		}
+	}
+	r.ctr, r.sec = rebuilt, sec
+	return nil
 }
 
 func TestBuffersFor(t *testing.T) {
@@ -361,6 +388,41 @@ func TestReleaseBuffers(t *testing.T) {
 	other, _ := r.agents["user"].RequestExt(testBufSize)
 	if err := r.ctr.Release("zombie", []BufferID{other[0].ID}); err == nil {
 		t.Error("releasing a buffer owned by another server must fail")
+	}
+}
+
+// TestRepeatedReleaseKeepsGuarantee pins that a repeated release changes
+// nothing: a guarantee lives on its grant, so it ends with the grant, once.
+func TestRepeatedReleaseKeepsGuarantee(t *testing.T) {
+	r := newTestRack(t, "user", "zombie")
+	if _, err := r.agents["zombie"].DelegateAndGoZombie(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := r.agents["user"].RequestExt(4 * testBufSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.agents["user"].RequestExt(4 * testBufSize); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if err := r.ctr.Release("user", []BufferID{first[0].ID}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var held, guaranteed int64
+	for _, b := range r.ctr.BuffersOf("user") {
+		held++
+		if b.Guaranteed {
+			guaranteed += b.Size
+		}
+	}
+	if held != 7 || guaranteed != 7*testBufSize {
+		t.Errorf("user holds %d buffers with %d MiB guaranteed, want 7 and 7", held, guaranteed/testBufSize)
+	}
+	// Admission control counts all 7: six more exceed the 12 delegated.
+	if _, err := r.agents["user"].RequestExt(6 * testBufSize); !errors.Is(err, ErrAdmissionControl) {
+		t.Errorf("6 more guaranteed buffers on top of 7 in a pool of 12: %v, want %v", err, ErrAdmissionControl)
 	}
 }
 

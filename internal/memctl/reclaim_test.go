@@ -1,6 +1,7 @@
 package memctl
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -87,10 +88,11 @@ func TestReclaimRacingDelegate(t *testing.T) {
 }
 
 // TestStaleHandleReleaseAfterFailover pins the fail-over collision fix: a
-// rebuilt controller restarts buffer-ID numbering, so a handle issued by the
-// dead primary can carry the same ID as a fresh allocation made by another
-// server after the take-over. Releasing the stale handle must be a no-op —
-// not an error, and above all not a release of the other server's buffer.
+// rebuilt controller lists the primary's lent buffers as free under the same
+// IDs, so a handle issued by the dead primary can carry the same ID as a
+// fresh allocation made by another server after the take-over. Releasing the
+// stale handle must be a no-op — not an error, and above all not a release of
+// the other server's buffer.
 func TestStaleHandleReleaseAfterFailover(t *testing.T) {
 	r := newTestRack(t, "user-a", "user-b", "zombie")
 	if _, err := r.agents["zombie"].DelegateAndGoZombie(); err != nil {
@@ -102,18 +104,13 @@ func TestStaleHandleReleaseAfterFailover(t *testing.T) {
 	}
 
 	// The primary dies; every agent retargets to the rebuilt controller.
-	if !r.sec.Tick(10_000_000_000) {
-		t.Fatal("secondary should promote after missed heartbeats")
+	if err := r.failover(); err != nil {
+		t.Fatal(err)
 	}
-	rebuilt := r.sec.Rebuild(WithBufferSize(testBufSize))
-	for _, id := range []ServerID{"user-a", "user-b", "zombie"} {
-		if err := r.agents[id].Retarget(rebuilt); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rebuilt := r.ctr
 
-	// Another server allocates from the rebuilt pool; with ID numbering
-	// restarted its buffers collide with the stale handles' IDs.
+	// Another server allocates from the rebuilt pool, which lists the stale
+	// handles' buffers as free under their IDs.
 	fresh, err := r.agents["user-b"].RequestExt(2 * testBufSize)
 	if err != nil {
 		t.Fatal(err)
@@ -145,5 +142,69 @@ func TestStaleHandleReleaseAfterFailover(t *testing.T) {
 	}
 	if err := rebuilt.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailoverReclaimsScavengedBuffers pins that a fail-over keeps the buffers
+// lent through AS_get_free_mem: if the rebuilt controller forgot them, the
+// lender could never take them back and their regions would leak.
+func TestFailoverReclaimsScavengedBuffers(t *testing.T) {
+	r := newTestRack(t, "user", "helper")
+	// No zombies: the guaranteed grant scavenges half of the helper's 12
+	// free buffers.
+	if _, err := r.agents["user"].RequestExt(4 * testBufSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.failover(); err != nil {
+		t.Fatal(err)
+	}
+	n, err := r.agents["helper"].WakeAndReclaim(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 6 {
+		t.Errorf("reclaimed %d buffers after the fail-over, want the 6 scavenged", n)
+	}
+	if got := r.devices["helper"].Regions(); got != 0 {
+		t.Errorf("helper still holds %d regions after reclaiming everything", got)
+	}
+	if got, want := r.agents["helper"].FreeMemory(), int64(12*testBufSize); got != want {
+		t.Errorf("helper free memory = %d, want %d", got, want)
+	}
+}
+
+// TestFailoverKeepsReclaimedIDs pins that the rebuilt controller serves the
+// primary's buffer IDs: it replays a reclaim by the IDs it took, not by their
+// count, so the lender's regions and the rebuilt table still agree.
+func TestFailoverKeepsReclaimedIDs(t *testing.T) {
+	r := newTestRack(t, "user", "zombie")
+	zombie := r.agents["zombie"]
+	if _, err := zombie.DelegateAndGoZombie(); err != nil { // IDs 1–12
+		t.Fatal(err)
+	}
+	if _, err := r.agents["user"].RequestExt(testBufSize); err != nil { // ID 1
+		t.Fatal(err)
+	}
+	if _, err := zombie.WakeAndReclaim(2); err != nil { // the free IDs 2 and 3
+		t.Fatal(err)
+	}
+	served := func() (ids []BufferID) {
+		for _, b := range r.ctr.BuffersServedBy("zombie") {
+			ids = append(ids, b.ID)
+		}
+		return ids
+	}
+	want := served()
+	if err := r.failover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := served(); !slices.Equal(got, want) {
+		t.Errorf("the rebuilt controller serves %v, the primary served %v", got, want)
+	}
+	if _, err := zombie.WakeAndReclaim(-1); err != nil {
+		t.Fatal(err)
+	}
+	if regions, entries := r.devices["zombie"].Regions(), zombie.ServedBuffers(); regions != 0 || entries != 0 {
+		t.Errorf("after a full reclaim the zombie holds %d regions and %d served entries, want 0 and 0", regions, entries)
 	}
 }

@@ -91,39 +91,25 @@ func (s *SecondaryController) Promoted() bool {
 }
 
 // Rebuild constructs a fresh GlobalController from the mirrored operation
-// log. Buffer IDs are not guaranteed to be identical to the failed primary's
-// (agents re-establish their channels after a failover), but the set of
-// servers, their roles and the lent memory are reconstructed. The secondary
-// uses this when it promotes itself.
+// log. It replays membership, every lending (scavenged buffers included)
+// under the primary's buffer IDs and rkeys, and every reclaim by the IDs it
+// took, so the rebuilt table serves exactly what the primary's did. Grants
+// are not replayed: the rebuilt table lists all lent memory as free, and
+// handles the primary issued go stale (the data itself is unaffected: it
+// lives in the lenders' DRAM). The secondary uses this when it promotes
+// itself.
 func (s *SecondaryController) Rebuild(opts ...Option) *GlobalController {
 	s.mu.Lock()
 	ops := append([]Operation(nil), s.ops...)
 	s.mu.Unlock()
 
 	g := NewGlobalController(opts...)
-	// Replay only the server-membership and delegation operations; live
-	// allocations are re-established by the agents after failover (the data
-	// itself is unaffected: it lives in the zombie servers' DRAM).
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for _, op := range ops {
 		switch op.Kind {
-		case "register":
-			_ = g.RegisterServer(op.Server, op.Bytes, nil, nil)
-		case "unregister":
-			_ = g.UnregisterServer(op.Server)
-		case "goto_zombie":
-			specs := make([]BufferSpec, len(op.IDs))
-			for i := range specs {
-				specs[i] = BufferSpec{Offset: int64(i) * g.BufferSize(), Size: g.BufferSize()}
-			}
-			_, _ = g.GotoZombie(op.Server, specs)
-		case "delegate_active":
-			specs := make([]BufferSpec, len(op.IDs))
-			for i := range specs {
-				specs[i] = BufferSpec{Offset: int64(i) * g.BufferSize(), Size: g.BufferSize()}
-			}
-			_, _ = g.DelegateActive(op.Server, specs)
-		case "reclaim":
-			_, _ = g.Reclaim(op.Server, len(op.IDs))
+		case "register", "unregister", "goto_zombie", "delegate_active", "reclaim":
+			g.applyLocked(op)
 		}
 	}
 	return g
