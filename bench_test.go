@@ -491,32 +491,6 @@ func BenchmarkFleetDataRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkPageTableLookup measures one translation of a mapped page while a
-// second VM holds 100 000 entries in the same table.
-func BenchmarkPageTableLookup(b *testing.B) {
-	pt := memplane.NewPageTable()
-	const pages = 1024
-	for p := int64(0); p < 100_000; p++ {
-		f := memplane.Frame{Kind: memplane.FrameLocal, Arena: "crowd", LocalOff: p * memplane.DefaultPageSize}
-		if err := pt.Map("crowd", p, f); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for p := int64(0); p < pages; p++ {
-		f := memplane.Frame{Kind: memplane.FrameLocal, Arena: "vm", LocalOff: p * memplane.DefaultPageSize}
-		if err := pt.Map("vm", p, f); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := pt.Lookup("vm", int64(i%pages)); !ok {
-			b.Fatal("mapped page not found")
-		}
-	}
-}
-
 // ------------------------------------------------------------------ helpers
 
 func boolMetric(v bool) float64 {

@@ -173,14 +173,13 @@ func run(w io.Writer, cfg benchConfig) error {
 	}
 
 	pcfg := memplane.Config{
-		VM:              "bench",
-		LocalBytes:      int64(cfg.localMiB) << 20,
-		AddressBytes:    span,
-		Agent:           user,
-		Chaos:           plan,
-		Now:             func() int64 { return now },
-		RecordLatencies: true,
-		Obs:             o,
+		VM:           "bench",
+		LocalBytes:   int64(cfg.localMiB) << 20,
+		AddressBytes: span,
+		Agent:        user,
+		Chaos:        plan,
+		Now:          func() int64 { return now },
+		Obs:          o,
 	}
 	var cleanup func()
 	switch cfg.transport { // inproc: the agent's live verbs
@@ -225,10 +224,11 @@ func run(w io.Writer, cfg benchConfig) error {
 
 	// The op stream: seeded addresses across the span, writes carrying a
 	// deterministic pattern mirrored into a shadow copy for the final
-	// verification sweep.
+	// verification sweep. lat keeps every op's simulated charge.
 	rng := rand.New(rand.NewSource(cfg.seed))
 	shadow := make([]byte, span)
 	buf := make([]byte, cfg.block)
+	lat := make([]int64, 0, cfg.ops)
 	for i := 0; i < cfg.ops; i++ {
 		now = int64(i)
 		addr := rng.Int63n(span - int64(cfg.block) + 1)
@@ -236,14 +236,18 @@ func run(w io.Writer, cfg benchConfig) error {
 			for j := range buf {
 				buf[j] = byte(addr>>4) + byte(j)*7 + byte(i)
 			}
-			if _, _, err := p.Write(addr, buf); err != nil {
+			_, ns, err := p.Write(addr, buf)
+			if err != nil {
 				return fmt.Errorf("write op %d: %w", i, err)
 			}
+			lat = append(lat, ns)
 			copy(shadow[addr:], buf)
 		} else {
-			if _, _, err := p.Read(addr, buf); err != nil {
+			_, ns, err := p.Read(addr, buf)
+			if err != nil {
 				return fmt.Errorf("read op %d: %w", i, err)
 			}
+			lat = append(lat, ns)
 		}
 	}
 
@@ -251,7 +255,6 @@ func run(w io.Writer, cfg benchConfig) error {
 	// reflects the benchmark traffic alone.
 	st := p.Stats()
 	as := p.AllocStats()
-	lat := p.Latencies()
 
 	// The obs dump is rendered here too, so it reflects the benchmark
 	// traffic alone — the verification sweep below also runs through the

@@ -2,13 +2,17 @@ package autopilot
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/acpi"
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
+	"repro/internal/dcsim"
+	"repro/internal/energy"
 	"repro/internal/trace"
 )
 
@@ -342,5 +346,61 @@ func TestReplaySharesOneOrder(t *testing.T) {
 		if !reflect.DeepEqual(rep, want) {
 			t.Errorf("policy %d: the row reports\n%+v\nRunChaos alone\n%+v", i, rep, want)
 		}
+	}
+}
+
+// fixedPlan is a policy that holds one posture whatever the population.
+type fixedPlan struct{ plan consolidation.FleetPlan }
+
+func (p fixedPlan) Name() string { return p.plan.Policy }
+func (p fixedPlan) Plan([]consolidation.VMDemand, consolidation.ServerSpec, int) consolidation.FleetPlan {
+	return p.plan
+}
+func (p fixedPlan) PlanDemand(consolidation.Demand, consolidation.ServerSpec, int) consolidation.FleetPlan {
+	return p.plan
+}
+
+// TestServingCrashPricedAlikeOnlineAndOffline prices one RoleServing crash
+// of an Oasis posture (5 active hosts, 2 memory servers) through the online
+// loop and through dcsim's epoch bill: both re-home the struck memory
+// server's share and wake one replacement memory server (S3->S0, one
+// transition); neither sends it on to Sz as if it were a zombie.
+func TestServingCrashPricedAlikeOnlineAndOffline(t *testing.T) {
+	const horizon, at = 300, 100
+	machine := energy.HPProfile()
+	posture := consolidation.FleetPlan{
+		Policy: "oasis", ActiveHosts: 5, MemoryServers: 2, SleepHosts: 3,
+		ActiveCPUUtilization: 0.4, RemoteMemoryGiB: 12,
+	}
+	crash := chaos.Fault{Kind: chaos.ServerCrash, AtSec: at, DurationSec: 10 * horizon, Count: 1, Role: chaos.RoleServing}
+	plan := &chaos.Plan{Name: "one-crash", HorizonSec: horizon, Faults: []chaos.Fault{crash}}
+
+	// Online: strike the posture the loop holds.
+	l := &loop{cfg: &Config{Machine: machine}, posture: posture, chaos: newChaosRun(plan)}
+	if err := l.chaosCrash(at, crash, 0); err != nil {
+		t.Fatal(err)
+	}
+	online, onlineT := l.res.EnergyJoules, l.res.StateTransitions
+
+	// Offline: one epoch whose plan is the same posture. Transition costs
+	// are off, so the epoch's transitions and chaos joules are the fault's;
+	// the crashed server's wedged S0 burn is taken out of the joules.
+	tr := &trace.Trace{Name: "one-task", Machines: posture.TotalHosts(), HorizonSec: horizon, Tasks: []trace.Task{
+		{ID: 1, EndSec: horizon, BookedCPU: 1, BookedMemGiB: 1, UsedCPU: 0.5, UsedMemGiB: 0.5},
+	}}
+	res, err := dcsim.Run(dcsim.Config{
+		Trace: tr, Policy: fixedPlan{posture}, Machine: machine,
+		ServerSpec: consolidation.DefaultServerSpec(), ConsolidationPeriodSec: horizon, Chaos: plan,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline := res.ChaosJoules - plan.CrashedServerSeconds(0, horizon)*machine.PowerWatts(acpi.S0, 0)
+
+	if res.StateTransitions != onlineT || onlineT != 1 {
+		t.Errorf("transitions: offline %d, online %d, want 1 each", res.StateTransitions, onlineT)
+	}
+	if math.Abs(offline-online) > 1e-9*online {
+		t.Errorf("crash bill: offline %.3f J, online %.3f J", offline, online)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/acpi"
-	"repro/internal/chaos"
 	"repro/internal/energy"
 	"repro/internal/hypervisor"
 	"repro/internal/ident"
@@ -155,11 +154,6 @@ type Rack struct {
 	// overflow, when set, supplies remote memory the rack itself cannot
 	// (cross-rack borrowing; see RemoteOverflow).
 	overflow RemoteOverflow
-
-	// dataChaos and dataNow arm data planes built by MemplaneOf with a fault
-	// schedule (SetDataChaos).
-	dataChaos *chaos.Plan
-	dataNow   func() int64
 
 	nowNs int64
 }

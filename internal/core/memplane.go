@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/chaos"
 	"repro/internal/ident"
 	"repro/internal/memctl"
 	"repro/internal/memplane"
@@ -16,12 +15,12 @@ import (
 // overflow into the VM's own RAM-ext reservation — the plane is seeded with
 // the buffers CreateVM already granted, so data-plane bytes land in exactly
 // the remote memory the placement reserved (no double booking against the
-// rack's admission control). It grows through the host agent's guaranteed
-// GS_alloc_ext path only past that reservation. Once the plane exists it
-// owns the reservation's handles: its Close (run by DestroyVM) releases
-// them. Like real remote memory, the reservation aliases the paging
-// context's backing store — drive a VM through paging replay or the data
-// plane, not both.
+// rack's admission control). RAM Ext pages into the low rows of those same
+// buffers, so the plane carves only the rows above them, and paging and data
+// traffic on one VM never touch each other's bytes. It grows through the
+// host agent's guaranteed GS_alloc_ext path only past that reservation. Once
+// the plane exists it owns the reservation's handles: its Close (run by
+// DestroyVM) releases them.
 func (r *Rack) MemplaneOf(vmID string) (*memplane.Plane, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -33,30 +32,26 @@ func (r *Rack) MemplaneOf(vmID string) (*memplane.Plane, error) {
 		return guest.plane, nil
 	}
 	host, _ := r.server(guest.Host)
+	// RAM Ext never holds more than remote pages + 1 slots (see package
+	// hypervisor) and stripes slot s over row s/n of buffer s%n.
+	var rows int64
+	remote, n := guest.Paging.Pages()-guest.Paging.LocalFrames(), len(guest.buffers)+len(guest.borrowed)
+	if remote > 0 && n > 0 {
+		rows = int64((remote + n) / n)
+	}
 	p, err := memplane.New(memplane.Config{
 		VM:           vmID,
 		LocalBytes:   int64(guest.Paging.LocalFrames()) * memplane.DefaultPageSize,
 		AddressBytes: int64(guest.Paging.Pages()) * memplane.DefaultPageSize,
 		Agent:        host.Agent,
 		Buffers:      guest.buffers,
-		Chaos:        r.dataChaos,
-		Now:          r.dataNow,
+		SeedOffset:   rows * memplane.DefaultPageSize,
 	})
 	if err != nil {
 		return nil, err
 	}
 	guest.plane = p
 	return p, nil
-}
-
-// SetDataChaos arms the data planes built after this call with a chaos plan:
-// remote charges degrade during FabricDegrade windows, looked up at now().
-// Planes already built keep their configuration.
-func (r *Rack) SetDataChaos(plan *chaos.Plan, now func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dataChaos = plan
-	r.dataNow = now
 }
 
 // dataPlanes snapshots the live planes, in VM-name order.
@@ -85,8 +80,8 @@ func (r *Rack) dataPlanes() []*memplane.Plane {
 // the materialised part of every region lent on the fabric plus that of every
 // live data plane's local arena and mirror. The gateway evaluates it on every
 // scrape and session report, so it allocates nothing; and it never holds the
-// rack lock while taking a plane's, since a plane calls its Now hook under its
-// own lock and that hook may read the rack clock.
+// rack lock while taking a plane's, so a plane busy with a long op never
+// stalls the rest of the rack.
 func (r *Rack) ResidentBytes() int64 {
 	total := r.fabric.ResidentBytes()
 	for i := 0; ; i++ {

@@ -14,7 +14,8 @@
 //   - a crash whose victims were serving remote memory (zombies or Oasis
 //     memory servers, per the fault's role hint resolved against the epoch's
 //     posture) bills the re-homing transfer of their remote-memory share and
-//     a replacement wake; a crash of active servers bills replacement wakes;
+//     a replacement: a zombie's wakes and re-suspends to Sz, a memory
+//     server's only wakes; a crash of active servers bills replacement wakes;
 //   - repairs bill the reboot back to S3 in the epoch they complete;
 //   - failed wakes bill the wasted S3->S0 attempt, capped by both the
 //     plan's budget for the epoch and the wakes the epoch actually performs;
@@ -89,21 +90,23 @@ func chaosEpochCost(cfg *Config, prev, plan consolidation.FleetPlan, vms int, sp
 	// Crashes striking this epoch: replacement wakes plus re-homing for the
 	// victims that were serving remote memory.
 	for _, f := range p.FaultsIn(chaos.ServerCrash, span.start, span.end) {
-		active, serving := crashVictims(f, plan)
+		active, zombies, memServers := crashVictims(f, plan)
 		if active > 0 {
 			bill.joules += float64(active) * m.TransitionJoules(acpi.S3, acpi.S0)
 			bill.transitions += active
 		}
-		if serving > 0 {
+		if serving := zombies + memServers; serving > 0 {
 			share := 0.0
 			if pool := plan.ZombieHosts + plan.MemoryServers; pool > 0 {
 				share = plan.RemoteMemoryGiB / float64(pool) * float64(serving)
 			}
 			bill.reHomedGiB += share
 			bill.joules += reHomeJoules(cfg, share, plan, f.AtSec)
-			// Replacement serving servers: wake from S3 and re-suspend to Sz.
-			bill.joules += float64(serving) * (m.TransitionJoules(acpi.S3, acpi.S0) + m.TransitionJoules(acpi.S0, acpi.Sz))
-			bill.transitions += 2 * serving
+			// Replacement zombies wake from S3 and re-suspend to Sz;
+			// replacement memory servers only wake.
+			bill.joules += float64(zombies) * (m.TransitionJoules(acpi.S3, acpi.S0) + m.TransitionJoules(acpi.S0, acpi.Sz))
+			bill.joules += float64(memServers) * m.TransitionJoules(acpi.S3, acpi.S0)
+			bill.transitions += 2*zombies + memServers
 		}
 	}
 
@@ -137,36 +140,34 @@ func chaosEpochCost(cfg *Config, prev, plan consolidation.FleetPlan, vms int, sp
 }
 
 // crashVictims resolves a crash fault's role hint against the epoch's
-// posture: how many victims were active and how many were serving remote
-// memory (zombies or memory servers). The preferred category is struck
-// first; the spill-over falls through the remaining categories in the same
-// order the online loop uses, with sleepers absorbing the rest (no extra
-// bill — a dead sleeper costs only its wedged burn).
-func crashVictims(f chaos.Fault, plan consolidation.FleetPlan) (active, serving int) {
-	servingPool := plan.ZombieHosts + plan.MemoryServers
-	take := func(n, pool int) int {
-		if n > pool {
-			n = pool
-		}
+// posture: how many victims were active, zombies and memory servers. The
+// preferred category is struck first; the spill-over falls through the
+// remaining categories in the same order the online loop uses (zombies
+// before memory servers), with sleepers absorbing the rest (no extra bill —
+// a dead sleeper costs only its wedged burn).
+func crashVictims(f chaos.Fault, plan consolidation.FleetPlan) (active, zombies, memServers int) {
+	left := f.Count
+	take := func(pool int) int {
+		n := min(left, pool)
+		left -= n
 		return n
 	}
-	left := f.Count
 	switch f.Role {
 	case chaos.RoleServing:
-		serving = take(left, servingPool)
-		left -= serving
-		active = take(left, plan.ActiveHosts)
+		zombies = take(plan.ZombieHosts)
+		memServers = take(plan.MemoryServers)
+		active = take(plan.ActiveHosts)
 	case chaos.RoleSleep:
-		left -= take(left, plan.SleepHosts)
-		serving = take(left, servingPool)
-		left -= serving
-		active = take(left, plan.ActiveHosts)
+		take(plan.SleepHosts)
+		zombies = take(plan.ZombieHosts)
+		memServers = take(plan.MemoryServers)
+		active = take(plan.ActiveHosts)
 	default: // RoleAny, RoleActive: active burns most, strike it first.
-		active = take(left, plan.ActiveHosts)
-		left -= active
-		serving = take(left, servingPool)
+		active = take(plan.ActiveHosts)
+		zombies = take(plan.ZombieHosts)
+		memServers = take(plan.MemoryServers)
 	}
-	return active, serving
+	return active, zombies, memServers
 }
 
 // reHomeJoules prices moving share GiB of remote memory onto replacement

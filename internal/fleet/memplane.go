@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/memplane"
 	"repro/internal/workload"
@@ -20,14 +19,6 @@ func (f *Fleet) MemplaneOf(vmID string) (*memplane.Plane, error) {
 		return nil, fmt.Errorf("fleet: unknown VM %s", vmID)
 	}
 	return f.racks[rack].MemplaneOf(vmID)
-}
-
-// SetDataChaos arms every rack's future data planes with a chaos plan (fabric
-// windows degrade remote charges, looked up at now()).
-func (f *Fleet) SetDataChaos(plan *chaos.Plan, now func() int64) {
-	for _, r := range f.racks {
-		r.SetDataChaos(plan, now)
-	}
 }
 
 // RehomeServerMemory migrates every live data-plane page served by a crashed

@@ -131,7 +131,7 @@ func TestFleetCrashRehomeData(t *testing.T) {
 	// Find a server actually serving pages.
 	var victim string
 	for _, server := range f.Rack(0).Servers()[1:] {
-		if len(p.Table().PagesOn(vmID, memctl.ServerID(server))) > 0 {
+		if len(p.Table().PagesOn(memctl.ServerID(server))) > 0 {
 			victim = server
 			break
 		}
@@ -148,7 +148,7 @@ func TestFleetCrashRehomeData(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Traffic against the dead host times out for real.
-	hurt := p.Table().PagesOn(vmID, memctl.ServerID(victim))[0]
+	hurt := p.Table().PagesOn(memctl.ServerID(victim))[0]
 	if _, _, err := p.Read(hurt*ps, buf); !errors.Is(err, memplane.ErrRemoteTimeout) {
 		t.Fatalf("read of crashed host: got %v, want ErrRemoteTimeout", err)
 	}
@@ -159,7 +159,7 @@ func TestFleetCrashRehomeData(t *testing.T) {
 	if rep.Pages == 0 || rep.Bytes != int64(rep.Pages)*ps {
 		t.Fatalf("rehome report %+v", rep)
 	}
-	if got := p.Table().PagesOn(vmID, memctl.ServerID(victim)); len(got) != 0 {
+	if got := p.Table().PagesOn(memctl.ServerID(victim)); len(got) != 0 {
 		t.Fatalf("%d pages still on the crashed host", len(got))
 	}
 	if err := f.ReviveServer(0, victim); err != nil {
@@ -257,8 +257,8 @@ func TestDataTrafficPayloadBytes(t *testing.T) {
 		seeds[seed]++
 		kinds[frame.Kind]++
 	}
-	if len(p.Table().Pages(vmID)) != len(writer) {
-		t.Fatalf("%d pages mapped, the streams wrote %d", len(p.Table().Pages(vmID)), len(writer))
+	if len(p.Table().Pages()) != len(writer) {
+		t.Fatalf("%d pages mapped, the streams wrote %d", len(p.Table().Pages()), len(writer))
 	}
 	if len(seeds) != 2 || kinds[memplane.FrameLocal] == 0 || kinds[memplane.FrameRemote] == 0 {
 		t.Fatalf("coverage too thin: pages by last seed %v, by frame kind %v", seeds, kinds)
@@ -322,4 +322,99 @@ func TestDataRequestAllocsAreConstant(t *testing.T) {
 	if small != large || small > 8 {
 		t.Fatalf("allocs per data request: %v at 1 MiB, %v at 4 MiB; want one small constant", small, large)
 	}
+}
+
+// destroyReturnsBuffers destroys the VM and checks that every buffer it held
+// is back with its lender, unallocated.
+func destroyReturnsBuffers(t *testing.T, f *Fleet, vmID string) {
+	t.Helper()
+	guest, err := f.Rack(0).VM(vmID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr, host := f.Rack(0).Controller(), memctl.ServerID(guest.Host)
+	held := ctr.BuffersOf(host)
+	if len(held) == 0 {
+		t.Fatal("the VM holds no remote buffer")
+	}
+	if err := f.DestroyVM(vmID); err != nil {
+		t.Fatal(err)
+	}
+	if left := ctr.BuffersOf(host); len(left) != 0 {
+		t.Fatalf("%d buffers still granted to %s", len(left), host)
+	}
+	for _, b := range held {
+		back := false
+		for _, lent := range ctr.BuffersServedBy(b.Host) {
+			back = back || (lent.ID == b.ID && !lent.Allocated())
+		}
+		if !back {
+			t.Fatalf("buffer %d is not back with %s", b.ID, b.Host)
+		}
+	}
+	if err := ctr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPagingSurvivesDataTraffic: RAM Ext and the data plane page into the
+// same granted buffers, and a data replay between two paging replays must
+// not overwrite a page RAM Ext demoted.
+func TestPagingSurvivesDataTraffic(t *testing.T) {
+	f, vmID := dataFleet(t)
+	guest, err := f.Rack(0).VM(vmID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paging := WorkloadRequest{VM: vmID, Kind: workload.MicroBench, Iterations: 2, Seed: 3}
+	data := WorkloadRequest{VM: vmID, Kind: workload.MicroBench, Iterations: 10, Seed: 7, DataBytes: int64(guest.Paging.Pages()) * 4096}
+	for i, req := range []WorkloadRequest{paging, data, paging} {
+		if res := f.RunWorkloads([]WorkloadRequest{req})[0]; res.Err != "" {
+			t.Fatalf("request %d: %s", i, res.Err)
+		}
+	}
+	if guest.Paging.Stats().Demotions == 0 {
+		t.Fatal("paging never demoted a page")
+	}
+	destroyReturnsBuffers(t, f, vmID)
+}
+
+// TestDataTrafficSurvivesPaging: the other order — a paging replay after a
+// data replay must leave every data page holding its payload.
+func TestDataTrafficSurvivesPaging(t *testing.T) {
+	f, vmID := dataFleet(t)
+	guest, err := f.Rack(0).VM(vmID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := guest.Paging.Pages()
+	data := WorkloadRequest{VM: vmID, Kind: workload.MicroBench, Iterations: 10, Seed: 7, DataBytes: int64(pages) * 4096}
+	paging := WorkloadRequest{VM: vmID, Kind: workload.MicroBench, Iterations: 2, Seed: 3}
+	for i, req := range []WorkloadRequest{data, paging} {
+		if res := f.RunWorkloads([]WorkloadRequest{req})[0]; res.Err != "" {
+			t.Fatalf("request %d: %s", i, res.Err)
+		}
+	}
+	writer := make(map[int]int64)
+	lastWriters(t, writer, data, pages)
+	p, err := f.MemplaneOf(vmID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := memplane.DefaultPageSize
+	got, want := make([]byte, ps), make([]byte, ps)
+	lost := 0
+	for page, seed := range writer {
+		if _, _, err := p.Read(int64(page)*ps, got); err != nil {
+			t.Fatal(err)
+		}
+		fillPayload(want, int64(page)+seed)
+		if !bytes.Equal(got, want) {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d data pages lost their payload to paging", lost, len(writer))
+	}
+	destroyReturnsBuffers(t, f, vmID)
 }

@@ -14,7 +14,9 @@
 //     NewInfinibandStore builds the one tests and sweeps run RAM Ext on,
 //     and swapdev.New the Table 2 swap devices Explicit SD runs on;
 //   - internal/core's bufferStore, which stripes slots over memctl remote
-//     buffers and moves pages with one-sided RDMA verbs (a rack's RAM Ext);
+//     buffers and moves pages with one-sided RDMA verbs (a rack's RAM Ext;
+//     the VM's data plane carves the same buffers only above the rows the
+//     slot bound below leaves to RAM Ext);
 //   - core.RemoteSwapDevice, a bufferStore mirrored slot for slot to a
 //     local-HDD swapdev.Store (a rack's Explicit SD);
 //   - memplane.PageStore, which pages through a VM's data plane.

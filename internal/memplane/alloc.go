@@ -17,11 +17,8 @@ var ErrOutOfMemory = errors.New("memplane: out of local and remote memory")
 // path (the soft-limit overflow shape of SNIPPETS §3). It is not safe for
 // concurrent use; the owning Plane serialises access.
 type allocator struct {
-	vm string
-
 	arena     *pagestore.Store
 	nextLocal int64
-	freeLocal []int64
 
 	agent *memctl.Agent
 
@@ -35,6 +32,8 @@ type allocator struct {
 	remoteIdx map[memctl.ServerID]*hostBucket
 	uncarved  []*memctl.RemoteBuffer
 	handles   []*memctl.RemoteBuffer
+	// seedOff is where carving starts in a seeded buffer (Config.SeedOffset).
+	seedOff int64
 
 	stats AllocStats
 }
@@ -78,11 +77,11 @@ type AllocStats struct {
 	DiscardedFrames int
 }
 
-func newAllocator(vm string, localBytes int64, agent *memctl.Agent, seed []*memctl.RemoteBuffer) *allocator {
+func newAllocator(localBytes int64, agent *memctl.Agent, seed []*memctl.RemoteBuffer, seedOff int64) *allocator {
 	al := &allocator{
-		vm:    vm,
-		arena: pagestore.New(localBytes),
-		agent: agent,
+		arena:   pagestore.New(localBytes),
+		agent:   agent,
+		seedOff: seedOff,
 	}
 	for _, rb := range seed {
 		if rb == nil {
@@ -108,12 +107,13 @@ func (al *allocator) bucket(host memctl.ServerID) *hostBucket {
 	return b
 }
 
-// carve slices an owned buffer into page frames on the remote free list.
-func (al *allocator) carve(rb *memctl.RemoteBuffer) {
+// carve slices an owned buffer, from byte from on, into page frames on the
+// remote free list.
+func (al *allocator) carve(rb *memctl.RemoteBuffer, from int64) {
 	al.stats.BuffersGranted++
 	al.stats.GrantedBytes += rb.Size
 	b := al.bucket(rb.Host)
-	for off := int64(0); off+DefaultPageSize <= rb.Size; off += DefaultPageSize {
+	for off := from; off+DefaultPageSize <= rb.Size; off += DefaultPageSize {
 		b.push(Frame{
 			Kind:   FrameRemote,
 			Host:   rb.Host,
@@ -141,17 +141,11 @@ func (al *allocator) popRemote(avoid map[memctl.ServerID]bool) (Frame, bool) {
 
 // alloc returns the next frame: local until the arena is full, then remote.
 func (al *allocator) alloc() (Frame, error) {
-	if n := len(al.freeLocal); n > 0 {
-		off := al.freeLocal[n-1]
-		al.freeLocal = al.freeLocal[:n-1]
-		al.stats.LocalFrames++
-		return Frame{Kind: FrameLocal, Arena: al.vm, LocalOff: off}, nil
-	}
 	if al.nextLocal+DefaultPageSize <= al.arena.Len() {
 		off := al.nextLocal
 		al.nextLocal += DefaultPageSize
 		al.stats.LocalFrames++
-		return Frame{Kind: FrameLocal, Arena: al.vm, LocalOff: off}, nil
+		return Frame{Kind: FrameLocal, LocalOff: off}, nil
 	}
 	return al.allocRemote(nil)
 }
@@ -185,7 +179,7 @@ func (al *allocator) allocRemote(avoid map[memctl.ServerID]bool) (Frame, error) 
 		if i := nextUncarved(al.uncarved, avoid); i >= 0 {
 			rb := al.uncarved[i]
 			al.uncarved = append(al.uncarved[:i], al.uncarved[i+1:]...)
-			al.carve(rb)
+			al.carve(rb, al.seedOff)
 			continue
 		}
 		if al.agent == nil {
@@ -202,7 +196,7 @@ func (al *allocator) allocRemote(avoid map[memctl.ServerID]bool) (Frame, error) 
 				continue
 			}
 			al.handles = append(al.handles, rb)
-			al.carve(rb)
+			al.carve(rb, 0)
 		}
 	}
 }
@@ -219,10 +213,12 @@ func nextUncarved(uncarved []*memctl.RemoteBuffer, avoid map[memctl.ServerID]boo
 	return -1
 }
 
-// free returns a frame to the free lists.
-func (al *allocator) free(f Frame) {
+// unalloc takes back the frame alloc or allocRemote just handed out, when
+// mapping or filling it failed. Pages are never freed one by one, so nothing
+// else returns a frame.
+func (al *allocator) unalloc(f Frame) {
 	if f.Kind == FrameLocal {
-		al.freeLocal = append(al.freeLocal, f.LocalOff)
+		al.nextLocal -= DefaultPageSize
 		al.stats.LocalFrames--
 		return
 	}
@@ -233,10 +229,6 @@ func (al *allocator) free(f Frame) {
 // discard drops a remote frame whose host crashed: its capacity is lost until
 // the host is repaired, so it must not return to the free list.
 func (al *allocator) discard(f Frame) {
-	if f.Kind != FrameRemote {
-		al.free(f)
-		return
-	}
 	al.stats.RemoteFrames--
 	al.stats.DiscardedFrames++
 }

@@ -6,12 +6,13 @@
 // pagestore.Store, which holds host memory only for the chunks actually
 // written) or by remote frames carved out of buffers granted through memctl's
 // GS_alloc_ext protocol — the memory a zombie server keeps serving from Sz,
-// held in the same kind of store under the rdma region. A PageTable translates
-// (VM, page) to frames and enforces the no-aliasing invariant; the allocator
-// fills the local arena first and then overflows to remote grants. Every
-// remote write is journalled into the plane's mirror, a third
-// pagestore.Store the size of the address space, which is what Rehome
-// replays.
+// held in the same kind of store under the rdma region. Each plane owns a
+// PageTable that translates its pages to frames and enforces the no-aliasing
+// invariant; the allocator fills the local arena first and then overflows to
+// remote grants, carving seeded buffers only past Config.SeedOffset (the rows
+// the VM's RAM Ext pages into). Pages stay mapped until Close. Every remote
+// write is journalled into the plane's mirror, a third pagestore.Store the
+// size of the address space, which is what Rehome replays.
 //
 // The remote path runs behind a Transport: InProcessTransport issues real
 // one-sided RDMA verbs against the granted regions, TCPTransport forwards

@@ -8,29 +8,32 @@ import (
 	"repro/internal/memctl"
 )
 
-// FuzzPageTable drives two VMs' planes over one shared page table with an
-// op stream decoded from the fuzz input, checking the two properties the data
-// plane stands on: no frame ever backs two pages (CheckInvariants after every
-// step) and reads always return the last write (byte-exact shadow), including
+// FuzzPageTable drives two VMs' planes, each with its own page table, over
+// one rack with an op stream decoded from the fuzz input, checking the two
+// properties the data plane stands on: no frame ever backs two pages (each
+// table's CheckInvariants after every step) and every page of both VMs reads
+// back its last write (byte-exact shadows, swept after every step), including
 // after a serving zombie crashes and its pages are re-homed from the mirror.
+// A remote frame granted to both planes would show up as the other VM's
+// bytes in a sweep.
 //
 // Each op consumes 4 bytes: [opcode, page, off, len]. An opcode with bit 3
 // set crashes the zombie picked by the page byte's low bit, re-homes its
 // pages on both planes and revives it (at most maxRehomes times per input:
 // every re-home discards the dead host's frames). Otherwise the opcode's low
-// bits pick the action (write / read / free) and the VM; page, off and len
-// are folded into the 8-page address space so every input decodes to valid
-// ops.
+// two bits pick the action (0 and 3 write, 1 and 2 read) and bit 2 the VM;
+// page, off and len are folded into the 8-page address space so every input
+// decodes to valid ops.
 func FuzzPageTable(f *testing.F) {
-	// Seed corpus: a write+read pair, cross-VM traffic, free/rewrite churn,
+	// Seed corpus: a write+read pair, cross-VM traffic, rewrite churn,
 	// unaligned spans, and an empty input.
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 255, 2, 0, 0, 255})
 	f.Add([]byte{0, 1, 0, 16, 1, 1, 0, 16, 2, 1, 0, 16, 3, 1, 0, 16})
 	f.Add([]byte{0, 3, 7, 200, 4, 3, 0, 0, 0, 3, 9, 100, 2, 3, 0, 255})
 	f.Add([]byte{0, 7, 255, 255, 5, 7, 255, 255, 1, 7, 1, 1})
-	// vm-a maps four pages (local and remote), frees every one of them while
-	// vm-b stays mapped, then rewrites and reads them through the same plane.
+	// vm-a maps four pages (local and remote) while vm-b stays mapped, reads
+	// them, then rewrites and reads them through the same plane.
 	f.Add([]byte{
 		0, 0, 0, 255, 0, 1, 0, 255, 0, 2, 0, 255, 0, 3, 0, 255, 4, 0, 0, 255,
 		2, 0, 0, 0, 2, 1, 0, 0, 2, 2, 0, 0, 2, 3, 0, 0,
@@ -52,7 +55,6 @@ func FuzzPageTable(f *testing.F) {
 		names := []string{"user-00", "zombie-01", "zombie-02"}
 		zombies := names[1:]
 		r := newRig(t, names, zombies)
-		table := NewPageTable()
 		span := pages * DefaultPageSize
 
 		mk := func(vm string) *Plane {
@@ -61,7 +63,6 @@ func FuzzPageTable(f *testing.F) {
 				LocalBytes:   2 * DefaultPageSize,
 				AddressBytes: span,
 				Agent:        r.user(t, names),
-				Table:        table,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -71,12 +72,15 @@ func FuzzPageTable(f *testing.F) {
 		planes := []*Plane{mk("vm-a"), mk("vm-b")}
 		shadows := [][]byte{make([]byte, span), make([]byte, span)}
 
-		// sweep checks that both VMs read back exactly their own shadow —
-		// proof that no frame was ever shared across the two address spaces
-		// and that no re-home lost a byte.
+		// check verifies both tables, then that both VMs read back exactly
+		// their own shadow — proof that no frame was ever shared across the
+		// two address spaces and that no re-home lost a byte.
 		got := make([]byte, DefaultPageSize)
-		sweep := func(when string) {
+		check := func(when string) {
 			for vm, p := range planes {
+				if err := p.Table().CheckInvariants(); err != nil {
+					t.Fatalf("%s: vm=%d: %v", when, vm, err)
+				}
 				for base := int64(0); base < span; base += DefaultPageSize {
 					if _, _, err := p.Read(base, got); err != nil {
 						t.Fatalf("%s: sweep vm=%d page %d: %v", when, vm, base/DefaultPageSize, err)
@@ -102,10 +106,7 @@ func FuzzPageTable(f *testing.F) {
 					}
 					p.ReviveHost(host)
 				}
-				if err := table.CheckInvariants(); err != nil {
-					t.Fatalf("after op %d: %v", i/4, err)
-				}
-				sweep(fmt.Sprintf("after re-homing %s", host))
+				check(fmt.Sprintf("after re-homing %s", host))
 				continue
 			}
 			vm := int(op>>2) & 1
@@ -115,15 +116,14 @@ func FuzzPageTable(f *testing.F) {
 			if addr+int64(size) > span {
 				size = int(span - addr)
 			}
-			switch op & 3 {
-			case 0, 3: // write
+			if op&3 == 0 || op&3 == 3 { // write
 				fillPattern(buf[:size], addr, byte(i))
 				n, _, err := p.Write(addr, buf[:size])
 				if err != nil {
 					t.Fatalf("write vm=%d addr=%d size=%d: %v", vm, addr, size, err)
 				}
 				copy(shadow[addr:addr+int64(n)], buf[:n])
-			case 1: // read
+			} else { // read
 				got := buf[:size]
 				n, _, err := p.Read(addr, got)
 				if err != nil {
@@ -132,21 +132,11 @@ func FuzzPageTable(f *testing.F) {
 				if !bytes.Equal(got[:n], shadow[addr:addr+int64(n)]) {
 					t.Fatalf("read vm=%d addr=%d size=%d differs from last write", vm, addr, size)
 				}
-			case 2: // free (drops the page: it must read back as zeros)
-				if err := p.Free(addr); err != nil {
-					t.Fatalf("free vm=%d addr=%d: %v", vm, addr, err)
-				}
-				base := (addr / DefaultPageSize) * DefaultPageSize
-				for j := base; j < base+DefaultPageSize; j++ {
-					shadow[j] = 0
-				}
 			}
-			if err := table.CheckInvariants(); err != nil {
-				t.Fatalf("after op %d: %v", i/4, err)
-			}
+			check(fmt.Sprintf("after op %d", i/4))
 		}
 
-		sweep("at the end")
+		check("at the end")
 		for _, p := range planes {
 			if err := p.Close(); err != nil {
 				t.Fatal(err)

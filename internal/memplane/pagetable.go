@@ -34,16 +34,12 @@ func (k FrameKind) String() string {
 	return "remote"
 }
 
-// Frame is the physical backing of one virtual page: either an offset into a
-// plane's local arena, or a slice of a remote buffer granted through the
+// Frame is the physical backing of one virtual page: either an offset into
+// the plane's local arena, or a slice of a remote buffer granted through the
 // memctl protocol ({ServerID, BufferID, offset}).
 type Frame struct {
 	Kind FrameKind
 
-	// Arena names the local arena a FrameLocal offset belongs to (the owning
-	// plane's VM ID), so two planes sharing a page table cannot alias each
-	// other's local offsets.
-	Arena string
 	// LocalOff is the byte offset into the arena (FrameLocal only).
 	LocalOff int64
 
@@ -64,7 +60,7 @@ func (f Frame) Remote() bool { return f.Kind == FrameRemote }
 // String renders the frame for diagnostics.
 func (f Frame) String() string {
 	if f.Kind == FrameLocal {
-		return fmt.Sprintf("local{%s+%d}", f.Arena, f.LocalOff)
+		return fmt.Sprintf("local{+%d}", f.LocalOff)
 	}
 	return fmt.Sprintf("remote{%s buf=%d off=%d}", f.Host, f.Buffer, f.Offset)
 }
@@ -72,7 +68,6 @@ func (f Frame) String() string {
 // frameKey is the identity of a frame for aliasing checks.
 type frameKey struct {
 	kind   FrameKind
-	arena  string
 	host   memctl.ServerID
 	buffer memctl.BufferID
 	off    int64
@@ -80,167 +75,110 @@ type frameKey struct {
 
 func keyOf(f Frame) frameKey {
 	if f.Kind == FrameLocal {
-		return frameKey{kind: FrameLocal, arena: f.Arena, off: f.LocalOff}
+		return frameKey{kind: FrameLocal, off: f.LocalOff}
 	}
 	return frameKey{kind: FrameRemote, host: f.Host, buffer: f.Buffer, off: f.Offset}
 }
 
-// entryKey addresses one virtual page of one VM.
-type entryKey struct {
-	vm   string
-	page int64
-}
-
-// vmIndex is one VM's translations, keyed by page number alone. A Plane holds
-// its VM's index for its whole life, so Unmap never deletes an empty one;
-// only drop (Plane.Close) does.
-type vmIndex map[int64]Frame
-
-// PageTable translates (VM, page) to frames. It enforces the one invariant
-// everything else rests on: no frame is ever mapped by two pages — two VMs
-// (or two pages of one VM) can never alias the same physical backing. It is
-// safe for concurrent use.
+// PageTable translates one VM's pages to frames. It enforces the one
+// invariant everything else rests on: no frame is ever mapped by two pages.
+// Each plane owns its table; two VMs never share one, since the controller
+// grants every buffer to one holder. It is safe for concurrent use.
 type PageTable struct {
+	vm     string
 	mu     sync.RWMutex
-	vms    map[string]vmIndex
-	owners map[frameKey]entryKey
+	pages  map[int64]Frame
+	owners map[frameKey]int64
 }
 
-// NewPageTable creates an empty table.
-func NewPageTable() *PageTable {
+func newPageTable(vm string) *PageTable {
 	return &PageTable{
-		vms:    make(map[string]vmIndex),
-		owners: make(map[frameKey]entryKey),
+		vm:     vm,
+		pages:  make(map[int64]Frame),
+		owners: make(map[frameKey]int64),
 	}
 }
 
-// index returns a VM's live index, creating it on first use.
-func (t *PageTable) index(vm string) vmIndex {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.indexLocked(vm)
-}
-
-// indexLocked is index with t.mu held for writing.
-func (t *PageTable) indexLocked(vm string) vmIndex {
-	ix := t.vms[vm]
-	if ix == nil {
-		ix = make(vmIndex)
-		t.vms[vm] = ix
-	}
-	return ix
-}
-
-// drop unmaps every page of a VM and forgets its index, so a table that
-// outlives many VMs keeps nothing of them.
-func (t *PageTable) drop(vm string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, f := range t.vms[vm] {
-		delete(t.owners, keyOf(f))
-	}
-	delete(t.vms, vm)
-}
-
-// lookup is Lookup through an index the caller already holds: it hashes the
-// page number and nothing else.
-func (t *PageTable) lookup(ix vmIndex, page int64) (Frame, bool) {
+// frame returns the frame backing a page.
+func (t *PageTable) frame(page int64) (Frame, bool) {
 	t.mu.RLock()
-	f, ok := ix[page]
+	f, ok := t.pages[page]
 	t.mu.RUnlock()
 	return f, ok
 }
 
+// Lookup returns the frame backing a page of the named VM: another VM's
+// name finds nothing, since the table holds only its plane's pages.
+func (t *PageTable) Lookup(vm string, page int64) (Frame, bool) {
+	if vm != t.vm {
+		return Frame{}, false
+	}
+	return t.frame(page)
+}
+
 // Map installs a translation. It fails with ErrAlreadyMapped if the page has
 // a frame and with ErrFrameAliased if the frame already backs another page.
-func (t *PageTable) Map(vm string, page int64, f Frame) error {
+func (t *PageTable) Map(page int64, f Frame) error {
 	if page < 0 {
 		return fmt.Errorf("memplane: negative page %d", page)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, dup := t.vms[vm][page]; dup {
-		return fmt.Errorf("%w: %s page %d", ErrAlreadyMapped, vm, page)
+	if _, dup := t.pages[page]; dup {
+		return fmt.Errorf("%w: %s page %d", ErrAlreadyMapped, t.vm, page)
 	}
 	fk := keyOf(f)
 	if owner, taken := t.owners[fk]; taken {
-		return fmt.Errorf("%w: %s already backs %s page %d", ErrFrameAliased, f, owner.vm, owner.page)
+		return fmt.Errorf("%w: %s already backs %s page %d", ErrFrameAliased, f, t.vm, owner)
 	}
-	t.indexLocked(vm)[page] = f
-	t.owners[fk] = entryKey{vm: vm, page: page}
+	t.pages[page] = f
+	t.owners[fk] = page
 	return nil
-}
-
-// Unmap removes a translation, returning the frame it held.
-func (t *PageTable) Unmap(vm string, page int64) (Frame, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ix := t.vms[vm]
-	f, ok := ix[page]
-	if !ok {
-		return Frame{}, fmt.Errorf("%w: %s page %d", ErrNotMapped, vm, page)
-	}
-	delete(ix, page)
-	delete(t.owners, keyOf(f))
-	return f, nil
 }
 
 // Remap atomically replaces the frame behind a mapped page (re-homing after a
 // crash), returning the old frame. The new frame must not alias another page.
-func (t *PageTable) Remap(vm string, page int64, f Frame) (Frame, error) {
+func (t *PageTable) Remap(page int64, f Frame) (Frame, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ix := t.vms[vm]
-	old, ok := ix[page]
+	old, ok := t.pages[page]
 	if !ok {
-		return Frame{}, fmt.Errorf("%w: %s page %d", ErrNotMapped, vm, page)
+		return Frame{}, fmt.Errorf("%w: %s page %d", ErrNotMapped, t.vm, page)
 	}
-	ek := entryKey{vm: vm, page: page}
 	fk := keyOf(f)
-	if owner, taken := t.owners[fk]; taken && owner != ek {
-		return Frame{}, fmt.Errorf("%w: %s already backs %s page %d", ErrFrameAliased, f, owner.vm, owner.page)
+	if owner, taken := t.owners[fk]; taken && owner != page {
+		return Frame{}, fmt.Errorf("%w: %s already backs %s page %d", ErrFrameAliased, f, t.vm, owner)
 	}
 	delete(t.owners, keyOf(old))
-	ix[page] = f
-	t.owners[fk] = ek
+	t.pages[page] = f
+	t.owners[fk] = page
 	return old, nil
-}
-
-// Lookup returns the frame backing a page.
-func (t *PageTable) Lookup(vm string, page int64) (Frame, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	f, ok := t.vms[vm][page]
-	return f, ok
 }
 
 // Len returns the number of live translations.
 func (t *PageTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.owners)
+	return len(t.pages)
 }
 
-// Pages returns the mapped pages of a VM, sorted.
-func (t *PageTable) Pages(vm string) []int64 {
+// Pages returns the mapped pages, sorted.
+func (t *PageTable) Pages() []int64 {
+	return t.pagesWhere(func(Frame) bool { return true })
+}
+
+// PagesOn returns the mapped pages whose frames live on the given host,
+// sorted — the migration set when that host crashes.
+func (t *PageTable) PagesOn(host memctl.ServerID) []int64 {
+	return t.pagesWhere(func(f Frame) bool { return f.Kind == FrameRemote && f.Host == host })
+}
+
+func (t *PageTable) pagesWhere(keep func(Frame) bool) []int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []int64
-	for page := range t.vms[vm] {
-		out = append(out, page)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// PagesOn returns the mapped pages of a VM whose frames live on the given
-// host, sorted — the migration set when that host crashes.
-func (t *PageTable) PagesOn(vm string, host memctl.ServerID) []int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []int64
-	for page, f := range t.vms[vm] {
-		if f.Kind == FrameRemote && f.Host == host {
+	for page, f := range t.pages {
+		if keep(f) {
 			out = append(out, page)
 		}
 	}
@@ -248,27 +186,22 @@ func (t *PageTable) PagesOn(vm string, host memctl.ServerID) []int64 {
 	return out
 }
 
-// CheckInvariants verifies the table's internal consistency: the entry and
-// owner indexes are exact mirrors, and no frame backs two pages.
+// CheckInvariants verifies the table's internal consistency: the page and
+// owner indexes are exact mirrors, so no frame backs two pages.
 func (t *PageTable) CheckInvariants() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	entries := 0
-	for vm, ix := range t.vms {
-		entries += len(ix)
-		for page, f := range ix {
-			owner, ok := t.owners[keyOf(f)]
-			if !ok {
-				return fmt.Errorf("memplane: frame %s of %s page %d missing from owner index", f, vm, page)
-			}
-			if owner != (entryKey{vm: vm, page: page}) {
-				return fmt.Errorf("memplane: frame %s mapped by %s page %d is owned by %s page %d",
-					f, vm, page, owner.vm, owner.page)
-			}
+	for page, f := range t.pages {
+		owner, ok := t.owners[keyOf(f)]
+		if !ok {
+			return fmt.Errorf("memplane: frame %s of %s page %d missing from owner index", f, t.vm, page)
+		}
+		if owner != page {
+			return fmt.Errorf("memplane: frame %s mapped by %s page %d is owned by page %d", f, t.vm, page, owner)
 		}
 	}
-	if entries != len(t.owners) {
-		return fmt.Errorf("memplane: %d entries but %d frame owners", entries, len(t.owners))
+	if len(t.pages) != len(t.owners) {
+		return fmt.Errorf("memplane: %d entries but %d frame owners", len(t.pages), len(t.owners))
 	}
 	return nil
 }

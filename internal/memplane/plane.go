@@ -32,7 +32,7 @@ var (
 
 // Config parameterises a Plane.
 type Config struct {
-	// VM names the address space (and the local arena).
+	// VM names the address space.
 	VM string
 	// LocalBytes sizes the local arena backing the fast path; allocations
 	// overflow to remote grants once it is full.
@@ -46,6 +46,11 @@ type Config struct {
 	Agent *memctl.Agent
 	// Buffers seeds the allocator with already-granted buffers.
 	Buffers []*memctl.RemoteBuffer
+	// SeedOffset is where the plane starts carving each of Buffers: the rows
+	// below it belong to the VM's RAM Ext paging store, which pages into the
+	// same buffers. A page-size multiple; buffers the plane grows through
+	// Agent are carved whole.
+	SeedOffset int64
 
 	// Transport serves the remote path; InProcessTransport if nil.
 	Transport Transport
@@ -57,14 +62,6 @@ type Config struct {
 	Chaos *chaos.Plan
 	// Now returns the simulation time in seconds for chaos window lookups.
 	Now func() int64
-
-	// Table, when set, shares a page table with other planes (the aliasing
-	// invariant then spans all of them). A private table is built if nil.
-	Table *PageTable
-
-	// RecordLatencies keeps the per-operation charge series for percentile
-	// reporting (membench); off by default to bound memory.
-	RecordLatencies bool
 
 	// Obs, when set, attaches the plane to an observability bundle: per-op
 	// counters, an op-latency histogram, and trace events for every
@@ -113,15 +110,10 @@ type Stats struct {
 // return zeros without allocating; writes allocate local-first and overflow
 // to remote grants once the arena is full.
 type Plane struct {
-	mu     sync.Mutex
-	cfg    Config
-	table  *PageTable
-	alloc  *allocator
-	shared bool
-
-	// pages is the VM's index inside table, resolved once so a page op looks
-	// its frame up by page number alone.
-	pages vmIndex
+	mu    sync.Mutex
+	cfg   Config
+	table *PageTable
+	alloc *allocator
 
 	// mirror keeps a local copy of every remotely-written page (the paper's
 	// asynchronous local-storage mirror) at the page's own address, which is
@@ -133,8 +125,7 @@ type Plane struct {
 	crashed map[memctl.ServerID]bool
 	closed  bool
 
-	stats     Stats
-	latencies []int64
+	stats Stats
 
 	// obs is the resolved observability handle, nil on unobserved planes so
 	// every emission site is one pointer test and no allocation (see obs.go).
@@ -155,23 +146,19 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.AddressBytes <= 0 || cfg.AddressBytes%DefaultPageSize != 0 {
 		return nil, fmt.Errorf("memplane: address space %d is not a positive multiple of the page size %d", cfg.AddressBytes, DefaultPageSize)
 	}
+	if cfg.SeedOffset < 0 || cfg.SeedOffset%DefaultPageSize != 0 {
+		return nil, fmt.Errorf("memplane: seed offset %d is not a non-negative multiple of the page size %d", cfg.SeedOffset, DefaultPageSize)
+	}
 	if cfg.Agent == nil && len(cfg.Buffers) == 0 && cfg.LocalBytes == 0 {
 		return nil, fmt.Errorf("memplane: plane has no local arena, no buffers and no agent to grow through")
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = InProcessTransport{}
 	}
-	table := cfg.Table
-	shared := table != nil
-	if table == nil {
-		table = NewPageTable()
-	}
 	return &Plane{
 		cfg:     cfg,
-		table:   table,
-		pages:   table.index(cfg.VM),
-		shared:  shared,
-		alloc:   newAllocator(cfg.VM, cfg.LocalBytes, cfg.Agent, cfg.Buffers),
+		table:   newPageTable(cfg.VM),
+		alloc:   newAllocator(cfg.LocalBytes, cfg.Agent, cfg.Buffers, cfg.SeedOffset),
 		mirror:  pagestore.New(cfg.AddressBytes),
 		crashed: make(map[memctl.ServerID]bool),
 		obs:     newPlaneObs(cfg.Obs),
@@ -204,15 +191,6 @@ func (p *Plane) ResidentBytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.alloc.arena.Resident() + p.mirror.Resident()
-}
-
-// Latencies returns the recorded per-operation charges (RecordLatencies).
-func (p *Plane) Latencies() []int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]int64, len(p.latencies))
-	copy(out, p.latencies)
-	return out
 }
 
 // CrashHost marks a serving host crashed: every remote operation against its
@@ -255,13 +233,6 @@ func degrade(ns int64, factor float64) int64 {
 // charge books ns into the running totals.
 func (p *Plane) charge(ns int64) {
 	p.stats.ChargedNs += ns
-}
-
-// recordLatency appends one plane-level op's total charge to the series.
-func (p *Plane) recordLatency(ns int64) {
-	if p.cfg.RecordLatencies {
-		p.latencies = append(p.latencies, ns)
-	}
 }
 
 // Write copies src into the address space at addr, allocating pages as
@@ -318,14 +289,12 @@ func (p *Plane) run(addr int64, n int, op func(page, off int64, span []byte) (in
 		p.charge(ns)
 		if err != nil {
 			p.account(done, write)
-			p.recordLatency(total)
 			p.obs.observeOp(p.stats.ChargedNs, write, done, total)
 			return done, total, err
 		}
 		done += int(span)
 	}
 	p.account(done, write)
-	p.recordLatency(total)
 	p.obs.observeOp(p.stats.ChargedNs, write, done, total)
 	return done, total, nil
 }
@@ -341,7 +310,7 @@ func (p *Plane) account(n int, write bool) {
 
 // pageWrite writes one span within a page, allocating its frame if missing.
 func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
-	frame, ok := p.table.lookup(p.pages, page)
+	frame, ok := p.table.frame(page)
 	fresh := false
 	if !ok {
 		var err error
@@ -349,8 +318,8 @@ func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := p.table.Map(p.cfg.VM, page, frame); err != nil {
-			p.alloc.free(frame)
+		if err := p.table.Map(page, frame); err != nil {
+			p.alloc.unalloc(frame)
 			return 0, err
 		}
 		fresh = true
@@ -393,7 +362,7 @@ func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
 
 // pageRead reads one span within a page; unmapped pages read as zeros.
 func (p *Plane) pageRead(page, off int64, dst []byte) (int64, error) {
-	frame, ok := p.table.lookup(p.pages, page)
+	frame, ok := p.table.frame(page)
 	if !ok {
 		for i := range dst {
 			dst[i] = 0
@@ -467,7 +436,7 @@ func (p *Plane) Rehome(host memctl.ServerID) (RehomeReport, error) {
 	for other := range p.crashed {
 		avoid[other] = true
 	}
-	for _, page := range p.table.PagesOn(p.cfg.VM, host) {
+	for _, page := range p.table.PagesOn(host) {
 		frame, err := p.alloc.allocRemote(avoid)
 		if err != nil {
 			return rep, err
@@ -476,18 +445,18 @@ func (p *Plane) Rehome(host memctl.ServerID) (RehomeReport, error) {
 			p.page = make([]byte, DefaultPageSize)
 		}
 		if err := p.mirror.ReadAt(p.page, page*DefaultPageSize); err != nil {
-			p.alloc.free(frame)
+			p.alloc.unalloc(frame)
 			return rep, fmt.Errorf("memplane: mirror of page %d: %w", page, err)
 		}
 		ns, err := p.cfg.Transport.WriteRemote(frame, 0, p.page)
 		if err != nil {
-			p.alloc.free(frame)
+			p.alloc.unalloc(frame)
 			return rep, err
 		}
 		ns = degrade(ns, p.fabricFactor())
-		old, err := p.table.Remap(p.cfg.VM, page, frame)
+		old, err := p.table.Remap(page, frame)
 		if err != nil {
-			p.alloc.free(frame)
+			p.alloc.unalloc(frame)
 			return rep, err
 		}
 		p.alloc.discard(old)
@@ -503,42 +472,6 @@ func (p *Plane) Rehome(host memctl.ServerID) (RehomeReport, error) {
 	return rep, nil
 }
 
-// Free unmaps a page and returns its frame to the allocator, dropping any
-// mirrored data. Freeing an unmapped page is a no-op.
-func (p *Plane) Free(addr int64) error {
-	if addr < 0 {
-		return fmt.Errorf("%w: negative address %d", ErrBadAddress, addr)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	page := addr / DefaultPageSize
-	f, err := p.table.Unmap(p.cfg.VM, page)
-	if err != nil {
-		if errors.Is(err, ErrNotMapped) {
-			return nil
-		}
-		return err
-	}
-	if f.Kind == FrameLocal {
-		// Scrub so a re-allocation of the frame reads as zeros.
-		if err := p.alloc.arena.Zero(f.LocalOff, DefaultPageSize); err != nil {
-			return fmt.Errorf("memplane: scrub of %s: %w", f, err)
-		}
-	}
-	if err := p.mirror.Zero(page*DefaultPageSize, DefaultPageSize); err != nil {
-		return fmt.Errorf("memplane: mirror of %s: %w", f, err)
-	}
-	if f.Kind == FrameRemote && p.crashed[f.Host] {
-		p.alloc.discard(f)
-	} else {
-		p.alloc.free(f)
-	}
-	return nil
-}
-
 // Close releases the plane's granted buffers back to the controller. The
 // plane rejects further operations.
 func (p *Plane) Close() error {
@@ -548,6 +481,5 @@ func (p *Plane) Close() error {
 		return nil
 	}
 	p.closed = true
-	p.table.drop(p.cfg.VM)
 	return p.alloc.close()
 }

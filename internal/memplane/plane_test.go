@@ -105,7 +105,7 @@ func TestPlaneBytesTraverseZombieBuffer(t *testing.T) {
 		}
 	}
 	// The overflow frames must be hosted by the zombie.
-	if got := p.Table().PagesOn("vm", "zombie-01"); len(got) != int(pages)-1 {
+	if got := p.Table().PagesOn("zombie-01"); len(got) != int(pages)-1 {
 		t.Fatalf("zombie hosts %d pages, want %d", len(got), pages-1)
 	}
 	// Read-back equals written data through the remote path.
@@ -161,7 +161,7 @@ func TestResidentBytesCoversRemotePages(t *testing.T) {
 	if _, _, err := p.Write(0, src); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Table().PagesOn("vm", "zombie-01"); len(got) != pages-1 {
+	if got := p.Table().PagesOn("zombie-01"); len(got) != pages-1 {
 		t.Fatalf("zombie hosts %d pages, want %d", len(got), pages-1)
 	}
 	if got, want := p.ResidentBytes(), int64(pages)*DefaultPageSize; got < want {
@@ -292,7 +292,7 @@ func TestPlaneRehomeMigratesLivePages(t *testing.T) {
 		}
 	}
 	victim := memctl.ServerID("zombie-01")
-	lost := p.Table().PagesOn("vm", victim)
+	lost := p.Table().PagesOn(victim)
 	if len(lost) == 0 {
 		t.Fatal("victim hosts no pages; sizing is off")
 	}
@@ -307,7 +307,7 @@ func TestPlaneRehomeMigratesLivePages(t *testing.T) {
 	if rep.Ns <= 0 {
 		t.Fatal("rehome charged nothing")
 	}
-	if after := p.Table().PagesOn("vm", victim); len(after) != 0 {
+	if after := p.Table().PagesOn(victim); len(after) != 0 {
 		t.Fatalf("%d pages still on crashed host", len(after))
 	}
 	// Every byte survives the migration, host still crashed.
@@ -327,38 +327,6 @@ func TestPlaneRehomeMigratesLivePages(t *testing.T) {
 		t.Fatalf("stats.RehomedPages = %d, want %d", st.RehomedPages, len(lost))
 	}
 	if err := p.Table().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPlaneFreeScrubsAndReuses(t *testing.T) {
-	p, err := New(Config{VM: "vm", AddressBytes: testSpan, LocalBytes: DefaultPageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := make([]byte, DefaultPageSize)
-	fillPattern(src, 0, 2)
-	if _, _, err := p.Write(0, src); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Free(0); err != nil {
-		t.Fatal(err)
-	}
-	// The arena's only frame is recycled for page 1; page 0 reads zeros.
-	if _, _, err := p.Write(DefaultPageSize, src[:8]); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, 8)
-	if _, _, err := p.Read(0, dst); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range dst {
-		if b != 0 {
-			t.Fatal("freed page leaked previous contents")
-		}
-	}
-	// Free of an unmapped page is a no-op.
-	if err := p.Free(42 * DefaultPageSize); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -464,6 +432,40 @@ func TestPlaneRequiresBacking(t *testing.T) {
 	}
 	if _, err := New(Config{VM: "vm", AddressBytes: 100, LocalBytes: DefaultPageSize}); err == nil {
 		t.Fatal("non-page-multiple address space must be rejected")
+	}
+	if _, err := New(Config{VM: "vm", AddressBytes: testSpan, LocalBytes: DefaultPageSize, SeedOffset: 100}); err == nil {
+		t.Fatal("non-page-multiple seed offset must be rejected")
+	}
+}
+
+// TestPlaneCarvesSeedsPastSeedOffset: the rows of a seeded buffer below
+// SeedOffset are someone else's, so no frame of the plane lands in them.
+func TestPlaneCarvesSeedsPastSeedOffset(t *testing.T) {
+	names := []string{"user-00", "zombie-01"}
+	r := newRig(t, names, []string{"zombie-01"})
+	bufs, err := r.user(t, names).RequestExt(2 * rigBufSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const skip = 3 * DefaultPageSize // one frame left in each 4-page buffer
+	p, err := New(Config{VM: "vm", AddressBytes: testSpan, Buffers: bufs, SeedOffset: skip})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, DefaultPageSize)
+	for pg := int64(0); pg < 2; pg++ {
+		if _, _, err := p.Write(pg*DefaultPageSize, page); err != nil {
+			t.Fatal(err)
+		}
+		if f, _ := p.Table().Lookup("vm", pg); f.Offset != skip {
+			t.Fatalf("page %d on %s, want offset %d", pg, f, skip)
+		}
+	}
+	if _, _, err := p.Write(2*DefaultPageSize, page); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("third page: %v, want ErrOutOfMemory", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
