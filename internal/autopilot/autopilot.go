@@ -443,7 +443,7 @@ func (l *loop) billInterval(to int64) {
 	var usedCPU float64
 	l.cum.Each(func(rank ident.ID) { usedCPU += l.idx.Demand(int32(rank)).UsedCPU })
 	billed := l.posture
-	billed.ActiveCPUUtilization = utilization(usedCPU, billed.ActiveHosts, l.cfg.ServerSpec.Cores)
+	billed.ActiveCPUUtilization = consolidation.Utilization(usedCPU, billed.ActiveHosts, l.cfg.ServerSpec.Cores)
 	l.res.EnergyJoules += dcsim.PosturePowerWatts(l.cfg.Machine, billed) * dt
 	l.res.BaselineJoules += dcsim.BaselinePowerWatts(l.cfg.Machine, l.cfg.ServerSpec, usedCPU, l.total) * dt
 }
@@ -756,13 +756,13 @@ func (l *loop) normalize(name string, p consolidation.FleetPlan) consolidation.F
 	p.MemoryServers = clamp(p.MemoryServers, avail-p.ActiveHosts-p.ZombieHosts)
 	p.SleepHosts = avail - p.ActiveHosts - p.ZombieHosts - p.MemoryServers
 	p.Policy = name
-	p.ActiveCPUUtilization = utilization(l.usedCPU, p.ActiveHosts, l.cfg.ServerSpec.Cores)
+	p.ActiveCPUUtilization = consolidation.Utilization(l.usedCPU, p.ActiveHosts, l.cfg.ServerSpec.Cores)
 	return p
 }
 
 // refreshUtil recomputes the posture's utilization after a population change.
 func (l *loop) refreshUtil() {
-	l.posture.ActiveCPUUtilization = utilization(l.usedCPU, l.posture.ActiveHosts, l.cfg.ServerSpec.Cores)
+	l.posture.ActiveCPUUtilization = consolidation.Utilization(l.usedCPU, l.posture.ActiveHosts, l.cfg.ServerSpec.Cores)
 }
 
 // finish bills the final (possibly partial) interval and closes the
@@ -782,40 +782,15 @@ func (l *loop) finish(horizon int64) Result {
 // sleepers first, then zombies (shrinking the remotely-served memory
 // proportionally), then memory servers.
 func wake(p consolidation.FleetPlan, need int) consolidation.FleetPlan {
-	take := func(avail int) int {
-		if need < avail {
-			avail = need
+	for _, c := range [...]consolidation.Category{consolidation.SleepHost, consolidation.ZombieHost, consolidation.MemoryServer} {
+		pool := p.Hosts(c)
+		n := min(need, *pool)
+		if c == consolidation.ZombieHost && n > 0 {
+			p.RemoteMemoryGiB *= float64(*pool-n) / float64(*pool)
 		}
-		need -= avail
-		return avail
-	}
-	if n := take(p.SleepHosts); n > 0 {
-		p.SleepHosts -= n
+		*pool -= n
 		p.ActiveHosts += n
-	}
-	if n := take(p.ZombieHosts); n > 0 {
-		p.RemoteMemoryGiB *= float64(p.ZombieHosts-n) / float64(p.ZombieHosts)
-		p.ZombieHosts -= n
-		p.ActiveHosts += n
-	}
-	if n := take(p.MemoryServers); n > 0 {
-		p.MemoryServers -= n
-		p.ActiveHosts += n
+		need -= n
 	}
 	return p
-}
-
-// utilization is used CPU over active capacity, clamped to [0,1].
-func utilization(usedCPU float64, active int, cores float64) float64 {
-	if active <= 0 || cores <= 0 {
-		return 0
-	}
-	u := usedCPU / (float64(active) * cores)
-	if u > 1 {
-		return 1
-	}
-	if u < 0 {
-		return 0
-	}
-	return u
 }

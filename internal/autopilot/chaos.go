@@ -2,11 +2,13 @@ package autopilot
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
-	"repro/internal/rdma"
+	"repro/internal/consolidation"
+	"repro/internal/dcsim"
 )
 
 // Fault-aware re-planning: the online loop consumes a chaos.Plan as a fourth
@@ -47,22 +49,20 @@ type chaosRun struct {
 	// crashed servers wedge at S0 idle, stuck zombies burn Sz.
 	crashed int
 	stuck   int
-	// wakeBudget is each WakeFailure fault's remaining budget; failedBy and
-	// crashedBy record what actually struck, so repairs restore exactly the
+	// faults holds each plan fault's state: a WakeFailure's remaining
+	// budget, and what actually struck, so repairs restore exactly the
 	// servers that were lost.
-	wakeBudget map[int]int
-	failedBy   map[int]int
-	crashedBy  map[int]int
+	faults []faultState
+}
+
+// faultState is one fault's share of a chaosRun.
+type faultState struct {
+	wakeBudget, failed, crashed int
 }
 
 // newChaosRun compiles a plan into the loop's fault timeline.
 func newChaosRun(p *chaos.Plan) *chaosRun {
-	c := &chaosRun{
-		plan:       p,
-		wakeBudget: make(map[int]int),
-		failedBy:   make(map[int]int),
-		crashedBy:  make(map[int]int),
-	}
+	c := &chaosRun{plan: p, faults: make([]faultState, len(p.Faults))}
 	for i, f := range p.Faults {
 		switch f.Kind {
 		case chaos.ServerCrash:
@@ -70,7 +70,7 @@ func newChaosRun(p *chaos.Plan) *chaosRun {
 				chaosMoment{at: f.AtSec, kind: momentCrash, idx: i},
 				chaosMoment{at: f.AtSec + f.DurationSec, kind: momentRepair, idx: i})
 		case chaos.WakeFailure:
-			c.wakeBudget[i] = f.Count
+			c.faults[i].wakeBudget = f.Count
 			c.moments = append(c.moments,
 				chaosMoment{at: f.AtSec + f.DurationSec, kind: momentStuckRepair, idx: i})
 		case chaos.ControllerLoss:
@@ -108,16 +108,17 @@ func (c *chaosRun) takeWakeFailures(now int64, attempts int) int {
 		if attempts <= 0 {
 			break
 		}
-		if f.Kind != chaos.WakeFailure || c.wakeBudget[i] <= 0 {
+		st := &c.faults[i]
+		if f.Kind != chaos.WakeFailure || st.wakeBudget <= 0 {
 			continue
 		}
 		if f.AtSec <= now && now < f.AtSec+f.DurationSec {
-			take := c.wakeBudget[i]
+			take := st.wakeBudget
 			if take > attempts {
 				take = attempts
 			}
-			c.wakeBudget[i] -= take
-			c.failedBy[i] += take
+			st.wakeBudget -= take
+			st.failed += take
 			attempts -= take
 			failed += take
 		}
@@ -146,50 +147,6 @@ func (l *loop) chaosMoment(now int64, m chaosMoment) error {
 	return nil
 }
 
-// victim categories, in the order chaosCrash strikes them per role.
-type victimCat uint8
-
-const (
-	victimActive victimCat = iota
-	victimZombie
-	victimMemServer
-	victimSleep
-	victimNone
-)
-
-// pickCrashVictim resolves the fault's role hint against the posture held,
-// falling through to the next category when the preferred one is empty.
-func (l *loop) pickCrashVictim(role chaos.CrashRole) victimCat {
-	order := []victimCat{victimActive, victimZombie, victimMemServer, victimSleep}
-	switch role {
-	case chaos.RoleServing:
-		order = []victimCat{victimZombie, victimMemServer, victimActive, victimSleep}
-	case chaos.RoleSleep:
-		order = []victimCat{victimSleep, victimZombie, victimMemServer, victimActive}
-	}
-	for _, cat := range order {
-		switch cat {
-		case victimActive:
-			if l.posture.ActiveHosts > 0 {
-				return cat
-			}
-		case victimZombie:
-			if l.posture.ZombieHosts > 0 {
-				return cat
-			}
-		case victimMemServer:
-			if l.posture.MemoryServers > 0 {
-				return cat
-			}
-		case victimSleep:
-			if l.posture.SleepHosts > 0 {
-				return cat
-			}
-		}
-	}
-	return victimNone
-}
-
 // chaosCrash strikes one ServerCrash fault: victims leave the usable pool
 // (wedged at S0 idle until repair), crashed serving servers re-home their
 // remote-memory share onto freshly woken replacements, and lost active
@@ -197,30 +154,22 @@ func (l *loop) pickCrashVictim(role chaos.CrashRole) victimCat {
 // attempts the same plan's wake failures can strike.
 func (l *loop) chaosCrash(now int64, f chaos.Fault, idx int) error {
 	targetActive := l.posture.ActiveHosts
+	order := dcsim.StrikeOrder(f.Role)
 	struck := 0
-	for i := 0; i < f.Count; i++ {
-		cat := l.pickCrashVictim(f.Role)
-		if cat == victimNone {
+	for ; struck < f.Count; struck++ {
+		i := slices.IndexFunc(order[:], func(c consolidation.Category) bool { return *l.posture.Hosts(c) > 0 })
+		if i < 0 {
 			break
 		}
-		struck++
+		c := order[i]
 		l.chaos.crashed++
-		switch cat {
-		case victimActive:
-			l.posture.ActiveHosts--
-		case victimZombie:
-			share := l.servingShare()
-			l.posture.ZombieHosts--
-			l.reHome(now, share, true)
-		case victimMemServer:
-			share := l.servingShare()
-			l.posture.MemoryServers--
-			l.reHome(now, share, false)
-		case victimSleep:
-			l.posture.SleepHosts--
+		share := dcsim.ServingShare(l.posture)
+		*l.posture.Hosts(c)--
+		if c == consolidation.ZombieHost || c == consolidation.MemoryServer {
+			l.reHome(now, share, c)
 		}
 	}
-	l.chaos.crashedBy[idx] = struck
+	l.chaos.faults[idx].crashed = struck
 	l.res.ServerCrashes += struck
 	l.obs.observeChaosCrash(now, struck)
 	l.refreshUtil()
@@ -230,29 +179,16 @@ func (l *loop) chaosCrash(now int64, f chaos.Fault, idx int) error {
 	return nil
 }
 
-// servingShare is the remote memory one serving server (zombie or memory
-// server) carries under the current posture.
-func (l *loop) servingShare() float64 {
-	pool := l.posture.ZombieHosts + l.posture.MemoryServers
-	if pool <= 0 {
-		return 0
-	}
-	return l.posture.RemoteMemoryGiB / float64(pool)
-}
-
 // reHome moves a crashed serving server's remote-memory share onto a
 // replacement: the transfer crosses the fabric at the instant's degradation
 // factor (stalling one active host at the posture's operating point), and a
-// sleeper wakes into the serving role. With no sleeper left the share is
-// lost — an SLO violation.
-func (l *loop) reHome(now int64, shareGiB float64, zombie bool) {
+// sleeper wakes into the crashed server's category c. With no sleeper left
+// the share is lost — an SLO violation.
+func (l *loop) reHome(now int64, shareGiB float64, c consolidation.Category) {
 	m := l.cfg.Machine
 	if shareGiB > 0 {
 		l.res.ReHomedGiB += shareGiB
-		fab := rdma.DefaultCostModel()
-		sec := float64(fab.TransferNs(fab.OneSidedLatencyNs, int(shareGiB*float64(1<<30)))) / 1e9
-		sec *= l.chaos.plan.FabricFactorAt(now)
-		l.addPenalty(sec * m.PowerWatts(acpi.S0, l.posture.ActiveCPUUtilization))
+		l.addPenalty(dcsim.ReHomeJoules(m, shareGiB, l.posture.ActiveCPUUtilization, l.chaos.plan.FabricFactorAt(now)))
 	}
 	if l.posture.SleepHosts <= 0 {
 		l.posture.RemoteMemoryGiB -= shareGiB
@@ -263,25 +199,20 @@ func (l *loop) reHome(now int64, shareGiB float64, zombie bool) {
 		return
 	}
 	l.posture.SleepHosts--
-	if zombie {
-		l.posture.ZombieHosts++
-		l.addPenalty(m.TransitionJoules(acpi.S3, acpi.S0) + m.TransitionJoules(acpi.S0, acpi.Sz))
-		l.res.StateTransitions += 2
-	} else {
-		l.posture.MemoryServers++
-		l.addPenalty(m.TransitionJoules(acpi.S3, acpi.S0))
-		l.res.StateTransitions++
-	}
+	*l.posture.Hosts(c)++
+	joules, transitions := dcsim.Replacement(m, c)
+	l.addPenalty(joules)
+	l.res.StateTransitions += transitions
 }
 
 // chaosRepair returns a crash fault's victims to the sleep pool: the wedged
 // servers reboot into S3.
 func (l *loop) chaosRepair(now int64, idx int) {
-	n := l.chaos.crashedBy[idx]
+	n := l.chaos.faults[idx].crashed
 	if n <= 0 {
 		return
 	}
-	l.chaos.crashedBy[idx] = 0
+	l.chaos.faults[idx].crashed = 0
 	l.chaos.crashed -= n
 	l.posture.SleepHosts += n
 	l.addPenalty(float64(n) * l.cfg.Machine.TransitionJoules(acpi.S0, acpi.S3))
@@ -292,11 +223,11 @@ func (l *loop) chaosRepair(now int64, idx int) {
 // chaosStuckRepair releases the stuck zombies of one WakeFailure fault when
 // its window closes: each wakes fully (Sz->S0) and re-suspends to S3.
 func (l *loop) chaosStuckRepair(now int64, idx int) {
-	n := l.chaos.failedBy[idx]
+	n := l.chaos.faults[idx].failed
 	if n <= 0 {
 		return
 	}
-	l.chaos.failedBy[idx] = 0
+	l.chaos.faults[idx].failed = 0
 	l.chaos.stuck -= n
 	l.posture.SleepHosts += n
 	m := l.cfg.Machine

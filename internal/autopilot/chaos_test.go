@@ -360,47 +360,84 @@ func (p fixedPlan) PlanDemand(consolidation.Demand, consolidation.ServerSpec, in
 	return p.plan
 }
 
-// TestServingCrashPricedAlikeOnlineAndOffline prices one RoleServing crash
-// of an Oasis posture (5 active hosts, 2 memory servers) through the online
-// loop and through dcsim's epoch bill: both re-home the struck memory
-// server's share and wake one replacement memory server (S3->S0, one
-// transition); neither sends it on to Sz as if it were a zombie.
-func TestServingCrashPricedAlikeOnlineAndOffline(t *testing.T) {
+// TestCrashPricedAlikeOnlineAndOffline prices one count-1 crash of every
+// role on a ZombieStack, an Oasis and a Neat posture through the online loop
+// and through dcsim's epoch bill. Both strike in dcsim.StrikeOrder and bill
+// dcsim.Replacement and dcsim.ReHomeJoules: a crashed zombie is replaced by
+// a wake and a re-suspend to Sz, a memory server by a wake alone, an active
+// host by a wake (online through the emergency-wake path), and a sleeper by
+// nothing.
+func TestCrashPricedAlikeOnlineAndOffline(t *testing.T) {
 	const horizon, at = 300, 100
 	machine := energy.HPProfile()
-	posture := consolidation.FleetPlan{
-		Policy: "oasis", ActiveHosts: 5, MemoryServers: 2, SleepHosts: 3,
-		ActiveCPUUtilization: 0.4, RemoteMemoryGiB: 12,
+	postures := []consolidation.FleetPlan{
+		{Policy: "zombiestack", ActiveHosts: 5, ZombieHosts: 2, SleepHosts: 3, ActiveCPUUtilization: 0.4, RemoteMemoryGiB: 12},
+		{Policy: "oasis", ActiveHosts: 5, MemoryServers: 2, SleepHosts: 3, ActiveCPUUtilization: 0.4, RemoteMemoryGiB: 12},
+		{Policy: "neat", ActiveHosts: 5, SleepHosts: 3, ActiveCPUUtilization: 0.4},
 	}
-	crash := chaos.Fault{Kind: chaos.ServerCrash, AtSec: at, DurationSec: 10 * horizon, Count: 1, Role: chaos.RoleServing}
-	plan := &chaos.Plan{Name: "one-crash", HorizonSec: horizon, Faults: []chaos.Fault{crash}}
+	// The bill of one crash per posture, in postures' order.
+	type price struct {
+		joules      float64
+		transitions int
+	}
+	wake, none := price{250.560, 1}, price{0, 0}
+	cases := []struct {
+		role chaos.CrashRole
+		want [3]price
+	}{
+		{chaos.RoleAny, [3]price{wake, wake, wake}},
+		{chaos.RoleActive, [3]price{wake, wake, wake}},
+		{chaos.RoleServing, [3]price{{517.247, 2}, {329.327, 1}, wake}},
+		{chaos.RoleSleep, [3]price{none, none, none}},
+	}
+	for _, tc := range cases {
+		for i, posture := range postures {
+			t.Run(posture.Policy+"/"+tc.role.String(), func(t *testing.T) {
+				crash := chaos.Fault{Kind: chaos.ServerCrash, AtSec: at, DurationSec: 10 * horizon, Count: 1, Role: tc.role}
+				plan := &chaos.Plan{Name: "one-crash", HorizonSec: horizon, Faults: []chaos.Fault{crash}}
 
-	// Online: strike the posture the loop holds.
-	l := &loop{cfg: &Config{Machine: machine}, posture: posture, chaos: newChaosRun(plan)}
-	if err := l.chaosCrash(at, crash, 0); err != nil {
-		t.Fatal(err)
-	}
-	online, onlineT := l.res.EnergyJoules, l.res.StateTransitions
+				// Online: strike the posture the loop holds. An active victim
+				// is replaced through ensureActive, which re-plans against
+				// the planner and the fleet size.
+				l := &loop{
+					cfg:     &Config{Machine: machine, ServerSpec: consolidation.DefaultServerSpec()},
+					total:   posture.TotalHosts(),
+					planner: fixedPlan{posture},
+					posture: posture,
+					chaos:   newChaosRun(plan),
+				}
+				if err := l.chaosCrash(at, crash, 0); err != nil {
+					t.Fatal(err)
+				}
+				online, onlineT := l.res.EnergyJoules, l.res.StateTransitions
 
-	// Offline: one epoch whose plan is the same posture. Transition costs
-	// are off, so the epoch's transitions and chaos joules are the fault's;
-	// the crashed server's wedged S0 burn is taken out of the joules.
-	tr := &trace.Trace{Name: "one-task", Machines: posture.TotalHosts(), HorizonSec: horizon, Tasks: []trace.Task{
-		{ID: 1, EndSec: horizon, BookedCPU: 1, BookedMemGiB: 1, UsedCPU: 0.5, UsedMemGiB: 0.5},
-	}}
-	res, err := dcsim.Run(dcsim.Config{
-		Trace: tr, Policy: fixedPlan{posture}, Machine: machine,
-		ServerSpec: consolidation.DefaultServerSpec(), ConsolidationPeriodSec: horizon, Chaos: plan,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offline := res.ChaosJoules - plan.CrashedServerSeconds(0, horizon)*machine.PowerWatts(acpi.S0, 0)
+				// Offline: one epoch whose plan is the same posture.
+				// Transition costs are off, so the epoch's transitions and
+				// chaos joules are the fault's; the crashed server's wedged
+				// S0 burn is taken out of the joules.
+				tr := &trace.Trace{Name: "one-task", Machines: posture.TotalHosts(), HorizonSec: horizon, Tasks: []trace.Task{
+					{ID: 1, EndSec: horizon, BookedCPU: 1, BookedMemGiB: 1, UsedCPU: 0.5, UsedMemGiB: 0.5},
+				}}
+				res, err := dcsim.Run(dcsim.Config{
+					Trace: tr, Policy: fixedPlan{posture}, Machine: machine,
+					ServerSpec: consolidation.DefaultServerSpec(), ConsolidationPeriodSec: horizon, Chaos: plan,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				offline := res.ChaosJoules - plan.CrashedServerSeconds(0, horizon)*machine.PowerWatts(acpi.S0, 0)
 
-	if res.StateTransitions != onlineT || onlineT != 1 {
-		t.Errorf("transitions: offline %d, online %d, want 1 each", res.StateTransitions, onlineT)
-	}
-	if math.Abs(offline-online) > 1e-9*online {
-		t.Errorf("crash bill: offline %.3f J, online %.3f J", offline, online)
+				want := tc.want[i]
+				if res.StateTransitions != onlineT || onlineT != want.transitions {
+					t.Errorf("transitions: offline %d, online %d, want %d each", res.StateTransitions, onlineT, want.transitions)
+				}
+				if math.Abs(offline-online) > 1e-9*online {
+					t.Errorf("crash bill: offline %.3f J, online %.3f J", offline, online)
+				}
+				if math.Abs(online-want.joules) > 5e-4 {
+					t.Errorf("crash bill: online %.3f J, want %.3f J", online, want.joules)
+				}
+			})
+		}
 	}
 }

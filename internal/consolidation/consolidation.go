@@ -57,6 +57,48 @@ func (p FleetPlan) TotalHosts() int {
 	return p.ActiveHosts + p.ZombieHosts + p.MemoryServers + p.SleepHosts
 }
 
+// Category is one of a FleetPlan's server counts.
+type Category uint8
+
+// The posture categories.
+const (
+	ActiveHost Category = iota
+	ZombieHost
+	MemoryServer
+	SleepHost
+)
+
+// Hosts returns a pointer to the plan's count of servers in category c.
+func (p *FleetPlan) Hosts(c Category) *int {
+	switch c {
+	case ActiveHost:
+		return &p.ActiveHosts
+	case ZombieHost:
+		return &p.ZombieHosts
+	case MemoryServer:
+		return &p.MemoryServers
+	default:
+		return &p.SleepHosts
+	}
+}
+
+// Utilization is the mean CPU utilization of hosts servers of the given
+// cores running usedCPU cores, clamped to [0, 1] (0 with no host or core).
+// The clamps are explicit comparisons, so NaN and -0 pass through.
+func Utilization(usedCPU float64, hosts int, cores float64) float64 {
+	if hosts <= 0 || cores <= 0 {
+		return 0
+	}
+	u := usedCPU / (float64(hosts) * cores)
+	if u > 1 {
+		return 1
+	}
+	if u < 0 {
+		return 0
+	}
+	return u
+}
+
 // Policy plans one consolidation epoch at fleet level.
 type Policy interface {
 	// Name identifies the policy in result tables.
@@ -199,14 +241,7 @@ func (p NoConsolidation) Plan(vms []VMDemand, spec ServerSpec, totalServers int)
 
 // PlanDemand implements Policy.
 func (NoConsolidation) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPlan {
-	util := 0.0
-	if totalServers > 0 && spec.Cores > 0 {
-		util = d.UsedCPU / (float64(totalServers) * spec.Cores)
-	}
-	if util > 1 {
-		util = 1
-	}
-	return FleetPlan{Policy: "none", ActiveHosts: totalServers, ActiveCPUUtilization: util}
+	return FleetPlan{Policy: "none", ActiveHosts: totalServers, ActiveCPUUtilization: Utilization(d.UsedCPU, totalServers, spec.Cores)}
 }
 
 // Neat packs VMs by their booked resources: a server must hold everything a
@@ -241,17 +276,8 @@ func (n *Neat) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPlan
 		Policy:               n.Name(),
 		ActiveHosts:          active,
 		SleepHosts:           totalServers - active,
-		ActiveCPUUtilization: activeUtil(d.UsedCPU, active, spec),
+		ActiveCPUUtilization: Utilization(d.UsedCPU, active, spec.Cores),
 	}
-}
-
-// activeUtil is the mean CPU utilization of active hosts running usedCPU
-// cores, at most 1 (0 with no active host).
-func activeUtil(usedCPU float64, active int, spec ServerSpec) float64 {
-	if active <= 0 {
-		return 0
-	}
-	return min(usedCPU/(float64(active)*spec.Cores), 1)
 }
 
 // Oasis extends Neat: idle VMs are partially migrated, their non-working-set
@@ -285,7 +311,7 @@ func (o *Oasis) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPla
 		ActiveHosts:          active,
 		MemoryServers:        memServers,
 		SleepHosts:           totalServers - active - memServers,
-		ActiveCPUUtilization: activeUtil(d.BusyUsedCPU, active, spec),
+		ActiveCPUUtilization: Utilization(d.BusyUsedCPU, active, spec.Cores),
 		RemoteMemoryGiB:      d.IdleColdGiB,
 	}
 }
@@ -342,7 +368,7 @@ func (z *ZombieStack) PlanDemand(d Demand, spec ServerSpec, totalServers int) Fl
 		ActiveHosts:          active,
 		ZombieHosts:          zombies,
 		SleepHosts:           totalServers - active - zombies,
-		ActiveCPUUtilization: activeUtil(d.UsedCPU, active, spec),
+		ActiveCPUUtilization: Utilization(d.UsedCPU, active, spec.Cores),
 		RemoteMemoryGiB:      remoteNeed,
 	}
 }

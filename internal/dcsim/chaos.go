@@ -6,16 +6,14 @@
 // any parallel shard derives the identical bill and the engine stays
 // bit-identical across worker counts.
 //
-// The accounting mirrors the online loop's penalties epoch by epoch:
+// The epoch bill:
 //
 //   - crashed servers burn S0 idle power for the server-seconds they spend
 //     wedged inside the epoch, and the epoch's plan is sized against the
 //     shrunken fleet (see epochPlan);
-//   - a crash whose victims were serving remote memory (zombies or Oasis
-//     memory servers, per the fault's role hint resolved against the epoch's
-//     posture) bills the re-homing transfer of their remote-memory share and
-//     a replacement: a zombie's wakes and re-suspends to Sz, a memory
-//     server's only wakes; a crash of active servers bills replacement wakes;
+//   - a crash strikes the epoch's posture in StrikeOrder, bills each
+//     victim's Replacement and, for victims that were serving remote memory
+//     (zombies or Oasis memory servers), the ReHomeJoules of their share;
 //   - repairs bill the reboot back to S3 in the epoch they complete;
 //   - failed wakes bill the wasted S3->S0 attempt, capped by both the
 //     plan's budget for the epoch and the wakes the epoch actually performs;
@@ -23,6 +21,12 @@
 //     secondary's rebuild window;
 //   - fabric degradation is priced in the transition bill itself
 //     (TransitionCost), not here.
+//
+// The online loop prices crashes by the same rules. Three differences
+// remain: its wake failures also bill the stuck zombies' Sz burn and their
+// Sz->S0->S3 release; its repairs reboot only the servers a crash struck,
+// not the fault's Count; and it re-picks a victim after each strike of a
+// Count > 1 crash, so a woken replacement can be struck again.
 //
 // All penalties land on EnergyJoules and never on the baseline, so faults
 // can only lower the reported saving.
@@ -33,6 +37,7 @@ import (
 	"repro/internal/acpi"
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
+	"repro/internal/energy"
 )
 
 // chaosBill is one epoch's fault penalty.
@@ -87,27 +92,16 @@ func chaosEpochCost(cfg *Config, prev, plan consolidation.FleetPlan, vms int, sp
 	// Crashed servers wedge at S0 idle for their in-epoch server-seconds.
 	bill.joules += p.CrashedServerSeconds(span.start, span.end) * m.PowerWatts(acpi.S0, 0)
 
-	// Crashes striking this epoch: replacement wakes plus re-homing for the
+	// Crashes striking this epoch: replacements plus re-homing for the
 	// victims that were serving remote memory.
 	for _, f := range p.FaultsIn(chaos.ServerCrash, span.start, span.end) {
-		active, zombies, memServers := crashVictims(f, plan)
-		if active > 0 {
-			bill.joules += float64(active) * m.TransitionJoules(acpi.S3, acpi.S0)
-			bill.transitions += active
-		}
-		if serving := zombies + memServers; serving > 0 {
-			share := 0.0
-			if pool := plan.ZombieHosts + plan.MemoryServers; pool > 0 {
-				share = plan.RemoteMemoryGiB / float64(pool) * float64(serving)
-			}
-			bill.reHomedGiB += share
-			bill.joules += reHomeJoules(cfg, share, plan, f.AtSec)
-			// Replacement zombies wake from S3 and re-suspend to Sz;
-			// replacement memory servers only wake.
-			bill.joules += float64(zombies) * (m.TransitionJoules(acpi.S3, acpi.S0) + m.TransitionJoules(acpi.S0, acpi.Sz))
-			bill.joules += float64(memServers) * m.TransitionJoules(acpi.S3, acpi.S0)
-			bill.transitions += 2*zombies + memServers
-		}
+		v := crashVictims(f, plan)
+		bill.replace(m, consolidation.ActiveHost, v.ActiveHosts)
+		share := ServingShare(plan) * float64(v.ZombieHosts+v.MemoryServers)
+		bill.reHomedGiB += share
+		bill.joules += ReHomeJoules(m, share, plan.ActiveCPUUtilization, p.FabricFactorAt(f.AtSec))
+		bill.replace(m, consolidation.ZombieHost, v.ZombieHosts)
+		bill.replace(m, consolidation.MemoryServer, v.MemoryServers)
 	}
 
 	// Repairs completing this epoch reboot the victims into S3.
@@ -139,46 +133,75 @@ func chaosEpochCost(cfg *Config, prev, plan consolidation.FleetPlan, vms int, sp
 	return bill
 }
 
-// crashVictims resolves a crash fault's role hint against the epoch's
-// posture: how many victims were active, zombies and memory servers. The
-// preferred category is struck first; the spill-over falls through the
-// remaining categories in the same order the online loop uses (zombies
-// before memory servers), with sleepers absorbing the rest (no extra bill —
-// a dead sleeper costs only its wedged burn).
-func crashVictims(f chaos.Fault, plan consolidation.FleetPlan) (active, zombies, memServers int) {
-	left := f.Count
-	take := func(pool int) int {
-		n := min(left, pool)
-		left -= n
-		return n
-	}
-	switch f.Role {
-	case chaos.RoleServing:
-		zombies = take(plan.ZombieHosts)
-		memServers = take(plan.MemoryServers)
-		active = take(plan.ActiveHosts)
-	case chaos.RoleSleep:
-		take(plan.SleepHosts)
-		zombies = take(plan.ZombieHosts)
-		memServers = take(plan.MemoryServers)
-		active = take(plan.ActiveHosts)
-	default: // RoleAny, RoleActive: active burns most, strike it first.
-		active = take(plan.ActiveHosts)
-		zombies = take(plan.ZombieHosts)
-		memServers = take(plan.MemoryServers)
-	}
-	return active, zombies, memServers
+// replace bills the replacements of n crashed servers of category c.
+func (b *chaosBill) replace(m *energy.MachineProfile, c consolidation.Category, n int) {
+	joules, transitions := Replacement(m, c)
+	b.joules += float64(n) * joules
+	b.transitions += n * transitions
 }
 
-// reHomeJoules prices moving share GiB of remote memory onto replacement
-// servers: a one-sided transfer over the fabric at the instant's degradation
-// factor, stalling one active host at the epoch's operating point.
-func reHomeJoules(cfg *Config, shareGiB float64, plan consolidation.FleetPlan, atSec int64) float64 {
+// crashVictims resolves a crash fault's role hint against the epoch's
+// posture: how many servers of each category it strikes, taken in
+// StrikeOrder.
+func crashVictims(f chaos.Fault, plan consolidation.FleetPlan) (victims consolidation.FleetPlan) {
+	left := f.Count
+	for _, c := range StrikeOrder(f.Role) {
+		n := min(left, *plan.Hosts(c))
+		*victims.Hosts(c) = n
+		left -= n
+	}
+	return victims
+}
+
+// StrikeOrder is the order in which a crash with the given role hint strikes
+// a posture's categories: the preferred category first, then the spill-over.
+// Zombies go before memory servers, and RoleAny strikes active servers
+// first, because they burn most.
+func StrikeOrder(role chaos.CrashRole) [4]consolidation.Category {
+	switch role {
+	case chaos.RoleServing:
+		return [4]consolidation.Category{consolidation.ZombieHost, consolidation.MemoryServer, consolidation.ActiveHost, consolidation.SleepHost}
+	case chaos.RoleSleep:
+		return [4]consolidation.Category{consolidation.SleepHost, consolidation.ZombieHost, consolidation.MemoryServer, consolidation.ActiveHost}
+	default: // RoleAny, RoleActive
+		return [4]consolidation.Category{consolidation.ActiveHost, consolidation.ZombieHost, consolidation.MemoryServer, consolidation.SleepHost}
+	}
+}
+
+// Replacement prices replacing one crashed server of category c: an active
+// server's replacement wakes S3->S0, a zombie's wakes and re-suspends to Sz,
+// a memory server's only wakes, and a sleeper needs none.
+func Replacement(m *energy.MachineProfile, c consolidation.Category) (joules float64, transitions int) {
+	if c == consolidation.SleepHost {
+		return 0, 0
+	}
+	joules, transitions = m.TransitionJoules(acpi.S3, acpi.S0), 1
+	if c == consolidation.ZombieHost {
+		joules += m.TransitionJoules(acpi.S0, acpi.Sz)
+		transitions++
+	}
+	return joules, transitions
+}
+
+// ServingShare is the remote memory one serving server (zombie or memory
+// server) carries under the posture.
+func ServingShare(plan consolidation.FleetPlan) float64 {
+	pool := plan.ZombieHosts + plan.MemoryServers
+	if pool <= 0 {
+		return 0
+	}
+	return plan.RemoteMemoryGiB / float64(pool)
+}
+
+// ReHomeJoules prices moving shareGiB of remote memory onto replacement
+// servers: a one-sided transfer over the fabric, slowed by fabricFactor,
+// stalling one active host at utilization util.
+func ReHomeJoules(m *energy.MachineProfile, shareGiB, util, fabricFactor float64) float64 {
 	if shareGiB <= 0 {
 		return 0
 	}
 	bytes := int(shareGiB * float64(1<<30))
 	sec := float64(fabric.TransferNs(fabric.OneSidedLatencyNs, bytes)) / 1e9
-	sec *= cfg.Chaos.FabricFactorAt(atSec)
-	return sec * cfg.Machine.PowerWatts(acpi.S0, plan.ActiveCPUUtilization)
+	sec *= fabricFactor
+	return sec * m.PowerWatts(acpi.S0, util)
 }

@@ -537,14 +537,7 @@ func PosturePowerWatts(m *energy.MachineProfile, plan consolidation.FleetPlan) f
 // Shared with the online control plane for the same reason as
 // PosturePowerWatts.
 func BaselinePowerWatts(m *energy.MachineProfile, spec consolidation.ServerSpec, usedCPU float64, totalServers int) float64 {
-	util := 0.0
-	if totalServers > 0 && spec.Cores > 0 {
-		util = usedCPU / (float64(totalServers) * spec.Cores)
-		if util > 1 {
-			util = 1
-		}
-	}
-	return float64(totalServers) * m.PowerWatts(acpi.S0, util)
+	return float64(totalServers) * m.PowerWatts(acpi.S0, consolidation.Utilization(usedCPU, totalServers, spec.Cores))
 }
 
 // Oracle runs the offline simulation as the upper bound an online control
