@@ -1,6 +1,7 @@
 package autopilot
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/acpi"
+	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -538,6 +540,56 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		}
 		if n := runtime.NumGoroutine(); n > base {
 			t.Errorf("Run (failure %v) left %d goroutines running, %d before", c.fail, n, base)
+		}
+	}
+}
+
+// TestRowShuffleLeavesResultsBitIdentical is the online row-shuffle law: with
+// task IDs unique, the order of a trace's rows is not part of the workload, so
+// permuting them leaves Run, CompareOnline and RunChaos bit-identical.
+func TestRowShuffleLeavesResultsBitIdentical(t *testing.T) {
+	tr := chaosTrace(t)
+	light, err := chaos.Scenario("light", tr.HorizonSec, tr.Machines, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type results struct {
+		runs    []Result
+		reports []Report
+		chaos   []chaos.Report
+	}
+	replay := func(tr *trace.Trace) results {
+		var r results
+		for _, planner := range consolidation.AllPolicies() {
+			for _, pol := range Policies(planner) {
+				cfg := baseConfig(tr)
+				cfg.Policy = pol
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.runs = append(r.runs, res)
+				rep, err := RunChaos(cfg, light)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.chaos = append(r.chaos, rep)
+			}
+		}
+		if r.reports, err = CompareOnline(baseConfig(tr), Policies(consolidation.NewOasis())); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want := replay(tr)
+	for seed := int64(1); seed <= 2; seed++ {
+		shuffled := *tr
+		shuffled.Tasks = slices.Clone(tr.Tasks)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled.Tasks), func(i, j int) {
+			shuffled.Tasks[i], shuffled.Tasks[j] = shuffled.Tasks[j], shuffled.Tasks[i]
+		})
+		if got := replay(&shuffled); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shuffle %d changed the results:\n got %+v\nwant %+v", seed, got, want)
 		}
 	}
 }
