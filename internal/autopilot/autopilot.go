@@ -2,8 +2,6 @@ package autopilot
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
@@ -213,27 +211,18 @@ type Result struct {
 	ControllerFailovers int
 }
 
-// hostSizer is the optional method of a base planner that states its sizing
-// rule on aggregate booked demand (consolidation.Neat and ZombieStack have
-// it): Plan's ActiveHosts for any population of n VMs whose booked demand
-// sums to bookedCPU and bookedMem, nondecreasing in both sums.
-type hostSizer interface {
-	ActiveHostsFor(n int, bookedCPU, bookedMem float64, spec consolidation.ServerSpec, totalServers int) int
-}
-
 // loop is the mutable state of one run.
 type loop struct {
 	cfg     *Config
 	total   int
 	planner consolidation.Policy
-	sizer   hostSizer // planner's sizing rule, nil when it only has Plan
 
 	// idx is the trace's replay index: the loop knows a VM by its rank, its
-	// position in VM-ID order. An arrival or departure reads the VM's demand
-	// from its event's task; a population read takes it from the index.
+	// position in the arrival order. An arrival or departure reads the VM's
+	// demand from its event's task; a population read takes it from the index.
 	idx *dcsim.ReplayIndex
 	// running is the admitted population, a bitset over ranks. vms is its
-	// ID-sorted view, written into a reused buffer only when someone reads
+	// view in rank order, written into a reused buffer only when someone reads
 	// the population itself (runningVMs); stale marks it out of date.
 	running   ident.Set
 	vms       []consolidation.VMDemand
@@ -245,27 +234,16 @@ type loop struct {
 
 	posture consolidation.FleetPlan
 	// intervalStart is the beginning of the current tick interval and cum the
-	// interval's cumulative population, a bitset over ranks of cumN members:
-	// every task admitted at any point since the interval started, departures
-	// included. A tick resets cum to the running set and an arrival adds its
-	// rank. The ledger bills whole intervals against cum (see billInterval),
-	// and emergency wakes size against it too — a departure's capacity is only
-	// reclaimed at the next re-plan tick, the way a periodic consolidation
-	// manager works. An arrival reads only the planner's requirement for cum,
-	// which requiredHosts sizes from cumCPU and cumMem: cum's booked sums,
-	// folded in ID order when a tick resets cum and only added to in between,
-	// so each is a sum of exactly cum's terms in some order. cumVMs is cum's
-	// ID-sorted view for the exact fold and cumRanks its ranks (see
-	// intervalVMs): it lacks the arrivals since its last read, the latest of
-	// which is lastRank, and is void after a tick (cumStale).
-	intervalStart  int64
-	cum            ident.Set
-	cumN           int
-	cumVMs         []consolidation.VMDemand
-	cumRanks       []int32
-	cumStale       bool
-	lastRank       int32
-	cumCPU, cumMem float64
+	// Demand of the interval's cumulative population: every task admitted at
+	// any point since the interval started, departures included. The ledger
+	// bills whole intervals against it (see billInterval), and emergency wakes
+	// size against it too — a departure's capacity is only reclaimed at the
+	// next re-plan tick, the way a periodic consolidation manager works. A
+	// tick sets cum to SumDemand of the running set in rank order, and an
+	// admitted arrival, whose rank follows every member's, is added after
+	// them: cum is always SumDemand of the interval population in rank order.
+	intervalStart int64
+	cum           consolidation.Demand
 
 	res      Result
 	activeDt float64
@@ -301,21 +279,18 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	idx, stream, err := index(cfg.Trace)
-	if err != nil {
-		return Result{}, err
-	}
+	idx, stream := index(cfg.Trace)
 	return run(cfg, idx, stream)
 }
 
 // index builds what a replay of the trace reads: its replay index and its
 // event order. Both builds only read the trace, so the order is sorted on a
 // second core while this one builds the index.
-func index(tr *trace.Trace) (*dcsim.ReplayIndex, *trace.Stream, error) {
+func index(tr *trace.Trace) (*dcsim.ReplayIndex, *trace.Stream) {
 	streamc := make(chan *trace.Stream, 1)
 	go func() { streamc <- trace.NewStream(tr) }()
-	idx, err := dcsim.NewReplayIndex(tr)
-	return idx, <-streamc, err
+	idx := dcsim.NewReplayIndex(tr)
+	return idx, <-streamc
 }
 
 // run is Run on a validated configuration, over an index and an unread
@@ -332,7 +307,6 @@ func run(cfg Config, idx *dcsim.ReplayIndex, stream *trace.Stream) (Result, erro
 		posture: consolidation.InitialPlan(cfg.Trace.Machines),
 		obs:     newAPObs(cfg.Obs),
 	}
-	l.sizer, _ = l.planner.(hostSizer)
 	l.res = Result{
 		Policy:          cfg.Policy.Name(),
 		Planner:         l.planner.Name(),
@@ -440,12 +414,10 @@ func (l *loop) billInterval(to int64) {
 	if dt <= 0 {
 		return
 	}
-	var usedCPU float64
-	l.cum.Each(func(rank ident.ID) { usedCPU += l.idx.Demand(int32(rank)).UsedCPU })
 	billed := l.posture
-	billed.ActiveCPUUtilization = consolidation.Utilization(usedCPU, billed.ActiveHosts, l.cfg.ServerSpec.Cores)
+	billed.ActiveCPUUtilization = consolidation.Utilization(l.cum.UsedCPU, billed.ActiveHosts, l.cfg.ServerSpec.Cores)
 	l.res.EnergyJoules += dcsim.PosturePowerWatts(l.cfg.Machine, billed) * dt
-	l.res.BaselineJoules += dcsim.BaselinePowerWatts(l.cfg.Machine, l.cfg.ServerSpec, usedCPU, l.total) * dt
+	l.res.BaselineJoules += dcsim.BaselinePowerWatts(l.cfg.Machine, l.cfg.ServerSpec, l.cum.UsedCPU, l.total) * dt
 }
 
 // addPenalty charges a chaos fault penalty: energy on the consolidated fleet
@@ -467,6 +439,9 @@ func (l *loop) available() int {
 	}
 	return n
 }
+
+// admitted, when a test sets it, observes the loop after every admission.
+var admitted func(l *loop, rank int32)
 
 // arrive admits and places one task at its arrival instant. A task whose
 // booked reservation cannot fit the fleet even fully awake is rejected; an
@@ -496,16 +471,15 @@ func (l *loop) arrive(now int64, rank int32, v *trace.Task) error {
 	l.bookedMem += v.BookedMemGiB
 	l.usedCPU += v.UsedCPU
 	l.usedMem += v.UsedMemGiB
-	l.cum.Add(ident.ID(rank))
-	l.cumN++
-	l.lastRank = rank
-	l.cumCPU += v.BookedCPU
-	l.cumMem += v.BookedMemGiB
+	l.cum.Add(l.idx.Demand(rank))
 	l.res.Admitted++
 	l.obs.observeArrival(true)
 	l.refreshUtil()
+	if admitted != nil {
+		admitted(l, rank)
+	}
 
-	// Placement check: the planner's sizing rule for the interval's
+	// Placement check: the planner's requirement for the interval's
 	// cumulative population (capacity freed by a departure is only reclaimed
 	// at the next tick, so mid-interval arrivals size against everything the
 	// interval has hosted). If the posture holds fewer active hosts than
@@ -525,50 +499,9 @@ func (l *loop) arrive(now int64, rank int32, v *trace.Task) error {
 }
 
 // requiredHosts is the planner's active-host requirement for the interval's
-// cumulative population: exactly planner.Plan(cum).ActiveHosts whenever that
-// exceeds the posture held, and some count within the posture otherwise. Plan
-// folds cum's booked demand in ID order; cumCPU and cumMem are the same terms
-// summed in another order, so the fold lies within consolidation.SumBracket
-// of them and the sizing rule, nondecreasing in both sums, puts Plan's answer
-// between its values at the two ends. The population itself is folded only
-// when the ends differ across a Ceil boundary above the posture, when a sum
-// overflowed (the bound is void), or when the planner states no rule.
+// cumulative population, planned from its Demand.
 func (l *loop) requiredHosts() int {
-	spec, avail := l.cfg.ServerSpec, l.available()
-	if l.sizer != nil {
-		n := l.cumN
-		cpuLo, cpuHi := consolidation.SumBracket(l.cumCPU, n)
-		memLo, memHi := consolidation.SumBracket(l.cumMem, n)
-		if cpuHi <= math.MaxFloat64 && memHi <= math.MaxFloat64 {
-			hi := l.sizer.ActiveHostsFor(n, cpuHi, memHi, spec, avail)
-			if hi <= l.posture.ActiveHosts || hi == l.sizer.ActiveHostsFor(n, cpuLo, memLo, spec, avail) {
-				return hi
-			}
-		}
-	}
-	l.obs.observeExactFold()
-	return l.planner.Plan(l.intervalVMs(), spec, avail).ActiveHosts
-}
-
-// intervalVMs returns cum sorted by ID, valid until the next arrival or tick.
-// Under a planner without a sizing rule every arrival reads it, so the one
-// arrival since the last read is inserted at its rank's place; after a tick,
-// or several arrivals, the view is written afresh from the bitset.
-func (l *loop) intervalVMs() []consolidation.VMDemand {
-	switch {
-	case l.cumStale || l.cumN > len(l.cumVMs)+1:
-		l.cumVMs, l.cumRanks = l.cumVMs[:0], l.cumRanks[:0]
-		l.cum.Each(func(rank ident.ID) {
-			l.cumVMs = append(l.cumVMs, l.idx.Demand(int32(rank)))
-			l.cumRanks = append(l.cumRanks, int32(rank))
-		})
-		l.cumStale = false
-	case l.cumN > len(l.cumVMs):
-		at, _ := slices.BinarySearch(l.cumRanks, l.lastRank)
-		l.cumVMs = slices.Insert(l.cumVMs, at, l.idx.Demand(l.lastRank))
-		l.cumRanks = slices.Insert(l.cumRanks, at, l.lastRank)
-	}
-	return l.cumVMs
+	return l.planner.PlanDemand(l.cum, l.cfg.ServerSpec, l.available()).ActiveHosts
 }
 
 // ensureActive raises the posture to the required number of active hosts
@@ -624,10 +557,10 @@ func (l *loop) depart(rank int32, v *trace.Task) {
 // population is the number of VMs running: every admitted task departs once.
 func (l *loop) population() int { return l.res.Admitted - l.res.Departures }
 
-// runningVMs returns the admitted population sorted by ID, valid until the
-// next arrival or departure. Ascending rank is ascending ID, so the view is
-// one pass over the bitset, made on the first read after a change: a tick
-// reads it several times, an interval's arrivals and departures never do.
+// runningVMs returns the admitted population in rank order, valid until the
+// next arrival or departure. The view is one pass over the bitset, made on
+// the first read after a change: a tick reads it several times, an interval's
+// arrivals and departures never do.
 func (l *loop) runningVMs() []consolidation.VMDemand {
 	if l.stale {
 		l.vms = l.vms[:0]
@@ -664,14 +597,7 @@ func (l *loop) tick(now, horizon int64) error {
 	}
 	l.res.Ticks++
 	l.intervalStart = now
-	l.cum.Clear()
-	l.cum.Union(l.running)
-	l.cumN, l.cumStale = l.population(), true
-	l.cumCPU, l.cumMem = 0, 0
-	for _, v := range l.runningVMs() {
-		l.cumCPU += v.BookedCPU
-		l.cumMem += v.BookedMemGiB
-	}
+	l.cum = consolidation.SumDemand(l.runningVMs())
 	if l.cfg.OnTick != nil {
 		l.cfg.OnTick(TickEvent{
 			AtSec:           now,

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -446,8 +445,8 @@ func TestOnlineLoopAllocationBudget(t *testing.T) {
 		return tr
 	}
 	small, large := gen(3000), gen(6000)
-	// The last case hides the planner's sizing rule (planOnly), so every
-	// arrival takes the exact fold: that path may not allocate either.
+	// The last case plans with Oasis, which reads the busy/idle split of the
+	// interval's Demand at every arrival: that path may not allocate either.
 	for _, c := range []struct {
 		mk   func(consolidation.Policy) Policy
 		base consolidation.Policy
@@ -455,7 +454,7 @@ func TestOnlineLoopAllocationBudget(t *testing.T) {
 		{func(b consolidation.Policy) Policy { return NewReactive(b) }, consolidation.NewZombieStack()},
 		{func(b consolidation.Policy) Policy { return NewHysteresis(b) }, consolidation.NewZombieStack()},
 		{func(b consolidation.Policy) Policy { return NewPredictiveEWMA(b) }, consolidation.NewZombieStack()},
-		{func(b consolidation.Policy) Policy { return NewReactive(b) }, planOnly{consolidation.NewZombieStack()}},
+		{func(b consolidation.Policy) Policy { return NewReactive(b) }, consolidation.NewOasis()},
 	} {
 		runOnce := func(tr *trace.Trace, tickSec int64) func() {
 			return func() {
@@ -470,10 +469,7 @@ func TestOnlineLoopAllocationBudget(t *testing.T) {
 		// Warm up lazy runtime and profile state so no measurement pays
 		// first-use allocations.
 		runOnce(small, 300)()
-		name := c.mk(nil).Name()
-		if _, wrapped := c.base.(planOnly); wrapped {
-			name += "/plan-only"
-		}
+		name := c.mk(nil).Name() + "/" + c.base.Name()
 
 		base := countAllocs(runOnce(small, 300))
 		doubled := countAllocs(runOnce(large, 300))
@@ -491,56 +487,77 @@ func TestOnlineLoopAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestRunRejectsDuplicateTaskIDs: two tasks with one ID would be two VMs with
-// one rank — one bit in the running set, one slot in the sorted population.
-// trace.Validate does not look for that, so building the index must, naming
-// the ID, in Run and in everything that replays through it.
-func TestRunRejectsDuplicateTaskIDs(t *testing.T) {
+// TestDuplicateTaskIDsReplayDeterministically: trace.Validate does not look
+// for repeated task IDs (only the CSV reader does), and no replay keys on an
+// ID, so two tasks of one ID are two VMs. Both are admitted and run side by
+// side, and Run, Regret and RunChaos over a trace that repeats an ID give the
+// same result twice.
+func TestDuplicateTaskIDsReplayDeterministically(t *testing.T) {
+	twins := &trace.Trace{Name: "twins", Machines: 4, HorizonSec: 1000, Tasks: []trace.Task{
+		{ID: 5, StartSec: 0, EndSec: 900, BookedCPU: 2, BookedMemGiB: 4, UsedCPU: 1, UsedMemGiB: 2},
+		{ID: 5, StartSec: 100, EndSec: 800, BookedCPU: 2, BookedMemGiB: 4, UsedCPU: 1, UsedMemGiB: 2},
+	}}
+	cfg := baseConfig(twins)
+	cfg.TickSec = 250
+	cfg.Policy = NewReactive(consolidation.NewNeat())
+	running := 0
+	cfg.OnTick = func(ev TickEvent) { running = max(running, ev.Running) }
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Admitted != 2 || res.Departures != 2 || running != 2 {
+		t.Fatalf("two tasks of one ID: %d admitted, %d departed, %d running at most, want 2 each", res.Admitted, res.Departures, running)
+	}
+
 	tr := diurnalTrace(t)
 	dup := *tr
 	dup.Tasks = slices.Clone(tr.Tasks)
 	dup.Tasks[len(dup.Tasks)-1].ID = dup.Tasks[3].ID
 	if err := dup.Validate(); err != nil {
-		t.Fatalf("trace.Validate already rejects the trace: %v", err)
+		t.Fatalf("trace.Validate rejects the trace: %v", err)
 	}
-	want := "repeats task ID " + strings.TrimPrefix(dup.Tasks[3].VMID(), "task-")
-	cfg := baseConfig(&dup)
-	cfg.Policy = NewReactive(consolidation.NewNeat())
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Run on a duplicate task ID: got error %v, want one containing %q", err, want)
+	replay := func() []any {
+		cfg := baseConfig(&dup)
+		cfg.Policy = NewReactive(consolidation.NewNeat())
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Regret(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		light, err := chaos.Scenario("light", dup.HorizonSec, dup.Machines, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := RunChaos(cfg, light)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []any{res, rep, ch}
 	}
-	if _, err := Regret(cfg); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Regret on a duplicate task ID: got error %v", err)
-	}
-	if _, err := RunChaos(cfg, nil); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("RunChaos on a duplicate task ID: got error %v", err)
+	if a, b := replay(), replay(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("two replays of a trace that repeats an ID differ:\n%+v\n%+v", a, b)
 	}
 }
 
 // TestRunLeavesNoGoroutine: Run sorts the event order on a goroutine while it
-// builds the replay index, and waits for it whether the index builds or not.
+// builds the replay index, and waits for it.
 func TestRunLeavesNoGoroutine(t *testing.T) {
-	tr := diurnalTrace(t)
-	dup := *tr
-	dup.Tasks = slices.Clone(tr.Tasks)
-	dup.Tasks[len(dup.Tasks)-1].ID = dup.Tasks[3].ID
 	base := runtime.NumGoroutine()
-	for _, c := range []struct {
-		tr   *trace.Trace
-		fail bool
-	}{{tr, false}, {&dup, true}} {
-		cfg := baseConfig(c.tr)
-		cfg.Policy = NewReactive(consolidation.NewZombieStack())
-		if _, err := Run(cfg); (err != nil) != c.fail {
-			t.Fatalf("Run on %d tasks: error %v, want failure %v", len(c.tr.Tasks), err, c.fail)
-		}
-		deadline := time.Now().Add(time.Second)
-		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > base {
-			t.Errorf("Run (failure %v) left %d goroutines running, %d before", c.fail, n, base)
-		}
+	cfg := baseConfig(diurnalTrace(t))
+	cfg.Policy = NewReactive(consolidation.NewZombieStack())
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("Run left %d goroutines running, %d before", n, base)
 	}
 }
 

@@ -283,9 +283,8 @@ func TestCompareChaosScenarios(t *testing.T) {
 // TestReplaySharesOneOrder: the online runs of a replay walk cursors over one
 // event order, sorted once, and a pool may walk them at the same time; every
 // result still equals a lone run over its own freshly sorted stream. The
-// roster has planners with a sizing rule and without one (planOnly, Oasis), so
-// the exact fold is covered off and on, and the comparison runs without chaos
-// while the row runs under light chaos.
+// roster spans three planners, one behind a wrapper, and the comparison runs
+// without chaos while the row runs under light chaos.
 func TestReplaySharesOneOrder(t *testing.T) {
 	tr := chaosTrace(t)
 	roster := func() []Policy {

@@ -23,18 +23,15 @@
 // bit for bit.
 //
 // The loop replays through the trace's dcsim.ReplayIndex: it knows a VM by
-// its rank in VM-ID order, reads an event's demand from the event's task,
-// and keeps the running set and the interval's cumulative population as
-// bitsets over ranks. The ID-sorted population is written into a reused
-// buffer only when the policy, a tick or a migration bill reads it, and the
-// bill folds straight off the bitset, so a run allocates nothing per task
-// or tick. An admitted arrival is sized against the interval's cumulative
-// population without reading it: the loop keeps that population's booked
-// sums (folded in ID order at each tick, added to per arrival) and
-// evaluates the planner's sizing rule at both ends of the rounding bracket
-// around them (consolidation.SumBracket has the bound and its proof
-// sketch), folding the population only if the ends disagree or the planner
-// has no rule. Whatever replays one trace more than once sorts its event
+// its rank, its place in the arrival order, reads an event's demand from the
+// event's task, and keeps the running set as a bitset over ranks, whose view
+// in rank order is written into a reused buffer only when the policy, a tick
+// or a migration bill reads it, so a run allocates nothing per task or tick.
+// The interval's cumulative population is one consolidation.Demand: SumDemand
+// of the running set at a tick, and an admitted arrival, which ranks after
+// every member, adds its terms after theirs, so the Demand is always the
+// population's fold in rank order. An arrival is sized by the planner's
+// PlanDemand of it. Whatever replays one trace more than once sorts its event
 // order and builds its index once: Regret, CompareOnline, RunChaos,
 // CompareChaos and ChaosRow give each online run a trace.Stream.Restart
 // cursor and the index, which the oracle shares, and compute each oracle

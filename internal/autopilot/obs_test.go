@@ -8,7 +8,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // runObservedAutopilot drives one chaos-laden online run with an attached
@@ -106,38 +105,5 @@ func TestAutopilotObsNilIdentical(t *testing.T) {
 	observed := run(obs.New(obs.Options{}))
 	if !reflect.DeepEqual(plain, observed) {
 		t.Errorf("obs changed the run:\nplain    %+v\nobserved %+v", plain, observed)
-	}
-}
-
-// runCountingFolds runs the reactive policy over base on tr with an attached
-// bundle and returns the exact-fold counter beside the Result.
-func runCountingFolds(t *testing.T, tr *trace.Trace, base consolidation.Policy) (uint64, Result) {
-	t.Helper()
-	o := obs.New(obs.Options{})
-	cfg := baseConfig(tr)
-	cfg.Policy = NewReactive(base)
-	cfg.Obs = o
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o.Metrics.Snapshot().Counters["autopilot_sizing_exact_folds_total"], res
-}
-
-// TestExactFoldCounter: a planner with a sizing rule takes the exact fold on
-// a straddled boundary only, a planner without one on every admission, and
-// the count stays out of Result either way.
-func TestExactFoldCounter(t *testing.T) {
-	tr := chaosTrace(t)
-	ruled, res := runCountingFolds(t, tr, consolidation.NewZombieStack())
-	if ruled > uint64(res.Admitted)/100 {
-		t.Errorf("%d of %d admissions fell back to the exact fold under a planner with a sizing rule", ruled, res.Admitted)
-	}
-	folded, wrapped := runCountingFolds(t, tr, planOnly{consolidation.NewZombieStack()})
-	if folded != uint64(wrapped.Admitted) || wrapped.Admitted == 0 {
-		t.Errorf("%d exact folds for %d admissions under a Plan-only planner", folded, wrapped.Admitted)
-	}
-	if res != wrapped {
-		t.Errorf("the two paths disagree:\n%+v\n%+v", res, wrapped)
 	}
 }

@@ -70,10 +70,7 @@ func newReplay(cfg Config, policies []Policy) (*replay, error) {
 	if !cfg.Chaos.Empty() {
 		cfg.Trace = cfg.Chaos.PerturbTrace(cfg.Trace)
 	}
-	idx, order, err := index(cfg.Trace)
-	if err != nil {
-		return nil, err
-	}
+	idx, order := index(cfg.Trace)
 	r := &replay{
 		cfg: cfg, idx: idx, order: order, policies: policies,
 		online: make([]Result, len(policies)), oracleOf: make([]int, len(policies)),

@@ -128,6 +128,26 @@ type Demand struct {
 	IdleWSSGiB, IdleColdGiB float64
 }
 
+// Add adds one VM to the population, after every VM already in it: its terms
+// go to the sums the way SumDemand folds them, so adding a population's VMs in
+// order to a zero Demand is SumDemand of the population, bit for bit.
+func (d *Demand) Add(v VMDemand) {
+	d.VMs++
+	d.BookedCPU += v.BookedCPU
+	d.BookedMemGiB += v.BookedMemGiB
+	d.UsedCPU += v.UsedCPU
+	d.UsedMemGiB += v.UsedMemGiB
+	if v.Idle() {
+		d.IdleWSSGiB += v.WSSGiB()
+		d.IdleColdGiB += v.BookedMemGiB - v.WSSGiB()
+	} else {
+		d.BusyVMs++
+		d.BusyBookedCPU += v.BookedCPU
+		d.BusyBookedMemGiB += v.BookedMemGiB
+		d.BusyUsedCPU += v.UsedCPU
+	}
+}
+
 // SumDemand folds a population, in order, into its Demand.
 func SumDemand(vms []VMDemand) Demand {
 	d, s := sumTotals(vms), sumSplit(vms)
@@ -202,29 +222,13 @@ func ceilHosts(demand, perHost float64, total int) int {
 
 // hostsFor is the sizing rule every built-in policy shares: the servers that
 // hold cpu cores at cpuPerHost each and mem GiB at memPerHost each, at least
-// one for a non-empty population, within the fleet. It is nondecreasing in cpu
-// and mem (correctly rounded division by a positive constant, Ceil, max and
-// clamps all are), so bounds on the two sums (SumBracket) give bounds on the
-// answer.
+// one for a non-empty population, within the fleet.
 func hostsFor(n int, cpu, cpuPerHost, mem, memPerHost float64, total int) int {
 	active := max(ceilHosts(cpu, cpuPerHost, total), ceilHosts(mem, memPerHost, total))
 	if n > 0 && active < 1 {
 		active = 1
 	}
 	return clampHosts(active, total)
-}
-
-// SumBracket bounds the left-to-right float64 sum of n non-negative finite
-// terms taken in any order, given their sum taken in one order. Recursive
-// summation returns T(1+θ) for the true sum T with |θ| ≤ γ = (n-1)u/(1-(n-1)u),
-// u = 2⁻⁵³, whatever the order (Higham, Accuracy and Stability of Numerical
-// Algorithms, §4.2; no absolute term, since an addition with a subnormal
-// result is exact), so two orders differ by a factor below 1+2nu. k = 1+4nu
-// is exact in float64 and its spare 2nu absorbs the rounding of sum/k and
-// sum*k. A non-finite hi means a sum overflowed and the bound does not hold.
-func SumBracket(sum float64, n int) (lo, hi float64) {
-	k := 1 + float64(n)*0x1p-51
-	return sum / k, sum * k
 }
 
 // NoConsolidation is the reference policy: every server stays in S0
@@ -256,22 +260,15 @@ func NewNeat() *Neat { return &Neat{} }
 // Name implements Policy.
 func (n *Neat) Name() string { return "neat" }
 
-// ActiveHostsFor is Plan's ActiveHosts for any population of vms VMs whose
-// booked demand sums to bookedCPU cores and bookedMem GiB, nondecreasing in
-// both sums: the online loop sizes an arrival with it instead of folding the
-// population again. Memory is the binding dimension in the paper's fleets.
-func (n *Neat) ActiveHostsFor(vms int, bookedCPU, bookedMem float64, spec ServerSpec, totalServers int) int {
-	return hostsFor(vms, bookedCPU, spec.Cores*packTarget, bookedMem, spec.MemGiB*packTarget, totalServers)
-}
-
 // Plan implements Policy.
 func (n *Neat) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan {
 	return n.PlanDemand(sumTotals(vms), spec, totalServers)
 }
 
-// PlanDemand implements Policy.
+// PlanDemand implements Policy. Memory is the binding dimension in the paper's
+// fleets.
 func (n *Neat) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPlan {
-	active := n.ActiveHostsFor(d.VMs, d.BookedCPU, d.BookedMemGiB, spec, totalServers)
+	active := hostsFor(d.VMs, d.BookedCPU, spec.Cores*packTarget, d.BookedMemGiB, spec.MemGiB*packTarget, totalServers)
 	return FleetPlan{
 		Policy:               n.Name(),
 		ActiveHosts:          active,
@@ -333,28 +330,21 @@ func NewZombieStack() *ZombieStack { return &ZombieStack{LocalMemoryFraction: 0.
 // Name implements Policy.
 func (z *ZombieStack) Name() string { return "zombiestack" }
 
-// ActiveHostsFor is Plan's ActiveHosts for any population of vms VMs whose
-// booked demand sums to bookedCPU cores and bookedMem GiB, nondecreasing in
-// both sums (see Neat.ActiveHostsFor): active servers are sized by CPU demand
-// and by the LOCAL part of the memory demand only.
-func (z *ZombieStack) ActiveHostsFor(vms int, bookedCPU, bookedMem float64, spec ServerSpec, totalServers int) int {
-	localFrac := z.LocalMemoryFraction
-	if localFrac <= 0 || localFrac > 1 {
-		localFrac = 0.5
-	}
-	return hostsFor(vms, bookedCPU, spec.Cores*packTarget, bookedMem*localFrac, spec.MemGiB*packTarget, totalServers)
-}
-
 // Plan implements Policy.
 func (z *ZombieStack) Plan(vms []VMDemand, spec ServerSpec, totalServers int) FleetPlan {
 	return z.PlanDemand(sumTotals(vms), spec, totalServers)
 }
 
-// PlanDemand implements Policy. The memory demand beyond the active servers'
+// PlanDemand implements Policy. Active servers are sized by CPU demand and by
+// the LOCAL part of the memory demand only; the memory demand beyond their
 // local share is served remotely: first from the active servers' own leftover
 // memory, then from zombie servers.
 func (z *ZombieStack) PlanDemand(d Demand, spec ServerSpec, totalServers int) FleetPlan {
-	active := z.ActiveHostsFor(d.VMs, d.BookedCPU, d.BookedMemGiB, spec, totalServers)
+	localFrac := z.LocalMemoryFraction
+	if localFrac <= 0 || localFrac > 1 {
+		localFrac = 0.5
+	}
+	active := hostsFor(d.VMs, d.BookedCPU, spec.Cores*packTarget, d.BookedMemGiB*localFrac, spec.MemGiB*packTarget, totalServers)
 	remoteNeed := d.BookedMemGiB - float64(active)*spec.MemGiB*packTarget
 	if remoteNeed < 0 {
 		remoteNeed = 0

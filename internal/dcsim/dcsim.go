@@ -1,16 +1,13 @@
 package dcsim
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/energy"
 	"repro/internal/exact"
-	"repro/internal/radix"
 	"repro/internal/trace"
 )
 
@@ -174,121 +171,42 @@ type epochStats struct {
 
 // ReplayIndex is the read-only replay view of one trace, built once and
 // shared by everything that replays it: dcsim's walks, shards and replayers,
-// and autopilot's online loop. A VM's rank is its position in the
-// lexicographic order of the VM IDs, which the online loop folds in (dcsim's
-// exact sums need no order), so it keeps its running set as ascending
-// integers and never compares a string.
+// and autopilot's online loop. A VM's rank is its task's position in the
+// trace's arrival order (trace.ArrivalOrder), so the online loop keeps its
+// running set as ascending integers in the order the VMs arrived.
 type ReplayIndex struct {
 	tr *trace.Trace
-	// starts and ranks list the tasks in start order: the i-th task to start
-	// does so at starts[i] and is the VM of rank ranks[i].
-	starts []int64
-	ranks  []int32
+	// starts, ends and demand are indexed by rank: the VM of rank r starts
+	// at starts[r]. A demand carries no VM ID: no simulation reads one.
+	starts, ends []int64
+	demand       []consolidation.VMDemand
 	// rankOf is indexed by a task's position in the trace.
 	rankOf []int32
-	// ends and demand are indexed by rank. A demand carries no VM ID: no
-	// simulation reads one, and the rank already holds the ID order.
-	ends   []int64
-	demand []consolidation.VMDemand
 }
 
-// vmOrder is the integer order key of a VM ID: keys compare the way
-// strings.Compare orders the "task-%d" strings (trace.Task.VMID), with no
-// string in the comparison. Decimal digits compare like the number
-// left-aligned to 19 places (the longest int64), a proper prefix sorts first
-// ("task-12" before "task-120"), and '-' sorts below every digit, so negative
-// IDs come first, ordered among themselves by the same rule.
-type vmOrder struct {
-	scaled   uint64 // |ID| · 10^(19-digits)
-	digits   uint8
-	positive bool // ID >= 0
-}
-
-func vmOrderOf(id int) vmOrder {
-	abs := uint64(id)
-	if id < 0 {
-		abs = -abs
-	}
-	k := vmOrder{digits: 1, positive: id >= 0}
-	scale := uint64(1e18)
-	for pow := uint64(10); abs >= pow; pow *= 10 { // 10^19 still fits, and ends the loop
-		k.digits++
-		scale /= 10
-	}
-	k.scaled = abs * scale
-	return k
-}
-
-func (a vmOrder) compare(b vmOrder) int {
-	if a.positive != b.positive {
-		if b.positive {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Or(cmp.Compare(a.scaled, b.scaled), cmp.Compare(a.digits, b.digits))
-}
-
-// prefix is the key's 32 most significant bits: ordering by it never
-// contradicts compare, and IDs below 10^9 share one only when one ID's digits
-// are the other's followed by zeros.
-func (a vmOrder) prefix() uint32 {
-	p := uint32(a.scaled >> 33)
-	if a.positive {
-		p |= 1 << 31
-	}
-	return p
-}
-
-// NewReplayIndex builds the index. The ranks come from a radix sort of the
-// tasks by key prefix, which needs no comparator, and then a sort of each run
-// of equal prefixes by the full key. That puts a repeated task ID next to
-// itself, so a trace in which two VMs would share one identity is rejected
-// here with the ID named.
-func NewReplayIndex(tr *trace.Trace) (*ReplayIndex, error) {
+// NewReplayIndex builds the index of a trace, nil for a nil trace. Traces list
+// their tasks by start already, so the arrival order is close to a scan.
+func NewReplayIndex(tr *trace.Trace) *ReplayIndex {
 	if tr == nil {
-		return nil, fmt.Errorf("dcsim: a trace is required")
+		return nil
 	}
-	n := len(tr.Tasks)
+	order := trace.ArrivalOrder(tr.Tasks)
+	n := len(order)
 	idx := &ReplayIndex{
 		tr:     tr,
-		starts: make([]int64, n), ranks: make([]int32, n), rankOf: make([]int32, n),
-		ends: make([]int64, n), demand: make([]consolidation.VMDemand, n),
+		starts: make([]int64, n), ends: make([]int64, n),
+		demand: make([]consolidation.VMDemand, n), rankOf: make([]int32, n),
 	}
-	// The ID order is built in idx.ranks, with idx.rankOf as the sort's
-	// scratch: both are rewritten below once the order has been read.
-	byID, prefix := idx.ranks, make([]uint32, n)
-	for i := range tr.Tasks {
-		byID[i], prefix[i] = int32(i), vmOrderOf(tr.Tasks[i].ID).prefix()
-	}
-	radix.Sort(byID, idx.rankOf, prefix, func(a, b int32) int {
-		return vmOrderOf(tr.Tasks[a].ID).compare(vmOrderOf(tr.Tasks[b].ID))
-	})
-	for rank, ti := range byID {
+	for rank, ti := range order {
 		t := &tr.Tasks[ti]
-		if rank > 0 && t.ID == tr.Tasks[byID[rank-1]].ID {
-			return nil, fmt.Errorf("dcsim: trace %q repeats task ID %d", tr.Name, t.ID)
-		}
 		idx.rankOf[ti] = int32(rank)
-		idx.ends[rank] = t.EndSec
+		idx.starts[rank], idx.ends[rank] = t.StartSec, t.EndSec
 		idx.demand[rank] = consolidation.VMDemand{
 			BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB,
 			UsedCPU: t.UsedCPU, UsedMemGiB: t.UsedMemGiB,
 		}
 	}
-	// Traces list their tasks by start already, so this sort is close to a
-	// scan. Equal starts need no order: a replay admits them in one batch.
-	// The order is built in idx.ranks itself: the last loop reads entry i
-	// before it overwrites it.
-	byStart := idx.ranks
-	for i := range byStart {
-		byStart[i] = int32(i)
-	}
-	slices.SortFunc(byStart, func(a, b int32) int { return cmp.Compare(tr.Tasks[a].StartSec, tr.Tasks[b].StartSec) })
-	for i, ti := range byStart {
-		idx.starts[i], idx.ranks[i] = tr.Tasks[ti].StartSec, idx.rankOf[ti]
-	}
-	return idx, nil
+	return idx
 }
 
 // Rank returns the rank of the task at position task of the trace's Tasks.
@@ -326,7 +244,7 @@ type replayer struct {
 	idx          *ReplayIndex
 	spans        []epochSpan
 	goneAt, gone []int32 // the walk's departures
-	next         int     // the start-order position of the next arrival
+	next         int32   // the rank of the next arrival
 
 	vms, busy                                        int
 	bookedCPU, bookedMem, usedCPU, usedMem           exact.Sum
@@ -344,9 +262,9 @@ func (r *replayer) population(e int) consolidation.Demand {
 		}
 	}
 	idx, span := r.idx, r.spans[e]
-	for ; r.next < len(idx.starts) && idx.starts[r.next] < span.end; r.next++ {
-		if rank := idx.ranks[r.next]; idx.ends[rank] > span.start {
-			r.count(rank, 1)
+	for ; int(r.next) < len(idx.starts) && idx.starts[r.next] < span.end; r.next++ {
+		if idx.ends[r.next] > span.start {
+			r.count(r.next, 1)
 		}
 	}
 	return consolidation.Demand{
@@ -432,11 +350,7 @@ func epochPlan(cfg *Config, d consolidation.Demand, span epochSpan) consolidatio
 // Run executes the simulation, sequentially or sharded across
 // Config.Workers goroutines; the result is identical either way.
 func Run(cfg Config) (Result, error) {
-	idx, err := NewReplayIndex(cfg.Trace)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunIndexed(cfg, idx)
+	return RunIndexed(cfg, NewReplayIndex(cfg.Trace))
 }
 
 // RunIndexed is Run over an index the caller built from cfg.Trace, so
@@ -454,7 +368,10 @@ func RunIndexed(cfg Config, idx *ReplayIndex) (Result, error) {
 // was built from, which is validated once for all of them, then each gets
 // the default 300 s period and is validated itself. The first error wins.
 func prepare(idx *ReplayIndex, cfgs []Config) error {
-	if len(cfgs) > 0 && (idx == nil || idx.tr != cfgs[0].Trace) { // a walk's configs share its trace
+	if idx == nil {
+		return fmt.Errorf("dcsim: a trace is required")
+	}
+	if len(cfgs) > 0 && idx.tr != cfgs[0].Trace { // a walk's configs share its trace
 		return fmt.Errorf("dcsim: the replay index was built from another trace")
 	}
 	if err := idx.tr.Validate(); err != nil {
@@ -571,10 +488,7 @@ type CompareOptions struct {
 // given engine options, all in one walk: each epoch's population is built once
 // and planned by every run.
 func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consolidation.ServerSpec, opts CompareOptions) (Comparison, error) {
-	idx, err := NewReplayIndex(tr)
-	if err != nil {
-		return Comparison{}, err
-	}
+	idx := NewReplayIndex(tr)
 	var cfgs []Config
 	for _, m := range machines {
 		for _, pol := range consolidation.Contenders() {

@@ -23,15 +23,13 @@
 // energy ledger (see transitions.go). The baseline fleet never transitions,
 // so enabling transition costs can only lower the reported saving.
 //
-// A run replays its trace through one read-only ReplayIndex (dcsim.go): the
-// tasks in start order, each VM's rank in the lexicographic VM-ID order, and
-// its demand. The ranks are sorted by an integer key that orders like the
-// "task-%d" strings, so the build compares no string, and serve
-// internal/autopilot, whose online loop keeps its running set by rank; it
-// builds the index once per trace and fault plan and hands it to its online
-// runs and, through RunIndexed, to the oracle. The index is always passed as
-// an argument and never cached on the trace. A trace that repeats a task ID
-// is rejected at the build.
+// A run replays its trace through one read-only ReplayIndex (dcsim.go): each
+// VM's rank, its task's position in the arrival order (trace.ArrivalOrder),
+// and the start, end and demand of every rank. internal/autopilot's online
+// loop keeps its running set by rank; it builds the index once per trace and
+// fault plan and hands it to its online runs and, through RunIndexed, to the
+// oracle. The index is always passed as an argument and never cached on the
+// trace. No replay keys on a task ID, so a repeated one is two VMs.
 //
 // A replayer keeps an epoch's consolidation.Demand, the sums every policy
 // plans from, as exact running sums (internal/exact), so an epoch costs its

@@ -232,10 +232,7 @@ func TestCompareOptsMatchesSeparateRuns(t *testing.T) {
 	}
 	spec := consolidation.DefaultServerSpec()
 	for _, tr := range []*trace.Trace{engineTestTrace(t), ml} {
-		idx, err := NewReplayIndex(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := NewReplayIndex(tr)
 		for _, workers := range []int{0, 2, 4} {
 			for _, costed := range []bool{false, true} {
 				got, err := CompareOpts(tr, energy.Profiles(), spec, CompareOptions{Workers: workers, TransitionCosts: costed})

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/consolidation"
@@ -18,8 +17,7 @@ import (
 // seekCase decodes a byte string into a small trace and a consolidation
 // period: byte 0 is the horizon (1..256 s), byte 1 the period (1..256 s, so
 // it may exceed the horizon), then three bytes per task — start, duration
-// and a spread that also scatters the IDs over one to four digits so the
-// lexicographic VM-ID order differs from the numeric one.
+// and a spread that also scatters the IDs, so ID order is not trace order.
 func seekCase(data []byte) (*trace.Trace, int64) {
 	if len(data) < 2 {
 		data = []byte{0, 0}
@@ -36,16 +34,6 @@ func seekCase(data []byte) (*trace.Trace, int64) {
 		})
 	}
 	return tr, period
-}
-
-// vmIDsByRank returns the VM ID of every rank, taken from the tasks through
-// Rank: the index itself keeps no ID strings.
-func vmIDsByRank(tr *trace.Trace, idx *ReplayIndex) []string {
-	ids := make([]string, len(tr.Tasks))
-	for i, task := range tr.Tasks {
-		ids[idx.Rank(i)] = task.VMID()
-	}
-	return ids
 }
 
 // exactDemand is the oracle for the replayer's sums: the terms SumDemand
@@ -94,10 +82,7 @@ func taskDemand(task trace.Task) consolidation.VMDemand {
 // the exact sums of "filter the tasks overlapping the span".
 func checkSeek(t *testing.T, tr *trace.Trace, periodSec int64) {
 	t.Helper()
-	idx, err := NewReplayIndex(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := NewReplayIndex(tr)
 	spans := epochSpans(tr.HorizonSec, periodSec)
 	goneAt, gone := idx.departures(periodSec, len(spans))
 	want := make([]consolidation.Demand, len(spans))
@@ -196,10 +181,7 @@ func bitEqual(a, b any) bool {
 func FuzzPlanDemand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, idle uint8, mag int8, total uint16) {
 		tr := demandCase(seed, size, idle, mag)
-		idx, err := NewReplayIndex(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := NewReplayIndex(tr)
 		spans := epochSpans(tr.HorizonSec, tr.HorizonSec)
 		rep := &replayer{idx: idx, spans: spans}
 		vms := make([]consolidation.VMDemand, len(tr.Tasks))
@@ -220,35 +202,50 @@ func FuzzPlanDemand(f *testing.F) {
 	})
 }
 
-// TestRunRejectsDuplicateTaskIDs: two tasks with one ID would be two VMs with
-// one task-%d identity in the sorted population. trace.Validate does not look
-// for that (only the CSV reader does), so the index build must, naming the ID.
-func TestRunRejectsDuplicateTaskIDs(t *testing.T) {
+// TestDuplicateTaskIDsReplayDeterministically: trace.Validate does not look
+// for repeated task IDs (only the CSV reader does), and no replay keys on an
+// ID, so a trace that repeats one replays as two VMs: Run, CompareOpts and
+// Sweep accept it, and twice the same call gives the same result.
+func TestDuplicateTaskIDsReplayDeterministically(t *testing.T) {
 	tr := engineTestTrace(t)
 	dup := *tr
 	dup.Tasks = slices.Clone(tr.Tasks)
 	dup.Tasks[len(dup.Tasks)-1].ID = dup.Tasks[3].ID
 	if err := dup.Validate(); err != nil {
-		t.Fatalf("trace.Validate already rejects the trace: %v", err)
+		t.Fatalf("trace.Validate rejects the trace: %v", err)
 	}
-	want := "repeats task ID " + strings.TrimPrefix(dup.Tasks[3].VMID(), "task-")
-	cfg := Config{Trace: &dup, Policy: consolidation.NewNeat(), Machine: energy.HPProfile(), ServerSpec: consolidation.DefaultServerSpec()}
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Run on a duplicate task ID: got error %v, want one containing %q", err, want)
+	spec := consolidation.DefaultServerSpec()
+	replay := func() []Result {
+		res, err := Run(Config{Trace: &dup, Policy: consolidation.NewNeat(), Machine: energy.HPProfile(), ServerSpec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmp, err := CompareOpts(&dup, energy.Profiles(), spec, CompareOptions{TransitionCosts: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := Sweep(SweepConfig{Policies: consolidation.Contenders(), Machines: energy.Profiles(), Traces: []*trace.Trace{&dup}, PeriodsSec: []int64{300}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(append([]Result{res}, cmp.Results...), sw.Runs...)
 	}
-	if _, err := CompareOpts(&dup, energy.Profiles(), cfg.ServerSpec, CompareOptions{}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("CompareOpts on a duplicate task ID: got error %v", err)
+	want := replay()
+	for i, got := range replay() {
+		if !bitEqual(got, want[i]) {
+			t.Fatalf("run %d differs between two replays\n got %+v\nwant %+v", i, got, want[i])
+		}
 	}
-	if _, err := Sweep(SweepConfig{Policies: consolidation.Contenders(), Machines: energy.Profiles(), Traces: []*trace.Trace{&dup}, PeriodsSec: []int64{300}}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Sweep on a duplicate task ID: got error %v", err)
+	idx := NewReplayIndex(&dup)
+	if a, b := idx.Rank(3), idx.Rank(len(dup.Tasks)-1); a == b {
+		t.Fatalf("the two tasks of ID %d share rank %d", dup.Tasks[3].ID, a)
 	}
 }
 
 // TestCompareFormatsVMIDsOncePerTrace pins the sharing: a comparison is six
 // runs in one walk of one trace. It allocates the index's few buffers and the
 // walk's departure buckets once, plus a small constant per run — no VM ID is
-// formatted at all (ranks carry the ID order), let alone one per task per
-// run.
+// formatted at all, let alone one per task per run.
 func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	tr := engineTestTrace(t)
 	spec := consolidation.DefaultServerSpec()
@@ -266,98 +263,48 @@ func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	t.Logf("CompareOpts: %d allocs for %d tasks x %d runs", got, len(tr.Tasks), runs)
 }
 
-// vmOrderCases are the IDs where the string order and the numeric order part
-// ways, or where the key's arithmetic is at its limits: a proper prefix
-// (12/120/1200), a digit-count boundary (9/10, 99/100), both ends of int64,
-// '-' against the digits, and the longest IDs one apart.
-var vmOrderCases = []int{
-	0, 9, 10, 12, 120, 1200, 99, 100, math.MaxInt64, math.MinInt64, -1, -10, -12, -120,
-	1e18 - 1, 1e18, 1e18 + 1, 1, 2, 19, 20, 123456789, 1234567890, math.MaxInt64 - 1, math.MinInt64 + 1,
-}
-
-// checkVMOrder asserts the integer order key agrees with the string order of
-// the two VM IDs, in both directions, and that the prefix it is presorted by
-// never contradicts it.
-func checkVMOrder(t *testing.T, a, b int) {
-	t.Helper()
-	ida, idb := trace.Task{ID: a}.VMID(), trace.Task{ID: b}.VMID()
-	ka, kb := vmOrderOf(a), vmOrderOf(b)
-	want := strings.Compare(ida, idb)
-	if got := ka.compare(kb); got != want {
-		t.Fatalf("key order of %s against %s is %d, string order %d", ida, idb, got, want)
-	}
-	if got := kb.compare(ka); got != -want {
-		t.Fatalf("key order of %s against %s is %d, string order %d", idb, ida, got, -want)
-	}
-	if byPrefix := cmp.Compare(ka.prefix(), kb.prefix()); byPrefix != 0 && byPrefix != want {
-		t.Fatalf("prefix order of %s against %s is %d, string order %d", ida, idb, byPrefix, want)
-	}
-}
-
-// TestVMOrderIsTheStringOrder runs every pair of the hand-picked IDs, then
-// seeded random pairs drawn so that every digit count comes up.
-func TestVMOrderIsTheStringOrder(t *testing.T) {
-	for _, a := range vmOrderCases {
-		for _, b := range vmOrderCases {
-			checkVMOrder(t, a, b)
-		}
-	}
-	rng := rand.New(rand.NewSource(17))
-	draw := func() int { return int(rng.Int63()>>uint(rng.Intn(63))) * (1 - 2*rng.Intn(2)) }
-	for i := 0; i < 20000; i++ {
-		checkVMOrder(t, draw(), draw())
-	}
-}
-
-// FuzzVMOrder feeds checkVMOrder arbitrary pairs, and checks that an index
-// over the two tasks ranks them in the string order of their VM IDs; the
-// corpus checked in under testdata/fuzz holds the pairs of vmOrderCases named
-// in its comment.
+// FuzzVMOrder pins the VM order: a task's rank is its position in the
+// stream's arrival order, which is by start, then by ID as a number, then by
+// position in the trace. A trace of five tasks repeats both IDs a and b and
+// both starts, in the given row order and reversed, and the index must rank
+// each task where the stream delivers it and where a stable sort by (start,
+// ID) puts it, holding its demand at that rank. The corpus checked in under
+// testdata/fuzz holds ID pairs whose decimal strings order differently from
+// the numbers (a proper prefix, a digit-count boundary, a minus sign) and
+// both ends of int64.
 func FuzzVMOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b int64) {
-		checkVMOrder(t, int(a), int(b))
-		if a == b {
-			return
-		}
-		tr := &trace.Trace{Name: "pair", Machines: 1, HorizonSec: 1, Tasks: []trace.Task{
-			{ID: int(a), EndSec: 1, BookedCPU: 1, BookedMemGiB: 1},
-			{ID: int(b), EndSec: 1, BookedCPU: 1, BookedMemGiB: 1},
-		}}
-		idx, err := NewReplayIndex(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := vmIDsByRank(tr, idx)
-		if strings.Compare(ids[0], ids[1]) >= 0 {
-			t.Fatalf("ranks order %s before %s", ids[0], ids[1])
+		rows := []trace.Task{{ID: int(a)}, {ID: int(b)}, {ID: int(b), StartSec: 1}, {ID: int(a), StartSec: 1}, {ID: int(a)}}
+		reversed := slices.Clone(rows)
+		slices.Reverse(reversed)
+		for _, tasks := range [][]trace.Task{rows, reversed} {
+			tr := &trace.Trace{Name: "pair", Machines: 1, HorizonSec: 2, Tasks: tasks}
+			for i := range tr.Tasks {
+				tr.Tasks[i].EndSec, tr.Tasks[i].BookedCPU, tr.Tasks[i].BookedMemGiB = 2, 1, float64(i+1)
+			}
+			want := make([]int, len(tr.Tasks))
+			for i := range want {
+				want[i] = i
+			}
+			slices.SortStableFunc(want, func(i, j int) int {
+				x, y := tr.Tasks[i], tr.Tasks[j]
+				return cmp.Or(cmp.Compare(x.StartSec, y.StartSec), cmp.Compare(x.ID, y.ID))
+			})
+			idx := NewReplayIndex(tr)
+			stream := trace.NewStream(tr)
+			var rank int32
+			for ev, ok := stream.Next(); ok; ev, ok = stream.Next() {
+				if ev.Kind != trace.Arrive {
+					continue
+				}
+				if ev.Index != want[rank] || idx.Rank(ev.Index) != rank {
+					t.Fatalf("IDs %d, %d: arrival %d is task %d of rank %d, want task %d", a, b, rank, ev.Index, idx.Rank(ev.Index), want[rank])
+				}
+				if v := idx.Demand(rank); v.BookedMemGiB != ev.Task.BookedMemGiB {
+					t.Fatalf("IDs %d, %d: rank %d holds %+v, task %d books %v GiB", a, b, rank, v, ev.Index, ev.Task.BookedMemGiB)
+				}
+				rank++
+			}
 		}
 	})
-}
-
-// TestReplayIndexRanksAreTheStringOrder builds the index over IDs chosen to
-// collide in the presort (shared prefixes) and checks ranks and lookups
-// against the formatted strings.
-func TestReplayIndexRanksAreTheStringOrder(t *testing.T) {
-	tr := &trace.Trace{Name: "ranks", Machines: 1, HorizonSec: 10}
-	for i, id := range vmOrderCases {
-		tr.Tasks = append(tr.Tasks, trace.Task{ID: id, StartSec: int64(i % 5), EndSec: 10, BookedCPU: 1, BookedMemGiB: float64(i + 1)})
-	}
-	idx, err := NewReplayIndex(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]string, len(tr.Tasks))
-	for i, task := range tr.Tasks {
-		want[i] = task.VMID()
-	}
-	slices.Sort(want)
-	for i, task := range tr.Tasks {
-		rank := idx.Rank(i)
-		if v := idx.Demand(rank); v.BookedMemGiB != task.BookedMemGiB {
-			t.Fatalf("task %d (%s): index holds %+v", i, task.VMID(), v)
-		}
-		if want[rank] != task.VMID() {
-			t.Fatalf("%s has rank %d, sorted strings put %s there", task.VMID(), rank, want[rank])
-		}
-	}
 }

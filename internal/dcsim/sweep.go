@@ -120,10 +120,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	groups := make([]group, 0, ngroups)
 	ncells := 0
 	for _, tr := range traces {
-		idx, err := NewReplayIndex(tr)
-		if err != nil {
-			return nil, err
-		}
+		idx := NewReplayIndex(tr)
 		first := len(groups)
 		for range cfg.PeriodsSec {
 			groups = append(groups, group{idx: idx})

@@ -124,36 +124,9 @@ func (s *Set) Len() int {
 	return n
 }
 
-// Empty reports whether the set has no members.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Clear empties the set, keeping its capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Clone returns an independent copy.
 func (s *Set) Clone() Set {
 	return Set{words: append([]uint64(nil), s.words...)}
-}
-
-// Union adds every member of other to s.
-func (s *Set) Union(other Set) {
-	for w := len(s.words); w < len(other.words); w++ {
-		s.words = append(s.words, 0)
-	}
-	for i, w := range other.words {
-		s.words[i] |= w
-	}
 }
 
 // Each calls fn for every member in ascending ID order.

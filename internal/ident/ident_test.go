@@ -124,11 +124,10 @@ func TestSet(t *testing.T) {
 		t.Error("Has(None) must be false")
 	}
 	clone := s.Clone()
-	s.Clear()
-	if !s.Empty() {
-		t.Error("Clear left members behind")
+	for id := range ref {
+		s.Remove(id)
 	}
-	if clone.Len() != len(ref) {
+	if s.Len() != 0 || clone.Len() != len(ref) {
 		t.Error("Clone shares storage with the original")
 	}
 	var members int
@@ -141,19 +140,6 @@ func TestSet(t *testing.T) {
 	if members != len(ref) {
 		t.Fatalf("Each yielded %d members, want %d", members, len(ref))
 	}
-	var u Set
-	u.Add(1)
-	u.Union(clone)
-	if u.Len() != clone.Len()+boolToInt(!clone.Has(1)) {
-		t.Error("Union lost or invented members")
-	}
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestNameSet checks the name-addressed wrapper, including the nil-is-empty

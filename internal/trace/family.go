@@ -15,9 +15,7 @@ import (
 // sinusoid arrivals, flash-crowd bursts, serverless-style short tasks,
 // long-running ML gangs, heavy-tail (Pareto) task sizes — all emitting the
 // same Trace the simulators already replay. Compose and Overlay merge
-// families into mixed scenarios with disjoint task-ID namespaces, so the
-// task-%d VMIDs of the merged parts can never collide and silently merge VMs
-// at the consolidation layer.
+// families into mixed scenarios with disjoint task-ID namespaces.
 
 // FamilyParams is the envelope every family generates into: a Spec, of which
 // a family reads the fleet the trace targets (Machines), its duration
@@ -463,9 +461,8 @@ func (c composite) Generate(p FamilyParams) (*Trace, error) {
 
 // Overlay merges already-generated traces into one scenario: the fleet is
 // the largest part's, the horizon the longest, and every part's task and job
-// IDs are renumbered into disjoint dense blocks in part order — two parts
-// that happen to reuse the same task ID can therefore never collide on the
-// consolidation layer's task-%d VMIDs and silently merge distinct VMs.
+// IDs are renumbered into disjoint dense blocks in part order, so the merged
+// trace keeps each part's IDs apart, as the CSV reader requires of a file.
 func Overlay(name string, parts ...*Trace) (*Trace, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("trace: overlay %q needs at least one part", name)

@@ -181,8 +181,7 @@ func TestHeavyTailShape(t *testing.T) {
 
 func TestComposeOverlayNamespaces(t *testing.T) {
 	// Two parts that deliberately reuse the same task and job IDs must come
-	// out of Overlay with disjoint dense blocks — ID collisions would merge
-	// distinct VMs under one task-%d VMID at the consolidation layer.
+	// out of Overlay with disjoint dense blocks, as a trace file must.
 	mk := func(name string) *Trace {
 		tr := &Trace{Name: name, Machines: 10, HorizonSec: 1000}
 		for i := 0; i < 10; i++ {

@@ -16,8 +16,7 @@ import (
 // The streaming importer: real cluster traces run to millions of tasks, and
 // the original CSV decoder slurped every raw record through csv.ReadAll before
 // decoding — holding the whole file's strings and the whole task list in
-// memory at once, and happily accepting invalid tasks and duplicate IDs
-// (whose task-%d VMIDs silently merge distinct VMs in both planners). The
+// memory at once, and happily accepting invalid tasks and duplicate IDs. The
 // importer here decodes one record at a time straight into validated Tasks,
 // rejects duplicates with row-numbered errors, sniffs gzip transparently,
 // and adapts external column layouts through a Schema — so a million-task
@@ -142,8 +141,7 @@ func (clusterSchema) Decode(rec []string) (Task, error) {
 // only the csv reader's reused record buffer and the duplicate-ID index, never
 // the raw records. Every row must have the schema's columns; a leading header
 // row is skipped; every task must pass Task.Validate and carry a previously
-// unseen ID, because a duplicate would silently merge two distinct VMs under
-// one task-%d VMID in both the offline replayer and the online admitted set.
+// unseen ID, so a file names each VM once.
 // Violations error with the 1-based row number.
 //
 // Gzip input is sniffed by its magic bytes and inflated on a goroutine of its

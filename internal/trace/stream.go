@@ -3,8 +3,6 @@ package trace
 import (
 	"cmp"
 	"slices"
-
-	"repro/internal/radix"
 )
 
 // The streaming arrival feed: the offline simulator replays a trace by
@@ -56,8 +54,8 @@ type Event struct {
 // the two walks are merged one event at a time.
 type Stream struct {
 	tasks   []Task
-	byStart []int32 // indices into tasks, sorted by (StartSec, ID)
-	byEnd   []int32 // indices into tasks, sorted by (EndSec, ID)
+	byStart []int32 // positions in tasks, in ArrivalOrder
+	byEnd   []int32 // positions in tasks, sorted by (EndSec, ID, position)
 	arrived int
 	left    int
 }
@@ -69,24 +67,33 @@ type Stream struct {
 func NewStream(tr *Trace) *Stream {
 	return &Stream{
 		tasks:   tr.Tasks,
-		byStart: eventOrder(tr.Tasks, func(t *Task) int64 { return t.StartSec }),
+		byStart: ArrivalOrder(tr.Tasks),
 		byEnd:   eventOrder(tr.Tasks, func(t *Task) int64 { return t.EndSec }),
 	}
 }
 
-// eventOrder returns the task indices sorted by (at(task), ID). Traces list
-// their tasks by start, so the arrival order is a scan; the departure order is
-// a real sort, and a comparator call per comparison made it the most expensive
-// part of a short replay. When the times span less than 2^32 seconds the
-// indices are therefore radix-sorted by their offset from the earliest time,
-// and only the runs of equal times are left to a comparator, for ID order.
+// ArrivalOrder returns the positions of the tasks in the order they arrive:
+// by start, then by ID, then by position, so the order is total for any
+// trace, repeated IDs included. It is the order of a Stream's arrivals, and a
+// replay knows a VM by its place in it (dcsim.ReplayIndex's rank).
+func ArrivalOrder(tasks []Task) []int32 {
+	return eventOrder(tasks, func(t *Task) int64 { return t.StartSec })
+}
+
+// eventOrder returns the task positions sorted by (at(task), ID, position).
+// Traces list their tasks by start, so the arrival order is a scan; the
+// departure order is a real sort, and a comparator call per comparison made it
+// the most expensive part of a short replay. When the times span less than
+// 2^32 seconds the positions are therefore radix-sorted by their offset from
+// the earliest time, and only the runs of equal times are left to a
+// comparator.
 func eventOrder(tasks []Task, at func(*Task) int64) []int32 {
 	order := make([]int32, len(tasks))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	byTimeThenID := func(a, b int32) int {
-		return cmp.Or(cmp.Compare(at(&tasks[a]), at(&tasks[b])), cmp.Compare(tasks[a].ID, tasks[b].ID))
+		return cmp.Or(cmp.Compare(at(&tasks[a]), at(&tasks[b])), cmp.Compare(tasks[a].ID, tasks[b].ID), cmp.Compare(a, b))
 	}
 	if slices.IsSortedFunc(order, byTimeThenID) {
 		return order
@@ -103,8 +110,46 @@ func eventOrder(tasks []Task, at func(*Task) int64) []int32 {
 	for i := range tasks {
 		keys[i] = uint32(at(&tasks[i]) - lo)
 	}
-	radix.Sort(order, make([]int32, len(tasks)), keys, byTimeThenID)
+	radixSort(order, make([]int32, len(tasks)), keys, byTimeThenID)
 	return order
+}
+
+// radixSort reorders order, a permutation of the positions keys is indexed
+// by, into ascending key order, and each run of equal keys by tie. The key
+// order is an LSD radix sort over 8-bit digits that skips any digit all keys
+// share; positions move between order and scratch (as long, left garbled) and
+// keys are read through them, so nothing is allocated.
+func radixSort(order, scratch []int32, keys []uint32, tie func(a, b int32) int) {
+	var counts [4][256]int
+	for _, k := range keys {
+		counts[0][k&0xff]++
+		counts[1][k>>8&0xff]++
+		counts[2][k>>16&0xff]++
+		counts[3][k>>24]++
+	}
+	src, dst := order, scratch
+	for d := range counts {
+		shift, c := 8*d, &counts[d]
+		if slices.Contains(c[:], len(keys)) {
+			continue // every key has the same digit here
+		}
+		sum := 0
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, p := range src {
+			b := keys[p] >> shift & 0xff
+			dst[c[b]] = p
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(order, src)
+	for i, j := 0, 1; i < len(order); i = j {
+		for j = i + 1; j < len(order) && keys[order[j]] == keys[order[i]]; j++ {
+		}
+		slices.SortFunc(order[i:j], tie)
+	}
 }
 
 // Restart returns a new cursor at the start of the same feed. It shares the
@@ -115,7 +160,8 @@ func (s *Stream) Restart() *Stream {
 
 // Next returns the next event in time order, or ok=false when the stream is
 // exhausted. At equal timestamps departures precede arrivals, and events of
-// the same kind are ordered by task ID, so the feed is fully deterministic.
+// the same kind are ordered by task ID, then by position, so the feed is fully
+// deterministic.
 // The earliest-ending task still to depart goes first when it is due no later
 // than the next arrival; one that has not arrived yet never is, because the
 // next arrival starts no later than it does and it ends after it starts.

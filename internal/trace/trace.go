@@ -30,14 +30,10 @@ type Task struct {
 // Duration returns the task duration in seconds.
 func (t Task) Duration() int64 { return t.EndSec - t.StartSec }
 
-// VMID is the task's identity at the consolidation layer, shared by the
-// offline replayer and the online control plane. Both sides sort their VM
-// populations lexicographically by this ID before planning, so the format is
-// load-bearing: diverging copies would feed the planners differently ordered
-// populations and silently skew every regret comparison. It is "task-%d",
-// built on the stack so the string is the only allocation. The simulators do
-// not call it per event: dcsim.ReplayIndex ranks the IDs by an integer key
-// that orders like these strings (FuzzVMOrder holds the two together).
+// VMID is the task's name as a VM, "task-%d", for front ends that create
+// named VMs; it is built on the stack so the string is the only allocation.
+// The simulators never read it: a replay knows a VM by its place in the
+// arrival order (ArrivalOrder).
 func (t Task) VMID() string {
 	var buf [len("task-") + 20]byte
 	return string(strconv.AppendInt(append(buf[:0], "task-"...), int64(t.ID), 10))
@@ -49,9 +45,8 @@ func (t Task) Validate() error {
 		return fmt.Errorf("trace: task %d ends (%d) before it starts (%d)", t.ID, t.EndSec, t.StartSec)
 	}
 	// NaN fails every comparison below and +Inf passes them, and the CSV
-	// parser accepts both spellings. The online loop's sizing bracket
-	// (consolidation.SumBracket) also relies on finite, non-negative demands.
-	// x-x is 0 for a finite x and NaN otherwise.
+	// parser accepts both spellings. x-x is 0 for a finite x and NaN
+	// otherwise.
 	if t.BookedCPU-t.BookedCPU != 0 || t.BookedMemGiB-t.BookedMemGiB != 0 ||
 		t.UsedCPU-t.UsedCPU != 0 || t.UsedMemGiB-t.UsedMemGiB != 0 {
 		return fmt.Errorf("trace: task %d has a non-finite demand", t.ID)
