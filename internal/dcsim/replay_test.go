@@ -263,6 +263,32 @@ func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	t.Logf("CompareOpts: %d allocs for %d tasks x %d runs", got, len(tr.Tasks), runs)
 }
 
+// TestReplayIndexRanksAreTheArrivalOrder ranks hand-picked IDs whose decimal
+// strings order differently from the numbers (a proper prefix, a digit-count
+// boundary, a minus sign, both ends of int64) over five starts: each task's
+// rank is its position in trace.ArrivalOrder, and the index holds its demand
+// at that rank.
+func TestReplayIndexRanksAreTheArrivalOrder(t *testing.T) {
+	ids := []int{
+		0, 9, 10, 12, 120, 1200, 99, 100, math.MaxInt64, math.MinInt64, -1, -10, -12, -120,
+		1e18 - 1, 1e18, 1e18 + 1, 1, 2, 19, 20, 123456789, 1234567890, math.MaxInt64 - 1, math.MinInt64 + 1,
+	}
+	tr := &trace.Trace{Name: "ranks", Machines: 1, HorizonSec: 10}
+	for i, id := range ids {
+		tr.Tasks = append(tr.Tasks, trace.Task{ID: id, StartSec: int64(i % 5), EndSec: 10, BookedCPU: 1, BookedMemGiB: float64(i + 1)})
+	}
+	idx := NewReplayIndex(tr)
+	for want, i := range trace.ArrivalOrder(tr.Tasks) {
+		rank := idx.Rank(int(i))
+		if rank != int32(want) {
+			t.Fatalf("task %d (ID %d, start %d) has rank %d, arrival position %d", i, tr.Tasks[i].ID, tr.Tasks[i].StartSec, rank, want)
+		}
+		if v := idx.Demand(rank); v.BookedMemGiB != tr.Tasks[i].BookedMemGiB {
+			t.Fatalf("task %d: rank %d holds %+v", i, rank, v)
+		}
+	}
+}
+
 // FuzzVMOrder pins the VM order: a task's rank is its position in the
 // stream's arrival order, which is by start, then by ID as a number, then by
 // position in the trace. A trace of five tasks repeats both IDs a and b and
