@@ -2,6 +2,7 @@ package autopilot
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
@@ -211,42 +212,45 @@ type Result struct {
 	ControllerFailovers int
 }
 
-// loop is the mutable state of one run.
-type loop struct {
-	cfg     *Config
-	total   int
-	planner consolidation.Policy
+// walk is one pass over a replay's event feed. It holds what admission reads
+// once — the running set, its books and the interval's Demand — and carries a
+// lane per policy: the posture, ledger and policy of one run. Admission
+// compares the books with the usable fleet and never reads a posture, so
+// without chaos every policy admits, rejects and retires the same tasks, and
+// one walk carries them all (see replay.jobs). Under chaos the usable fleet is
+// what the lane's own posture has lost, so a chaos walk has one lane, and so
+// has a walk that drives an executor, calls OnTick or feeds Obs.
+type walk struct {
+	cfg   *Config
+	total int
 
-	// idx is the trace's replay index: the loop knows a VM by its rank, its
-	// position in the arrival order. An arrival or departure reads the VM's
-	// demand from its event's task; a population read takes it from the index.
+	// idx is the trace's replay index: the walk knows a VM by its rank, its
+	// position in the arrival order, and reads its events and its demand from
+	// the index.
 	idx *dcsim.ReplayIndex
-	// running is the admitted population, a bitset over ranks. vms is its
-	// view in rank order, written into a reused buffer only when someone reads
-	// the population itself (runningVMs); stale marks it out of date.
+	// running is the admitted population, a bitset over ranks, and the books
+	// its running sums.
 	running   ident.Set
-	vms       []consolidation.VMDemand
-	stale     bool
 	bookedCPU float64
 	bookedMem float64
 	usedCPU   float64
-	usedMem   float64
 
-	posture consolidation.FleetPlan
 	// intervalStart is the beginning of the current tick interval and cum the
 	// Demand of the interval's cumulative population: every task admitted at
 	// any point since the interval started, departures included. The ledger
 	// bills whole intervals against it (see billInterval), and emergency wakes
 	// size against it too — a departure's capacity is only reclaimed at the
 	// next re-plan tick, the way a periodic consolidation manager works. A
-	// tick sets cum to SumDemand of the running set in rank order, and an
+	// tick sets cum to the fold of the running set in rank order, and an
 	// admitted arrival, whose rank follows every member's, is added after
 	// them: cum is always SumDemand of the interval population in rank order.
 	intervalStart int64
 	cum           consolidation.Demand
 
-	res      Result
-	activeDt float64
+	// The stream counters, which every lane shares.
+	ticks, arrivals, departures, admitted, rejected int
+
+	lanes []lane
 
 	// chaos is the fault-injection state of the run, nil on fault-free runs
 	// so every chaos branch is skipped and the loop stays bit-identical to
@@ -258,11 +262,37 @@ type loop struct {
 	obs *apObs
 }
 
+// lane is one policy's run within a walk.
+type lane struct {
+	*walk
+	policy  Policy
+	planner consolidation.Policy
+	// sizer is the walk's first lane with this lane's planner. It plans the
+	// requirement of each admission into required, which the later lanes with
+	// the same planner read.
+	sizer    *lane
+	required int
+
+	posture  consolidation.FleetPlan
+	res      Result
+	activeDt float64
+}
+
+// laneError is one lane's failure. It reads as the failure itself and keeps
+// the policy's name, which a comparison of several policies reports.
+type laneError struct {
+	policy string
+	err    error
+}
+
+func (e *laneError) Error() string { return e.err.Error() }
+func (e *laneError) Unwrap() error { return e.err }
+
 // Run executes the online control loop over the trace's arrival feed.
 //
 // The loop is event-driven: arrivals, departures, and re-planning ticks are
-// processed in time order (departures before arrivals at equal instants,
-// trace.Stream's order, and a due tick last, so the policy observes the
+// processed in time order (departures before arrivals at equal instants, the
+// index's Feed order, and a due tick last, so the policy observes the
 // population as of the tick instant). The first tick fires at TickSec —
 // before it the fleet holds the all-awake initial posture, because an online
 // controller has not seen anything yet.
@@ -279,104 +309,112 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	idx, stream := index(cfg.Trace)
-	return run(cfg, idx, stream)
-}
-
-// index builds what a replay of the trace reads: its replay index and its
-// event order. Both builds only read the trace, so the order is sorted on a
-// second core while this one builds the index.
-func index(tr *trace.Trace) (*dcsim.ReplayIndex, *trace.Stream) {
-	streamc := make(chan *trace.Stream, 1)
-	go func() { streamc <- trace.NewStream(tr) }()
-	idx := dcsim.NewReplayIndex(tr)
-	return idx, <-streamc
-}
-
-// run is Run on a validated configuration, over an index and an unread
-// arrival feed the caller built from cfg.Trace: a regret comparison builds
-// both once for its online runs and its oracles.
-func run(cfg Config, idx *dcsim.ReplayIndex, stream *trace.Stream) (Result, error) {
 	cfg.applyDefaults()
+	w := newWalk(&cfg, dcsim.NewReplayIndex(cfg.Trace), []Policy{cfg.Policy})
+	if err := w.run(); err != nil {
+		return Result{}, err
+	}
+	return w.lanes[0].res, nil
+}
 
-	l := &loop{
-		cfg:     &cfg,
-		total:   cfg.Trace.Machines,
-		planner: cfg.Policy.Planner(),
-		idx:     idx,
-		posture: consolidation.InitialPlan(cfg.Trace.Machines),
-		obs:     newAPObs(cfg.Obs),
-	}
-	l.res = Result{
-		Policy:          cfg.Policy.Name(),
-		Planner:         l.planner.Name(),
-		Trace:           cfg.Trace.Name,
-		Machine:         cfg.Machine.Name,
-		TickSec:         cfg.TickSec,
-		PeakActiveHosts: l.posture.ActiveHosts,
-	}
+// newWalk prepares a walk of a validated configuration with defaults applied,
+// over the index of its trace, with a lane for each policy (a fresh instance
+// each, cfg.Policy is not read). Several lanes need a configuration that
+// walks them together (see walk).
+func newWalk(cfg *Config, idx *dcsim.ReplayIndex, policies []Policy) *walk {
+	w := &walk{cfg: cfg, total: cfg.Trace.Machines, idx: idx, lanes: make([]lane, len(policies)), obs: newAPObs(cfg.Obs)}
 	if !cfg.Chaos.Empty() {
-		l.chaos = newChaosRun(cfg.Chaos)
-		l.res.ChaosScenario = cfg.Chaos.Name
+		w.chaos = newChaosRun(cfg.Chaos)
 	}
+	for i, pol := range policies {
+		l := &w.lanes[i]
+		*l = lane{walk: w, policy: pol, planner: pol.Planner(), posture: consolidation.InitialPlan(w.total)}
+		l.sizer = l
+		if k := slices.IndexFunc(w.lanes[:i], func(o lane) bool { return samePlanner(o.planner, l.planner) }); k >= 0 {
+			l.sizer = &w.lanes[k]
+		}
+		l.res = Result{
+			Policy:          pol.Name(),
+			Planner:         l.planner.Name(),
+			Trace:           cfg.Trace.Name,
+			Machine:         cfg.Machine.Name,
+			TickSec:         cfg.TickSec,
+			PeakActiveHosts: l.posture.ActiveHosts,
+		}
+		if w.chaos != nil {
+			l.res.ChaosScenario = cfg.Chaos.Name
+		}
+	}
+	return w
+}
 
-	horizon := cfg.Trace.HorizonSec
-	ev, evOK := stream.Next()
+// run walks the feed to the horizon and closes every lane's ledger. A lane's
+// failure ends the walk as a *laneError.
+func (w *walk) run() error {
+	horizon := w.cfg.Trace.HorizonSec
+	feed := w.idx.Feed()
+	ev, evOK := feed.Next()
 	now := int64(0)
-	nextTick := cfg.TickSec
+	nextTick := w.cfg.TickSec
 
 	for now < horizon {
 		// The next moment: the earliest of the next chaos fault, the next
-		// stream event, the next tick and the horizon.
-		t := horizon
-		if nextTick < t {
-			t = nextTick
-		}
+		// feed event, the next tick and the horizon.
+		t := min(horizon, nextTick)
 		if evOK && ev.AtSec < t {
 			t = ev.AtSec
 		}
-		if l.chaos != nil {
-			if m, ok := l.chaos.peek(); ok && m.at < t {
+		if w.chaos != nil {
+			if m, ok := w.chaos.peek(); ok && m.at < t {
 				t = m.at
 			}
 		}
-		l.integrate(now, t)
+		for i := range w.lanes {
+			w.lanes[i].integrate(now, t)
+		}
 		now = t
 
 		// At equal instants faults strike first (the fleet an arrival meets
-		// is the already-degraded one), then the stream's departures and
+		// is the already-degraded one), then the feed's departures and
 		// arrivals, then a due tick — fully deterministic.
-		if l.chaos != nil {
+		if w.chaos != nil {
+			l := &w.lanes[0] // a chaos walk has one lane
 			for {
-				m, ok := l.chaos.peek()
+				m, ok := w.chaos.peek()
 				if !ok || m.at != now {
 					break
 				}
-				l.chaos.pop()
+				w.chaos.pop()
 				if err := l.chaosMoment(now, m); err != nil {
-					return Result{}, err
+					return l.fail(err)
 				}
 			}
 		}
 		for evOK && ev.AtSec == now {
-			if ev.Kind == trace.Depart {
-				l.depart(idx.Rank(ev.Index), &ev.Task)
-			} else if err := l.arrive(now, idx.Rank(ev.Index), &ev.Task); err != nil {
-				return Result{}, err
+			if ev.Depart {
+				w.depart(ev.Rank)
+			} else if err := w.arrive(now, ev.Rank); err != nil {
+				return err
 			}
-			ev, evOK = stream.Next()
+			ev, evOK = feed.Next()
 		}
 		if now == nextTick {
 			if now < horizon {
-				if err := l.tick(now, horizon); err != nil {
-					return Result{}, err
+				if err := w.tick(now, horizon); err != nil {
+					return err
 				}
 			}
-			nextTick += cfg.TickSec
+			nextTick += w.cfg.TickSec
 		}
 	}
-	return l.finish(horizon), nil
+	for i := range w.lanes {
+		w.lanes[i].finish(horizon)
+	}
+	return nil
 }
+
+// fail wraps the lane's failure.
+func (l *lane) fail(err error) error { return &laneError{policy: l.policy.Name(), err: err} }
 
 // integrate advances the physical clock for [from, to): the time-weighted
 // posture statistics, the executor's backing system, and the chaos burn.
@@ -385,7 +423,7 @@ func run(cfg Config, idx *dcsim.ReplayIndex, stream *trace.Stream) (Result, erro
 // change at chaos moments, and every moment bounds an integrate span, so
 // accruing their burn here integrates the wedged time exactly, matching the
 // offline engine's CrashedServerSeconds accounting second for second.
-func (l *loop) integrate(from, to int64) {
+func (l *lane) integrate(from, to int64) {
 	if to <= from {
 		return
 	}
@@ -409,7 +447,7 @@ func (l *loop) integrate(from, to int64) {
 // population — the exact accounting rule the offline engine applies to the
 // same span, so the only difference left between the two sides of a regret
 // comparison is the quality of the posture decisions.
-func (l *loop) billInterval(to int64) {
+func (l *lane) billInterval(to int64) {
 	dt := float64(to - l.intervalStart)
 	if dt <= 0 {
 		return
@@ -422,85 +460,100 @@ func (l *loop) billInterval(to int64) {
 
 // addPenalty charges a chaos fault penalty: energy on the consolidated fleet
 // only, tracked separately so the report can attribute it.
-func (l *loop) addPenalty(joules float64) {
+func (l *lane) addPenalty(joules float64) {
 	l.res.EnergyJoules += joules
 	l.res.WastedJoules += joules
 }
 
 // available returns the number of servers the controller can actually use:
 // the fleet minus the servers chaos currently holds crashed or stuck.
-func (l *loop) available() int {
-	if l.chaos == nil {
-		return l.total
+func (w *walk) available() int {
+	if w.chaos == nil {
+		return w.total
 	}
-	n := l.total - l.chaos.crashed - l.chaos.stuck
+	n := w.total - w.chaos.crashed - w.chaos.stuck
 	if n < 0 {
 		n = 0
 	}
 	return n
 }
 
-// admitted, when a test sets it, observes the loop after every admission.
-var admitted func(l *loop, rank int32)
+// admitted, when a test sets it, observes every lane after every admission.
+var admitted func(l *lane, rank int32)
 
 // arrive admits and places one task at its arrival instant. A task whose
 // booked reservation cannot fit the fleet even fully awake is rejected; an
-// admitted task that does not fit the current posture triggers an emergency
-// wake, billed as ACPI transitions. Under chaos the fleet an arrival meets
-// is the degraded one: crashed and stuck servers neither admit nor host, and
-// an arrival squeezed out (or placed short of the planner's requirement) by
-// faults counts as an SLO violation.
-func (l *loop) arrive(now int64, rank int32, v *trace.Task) error {
-	l.res.Arrivals++
-	capacity := l.available()
-	if l.bookedCPU+v.BookedCPU > float64(capacity)*l.cfg.ServerSpec.Cores ||
-		l.bookedMem+v.BookedMemGiB > float64(capacity)*l.cfg.ServerSpec.MemGiB {
-		if l.chaos != nil && capacity < l.total &&
-			l.bookedCPU+v.BookedCPU <= float64(l.total)*l.cfg.ServerSpec.Cores &&
-			l.bookedMem+v.BookedMemGiB <= float64(l.total)*l.cfg.ServerSpec.MemGiB {
+// admitted task that does not fit a lane's posture triggers an emergency
+// wake there, billed as ACPI transitions. Under chaos the fleet an arrival
+// meets is the degraded one: crashed and stuck servers neither admit nor
+// host, and an arrival squeezed out (or placed short of the planner's
+// requirement) by faults counts as an SLO violation.
+func (w *walk) arrive(now int64, rank int32) error {
+	w.arrivals++
+	v := w.idx.Demand(rank)
+	capacity := w.available()
+	spec := w.cfg.ServerSpec
+	if w.bookedCPU+v.BookedCPU > float64(capacity)*spec.Cores ||
+		w.bookedMem+v.BookedMemGiB > float64(capacity)*spec.MemGiB {
+		if w.chaos != nil && capacity < w.total &&
+			w.bookedCPU+v.BookedCPU <= float64(w.total)*spec.Cores &&
+			w.bookedMem+v.BookedMemGiB <= float64(w.total)*spec.MemGiB {
 			// The healthy fleet would have admitted it.
-			l.res.SLOViolations++
+			w.lanes[0].res.SLOViolations++
 		}
-		l.res.Rejected++
-		l.obs.observeArrival(false)
+		w.rejected++
+		w.obs.observeArrival(false)
 		return nil
 	}
-	l.running.Add(ident.ID(rank))
-	l.stale = true
-	l.bookedCPU += v.BookedCPU
-	l.bookedMem += v.BookedMemGiB
-	l.usedCPU += v.UsedCPU
-	l.usedMem += v.UsedMemGiB
-	l.cum.Add(l.idx.Demand(rank))
-	l.res.Admitted++
-	l.obs.observeArrival(true)
-	l.refreshUtil()
-	if admitted != nil {
-		admitted(l, rank)
+	w.running.Add(ident.ID(rank))
+	w.bookedCPU += v.BookedCPU
+	w.bookedMem += v.BookedMemGiB
+	w.usedCPU += v.UsedCPU
+	w.cum.Add(v)
+	w.admitted++
+	w.obs.observeArrival(true)
+	for i := range w.lanes {
+		l := &w.lanes[i]
+		l.refreshUtil()
+		if admitted != nil {
+			admitted(l, rank)
+		}
+		if err := l.place(now); err != nil {
+			return l.fail(err)
+		}
 	}
+	return nil
+}
 
-	// Placement check: the planner's requirement for the interval's
-	// cumulative population (capacity freed by a departure is only reclaimed
-	// at the next tick, so mid-interval arrivals size against everything the
-	// interval has hosted). If the posture holds fewer active hosts than
-	// required, wake the difference immediately — sleepers first, then
-	// zombies, then memory servers.
-	if required := l.requiredHosts(); required > l.posture.ActiveHosts {
-		if err := l.ensureActive(now, required); err != nil {
-			return err
-		}
-		if l.chaos != nil && l.posture.ActiveHosts < required {
-			// Every wake candidate is crashed or stuck: the task runs on a
-			// fleet below the planner's requirement.
-			l.res.SLOViolations++
-		}
+// place checks an admission against the lane's posture: the planner's
+// requirement for the interval's cumulative population (capacity freed by a
+// departure is only reclaimed at the next tick, so mid-interval arrivals size
+// against everything the interval has hosted). If the posture holds fewer
+// active hosts than required, the difference wakes immediately — sleepers
+// first, then zombies, then memory servers.
+func (l *lane) place(now int64) error {
+	if l.sizer == l {
+		l.required = l.requiredHosts()
+	} else {
+		l.required = l.sizer.required
+	}
+	if l.required <= l.posture.ActiveHosts {
+		return nil
+	}
+	if err := l.ensureActive(now, l.required); err != nil {
+		return err
+	}
+	if l.chaos != nil && l.posture.ActiveHosts < l.required {
+		// Every wake candidate is crashed or stuck: the task runs on a
+		// fleet below the planner's requirement.
+		l.res.SLOViolations++
 	}
 	return nil
 }
 
 // requiredHosts is the planner's active-host requirement for the interval's
 // cumulative population, planned from its Demand.
-func (l *loop) requiredHosts() int {
+func (l *lane) requiredHosts() int {
 	return l.planner.PlanDemand(l.cum, l.cfg.ServerSpec, l.available()).ActiveHosts
 }
 
@@ -509,7 +562,7 @@ func (l *loop) requiredHosts() int {
 // servers, ACPI cost only (no churn mid-epoch). Under chaos, S3->S0 attempts
 // can fail — the failed server sticks in a zombie-like state, the wasted
 // transition is billed, and the wake escalates to the next candidate.
-func (l *loop) ensureActive(nowSec int64, required int) error {
+func (l *lane) ensureActive(nowSec int64, required int) error {
 	need := required - l.posture.ActiveHosts
 	if need <= 0 {
 		return nil
@@ -535,82 +588,59 @@ func (l *loop) ensureActive(nowSec int64, required int) error {
 	woken := d.SleepExits + d.ZombieExits + d.MemoryServerStops
 	l.res.EmergencyWakes += woken
 	l.obs.observeEmergencyWake(nowSec, woken)
-	return l.applyPosture(nowSec, next, false, 0) // ACPI cost only: no churn mid-epoch
+	// ACPI cost only: no churn mid-epoch, and a wake frees no host to drain,
+	// so the bill reads no population.
+	return l.applyPosture(nowSec, next, false, 0, consolidation.Demand{})
 }
 
 // depart retires one admitted task.
-func (l *loop) depart(rank int32, v *trace.Task) {
-	if !l.running.Has(ident.ID(rank)) {
+func (w *walk) depart(rank int32) {
+	if !w.running.Has(ident.ID(rank)) {
 		return // was rejected at admission
 	}
-	l.running.Remove(ident.ID(rank))
-	l.stale = true
-	l.bookedCPU -= v.BookedCPU
-	l.bookedMem -= v.BookedMemGiB
-	l.usedCPU -= v.UsedCPU
-	l.usedMem -= v.UsedMemGiB
-	l.res.Departures++
-	l.obs.observeDepart()
-	l.refreshUtil()
+	w.running.Remove(ident.ID(rank))
+	v := w.idx.Demand(rank)
+	w.bookedCPU -= v.BookedCPU
+	w.bookedMem -= v.BookedMemGiB
+	w.usedCPU -= v.UsedCPU
+	w.departures++
+	w.obs.observeDepart()
+	for i := range w.lanes {
+		w.lanes[i].refreshUtil()
+	}
 }
 
 // population is the number of VMs running: every admitted task departs once.
-func (l *loop) population() int { return l.res.Admitted - l.res.Departures }
+func (w *walk) population() int { return w.admitted - w.departures }
 
-// runningVMs returns the admitted population in rank order, valid until the
-// next arrival or departure. The view is one pass over the bitset, made on
-// the first read after a change: a tick reads it several times, an interval's
-// arrivals and departures never do.
-func (l *loop) runningVMs() []consolidation.VMDemand {
-	if l.stale {
-		l.vms = l.vms[:0]
-		l.running.Each(func(rank ident.ID) { l.vms = append(l.vms, l.idx.Demand(int32(rank))) })
-		l.stale = false
+// tick runs one re-planning pass. The running set is folded once; every lane
+// bills its closing interval and re-plans from that Demand, which then opens
+// the next interval as cum.
+func (w *walk) tick(now, horizon int64) error {
+	running := w.idx.Fold(&w.running)
+	for i := range w.lanes {
+		l := &w.lanes[i]
+		if err := l.tick(now, horizon, running); err != nil {
+			return l.fail(err)
+		}
 	}
-	return l.vms
-}
-
-// tick runs one re-planning pass: the closing interval is billed, then the
-// policy observes the current population and posture and decides the posture
-// for the next interval, billed through the shared transition-cost model
-// (churn included, over the interval that the posture will hold).
-func (l *loop) tick(now, horizon int64) error {
-	l.billInterval(now)
-	obs := Observation{
-		NowSec:       now,
-		TickSec:      l.cfg.TickSec,
-		VMs:          l.runningVMs(),
-		Prev:         l.posture,
-		Spec:         l.cfg.ServerSpec,
-		TotalServers: l.available(),
-	}
-	plan := l.normalize(l.cfg.Policy.Name(), l.cfg.Policy.Decide(obs))
-	dt := l.cfg.TickSec
-	if rest := horizon - now; rest < dt {
-		dt = rest
-	}
-	// Trace order mirrors the pass itself: the tick fires, the policy's
-	// re-plan is installed, then applyPosture emits the billed transitions.
-	l.obs.observeTick(now, l.res.Ticks+1, l.population(), plan)
-	if err := l.applyPosture(now, plan, true, float64(dt)); err != nil {
-		return err
-	}
-	l.res.Ticks++
-	l.intervalStart = now
-	l.cum = consolidation.SumDemand(l.runningVMs())
-	if l.cfg.OnTick != nil {
-		l.cfg.OnTick(TickEvent{
+	w.ticks++
+	w.intervalStart = now
+	w.cum = running
+	if w.cfg.OnTick != nil {
+		l := &w.lanes[0] // a hooked walk has one lane
+		w.cfg.OnTick(TickEvent{
 			AtSec:           now,
-			Tick:            l.res.Ticks,
+			Tick:            w.ticks,
 			ActiveHosts:     l.posture.ActiveHosts,
 			ZombieHosts:     l.posture.ZombieHosts,
 			MemoryServers:   l.posture.MemoryServers,
 			SleepHosts:      l.posture.SleepHosts,
 			RemoteMemoryGiB: l.posture.RemoteMemoryGiB,
-			Running:         l.population(),
-			Arrivals:        l.res.Arrivals,
-			Admitted:        l.res.Admitted,
-			Rejected:        l.res.Rejected,
+			Running:         w.population(),
+			Arrivals:        w.arrivals,
+			Admitted:        w.admitted,
+			Rejected:        w.rejected,
 			EmergencyWakes:  l.res.EmergencyWakes,
 			EnergyJoules:    l.res.EnergyJoules,
 			BaselineJoules:  l.res.BaselineJoules,
@@ -619,15 +649,43 @@ func (l *loop) tick(now, horizon int64) error {
 	return nil
 }
 
+// tick is the lane's share of a re-planning pass: the closing interval is
+// billed, then the policy observes the running population and the posture
+// and decides the posture for the next interval, billed through the shared
+// transition-cost model (churn included, over the interval that the posture
+// will hold).
+func (l *lane) tick(now, horizon int64, running consolidation.Demand) error {
+	l.billInterval(now)
+	obs := Observation{
+		NowSec:       now,
+		TickSec:      l.cfg.TickSec,
+		Demand:       running,
+		Prev:         l.posture,
+		Spec:         l.cfg.ServerSpec,
+		TotalServers: l.available(),
+		walk:         l.walk,
+	}
+	plan := l.normalize(l.policy.Name(), l.policy.Decide(obs))
+	dt := l.cfg.TickSec
+	if rest := horizon - now; rest < dt {
+		dt = rest
+	}
+	// Trace order mirrors the pass itself: the tick fires, the policy's
+	// re-plan is installed, then applyPosture emits the billed transitions.
+	l.obs.observeTick(now, l.ticks+1, l.population(), plan)
+	return l.applyPosture(now, plan, true, float64(dt), running)
+}
+
 // applyPosture bills the posture change and installs it. withChurn selects
 // whether the remote-memory churn of the new posture over dtSec is charged —
 // true at ticks (mirroring the offline engine's per-epoch charge), false for
 // mid-interval emergency wakes, whose interval was already charged at the
 // last tick. Under chaos the churn is scaled by the interval's time-weighted
-// fabric degradation factor. An executor failure (a live fleet refusing a
+// fabric degradation factor. running is the Demand of the population the
+// freed hosts drain. An executor failure (a live fleet refusing a
 // transition) is returned, not swallowed: a failed transition must surface
 // rather than silently strand the tasks the posture was sized for.
-func (l *loop) applyPosture(nowSec int64, next consolidation.FleetPlan, withChurn bool, dtSec float64) error {
+func (l *lane) applyPosture(nowSec int64, next consolidation.FleetPlan, withChurn bool, dtSec float64, running consolidation.Demand) error {
 	priced := next
 	if !withChurn {
 		priced.RemoteMemoryGiB = 0
@@ -635,13 +693,6 @@ func (l *loop) applyPosture(nowSec int64, next consolidation.FleetPlan, withChur
 	fabric := 1.0
 	if l.chaos != nil && withChurn {
 		fabric = l.chaos.plan.FabricFactor(nowSec, nowSec+int64(dtSec))
-	}
-	// The bill reads the population only to price the drain of freed hosts.
-	// An emergency wake frees none, and there are thousands per run, so the
-	// population is not folded for them.
-	var running consolidation.Demand
-	if next.ActiveHosts < l.posture.ActiveHosts {
-		running = consolidation.SumDemand(l.runningVMs())
 	}
 	bill := dcsim.TransitionCost(l.cfg.Machine, l.planner.Name(), l.posture, priced, running, dtSec, fabric)
 	l.res.EnergyJoules += bill.Joules
@@ -666,7 +717,7 @@ func (l *loop) applyPosture(nowSec int64, next consolidation.FleetPlan, withChur
 // fleet minus any chaos-crashed or stuck servers), recomputes the residual
 // sleepers and the active utilization from the actually-running population,
 // and stamps the policy name.
-func (l *loop) normalize(name string, p consolidation.FleetPlan) consolidation.FleetPlan {
+func (l *lane) normalize(name string, p consolidation.FleetPlan) consolidation.FleetPlan {
 	avail := l.available()
 	clamp := func(n, hi int) int {
 		if n < 0 {
@@ -687,21 +738,22 @@ func (l *loop) normalize(name string, p consolidation.FleetPlan) consolidation.F
 }
 
 // refreshUtil recomputes the posture's utilization after a population change.
-func (l *loop) refreshUtil() {
+func (l *lane) refreshUtil() {
 	l.posture.ActiveCPUUtilization = consolidation.Utilization(l.usedCPU, l.posture.ActiveHosts, l.cfg.ServerSpec.Cores)
 }
 
 // finish bills the final (possibly partial) interval and closes the
-// integrals into the Result.
-func (l *loop) finish(horizon int64) Result {
+// integrals and the stream counters into the Result.
+func (l *lane) finish(horizon int64) {
 	l.billInterval(horizon)
+	l.res.Ticks, l.res.Arrivals, l.res.Departures = l.ticks, l.arrivals, l.departures
+	l.res.Admitted, l.res.Rejected = l.admitted, l.rejected
 	if horizon > 0 {
 		l.res.MeanActiveHosts = l.activeDt / float64(horizon)
 	}
 	if l.res.BaselineJoules > 0 {
 		l.res.SavingPercent = 100 * (1 - l.res.EnergyJoules/l.res.BaselineJoules)
 	}
-	return l.res
 }
 
 // wake raises the posture's active count by need servers, drawing on

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/core"
+	"repro/internal/dcsim"
 	"repro/internal/energy"
 	"repro/internal/fleet"
 	"repro/internal/trace"
@@ -429,11 +431,13 @@ func countAllocs(fn func()) uint64 {
 }
 
 // TestOnlineLoopAllocationBudget pins the allocation-free online loop: a run
-// allocates its setup (the replay index, the stream's two orders, the loop's
+// allocates its setup (the replay index and its feed's orders, the loop's
 // few growing buffers) and nothing per task or per tick. Doubling the task
 // count may only regrow those buffers, far below one allocation per hundred
 // extra tasks, and tripling the tick count may only add a fixed slack — a
-// VM ID formatted per arrival, or a buffer made per tick, fails loudly.
+// VM ID formatted per arrival, or a buffer made per tick, fails loudly. The
+// last case is a walk of three lanes, which may not allocate per task or per
+// tick either.
 func TestOnlineLoopAllocationBudget(t *testing.T) {
 	gen := func(tasks int) *trace.Trace {
 		c := trace.DefaultConfig()
@@ -447,21 +451,24 @@ func TestOnlineLoopAllocationBudget(t *testing.T) {
 	small, large := gen(3000), gen(6000)
 	// The last case plans with Oasis, which reads the busy/idle split of the
 	// interval's Demand at every arrival: that path may not allocate either.
+	one := func(mk func(consolidation.Policy) Policy) func(consolidation.Policy) []Policy {
+		return func(b consolidation.Policy) []Policy { return []Policy{mk(b)} }
+	}
 	for _, c := range []struct {
-		mk   func(consolidation.Policy) Policy
+		mk   func(consolidation.Policy) []Policy
 		base consolidation.Policy
 	}{
-		{func(b consolidation.Policy) Policy { return NewReactive(b) }, consolidation.NewZombieStack()},
-		{func(b consolidation.Policy) Policy { return NewHysteresis(b) }, consolidation.NewZombieStack()},
-		{func(b consolidation.Policy) Policy { return NewPredictiveEWMA(b) }, consolidation.NewZombieStack()},
-		{func(b consolidation.Policy) Policy { return NewReactive(b) }, consolidation.NewOasis()},
+		{one(func(b consolidation.Policy) Policy { return NewReactive(b) }), consolidation.NewZombieStack()},
+		{one(func(b consolidation.Policy) Policy { return NewHysteresis(b) }), consolidation.NewZombieStack()},
+		{one(func(b consolidation.Policy) Policy { return NewPredictiveEWMA(b) }), consolidation.NewZombieStack()},
+		{one(func(b consolidation.Policy) Policy { return NewReactive(b) }), consolidation.NewOasis()},
+		{Policies, consolidation.NewOasis()},
 	} {
 		runOnce := func(tr *trace.Trace, tickSec int64) func() {
 			return func() {
 				cfg := baseConfig(tr)
 				cfg.TickSec = tickSec
-				cfg.Policy = c.mk(c.base)
-				if _, err := Run(cfg); err != nil {
+				if err := newWalk(&cfg, dcsim.NewReplayIndex(tr), c.mk(c.base)).run(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -469,7 +476,11 @@ func TestOnlineLoopAllocationBudget(t *testing.T) {
 		// Warm up lazy runtime and profile state so no measurement pays
 		// first-use allocations.
 		runOnce(small, 300)()
-		name := c.mk(nil).Name() + "/" + c.base.Name()
+		var names []string
+		for _, pol := range c.mk(nil) {
+			names = append(names, pol.Name())
+		}
+		name := strings.Join(names, "+") + "/" + c.base.Name()
 
 		base := countAllocs(runOnce(small, 300))
 		doubled := countAllocs(runOnce(large, 300))
@@ -543,8 +554,8 @@ func TestDuplicateTaskIDsReplayDeterministically(t *testing.T) {
 	}
 }
 
-// TestRunLeavesNoGoroutine: Run sorts the event order on a goroutine while it
-// builds the replay index, and waits for it.
+// TestRunLeavesNoGoroutine: a run leaves no goroutine behind, whatever it
+// starts while it builds its replay index and feed.
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := baseConfig(diurnalTrace(t))

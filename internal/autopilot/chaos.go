@@ -127,7 +127,7 @@ func (c *chaosRun) takeWakeFailures(now int64, attempts int) int {
 }
 
 // chaosMoment applies one timeline event to the loop.
-func (l *loop) chaosMoment(now int64, m chaosMoment) error {
+func (l *lane) chaosMoment(now int64, m chaosMoment) error {
 	f := l.chaos.plan.Faults[m.idx]
 	switch m.kind {
 	case momentCrash:
@@ -152,7 +152,7 @@ func (l *loop) chaosMoment(now int64, m chaosMoment) error {
 // remote-memory share onto freshly woken replacements, and lost active
 // capacity is replaced through the emergency-wake path — whose S3->S0
 // attempts the same plan's wake failures can strike.
-func (l *loop) chaosCrash(now int64, f chaos.Fault, idx int) error {
+func (l *lane) chaosCrash(now int64, f chaos.Fault, idx int) error {
 	targetActive := l.posture.ActiveHosts
 	order := dcsim.StrikeOrder(f.Role)
 	struck := 0
@@ -184,7 +184,7 @@ func (l *loop) chaosCrash(now int64, f chaos.Fault, idx int) error {
 // factor (stalling one active host at the posture's operating point), and a
 // sleeper wakes into the crashed server's category c. With no sleeper left
 // the share is lost — an SLO violation.
-func (l *loop) reHome(now int64, shareGiB float64, c consolidation.Category) {
+func (l *lane) reHome(now int64, shareGiB float64, c consolidation.Category) {
 	m := l.cfg.Machine
 	if shareGiB > 0 {
 		l.res.ReHomedGiB += shareGiB
@@ -207,7 +207,7 @@ func (l *loop) reHome(now int64, shareGiB float64, c consolidation.Category) {
 
 // chaosRepair returns a crash fault's victims to the sleep pool: the wedged
 // servers reboot into S3.
-func (l *loop) chaosRepair(now int64, idx int) {
+func (l *lane) chaosRepair(now int64, idx int) {
 	n := l.chaos.faults[idx].crashed
 	if n <= 0 {
 		return
@@ -222,7 +222,7 @@ func (l *loop) chaosRepair(now int64, idx int) {
 
 // chaosStuckRepair releases the stuck zombies of one WakeFailure fault when
 // its window closes: each wakes fully (Sz->S0) and re-suspends to S3.
-func (l *loop) chaosStuckRepair(now int64, idx int) {
+func (l *lane) chaosStuckRepair(now int64, idx int) {
 	n := l.chaos.faults[idx].failed
 	if n <= 0 {
 		return
@@ -292,15 +292,19 @@ func newChaosRow(cfg Config, plan *chaos.Plan, policies []Policy, ff *replay) (*
 	return row, nil
 }
 
-// Jobs returns the row's simulations: per side, one online run per policy
-// and one oracle run per planner. They are independent and may run
-// concurrently; Reports is valid once all of them have returned nil.
+// Jobs returns the row's simulations: per side, the online walks and one
+// oracle run per planner. They are independent and may run concurrently;
+// Reports is valid once all of them have returned nil. Each side's first job
+// comes before either side's second, so the first two workers of a pool
+// prepare one side each.
 func (r *ChaosRow) Jobs() []func() error {
-	jobs := r.ff.jobs()
-	if r.faulted != r.ff {
-		jobs = append(jobs, r.faulted.jobs()...)
+	ff := r.ff.jobs()
+	if r.faulted == r.ff {
+		return ff
 	}
-	return jobs
+	faulted := r.faulted.jobs()
+	jobs := append([]func() error{ff[0], faulted[0]}, ff[1:]...)
+	return append(jobs, faulted[1:]...)
 }
 
 // Reports assembles the resilience reports, one per policy in the order
@@ -356,7 +360,7 @@ func RunChaos(cfg Config, plan *chaos.Plan) (chaos.Report, error) {
 	if err != nil {
 		return chaos.Report{}, err
 	}
-	if _, err := runJobs(row.Jobs()); err != nil {
+	if err := runJobs(row.Jobs()); err != nil {
 		return chaos.Report{}, err
 	}
 	return row.Reports()[0], nil
@@ -373,14 +377,14 @@ func CompareChaos(cfg Config, plans []*chaos.Plan) ([]chaos.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := runJobs(ff.jobs()); err != nil {
+	if err := runJobs(ff.jobs()); err != nil {
 		return nil, err
 	}
 	reports := make([]chaos.Report, 0, len(plans))
 	for _, plan := range plans {
 		row, err := newChaosRow(cfg, plan, policies, ff)
 		if err == nil && row.faulted != ff {
-			_, err = runJobs(row.faulted.jobs())
+			err = runJobs(row.faulted.jobs())
 		}
 		if err != nil {
 			name := "nil"

@@ -398,12 +398,14 @@ func TestCrashPricedAlikeOnlineAndOffline(t *testing.T) {
 				// Online: strike the posture the loop holds. An active victim
 				// is replaced through ensureActive, which re-plans against
 				// the planner and the fleet size.
-				l := &loop{
-					cfg:     &Config{Machine: machine, ServerSpec: consolidation.DefaultServerSpec()},
-					total:   posture.TotalHosts(),
+				l := &lane{
+					walk: &walk{
+						cfg:   &Config{Machine: machine, ServerSpec: consolidation.DefaultServerSpec()},
+						total: posture.TotalHosts(),
+						chaos: newChaosRun(plan),
+					},
 					planner: fixedPlan{posture},
 					posture: posture,
-					chaos:   newChaosRun(plan),
 				}
 				if err := l.chaosCrash(at, crash, 0); err != nil {
 					t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package autopilot is the online autonomic control plane: a deterministic
-// discrete-event loop that consumes a trace's streaming arrival feed
-// (trace.Stream), admits and places each task at its arrival instant, and on
-// a configurable tick re-plans consolidation incrementally — the adopted
+// discrete-event loop that consumes a trace's arrival feed (dcsim.Feed),
+// admits and places each task at its arrival instant, and on a configurable
+// tick re-plans consolidation incrementally — the adopted
 // posture is diffed into suspend/zombie/wake events via consolidation.Delta
 // — under a pluggable online policy: reactive threshold, hysteresis
 // watermarks, or predictive EWMA forecasting, each with fixed parameters
@@ -23,19 +23,27 @@
 // bit for bit.
 //
 // The loop replays through the trace's dcsim.ReplayIndex: it knows a VM by
-// its rank, its place in the arrival order, reads an event's demand from the
-// event's task, and keeps the running set as a bitset over ranks, whose view
-// in rank order is written into a reused buffer only when the policy, a tick
-// or a migration bill reads it, so a run allocates nothing per task or tick.
-// The interval's cumulative population is one consolidation.Demand: SumDemand
-// of the running set at a tick, and an admitted arrival, which ranks after
-// every member, adds its terms after theirs, so the Demand is always the
-// population's fold in rank order. An arrival is sized by the planner's
-// PlanDemand of it. Whatever replays one trace more than once sorts its event
-// order and builds its index once: Regret, CompareOnline, RunChaos,
-// CompareChaos and ChaosRow give each online run a trace.Stream.Restart
-// cursor and the index, which the oracle shares, and compute each oracle
-// once, since it ignores the online policy.
+// its rank, its place in the arrival order, reads its events from the
+// index's Feed (ranks, never task copies) and each VM's demand from the
+// index, and keeps the running set as a bitset over ranks, so a run allocates
+// nothing per task or tick. A tick folds the running set once, in rank order
+// (ReplayIndex.Fold): that one consolidation.Demand is what the policy
+// observes (Observation.Demand), what the drain of freed hosts is billed
+// against, and the next interval's cumulative population, to which each
+// admitted arrival, ranking after every member, adds its terms, so the
+// interval's Demand is always the population's fold in rank order. An arrival
+// is sized by the planner's PlanDemand of it.
+//
+// Admission reads the running set's booked sums and the usable fleet, never
+// a posture, so without chaos every policy admits, rejects and retires the
+// same tasks. One walk of the feed therefore carries several policies as
+// lanes: the running set, its books, the interval's Demand, the tick's fold
+// and each distinct planner's sizing are the walk's, and a lane holds only a
+// policy's posture, ledger and emergency wakes. CompareOnline and the
+// fault-free twins of every ChaosRow, CompareChaos and RunChaos run their
+// policies as one walk; Run, Regret and every faulted run are walks of one
+// lane. Whatever replays one trace more than once builds its index once and
+// computes each oracle once, since the oracle ignores the online policy.
 //
 // Decisions can additionally be executed against a live multi-rack
 // fleet.Fleet through FleetExecutor, which mirrors every posture as real

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/consolidation"
+	"repro/internal/ident"
 )
 
 // Observation is what an online policy sees at a tick: strictly the present
@@ -13,14 +14,34 @@ type Observation struct {
 	// NowSec is the tick instant; TickSec the re-planning period.
 	NowSec  int64
 	TickSec int64
-	// VMs is the currently admitted population, sorted by ID. The slice is
-	// shared with the loop and must not be mutated.
-	VMs []consolidation.VMDemand
+	// Demand is the Demand of the currently admitted population, its VMs
+	// folded in arrival order.
+	Demand consolidation.Demand
 	// Prev is the posture the fleet currently holds.
 	Prev consolidation.FleetPlan
 	// Spec and TotalServers describe the fleet hardware.
 	Spec         consolidation.ServerSpec
 	TotalServers int
+
+	// walk holds the population itself, which Inflated folds again.
+	walk *walk
+}
+
+// Inflated returns the Demand of the admitted population with every VM's
+// booked and used resources multiplied by factor, its VMs folded in arrival
+// order: what a policy sizing for a forecast larger than the present plans
+// from. Only an Observation the loop made holds the population.
+func (o Observation) Inflated(factor float64) consolidation.Demand {
+	var d consolidation.Demand
+	o.walk.running.Each(func(rank ident.ID) {
+		v := o.walk.idx.Demand(int32(rank))
+		v.BookedCPU *= factor
+		v.BookedMemGiB *= factor
+		v.UsedCPU *= factor
+		v.UsedMemGiB *= factor
+		d.Add(v)
+	})
+	return d
 }
 
 // Policy decides fleet postures online. Implementations may hold forecasting
@@ -82,7 +103,7 @@ func (r *ReactiveThreshold) Planner() consolidation.Policy { return r.Base }
 
 // Decide implements Policy.
 func (r *ReactiveThreshold) Decide(obs Observation) consolidation.FleetPlan {
-	return addHeadroom(r.Base.Plan(obs.VMs, obs.Spec, obs.TotalServers), reactiveHeadroom)
+	return addHeadroom(r.Base.PlanDemand(obs.Demand, obs.Spec, obs.TotalServers), reactiveHeadroom)
 }
 
 // Hysteresis damps the reactive policy with separate suspend and wake
@@ -107,7 +128,7 @@ func (h *Hysteresis) Planner() consolidation.Policy { return h.Base }
 
 // Decide implements Policy.
 func (h *Hysteresis) Decide(obs Observation) consolidation.FleetPlan {
-	plan := h.Base.Plan(obs.VMs, obs.Spec, obs.TotalServers)
+	plan := h.Base.PlanDemand(obs.Demand, obs.Spec, obs.TotalServers)
 	target := addHeadroom(plan, wakeHeadroom)
 	prevActive := obs.Prev.ActiveHosts
 	if target.ActiveHosts >= prevActive {
@@ -145,9 +166,6 @@ type PredictiveEWMA struct {
 	haveState        bool
 	ewmaCPU, ewmaMem float64
 	prevCPU, prevMem float64
-	// scaled is the inflated population handed to the planner, reused from
-	// tick to tick.
-	scaled []consolidation.VMDemand
 }
 
 // NewPredictiveEWMA returns the forecasting policy over the given planner.
@@ -164,11 +182,7 @@ func (p *PredictiveEWMA) Clone() Policy { return NewPredictiveEWMA(p.Base) }
 
 // Decide implements Policy.
 func (p *PredictiveEWMA) Decide(obs Observation) consolidation.FleetPlan {
-	var curCPU, curMem float64
-	for _, v := range obs.VMs {
-		curCPU += v.BookedCPU
-		curMem += v.BookedMemGiB
-	}
+	curCPU, curMem := obs.Demand.BookedCPU, obs.Demand.BookedMemGiB
 	if !p.haveState {
 		p.ewmaCPU, p.ewmaMem = curCPU, curMem
 		p.prevCPU, p.prevMem = curCPU, curMem
@@ -191,20 +205,11 @@ func (p *PredictiveEWMA) Decide(obs Observation) consolidation.FleetPlan {
 		factor = ewmaMaxInflation
 	}
 
-	vms := obs.VMs
+	d := obs.Demand
 	if factor > 1 {
-		p.scaled = p.scaled[:0]
-		for _, v := range obs.VMs {
-			v.BookedCPU *= factor
-			v.BookedMemGiB *= factor
-			v.UsedCPU *= factor
-			v.UsedMemGiB *= factor
-			p.scaled = append(p.scaled, v)
-		}
-		vms = p.scaled
+		d = obs.Inflated(factor)
 	}
-	plan := p.Base.Plan(vms, obs.Spec, obs.TotalServers)
-	return addHeadroom(plan, ewmaMinHeadroom)
+	return addHeadroom(p.Base.PlanDemand(d, obs.Spec, obs.TotalServers), ewmaMinHeadroom)
 }
 
 // addHeadroom wakes ceil(fraction*active) extra hosts out of the plan's

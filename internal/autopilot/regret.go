@@ -1,15 +1,16 @@
 package autopilot
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/consolidation"
 	"repro/internal/dcsim"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // Report is the regret report of one online run: the online policy's costed
@@ -32,14 +33,16 @@ type Report struct {
 }
 
 // replay is one trace under one fault plan, replayed for a set of online
-// policies: what the runs share (the perturbed trace, its replay index and
-// event order, the defaulted configuration) is made once, and each oracle is
-// computed once, because the oracle depends on the trace, planner, machine,
-// spec, tick and fault plan but not on the online policy measured against it.
+// policies: what the runs share (the perturbed trace, its replay index, the
+// defaulted configuration) is made once, and each oracle is computed once,
+// because the oracle depends on the trace, planner, machine, spec, tick and
+// fault plan but not on the online policy measured against it.
 type replay struct {
-	cfg      Config // validated, defaults applied, Trace perturbed; Policy is not read
+	cfg Config // validated, defaults applied, Trace perturbed once prepared; Policy is not read
+	// prepared guards the perturbed trace and its index, which the replay's
+	// first job makes (see prepare).
+	prepared sync.Once
 	idx      *dcsim.ReplayIndex
-	order    *trace.Stream // the event order; each online run walks a Restart of it
 	policies []Policy
 	online   []Result // by policy
 	// planners lists the distinct planners under the policies and oracles the
@@ -49,12 +52,12 @@ type replay struct {
 	oracleOf []int
 }
 
-// newReplay prepares the replay of cfg for the given policies (at least one),
+// newReplay sets up the replay of cfg for the given policies (at least one),
 // which it runs as they are: each must be a fresh instance. cfg.Policy is
 // ignored. A chaos plan on the config is applied to BOTH sides: the trace is
-// perturbed once here, the online loops inject the faults as events, and the
-// oracle replays under the same schedule through dcsim's degraded-capacity
-// pricing.
+// perturbed once (see prepare), the online loops inject the faults as events,
+// and the oracle replays under the same schedule through dcsim's
+// degraded-capacity pricing.
 func newReplay(cfg Config, policies []Policy) (*replay, error) {
 	cfg.Policy = policies[0]
 	if err := cfg.Validate(); err != nil {
@@ -67,12 +70,8 @@ func newReplay(cfg Config, policies []Policy) (*replay, error) {
 	}
 	cfg.Policy = nil
 	cfg.applyDefaults()
-	if !cfg.Chaos.Empty() {
-		cfg.Trace = cfg.Chaos.PerturbTrace(cfg.Trace)
-	}
-	idx, order := index(cfg.Trace)
 	r := &replay{
-		cfg: cfg, idx: idx, order: order, policies: policies,
+		cfg: cfg, policies: policies,
 		online: make([]Result, len(policies)), oracleOf: make([]int, len(policies)),
 	}
 	for i, pol := range policies {
@@ -95,22 +94,46 @@ func samePlanner(a, b consolidation.Policy) bool {
 	return t == reflect.TypeOf(b) && t.Comparable() && a == b
 }
 
-// jobs returns the replay's simulations, the online run of policy i at
-// position i and the oracles after them. They are independent: each writes
-// its own result and only reads what the replay shares, so they may run
-// concurrently.
+// prepare perturbs the trace by the plan's bursts and builds its replay
+// index, once: whichever of the replay's jobs starts first does it, so the two
+// replays of a chaos row are prepared on two workers, not by its constructor.
+func (r *replay) prepare() {
+	r.prepared.Do(func() {
+		if !r.cfg.Chaos.Empty() {
+			r.cfg.Trace = r.cfg.Chaos.PerturbTrace(r.cfg.Trace)
+		}
+		r.idx = dcsim.NewReplayIndex(r.cfg.Trace)
+	})
+}
+
+// jobs returns the replay's simulations: the online walks, then the oracles.
+// A configuration without chaos, executor, OnTick or Obs runs every policy as
+// a lane of one walk (see walk); any other walks each policy alone. The jobs
+// are independent: each writes its own results and only reads what the
+// replay shares, so they may run concurrently.
 func (r *replay) jobs() []func() error {
-	jobs := make([]func() error, 0, len(r.policies)+len(r.planners))
-	for i, pol := range r.policies {
-		jobs = append(jobs, func() (err error) {
-			cfg := r.cfg
-			cfg.Policy = pol
-			r.online[i], err = run(cfg, r.idx, r.order.Restart())
-			return err
+	c := &r.cfg
+	lanes := 1
+	if c.Chaos.Empty() && c.Executor == nil && c.OnTick == nil && c.Obs == nil {
+		lanes = len(r.policies)
+	}
+	jobs := make([]func() error, 0, len(r.policies)/lanes+len(r.planners))
+	for lo := 0; lo < len(r.policies); lo += lanes {
+		jobs = append(jobs, func() error {
+			r.prepare()
+			w := newWalk(c, r.idx, r.policies[lo:lo+lanes])
+			if err := w.run(); err != nil {
+				return err
+			}
+			for i := range w.lanes {
+				r.online[lo+i] = w.lanes[i].res
+			}
+			return nil
 		})
 	}
 	for k, planner := range r.planners {
 		jobs = append(jobs, func() (err error) {
+			r.prepare()
 			r.oracles[k], err = dcsim.RunIndexed(oracleConfig(&r.cfg, planner), r.idx)
 			return err
 		})
@@ -118,15 +141,14 @@ func (r *replay) jobs() []func() error {
 	return jobs
 }
 
-// runJobs runs the jobs in order and stops at the first failure, returning
-// its position.
-func runJobs(jobs []func() error) (int, error) {
-	for i, job := range jobs {
+// runJobs runs the jobs in order and stops at the first failure.
+func runJobs(jobs []func() error) error {
+	for _, job := range jobs {
 		if err := job(); err != nil {
-			return i, err
+			return err
 		}
 	}
-	return 0, nil
+	return nil
 }
 
 // report pairs policy i's online result with its oracle.
@@ -172,7 +194,7 @@ func Regret(cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	if _, err := runJobs(r.jobs()); err != nil {
+	if err := runJobs(r.jobs()); err != nil {
 		return Report{}, err
 	}
 	return r.report(0), nil
@@ -191,9 +213,10 @@ func CompareOnline(cfg Config, policies []Policy) ([]Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if i, err := runJobs(r.jobs()); err != nil {
-		if i < len(policies) {
-			err = fmt.Errorf("autopilot: policy %q: %w", policies[i].Name(), err)
+	if err := runJobs(r.jobs()); err != nil {
+		var lane *laneError
+		if errors.As(err, &lane) {
+			err = fmt.Errorf("autopilot: policy %q: %w", lane.policy, err)
 		}
 		return nil, err
 	}

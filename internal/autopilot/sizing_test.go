@@ -143,7 +143,7 @@ func checkInterval(t *testing.T, tr *trace.Trace, pol Policy, plan *chaos.Plan) 
 	t.Helper()
 	var ranks []int32 // admitted, in rank order
 	endOf := make([]int64, len(tr.Tasks))
-	admitted = func(l *loop, rank int32) {
+	admitted = func(l *lane, rank int32) {
 		if len(ranks) == 0 {
 			for i, task := range tr.Tasks {
 				endOf[l.idx.Rank(i)] = task.EndSec

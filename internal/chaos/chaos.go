@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -617,6 +619,6 @@ func (p *Plan) PerturbTrace(tr *trace.Trace) *trace.Trace {
 			out.Tasks = append(out.Tasks, task)
 		}
 	}
-	sort.SliceStable(out.Tasks, func(i, j int) bool { return out.Tasks[i].StartSec < out.Tasks[j].StartSec })
+	slices.SortStableFunc(out.Tasks, func(a, b trace.Task) int { return cmp.Compare(a.StartSec, b.StartSec) })
 	return out
 }

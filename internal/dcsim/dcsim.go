@@ -2,12 +2,15 @@ package dcsim
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/energy"
 	"repro/internal/exact"
+	"repro/internal/ident"
 	"repro/internal/trace"
 )
 
@@ -173,7 +176,8 @@ type epochStats struct {
 // shared by everything that replays it: dcsim's walks, shards and replayers,
 // and autopilot's online loop. A VM's rank is its task's position in the
 // trace's arrival order (trace.ArrivalOrder), so the online loop keeps its
-// running set as ascending integers in the order the VMs arrived.
+// running set as ascending integers in the order the VMs arrived, and reads
+// its events from the index's Feed.
 type ReplayIndex struct {
 	tr *trace.Trace
 	// starts, ends and demand are indexed by rank: the VM of rank r starts
@@ -182,6 +186,18 @@ type ReplayIndex struct {
 	demand       []consolidation.VMDemand
 	// rankOf is indexed by a task's position in the trace.
 	rankOf []int32
+	// online is what only the online loop reads, built by the first Feed or
+	// Fold; the epoch walks never build it.
+	onlineOnce sync.Once
+	online     onlineIndex
+}
+
+// onlineIndex is the part of a ReplayIndex only an online replay reads.
+type onlineIndex struct {
+	// departs is the departure order, the ranks in trace.DepartureOrder.
+	departs []int32
+	// busy is a bitset over ranks, set for the VMs that are not idle.
+	busy []uint64
 }
 
 // NewReplayIndex builds the index of a trace, nil for a nil trace. Traces list
@@ -215,6 +231,117 @@ func (idx *ReplayIndex) Rank(task int) int32 { return idx.rankOf[task] }
 // Demand returns the consolidation-level view of the VM of the given rank,
 // whose ID is left empty.
 func (idx *ReplayIndex) Demand(rank int32) consolidation.VMDemand { return idx.demand[rank] }
+
+// builtOnline, when a test sets it, observes every index whose online part
+// is built.
+var builtOnline func(*ReplayIndex)
+
+// onlinePart returns the online part of the index, built on the first call.
+// It is read-only once built, so any number of walks may share it.
+func (idx *ReplayIndex) onlinePart() *onlineIndex {
+	idx.onlineOnce.Do(func() {
+		o := &idx.online
+		o.departs = trace.DepartureOrder(idx.tr.Tasks)
+		for i, task := range o.departs {
+			o.departs[i] = idx.rankOf[task]
+		}
+		o.busy = make([]uint64, (len(idx.demand)+63)/64)
+		for rank, v := range idx.demand {
+			if !v.Idle() {
+				o.busy[rank/64] |= 1 << (rank % 64)
+			}
+		}
+		if builtOnline != nil {
+			builtOnline(idx)
+		}
+	})
+	return &idx.online
+}
+
+// Feed returns a cursor at the start of the index's event feed.
+func (idx *ReplayIndex) Feed() Feed { return Feed{departs: idx.onlinePart().departs, idx: idx} }
+
+// Fold returns the Demand of the VMs whose ranks running holds, folded in
+// rank order: SumDemand of them, bit for bit. Every sum adds its terms in that
+// order, but the sums are split over three passes, the busy and idle sums
+// over running masked by the VMs' busy bits, so that no pass branches on a VM
+// and each keeps few sums live.
+func (idx *ReplayIndex) Fold(running *ident.Set) consolidation.Demand {
+	busy, words := idx.onlinePart().busy, running.Words()
+	var d consolidation.Demand
+	var bookedCPU, bookedMem, usedCPU, usedMem float64
+	for i, w := range words {
+		d.VMs += bits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			v := &idx.demand[i*64+bits.TrailingZeros64(w)]
+			bookedCPU += v.BookedCPU
+			bookedMem += v.BookedMemGiB
+			usedCPU += v.UsedCPU
+			usedMem += v.UsedMemGiB
+		}
+	}
+	d.BookedCPU, d.BookedMemGiB, d.UsedCPU, d.UsedMemGiB = bookedCPU, bookedMem, usedCPU, usedMem
+	var busyCPU, busyMem, busyUsedCPU float64
+	for i, w := range words {
+		w &= busy[i]
+		d.BusyVMs += bits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			v := &idx.demand[i*64+bits.TrailingZeros64(w)]
+			busyCPU += v.BookedCPU
+			busyMem += v.BookedMemGiB
+			busyUsedCPU += v.UsedCPU
+		}
+	}
+	d.BusyBookedCPU, d.BusyBookedMemGiB, d.BusyUsedCPU = busyCPU, busyMem, busyUsedCPU
+	var idleWSS, idleCold float64
+	for i, w := range words {
+		for w &^= busy[i]; w != 0; w &= w - 1 {
+			v := &idx.demand[i*64+bits.TrailingZeros64(w)]
+			idleWSS += v.WSSGiB()
+			idleCold += v.BookedMemGiB - v.WSSGiB()
+		}
+	}
+	d.IdleWSSGiB, d.IdleColdGiB = idleWSS, idleCold
+	return d
+}
+
+// Event is one element of a feed: the VM of rank Rank arrives at AtSec, or
+// departs then.
+type Event struct {
+	AtSec  int64
+	Rank   int32
+	Depart bool
+}
+
+// Feed walks a replay's arrivals and departures in time order, trace.Stream's
+// order: at equal instants departures come first, and events of one kind
+// follow the arrival and departure orders. It reads the index only, so it
+// copies no task.
+type Feed struct {
+	departs       []int32
+	idx           *ReplayIndex
+	arrived, left int
+}
+
+// Next returns the next event, or ok=false when the feed is exhausted. The
+// earliest-ending VM still to depart goes first when it is due no later than
+// the next arrival; one that has not arrived yet never is, because the next
+// arrival starts no later than it does and it ends after it starts.
+func (f *Feed) Next() (ev Event, ok bool) {
+	idx := f.idx
+	if f.left < len(f.departs) {
+		dep := f.departs[f.left]
+		if f.arrived == len(idx.starts) || idx.ends[dep] <= idx.starts[f.arrived] {
+			f.left++
+			return Event{AtSec: idx.ends[dep], Rank: dep, Depart: true}, true
+		}
+	}
+	if f.arrived == len(idx.starts) {
+		return Event{}, false
+	}
+	f.arrived++
+	return Event{AtSec: idx.starts[f.arrived-1], Rank: int32(f.arrived - 1)}, true
+}
 
 // departures counting-sorts the ranks by the epoch whose start retires them,
 // ⌈end/period⌉: bucket e is ranks[first[e]:first[e+1]]. A walk sorts once for

@@ -27,9 +27,12 @@
 // VM's rank, its task's position in the arrival order (trace.ArrivalOrder),
 // and the start, end and demand of every rank. internal/autopilot's online
 // loop keeps its running set by rank; it builds the index once per trace and
-// fault plan and hands it to its online runs and, through RunIndexed, to the
-// oracle. The index is always passed as an argument and never cached on the
-// trace. No replay keys on a task ID, so a repeated one is two VMs.
+// fault plan and hands it to its online walks and, through RunIndexed, to the
+// oracle. The walks read their events from the index's Feed and fold their
+// running set with its Fold; the departure order and busy bits those need are
+// built by the first call, so an epoch walk never pays for them. The index is
+// always passed as an argument and never cached on the trace. No replay keys
+// on a task ID, so a repeated one is two VMs.
 //
 // A replayer keeps an epoch's consolidation.Demand, the sums every policy
 // plans from, as exact running sums (internal/exact), so an epoch costs its

@@ -129,6 +129,11 @@ func (s *Set) Clone() Set {
 	return Set{words: append([]uint64(nil), s.words...)}
 }
 
+// Words returns the set's bitset, ID i at bit i%64 of word i/64, for a caller
+// that walks the members a word at a time. It is shared with the set and must
+// not be mutated.
+func (s *Set) Words() []uint64 { return s.words }
+
 // Each calls fn for every member in ascending ID order.
 func (s *Set) Each(fn func(ID)) {
 	for wi, w := range s.words {

@@ -16,10 +16,11 @@
 //     real traces can convert and replay them — gzip-aware on both sides
 //     (EncodeCSV writes .csv.gz on request, Import sniffs the magic
 //     bytes), since month-scale conversions balloon on disk as flat CSV;
-//   - a streaming arrival feed (Stream) that yields arrivals and departures
-//     one event at a time in causal order, the input of the online control
-//     plane (internal/autopilot), which must never see the future or the
-//     materialized population;
+//   - the causal event order (ArrivalOrder, DepartureOrder) and a streaming
+//     feed over it (Stream) that yields arrivals and departures one event at
+//     a time; the online control plane (internal/autopilot) reads the same
+//     order through dcsim.ReplayIndex's Feed, so it never sees the future or
+//     the materialized population;
 //   - a scenario engine of seeded workload families (Family, GenerateFamily):
 //     diurnal sinusoid, flash-crowd bursts, serverless short tasks,
 //     gang-scheduled ML batches and heavy-tail Pareto sizes, each with a

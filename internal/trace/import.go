@@ -231,8 +231,8 @@ type ImportOptions struct {
 // decoded and validated one at a time (raw records are never materialized in
 // bulk), tasks land sorted by (StartSec, ID), and the fleet size and horizon
 // are derived when not given. The result always passes
-// Trace.Validate. Feed it to NewStream for the online control plane or to
-// the offline engines directly.
+// Trace.Validate. Hand it to the offline engines (dcsim) or the online control
+// plane (autopilot); both replay it through one dcsim.ReplayIndex.
 func Import(r io.Reader, opts ImportOptions) (*Trace, error) {
 	tasks, err := decodeTasks(r, opts.Schema)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -234,28 +235,44 @@ func TestSpecOpenFile(t *testing.T) {
 	}
 }
 
+// The 100k-task serverless fixture and its .csv.gz form are built once per
+// test binary and shared read-only: every test that reads them used to build
+// its own.
+var (
+	serverlessOnce, serverlessGzipOnce sync.Once
+	serverlessTr                       *Trace
+	serverlessGz                       []byte
+	serverlessErr, serverlessGzipErr   error
+)
+
 // serverlessTrace is the 100k-task serverless trace, a replay at the scale
-// real cluster traces need.
+// real cluster traces need. Callers must not modify it.
 func serverlessTrace(tb testing.TB) *Trace {
 	tb.Helper()
-	tr, err := GenerateFamily("serverless", FamilyParams{
-		Machines: 500, HorizonSec: 24 * 3600, Tasks: 100_000, Seed: 42,
+	serverlessOnce.Do(func() {
+		serverlessTr, serverlessErr = GenerateFamily("serverless", FamilyParams{
+			Machines: 500, HorizonSec: 24 * 3600, Tasks: 100_000, Seed: 42,
+		})
 	})
-	if err != nil {
-		tb.Fatal(err)
+	if serverlessErr != nil {
+		tb.Fatal(serverlessErr)
 	}
-	return tr
+	return serverlessTr
 }
 
 // serverlessGzip returns serverlessTrace and its .csv.gz form.
 func serverlessGzip(tb testing.TB) (*Trace, []byte) {
 	tb.Helper()
 	tr := serverlessTrace(tb)
-	var encoded bytes.Buffer
-	if err := tr.EncodeCSV(&encoded, true); err != nil {
-		tb.Fatal(err)
+	serverlessGzipOnce.Do(func() {
+		var encoded bytes.Buffer
+		serverlessGzipErr = tr.EncodeCSV(&encoded, true)
+		serverlessGz = encoded.Bytes()
+	})
+	if serverlessGzipErr != nil {
+		tb.Fatal(serverlessGzipErr)
 	}
-	return tr, encoded.Bytes()
+	return tr, serverlessGz
 }
 
 // goroutinesSettle reports whether the goroutine count falls back to base

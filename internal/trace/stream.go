@@ -68,7 +68,7 @@ func NewStream(tr *Trace) *Stream {
 	return &Stream{
 		tasks:   tr.Tasks,
 		byStart: ArrivalOrder(tr.Tasks),
-		byEnd:   eventOrder(tr.Tasks, func(t *Task) int64 { return t.EndSec }),
+		byEnd:   DepartureOrder(tr.Tasks),
 	}
 }
 
@@ -80,13 +80,22 @@ func ArrivalOrder(tasks []Task) []int32 {
 	return eventOrder(tasks, func(t *Task) int64 { return t.StartSec })
 }
 
+// DepartureOrder returns the positions of the tasks in the order they depart:
+// by end, then by ID, then by position. It is the order of a Stream's
+// departures.
+func DepartureOrder(tasks []Task) []int32 {
+	return eventOrder(tasks, func(t *Task) int64 { return t.EndSec })
+}
+
 // eventOrder returns the task positions sorted by (at(task), ID, position).
 // Traces list their tasks by start, so the arrival order is a scan; the
 // departure order is a real sort, and a comparator call per comparison made it
 // the most expensive part of a short replay. When the times span less than
 // 2^32 seconds the positions are therefore radix-sorted by their offset from
-// the earliest time, and only the runs of equal times are left to a
-// comparator.
+// the earliest time. Many tasks can end at one instant (every task the horizon
+// cuts off does), so when the IDs span less than 2^32 too, the positions are
+// first radix-sorted by ID: the sort by time keeps them in that order within
+// each instant. Otherwise the runs of equal times are left to a comparator.
 func eventOrder(tasks []Task, at func(*Task) int64) []int32 {
 	order := make([]int32, len(tasks))
 	for i := range order {
@@ -106,19 +115,31 @@ func eventOrder(tasks []Task, at func(*Task) int64) []int32 {
 		slices.SortFunc(order, byTimeThenID)
 		return order
 	}
-	keys := make([]uint32, len(tasks))
+	keys, scratch, tie := make([]uint32, len(tasks)), make([]int32, len(tasks)), byTimeThenID
+	idLo, idHi := tasks[0].ID, tasks[0].ID
+	for i := range tasks {
+		idLo, idHi = min(idLo, tasks[i].ID), max(idHi, tasks[i].ID)
+	}
+	if uint64(idHi)-uint64(idLo) < 1<<32 {
+		for i := range tasks {
+			keys[i] = uint32(tasks[i].ID - idLo)
+		}
+		radixSort(order, scratch, keys, nil)
+		tie = nil
+	}
 	for i := range tasks {
 		keys[i] = uint32(at(&tasks[i]) - lo)
 	}
-	radixSort(order, make([]int32, len(tasks)), keys, byTimeThenID)
+	radixSort(order, scratch, keys, tie)
 	return order
 }
 
 // radixSort reorders order, a permutation of the positions keys is indexed
-// by, into ascending key order, and each run of equal keys by tie. The key
-// order is an LSD radix sort over 8-bit digits that skips any digit all keys
-// share; positions move between order and scratch (as long, left garbled) and
-// keys are read through them, so nothing is allocated.
+// by, into ascending key order, and each run of equal keys by tie, or, with a
+// nil tie, as order had them. The key order is an LSD radix sort over 8-bit
+// digits that skips any digit all keys share; positions move between order
+// and scratch (as long, left garbled) and keys are read through them, so
+// nothing is allocated.
 func radixSort(order, scratch []int32, keys []uint32, tie func(a, b int32) int) {
 	var counts [4][256]int
 	for _, k := range keys {
@@ -145,6 +166,9 @@ func radixSort(order, scratch []int32, keys []uint32, tie func(a, b int32) int) 
 		src, dst = dst, src
 	}
 	copy(order, src)
+	if tie == nil {
+		return
+	}
 	for i, j := 0, 1; i < len(order); i = j {
 		for j = i + 1; j < len(order) && keys[order[j]] == keys[order[i]]; j++ {
 		}

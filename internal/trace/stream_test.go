@@ -195,7 +195,8 @@ func TestStreamRestart(t *testing.T) {
 }
 
 // TestRadixSortMatchesStableSort pins radixSort, with ties broken by
-// position, to a stable comparator sort by key on key sets that exercise
+// position and with no tie function (which keeps the identity order's
+// positions), to a stable comparator sort by key on key sets that exercise
 // every digit, shared digits and heavy ties.
 func TestRadixSortMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -217,9 +218,12 @@ func TestRadixSortMatchesStableSort(t *testing.T) {
 			}
 			want := slices.Clone(order)
 			slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
-			radixSort(order, make([]int32, n), keys, func(a, b int32) int { return cmp.Compare(a, b) })
-			if !slices.Equal(order, want) {
-				t.Errorf("%s, %d keys: got %v, want %v", c.name, n, order, want)
+			for _, tie := range []func(a, b int32) int{func(a, b int32) int { return cmp.Compare(a, b) }, nil} {
+				got := slices.Clone(order)
+				radixSort(got, make([]int32, n), keys, tie)
+				if !slices.Equal(got, want) {
+					t.Errorf("%s, %d keys, tie %v: got %v, want %v", c.name, n, tie != nil, got, want)
+				}
 			}
 		}
 	}
