@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -23,8 +27,75 @@ func encodeTasks(t *testing.T, tasks []Task) []byte {
 	return buf.Bytes()
 }
 
+// csvPath hides NativeSchema's type from the decoder, which then reads every
+// row through encoding/csv: the reference the row scanner must match.
+type csvPath struct{ Schema }
+
+// gzipped compresses data into one gzip member.
+func gzipped(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(data); err != nil || zw.Close() != nil {
+		t.Fatal("gzip:", err)
+	}
+	return buf.Bytes()
+}
+
+// sameTasks reports whether a and b hold the same tasks bit for bit, so a NaN
+// equals the same NaN and -0 differs from 0.
+func sameTasks(a, b []Task) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.ID != y.ID || x.JobID != y.JobID || x.StartSec != y.StartSec || x.EndSec != y.EndSec ||
+			math.Float64bits(x.BookedCPU) != math.Float64bits(y.BookedCPU) ||
+			math.Float64bits(x.BookedMemGiB) != math.Float64bits(y.BookedMemGiB) ||
+			math.Float64bits(x.UsedCPU) != math.Float64bits(y.UsedCPU) ||
+			math.Float64bits(x.UsedMemGiB) != math.Float64bits(y.UsedMemGiB) {
+			return false
+		}
+	}
+	return true
+}
+
+// scannerMatchesCSV fails t unless the row scanner and the encoding/csv path
+// decode data, and its gzip form, to the same tasks or the same error text.
+func scannerMatchesCSV(t *testing.T, data []byte) {
+	t.Helper()
+	for _, in := range [][]byte{data, gzipped(t, data)} {
+		got, gotErr := decodeTasks(bytes.NewReader(in), nil)
+		want, wantErr := decodeTasks(bytes.NewReader(in), csvPath{NativeSchema()})
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("scanner error %v, encoding/csv error %v", gotErr, wantErr)
+		}
+		if !sameTasks(got, want) {
+			t.Fatalf("scanner decoded %d tasks, encoding/csv %d, or their bits differ", len(got), len(want))
+		}
+	}
+}
+
+// longRow is a valid native row far longer than the decoder's read buffer.
+var longRow = "1,1,0,60,1,2,0.5,0." + strings.Repeat("0", 64<<10) + "1\n"
+
+// farDuplicate repeats task 0's ID 5 000 rows after it.
+func farDuplicate() []byte {
+	var b strings.Builder
+	for id := range 5000 {
+		fmt.Fprintf(&b, "%d,1,0,60,1,2,0.5,1\n", id)
+	}
+	b.WriteString("0,2,0,60,1,2,0.5,1\n")
+	return []byte(b.String())
+}
+
 // FuzzDecodeCSV feeds arbitrary bytes to the gzip-sniffing CSV decoder: it
-// must never panic, and anything it accepts must survive an
+// must never panic, the row scanner must agree with encoding/csv on every
+// input, plain and gzip, and anything it accepts must survive an
 // encode -> decode -> encode round trip byte-identically, through both the
 // plain and the gzip path. (Byte equality of the re-encoded form sidesteps
 // NaN's self-inequality while still pinning every field.)
@@ -52,8 +123,12 @@ func FuzzDecodeCSV(f *testing.F) {
 	f.Add([]byte("0,0,0,60,NaN,+Inf,-0,1e309\n"))
 	f.Add([]byte("1,1,0,10,NaN,Inf,NaN,NaN\n")) // decodes; only Task.Validate refuses it
 	f.Add([]byte{})
+	f.Add([]byte(longRow))
+	f.Add([]byte("1,1,0,60,1,2,0.5,1\n" + longRow + "2,1,0,60,1,2,0.5,1\n"))
+	f.Add(farDuplicate())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		scannerMatchesCSV(t, data)
 		tasks, err := decodeTasks(bytes.NewReader(data), nil)
 		if err != nil {
 			return // rejected input is fine; panics are not
@@ -81,7 +156,8 @@ func FuzzDecodeCSV(f *testing.F) {
 }
 
 // FuzzImport feeds arbitrary bytes to the streaming importer under both
-// bundled schemas: it must never panic, anything it accepts must pass
+// bundled schemas: it must never panic, the row scanner must import what the
+// encoding/csv path imports, plain and gzip, anything it accepts must pass
 // Trace.Validate (Import's contract), and an accepted trace must survive a
 // re-encode -> re-import round trip byte-identically — the derived fleet
 // size and horizon included, since the matrix artifacts hash on them.
@@ -106,8 +182,21 @@ func FuzzImport(f *testing.F) {
 	f.Add([]byte("1,1,0,10,NaN,Inf,NaN,NaN\n"))               // non-finite demands pass every <, > check
 	f.Add([]byte{0x1f, 0x8b, 0x08, 0x00})                     // truncated gzip
 	f.Add([]byte{})
+	f.Add([]byte(longRow))
+	f.Add(farDuplicate())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, gzipped(t, data)} {
+			got, gotErr := Import(bytes.NewReader(in), ImportOptions{})
+			want, wantErr := Import(bytes.NewReader(in), ImportOptions{Schema: csvPath{NativeSchema()}})
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("scanner import error %v, encoding/csv import error %v", gotErr, wantErr)
+			}
+			if gotErr == nil && (!sameTasks(got.Tasks, want.Tasks) ||
+				got.Machines != want.Machines || got.HorizonSec != want.HorizonSec) {
+				t.Fatalf("scanner and encoding/csv imports differ")
+			}
+		}
 		for _, schema := range []Schema{nil, ClusterSchema()} {
 			tr, err := Import(bytes.NewReader(data), ImportOptions{Schema: schema})
 			if err != nil {

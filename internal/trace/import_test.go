@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -345,9 +346,116 @@ func TestInflaterNeverOutlivesItsCall(t *testing.T) {
 	}
 }
 
+// failAfter serves r's first n bytes, then fails with err.
+type failAfter struct {
+	r   io.Reader
+	n   int
+	err error
+}
+
+func (f *failAfter) Read(b []byte) (int, error) {
+	if f.n <= 0 {
+		return 0, f.err
+	}
+	b = b[:min(len(b), f.n)]
+	n, err := f.r.Read(b)
+	f.n -= n
+	return n, err
+}
+
+// TestInflaterStopsWhereverTheDecodeEnds covers the two ends the ring makes
+// possible besides those of TestInflaterNeverOutlivesItsCall: a decode that
+// fails on row 2 while every block of the ring is inflated and unread, and a
+// source that fails mid-stream. Each keeps the error text of the same bytes
+// read plain, or the source's own, and leaves no goroutine behind.
+func TestInflaterStopsWhereverTheDecodeEnds(t *testing.T) {
+	var body strings.Builder
+	for id := 3; body.Len() < 2<<20; id++ {
+		fmt.Fprintf(&body, "%d,1,0,60,1,2,0.5,1\n", id)
+	}
+	zip := func(plain string) []byte {
+		var zipped bytes.Buffer
+		zw := gzip.NewWriter(&zipped)
+		if _, err := zw.Write([]byte(plain)); err != nil || zw.Close() != nil {
+			t.Fatal("gzip:", err)
+		}
+		return zipped.Bytes()
+	}
+	badPlain := "1,1,0,60,1,2,0.5,1\n2,1,0,60,0,2,0,1\n" + body.String() // row 2 books nothing
+	bad, good := zip(badPlain), zip("1,1,0,60,1,2,0.5,1\n2,1,0,60,1,2,0.5,1\n"+body.String())
+	_, plainErr := decodeTasks(strings.NewReader(badPlain), nil)
+	if want := "trace: row 2: trace: task 2 books non-positive resources"; fmt.Sprint(plainErr) != want {
+		t.Fatalf("plain decode: error %v, want %q", plainErr, want)
+	}
+	failing := errors.New("source failed mid-stream")
+
+	base := runtime.NumGoroutine()
+	for _, c := range []struct {
+		name     string
+		in       func() io.Reader
+		fillRing bool
+		want     string
+	}{
+		{"row 2 fails with the ring full", func() io.Reader { return bytes.NewReader(bad) }, true, plainErr.Error()},
+		{"source fails mid-stream", func() io.Reader {
+			return &failAfter{r: bytes.NewReader(good), n: len(good) / 2, err: failing}
+		}, false, failing.Error()},
+	} {
+		full := false
+		if c.fillRing {
+			inflating = func(inf *inflater) {
+				for deadline := time.Now().Add(5 * time.Second); len(inf.full) < ringBlocks; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						return
+					}
+				}
+				full = true
+			}
+		}
+		_, err := decodeTasks(c.in(), nil)
+		inflating = nil
+		if c.fillRing && !full {
+			t.Errorf("%s: the ring never filled", c.name)
+		}
+		if got := fmt.Sprint(err); got != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, got, c.want)
+		}
+		if _, err := Import(c.in(), ImportOptions{}); fmt.Sprint(err) != c.want {
+			t.Errorf("%s: Import error %q, want %q", c.name, fmt.Sprint(err), c.want)
+		}
+		if !goroutinesSettle(base) {
+			t.Errorf("%s left %d goroutines running, %d before", c.name, runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestImportAllocatesNothingPerRow: a plain native import of 100k rows
+// allocates its chunks, its exact-length task slice, its read buffer and its
+// ID bitset, and nothing per row.
+func TestImportAllocatesNothingPerRow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-task import in -short mode")
+	}
+	tr := serverlessTrace(t)
+	var plain bytes.Buffer
+	if err := tr.EncodeCSV(&plain, false); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Import(bytes.NewReader(plain.Bytes()), ImportOptions{Machines: tr.Machines, HorizonSec: tr.HorizonSec}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations for %d rows", allocs, len(tr.Tasks))
+	if allocs > 2000 {
+		t.Errorf("a %d-row import made %.0f allocations, want <= 2000", len(tr.Tasks), allocs)
+	}
+}
+
 // BenchmarkImportGzip imports the 100k-task serverless .csv.gz, the trace a
-// replay pass reads; -cpuprofile shows how the inflate and the decode share
-// the cores.
+// replay pass reads. The inflater runs a ring of blocks ahead of the row
+// scanner, so with two cores the import takes about as long as the inflate
+// alone; -cpuprofile shows the split, and -cpu 1 their sum.
 func BenchmarkImportGzip(b *testing.B) {
 	tr, encoded := serverlessGzip(b)
 	b.ReportAllocs()
@@ -383,8 +491,8 @@ func (p *eofProbe) Read(b []byte) (int, error) {
 
 // TestImportStreamsWithoutMaterializing pins the importer's memory contract:
 // decoding a 100k-task .csv.gz must never hold the raw records in bulk. The
-// live heap at EOF is bounded per task by the Task struct (64 B), the
-// duplicate-ID index and append slack — a csv.ReadAll-style slurp keeps
+// live heap at EOF is bounded per task by the Task struct (64 B) in its
+// chunks plus the duplicate-ID bitset — a csv.ReadAll-style slurp keeps
 // ~350-450 B of raw strings per row live at that point and blows the bound.
 func TestImportStreamsWithoutMaterializing(t *testing.T) {
 	if testing.Short() {
@@ -411,10 +519,11 @@ func TestImportStreamsWithoutMaterializing(t *testing.T) {
 	live := int64(probe.liveAtEOF) - int64(before.HeapAlloc)
 	perTask := float64(live) / float64(tasks)
 	t.Logf("live heap at EOF: %d B (%.0f B/task)", live, perTask)
-	// 224 B/task = 3.5x the Task struct: room for the tasks slice's append
-	// slack and the duplicate-ID map, none for slurped records.
-	if perTask > 224 {
-		t.Errorf("live heap at EOF is %.0f B/task (> 224): importer is materializing raw records", perTask)
+	// 128 B/task = 2x the Task struct: the chunks hold ~71 B/task at EOF
+	// (the inflater's ring runs up to a MiB ahead of them), the rest is
+	// headroom; slurped records need hundreds more.
+	if perTask > 128 {
+		t.Errorf("live heap at EOF is %.0f B/task (> 128): importer is materializing raw records", perTask)
 	}
 	// The baseline heap (source trace + encoded bytes) must itself stay live
 	// through the probe's snapshot, or its collection masks the importer's own
