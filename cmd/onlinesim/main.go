@@ -153,19 +153,21 @@ func run(out io.Writer, sp autopilot.Spec, opt options) error {
 		}
 		return dumpObs(out, o)
 	}
-	if opt.execute {
-		// Each policy run needs its own live fleet: the executor replays real
-		// ACPI transitions and the ledger is cumulative.
-		fmt.Fprintf(out, "Executing against a live %dx%d fleet per policy.\n\n", opt.racks, opt.servers)
-	}
-
 	var reports []autopilot.Report
-	for _, pol := range policies {
-		c := cfg
-		c.Policy = pol
-		if opt.execute {
-			// The live fleet only mirrors postures and integrates energy — no
-			// VMs are placed on it — but every Sz entry delegates the
+	if !opt.execute {
+		// Without a live fleet the policies share one replay: one oracle
+		// per distinct planner, and lanes of one walk where the config
+		// allows.
+		if reports, err = autopilot.CompareOnline(cfg, policies); err != nil {
+			return err
+		}
+	} else {
+		// Each policy run needs its own live fleet: the executor replays
+		// real ACPI transitions and the ledger is cumulative.
+		fmt.Fprintf(out, "Executing against a live %dx%d fleet per policy.\n\n", opt.racks, opt.servers)
+		for _, pol := range policies {
+			// The live fleet only mirrors postures and integrates energy —
+			// no VMs are placed on it — but every Sz entry delegates the
 			// server's free memory as real RDMA buffer allocations, so the
 			// boards stay small (-mem-gib) to keep posture churn cheap.
 			board := acpi.DefaultBoardSpec()
@@ -174,23 +176,15 @@ func run(out io.Writer, sp autopilot.Spec, opt options) error {
 			if err != nil {
 				return err
 			}
-			exec := autopilot.NewFleetExecutor(f)
-			c.Executor = exec
+			c, exec := cfg, autopilot.NewFleetExecutor(f)
+			c.Policy, c.Executor = pol, exec
 			rep, err := autopilot.Regret(c)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "%s: live fleet ledger %.0f J after the run.\n", pol.Name(), exec.EnergyJoules())
 			reports = append(reports, rep)
-			continue
 		}
-		rep, err := autopilot.Regret(c)
-		if err != nil {
-			return err
-		}
-		reports = append(reports, rep)
-	}
-	if opt.execute {
 		fmt.Fprintln(out)
 	}
 

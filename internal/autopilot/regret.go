@@ -134,7 +134,7 @@ func (r *replay) jobs() []func() error {
 	for k, planner := range r.planners {
 		jobs = append(jobs, func() (err error) {
 			r.prepare()
-			r.oracles[k], err = dcsim.RunIndexed(oracleConfig(&r.cfg, planner), r.idx)
+			r.oracles[k], err = dcsim.Run(oracleConfig(&r.cfg, planner))
 			return err
 		})
 	}

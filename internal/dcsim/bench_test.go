@@ -53,8 +53,9 @@ func BenchmarkDCSimParallel(b *testing.B) {
 func BenchmarkDCSimTransitions(b *testing.B) { benchRun(b, benchConfig(b, 0, true)) }
 
 // BenchmarkDCSimLargeLive is the regime benchConfig's 3 000 tasks never reach:
-// gang-scheduled long jobs keep a five-digit population live, which is where a
-// per-admission cost in the replayer turns quadratic.
+// gang-scheduled long jobs keep a five-digit population live. The difference
+// pass costs a task the same however many others run beside it, so a cost
+// that grows with the live population shows here first.
 func BenchmarkDCSimLargeLive(b *testing.B) {
 	tr, err := trace.GenerateFamily("mlbatch", trace.FamilyParams{Machines: 1300, HorizonSec: 24 * 3600, Tasks: 20000, Seed: 42})
 	if err != nil {
@@ -105,8 +106,8 @@ func countAllocs(fn func()) uint64 {
 }
 
 // TestEpochLoopAllocationBudget pins the allocation-free epoch loop: a run's
-// allocation count is dominated by per-run setup (the replay index, the
-// departure buckets, the spans and stats slices) and must NOT scale
+// allocation count is dominated by per-run setup (the difference arrays,
+// the Demands, the spans and stats slices) and must NOT scale
 // with the number of epochs. Tripling the epoch count by shrinking the
 // consolidation period may only add a fixed slack — if the per-epoch path
 // (population, plan, pricing, stats) starts allocating, the growth is at

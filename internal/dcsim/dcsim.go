@@ -3,7 +3,6 @@ package dcsim
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
@@ -172,28 +171,19 @@ type epochStats struct {
 	reHomedGiB   float64
 }
 
-// ReplayIndex is the read-only replay view of one trace, built once and
-// shared by everything that replays it: dcsim's walks, shards and replayers,
-// and autopilot's online loop. A VM's rank is its task's position in the
-// trace's arrival order (trace.ArrivalOrder), so the online loop keeps its
-// running set as ascending integers in the order the VMs arrived, and reads
-// its events from the index's Feed.
+// ReplayIndex is the read-only replay view of one trace for autopilot's
+// online loop, built once and shared by its walks; the epoch walks read the
+// trace itself. A VM's rank is its task's position in the trace's arrival
+// order (trace.ArrivalOrder), so the online loop keeps its running set as
+// ascending integers in the order the VMs arrived, and reads its events from
+// the index's Feed.
 type ReplayIndex struct {
-	tr *trace.Trace
 	// starts, ends and demand are indexed by rank: the VM of rank r starts
 	// at starts[r]. A demand carries no VM ID: no simulation reads one.
 	starts, ends []int64
 	demand       []consolidation.VMDemand
 	// rankOf is indexed by a task's position in the trace.
 	rankOf []int32
-	// online is what only the online loop reads, built by the first Feed or
-	// Fold; the epoch walks never build it.
-	onlineOnce sync.Once
-	online     onlineIndex
-}
-
-// onlineIndex is the part of a ReplayIndex only an online replay reads.
-type onlineIndex struct {
 	// departs is the departure order, the ranks in trace.DepartureOrder.
 	departs []int32
 	// busy is a bitset over ranks, set for the VMs that are not idle.
@@ -209,9 +199,9 @@ func NewReplayIndex(tr *trace.Trace) *ReplayIndex {
 	order := trace.ArrivalOrder(tr.Tasks)
 	n := len(order)
 	idx := &ReplayIndex{
-		tr:     tr,
 		starts: make([]int64, n), ends: make([]int64, n),
 		demand: make([]consolidation.VMDemand, n), rankOf: make([]int32, n),
+		departs: trace.DepartureOrder(tr.Tasks), busy: make([]uint64, (n+63)/64),
 	}
 	for rank, ti := range order {
 		t := &tr.Tasks[ti]
@@ -221,6 +211,12 @@ func NewReplayIndex(tr *trace.Trace) *ReplayIndex {
 			BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB,
 			UsedCPU: t.UsedCPU, UsedMemGiB: t.UsedMemGiB,
 		}
+		if !idx.demand[rank].Idle() {
+			idx.busy[rank/64] |= 1 << (rank % 64)
+		}
+	}
+	for i, task := range idx.departs {
+		idx.departs[i] = idx.rankOf[task]
 	}
 	return idx
 }
@@ -232,34 +228,8 @@ func (idx *ReplayIndex) Rank(task int) int32 { return idx.rankOf[task] }
 // whose ID is left empty.
 func (idx *ReplayIndex) Demand(rank int32) consolidation.VMDemand { return idx.demand[rank] }
 
-// builtOnline, when a test sets it, observes every index whose online part
-// is built.
-var builtOnline func(*ReplayIndex)
-
-// onlinePart returns the online part of the index, built on the first call.
-// It is read-only once built, so any number of walks may share it.
-func (idx *ReplayIndex) onlinePart() *onlineIndex {
-	idx.onlineOnce.Do(func() {
-		o := &idx.online
-		o.departs = trace.DepartureOrder(idx.tr.Tasks)
-		for i, task := range o.departs {
-			o.departs[i] = idx.rankOf[task]
-		}
-		o.busy = make([]uint64, (len(idx.demand)+63)/64)
-		for rank, v := range idx.demand {
-			if !v.Idle() {
-				o.busy[rank/64] |= 1 << (rank % 64)
-			}
-		}
-		if builtOnline != nil {
-			builtOnline(idx)
-		}
-	})
-	return &idx.online
-}
-
 // Feed returns a cursor at the start of the index's event feed.
-func (idx *ReplayIndex) Feed() Feed { return Feed{departs: idx.onlinePart().departs, idx: idx} }
+func (idx *ReplayIndex) Feed() Feed { return Feed{departs: idx.departs, idx: idx} }
 
 // Fold returns the Demand of the VMs whose ranks running holds, folded in
 // rank order: SumDemand of them, bit for bit. Every sum adds its terms in that
@@ -267,7 +237,7 @@ func (idx *ReplayIndex) Feed() Feed { return Feed{departs: idx.onlinePart().depa
 // over running masked by the VMs' busy bits, so that no pass branches on a VM
 // and each keeps few sums live.
 func (idx *ReplayIndex) Fold(running *ident.Set) consolidation.Demand {
-	busy, words := idx.onlinePart().busy, running.Words()
+	busy, words := idx.busy, running.Words()
 	var d consolidation.Demand
 	var bookedCPU, bookedMem, usedCPU, usedMem float64
 	for i, w := range words {
@@ -343,83 +313,110 @@ func (f *Feed) Next() (ev Event, ok bool) {
 	return Event{AtSec: idx.starts[f.arrived-1], Rank: int32(f.arrived - 1)}, true
 }
 
-// departures counting-sorts the ranks by the epoch whose start retires them,
-// ⌈end/period⌉: bucket e is ranks[first[e]:first[e+1]]. A walk sorts once for
-// its period, and its shards share the buckets read-only.
-func (idx *ReplayIndex) departures(periodSec int64, epochs int) (first, ranks []int32) {
-	buf := make([]int32, epochs+3+len(idx.ends))
-	first, ranks = buf[:epochs+3], buf[epochs+3:]
-	for _, end := range idx.ends {
-		first[(end+periodSec-1)/periodSec+2]++
+// The terms of one VM in a difference array: a busy VM adds the first four,
+// an idle VM all five, the last its cold memory BookedMemGiB - WSSGiB(),
+// rounded as SumDemand rounds it. A cell holds the busy VMs' sums, then the
+// idle VMs'. An idle VM's working set (VMDemand.WSSGiB) is its used memory,
+// so the idle usedMem sum is also the population's IdleWSSGiB.
+const (
+	bookedCPU, bookedMem, usedCPU, usedMem, coldMem = 0, 1, 2, 3, 4
+	busyTerms, cellTerms                            = coldMem, 2*coldMem + 1
+)
+
+// termGrid finds, in one scan split into parts ranges, the fixed-point grid
+// that holds every sum of the tasks' terms exactly: each sum of a difference
+// pass adds or subtracts a task's term at most twice. A cold term needs no
+// covering: booked and used memory are not negative, so their difference is
+// a multiple of the lower one's lowest bit and no larger than the larger
+// one, however it rounds.
+func termGrid(tasks []trace.Task, parts int) exact.Grid {
+	spans := make([]exact.Span, parts)
+	inParallel(len(tasks), parts, func(p, lo, hi int) {
+		var span exact.Span
+		for i := lo; i < hi; i++ {
+			t := &tasks[i]
+			span.Cover(t.BookedCPU, t.BookedMemGiB, t.UsedCPU, t.UsedMemGiB)
+		}
+		spans[p] = span
+	})
+	for _, s := range spans[1:] {
+		spans[0].Join(s)
 	}
-	for e := 1; e < len(first); e++ {
-		first[e] += first[e-1]
-	}
-	for rank, end := range idx.ends { // moves first[e+1] from bucket e's start to its end
-		at := &first[(end+periodSec-1)/periodSec+1]
-		ranks[*at], *at = int32(rank), *at+1
-	}
-	return first, ranks
+	return spans[0].Grid(2 * len(tasks))
 }
 
-// replayer walks consolidation epochs in order over a shared index, holding
-// the population's Demand as exact running sums (internal/exact): a VM is
-// added when it arrives and subtracted when it departs. Its first population
-// call may be at any epoch: it seeks, with one scan of the tasks started by
-// then that admits those still running.
-type replayer struct {
-	idx          *ReplayIndex
-	spans        []epochSpan
-	goneAt, gone []int32 // the walk's departures
-	next         int32   // the rank of the next arrival
-
-	vms, busy                                        int
-	bookedCPU, bookedMem, usedCPU, usedMem           exact.Sum
-	busyCPU, busyMem, busyUsedCPU, idleWSS, idleCold exact.Sum
-}
-
-// population returns the Demand of epoch e, the epoch after the previous
-// call's: it retires the VMs whose last second fell in the previous epoch and
-// admits the tasks starting before e ends and running at its start. Until it
-// has scanned a task a replayer has no VM to retire, so a seek retires none.
-func (r *replayer) population(e int) consolidation.Demand {
-	if r.next > 0 {
-		for _, rank := range r.gone[r.goneAt[e]:r.goneAt[e+1]] {
-			r.count(rank, -1)
+// epochDemands is the difference pass: the Demand of each of the epochs of
+// periodSec over the trace, exactly the sums of the tasks overlapping the
+// epoch's span, rounded once per field.
+//
+// A task overlaps epochs ⌊start/period⌋ through ⌈end/period⌉-1, so its
+// counts and terms are added to the first one's cell of a difference array
+// and subtracted from the cell after the last; one cell past the final epoch
+// takes the departures no epoch sees. A cell is the busy and idle VM counts,
+// then cellTerms numbers on the grid. Workers above 1 split the tasks into
+// that many contiguous ranges, each entered into its own array, and a prefix
+// scan adds every array's cells in, exactly, so the Demands do not depend on
+// the split.
+func epochDemands(tr *trace.Trace, periodSec int64, epochs, workers int) []consolidation.Demand {
+	parts := make([][]uint64, cut(len(tr.Tasks), workers))
+	grid := termGrid(tr.Tasks, len(parts))
+	k := grid.Words
+	stride := 2 + cellTerms*k
+	inParallel(len(tr.Tasks), len(parts), func(p, lo, hi int) {
+		d := make([]uint64, (epochs+1)*stride)
+		for i := lo; i < hi; i++ {
+			t := &tr.Tasks[i]
+			in, out := int(t.StartSec/periodSec)*stride, int((t.EndSec+periodSec-1)/periodSec)*stride
+			v := consolidation.VMDemand{BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB, UsedCPU: t.UsedCPU, UsedMemGiB: t.UsedMemGiB}
+			terms := [...]float64{v.BookedCPU, v.BookedMemGiB, v.UsedCPU, v.UsedMemGiB, v.BookedMemGiB - v.WSSGiB()}
+			idle := 0
+			if v.Idle() {
+				idle = 1
+			}
+			d[in+idle]++
+			d[out+idle]--
+			at := 2 + idle*busyTerms*k
+			grid.AddDiff(d[in+at:], d[out+at:], terms[:busyTerms+idle])
+		}
+		parts[p] = d
+	})
+	d := parts[0]
+	num := func(e, t int) []uint64 { return d[e*stride+2+t*k:][:k] }
+	addCell := func(e int, from []uint64) {
+		d[e*stride] += from[0]
+		d[e*stride+1] += from[1]
+		for t := range cellTerms {
+			exact.Merge(num(e, t), from[2+t*k:][:k])
 		}
 	}
-	idx, span := r.idx, r.spans[e]
-	for ; int(r.next) < len(idx.starts) && idx.starts[r.next] < span.end; r.next++ {
-		if idx.ends[r.next] > span.start {
-			r.count(r.next, 1)
+	total := make([]uint64, k)
+	sum := func(e, t int) float64 { // the busy and idle VMs' sums of term t
+		copy(total, num(e, t))
+		exact.Merge(total, num(e, busyTerms+t))
+		return grid.Float(total)
+	}
+	demand := make([]consolidation.Demand, epochs)
+	for e := range demand {
+		for _, o := range parts[1:] {
+			addCell(e, o[e*stride:])
+		}
+		if e > 0 {
+			addCell(e, d[(e-1)*stride:])
+		}
+		busy, idle := int(int64(d[e*stride])), int(int64(d[e*stride+1]))
+		demand[e] = consolidation.Demand{
+			VMs:       busy + idle,
+			BookedCPU: sum(e, bookedCPU), BookedMemGiB: sum(e, bookedMem),
+			UsedCPU: sum(e, usedCPU), UsedMemGiB: sum(e, usedMem),
+			BusyVMs:          busy,
+			BusyBookedCPU:    grid.Float(num(e, bookedCPU)),
+			BusyBookedMemGiB: grid.Float(num(e, bookedMem)),
+			BusyUsedCPU:      grid.Float(num(e, usedCPU)),
+			IdleWSSGiB:       grid.Float(num(e, busyTerms+usedMem)),
+			IdleColdGiB:      grid.Float(num(e, busyTerms+coldMem)),
 		}
 	}
-	return consolidation.Demand{
-		VMs: r.vms, BookedCPU: r.bookedCPU.Float(), BookedMemGiB: r.bookedMem.Float(),
-		UsedCPU: r.usedCPU.Float(), UsedMemGiB: r.usedMem.Float(),
-		BusyVMs: r.busy, BusyBookedCPU: r.busyCPU.Float(), BusyBookedMemGiB: r.busyMem.Float(),
-		BusyUsedCPU: r.busyUsedCPU.Float(), IdleWSSGiB: r.idleWSS.Float(), IdleColdGiB: r.idleCold.Float(),
-	}
-}
-
-// count adds (sign 1) or subtracts (sign -1) the terms consolidation.SumDemand
-// folds for the VM of the given rank.
-func (r *replayer) count(rank int32, sign int) {
-	v, s := &r.idx.demand[rank], float64(sign)
-	r.vms += sign
-	r.bookedCPU.Add(s * v.BookedCPU)
-	r.bookedMem.Add(s * v.BookedMemGiB)
-	r.usedCPU.Add(s * v.UsedCPU)
-	r.usedMem.Add(s * v.UsedMemGiB)
-	if v.Idle() {
-		r.idleWSS.Add(s * v.WSSGiB())
-		r.idleCold.Add(s * (v.BookedMemGiB - v.WSSGiB()))
-	} else {
-		r.busy += sign
-		r.busyCPU.Add(s * v.BookedCPU)
-		r.busyMem.Add(s * v.BookedMemGiB)
-		r.busyUsedCPU.Add(s * v.UsedCPU)
-	}
+	return demand
 }
 
 // simulateEpoch evaluates the policy on the Demand of one epoch's population,
@@ -477,31 +474,21 @@ func epochPlan(cfg *Config, d consolidation.Demand, span epochSpan) consolidatio
 // Run executes the simulation, sequentially or sharded across
 // Config.Workers goroutines; the result is identical either way.
 func Run(cfg Config) (Result, error) {
-	return RunIndexed(cfg, NewReplayIndex(cfg.Trace))
-}
-
-// RunIndexed is Run over an index the caller built from cfg.Trace, so
-// whatever replays one trace more than once (autopilot's regret reports and
-// the scenario matrix) builds it once. It is the one-config walk.
-func RunIndexed(cfg Config, idx *ReplayIndex) (Result, error) {
 	cfgs := []Config{cfg}
-	if err := prepare(idx, cfgs); err != nil {
+	if err := prepare(cfg.Trace, cfgs); err != nil {
 		return Result{}, err
 	}
-	return walk(idx, cfgs)[0], nil
+	return walk(cfgs)[0], nil
 }
 
-// prepare readies the configs of one walk: they must replay the trace idx
-// was built from, which is validated once for all of them, then each gets
-// the default 300 s period and is validated itself. The first error wins.
-func prepare(idx *ReplayIndex, cfgs []Config) error {
-	if idx == nil {
+// prepare readies the configs of one walk, which all replay tr: the trace is
+// validated once for all of them, then each gets the default 300 s period
+// and is validated itself. The first error wins.
+func prepare(tr *trace.Trace, cfgs []Config) error {
+	if tr == nil {
 		return fmt.Errorf("dcsim: a trace is required")
 	}
-	if len(cfgs) > 0 && idx.tr != cfgs[0].Trace { // a walk's configs share its trace
-		return fmt.Errorf("dcsim: the replay index was built from another trace")
-	}
-	if err := idx.tr.Validate(); err != nil {
+	if err := tr.Validate(); err != nil {
 		return err
 	}
 	for i := range cfgs {
@@ -615,7 +602,6 @@ type CompareOptions struct {
 // given engine options, all in one walk: each epoch's population is built once
 // and planned by every run.
 func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consolidation.ServerSpec, opts CompareOptions) (Comparison, error) {
-	idx := NewReplayIndex(tr)
 	var cfgs []Config
 	for _, m := range machines {
 		for _, pol := range consolidation.Contenders() {
@@ -625,10 +611,10 @@ func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consol
 			})
 		}
 	}
-	if err := prepare(idx, cfgs); err != nil {
+	if err := prepare(tr, cfgs); err != nil {
 		return Comparison{}, err
 	}
-	return Comparison{Trace: tr.Name, Results: walk(idx, cfgs)}, nil
+	return Comparison{Trace: tr.Name, Results: walk(cfgs)}, nil
 }
 
 // Saving returns the saving of a given policy/machine pair from a comparison.

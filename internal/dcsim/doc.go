@@ -23,37 +23,39 @@
 // energy ledger (see transitions.go). The baseline fleet never transitions,
 // so enabling transition costs can only lower the reported saving.
 //
-// A run replays its trace through one read-only ReplayIndex (dcsim.go): each
-// VM's rank, its task's position in the arrival order (trace.ArrivalOrder),
-// and the start, end and demand of every rank. internal/autopilot's online
-// loop keeps its running set by rank; it builds the index once per trace and
-// fault plan and hands it to its online walks and, through RunIndexed, to the
-// oracle. The walks read their events from the index's Feed and fold their
-// running set with its Fold; the departure order and busy bits those need are
-// built by the first call, so an epoch walk never pays for them. The index is
-// always passed as an argument and never cached on the trace. No replay keys
-// on a task ID, so a repeated one is two VMs.
-//
-// A replayer keeps an epoch's consolidation.Demand, the sums every policy
-// plans from, as exact running sums (internal/exact), so an epoch costs its
-// arrivals and departures, and no Demand depends on the tasks' order, their
-// IDs or the epoch the replayer started at.
+// An epoch's consolidation.Demand, the sums every policy plans from, comes
+// from one difference pass over the trace (dcsim.go): each task adds its
+// terms to the cell of the epoch it starts in and subtracts them from the
+// cell after the last epoch it overlaps, and a prefix scan over the cells
+// yields every epoch's population, rounded once per field. The sums are
+// exact (internal/exact): the pass finds, in one scan, the fixed-point grid
+// its trace's terms need — two 64-bit words for every generated family — so
+// an exact add is an integer add, and no Demand depends on the tasks'
+// order, their IDs or how the pass was split. No replay keys on a task ID,
+// so a repeated one is two VMs.
 //
 // Runs that share a trace and a consolidation period share one epoch walk
-// (parallel.go), which validates the trace once and keeps each epoch's
+// (parallel.go), which validates the trace once and computes each epoch's
 // Demand once for every run to plan and price.
 //
-// The simulation decomposes into independent consolidation epochs, so the
-// walk can shard the per-epoch accounting (placement evaluation, energy
-// integration and transition pricing) across a pool of workers: set
-// Config.Workers above 1 and the epochs are split into contiguous shards of
-// near-equal cost, each seeking to its own start, simulated concurrently,
-// and merged back per run in epoch order. Transition events depend only on
-// the previous and current epoch plans, both pure functions of their epoch
-// Demands, so a shard derives its predecessor plan with a one-epoch lookback
-// and the merge performs exactly the same floating-point additions in
-// exactly the same order as the sequential path: a parallel run is
+// The simulation decomposes into independent consolidation epochs, so with
+// Config.Workers above 1 the walk splits both halves: the tasks into equal
+// contiguous ranges, each entered into its own difference array, merged
+// exactly; then the epochs into equal contiguous ranges, planned and priced
+// concurrently (placement evaluation, energy integration and transition
+// pricing) and merged back per run in epoch order. Transition events depend
+// only on the previous and current epoch plans, both pure functions of their
+// epoch Demands, so a range derives its predecessor plan with a one-epoch
+// lookback and the merge performs exactly the same floating-point additions
+// in exactly the same order as the sequential path: a parallel run is
 // bit-identical to a sequential one (see parallel.go).
+//
+// internal/autopilot's online loop replays a trace through a read-only
+// ReplayIndex (dcsim.go): each VM's rank, its task's position in the arrival
+// order (trace.ArrivalOrder), and the start, end and demand of every rank.
+// The loop keeps its running set by rank, reads its events from the index's
+// Feed and folds its running set with its Fold. It builds the index once
+// per trace and fault plan; its oracles are plain Runs of the same trace.
 //
 // On top of single runs, sweep.go provides a scenario-sweep harness that runs
 // a grid of {policy, machine profile, trace, consolidation period,

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/consolidation"
-	"repro/internal/energy"
 	"repro/internal/ident"
 	"repro/internal/trace"
 )
@@ -59,36 +58,5 @@ func TestFeedIsTheStream(t *testing.T) {
 			t.Errorf("%s: no two events of one kind shared an instant", fam.Name())
 		}
 		t.Logf("%s: %d ties, %d folds checked", fam.Name(), ties, folds)
-	}
-}
-
-// TestEpochWalksBuildNoFeed: the departure order and the busy bits are the
-// online loop's, so the epoch walks — a comparison, an indexed run, a sharded
-// one with transition costs — never build them, and an index builds them
-// once however many feeds it hands out.
-func TestEpochWalksBuildNoFeed(t *testing.T) {
-	built := 0
-	builtOnline = func(*ReplayIndex) { built++ }
-	defer func() { builtOnline = nil }()
-
-	tr := engineTestTrace(t)
-	spec := consolidation.DefaultServerSpec()
-	if _, err := CompareOpts(tr, energy.Profiles(), spec, CompareOptions{Workers: 2, TransitionCosts: true}); err != nil {
-		t.Fatal(err)
-	}
-	idx := NewReplayIndex(tr)
-	for _, workers := range []int{1, 3} {
-		cfg := Config{Trace: tr, Policy: consolidation.NewOasis(), Machine: energy.HPProfile(), ServerSpec: spec, Workers: workers, TransitionCosts: true}
-		if _, err := RunIndexed(cfg, idx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if built != 0 || idx.online.departs != nil {
-		t.Fatalf("the epoch walks built %d online indexes", built)
-	}
-	idx.Feed()
-	idx.Feed()
-	if built != 1 {
-		t.Fatalf("two feeds of one index built its online part %d times", built)
 	}
 }

@@ -1,10 +1,8 @@
 package dcsim
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/chaos"
@@ -87,91 +85,6 @@ func TestParallelEnergySavingExact(t *testing.T) {
 	}
 }
 
-// bounds is the bucket bounds departures returns for buckets of the given
-// sizes: bucket e spans [bounds[e], bounds[e+1]).
-func bounds(sizes []int) []int32 {
-	b := make([]int32, len(sizes)+1)
-	for e, n := range sizes {
-		b[e+1] = b[e] + int32(n)
-	}
-	return b
-}
-
-// TestShardEpochs checks the shard plan covers every epoch exactly once with
-// contiguous, non-empty ranges, that epochs of equal cost give shards of
-// near-equal length (a shard's seek may merge two short ones), that skewed
-// events are cut by cost, not by epoch count, and that a live set costlier
-// to seek than the epochs after it is not cut.
-func TestShardEpochs(t *testing.T) {
-	steady := func(n, events int) ([]int, []int) {
-		depart := slices.Repeat([]int{events}, n)
-		depart[0] = 0
-		return slices.Repeat([]int{events}, n), depart
-	}
-	skewArrive := append(slices.Repeat([]int{9000}, 10), slices.Repeat([]int{0}, 90)...)
-	skewDepart := append([]int{0}, skewArrive[:99]...)
-	heavyArrive, heavyDepart := make([]int, 100), make([]int, 100)
-	heavyArrive[0] = 100000
-	type shardCase struct {
-		name           string
-		arrive, depart []int
-		workers        int
-		steady         bool
-	}
-	cases := []shardCase{
-		{"one-epoch", []int{40}, []int{0}, 8, true},
-		{"sequential", skewArrive, skewDepart, 1, false},
-		{"no-workers", skewArrive, skewDepart, 0, false},
-		{"skewed", skewArrive, skewDepart, 2, false},
-		{"skewed-wide", skewArrive, skewDepart, 64, false},
-		{"heavy-seek", heavyArrive, heavyDepart, 4, false},
-	}
-	for _, c := range []struct{ n, workers int }{{5, 2}, {7, 3}, {8, 8}, {100, 7}, {288, 2}} {
-		arrive, depart := steady(c.n, 40)
-		cases = append(cases, shardCase{fmt.Sprintf("steady-%d/%d", c.n, c.workers), arrive, depart, c.workers, true})
-	}
-	for _, c := range cases {
-		n := len(c.arrive)
-		shards := shardEpochs(c.arrive, bounds(c.depart), c.workers, 6)
-		if len(shards) > max(1, c.workers) {
-			t.Fatalf("%s: %d shards for %d workers", c.name, len(shards), c.workers)
-		}
-		lo := 0
-		for _, sh := range shards {
-			if sh.lo != lo {
-				t.Fatalf("%s: gap or overlap at %d (shard starts at %d)", c.name, lo, sh.lo)
-			}
-			if sh.hi <= sh.lo {
-				t.Fatalf("%s: empty shard %+v", c.name, sh)
-			}
-			lo = sh.hi
-		}
-		if lo != n {
-			t.Fatalf("%s: shards end at %d, want %d", c.name, lo, n)
-		}
-		if !c.steady {
-			continue
-		}
-		if want := (min(n, c.workers) + 1) / 2; len(shards) < want {
-			t.Fatalf("%s: %d shards, want at least %d: %+v", c.name, len(shards), want, shards)
-		}
-		for _, sh := range shards {
-			if size := sh.hi - sh.lo; 4*size > 5*(n/len(shards)+1) {
-				t.Fatalf("%s: unbalanced shard %+v of %+v", c.name, sh, shards)
-			}
-		}
-	}
-	// Ten busy epochs then ninety idle ones: two workers split the busy ten.
-	if got := shardEpochs(skewArrive, bounds(skewDepart), 2, 6); len(got) != 2 || got[0].hi > 6 {
-		t.Fatalf("skewed events cut by epoch count, not cost: %+v", got)
-	}
-	// 100 000 VMs arrive at once and stay: a second shard's seek would admit
-	// them all again, which costs more than the idle epochs it would take.
-	if got := shardEpochs(heavyArrive, bounds(heavyDepart), 4, 6); len(got) != 1 {
-		t.Fatalf("a seek dearer than the epochs it saves was cut: %+v", got)
-	}
-}
-
 // TestParallelFreshProfileRaceFree runs the parallel engine with a freshly
 // constructed machine profile (no precomputed Sz entry): the shard goroutines
 // all evaluate the Sz power fraction, which must not mutate the shared
@@ -232,7 +145,6 @@ func TestCompareOptsMatchesSeparateRuns(t *testing.T) {
 	}
 	spec := consolidation.DefaultServerSpec()
 	for _, tr := range []*trace.Trace{engineTestTrace(t), ml} {
-		idx := NewReplayIndex(tr)
 		for _, workers := range []int{0, 2, 4} {
 			for _, costed := range []bool{false, true} {
 				got, err := CompareOpts(tr, energy.Profiles(), spec, CompareOptions{Workers: workers, TransitionCosts: costed})
@@ -242,10 +154,10 @@ func TestCompareOptsMatchesSeparateRuns(t *testing.T) {
 				var want []Result
 				for _, m := range energy.Profiles() {
 					for _, pol := range consolidation.Contenders() {
-						r, err := RunIndexed(Config{
+						r, err := Run(Config{
 							Trace: tr, Policy: pol, Machine: m, ServerSpec: spec,
 							Workers: workers, TransitionCosts: costed,
-						}, idx)
+						})
 						if err != nil {
 							t.Fatal(err)
 						}

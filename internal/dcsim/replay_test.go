@@ -36,9 +36,9 @@ func seekCase(data []byte) (*trace.Trace, int64) {
 	return tr, period
 }
 
-// exactDemand is the oracle for the replayer's sums: the terms SumDemand
-// folds, summed in big.Floats wide enough to hold any float64 sum exactly and
-// rounded once each.
+// exactDemand is the oracle for the difference pass's sums: the terms
+// SumDemand folds, summed in big.Floats wide enough to hold any float64 sum
+// exactly and rounded once each.
 func exactDemand(vms []consolidation.VMDemand) consolidation.Demand {
 	var sums [9]big.Float
 	add := func(i int, x float64) {
@@ -77,14 +77,12 @@ func taskDemand(task trace.Task) consolidation.VMDemand {
 	}
 }
 
-// checkSeek is the brute-force oracle: whatever epoch a replayer starts at,
-// the Demand it holds for that and every later epoch must be, bit for bit,
-// the exact sums of "filter the tasks overlapping the span".
+// checkSeek is the brute-force oracle: for workers 1 to 4, the Demand the
+// difference pass yields for every epoch must be, bit for bit, the exact sums
+// of "filter the tasks overlapping the span".
 func checkSeek(t *testing.T, tr *trace.Trace, periodSec int64) {
 	t.Helper()
-	idx := NewReplayIndex(tr)
 	spans := epochSpans(tr.HorizonSec, periodSec)
-	goneAt, gone := idx.departures(periodSec, len(spans))
 	want := make([]consolidation.Demand, len(spans))
 	for j, span := range spans {
 		var vms []consolidation.VMDemand
@@ -95,11 +93,10 @@ func checkSeek(t *testing.T, tr *trace.Trace, periodSec int64) {
 		}
 		want[j] = exactDemand(vms)
 	}
-	for k := range spans {
-		rep := &replayer{idx: idx, spans: spans, goneAt: goneAt, gone: gone}
-		for j := k; j < len(spans); j++ {
-			if d := rep.population(j); !bitEqual(d, want[j]) {
-				t.Fatalf("period %d: seek to epoch %d, Demand of epoch %d\n got %+v\nwant %+v", periodSec, k, j, d, want[j])
+	for workers := 1; workers <= 4; workers++ {
+		for j, d := range epochDemands(tr, periodSec, len(spans), workers) {
+			if !bitEqual(d, want[j]) {
+				t.Fatalf("period %d, %d workers: Demand of epoch %d\n got %+v\nwant %+v", periodSec, workers, j, d, want[j])
 			}
 		}
 	}
@@ -117,6 +114,20 @@ func TestReplayerSeekEqualsBruteForce(t *testing.T) {
 		tr, period := seekCase(data)
 		checkSeek(t, tr, period)
 	}
+}
+
+// TestIdleColdTermsFitTheGrid: the grid is found from the four demands of
+// every task, and an idle VM's cold term, booked less used memory, must land
+// on it exactly too — here 0.5, 0.25 and -0.25 beside demands whose last
+// significand bits lie above theirs, and a cold term that rounds.
+func TestIdleColdTermsFitTheGrid(t *testing.T) {
+	tr := &trace.Trace{Name: "cold", Machines: 2, HorizonSec: 900, Tasks: []trace.Task{
+		{ID: 1, EndSec: 900, BookedCPU: 1, BookedMemGiB: 2, UsedMemGiB: 1.5},
+		{ID: 2, StartSec: 300, EndSec: 600, BookedCPU: 2, BookedMemGiB: 1, UsedMemGiB: 0.75},
+		{ID: 3, StartSec: 299, EndSec: 301, BookedCPU: 4, BookedMemGiB: 1, UsedMemGiB: 1.25},
+		{ID: 4, StartSec: 600, EndSec: 900, BookedCPU: 1, BookedMemGiB: 1e16, UsedMemGiB: 1.5, UsedCPU: 0.005},
+	}}
+	checkSeek(t, tr, 300)
 }
 
 // FuzzReplayerSeek feeds checkSeek arbitrary cases. The corpus checked in
@@ -173,23 +184,23 @@ func bitEqual(a, b any) bool {
 }
 
 // FuzzPlanDemand pins planning from sums to planning from the population:
-// the replayer's Demand is the exact sums of the population, and every
-// built-in policy's Plan of that population is PlanDemand of its SumDemand,
-// bit for bit. The corpus checked in under testdata/fuzz holds an empty
-// population, one VM, all idle, none idle, 5 000 VMs and 5 000 VMs whose
-// sums overflow.
+// the difference pass's Demand is the exact sums of the population, whatever
+// the worker count, and every built-in policy's Plan of that population is
+// PlanDemand of its SumDemand, bit for bit. The corpus checked in under
+// testdata/fuzz holds an empty population, one VM, all idle, none idle,
+// 5 000 VMs and 5 000 VMs whose sums overflow.
 func FuzzPlanDemand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, idle uint8, mag int8, total uint16) {
 		tr := demandCase(seed, size, idle, mag)
-		idx := NewReplayIndex(tr)
-		spans := epochSpans(tr.HorizonSec, tr.HorizonSec)
-		rep := &replayer{idx: idx, spans: spans}
 		vms := make([]consolidation.VMDemand, len(tr.Tasks))
 		for i, task := range tr.Tasks {
 			vms[i] = taskDemand(task)
 		}
-		if got, want := rep.population(0), exactDemand(vms); !bitEqual(got, want) {
-			t.Fatalf("%d tasks: the replayer's Demand is\n%+v\nthe exact sums\n%+v", len(vms), got, want)
+		exact := exactDemand(vms)
+		for workers := 1; workers <= 4; workers++ {
+			if got := epochDemands(tr, tr.HorizonSec, 1, workers)[0]; !bitEqual(got, exact) {
+				t.Fatalf("%d tasks, %d workers: the difference pass's Demand is\n%+v\nthe exact sums\n%+v", len(vms), workers, got, exact)
+			}
 		}
 		want := consolidation.SumDemand(vms)
 		spec := consolidation.DefaultServerSpec()
@@ -243,9 +254,9 @@ func TestDuplicateTaskIDsReplayDeterministically(t *testing.T) {
 }
 
 // TestCompareFormatsVMIDsOncePerTrace pins the sharing: a comparison is six
-// runs in one walk of one trace. It allocates the index's few buffers and the
-// walk's departure buckets once, plus a small constant per run — no VM ID is
-// formatted at all, let alone one per task per run.
+// runs in one walk of one trace. It allocates the difference array and the
+// epochs' Demands once, plus a small constant per run — no VM ID is formatted
+// at all, let alone one per task per run.
 func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 	tr := engineTestTrace(t)
 	spec := consolidation.DefaultServerSpec()

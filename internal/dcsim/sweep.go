@@ -113,18 +113,14 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	}
 	// A group is one walk: its configs, and the grid position of each.
 	type group struct {
-		idx   *ReplayIndex
 		cfgs  []Config
 		cells []int
 	}
 	groups := make([]group, 0, ngroups)
 	ncells := 0
 	for _, tr := range traces {
-		idx := NewReplayIndex(tr)
 		first := len(groups)
-		for range cfg.PeriodsSec {
-			groups = append(groups, group{idx: idx})
-		}
+		groups = append(groups, make([]group, len(cfg.PeriodsSec))...)
 		for _, m := range cfg.Machines {
 			for _, pol := range cfg.Policies {
 				for p, period := range cfg.PeriodsSec {
@@ -147,7 +143,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		}
 		// Validity is period-free: group one holds the first bad config.
 		for _, g := range groups[first:] {
-			if err := prepare(idx, g.cfgs); err != nil {
+			if err := prepare(tr, g.cfgs); err != nil {
 				return nil, err
 			}
 		}
@@ -161,7 +157,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			for g := range work {
-				for j, run := range walk(g.idx, g.cfgs) {
+				for j, run := range walk(g.cfgs) {
 					res.Runs[g.cells[j]] = run
 				}
 			}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"compress/gzip"
 	"encoding/csv"
 	"io"
@@ -19,33 +20,36 @@ var gzipMagic = [2]byte{0x1f, 0x8b}
 // EncodeCSV writes the trace tasks as CSV, header row first, to w. With
 // compress set the payload is wrapped in a gzip stream — the .csv.gz form
 // Import (and any standard tooling) inflates transparently.
+//
+// The header goes through csv.Writer. A row holds numbers only, which CSV
+// never quotes, so each row is appended into one reused buffer, the bytes
+// csv.Writer would write, with no allocation per row.
 func (tr *Trace) EncodeCSV(w io.Writer, compress bool) error {
 	var zw *gzip.Writer
 	if compress {
 		zw = gzip.NewWriter(w)
 		w = zw
 	}
-	cw := csv.NewWriter(w)
+	bw := bufio.NewWriterSize(w, 32<<10)
+	cw := csv.NewWriter(bw)
 	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
-	for _, t := range tr.Tasks {
-		rec := []string{
-			strconv.Itoa(t.ID),
-			strconv.Itoa(t.JobID),
-			strconv.FormatInt(t.StartSec, 10),
-			strconv.FormatInt(t.EndSec, 10),
-			strconv.FormatFloat(t.BookedCPU, 'g', -1, 64),
-			strconv.FormatFloat(t.BookedMemGiB, 'g', -1, 64),
-			strconv.FormatFloat(t.UsedCPU, 'g', -1, 64),
-			strconv.FormatFloat(t.UsedMemGiB, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
 	cw.Flush()
-	if err := cw.Error(); err != nil || zw == nil {
+	var row []byte
+	for i := range tr.Tasks {
+		t := &tr.Tasks[i]
+		row = strconv.AppendInt(row[:0], int64(t.ID), 10)
+		row = strconv.AppendInt(append(row, ','), int64(t.JobID), 10)
+		row = strconv.AppendInt(append(row, ','), t.StartSec, 10)
+		row = strconv.AppendInt(append(row, ','), t.EndSec, 10)
+		for _, x := range [...]float64{t.BookedCPU, t.BookedMemGiB, t.UsedCPU, t.UsedMemGiB} {
+			row = strconv.AppendFloat(append(row, ','), x, 'g', -1, 64)
+		}
+		row = append(row, '\n')
+		_, _ = bw.Write(row) // a write error sticks, and Flush returns it
+	}
+	if err := bw.Flush(); err != nil || zw == nil {
 		return err
 	}
 	return zw.Close()

@@ -2,7 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/csv"
+	"io"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -76,5 +81,86 @@ func TestDecodeCSVShortInputs(t *testing.T) {
 	// truncated gzip header.
 	if _, err := decodeTasks(strings.NewReader("x"), nil); err == nil || !strings.Contains(err.Error(), "columns") {
 		t.Fatalf("one-byte input: err=%v, want the CSV column error", err)
+	}
+}
+
+// encodeCSVRows is the reference encoder: every row through csv.Writer.
+func encodeCSVRows(tr *Trace, w io.Writer, compress bool) error {
+	var zw *gzip.Writer
+	if compress {
+		zw = gzip.NewWriter(w)
+		w = zw
+	}
+	cw := csv.NewWriter(w)
+	if err := cw.Write(csvHeader); err != nil {
+		return err
+	}
+	for _, t := range tr.Tasks {
+		if err := cw.Write([]string{
+			strconv.Itoa(t.ID), strconv.Itoa(t.JobID),
+			strconv.FormatInt(t.StartSec, 10), strconv.FormatInt(t.EndSec, 10),
+			strconv.FormatFloat(t.BookedCPU, 'g', -1, 64), strconv.FormatFloat(t.BookedMemGiB, 'g', -1, 64),
+			strconv.FormatFloat(t.UsedCPU, 'g', -1, 64), strconv.FormatFloat(t.UsedMemGiB, 'g', -1, 64),
+		}); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil || zw == nil {
+		return err
+	}
+	return zw.Close()
+}
+
+// TestEncodeCSVIsTheCSVWriter: for all five families and both Google
+// presets, plain and gzip, EncodeCSV writes the bytes csv.Writer writes row
+// by row — including an empty trace and tasks with negative IDs and extreme
+// floats — and it allocates no more for 4 000 rows than for 40.
+func TestEncodeCSVIsTheCSVWriter(t *testing.T) {
+	var traces []*Trace
+	for _, fam := range Families() {
+		tr, err := fam.Generate(FamilyParams{Machines: 100, HorizonSec: 24 * 3600, Tasks: 4000, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, tr)
+	}
+	for _, cfg := range []GeneratorConfig{DefaultConfig(), ModifiedConfig()} {
+		cfg.Tasks = 4000
+		tr, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, tr)
+	}
+	odd := &Trace{Name: "odd", Machines: 1, HorizonSec: 10, Tasks: []Task{
+		{ID: -9, JobID: math.MinInt64, StartSec: 0, EndSec: 10, BookedCPU: math.MaxFloat64, BookedMemGiB: math.SmallestNonzeroFloat64, UsedCPU: 1e21, UsedMemGiB: 1e-7},
+		{ID: math.MaxInt64, JobID: 0, StartSec: 3, EndSec: 4, BookedCPU: 0.1, BookedMemGiB: 123456789.125, UsedCPU: 0, UsedMemGiB: math.Copysign(0, -1)},
+	}}
+	traces = append(traces, &Trace{Name: "empty", Machines: 1, HorizonSec: 1}, odd)
+	for _, tr := range traces {
+		for _, compress := range []bool{false, true} {
+			var got, want bytes.Buffer
+			if err := tr.EncodeCSV(&got, compress); err != nil {
+				t.Fatal(err)
+			}
+			if err := encodeCSVRows(tr, &want, compress); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s (gzip %v): EncodeCSV wrote %d bytes, csv.Writer %d, and they differ", tr.Name, compress, got.Len(), want.Len())
+			}
+		}
+	}
+	allocs := func(tasks int) float64 {
+		tr := &Trace{Name: "allocs", Machines: 1, HorizonSec: 1, Tasks: traces[0].Tasks[:tasks]}
+		return testing.AllocsPerRun(5, func() {
+			if err := tr.EncodeCSV(io.Discard, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(40), allocs(4000); large > small {
+		t.Fatalf("EncodeCSV allocates %v times for 40 rows and %v for 4 000", small, large)
 	}
 }

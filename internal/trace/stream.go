@@ -20,7 +20,7 @@ type EventKind uint8
 
 // The stream events. Depart sorts before Arrive: a task ending at instant T
 // has already released its resources when another task arrives at T, matching
-// the offline replayer's retirement rule (EndSec <= epoch start).
+// the offline epoch walk's retirement rule (EndSec <= epoch start).
 const (
 	Depart EventKind = iota
 	Arrive
