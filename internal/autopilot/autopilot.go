@@ -93,6 +93,11 @@ func (c *Config) Validate() error {
 	if err := c.Trace.Validate(); err != nil {
 		return err
 	}
+	return c.validateRun()
+}
+
+// validateRun checks everything the configuration adds to its trace.
+func (c *Config) validateRun() error {
 	if err := validatePolicy(c.Policy); err != nil {
 		return err
 	}
@@ -223,6 +228,8 @@ type Result struct {
 type walk struct {
 	cfg   *Config
 	total int
+	// prices is cfg.Machine compiled for the walk.
+	prices energy.Prices
 
 	// idx is the trace's replay index: the walk knows a VM by its rank, its
 	// position in the arrival order, and reads its events and its demand from
@@ -322,7 +329,7 @@ func Run(cfg Config) (Result, error) {
 // each, cfg.Policy is not read). Several lanes need a configuration that
 // walks them together (see walk).
 func newWalk(cfg *Config, idx *dcsim.ReplayIndex, policies []Policy) *walk {
-	w := &walk{cfg: cfg, total: cfg.Trace.Machines, idx: idx, lanes: make([]lane, len(policies)), obs: newAPObs(cfg.Obs)}
+	w := &walk{cfg: cfg, total: cfg.Trace.Machines, prices: cfg.Machine.Prices(), idx: idx, lanes: make([]lane, len(policies)), obs: newAPObs(cfg.Obs)}
 	if !cfg.Chaos.Empty() {
 		w.chaos = newChaosRun(cfg.Chaos)
 	}
@@ -432,8 +439,8 @@ func (l *lane) integrate(from, to int64) {
 		// Crashed servers wedge at S0 idle power and stuck zombies burn Sz
 		// until their windows close — pure penalties on the consolidated
 		// side, never on the baseline.
-		burn := float64(l.chaos.crashed)*l.cfg.Machine.PowerWatts(acpi.S0, 0) +
-			float64(l.chaos.stuck)*l.cfg.Machine.PowerWatts(acpi.Sz, 0)
+		burn := float64(l.chaos.crashed)*l.prices.PowerWatts(acpi.S0, 0) +
+			float64(l.chaos.stuck)*l.prices.PowerWatts(acpi.Sz, 0)
 		l.addPenalty(burn * float64(to-from))
 	}
 	if l.cfg.Executor != nil {
@@ -454,8 +461,8 @@ func (l *lane) billInterval(to int64) {
 	}
 	billed := l.posture
 	billed.ActiveCPUUtilization = consolidation.Utilization(l.cum.UsedCPU, billed.ActiveHosts, l.cfg.ServerSpec.Cores)
-	l.res.EnergyJoules += dcsim.PosturePowerWatts(l.cfg.Machine, billed) * dt
-	l.res.BaselineJoules += dcsim.BaselinePowerWatts(l.cfg.Machine, l.cfg.ServerSpec, l.cum.UsedCPU, l.total) * dt
+	l.res.EnergyJoules += dcsim.PosturePowerWatts(&l.prices, billed) * dt
+	l.res.BaselineJoules += dcsim.BaselinePowerWatts(&l.prices, l.cfg.ServerSpec, l.cum.UsedCPU, l.total) * dt
 }
 
 // addPenalty charges a chaos fault penalty: energy on the consolidated fleet
@@ -578,7 +585,7 @@ func (l *lane) ensureActive(nowSec int64, required int) error {
 			l.res.StuckZombies += failed
 			l.res.WastedTransitions += failed
 			l.res.StateTransitions += failed
-			l.addPenalty(float64(failed) * l.cfg.Machine.TransitionJoules(acpi.S3, acpi.S0))
+			l.addPenalty(float64(failed) * l.prices.TransitionJoules(acpi.S3, acpi.S0))
 			l.obs.observeWakeFailures(nowSec, failed)
 		}
 	}
@@ -694,7 +701,7 @@ func (l *lane) applyPosture(nowSec int64, next consolidation.FleetPlan, withChur
 	if l.chaos != nil && withChurn {
 		fabric = l.chaos.plan.FabricFactor(nowSec, nowSec+int64(dtSec))
 	}
-	bill := dcsim.TransitionCost(l.cfg.Machine, l.planner.Name(), l.posture, priced, running, dtSec, fabric)
+	bill := dcsim.TransitionCost(&l.prices, l.planner.Name(), l.posture, priced, running, dtSec, fabric)
 	l.res.EnergyJoules += bill.Joules
 	l.res.TransitionJoules += bill.Joules
 	l.res.StateTransitions += bill.Transitions

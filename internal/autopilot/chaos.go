@@ -141,7 +141,7 @@ func (l *lane) chaosMoment(now int64, m chaosMoment) error {
 		// memory state from its mirrored log; one machine's worth of S0 idle
 		// power burns for the rebuild window.
 		l.res.ControllerFailovers++
-		l.addPenalty(float64(f.DurationSec) * l.cfg.Machine.PowerWatts(acpi.S0, 0))
+		l.addPenalty(float64(f.DurationSec) * l.prices.PowerWatts(acpi.S0, 0))
 		l.obs.observeChaosCtrlLoss(now, f.DurationSec)
 	}
 	return nil
@@ -185,7 +185,7 @@ func (l *lane) chaosCrash(now int64, f chaos.Fault, idx int) error {
 // sleeper wakes into the crashed server's category c. With no sleeper left
 // the share is lost — an SLO violation.
 func (l *lane) reHome(now int64, shareGiB float64, c consolidation.Category) {
-	m := l.cfg.Machine
+	m := &l.prices
 	if shareGiB > 0 {
 		l.res.ReHomedGiB += shareGiB
 		l.addPenalty(dcsim.ReHomeJoules(m, shareGiB, l.posture.ActiveCPUUtilization, l.chaos.plan.FabricFactorAt(now)))
@@ -215,7 +215,7 @@ func (l *lane) chaosRepair(now int64, idx int) {
 	l.chaos.faults[idx].crashed = 0
 	l.chaos.crashed -= n
 	l.posture.SleepHosts += n
-	l.addPenalty(float64(n) * l.cfg.Machine.TransitionJoules(acpi.S0, acpi.S3))
+	l.addPenalty(float64(n) * l.prices.TransitionJoules(acpi.S0, acpi.S3))
 	l.res.StateTransitions += n
 	l.obs.observeChaosRepair(now, "crash", n)
 }
@@ -230,7 +230,7 @@ func (l *lane) chaosStuckRepair(now int64, idx int) {
 	l.chaos.faults[idx].failed = 0
 	l.chaos.stuck -= n
 	l.posture.SleepHosts += n
-	m := l.cfg.Machine
+	m := &l.prices
 	l.addPenalty(float64(n) * (m.TransitionJoules(acpi.Sz, acpi.S0) + m.TransitionJoules(acpi.S0, acpi.S3)))
 	l.res.StateTransitions += 2 * n
 	l.obs.observeChaosRepair(now, "stuck", n)
@@ -269,11 +269,12 @@ func newFaultFree(cfg Config, policies []Policy) (*replay, error) {
 	cfg.Chaos = nil
 	cfg.OnTick = nil
 	cfg.Obs = nil
-	return newReplay(cfg, freshPolicies(policies))
+	return newReplay(cfg, freshPolicies(policies), false)
 }
 
 // newChaosRow prepares the faulted side of a row against already-prepared
-// fault-free twins, which CompareChaos shares across its scenarios.
+// fault-free twins, which CompareChaos shares across its scenarios. The twins
+// validated cfg's trace, so the faulted side does not again.
 func newChaosRow(cfg Config, plan *chaos.Plan, policies []Policy, ff *replay) (*ChaosRow, error) {
 	if plan == nil {
 		plan = &chaos.Plan{Name: "off"}
@@ -285,7 +286,7 @@ func newChaosRow(cfg Config, plan *chaos.Plan, policies []Policy, ff *replay) (*
 	if !plan.Empty() {
 		cfg.Chaos = plan
 		var err error
-		if row.faulted, err = newReplay(cfg, freshPolicies(policies)); err != nil {
+		if row.faulted, err = newReplay(cfg, freshPolicies(policies), true); err != nil {
 			return nil, err
 		}
 	}

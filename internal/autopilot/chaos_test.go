@@ -400,9 +400,10 @@ func TestCrashPricedAlikeOnlineAndOffline(t *testing.T) {
 				// the planner and the fleet size.
 				l := &lane{
 					walk: &walk{
-						cfg:   &Config{Machine: machine, ServerSpec: consolidation.DefaultServerSpec()},
-						total: posture.TotalHosts(),
-						chaos: newChaosRun(plan),
+						cfg:    &Config{Machine: machine, ServerSpec: consolidation.DefaultServerSpec()},
+						prices: machine.Prices(),
+						total:  posture.TotalHosts(),
+						chaos:  newChaosRun(plan),
 					},
 					planner: fixedPlan{posture},
 					posture: posture,

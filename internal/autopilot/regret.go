@@ -54,13 +54,20 @@ type replay struct {
 
 // newReplay sets up the replay of cfg for the given policies (at least one),
 // which it runs as they are: each must be a fresh instance. cfg.Policy is
-// ignored. A chaos plan on the config is applied to BOTH sides: the trace is
-// perturbed once (see prepare), the online loops inject the faults as events,
-// and the oracle replays under the same schedule through dcsim's
-// degraded-capacity pricing.
-func newReplay(cfg Config, policies []Policy) (*replay, error) {
+// ignored. With traceChecked, cfg's trace has passed Trace.Validate already
+// and only the rest of cfg is validated. A chaos plan on the config is
+// applied to BOTH sides: the trace is perturbed once (see prepare), the
+// online loops inject the faults as events, and the oracle replays under the
+// same schedule through dcsim's degraded-capacity pricing.
+func newReplay(cfg Config, policies []Policy, traceChecked bool) (*replay, error) {
 	cfg.Policy = policies[0]
-	if err := cfg.Validate(); err != nil {
+	var err error
+	if traceChecked {
+		err = cfg.validateRun()
+	} else {
+		err = cfg.Validate()
+	}
+	if err != nil {
 		return nil, err
 	}
 	for _, pol := range policies[1:] {
@@ -190,7 +197,7 @@ func oracleConfig(cfg *Config, planner consolidation.Policy) dcsim.Config {
 // included), the online loop only ever sees the past. A chaos plan on the
 // config is applied to both sides — the apples-to-apples resilience regret.
 func Regret(cfg Config) (Report, error) {
-	r, err := newReplay(cfg, []Policy{cfg.Policy})
+	r, err := newReplay(cfg, []Policy{cfg.Policy}, false)
 	if err != nil {
 		return Report{}, err
 	}
@@ -209,7 +216,7 @@ func CompareOnline(cfg Config, policies []Policy) ([]Report, error) {
 	if len(policies) == 0 {
 		return reports, nil
 	}
-	r, err := newReplay(cfg, policies)
+	r, err := newReplay(cfg, policies, false)
 	if err != nil {
 		return nil, err
 	}

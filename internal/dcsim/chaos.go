@@ -86,7 +86,7 @@ func chaosAlignPrev(cfg *Config, prev, plan consolidation.FleetPlan) consolidati
 // chaosEpochCost prices the epoch's fault penalties.
 func chaosEpochCost(cfg *Config, prev, plan consolidation.FleetPlan, vms int, span epochSpan) chaosBill {
 	p := cfg.Chaos
-	m := cfg.Machine
+	m := &cfg.prices
 	var bill chaosBill
 
 	// Crashed servers wedge at S0 idle for their in-epoch server-seconds.
@@ -134,7 +134,7 @@ func chaosEpochCost(cfg *Config, prev, plan consolidation.FleetPlan, vms int, sp
 }
 
 // replace bills the replacements of n crashed servers of category c.
-func (b *chaosBill) replace(m *energy.MachineProfile, c consolidation.Category, n int) {
+func (b *chaosBill) replace(m *energy.Prices, c consolidation.Category, n int) {
 	joules, transitions := Replacement(m, c)
 	b.joules += float64(n) * joules
 	b.transitions += n * transitions
@@ -171,7 +171,7 @@ func StrikeOrder(role chaos.CrashRole) [4]consolidation.Category {
 // Replacement prices replacing one crashed server of category c: an active
 // server's replacement wakes S3->S0, a zombie's wakes and re-suspends to Sz,
 // a memory server's only wakes, and a sleeper needs none.
-func Replacement(m *energy.MachineProfile, c consolidation.Category) (joules float64, transitions int) {
+func Replacement(m *energy.Prices, c consolidation.Category) (joules float64, transitions int) {
 	if c == consolidation.SleepHost {
 		return 0, 0
 	}
@@ -196,7 +196,7 @@ func ServingShare(plan consolidation.FleetPlan) float64 {
 // ReHomeJoules prices moving shareGiB of remote memory onto replacement
 // servers: a one-sided transfer over the fabric, slowed by fabricFactor,
 // stalling one active host at utilization util.
-func ReHomeJoules(m *energy.MachineProfile, shareGiB, util, fabricFactor float64) float64 {
+func ReHomeJoules(m *energy.Prices, shareGiB, util, fabricFactor float64) float64 {
 	if shareGiB <= 0 {
 		return 0
 	}

@@ -45,17 +45,15 @@ type Config struct {
 	// function of (plan, epoch span, epoch posture), so the parallel engine
 	// stays bit-identical — and an empty plan is bit-identical to no plan.
 	Chaos *chaos.Plan
+
+	// prices is Machine compiled once the config is prepared.
+	prices energy.Prices
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration as Run does.
 func (c *Config) Validate() error {
-	if c.Trace == nil {
-		return fmt.Errorf("dcsim: a trace is required")
-	}
-	if err := c.Trace.Validate(); err != nil {
-		return err
-	}
-	return c.validateRun()
+	_, err := prepare(c.Trace, c.Workers, []Config{*c})
+	return err
 }
 
 // validateRun checks everything the configuration adds to its trace.
@@ -323,31 +321,51 @@ const (
 	busyTerms, cellTerms                            = coldMem, 2*coldMem + 1
 )
 
-// termGrid finds, in one scan split into parts ranges, the fixed-point grid
-// that holds every sum of the tasks' terms exactly: each sum of a difference
-// pass adds or subtracts a task's term at most twice. A cold term needs no
-// covering: booked and used memory are not negative, so their difference is
-// a multiple of the lower one's lowest bit and no larger than the larger
-// one, however it rounds.
-func termGrid(tasks []trace.Task, parts int) exact.Grid {
-	spans := make([]exact.Span, parts)
-	inParallel(len(tasks), parts, func(p, lo, hi int) {
+// termGrid validates the trace and finds the fixed-point grid that holds
+// every sum of its tasks' terms exactly, in one scan split into the ranges
+// of workers: each sum of a difference pass adds or subtracts a task's term
+// at most twice. A cold term needs no covering: booked and used memory are
+// not negative, so their difference is a multiple of the lower one's lowest
+// bit and no larger than the larger one, however it rounds.
+//
+// Its error is the one Trace.Validate returns: the metadata's, or that of
+// the first invalid task. Each range stops at its own first, and the lowest
+// range with one wins.
+func termGrid(tr *trace.Trace, workers int) (exact.Grid, error) {
+	if err := tr.ValidateMeta(); err != nil {
+		return exact.Grid{}, err
+	}
+	type scan struct {
+		span exact.Span
+		err  error
+	}
+	tasks := tr.Tasks
+	scans := make([]scan, cut(len(tasks), workers))
+	inParallel(len(tasks), len(scans), func(p, lo, hi int) {
 		var span exact.Span
 		for i := lo; i < hi; i++ {
 			t := &tasks[i]
+			if err := t.ValidateIn(tr.HorizonSec); err != nil {
+				scans[p].err = err
+				return
+			}
 			span.Cover(t.BookedCPU, t.BookedMemGiB, t.UsedCPU, t.UsedMemGiB)
 		}
-		spans[p] = span
+		scans[p].span = span
 	})
-	for _, s := range spans[1:] {
-		spans[0].Join(s)
+	var span exact.Span
+	for _, s := range scans {
+		if s.err != nil {
+			return exact.Grid{}, s.err
+		}
+		span.Join(s.span)
 	}
-	return spans[0].Grid(2 * len(tasks))
+	return span.Grid(2 * len(tasks)), nil
 }
 
 // epochDemands is the difference pass: the Demand of each of the epochs of
-// periodSec over the trace, exactly the sums of the tasks overlapping the
-// epoch's span, rounded once per field.
+// periodSec over the trace, whose grid termGrid found, exactly the sums of
+// the tasks overlapping the epoch's span, rounded once per field.
 //
 // A task overlaps epochs ⌊start/period⌋ through ⌈end/period⌉-1, so its
 // counts and terms are added to the first one's cell of a difference array
@@ -357,9 +375,8 @@ func termGrid(tasks []trace.Task, parts int) exact.Grid {
 // that many contiguous ranges, each entered into its own array, and a prefix
 // scan adds every array's cells in, exactly, so the Demands do not depend on
 // the split.
-func epochDemands(tr *trace.Trace, periodSec int64, epochs, workers int) []consolidation.Demand {
+func epochDemands(tr *trace.Trace, grid exact.Grid, periodSec int64, epochs, workers int) []consolidation.Demand {
 	parts := make([][]uint64, cut(len(tr.Tasks), workers))
-	grid := termGrid(tr.Tasks, len(parts))
 	k := grid.Words
 	stride := 2 + cellTerms*k
 	inParallel(len(tr.Tasks), len(parts), func(p, lo, hi int) {
@@ -433,11 +450,11 @@ func simulateEpoch(cfg *Config, d consolidation.Demand, span epochSpan, prev con
 		sleepDt:   float64(plan.SleepHosts) * dt,
 		utilDt:    plan.ActiveCPUUtilization * dt,
 		dt:        dt,
-		energyJ:   PosturePowerWatts(cfg.Machine, plan) * dt,
-		baselineJ: BaselinePowerWatts(cfg.Machine, cfg.ServerSpec, d.UsedCPU, cfg.Trace.Machines) * dt,
+		energyJ:   PosturePowerWatts(&cfg.prices, plan) * dt,
+		baselineJ: BaselinePowerWatts(&cfg.prices, cfg.ServerSpec, d.UsedCPU, cfg.Trace.Machines) * dt,
 	}
 	if cfg.TransitionCosts {
-		c := TransitionCost(cfg.Machine, cfg.Policy.Name(), chaosAlignPrev(cfg, prev, plan), plan, d, dt, chaosFabricFactor(cfg, span))
+		c := TransitionCost(&cfg.prices, cfg.Policy.Name(), chaosAlignPrev(cfg, prev, plan), plan, d, dt, chaosFabricFactor(cfg, span))
 		stats.energyJ += c.Joules
 		stats.transitionJ = c.Joules
 		stats.transitions = c.Transitions
@@ -475,29 +492,40 @@ func epochPlan(cfg *Config, d consolidation.Demand, span epochSpan) consolidatio
 // Config.Workers goroutines; the result is identical either way.
 func Run(cfg Config) (Result, error) {
 	cfgs := []Config{cfg}
-	if err := prepare(cfg.Trace, cfgs); err != nil {
+	grid, err := prepare(cfg.Trace, cfg.Workers, cfgs)
+	if err != nil {
 		return Result{}, err
 	}
-	return walk(cfgs)[0], nil
+	return walk(cfgs, grid)[0], nil
 }
 
-// prepare readies the configs of one walk, which all replay tr: the trace is
-// validated once for all of them, then each gets the default 300 s period
-// and is validated itself. The first error wins.
-func prepare(tr *trace.Trace, cfgs []Config) error {
+// prepare readies the configs of one walk, which all replay tr on workers,
+// and returns the trace's grid: the scan that finds it validates the trace
+// once for all of them (termGrid), then readyConfigs readies each. The first
+// error wins, so a trace error comes before any config's.
+func prepare(tr *trace.Trace, workers int, cfgs []Config) (exact.Grid, error) {
 	if tr == nil {
-		return fmt.Errorf("dcsim: a trace is required")
+		return exact.Grid{}, fmt.Errorf("dcsim: a trace is required")
 	}
-	if err := tr.Validate(); err != nil {
-		return err
+	grid, err := termGrid(tr, workers)
+	if err != nil {
+		return exact.Grid{}, err
 	}
+	return grid, readyConfigs(cfgs)
+}
+
+// readyConfigs gives each config the default 300 s period, validates what
+// it adds to its trace and compiles its prices. The first error wins.
+func readyConfigs(cfgs []Config) error {
 	for i := range cfgs {
-		if cfgs[i].ConsolidationPeriodSec <= 0 {
-			cfgs[i].ConsolidationPeriodSec = 300
+		c := &cfgs[i]
+		if c.ConsolidationPeriodSec <= 0 {
+			c.ConsolidationPeriodSec = 300
 		}
-		if err := cfgs[i].validateRun(); err != nil {
+		if err := c.validateRun(); err != nil {
 			return err
 		}
+		c.prices = c.Machine.Prices()
 	}
 	return nil
 }
@@ -550,15 +578,15 @@ func mergeEpochStats(cfg Config, stats []epochStats) Result {
 const oasisMemoryServerFraction = 0.4
 
 // PosturePowerWatts returns the steady-state fleet power (watts) of one
-// consolidation posture: active hosts at their operating point, zombies in
-// Sz, Oasis memory servers at oasisMemoryServerFraction of peak power,
-// sleepers in S3. It is the single pricing rule shared by the offline engine
-// and the online control plane, so the two sides of a regret comparison
-// integrate identical power.
-func PosturePowerWatts(m *energy.MachineProfile, plan consolidation.FleetPlan) float64 {
+// consolidation posture on a machine priced by m: active hosts at their
+// operating point, zombies in Sz, Oasis memory servers at
+// oasisMemoryServerFraction of peak power, sleepers in S3. It is the single
+// pricing rule shared by the offline engine and the online control plane, so
+// the two sides of a regret comparison integrate identical power.
+func PosturePowerWatts(m *energy.Prices, plan consolidation.FleetPlan) float64 {
 	p := float64(plan.ActiveHosts) * m.PowerWatts(acpi.S0, plan.ActiveCPUUtilization)
 	p += float64(plan.ZombieHosts) * m.PowerWatts(acpi.Sz, 0)
-	p += float64(plan.MemoryServers) * oasisMemoryServerFraction * m.MaxPowerWatts
+	p += float64(plan.MemoryServers) * oasisMemoryServerFraction * m.MaxPowerWatts()
 	p += float64(plan.SleepHosts) * m.PowerWatts(acpi.S3, 0)
 	return p
 }
@@ -567,7 +595,7 @@ func PosturePowerWatts(m *energy.MachineProfile, plan consolidation.FleetPlan) f
 // in S0 with the aggregate used CPU (cores) spread across the whole fleet.
 // Shared with the online control plane for the same reason as
 // PosturePowerWatts.
-func BaselinePowerWatts(m *energy.MachineProfile, spec consolidation.ServerSpec, usedCPU float64, totalServers int) float64 {
+func BaselinePowerWatts(m *energy.Prices, spec consolidation.ServerSpec, usedCPU float64, totalServers int) float64 {
 	return float64(totalServers) * m.PowerWatts(acpi.S0, consolidation.Utilization(usedCPU, totalServers, spec.Cores))
 }
 
@@ -602,7 +630,7 @@ type CompareOptions struct {
 // given engine options, all in one walk: each epoch's population is built once
 // and planned by every run.
 func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consolidation.ServerSpec, opts CompareOptions) (Comparison, error) {
-	var cfgs []Config
+	cfgs := make([]Config, 0, 3*len(machines))
 	for _, m := range machines {
 		for _, pol := range consolidation.Contenders() {
 			cfgs = append(cfgs, Config{
@@ -611,10 +639,11 @@ func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consol
 			})
 		}
 	}
-	if err := prepare(tr, cfgs); err != nil {
+	grid, err := prepare(tr, opts.Workers, cfgs)
+	if err != nil {
 		return Comparison{}, err
 	}
-	return Comparison{Trace: tr.Name, Results: walk(cfgs)}, nil
+	return Comparison{Trace: tr.Name, Results: walk(cfgs, grid)}, nil
 }
 
 // Saving returns the saving of a given policy/machine pair from a comparison.

@@ -177,12 +177,13 @@ func TestPosturePowerMatchesLedger(t *testing.T) {
 	}
 	spec := consolidation.DefaultServerSpec()
 	for _, m := range energy.Profiles() {
+		prices := m.Prices()
 		for _, plan := range postures {
 			want := ledger(m, acpi.S0, plan.ActiveCPUUtilization, plan.ActiveHosts) +
 				ledger(m, acpi.Sz, 0, plan.ZombieHosts) +
 				ledger(m, acpi.S3, 0, plan.SleepHosts) +
 				float64(plan.MemoryServers)*0.4*m.MaxPowerWatts*dtSec
-			if got := PosturePowerWatts(m, plan) * dtSec; !near(got, want) {
+			if got := PosturePowerWatts(&prices, plan) * dtSec; !near(got, want) {
 				t.Errorf("%s %+v: posture %v J, ledger %v J", m.Name, plan, got, want)
 			}
 		}
@@ -190,7 +191,7 @@ func TestPosturePowerMatchesLedger(t *testing.T) {
 			const servers = 12
 			util := min(usedCPU/(servers*spec.Cores), 1)
 			want := ledger(m, acpi.S0, util, servers)
-			if got := BaselinePowerWatts(m, spec, usedCPU, servers) * dtSec; !near(got, want) {
+			if got := BaselinePowerWatts(&prices, spec, usedCPU, servers) * dtSec; !near(got, want) {
 				t.Errorf("%s used %v cores: baseline %v J, ledger %v J", m.Name, usedCPU, got, want)
 			}
 		}
@@ -224,4 +225,45 @@ func TestTraceErrorWinsOverConfig(t *testing.T) {
 	if _, err := Sweep(SweepConfig{Policies: consolidation.Contenders(), Machines: []*energy.MachineProfile{nil}, Traces: []*trace.Trace{good}, PeriodsSec: []int64{300, 600}}); err == nil || err.Error() != want {
 		t.Fatalf("Sweep with a valid trace: got %v, want %q", err, want)
 	}
+}
+
+// FuzzScanValidates holds the scan that validates a walk's trace to
+// Trace.Validate: one task of a small valid trace takes the fuzzed fields,
+// and Run must fail with Trace.Validate's error, the same text, or succeed
+// where it succeeds, at every worker count from 1 to 4.
+func FuzzScanValidates(f *testing.F) {
+	tr, err := trace.Generate(trace.GeneratorConfig{
+		Name: "scan", Machines: 12, HorizonSec: 2 * 3600, Tasks: 40,
+		MemoryToCPURatio: 3, MeanUtilization: 0.35, IdleFraction: 0.25, Seed: 5,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), int64(0), int64(600), 1.0, 2.0, 0.5, 1.0)                  // valid
+	f.Add(uint8(20), int64(300), int64(300), 1.0, 2.0, 0.5, 1.0)               // ends as it starts
+	f.Add(uint8(39), int64(0), int64(600), math.NaN(), 2.0, 0.5, 1.0)          // non-finite
+	f.Add(uint8(7), int64(0), int64(600), 1.0, math.Inf(1), 0.5, 1.0)          // non-finite
+	f.Add(uint8(13), int64(0), int64(600), 0.0, 2.0, 0.0, 1.0)                 // no booking
+	f.Add(uint8(26), int64(0), int64(600), 1.0, 2.0, 1.6, 1.0)                 // implausible CPU
+	f.Add(uint8(30), int64(0), int64(600), 1.0, 2.0, 0.5, -1.0)                // implausible memory
+	f.Add(uint8(10), int64(-1), int64(600), 1.0, 2.0, 0.5, 1.0)                // starts before the horizon
+	f.Add(uint8(19), int64(7000), int64(2*3600+1), 1.0, 2.0, 0.5, 1.0)         // ends after it
+	f.Add(uint8(5), int64(0), int64(2*3600), 1e300, 1e-300, 0x1p-1074, 1e-300) // valid, a wide grid
+	f.Fuzz(func(t *testing.T, pos uint8, start, end int64, bookedCPU, bookedMem, usedCPU, usedMem float64) {
+		edited := *tr
+		edited.Tasks = slices.Clone(tr.Tasks)
+		task := &edited.Tasks[int(pos)%len(edited.Tasks)]
+		task.StartSec, task.EndSec = start, end
+		task.BookedCPU, task.BookedMemGiB, task.UsedCPU, task.UsedMemGiB = bookedCPU, bookedMem, usedCPU, usedMem
+		want := edited.Validate()
+		for workers := 1; workers <= 4; workers++ {
+			_, err := Run(Config{
+				Trace: &edited, Policy: consolidation.NewZombieStack(), Machine: energy.HPProfile(),
+				ServerSpec: consolidation.DefaultServerSpec(), ConsolidationPeriodSec: 900, Workers: workers,
+			})
+			if (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
+				t.Fatalf("task %d edited to %+v, %d workers: Run returned %v, Trace.Validate %v", task.ID, *task, workers, err, want)
+			}
+		}
+	})
 }

@@ -17,7 +17,7 @@
 // optimistic bound. With Config.TransitionCosts the engine becomes
 // event-driven: every epoch's change of plan is translated into transition
 // events — ACPI suspends and wakes priced by the internal/acpi latency table
-// through energy.TransitionJoules, VM migration drains priced by the
+// through energy.Prices.TransitionJoules, VM migration drains priced by the
 // internal/migration protocols, and remote-memory faults priced by the
 // internal/rdma cost model — and those events are charged against the epoch
 // energy ledger (see transitions.go). The baseline fleet never transitions,
@@ -35,8 +35,11 @@
 // so a repeated one is two VMs.
 //
 // Runs that share a trace and a consolidation period share one epoch walk
-// (parallel.go), which validates the trace once and computes each epoch's
-// Demand once for every run to plan and price.
+// (parallel.go), which computes each epoch's Demand once for every run to
+// plan and price. The scan that finds the grid validates the trace on its
+// worker ranges, returning Trace.Validate's error for the first bad task,
+// before any run's config is checked; each run compiles its machine's
+// energy.Prices then, and prices every epoch from that table.
 //
 // The simulation decomposes into independent consolidation epochs, so with
 // Config.Workers above 1 the walk splits both halves: the tasks into equal

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/consolidation"
+	"repro/internal/exact"
 )
 
 // cut returns how many contiguous ranges of n items workers walk: one range
@@ -33,10 +34,10 @@ func inParallel(n, parts int, fn func(p, lo, hi int)) {
 	wg.Wait()
 }
 
-// walk simulates every config over the epochs of their trace and returns
-// their results in config order. The configs are prepared, and share one
-// trace, one consolidation period and one Workers value; Workers of 0 or 1
-// walks on the caller's goroutine.
+// walk simulates every config over the epochs of their trace, whose grid
+// prepare found, and returns their results in config order. The configs are
+// prepared, and share one trace, one consolidation period and one Workers
+// value; Workers of 0 or 1 walks on the caller's goroutine.
 //
 // The difference pass (epochDemands) yields each epoch's Demand, then every
 // config plans and prices each epoch's Demand from its own previous plan,
@@ -50,14 +51,14 @@ func inParallel(n, parts int, fn func(p, lo, hi int)) {
 // one-epoch lookback — exactly the evaluation the neighbouring range
 // performs for that epoch — and bit-identity with the sequential engine is
 // preserved.
-func walk(cfgs []Config) []Result {
+func walk(cfgs []Config, grid exact.Grid) []Result {
 	if len(cfgs) == 0 {
 		return nil
 	}
 	lead := &cfgs[0]
 	spans := epochSpans(lead.Trace.HorizonSec, lead.ConsolidationPeriodSec)
 	n := len(spans)
-	demand := epochDemands(lead.Trace, lead.ConsolidationPeriodSec, n, lead.Workers)
+	demand := epochDemands(lead.Trace, grid, lead.ConsolidationPeriodSec, n, lead.Workers)
 	stats := make([]epochStats, len(cfgs)*n) // config c's epoch i is stats[c*n+i]
 	inParallel(n, cut(n, lead.Workers), func(_, lo, hi int) {
 		prev := make([]consolidation.FleetPlan, len(cfgs))

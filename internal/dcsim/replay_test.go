@@ -94,12 +94,22 @@ func checkSeek(t *testing.T, tr *trace.Trace, periodSec int64) {
 		want[j] = exactDemand(vms)
 	}
 	for workers := 1; workers <= 4; workers++ {
-		for j, d := range epochDemands(tr, periodSec, len(spans), workers) {
+		for j, d := range passDemands(t, tr, periodSec, len(spans), workers) {
 			if !bitEqual(d, want[j]) {
 				t.Fatalf("period %d, %d workers: Demand of epoch %d\n got %+v\nwant %+v", periodSec, workers, j, d, want[j])
 			}
 		}
 	}
+}
+
+// passDemands is the difference pass on the grid of the trace's own scan.
+func passDemands(t *testing.T, tr *trace.Trace, periodSec int64, epochs, workers int) []consolidation.Demand {
+	t.Helper()
+	grid, err := termGrid(tr, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return epochDemands(tr, grid, periodSec, epochs, workers)
 }
 
 // TestReplayerSeekEqualsBruteForce runs the oracle over a seeded batch of
@@ -198,7 +208,7 @@ func FuzzPlanDemand(f *testing.F) {
 		}
 		exact := exactDemand(vms)
 		for workers := 1; workers <= 4; workers++ {
-			if got := epochDemands(tr, tr.HorizonSec, 1, workers)[0]; !bitEqual(got, exact) {
+			if got := passDemands(t, tr, tr.HorizonSec, 1, workers)[0]; !bitEqual(got, exact) {
 				t.Fatalf("%d tasks, %d workers: the difference pass's Demand is\n%+v\nthe exact sums\n%+v", len(vms), workers, got, exact)
 			}
 		}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/consolidation"
 	"repro/internal/energy"
+	"repro/internal/exact"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -82,12 +83,18 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// A trace's grid depends on its tasks only, so one scan finds it, and
+	// validates the trace, for every period's walk. Nothing else runs yet,
+	// so every sweep worker scans.
 	traces := cfg.Traces
-	for _, tr := range traces {
+	workers := max(cfg.SweepWorkers, 1)
+	grids := make([]exact.Grid, len(traces))
+	for i, tr := range traces {
 		if tr == nil {
 			return nil, fmt.Errorf("dcsim: sweep given a nil trace")
 		}
-		if err := tr.Validate(); err != nil {
+		var err error
+		if grids[i], err = termGrid(tr, workers); err != nil {
 			return nil, fmt.Errorf("dcsim: sweep trace %q: %w", tr.Name, err)
 		}
 	}
@@ -105,22 +112,25 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	}
 	// The sweep pool alone saturates its workers when there are at least as
 	// many groups as workers; only fewer groups shard epochs inside each walk.
-	workers := max(cfg.SweepWorkers, 1)
 	ngroups := len(traces) * len(cfg.PeriodsSec)
 	engineWorkers := 0
 	if ngroups < workers {
 		engineWorkers = (workers + ngroups - 1) / ngroups
 	}
-	// A group is one walk: its configs, and the grid position of each.
+	// A group is one walk: its configs, the grid position of each, and the
+	// fixed-point grid of its trace.
 	type group struct {
 		cfgs  []Config
 		cells []int
+		grid  exact.Grid
 	}
 	groups := make([]group, 0, ngroups)
 	ncells := 0
-	for _, tr := range traces {
+	for i, tr := range traces {
 		first := len(groups)
-		groups = append(groups, make([]group, len(cfg.PeriodsSec))...)
+		for range cfg.PeriodsSec {
+			groups = append(groups, group{grid: grids[i]})
+		}
 		for _, m := range cfg.Machines {
 			for _, pol := range cfg.Policies {
 				for p, period := range cfg.PeriodsSec {
@@ -143,7 +153,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		}
 		// Validity is period-free: group one holds the first bad config.
 		for _, g := range groups[first:] {
-			if err := prepare(tr, g.cfgs); err != nil {
+			if err := readyConfigs(g.cfgs); err != nil {
 				return nil, err
 			}
 		}
@@ -157,7 +167,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			for g := range work {
-				for j, run := range walk(g.cfgs) {
+				for j, run := range walk(g.cfgs, g.grid) {
 					res.Runs[g.cells[j]] = run
 				}
 			}

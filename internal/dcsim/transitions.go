@@ -5,7 +5,7 @@
 //
 //   - ACPI transitions (S0 <-> S3, S0 <-> Sz, memory-server starts/stops)
 //     derived from consecutive plans via consolidation.Delta, priced with the
-//     acpi latency table through energy.TransitionJoules;
+//     acpi latency table through energy.Prices.TransitionJoules;
 //   - migration drains: a host released by the new plan keeps burning S0 idle
 //     power while its VMs migrate away, with per-VM durations from
 //     internal/migration (the ZombieStack protocol for the zombiestack
@@ -71,18 +71,18 @@ type TransitionBill struct {
 }
 
 // TransitionCost prices moving the fleet from the prev posture to the next
-// one, with a VM population whose Demand is running: the ACPI suspend/wake
-// events of the plan delta, the migration drains of the freed hosts (protocol
-// selected by the policy name — the ZombieStack protocol for "zombiestack",
-// vanilla pre-copy otherwise), and the remote-memory churn of the new posture
-// over dt seconds. Only the Demand's VM count and memory totals are read.
+// one on a machine priced by m, with a VM population whose Demand is
+// running: the ACPI suspend/wake events of the plan delta, the migration
+// drains of the freed hosts (protocol selected by the policy name — the
+// ZombieStack protocol for "zombiestack", vanilla pre-copy otherwise), and
+// the remote-memory churn of the new posture over dt seconds. Only the Demand's VM count and memory totals are read.
 // dt also caps each freed host's drain, so a host is never charged for
 // draining longer than the interval it drains in. fabricFactor scales the
 // churn's fabric latency — the chaos layer's degraded-fabric pricing; a
 // factor of exactly 1 is the healthy fabric, and multiplying by 1.0 is exact
 // in IEEE arithmetic, which keeps an empty fault plan indistinguishable from
 // the no-chaos path.
-func TransitionCost(m *energy.MachineProfile, policy string, prev, plan consolidation.FleetPlan, running consolidation.Demand, dt, fabricFactor float64) TransitionBill {
+func TransitionCost(m *energy.Prices, policy string, prev, plan consolidation.FleetPlan, running consolidation.Demand, dt, fabricFactor float64) TransitionBill {
 	d := consolidation.Delta(prev, plan, running.VMs)
 	var c TransitionBill
 	c.Transitions = d.Transitions()

@@ -155,46 +155,66 @@ func (m *MachineProfile) Validate() error {
 }
 
 // PowerFraction returns the fraction of Emax drawn by a server in the given
-// ACPI state at the given CPU utilization (0..1). Only S0 depends on
-// utilization; sleeping states use the Table 3 / Equation 1 fractions. Servers
-// in sleep states keep their wake NIC powered, hence the *WithIB variants.
-// PowerFraction never mutates the profile, so it is safe for concurrent use
-// (the parallel datacenter simulator evaluates it from many goroutines).
+// ACPI state at the given CPU utilization (0..1), by the rule of Prices. It
+// never mutates the profile, so it is safe for concurrent use.
 func (m *MachineProfile) PowerFraction(state acpi.SleepState, utilization float64) float64 {
-	if utilization < 0 {
-		utilization = 0
-	}
-	if utilization > 1 {
-		utilization = 1
-	}
-	switch state {
-	case acpi.S0:
-		// Linear interpolation between the idle floor (IB card on, idle) and
-		// Emax, the common first-order server power model behind Figure 1.
-		idle := m.Measured[S0WithIBOff]
-		return idle + (1-idle)*utilization
-	case acpi.S1, acpi.S2:
-		return m.Measured[S3WithIB] * 1.5 // shallower than S3; rarely used
-	case acpi.S3:
-		return m.Measured[S3WithIB]
-	case acpi.Sz:
-		if v, ok := m.Measured[SzEstimated]; ok {
-			return v
-		}
-		return m.szEstimate()
-	case acpi.S4:
-		return m.Measured[S4WithIB]
-	case acpi.S5:
-		return m.Measured[S4WithoutIB] // soft-off ~ hibernate floor
-	default:
-		return 0
-	}
+	p := m.Prices()
+	return p.Fraction(state, utilization)
 }
 
 // PowerWatts converts PowerFraction to watts using MaxPowerWatts.
 func (m *MachineProfile) PowerWatts(state acpi.SleepState, utilization float64) float64 {
-	return m.PowerFraction(state, utilization) * m.MaxPowerWatts
+	p := m.Prices()
+	return p.PowerWatts(state, utilization)
 }
+
+// Prices is a MachineProfile compiled for pricing: Emax and the fraction of
+// it each ACPI state draws, the S0 one at idle, read from an array rather
+// than the Measured map. A simulation compiles one per configuration.
+type Prices struct {
+	fraction [acpi.Sz + 1]float64
+	maxWatts float64
+}
+
+// Prices compiles the profile. Sleeping servers keep their wake NIC
+// powered, hence the *WithIB variants; Sz is the Measured entry when there
+// is one and Equation 1 otherwise.
+func (m *MachineProfile) Prices() Prices {
+	sz, ok := m.Measured[SzEstimated]
+	if !ok {
+		sz = m.szEstimate()
+	}
+	s3 := m.Measured[S3WithIB]
+	return Prices{maxWatts: m.MaxPowerWatts, fraction: [...]float64{
+		acpi.S0: m.Measured[S0WithIBOff],     // the idle floor: IB card present, idle
+		acpi.S1: s3 * 1.5, acpi.S2: s3 * 1.5, // shallower than S3; rarely used
+		acpi.S3: s3, acpi.Sz: sz, acpi.S4: m.Measured[S4WithIB],
+		acpi.S5: m.Measured[S4WithoutIB], // soft-off ~ hibernate floor
+	}}
+}
+
+// Fraction returns the fraction of Emax drawn in the given state at the
+// given CPU utilization, clamped to 0..1. Only S0 depends on it: a linear
+// interpolation from the idle floor to Emax, the common first-order server
+// power model behind Figure 1. A state outside acpi's draws nothing.
+func (p *Prices) Fraction(state acpi.SleepState, utilization float64) float64 {
+	if state == acpi.S0 {
+		idle := p.fraction[acpi.S0]
+		return idle + (1-idle)*min(max(utilization, 0), 1)
+	}
+	if uint(state) < uint(len(p.fraction)) {
+		return p.fraction[state]
+	}
+	return 0
+}
+
+// PowerWatts converts Fraction to watts.
+func (p *Prices) PowerWatts(state acpi.SleepState, utilization float64) float64 {
+	return p.Fraction(state, utilization) * p.maxWatts
+}
+
+// MaxPowerWatts is Emax in watts.
+func (p *Prices) MaxPowerWatts() float64 { return p.maxWatts }
 
 // Table3Row reproduces one machine row of Table 3: the percentage of maximum
 // energy in each measured configuration plus the Sz estimate, in the paper's

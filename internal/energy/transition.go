@@ -22,6 +22,12 @@ func TransitionSeconds(from, to acpi.SleepState) float64 {
 // machine: the S0 idle power drawn for the transition latency. Transitions
 // between two sleep states pay the full wake-plus-resuspend path, matching
 // acpi.TransitionNs.
+func (p *Prices) TransitionJoules(from, to acpi.SleepState) float64 {
+	return p.PowerWatts(acpi.S0, 0) * TransitionSeconds(from, to)
+}
+
+// TransitionJoules is Prices.TransitionJoules on the profile.
 func (m *MachineProfile) TransitionJoules(from, to acpi.SleepState) float64 {
-	return m.PowerWatts(acpi.S0, 0) * TransitionSeconds(from, to)
+	p := m.Prices()
+	return p.TransitionJoules(from, to)
 }

@@ -15,10 +15,12 @@ import (
 // Span is the range of binades a set of finite float64 terms occupies; the
 // zero value holds no term.
 type Span struct {
-	// Every term is a multiple of 2^(bias-low) below 2^(top-bias) in
-	// magnitude. The bias keeps both positive for any float64, so both only
-	// grow and the zero value is empty.
-	low, top int
+	// Every term is a multiple of 2^(bias-low), and no larger in magnitude
+	// than the float whose bits, sign cleared, are most: a finite float's
+	// magnitude orders as those bits do. The bias keeps low positive for any
+	// float64, so both only grow and the zero value is empty.
+	low  int
+	most uint64
 }
 
 const bias = 2200
@@ -32,28 +34,34 @@ func split(b uint64) (m uint64, u int) {
 	return m >> tz, max(exp, 1) - 1075 + tz
 }
 
-// Cover widens the span to hold the xs, which must be finite.
+// Cover widens the span to hold the xs, which must be finite. Only the low
+// bound needs each term's lowest set bit, 2^u as split finds it: bit 52, the
+// implicit one, is set in a normal x's significand and above a subnormal's
+// lowest set bit, so it leaves the trailing-zero count alone.
 func (s *Span) Cover(xs ...float64) {
-	low, top := s.low, s.top
+	low, most := s.low, s.most
 	for _, x := range xs {
-		if m, u := split(math.Float64bits(x)); m != 0 {
-			low, top = max(low, bias-u), max(top, bias+u+bits.Len64(m))
+		if b := math.Float64bits(x) &^ (1 << 63); b != 0 {
+			u := max(int(b>>52), 1) - 1075 + bits.TrailingZeros64(b|1<<52)
+			low, most = max(low, bias-u), max(most, b)
 		}
 	}
-	s.low, s.top = low, top
+	s.low, s.most = low, most
 }
 
 // Join widens the span to hold o's terms too.
-func (s *Span) Join(o Span) { s.low, s.top = max(s.low, o.low), max(s.top, o.top) }
+func (s *Span) Join(o Span) { s.low, s.most = max(s.low, o.low), max(s.most, o.most) }
 
 // Grid returns the format that holds, exactly, every signed sum of at most
-// terms of the span's terms: a sum of n terms below 2^t is below
-// 2^(t+bits.Len(n)), and one more bit keeps the sign.
+// terms of the span's terms: the largest term is below 2^t, a sum of n
+// terms below 2^(t+bits.Len(n)), and one more bit keeps the sign.
 func (s Span) Grid(terms int) Grid {
-	if s.top == 0 {
+	if s.most == 0 {
 		return Grid{Words: 1}
 	}
-	return Grid{Words: (s.top + s.low - 2*bias + bits.Len(uint(terms)) + 64) / 64, lo: bias - s.low}
+	m, u := split(s.most)
+	t := u + bits.Len64(m)
+	return Grid{Words: (t + s.low - bias + bits.Len(uint(terms)) + 64) / 64, lo: bias - s.low}
 }
 
 // Grid is a fixed-point format: a number is Words 64-bit words, least

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -219,4 +220,44 @@ func TestGridTakesMultiplesOfItsLowestBit(t *testing.T) {
 			t.Fatalf("number %d's negation on the grid of 3 and 6 is %v, want %v", i, got, -want)
 		}
 	}
+}
+
+// coverRef is the span of the xs by the formula Cover keeps: every nonzero
+// term split, its lowest set bit and its top taken one by one.
+func coverRef(xs []float64) (low, top int) {
+	for _, x := range xs {
+		if m, u := split(math.Float64bits(x)); m != 0 {
+			low, top = max(low, bias-u), max(top, bias+u+bits.Len64(m))
+		}
+	}
+	return low, top
+}
+
+// FuzzCoverFormula holds Cover, which splits only its largest magnitude, to
+// coverRef on any finite terms: the same lowest bit, and a largest term with
+// the same top. Its inputs are raw bit patterns, so negatives, zeros of
+// either sign and subnormals all occur.
+func FuzzCoverFormula(f *testing.F) {
+	f.Add(uint64(0), uint64(1<<63), uint64(1), uint64(1<<63|1)) // ±0 and ±the least subnormal
+	f.Add(math.Float64bits(0.37), math.Float64bits(-1e300), math.Float64bits(3), math.Float64bits(0x1p-1022))
+	f.Add(math.Float64bits(-0x1.fffffffffffffp-1023), math.Float64bits(2.5), math.Float64bits(-0x1p+1023), uint64(0x7ff0000000000000))
+	f.Fuzz(func(t *testing.T, a, b, c, d uint64) {
+		xs := []float64{finite(a), finite(b), finite(c), finite(d)}
+		for cut := 0; cut <= len(xs); cut++ {
+			// One Cover of the first cut terms and one of the rest, joined.
+			var s, rest Span
+			s.Cover(xs[:cut]...)
+			rest.Cover(xs[cut:]...)
+			s.Join(rest)
+			low, top := coverRef(xs)
+			gotTop := 0
+			if s.most != 0 {
+				m, u := split(s.most)
+				gotTop = bias + u + bits.Len64(m)
+			}
+			if s.low != low || gotTop != top {
+				t.Fatalf("Cover(%v) split at %d: low %d top %d, the per-term formula low %d top %d", xs, cut, s.low, gotTop, low, top)
+			}
+		}
+	})
 }

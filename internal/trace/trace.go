@@ -40,7 +40,7 @@ func (t Task) VMID() string {
 }
 
 // Validate checks the task for consistency.
-func (t Task) Validate() error {
+func (t *Task) Validate() error {
 	if t.EndSec <= t.StartSec {
 		return fmt.Errorf("trace: task %d ends (%d) before it starts (%d)", t.ID, t.EndSec, t.StartSec)
 	}
@@ -75,21 +75,39 @@ type Trace struct {
 	Tasks []Task
 }
 
-// Validate checks every task and the trace metadata.
+// Validate checks the trace metadata, then every task in order.
 func (tr *Trace) Validate() error {
+	if err := tr.ValidateMeta(); err != nil {
+		return err
+	}
+	for i := range tr.Tasks {
+		if err := tr.Tasks[i].ValidateIn(tr.HorizonSec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ValidateMeta checks the trace metadata: a fleet and a horizon.
+func (tr *Trace) ValidateMeta() error {
 	if tr.Machines <= 0 {
 		return fmt.Errorf("trace: needs a positive machine count")
 	}
 	if tr.HorizonSec <= 0 {
 		return fmt.Errorf("trace: needs a positive horizon")
 	}
-	for _, t := range tr.Tasks {
-		if err := t.Validate(); err != nil {
-			return err
-		}
-		if t.StartSec < 0 || t.EndSec > tr.HorizonSec {
-			return fmt.Errorf("trace: task %d outside the horizon", t.ID)
-		}
+	return nil
+}
+
+// ValidateIn checks one task of a trace whose horizon is horizonSec: Validate,
+// then that the task lies within the horizon. It is Trace.Validate's check of
+// each task, for a pass that reads the tasks anyway.
+func (t *Task) ValidateIn(horizonSec int64) error {
+	if err := t.Validate(); err != nil {
+		return err
+	}
+	if t.StartSec < 0 || t.EndSec > horizonSec {
+		return fmt.Errorf("trace: task %d outside the horizon", t.ID)
 	}
 	return nil
 }
