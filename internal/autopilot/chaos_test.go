@@ -427,7 +427,7 @@ func TestCrashPricedAlikeOnlineAndOffline(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				offline := res.ChaosJoules - plan.CrashedServerSeconds(0, horizon)*machine.PowerWatts(acpi.S0, 0)
+				offline := res.ChaosJoules - plan.CrashedServerSeconds(0, horizon)*machine.PowerFraction(acpi.S0, 0)*machine.MaxPowerWatts
 
 				want := tc.want[i]
 				if res.StateTransitions != onlineT || onlineT != want.transitions {

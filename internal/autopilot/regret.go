@@ -61,13 +61,11 @@ type replay struct {
 // same schedule through dcsim's degraded-capacity pricing.
 func newReplay(cfg Config, policies []Policy, traceChecked bool) (*replay, error) {
 	cfg.Policy = policies[0]
-	var err error
+	validate := cfg.Validate
 	if traceChecked {
-		err = cfg.validateRun()
-	} else {
-		err = cfg.Validate()
+		validate = cfg.validateRun
 	}
-	if err != nil {
+	if err := validate(); err != nil {
 		return nil, err
 	}
 	for _, pol := range policies[1:] {

@@ -52,8 +52,10 @@ type Config struct {
 
 // Validate checks the configuration as Run does.
 func (c *Config) Validate() error {
-	_, err := prepare(c.Trace, c.Workers, []Config{*c})
-	return err
+	if _, err := termGrid(c.Trace, c.Workers); err != nil {
+		return err
+	}
+	return prepare([]Config{*c})
 }
 
 // validateRun checks everything the configuration adds to its trace.
@@ -330,8 +332,11 @@ const (
 //
 // Its error is the one Trace.Validate returns: the metadata's, or that of
 // the first invalid task. Each range stops at its own first, and the lowest
-// range with one wins.
+// range with one wins. A walk's trace error comes before its configs'.
 func termGrid(tr *trace.Trace, workers int) (exact.Grid, error) {
+	if tr == nil {
+		return exact.Grid{}, fmt.Errorf("dcsim: a trace is required")
+	}
 	if err := tr.ValidateMeta(); err != nil {
 		return exact.Grid{}, err
 	}
@@ -492,31 +497,20 @@ func epochPlan(cfg *Config, d consolidation.Demand, span epochSpan) consolidatio
 // Config.Workers goroutines; the result is identical either way.
 func Run(cfg Config) (Result, error) {
 	cfgs := []Config{cfg}
-	grid, err := prepare(cfg.Trace, cfg.Workers, cfgs)
+	grid, err := termGrid(cfg.Trace, cfg.Workers)
+	if err == nil {
+		err = prepare(cfgs)
+	}
 	if err != nil {
 		return Result{}, err
 	}
 	return walk(cfgs, grid)[0], nil
 }
 
-// prepare readies the configs of one walk, which all replay tr on workers,
-// and returns the trace's grid: the scan that finds it validates the trace
-// once for all of them (termGrid), then readyConfigs readies each. The first
-// error wins, so a trace error comes before any config's.
-func prepare(tr *trace.Trace, workers int, cfgs []Config) (exact.Grid, error) {
-	if tr == nil {
-		return exact.Grid{}, fmt.Errorf("dcsim: a trace is required")
-	}
-	grid, err := termGrid(tr, workers)
-	if err != nil {
-		return exact.Grid{}, err
-	}
-	return grid, readyConfigs(cfgs)
-}
-
-// readyConfigs gives each config the default 300 s period, validates what
-// it adds to its trace and compiles its prices. The first error wins.
-func readyConfigs(cfgs []Config) error {
+// prepare readies the configs of one walk, whose trace termGrid validated:
+// each gets the default 300 s period, is validated itself and compiles its
+// prices. The first error wins.
+func prepare(cfgs []Config) error {
 	for i := range cfgs {
 		c := &cfgs[i]
 		if c.ConsolidationPeriodSec <= 0 {
@@ -578,15 +572,15 @@ func mergeEpochStats(cfg Config, stats []epochStats) Result {
 const oasisMemoryServerFraction = 0.4
 
 // PosturePowerWatts returns the steady-state fleet power (watts) of one
-// consolidation posture on a machine priced by m: active hosts at their
-// operating point, zombies in Sz, Oasis memory servers at
-// oasisMemoryServerFraction of peak power, sleepers in S3. It is the single
-// pricing rule shared by the offline engine and the online control plane, so
-// the two sides of a regret comparison integrate identical power.
+// consolidation posture: active hosts at their operating point, zombies in
+// Sz, Oasis memory servers at oasisMemoryServerFraction of peak power,
+// sleepers in S3. It is the single pricing rule shared by the offline engine
+// and the online control plane, so the two sides of a regret comparison
+// integrate identical power.
 func PosturePowerWatts(m *energy.Prices, plan consolidation.FleetPlan) float64 {
 	p := float64(plan.ActiveHosts) * m.PowerWatts(acpi.S0, plan.ActiveCPUUtilization)
 	p += float64(plan.ZombieHosts) * m.PowerWatts(acpi.Sz, 0)
-	p += float64(plan.MemoryServers) * oasisMemoryServerFraction * m.MaxPowerWatts()
+	p += float64(plan.MemoryServers) * oasisMemoryServerFraction * m.MaxPowerWatts
 	p += float64(plan.SleepHosts) * m.PowerWatts(acpi.S3, 0)
 	return p
 }
@@ -639,7 +633,10 @@ func CompareOpts(tr *trace.Trace, machines []*energy.MachineProfile, spec consol
 			})
 		}
 	}
-	grid, err := prepare(tr, opts.Workers, cfgs)
+	grid, err := termGrid(tr, opts.Workers)
+	if err == nil {
+		err = prepare(cfgs)
+	}
 	if err != nil {
 		return Comparison{}, err
 	}

@@ -35,11 +35,9 @@
 // so a repeated one is two VMs.
 //
 // Runs that share a trace and a consolidation period share one epoch walk
-// (parallel.go), which computes each epoch's Demand once for every run to
-// plan and price. The scan that finds the grid validates the trace on its
-// worker ranges, returning Trace.Validate's error for the first bad task,
-// before any run's config is checked; each run compiles its machine's
-// energy.Prices then, and prices every epoch from that table.
+// (parallel.go), whose grid scan validates the trace before any run's config
+// and which computes each epoch's Demand once for every run to plan and price
+// from its own energy.Prices table.
 //
 // The simulation decomposes into independent consolidation epochs, so with
 // Config.Workers above 1 the walk splits both halves: the tasks into equal

@@ -34,10 +34,10 @@ func inParallel(n, parts int, fn func(p, lo, hi int)) {
 	wg.Wait()
 }
 
-// walk simulates every config over the epochs of their trace, whose grid
-// prepare found, and returns their results in config order. The configs are
-// prepared, and share one trace, one consolidation period and one Workers
-// value; Workers of 0 or 1 walks on the caller's goroutine.
+// walk simulates every config over the epochs of their trace, on its grid,
+// and returns their results in config order. The configs are prepared, and
+// share one trace, one consolidation period and one Workers value; Workers
+// of 0 or 1 walks on the caller's goroutine.
 //
 // The difference pass (epochDemands) yields each epoch's Demand, then every
 // config plans and prices each epoch's Demand from its own previous plan,

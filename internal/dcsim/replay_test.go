@@ -2,6 +2,7 @@ package dcsim
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/consolidation"
 	"repro/internal/energy"
+	"repro/internal/exact"
 	"repro/internal/trace"
 )
 
@@ -102,14 +104,22 @@ func checkSeek(t *testing.T, tr *trace.Trace, periodSec int64) {
 	}
 }
 
-// passDemands is the difference pass on the grid of the trace's own scan.
+// passDemands is the difference pass on the grid the tasks' four demands
+// span. termGrid's scan must find that grid, or refuse the trace with
+// Trace.Validate's error: demandCase's smallest scales use more CPU than they
+// book, and the pass is still checked on them.
 func passDemands(t *testing.T, tr *trace.Trace, periodSec int64, epochs, workers int) []consolidation.Demand {
 	t.Helper()
-	grid, err := termGrid(tr, workers)
-	if err != nil {
-		t.Fatal(err)
+	var span exact.Span
+	for _, task := range tr.Tasks {
+		span.Cover(task.BookedCPU, task.BookedMemGiB, task.UsedCPU, task.UsedMemGiB)
 	}
-	return epochDemands(tr, grid, periodSec, epochs, workers)
+	want := span.Grid(2 * len(tr.Tasks))
+	grid, err := termGrid(tr, workers)
+	if verr := tr.Validate(); fmt.Sprint(err) != fmt.Sprint(verr) || err == nil && grid != want {
+		t.Fatalf("%d workers: the scan finds grid %+v with error %v; the demands span %+v, Trace.Validate says %v", workers, grid, err, want, verr)
+	}
+	return epochDemands(tr, want, periodSec, epochs, workers)
 }
 
 // TestReplayerSeekEqualsBruteForce runs the oracle over a seeded batch of
@@ -198,7 +208,8 @@ func bitEqual(a, b any) bool {
 // the worker count, and every built-in policy's Plan of that population is
 // PlanDemand of its SumDemand, bit for bit. The corpus checked in under
 // testdata/fuzz holds an empty population, one VM, all idle, none idle,
-// 5 000 VMs and 5 000 VMs whose sums overflow.
+// 5 000 VMs, 5 000 VMs whose sums overflow and 400 VMs at a scale so small
+// that they use more CPU than they book.
 func FuzzPlanDemand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, idle uint8, mag int8, total uint16) {
 		tr := demandCase(seed, size, idle, mag)

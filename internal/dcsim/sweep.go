@@ -83,9 +83,8 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// A trace's grid depends on its tasks only, so one scan finds it, and
-	// validates the trace, for every period's walk. Nothing else runs yet,
-	// so every sweep worker scans.
+	// One scan per trace, on every sweep worker, validates it and finds the
+	// grid of all its periods' walks.
 	traces := cfg.Traces
 	workers := max(cfg.SweepWorkers, 1)
 	grids := make([]exact.Grid, len(traces))
@@ -117,8 +116,8 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if ngroups < workers {
 		engineWorkers = (workers + ngroups - 1) / ngroups
 	}
-	// A group is one walk: its configs, the grid position of each, and the
-	// fixed-point grid of its trace.
+	// A group is one walk: its configs, the grid position of each, and its
+	// trace's grid.
 	type group struct {
 		cfgs  []Config
 		cells []int
@@ -128,14 +127,13 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	ncells := 0
 	for i, tr := range traces {
 		first := len(groups)
-		for range cfg.PeriodsSec {
-			groups = append(groups, group{grid: grids[i]})
-		}
+		groups = append(groups, make([]group, len(cfg.PeriodsSec))...)
 		for _, m := range cfg.Machines {
 			for _, pol := range cfg.Policies {
 				for p, period := range cfg.PeriodsSec {
 					for _, transitions := range transitionAxis {
 						g := &groups[first+p]
+						g.grid = grids[i]
 						g.cfgs = append(g.cfgs, Config{
 							Trace:                  tr,
 							Policy:                 pol,
@@ -153,7 +151,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		}
 		// Validity is period-free: group one holds the first bad config.
 		for _, g := range groups[first:] {
-			if err := readyConfigs(g.cfgs); err != nil {
+			if err := prepare(g.cfgs); err != nil {
 				return nil, err
 			}
 		}

@@ -71,11 +71,11 @@ type TransitionBill struct {
 }
 
 // TransitionCost prices moving the fleet from the prev posture to the next
-// one on a machine priced by m, with a VM population whose Demand is
-// running: the ACPI suspend/wake events of the plan delta, the migration
-// drains of the freed hosts (protocol selected by the policy name — the
-// ZombieStack protocol for "zombiestack", vanilla pre-copy otherwise), and
-// the remote-memory churn of the new posture over dt seconds. Only the Demand's VM count and memory totals are read.
+// one, with a VM population whose Demand is running: the ACPI suspend/wake
+// events of the plan delta, the migration drains of the freed hosts (protocol
+// selected by the policy name — the ZombieStack protocol for "zombiestack",
+// vanilla pre-copy otherwise), and the remote-memory churn of the new posture
+// over dt seconds. Only the Demand's VM count and memory totals are read.
 // dt also caps each freed host's drain, so a host is never charged for
 // draining longer than the interval it drains in. fabricFactor scales the
 // churn's fabric latency — the chaos layer's degraded-fabric pricing; a

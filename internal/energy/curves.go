@@ -40,13 +40,13 @@ func UtilizationCurve(m *MachineProfile, points int) []UtilizationPoint {
 // sleep state (S0 idle, S3, S4, S5 and Sz) for a machine, as fractions of
 // Emax, in descending power order.
 func SleepStateLadder(m *MachineProfile) map[string]float64 {
-	m.EstimateSz()
+	p := m.Prices()
 	return map[string]float64{
-		"S0idle": m.Measured[S0WithIBOff],
-		"Sz":     m.Measured[SzEstimated],
-		"S3":     m.Measured[S3WithIB],
-		"S4":     m.Measured[S4WithIB],
-		"S5":     m.Measured[S4WithoutIB],
+		"S0idle": p.fractions[acpi.S0],
+		"Sz":     p.fractions[acpi.Sz],
+		"S3":     p.fractions[acpi.S3],
+		"S4":     p.fractions[acpi.S4],
+		"S5":     p.fractions[acpi.S5],
 	}
 }
 
@@ -116,7 +116,6 @@ func DefaultRackScenario() RackScenario {
 	generic := &MachineProfile{
 		Name:          "generic",
 		MaxPowerWatts: 200,
-		IdleFraction:  0.55,
 		Measured: map[Config]float64{
 			S0WithoutIB: 0.55,
 			S0WithIBOff: 0.55,

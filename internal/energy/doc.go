@@ -6,12 +6,7 @@
 //   - MachineProfile: per-machine power fractions measured in the paper's
 //     Table 3 (HP Compaq Elite 8300 and Dell Precision Tower 5810) for S0/S3/S4
 //     with and without the Infiniband card, plus the Sz estimate of Equation 1;
-//   - Prices, a profile compiled into a table: each ACPI state's fraction of
-//     Emax (the S0 idle floor, S1/S2, S3, S4, S5 and Sz, measured or
-//     estimated) and Emax itself. It is the one home of the state -> power
-//     rule: PowerFraction, PowerWatts and TransitionJoules on a profile
-//     compile a table and read it, and the simulators compile one per run
-//     so pricing an epoch looks nothing up in the Measured map;
+//   - Prices, a profile compiled into the table the simulators price from;
 //   - the energy-vs-utilization curve of Figure 1 (actual vs ideal
 //     energy-proportional behaviour);
 //   - the rack-architecture comparison of Figure 4 (server-centric, ideal

@@ -95,7 +95,8 @@ func TestPowerFractionMonotonicInUtilization(t *testing.T) {
 
 func TestPowerWatts(t *testing.T) {
 	hp := HPProfile()
-	if got := hp.PowerWatts(acpi.S0, 1.0); math.Abs(got-hp.MaxPowerWatts) > 1e-9 {
+	p := hp.Prices()
+	if got := p.PowerWatts(acpi.S0, 1.0); math.Abs(got-hp.MaxPowerWatts) > 1e-9 {
 		t.Errorf("PowerWatts at full load = %v, want %v", got, hp.MaxPowerWatts)
 	}
 }
@@ -214,8 +215,9 @@ func TestAccumulatorIntegration(t *testing.T) {
 	acc.SetState(10e9, acpi.Sz)
 	acc.AdvanceTo(20e9)
 
-	wantS0 := hp.PowerWatts(acpi.S0, 1.0) * 10
-	wantSz := hp.PowerWatts(acpi.Sz, 0) * 10 // utilization ignored in Sz? It keeps last utilization.
+	p := hp.Prices()
+	wantS0 := p.PowerWatts(acpi.S0, 1.0) * 10
+	wantSz := p.PowerWatts(acpi.Sz, 0) * 10 // utilization ignored in Sz? It keeps last utilization.
 	_ = wantSz
 	if got := acc.JoulesInState(acpi.S0); math.Abs(got-wantS0) > 1e-6 {
 		t.Errorf("S0 joules = %v, want %v", got, wantS0)
@@ -272,7 +274,6 @@ func TestPropertySzEstimateBounds(t *testing.T) {
 		p := &MachineProfile{
 			Name:          "synthetic",
 			MaxPowerWatts: 100,
-			IdleFraction:  ibIdle,
 			Measured: map[Config]float64{
 				S0WithoutIB: ibIdle - 0.01,
 				S0WithIBOff: ibIdle,

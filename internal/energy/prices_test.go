@@ -34,8 +34,8 @@ func fractionRef(m *MachineProfile, state acpi.SleepState, utilization float64) 
 	return 0
 }
 
-// TestPricesMatchProfile is the price law: a compiled table, and the
-// profile methods that read one, give the map rule's fraction, watts and
+// TestPricesMatchProfile is the price law: a compiled table, and
+// PowerFraction, which reads one, give the map rule's fraction, watts and
 // transition joules bit for bit, for every state, an out-of-range one
 // included, at utilizations inside and outside 0..1, and for every
 // transition pair; with Sz measured (HP, Dell) and estimated (no Sz entry).
@@ -50,21 +50,20 @@ func TestPricesMatchProfile(t *testing.T) {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, m := range profiles {
 		p := m.Prices()
+		if p.MaxPowerWatts != m.MaxPowerWatts {
+			t.Errorf("%s: table Emax %v, profile %v", m.Name, p.MaxPowerWatts, m.MaxPowerWatts)
+		}
 		for _, s := range states {
 			for _, u := range []float64{-0.5, 0, 0.37, 1, 1.5} {
 				want := fractionRef(m, s, u)
-				if got := p.Fraction(s, u); !same(got, want) {
+				if got := p.fraction(s, u); !same(got, want) {
 					t.Errorf("%s %v at %v: table fraction %v, map rule %v", m.Name, s, u, got, want)
 				}
 				if got := m.PowerFraction(s, u); !same(got, want) {
 					t.Errorf("%s %v at %v: PowerFraction %v, map rule %v", m.Name, s, u, got, want)
 				}
-				watts := want * m.MaxPowerWatts
-				if got := p.PowerWatts(s, u); !same(got, watts) {
+				if got, watts := p.PowerWatts(s, u), want*m.MaxPowerWatts; !same(got, watts) {
 					t.Errorf("%s %v at %v: table watts %v, map rule %v", m.Name, s, u, got, watts)
-				}
-				if got := m.PowerWatts(s, u); !same(got, watts) {
-					t.Errorf("%s %v at %v: PowerWatts %v, map rule %v", m.Name, s, u, got, watts)
 				}
 			}
 			for _, to := range states {
@@ -72,13 +71,7 @@ func TestPricesMatchProfile(t *testing.T) {
 				if got := p.TransitionJoules(s, to); !same(got, want) {
 					t.Errorf("%s %v->%v: table joules %v, map rule %v", m.Name, s, to, got, want)
 				}
-				if got := m.TransitionJoules(s, to); !same(got, want) {
-					t.Errorf("%s %v->%v: TransitionJoules %v, map rule %v", m.Name, s, to, got, want)
-				}
 			}
-		}
-		if got := p.MaxPowerWatts(); got != m.MaxPowerWatts {
-			t.Errorf("%s: table Emax %v, profile %v", m.Name, got, m.MaxPowerWatts)
 		}
 	}
 }

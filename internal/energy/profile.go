@@ -29,17 +29,14 @@ func AllConfigs() []Config {
 }
 
 // MachineProfile carries the measured power of one machine model in each
-// configuration, as a fraction of its maximum power Emax (0..1), plus the
-// idle and peak power needed for the utilization curve.
+// configuration, as a fraction of its maximum power Emax (0..1), and Emax in
+// watts.
 type MachineProfile struct {
 	// Name of the machine model ("HP", "Dell", ...).
 	Name string
 	// MaxPowerWatts is Emax in watts; results are reported relative to it, so
 	// the exact value only matters when converting to joules.
 	MaxPowerWatts float64
-	// IdleFraction is the fraction of Emax drawn at 0% utilization in S0
-	// (typical servers idle at 50-60% of peak, per Figure 1).
-	IdleFraction float64
 	// Measured holds the Table 3 fractions keyed by configuration. The Sz
 	// entry may be absent; EstimateSz fills it via Equation 1.
 	Measured map[Config]float64
@@ -50,7 +47,6 @@ func HPProfile() *MachineProfile {
 	return &MachineProfile{
 		Name:          "HP",
 		MaxPowerWatts: 120,
-		IdleFraction:  0.4616, // the paper's S0WOIB measurement is the idle machine
 		Measured: map[Config]float64{
 			S0WithoutIB: 0.4616,
 			S0WithIBOff: 0.5220,
@@ -68,7 +64,6 @@ func DellProfile() *MachineProfile {
 	return &MachineProfile{
 		Name:          "Dell",
 		MaxPowerWatts: 180,
-		IdleFraction:  0.3535,
 		Measured: map[Config]float64{
 			S0WithoutIB: 0.3535,
 			S0WithIBOff: 0.4233,
@@ -155,25 +150,19 @@ func (m *MachineProfile) Validate() error {
 }
 
 // PowerFraction returns the fraction of Emax drawn by a server in the given
-// ACPI state at the given CPU utilization (0..1), by the rule of Prices. It
-// never mutates the profile, so it is safe for concurrent use.
+// ACPI state at the given CPU utilization (0..1), as its Prices table does.
+// It never mutates the profile, so it is safe for concurrent use.
 func (m *MachineProfile) PowerFraction(state acpi.SleepState, utilization float64) float64 {
 	p := m.Prices()
-	return p.Fraction(state, utilization)
-}
-
-// PowerWatts converts PowerFraction to watts using MaxPowerWatts.
-func (m *MachineProfile) PowerWatts(state acpi.SleepState, utilization float64) float64 {
-	p := m.Prices()
-	return p.PowerWatts(state, utilization)
+	return p.fraction(state, utilization)
 }
 
 // Prices is a MachineProfile compiled for pricing: Emax and the fraction of
-// it each ACPI state draws, the S0 one at idle, read from an array rather
-// than the Measured map. A simulation compiles one per configuration.
+// it each ACPI state draws (S0's at idle), read from an array rather than
+// the Measured map. A simulation compiles one per configuration.
 type Prices struct {
-	fraction [acpi.Sz + 1]float64
-	maxWatts float64
+	MaxPowerWatts float64
+	fractions     [acpi.Sz + 1]float64
 }
 
 // Prices compiles the profile. Sleeping servers keep their wake NIC
@@ -185,7 +174,7 @@ func (m *MachineProfile) Prices() Prices {
 		sz = m.szEstimate()
 	}
 	s3 := m.Measured[S3WithIB]
-	return Prices{maxWatts: m.MaxPowerWatts, fraction: [...]float64{
+	return Prices{MaxPowerWatts: m.MaxPowerWatts, fractions: [...]float64{
 		acpi.S0: m.Measured[S0WithIBOff],     // the idle floor: IB card present, idle
 		acpi.S1: s3 * 1.5, acpi.S2: s3 * 1.5, // shallower than S3; rarely used
 		acpi.S3: s3, acpi.Sz: sz, acpi.S4: m.Measured[S4WithIB],
@@ -193,28 +182,25 @@ func (m *MachineProfile) Prices() Prices {
 	}}
 }
 
-// Fraction returns the fraction of Emax drawn in the given state at the
-// given CPU utilization, clamped to 0..1. Only S0 depends on it: a linear
-// interpolation from the idle floor to Emax, the common first-order server
-// power model behind Figure 1. A state outside acpi's draws nothing.
-func (p *Prices) Fraction(state acpi.SleepState, utilization float64) float64 {
+// fraction is PowerFraction. Only S0 depends on the utilization, clamped to
+// 0..1: a linear interpolation from the idle floor to Emax, the common
+// first-order server power model behind Figure 1. A state outside acpi's
+// draws nothing.
+func (p *Prices) fraction(state acpi.SleepState, utilization float64) float64 {
 	if state == acpi.S0 {
-		idle := p.fraction[acpi.S0]
+		idle := p.fractions[acpi.S0]
 		return idle + (1-idle)*min(max(utilization, 0), 1)
 	}
-	if uint(state) < uint(len(p.fraction)) {
-		return p.fraction[state]
+	if uint(state) < uint(len(p.fractions)) {
+		return p.fractions[state]
 	}
 	return 0
 }
 
-// PowerWatts converts Fraction to watts.
+// PowerWatts converts PowerFraction to watts.
 func (p *Prices) PowerWatts(state acpi.SleepState, utilization float64) float64 {
-	return p.Fraction(state, utilization) * p.maxWatts
+	return p.fraction(state, utilization) * p.MaxPowerWatts
 }
-
-// MaxPowerWatts is Emax in watts.
-func (p *Prices) MaxPowerWatts() float64 { return p.maxWatts }
 
 // Table3Row reproduces one machine row of Table 3: the percentage of maximum
 // energy in each measured configuration plus the Sz estimate, in the paper's
@@ -232,7 +218,7 @@ func (m *MachineProfile) Table3Row() []float64 {
 // used by the datacenter simulator: every time a server changes state or
 // utilization, the caller advances the accumulator.
 type Accumulator struct {
-	profile *MachineProfile
+	prices Prices
 
 	state       acpi.SleepState
 	utilization float64
@@ -247,7 +233,7 @@ type Accumulator struct {
 // zero utilization at simulated time 0.
 func NewAccumulator(profile *MachineProfile) *Accumulator {
 	return &Accumulator{
-		profile:       profile,
+		prices:        profile.Prices(),
 		state:         acpi.S0,
 		joulesByState: make(map[acpi.SleepState]float64),
 		nsByState:     make(map[acpi.SleepState]int64),
@@ -261,7 +247,7 @@ func (a *Accumulator) AdvanceTo(nowNs int64) {
 		return
 	}
 	dt := float64(nowNs-a.lastNs) / 1e9
-	watts := a.profile.PowerWatts(a.state, a.utilization)
+	watts := a.prices.PowerWatts(a.state, a.utilization)
 	a.joules += watts * dt
 	a.joulesByState[a.state] += watts * dt
 	a.nsByState[a.state] += nowNs - a.lastNs

@@ -25,9 +25,3 @@ func TransitionSeconds(from, to acpi.SleepState) float64 {
 func (p *Prices) TransitionJoules(from, to acpi.SleepState) float64 {
 	return p.PowerWatts(acpi.S0, 0) * TransitionSeconds(from, to)
 }
-
-// TransitionJoules is Prices.TransitionJoules on the profile.
-func (m *MachineProfile) TransitionJoules(from, to acpi.SleepState) float64 {
-	p := m.Prices()
-	return p.TransitionJoules(from, to)
-}

@@ -77,15 +77,11 @@ type Trace struct {
 
 // Validate checks the trace metadata, then every task in order.
 func (tr *Trace) Validate() error {
-	if err := tr.ValidateMeta(); err != nil {
-		return err
+	err := tr.ValidateMeta()
+	for i := 0; err == nil && i < len(tr.Tasks); i++ {
+		err = tr.Tasks[i].ValidateIn(tr.HorizonSec)
 	}
-	for i := range tr.Tasks {
-		if err := tr.Tasks[i].ValidateIn(tr.HorizonSec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // ValidateMeta checks the trace metadata: a fleet and a horizon.
@@ -99,9 +95,8 @@ func (tr *Trace) ValidateMeta() error {
 	return nil
 }
 
-// ValidateIn checks one task of a trace whose horizon is horizonSec: Validate,
-// then that the task lies within the horizon. It is Trace.Validate's check of
-// each task, for a pass that reads the tasks anyway.
+// ValidateIn is Trace.Validate's check of one task of a trace whose horizon
+// is horizonSec: Validate, then that the task lies within the horizon.
 func (t *Task) ValidateIn(horizonSec int64) error {
 	if err := t.Validate(); err != nil {
 		return err
