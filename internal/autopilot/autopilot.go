@@ -87,17 +87,19 @@ type TickEvent struct {
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
-	if c.Trace == nil {
-		return fmt.Errorf("autopilot: a trace is required")
-	}
-	if err := c.Trace.Validate(); err != nil {
-		return err
+	if c.Trace != nil {
+		if err := c.Trace.Validate(); err != nil {
+			return err
+		}
 	}
 	return c.validateRun()
 }
 
 // validateRun checks everything the configuration adds to its trace.
 func (c *Config) validateRun() error {
+	if c.Trace == nil {
+		return fmt.Errorf("autopilot: a trace is required")
+	}
 	if err := validatePolicy(c.Policy); err != nil {
 		return err
 	}
@@ -313,11 +315,15 @@ func (e *laneError) Unwrap() error { return e.err }
 // the population the offline oracle plans that epoch for. Decisions remain
 // strictly causal; only the billing granularity is aligned.
 func Run(cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	idx, err := dcsim.CheckedReplayIndex(cfg.Trace)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := cfg.validateRun(); err != nil {
 		return Result{}, err
 	}
 	cfg.applyDefaults()
-	w := newWalk(&cfg, dcsim.NewReplayIndex(cfg.Trace), []Policy{cfg.Policy})
+	w := newWalk(&cfg, idx, []Policy{cfg.Policy})
 	if err := w.run(); err != nil {
 		return Result{}, err
 	}

@@ -269,12 +269,12 @@ func newFaultFree(cfg Config, policies []Policy) (*replay, error) {
 	cfg.Chaos = nil
 	cfg.OnTick = nil
 	cfg.Obs = nil
-	return newReplay(cfg, freshPolicies(policies), false)
+	return newReplay(cfg, freshPolicies(policies))
 }
 
 // newChaosRow prepares the faulted side of a row against already-prepared
-// fault-free twins, which CompareChaos shares across its scenarios. The twins
-// validated cfg's trace, so the faulted side does not again.
+// fault-free twins, which CompareChaos shares across its scenarios. Each side
+// checks its own trace as it indexes it, the faulted side the perturbed one.
 func newChaosRow(cfg Config, plan *chaos.Plan, policies []Policy, ff *replay) (*ChaosRow, error) {
 	if plan == nil {
 		plan = &chaos.Plan{Name: "off"}
@@ -286,7 +286,7 @@ func newChaosRow(cfg Config, plan *chaos.Plan, policies []Policy, ff *replay) (*
 	if !plan.Empty() {
 		cfg.Chaos = plan
 		var err error
-		if row.faulted, err = newReplay(cfg, freshPolicies(policies), true); err != nil {
+		if row.faulted, err = newReplay(cfg, freshPolicies(policies)); err != nil {
 			return nil, err
 		}
 	}

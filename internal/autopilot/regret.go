@@ -38,11 +38,12 @@ type Report struct {
 // because the oracle depends on the trace, planner, machine, spec, tick and
 // fault plan but not on the online policy measured against it.
 type replay struct {
-	cfg Config // validated, defaults applied, Trace perturbed once prepared; Policy is not read
-	// prepared guards the perturbed trace and its index, which the replay's
-	// first job makes (see prepare).
+	cfg Config // validated but for its trace, defaults applied, Trace perturbed once prepared; Policy is not read
+	// prepared guards the perturbed trace, its index and the trace's error,
+	// which the replay's first job finds (see prepare).
 	prepared sync.Once
 	idx      *dcsim.ReplayIndex
+	traceErr error
 	policies []Policy
 	online   []Result // by policy
 	// planners lists the distinct planners under the policies and oracles the
@@ -54,18 +55,14 @@ type replay struct {
 
 // newReplay sets up the replay of cfg for the given policies (at least one),
 // which it runs as they are: each must be a fresh instance. cfg.Policy is
-// ignored. With traceChecked, cfg's trace has passed Trace.Validate already
-// and only the rest of cfg is validated. A chaos plan on the config is
-// applied to BOTH sides: the trace is perturbed once (see prepare), the
-// online loops inject the faults as events, and the oracle replays under the
-// same schedule through dcsim's degraded-capacity pricing.
-func newReplay(cfg Config, policies []Policy, traceChecked bool) (*replay, error) {
+// ignored, and cfg's trace is checked as its index is built (see prepare). A
+// chaos plan on the config is applied to BOTH sides: the trace is perturbed
+// once (see prepare), the online loops inject the faults as events, and the
+// oracle replays under the same schedule through dcsim's degraded-capacity
+// pricing.
+func newReplay(cfg Config, policies []Policy) (*replay, error) {
 	cfg.Policy = policies[0]
-	validate := cfg.Validate
-	if traceChecked {
-		validate = cfg.validateRun
-	}
-	if err := validate(); err != nil {
+	if err := cfg.validateRun(); err != nil {
 		return nil, err
 	}
 	for _, pol := range policies[1:] {
@@ -100,15 +97,17 @@ func samePlanner(a, b consolidation.Policy) bool {
 }
 
 // prepare perturbs the trace by the plan's bursts and builds its replay
-// index, once: whichever of the replay's jobs starts first does it, so the two
-// replays of a chaos row are prepared on two workers, not by its constructor.
-func (r *replay) prepare() {
+// index, checking the trace as it goes, once: whichever of the replay's jobs
+// starts first does it, so the two replays of a chaos row are prepared on two
+// workers, not by its constructor. It returns the trace's error.
+func (r *replay) prepare() error {
 	r.prepared.Do(func() {
 		if !r.cfg.Chaos.Empty() {
 			r.cfg.Trace = r.cfg.Chaos.PerturbTrace(r.cfg.Trace)
 		}
-		r.idx = dcsim.NewReplayIndex(r.cfg.Trace)
+		r.idx, r.traceErr = dcsim.CheckedReplayIndex(r.cfg.Trace)
 	})
+	return r.traceErr
 }
 
 // jobs returns the replay's simulations: the online walks, then the oracles.
@@ -125,7 +124,9 @@ func (r *replay) jobs() []func() error {
 	jobs := make([]func() error, 0, len(r.policies)/lanes+len(r.planners))
 	for lo := 0; lo < len(r.policies); lo += lanes {
 		jobs = append(jobs, func() error {
-			r.prepare()
+			if err := r.prepare(); err != nil {
+				return err
+			}
 			w := newWalk(c, r.idx, r.policies[lo:lo+lanes])
 			if err := w.run(); err != nil {
 				return err
@@ -138,7 +139,9 @@ func (r *replay) jobs() []func() error {
 	}
 	for k, planner := range r.planners {
 		jobs = append(jobs, func() (err error) {
-			r.prepare()
+			if err := r.prepare(); err != nil {
+				return err
+			}
 			r.oracles[k], err = dcsim.Run(oracleConfig(&r.cfg, planner))
 			return err
 		})
@@ -195,7 +198,7 @@ func oracleConfig(cfg *Config, planner consolidation.Policy) dcsim.Config {
 // included), the online loop only ever sees the past. A chaos plan on the
 // config is applied to both sides — the apples-to-apples resilience regret.
 func Regret(cfg Config) (Report, error) {
-	r, err := newReplay(cfg, []Policy{cfg.Policy}, false)
+	r, err := newReplay(cfg, []Policy{cfg.Policy})
 	if err != nil {
 		return Report{}, err
 	}
@@ -214,7 +217,7 @@ func CompareOnline(cfg Config, policies []Policy) ([]Report, error) {
 	if len(policies) == 0 {
 		return reports, nil
 	}
-	r, err := newReplay(cfg, policies, false)
+	r, err := newReplay(cfg, policies)
 	if err != nil {
 		return nil, err
 	}

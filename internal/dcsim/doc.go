@@ -56,7 +56,9 @@
 // order (trace.ArrivalOrder), and the start, end and demand of every rank.
 // The loop keeps its running set by rank, reads its events from the index's
 // Feed and folds its running set with its Fold. It builds the index once
-// per trace and fault plan; its oracles are plain Runs of the same trace.
+// per trace and fault plan, with CheckedReplayIndex, which validates the
+// trace in the pass that indexes it while the departure order is sorted on
+// a second goroutine; its oracles are plain Runs of the same trace.
 //
 // On top of single runs, sweep.go provides a scenario-sweep harness that runs
 // a grid of {policy, machine profile, trace, consolidation period,

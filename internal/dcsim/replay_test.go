@@ -366,3 +366,91 @@ func FuzzVMOrder(f *testing.F) {
 		}
 	})
 }
+
+// serialReplayIndex is the reference build of a replay index: the arrival
+// pass, then the departure order, on one goroutine.
+func serialReplayIndex(tr *trace.Trace) *ReplayIndex {
+	order := trace.ArrivalOrder(tr.Tasks)
+	n := len(order)
+	idx := &ReplayIndex{
+		starts: make([]int64, n), ends: make([]int64, n),
+		demand: make([]consolidation.VMDemand, n), rankOf: make([]int32, n), busy: make([]uint64, (n+63)/64),
+	}
+	for rank, ti := range order {
+		t := tr.Tasks[ti]
+		idx.rankOf[ti] = int32(rank)
+		idx.starts[rank], idx.ends[rank] = t.StartSec, t.EndSec
+		idx.demand[rank] = consolidation.VMDemand{BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB, UsedCPU: t.UsedCPU, UsedMemGiB: t.UsedMemGiB}
+		if !idx.demand[rank].Idle() {
+			idx.busy[rank/64] |= 1 << (rank % 64)
+		}
+	}
+	for _, ti := range trace.DepartureOrder(tr.Tasks) {
+		idx.departs = append(idx.departs, idx.rankOf[ti])
+	}
+	return idx
+}
+
+// TestReplayIndexMatchesSerialBuild: the index built with its departure
+// order sorted beside the arrival pass, checked or not, is the serial
+// build's, departs, rankOf and busy included, on all five families, both
+// Google-like presets, a trace whose tasks mostly end at one instant, and one
+// whose times span 2^32 seconds and more, which sorts by comparator.
+func TestReplayIndexMatchesSerialBuild(t *testing.T) {
+	var traces []*trace.Trace
+	for _, fam := range trace.Families() {
+		tr, err := fam.Generate(trace.FamilyParams{Machines: 50, HorizonSec: 24 * 3600, Tasks: 3000, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, tr)
+	}
+	for _, cfg := range []trace.GeneratorConfig{trace.DefaultConfig(), trace.ModifiedConfig()} {
+		cfg.Tasks = 3000
+		tr, err := trace.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, tr)
+	}
+	rng := rand.New(rand.NewSource(3))
+	cutOff := &trace.Trace{Name: "cut-off", Machines: 10, HorizonSec: 3600}
+	wide := &trace.Trace{Name: "wide", Machines: 10, HorizonSec: 1 << 40}
+	for i := range 2000 {
+		start := rng.Int63n(3000)
+		end := cutOff.HorizonSec
+		if i%5 == 0 {
+			end = start + 1 + rng.Int63n(cutOff.HorizonSec-start)
+		}
+		cutOff.Tasks = append(cutOff.Tasks, trace.Task{ID: rng.Intn(1 << 20), StartSec: start, EndSec: end, BookedCPU: 1, BookedMemGiB: 2, UsedCPU: rng.Float64(), UsedMemGiB: 1})
+		start = rng.Int63n(wide.HorizonSec - 1)
+		wide.Tasks = append(wide.Tasks, trace.Task{ID: i, StartSec: start, EndSec: start + 1 + rng.Int63n(wide.HorizonSec-start), BookedCPU: 1, BookedMemGiB: 2, UsedCPU: 0.5, UsedMemGiB: 1})
+	}
+	for _, tr := range []*trace.Trace{cutOff, wide} {
+		slices.SortFunc(tr.Tasks, func(a, b trace.Task) int { return cmp.Compare(a.StartSec, b.StartSec) })
+	}
+	traces = append(traces, cutOff, wide)
+	for _, tr := range traces {
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%s: %v", tr.Name, err)
+		}
+		want := serialReplayIndex(tr)
+		checked, err := CheckedReplayIndex(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", tr.Name, err)
+		}
+		for name, idx := range map[string]*ReplayIndex{"NewReplayIndex": NewReplayIndex(tr), "CheckedReplayIndex": checked} {
+			if !slices.Equal(idx.departs, want.departs) || !slices.Equal(idx.rankOf, want.rankOf) || !slices.Equal(idx.busy, want.busy) ||
+				!reflect.DeepEqual(idx, want) {
+				t.Errorf("%s: %s differs from the serial build", tr.Name, name)
+			}
+		}
+	}
+	bad := *cutOff
+	bad.Tasks = slices.Clone(cutOff.Tasks)
+	bad.Tasks[len(bad.Tasks)/2].EndSec = bad.HorizonSec + 1
+	bad.Tasks[len(bad.Tasks)-1].StartSec = -1 // arrives first, but Trace.Validate reports the task above
+	if _, err := CheckedReplayIndex(&bad); fmt.Sprint(err) != fmt.Sprint(bad.Validate()) {
+		t.Errorf("CheckedReplayIndex of a bad trace: error %v, want %v", err, bad.Validate())
+	}
+}

@@ -15,7 +15,9 @@
 //   - CSV encoding/decoding in a compact schema so that users who do have the
 //     real traces can convert and replay them — gzip-aware on both sides
 //     (EncodeCSV writes .csv.gz on request, Import sniffs the magic
-//     bytes), since month-scale conversions balloon on disk as flat CSV;
+//     bytes), since month-scale conversions balloon on disk as flat CSV.
+//     EncodeCSV's gzip is BGZF-style members that record their own length,
+//     which Import inflates on every core; any other gzip it reads serially;
 //   - the causal event order (ArrivalOrder, DepartureOrder) and a streaming
 //     feed over it (Stream) that yields arrivals and departures one event at
 //     a time; the online control plane (internal/autopilot) reads the same
