@@ -85,14 +85,20 @@ type TickEvent struct {
 	BaselineJoules float64 `json:"baseline_j"`
 }
 
-// Validate checks the configuration.
-func (c *Config) Validate() error {
+// Validate checks the configuration, its trace first.
+func (c *Config) Validate() error { return c.traceFirst(c.validateRun()) }
+
+// traceFirst returns the trace's error if the trace fails Trace.Validate, and
+// err otherwise. The entry points check the trace as they index it, after the
+// rest of the configuration, and call it only when that fails, so a bad trace
+// is still reported before a bad configuration.
+func (c *Config) traceFirst(err error) error {
 	if c.Trace != nil {
-		if err := c.Trace.Validate(); err != nil {
-			return err
+		if terr := c.Trace.Validate(); terr != nil {
+			return terr
 		}
 	}
-	return c.validateRun()
+	return err
 }
 
 // validateRun checks everything the configuration adds to its trace.
@@ -315,11 +321,11 @@ func (e *laneError) Unwrap() error { return e.err }
 // the population the offline oracle plans that epoch for. Decisions remain
 // strictly causal; only the billing granularity is aligned.
 func Run(cfg Config) (Result, error) {
+	if err := cfg.validateRun(); err != nil {
+		return Result{}, cfg.traceFirst(err)
+	}
 	idx, err := dcsim.CheckedReplayIndex(cfg.Trace)
 	if err != nil {
-		return Result{}, err
-	}
-	if err := cfg.validateRun(); err != nil {
 		return Result{}, err
 	}
 	cfg.applyDefaults()

@@ -274,13 +274,14 @@ func newFaultFree(cfg Config, policies []Policy) (*replay, error) {
 
 // newChaosRow prepares the faulted side of a row against already-prepared
 // fault-free twins, which CompareChaos shares across its scenarios. Each side
-// checks its own trace as it indexes it, the faulted side the perturbed one.
+// checks its own trace as it indexes it, the faulted side the perturbed one,
+// whose bursts PerturbTrace keeps inside the horizon.
 func newChaosRow(cfg Config, plan *chaos.Plan, policies []Policy, ff *replay) (*ChaosRow, error) {
 	if plan == nil {
 		plan = &chaos.Plan{Name: "off"}
 	}
 	if err := plan.Validate(); err != nil {
-		return nil, err
+		return nil, cfg.traceFirst(err)
 	}
 	row := &ChaosRow{plan: plan, ff: ff, faulted: ff}
 	if !plan.Empty() {

@@ -2,8 +2,10 @@ package autopilot
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -441,5 +443,82 @@ func TestCrashPricedAlikeOnlineAndOffline(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReplaysReportTraceErrorsFirst: the online entry points check their
+// trace as they index it, after the rest of the configuration, yet when the
+// trace and the configuration, a second policy or a fault plan are both bad
+// each reports the trace's error, as Config.Validate orders them; with a good
+// trace the other error comes through. A burst on a trace shorter than a
+// burst task's 60 s floor stays inside the horizon, so its row runs.
+func TestReplaysReportTraceErrorsFirst(t *testing.T) {
+	good := chaosTrace(t)
+	bad := *good
+	bad.Tasks = slices.Clone(good.Tasks)
+	bad.Tasks[7].UsedCPU = 2 * bad.Tasks[7].BookedCPU
+	traceErr := bad.Validate()
+	if traceErr == nil {
+		t.Fatal("the trace validates")
+	}
+	light, err := chaos.Scenario("light", good.HorizonSec, good.Machines, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badPlan := &chaos.Plan{Name: "bad", HorizonSec: -1}
+	entries := map[string]func(cfg Config) error{
+		"Run, no machine": func(cfg Config) error {
+			cfg.Machine = nil
+			_, err := Run(cfg)
+			return err
+		},
+		"Regret, no machine": func(cfg Config) error {
+			cfg.Machine = nil
+			_, err := Regret(cfg)
+			return err
+		},
+		"CompareOnline, a nil policy": func(cfg Config) error {
+			_, err := CompareOnline(cfg, []Policy{cfg.Policy, nil})
+			return err
+		},
+		"RunChaos, no machine": func(cfg Config) error {
+			cfg.Machine = nil
+			_, err := RunChaos(cfg, light)
+			return err
+		},
+		"RunChaos, a bad plan": func(cfg Config) error {
+			_, err := RunChaos(cfg, badPlan)
+			return err
+		},
+		"CompareChaos, a bad plan": func(cfg Config) error {
+			_, err := CompareChaos(cfg, []*chaos.Plan{badPlan})
+			return err
+		},
+	}
+	for name, entry := range entries {
+		cfg := baseConfig(&bad)
+		cfg.Policy = NewReactive(consolidation.NewZombieStack())
+		if err := entry(cfg); fmt.Sprint(err) != traceErr.Error() {
+			t.Errorf("%s, bad trace: got %v, want %v", name, err, traceErr)
+		}
+		cfg.Trace = good
+		cfg.Policy = NewReactive(consolidation.NewZombieStack())
+		if err := entry(cfg); err == nil || err.Error() == traceErr.Error() {
+			t.Errorf("%s, good trace: got %v, want the configuration's error", name, err)
+		}
+	}
+
+	short := &trace.Trace{Name: "short", Machines: 4, HorizonSec: 30, Tasks: []trace.Task{
+		{ID: 1, EndSec: 30, BookedCPU: 1, BookedMemGiB: 2, UsedCPU: 0.5, UsedMemGiB: 1},
+	}}
+	burst := &chaos.Plan{Name: "burst", Seed: 1, HorizonSec: short.HorizonSec,
+		Faults: []chaos.Fault{{Kind: chaos.TraceBurst, AtSec: 10, DurationSec: 10, Count: 3}}}
+	if err := burst.PerturbTrace(short).Validate(); err != nil {
+		t.Fatalf("perturbed short trace: %v", err)
+	}
+	cfg := baseConfig(short)
+	cfg.Policy = NewReactive(consolidation.NewZombieStack())
+	if _, err := RunChaos(cfg, burst); err != nil {
+		t.Fatalf("a burst on a %d s trace: %v", short.HorizonSec, err)
 	}
 }

@@ -55,20 +55,22 @@ type replay struct {
 
 // newReplay sets up the replay of cfg for the given policies (at least one),
 // which it runs as they are: each must be a fresh instance. cfg.Policy is
-// ignored, and cfg's trace is checked as its index is built (see prepare). A
+// ignored, and cfg's trace is checked as its index is built (see prepare),
+// or here when the rest of cfg fails, so that the trace's error wins. A
 // chaos plan on the config is applied to BOTH sides: the trace is perturbed
 // once (see prepare), the online loops inject the faults as events, and the
 // oracle replays under the same schedule through dcsim's degraded-capacity
 // pricing.
 func newReplay(cfg Config, policies []Policy) (*replay, error) {
 	cfg.Policy = policies[0]
-	if err := cfg.validateRun(); err != nil {
-		return nil, err
-	}
+	err := cfg.validateRun()
 	for _, pol := range policies[1:] {
-		if err := validatePolicy(pol); err != nil {
-			return nil, err
+		if err == nil {
+			err = validatePolicy(pol)
 		}
+	}
+	if err != nil {
+		return nil, cfg.traceFirst(err)
 	}
 	cfg.Policy = nil
 	cfg.applyDefaults()

@@ -190,46 +190,50 @@ type ReplayIndex struct {
 	busy []uint64
 }
 
-// NewReplayIndex builds the index of a trace, nil for a nil trace. Traces list
-// their tasks by start already, so the arrival order is close to a scan.
+// NewReplayIndex builds the index of a trace, valid or not, nil for a nil
+// trace. Traces list their tasks by start already, so the arrival order is
+// close to a scan.
 func NewReplayIndex(tr *trace.Trace) *ReplayIndex {
-	idx, _ := buildReplayIndex(tr, false)
+	idx, _ := indexTrace(tr)
 	return idx
 }
 
 // CheckedReplayIndex is NewReplayIndex for a trace that has not been
-// validated: it checks each task in the pass that indexes it, and returns
-// Trace.Validate's error for a trace that fails it.
+// validated: it returns Trace.Validate's error for a trace that fails it,
+// found in the pass that indexes the tasks.
 func CheckedReplayIndex(tr *trace.Trace) (*ReplayIndex, error) {
-	return buildReplayIndex(tr, true)
-}
-
-// buildReplayIndex indexes the trace in one pass in arrival order, checking
-// each task there if check is set, while the departure order is sorted on a
-// goroutine of its own.
-func buildReplayIndex(tr *trace.Trace, check bool) (*ReplayIndex, error) {
 	if tr == nil {
 		return nil, nil
 	}
-	if check {
-		if err := tr.ValidateMeta(); err != nil {
-			return nil, err
-		}
+	if err := tr.ValidateMeta(); err != nil {
+		return nil, err
+	}
+	idx, valid := indexTrace(tr)
+	if !valid {
+		return nil, tr.Validate() // the error of the first bad task in trace order
+	}
+	return idx, nil
+}
+
+// indexTrace indexes the trace in one pass in arrival order, which also
+// reports whether every task lies valid within the horizon, while the
+// departure order is sorted on a goroutine of its own.
+func indexTrace(tr *trace.Trace) (idx *ReplayIndex, valid bool) {
+	if tr == nil {
+		return nil, true
 	}
 	departs := make(chan []int32, 1)
 	go func() { departs <- trace.DepartureOrder(tr.Tasks) }()
 	order := trace.ArrivalOrder(tr.Tasks)
 	n := len(order)
-	idx := &ReplayIndex{
+	idx = &ReplayIndex{
 		starts: make([]int64, n), ends: make([]int64, n),
 		demand: make([]consolidation.VMDemand, n), rankOf: make([]int32, n), busy: make([]uint64, (n+63)/64),
 	}
+	valid = true
 	for rank, ti := range order {
 		t := &tr.Tasks[ti]
-		if check && t.ValidateIn(tr.HorizonSec) != nil {
-			<-departs
-			return nil, tr.Validate() // the error of the first bad task in trace order
-		}
+		valid = valid && t.ValidateIn(tr.HorizonSec) == nil
 		idx.rankOf[ti] = int32(rank)
 		idx.starts[rank], idx.ends[rank] = t.StartSec, t.EndSec
 		idx.demand[rank] = consolidation.VMDemand{
@@ -244,7 +248,7 @@ func buildReplayIndex(tr *trace.Trace, check bool) (*ReplayIndex, error) {
 	for i, task := range idx.departs {
 		idx.departs[i] = idx.rankOf[task]
 	}
-	return idx, nil
+	return idx, valid
 }
 
 // Rank returns the rank of the task at position task of the trace's Tasks.

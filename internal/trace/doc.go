@@ -14,10 +14,10 @@
 //     CPU demand, matching the demand trend of Figure 2;
 //   - CSV encoding/decoding in a compact schema so that users who do have the
 //     real traces can convert and replay them — gzip-aware on both sides
-//     (EncodeCSV writes .csv.gz on request, Import sniffs the magic
-//     bytes), since month-scale conversions balloon on disk as flat CSV.
-//     EncodeCSV's gzip is BGZF-style members that record their own length,
-//     which Import inflates on every core; any other gzip it reads serially;
+//     (EncodeCSV writes Huffman-only .csv.gz on request, which inflates
+//     faster than LZ77-coded gzip at about its size, and Import sniffs the
+//     magic bytes), since month-scale conversions balloon on disk as flat
+//     CSV;
 //   - the causal event order (ArrivalOrder, DepartureOrder) and a streaming
 //     feed over it (Stream) that yields arrivals and departures one event at
 //     a time; the online control plane (internal/autopilot) reads the same

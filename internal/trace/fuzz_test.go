@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
-	"compress/flate"
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -35,7 +32,7 @@ func encodeTasks(t *testing.T, tasks []Task) []byte {
 type csvPath struct{ Schema }
 
 // gzipped compresses data into one gzip member.
-func gzipped(t testing.TB, data []byte) []byte {
+func gzipped(t *testing.T, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
@@ -46,54 +43,6 @@ func gzipped(t testing.TB, data []byte) []byte {
 		t.Fatal("gzip:", err)
 	}
 	return buf.Bytes()
-}
-
-// inMembers frames data as gzip members of size bytes each but the last,
-// as EncodeCSV frames its members (appendMember); empty data is one empty
-// member.
-func inMembers(data []byte, size int) []byte {
-	var buf bytes.Buffer
-	fw, _ := flate.NewWriter(nil, flate.BestSpeed)
-	for len(data) > 0 || buf.Len() == 0 {
-		k := min(size, len(data))
-		appendMember(&buf, data[:k], fw)
-		data = data[k:]
-	}
-	return buf.Bytes()
-}
-
-// memberAt returns the offset of member i of gz, following the lengths the
-// members give themselves.
-func memberAt(gz []byte, i int) int {
-	at := 0
-	for range i {
-		at += int(binary.LittleEndian.Uint32(gz[at+16:]))
-	}
-	return at
-}
-
-// gunzipDecode decodes gz as one multistream gzip.Reader inflates it: the
-// reference the member path must match.
-func gunzipDecode(gz []byte) ([]Task, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(gz))
-	if err != nil {
-		return nil, err
-	}
-	return decodeRows(bufio.NewReader(zr), nil)
-}
-
-// membersMatchGunzip fails t unless decodeTasks reads gzip input to the
-// tasks, bit for bit, or the error text that gunzipDecode reads it to.
-func membersMatchGunzip(t *testing.T, gz []byte) {
-	t.Helper()
-	got, gotErr := decodeTasks(bytes.NewReader(gz), nil)
-	want, wantErr := gunzipDecode(gz)
-	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-		t.Fatalf("member path error %v, gzip.Reader error %v", gotErr, wantErr)
-	}
-	if !sameTasks(got, want) {
-		t.Fatalf("member path decoded %d tasks, gzip.Reader %d, or their bits differ", len(got), len(want))
-	}
 }
 
 // sameTasks reports whether a and b hold the same tasks bit for bit, so a NaN
@@ -207,11 +156,9 @@ func FuzzDecodeCSV(f *testing.F) {
 }
 
 // FuzzImport feeds arbitrary bytes to the streaming importer under both
-// bundled schemas: it must never panic, the member path must read gzip
-// input, and the input framed as small members, to the tasks or error that
-// a multistream gzip.Reader and the decoder read it to, the row scanner must
-// import what the encoding/csv path imports, plain and gzip, the checks
-// finalizeImported makes must fail as Trace.Validate does, anything it accepts must pass
+// bundled schemas: it must never panic, the row scanner must import what the
+// encoding/csv path imports, plain and gzip, the checks finalizeImported
+// makes must fail as Trace.Validate does, anything it accepts must pass
 // Trace.Validate (Import's contract), and an accepted trace must survive a
 // re-encode -> re-import round trip byte-identically — the derived fleet
 // size and horizon included, since the matrix artifacts hash on them.
@@ -238,37 +185,10 @@ func FuzzImport(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(longRow))
 	f.Add(farDuplicate())
-	f.Add([]byte("2,1,0,4000,1,2,0.5,1\n1,1,-5,60,1,2,0.5,1\n")) // outside a horizon, before it and after 3600
-	// Member files, whole and broken in each way the member path must hand to
-	// the serial path: their tasks or errors are gzip.Reader's.
-	ours, foreign := inMembers(plain.Bytes(), 100), gzipped(f, plain.Bytes())
-	f.Add(ours)
-	f.Add(append(bytes.Clone(ours), foreign...))
-	f.Add(append(bytes.Clone(foreign), ours...))
-	withLen := func(i int, length func(int) int) []byte {
-		gz := bytes.Clone(ours)
-		at := memberAt(gz, i) + 16
-		binary.LittleEndian.PutUint32(gz[at:], uint32(length(int(binary.LittleEndian.Uint32(gz[at:])))))
-		return gz
-	}
-	f.Add(withLen(1, func(n int) int { return n - 1 }))    // too small
-	f.Add(withLen(1, func(n int) int { return n + 1 }))    // too large
-	f.Add(withLen(1, func(int) int { return 0 }))          // zero
-	f.Add(withLen(2, func(n int) int { return n + 4096 })) // past EOF
-	other := bytes.Clone(ours)
-	copy(other[memberAt(other, 1)+12:], "BC") // another subfield
-	f.Add(other)
-	f.Add(ours[:memberAt(ours, 2)+30]) // truncated mid-member
-	badCRC := bytes.Clone(ours)
-	badCRC[memberAt(badCRC, 2)-8] ^= 1
-	f.Add(badCRC)
+	f.Add([]byte("2,1,0,4000,1,2,0.5,1\n"))                      // outside a horizon of 3600 s
+	f.Add([]byte("2,1,0,4000,1,2,0.5,1\n1,1,-5,60,1,2,0.5,1\n")) // outside any horizon, and one of 3600 s
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, in := range [][]byte{data, inMembers(data, 64)} {
-			if len(in) >= 2 && in[0] == gzipMagic[0] && in[1] == gzipMagic[1] {
-				membersMatchGunzip(t, in)
-			}
-		}
 		for _, in := range [][]byte{data, gzipped(t, data)} {
 			got, gotErr := Import(bytes.NewReader(in), ImportOptions{})
 			want, wantErr := Import(bytes.NewReader(in), ImportOptions{Schema: csvPath{NativeSchema()}})

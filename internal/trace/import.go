@@ -4,19 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
-	"compress/flate"
 	"compress/gzip"
-	"encoding/binary"
 	"encoding/csv"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // The streaming importer: real cluster traces run to millions of tasks, and
@@ -161,28 +156,26 @@ func (clusterSchema) Decode(rec []string) (Task, error) {
 // every other schema reads from the start; the two paths return the same
 // tasks and the same errors for the same bytes.
 //
-// Gzip input is sniffed by its magic bytes and inflated up to a ring of
-// blocks ahead of the decoder, EncodeCSV's members on up to GOMAXPROCS
-// goroutines and any other gzip on one, so the two halves of a .csv.gz import
-// run on every core. Every return stops the inflater and waits for it to
-// exit, so it never reads r after the call.
+// Gzip input is sniffed by its magic bytes and inflated on a goroutine of its
+// own, up to a ring of blocks ahead of the decoder, so the two halves of a
+// .csv.gz import run on two cores. Every return stops the inflater and waits
+// for it to exit, so it never reads r after the call.
 func decodeTasks(r io.Reader, schema Schema) ([]Task, error) {
+	if schema == nil {
+		schema = NativeSchema()
+	}
 	in := bufio.NewReader(r)
 	if magic, err := in.Peek(2); err == nil && magic[0] == gzipMagic[0] && magic[1] == gzipMagic[1] {
-		inf := inflate(in)
+		zr, err := gzip.NewReader(in)
+		if err != nil {
+			return nil, err
+		}
+		inf := inflate(zr)
 		defer inf.stop()
 		if inflating != nil {
 			inflating(inf)
 		}
 		in = bufio.NewReader(inf)
-	}
-	return decodeRows(in, schema)
-}
-
-// decodeRows is decodeTasks' loop over the rows of plain CSV.
-func decodeRows(in *bufio.Reader, schema Schema) ([]Task, error) {
-	if schema == nil {
-		schema = NativeSchema()
 	}
 	var cr *csv.Reader
 	if _, native := schema.(nativeSchema); !native {
@@ -380,9 +373,9 @@ const (
 	blockSize  = 256 << 10
 )
 
-// inflater runs a gzip stream on goroutines of its own into a ring of
-// recycled blocks and hands them to Read in stream order. It waits only when
-// every block is inflated and unread.
+// inflater runs a gzip stream on a goroutine of its own into a ring of
+// recycled blocks and hands them to Read in stream order. The goroutine
+// waits only when every block is inflated and unread.
 type inflater struct {
 	full   chan block    // inflated blocks in stream order
 	free   chan []byte   // blocks Read has drained, for reuse
@@ -398,41 +391,41 @@ type block struct {
 	err error
 }
 
-func inflate(in *bufio.Reader) *inflater {
+func inflate(zr io.Reader) *inflater {
 	f := &inflater{
 		full: make(chan block, ringBlocks), free: make(chan []byte, ringBlocks),
 		quit: make(chan struct{}), done: make(chan struct{}),
 	}
-	go f.run(in)
+	go f.run(zr)
 	return f
 }
 
-// run fills blocks until the stream ends or fails or stop is called: from
-// the described members at the head of in, then from one multistream
-// gzip.Reader over the rest, which for a stream that opens with no described
-// member is all of it. Serial blocks start at 4 KiB and each is four times
-// the last up to blockSize, and a smaller block coming back is replaced, so
-// a small stream stays small. No block's send on full blocks: it holds
+// run fills blocks until the stream ends or fails or stop is called. The
+// ring grows with the stream: blocks start at 4 KiB and each is four times
+// the last up to blockSize, and a smaller block coming back is replaced, so a
+// small stream stays small. Neither channel send blocks: each channel holds
 // every block there is.
-func (f *inflater) run(in *bufio.Reader) {
+func (f *inflater) run(zr io.Reader) {
 	defer close(f.done)
-	made := 0
-	rest := f.members(in, &made)
-	if rest == nil {
-		return
-	}
-	zr, err := gzip.NewReader(rest)
-	if err != nil { // io.EOF if the members were the stream
-		select { // the one send that may find full full, before Read's first
-		case f.full <- block{nil, err}:
+	for made, size := 0, 4<<10; ; size = min(4*size, blockSize) {
+		var b []byte
+		select {
 		case <-f.quit:
-		}
-		return
-	}
-	for size := 4 << 10; ; size = min(4*size, blockSize) {
-		b, ok := f.block(&made, size, true)
-		if !ok {
 			return
+		case b = <-f.free:
+		default:
+			if made < ringBlocks {
+				made++
+				break
+			}
+			select {
+			case <-f.quit:
+				return
+			case b = <-f.free:
+			}
+		}
+		if len(b) < size {
+			b = make([]byte, size)
 		}
 		n := 0
 		var err error
@@ -446,152 +439,6 @@ func (f *inflater) run(in *bufio.Reader) {
 			return
 		}
 	}
-}
-
-// block returns a block of at least size bytes: a free one, or a new one
-// while fewer than ringBlocks exist. When every block is taken it waits for
-// one if wait is set, and otherwise returns none. ok is false once stop is
-// called.
-func (f *inflater) block(made *int, size int, wait bool) (b []byte, ok bool) {
-	select {
-	case <-f.quit:
-		return nil, false
-	case b = <-f.free:
-	default:
-		if *made < ringBlocks {
-			*made++
-		} else if !wait {
-			return nil, true
-		} else {
-			select {
-			case <-f.quit:
-				return nil, false
-			case b = <-f.free:
-			}
-		}
-	}
-	if len(b) < size {
-		b = make([]byte, size)
-	}
-	return b, true
-}
-
-// member is a slot of the parallel path: a member read off the stream and
-// the block a worker inflates it into.
-type member struct {
-	comp []byte // the member, header and trailer included
-	out  []byte
-	ok   bool // comp inflated into out exactly as its trailer says
-	src  bytes.Reader
-	fr   io.ReadCloser
-	done chan struct{}
-}
-
-// members inflates the described members at the head of in on up to
-// GOMAXPROCS goroutines, into blocks of the ring in stream order. At the
-// first member that is not described, or not as it is, it returns the rest
-// of the stream from that member's first byte, for the serial path to read
-// as if it had read every byte; it returns nil once stop is called.
-func (f *inflater) members(in *bufio.Reader, made *int) io.Reader {
-	slots := make([]member, min(runtime.GOMAXPROCS(0), ringBlocks))
-	work := make(chan *member, len(slots)) // one send per member in flight, so none blocks
-	var workers sync.WaitGroup
-	defer workers.Wait()
-	defer close(work)
-	for i := range slots {
-		slots[i].done = make(chan struct{}, 1)
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			for s := range work {
-				s.inflate()
-			}
-		}()
-	}
-	var tail io.Reader // the stream after the members in flight, once no described one follows
-	head, n := 0, 0    // the oldest member in flight, and how many are
-	for {
-		if tail == nil && n < len(slots) {
-			hdr, err := in.Peek(len(memberHeader))
-			size := memberLen(hdr)
-			if size == 0 {
-				tail = in
-				if err != nil && err != io.EOF { // in reports an error once
-					tail = io.MultiReader(bytes.NewReader(bytes.Clone(hdr)), failing{err})
-				}
-				continue
-			}
-			b, ok := f.block(made, memberSize+1, n == 0)
-			if !ok {
-				for i := range n {
-					<-slots[(head+i)%len(slots)].done
-				}
-				return nil
-			}
-			if b != nil {
-				s := &slots[(head+n)%len(slots)]
-				s.comp, s.out = slices.Grow(s.comp[:0], size)[:size], b
-				n++
-				if k, err := io.ReadFull(in, s.comp); err != nil { // a short member fails, and the error follows it
-					s.comp, s.ok, tail = s.comp[:k], false, in
-					if err != io.ErrUnexpectedEOF {
-						tail = failing{err}
-					}
-					s.done <- struct{}{}
-					continue
-				}
-				work <- s
-				continue
-			}
-		}
-		if n == 0 {
-			return tail
-		}
-		s := &slots[head]
-		<-s.done
-		if !s.ok {
-			rest := make([]io.Reader, 0, n+1)
-			for i := range n {
-				s := &slots[(head+i)%len(slots)]
-				if i > 0 {
-					<-s.done
-				}
-				f.free <- s.out
-				rest = append(rest, bytes.NewReader(s.comp))
-			}
-			if tail == nil {
-				tail = in
-			}
-			return io.MultiReader(append(rest, tail)...)
-		}
-		f.full <- block{s.out, nil}
-		head, n = (head+1)%len(slots), n-1
-	}
-}
-
-// inflate inflates the member into its block, and is ok if the deflate data
-// fills the member to its trailer and inflates to at most memberSize bytes,
-// with the trailer's CRC and size.
-func (s *member) inflate() {
-	s.src.Reset(s.comp[len(memberHeader) : len(s.comp)-8])
-	if s.fr == nil {
-		s.fr = flate.NewReader(&s.src)
-	} else {
-		_ = s.fr.(flate.Resetter).Reset(&s.src, nil) // a flate reader's Reset never fails
-	}
-	out := s.out[:memberSize+1] // a byte past any member, so one that ends here is too long
-	n := 0
-	var err error
-	for n < len(out) && err == nil {
-		var k int
-		k, err = s.fr.Read(out[n:])
-		n += k
-	}
-	trailer := s.comp[len(s.comp)-8:]
-	s.out = out[:n]
-	s.ok = err == io.EOF && n <= memberSize && s.src.Len() == 0 &&
-		binary.LittleEndian.Uint32(trailer) == crc32.ChecksumIEEE(s.out) && binary.LittleEndian.Uint32(trailer[4:]) == uint32(n)
-	s.done <- struct{}{}
 }
 
 // Read returns the inflated stream, then its error (io.EOF at the end) for
@@ -640,7 +487,7 @@ type ImportOptions struct {
 // Import streams a .csv/.csv.gz trace into a replayable Trace: rows are
 // decoded and validated one at a time (raw records are never materialized in
 // bulk, and a native-schema row allocates nothing), a .csv.gz is inflated
-// ahead of the decoder on other cores, tasks land sorted by (StartSec, ID),
+// ahead of the decoder on a second core, tasks land sorted by (StartSec, ID),
 // and the fleet size and horizon are derived when not given. The result always passes
 // Trace.Validate. Hand it to the offline engines (dcsim) or the online control
 // plane (autopilot); both replay it through one dcsim.ReplayIndex.

@@ -429,80 +429,6 @@ func TestInflaterStopsWhereverTheDecodeEnds(t *testing.T) {
 	}
 }
 
-// TestMemberInflaterStopsWhereverTheDecodeEnds is the member path's twin of
-// TestInflaterStopsWhereverTheDecodeEnds, on 64 KiB members of EncodeCSV's
-// framing: a decode that fails on row 2 while every block of the ring holds
-// an inflated member, of a longer file or of all of one (so the end of the
-// stream waits behind a full ring), a source that fails in the middle of a
-// member, and a
-// file whose members give way to a foreign gzip member halfway, read by the
-// serial path to a repeated ID near its end. Each keeps the error text of the
-// same bytes read plain, or the source's own, and leaves no goroutine behind.
-func TestMemberInflaterStopsWhereverTheDecodeEnds(t *testing.T) {
-	var body strings.Builder
-	for id := 3; body.Len() < 2<<20; id++ {
-		fmt.Fprintf(&body, "%d,1,0,60,1,2,0.5,1\n", id)
-	}
-	const size = 64 << 10
-	badPlain := "1,1,0,60,1,2,0.5,1\n2,1,0,60,0,2,0,1\n" + body.String() // row 2 books nothing
-	goodPlain := "1,1,0,60,1,2,0.5,1\n2,1,0,60,1,2,0.5,1\n" + body.String()
-	bad, good := inMembers([]byte(badPlain), size), inMembers([]byte(goodPlain), size)
-	half := len(goodPlain) / 2
-	mixedPlain := goodPlain + "7,1,0,60,1,2,0.5,1\n" // task 7 again
-	mixed := append(inMembers([]byte(mixedPlain[:half]), size), gzipped(t, []byte(mixedPlain[half:]))...)
-	failing := errors.New("source failed mid-member")
-	mid := memberAt(good, 5) + 100
-	cases := []struct {
-		name     string
-		in       func() io.Reader
-		fillRing bool
-		plain    string // the same bytes read plain, "" when the source fails
-	}{
-		{"row 2 fails with every block holding a member", func() io.Reader { return bytes.NewReader(bad) }, true, badPlain},
-		{"row 2 fails with the ring holding the whole file", func() io.Reader { return bytes.NewReader(bad[:memberAt(bad, ringBlocks)]) }, true, badPlain[:ringBlocks*size]},
-		{"source fails mid-member", func() io.Reader {
-			return &failAfter{r: bytes.NewReader(good), n: mid, err: failing}
-		}, false, ""},
-		{"members give way to the serial path", func() io.Reader { return bytes.NewReader(mixed) }, false, mixedPlain},
-	}
-	base := runtime.NumGoroutine()
-	for _, c := range cases {
-		want := failing.Error()
-		if c.plain != "" {
-			_, err := decodeTasks(strings.NewReader(c.plain), nil)
-			if err == nil {
-				t.Fatalf("%s: the plain bytes decode", c.name)
-			}
-			want = err.Error()
-		}
-		full := false
-		if c.fillRing {
-			inflating = func(inf *inflater) {
-				for deadline := time.Now().Add(5 * time.Second); len(inf.full) < ringBlocks; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						return
-					}
-				}
-				full = true
-			}
-		}
-		_, err := decodeTasks(c.in(), nil)
-		inflating = nil
-		if c.fillRing && !full {
-			t.Errorf("%s: the ring never filled", c.name)
-		}
-		if got := fmt.Sprint(err); got != want {
-			t.Errorf("%s: error %q, want %q", c.name, got, want)
-		}
-		if _, err := Import(c.in(), ImportOptions{}); fmt.Sprint(err) != want {
-			t.Errorf("%s: Import error %q, want %q", c.name, fmt.Sprint(err), want)
-		}
-		if !goroutinesSettle(base) {
-			t.Errorf("%s left %d goroutines running, %d before", c.name, runtime.NumGoroutine(), base)
-		}
-	}
-}
-
 // TestImportAllocatesNothingPerRow: a plain native import of 100k rows
 // allocates its chunks, its exact-length task slice, its read buffer and its
 // ID bitset, and nothing per row.
@@ -528,9 +454,8 @@ func TestImportAllocatesNothingPerRow(t *testing.T) {
 
 // BenchmarkImportGzip imports the 100k-task serverless .csv.gz, the trace a
 // replay pass reads. The inflater runs a ring of blocks ahead of the row
-// scanner and inflates EncodeCSV's members on every core, so with two cores
-// the import takes about as long as the decode alone; -cpuprofile shows the
-// split, and -cpu 1 their sum.
+// scanner, so with two cores the import takes about as long as the inflate
+// alone; -cpuprofile shows the split, and -cpu 1 their sum.
 func BenchmarkImportGzip(b *testing.B) {
 	tr, encoded := serverlessGzip(b)
 	b.ReportAllocs()

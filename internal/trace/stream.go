@@ -77,17 +77,18 @@ func NewStream(tr *Trace) *Stream {
 // trace, repeated IDs included. It is the order of a Stream's arrivals, and a
 // replay knows a VM by its place in it (dcsim.ReplayIndex's rank).
 func ArrivalOrder(tasks []Task) []int32 {
-	return eventOrder(tasks, func(t *Task) int64 { return t.StartSec })
+	return eventOrder(tasks, false)
 }
 
 // DepartureOrder returns the positions of the tasks in the order they depart:
 // by end, then by ID, then by position. It is the order of a Stream's
 // departures.
 func DepartureOrder(tasks []Task) []int32 {
-	return eventOrder(tasks, func(t *Task) int64 { return t.EndSec })
+	return eventOrder(tasks, true)
 }
 
-// eventOrder returns the task positions sorted by (at(task), ID, position).
+// eventOrder returns the task positions sorted by (time, ID, position), where
+// a task's time is its end with byEnd set and its start otherwise.
 // Traces list their tasks by start, so the arrival order is a scan; the
 // departure order is a real sort, and a comparator call per comparison made it
 // the most expensive part of a short replay. When the times span less than
@@ -96,16 +97,27 @@ func DepartureOrder(tasks []Task) []int32 {
 // cuts off does), so when the IDs span less than 2^32 too, the positions are
 // first radix-sorted by ID: the sort by time keeps them in that order within
 // each instant. Otherwise the runs of equal times are left to a comparator.
-func eventOrder(tasks []Task, at func(*Task) int64) []int32 {
+func eventOrder(tasks []Task, byEnd bool) []int32 {
+	at := func(t *Task) int64 {
+		if byEnd {
+			return t.EndSec
+		}
+		return t.StartSec
+	}
 	order := make([]int32, len(tasks))
 	for i := range order {
 		order[i] = int32(i)
 	}
+	sorted := true
+	for i := 1; sorted && i < len(tasks); i++ {
+		a, b := &tasks[i-1], &tasks[i]
+		sorted = at(a) < at(b) || at(a) == at(b) && a.ID <= b.ID
+	}
+	if sorted {
+		return order
+	}
 	byTimeThenID := func(a, b int32) int {
 		return cmp.Or(cmp.Compare(at(&tasks[a]), at(&tasks[b])), cmp.Compare(tasks[a].ID, tasks[b].ID), cmp.Compare(a, b))
-	}
-	if slices.IsSortedFunc(order, byTimeThenID) {
-		return order
 	}
 	lo, hi := at(&tasks[0]), at(&tasks[0])
 	for i := range tasks {
@@ -136,21 +148,22 @@ func eventOrder(tasks []Task, at func(*Task) int64) []int32 {
 
 // radixSort reorders order, a permutation of the positions keys is indexed
 // by, into ascending key order, and each run of equal keys by tie, or, with a
-// nil tie, as order had them. The key order is an LSD radix sort over 8-bit
-// digits that skips any digit all keys share; positions move between order
-// and scratch (as long, left garbled) and keys are read through them, so
-// nothing is allocated.
+// nil tie, as order had them. The key order is an LSD radix sort over 11-bit
+// digits (three cover a key) that skips any digit all keys share, so a
+// key under 2^22, as the offsets of a day's times or of a million IDs are,
+// takes two passes; positions move between order and scratch (as long, left
+// garbled) and keys are read through them, so nothing is allocated.
 func radixSort(order, scratch []int32, keys []uint32, tie func(a, b int32) int) {
-	var counts [4][256]int
+	const bits = 11
+	var counts [3][1 << bits]int
 	for _, k := range keys {
-		counts[0][k&0xff]++
-		counts[1][k>>8&0xff]++
-		counts[2][k>>16&0xff]++
-		counts[3][k>>24]++
+		counts[0][k&(1<<bits-1)]++
+		counts[1][k>>bits&(1<<bits-1)]++
+		counts[2][k>>(2*bits)]++
 	}
 	src, dst := order, scratch
 	for d := range counts {
-		shift, c := 8*d, &counts[d]
+		shift, c := bits*d, &counts[d]
 		if slices.Contains(c[:], len(keys)) {
 			continue // every key has the same digit here
 		}
@@ -159,7 +172,7 @@ func radixSort(order, scratch []int32, keys []uint32, tie func(a, b int32) int) 
 			c[b], sum = sum, sum+n
 		}
 		for _, p := range src {
-			b := keys[p] >> shift & 0xff
+			b := keys[p] >> shift & (1<<bits - 1)
 			dst[c[b]] = p
 			c[b]++
 		}
