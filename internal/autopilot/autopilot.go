@@ -242,7 +242,7 @@ type walk struct {
 	// idx is the trace's replay index: the walk knows a VM by its rank, its
 	// position in the arrival order, and reads its events and its demand from
 	// the index.
-	idx *dcsim.ReplayIndex
+	idx *replayIndex
 	// running is the admitted population, a bitset over ranks, and the books
 	// its running sums.
 	running   ident.Set
@@ -306,8 +306,8 @@ func (e *laneError) Unwrap() error { return e.err }
 // Run executes the online control loop over the trace's arrival feed.
 //
 // The loop is event-driven: arrivals, departures, and re-planning ticks are
-// processed in time order (departures before arrivals at equal instants, the
-// index's Feed order, and a due tick last, so the policy observes the
+// processed in time order (departures before arrivals at equal instants,
+// trace.Stream's order, and a due tick last, so the policy observes the
 // population as of the tick instant). The first tick fires at TickSec —
 // before it the fleet holds the all-awake initial posture, because an online
 // controller has not seen anything yet.
@@ -324,7 +324,7 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.validateRun(); err != nil {
 		return Result{}, cfg.traceFirst(err)
 	}
-	idx, err := dcsim.CheckedReplayIndex(cfg.Trace)
+	idx, err := newReplayIndex(cfg.Trace)
 	if err != nil {
 		return Result{}, err
 	}
@@ -340,7 +340,7 @@ func Run(cfg Config) (Result, error) {
 // over the index of its trace, with a lane for each policy (a fresh instance
 // each, cfg.Policy is not read). Several lanes need a configuration that
 // walks them together (see walk).
-func newWalk(cfg *Config, idx *dcsim.ReplayIndex, policies []Policy) *walk {
+func newWalk(cfg *Config, idx *replayIndex, policies []Policy) *walk {
 	w := &walk{cfg: cfg, total: cfg.Trace.Machines, prices: cfg.Machine.Prices(), idx: idx, lanes: make([]lane, len(policies)), obs: newAPObs(cfg.Obs)}
 	if !cfg.Chaos.Empty() {
 		w.chaos = newChaosRun(cfg.Chaos)
@@ -367,21 +367,25 @@ func newWalk(cfg *Config, idx *dcsim.ReplayIndex, policies []Policy) *walk {
 	return w
 }
 
-// run walks the feed to the horizon and closes every lane's ledger. A lane's
-// failure ends the walk as a *laneError.
+// run walks the trace to the horizon and closes every lane's ledger. A
+// lane's failure ends the walk as a *laneError. The next arrival is the VM
+// of rank arrived and the next departure departs[left].
 func (w *walk) run() error {
 	horizon := w.cfg.Trace.HorizonSec
-	feed := w.idx.Feed()
-	ev, evOK := feed.Next()
+	starts, ends, departs := w.idx.starts, w.idx.ends, w.idx.departs
+	arrived, left := 0, 0
 	now := int64(0)
 	nextTick := w.cfg.TickSec
 
 	for now < horizon {
 		// The next moment: the earliest of the next chaos fault, the next
-		// feed event, the next tick and the horizon.
+		// departure and arrival, the next tick and the horizon.
 		t := min(horizon, nextTick)
-		if evOK && ev.AtSec < t {
-			t = ev.AtSec
+		if left < len(departs) {
+			t = min(t, ends[departs[left]])
+		}
+		if arrived < len(starts) {
+			t = min(t, starts[arrived])
 		}
 		if w.chaos != nil {
 			if m, ok := w.chaos.peek(); ok && m.at < t {
@@ -394,8 +398,8 @@ func (w *walk) run() error {
 		now = t
 
 		// At equal instants faults strike first (the fleet an arrival meets
-		// is the already-degraded one), then the feed's departures and
-		// arrivals, then a due tick — fully deterministic.
+		// is the already-degraded one), then departures, then arrivals, each
+		// in its index order, then a due tick — fully deterministic.
 		if w.chaos != nil {
 			l := &w.lanes[0] // a chaos walk has one lane
 			for {
@@ -409,13 +413,19 @@ func (w *walk) run() error {
 				}
 			}
 		}
-		for evOK && ev.AtSec == now {
-			if ev.Depart {
-				w.depart(ev.Rank)
-			} else if err := w.arrive(now, ev.Rank); err != nil {
+		for ; left < len(departs) && ends[departs[left]] == now; left++ {
+			if stepped != nil {
+				stepped(now, departs[left], true)
+			}
+			w.depart(departs[left])
+		}
+		for ; arrived < len(starts) && starts[arrived] == now; arrived++ {
+			if stepped != nil {
+				stepped(now, int32(arrived), false)
+			}
+			if err := w.arrive(now, int32(arrived)); err != nil {
 				return err
 			}
-			ev, evOK = feed.Next()
 		}
 		if now == nextTick {
 			if now < horizon {
@@ -500,6 +510,10 @@ func (w *walk) available() int {
 // admitted, when a test sets it, observes every lane after every admission.
 var admitted func(l *lane, rank int32)
 
+// stepped, when a test sets it, observes every arrival and departure the walk
+// handles, in its order, before the walk handles it.
+var stepped func(at int64, rank int32, depart bool)
+
 // arrive admits and places one task at its arrival instant. A task whose
 // booked reservation cannot fit the fleet even fully awake is rejected; an
 // admitted task that does not fit a lane's posture triggers an emergency
@@ -509,7 +523,7 @@ var admitted func(l *lane, rank int32)
 // requirement) by faults counts as an SLO violation.
 func (w *walk) arrive(now int64, rank int32) error {
 	w.arrivals++
-	v := w.idx.Demand(rank)
+	v := w.idx.demand[rank]
 	capacity := w.available()
 	spec := w.cfg.ServerSpec
 	if w.bookedCPU+v.BookedCPU > float64(capacity)*spec.Cores ||
@@ -618,7 +632,7 @@ func (w *walk) depart(rank int32) {
 		return // was rejected at admission
 	}
 	w.running.Remove(ident.ID(rank))
-	v := w.idx.Demand(rank)
+	v := w.idx.demand[rank]
 	w.bookedCPU -= v.BookedCPU
 	w.bookedMem -= v.BookedMemGiB
 	w.usedCPU -= v.UsedCPU
@@ -636,7 +650,7 @@ func (w *walk) population() int { return w.admitted - w.departures }
 // bills its closing interval and re-plans from that Demand, which then opens
 // the next interval as cum.
 func (w *walk) tick(now, horizon int64) error {
-	running := w.idx.Fold(&w.running)
+	running := w.idx.fold(&w.running)
 	for i := range w.lanes {
 		l := &w.lanes[i]
 		if err := l.tick(now, horizon, running); err != nil {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/core"
-	"repro/internal/dcsim"
 	"repro/internal/energy"
 	"repro/internal/fleet"
 	"repro/internal/trace"
@@ -431,7 +430,7 @@ func countAllocs(fn func()) uint64 {
 }
 
 // TestOnlineLoopAllocationBudget pins the allocation-free online loop: a run
-// allocates its setup (the replay index and its feed's orders, the loop's
+// allocates its setup (the replay index and its event orders, the loop's
 // few growing buffers) and nothing per task or per tick. Doubling the task
 // count may only regrow those buffers, far below one allocation per hundred
 // extra tasks, and tripling the tick count may only add a fixed slack — a
@@ -468,7 +467,7 @@ func TestOnlineLoopAllocationBudget(t *testing.T) {
 			return func() {
 				cfg := baseConfig(tr)
 				cfg.TickSec = tickSec
-				if err := newWalk(&cfg, dcsim.NewReplayIndex(tr), c.mk(c.base)).run(); err != nil {
+				if err := newWalk(&cfg, mustIndex(t, tr), c.mk(c.base)).run(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -501,8 +500,8 @@ func TestOnlineLoopAllocationBudget(t *testing.T) {
 // TestDuplicateTaskIDsReplayDeterministically: trace.Validate does not look
 // for repeated task IDs (only the CSV reader does), and no replay keys on an
 // ID, so two tasks of one ID are two VMs. Both are admitted and run side by
-// side, and Run, Regret and RunChaos over a trace that repeats an ID give the
-// same result twice.
+// side, Run, Regret and RunChaos over a trace that repeats an ID give the
+// same result twice, and the replay index ranks the two tasks apart.
 func TestDuplicateTaskIDsReplayDeterministically(t *testing.T) {
 	twins := &trace.Trace{Name: "twins", Machines: 4, HorizonSec: 1000, Tasks: []trace.Task{
 		{ID: 5, StartSec: 0, EndSec: 900, BookedCPU: 2, BookedMemGiB: 4, UsedCPU: 1, UsedMemGiB: 2},
@@ -552,10 +551,23 @@ func TestDuplicateTaskIDsReplayDeterministically(t *testing.T) {
 	if a, b := replay(), replay(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("two replays of a trace that repeats an ID differ:\n%+v\n%+v", a, b)
 	}
+
+	eng, err := trace.Generate(trace.GeneratorConfig{
+		Name: "engine-test", Machines: 60, HorizonSec: 6 * 3600, Tasks: 500,
+		MemoryToCPURatio: 3, MeanUtilization: 0.35, IdleFraction: 0.25, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Tasks[len(eng.Tasks)-1].ID = eng.Tasks[3].ID
+	idx := mustIndex(t, eng)
+	if a, b := idx.rankOf[3], idx.rankOf[len(eng.Tasks)-1]; a == b {
+		t.Fatalf("the two tasks of ID %d share rank %d", eng.Tasks[3].ID, a)
+	}
 }
 
 // TestRunLeavesNoGoroutine: a run leaves no goroutine behind, whatever it
-// starts while it builds its replay index and feed.
+// starts while it builds its replay index.
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := baseConfig(diurnalTrace(t))

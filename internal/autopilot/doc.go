@@ -1,11 +1,12 @@
 // Package autopilot is the online autonomic control plane: a deterministic
-// discrete-event loop that consumes a trace's arrival feed (dcsim.Feed),
-// admits and places each task at its arrival instant, and on a configurable
-// tick re-plans consolidation incrementally — the adopted
-// posture is diffed into suspend/zombie/wake events via consolidation.Delta
-// — under a pluggable online policy: reactive threshold, hysteresis
-// watermarks, or predictive EWMA forecasting, each with fixed parameters
-// (the headrooms, watermarks and smoothing constants in policy.go).
+// discrete-event loop that walks a trace's arrivals and departures in causal
+// order (trace.Stream's), admits and places each task at its arrival
+// instant, and on a configurable tick re-plans consolidation incrementally —
+// the adopted posture is diffed into suspend/zombie/wake events via
+// consolidation.Delta — under a pluggable online policy: reactive threshold,
+// hysteresis watermarks, or predictive EWMA forecasting, each with fixed
+// parameters (the headrooms, watermarks and smoothing constants in
+// policy.go).
 //
 // The offline simulator (internal/dcsim) replays whole epochs with oracle
 // knowledge of each epoch's population, which makes every Figure 10 savings
@@ -22,12 +23,15 @@
 // seed-deterministic: a fixed trace seed reproduces the full regret report
 // bit for bit.
 //
-// The loop replays through the trace's dcsim.ReplayIndex: it knows a VM by
-// its rank, its place in the arrival order, reads its events from the
-// index's Feed (ranks, never task copies) and each VM's demand from the
-// index, and keeps the running set as a bitset over ranks, so a run allocates
-// nothing per task or tick. A tick folds the running set once, in rank order
-// (ReplayIndex.Fold): that one consolidation.Demand is what the policy
+// The loop replays through the trace's replay index (index.go): it knows a
+// VM by its rank, its place in the arrival order, merges the index's arrival
+// and departure orders itself (ranks, never task copies), reads each VM's
+// demand from the index, and keeps the running set as a bitset over ranks,
+// so a run allocates nothing per task or tick. The index is built in one
+// pass in arrival order, which also applies Task.ValidateIn and returns
+// Trace.Validate's error, while the departure order is sorted on a second
+// goroutine. A tick folds the running set once, in rank order (the index's
+// fold): that one consolidation.Demand is what the policy
 // observes (Observation.Demand), what the drain of freed hosts is billed
 // against, and the next interval's cumulative population, to which each
 // admitted arrival, ranking after every member, adds its terms, so the

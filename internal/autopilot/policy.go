@@ -34,7 +34,7 @@ type Observation struct {
 func (o Observation) Inflated(factor float64) consolidation.Demand {
 	var d consolidation.Demand
 	o.walk.running.Each(func(rank ident.ID) {
-		v := o.walk.idx.Demand(int32(rank))
+		v := o.walk.idx.demand[rank]
 		v.BookedCPU *= factor
 		v.BookedMemGiB *= factor
 		v.UsedCPU *= factor

@@ -42,7 +42,7 @@ type replay struct {
 	// prepared guards the perturbed trace, its index and the trace's error,
 	// which the replay's first job finds (see prepare).
 	prepared sync.Once
-	idx      *dcsim.ReplayIndex
+	idx      *replayIndex
 	traceErr error
 	policies []Policy
 	online   []Result // by policy
@@ -107,7 +107,7 @@ func (r *replay) prepare() error {
 		if !r.cfg.Chaos.Empty() {
 			r.cfg.Trace = r.cfg.Chaos.PerturbTrace(r.cfg.Trace)
 		}
-		r.idx, r.traceErr = dcsim.CheckedReplayIndex(r.cfg.Trace)
+		r.idx, r.traceErr = newReplayIndex(r.cfg.Trace)
 	})
 	return r.traceErr
 }

@@ -146,7 +146,7 @@ func checkInterval(t *testing.T, tr *trace.Trace, pol Policy, plan *chaos.Plan) 
 	admitted = func(l *lane, rank int32) {
 		if len(ranks) == 0 {
 			for i, task := range tr.Tasks {
-				endOf[l.idx.Rank(i)] = task.EndSec
+				endOf[l.idx.rankOf[i]] = task.EndSec
 			}
 		}
 		if n := len(ranks); n > 0 && rank <= ranks[n-1] {
@@ -156,7 +156,7 @@ func checkInterval(t *testing.T, tr *trace.Trace, pol Policy, plan *chaos.Plan) 
 		var pop []consolidation.VMDemand
 		for _, r := range ranks {
 			if endOf[r] > l.intervalStart {
-				pop = append(pop, l.idx.Demand(r))
+				pop = append(pop, l.idx.demand[r])
 			}
 		}
 		if want := consolidation.SumDemand(pop); !bitEqual(l.cum, want) {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
-	"repro/internal/dcsim"
 	"repro/internal/trace"
 )
 
@@ -56,7 +55,7 @@ func FuzzOneWalk(f *testing.F) {
 		tr := intervalTrace(seed, size, shape, total)
 		mk, names := walkRoster(code)
 		cfg := baseConfig(tr)
-		w := newWalk(&cfg, dcsim.NewReplayIndex(tr), mk())
+		w := newWalk(&cfg, mustIndex(t, tr), mk())
 		if err := w.run(); err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +122,7 @@ func BenchmarkOneWalk(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx := dcsim.NewReplayIndex(tr)
+	idx := mustIndex(b, tr)
 	for _, lanes := range []int{1, 3} {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
 			b.ReportAllocs()

@@ -2,14 +2,12 @@ package dcsim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/energy"
 	"repro/internal/exact"
-	"repro/internal/ident"
 	"repro/internal/trace"
 )
 
@@ -169,178 +167,6 @@ type epochStats struct {
 	chaosJ       float64
 	wasted       int
 	reHomedGiB   float64
-}
-
-// ReplayIndex is the read-only replay view of one trace for autopilot's
-// online loop, built once and shared by its walks; the epoch walks read the
-// trace itself. A VM's rank is its task's position in the trace's arrival
-// order (trace.ArrivalOrder), so the online loop keeps its running set as
-// ascending integers in the order the VMs arrived, and reads its events from
-// the index's Feed.
-type ReplayIndex struct {
-	// starts, ends and demand are indexed by rank: the VM of rank r starts
-	// at starts[r]. A demand carries no VM ID: no simulation reads one.
-	starts, ends []int64
-	demand       []consolidation.VMDemand
-	// rankOf is indexed by a task's position in the trace.
-	rankOf []int32
-	// departs is the departure order, the ranks in trace.DepartureOrder.
-	departs []int32
-	// busy is a bitset over ranks, set for the VMs that are not idle.
-	busy []uint64
-}
-
-// NewReplayIndex builds the index of a trace, valid or not, nil for a nil
-// trace. Traces list their tasks by start already, so the arrival order is
-// close to a scan.
-func NewReplayIndex(tr *trace.Trace) *ReplayIndex {
-	idx, _ := indexTrace(tr)
-	return idx
-}
-
-// CheckedReplayIndex is NewReplayIndex for a trace that has not been
-// validated: it returns Trace.Validate's error for a trace that fails it,
-// found in the pass that indexes the tasks.
-func CheckedReplayIndex(tr *trace.Trace) (*ReplayIndex, error) {
-	if tr == nil {
-		return nil, nil
-	}
-	if err := tr.ValidateMeta(); err != nil {
-		return nil, err
-	}
-	idx, valid := indexTrace(tr)
-	if !valid {
-		return nil, tr.Validate() // the error of the first bad task in trace order
-	}
-	return idx, nil
-}
-
-// indexTrace indexes the trace in one pass in arrival order, which also
-// reports whether every task lies valid within the horizon, while the
-// departure order is sorted on a goroutine of its own.
-func indexTrace(tr *trace.Trace) (idx *ReplayIndex, valid bool) {
-	if tr == nil {
-		return nil, true
-	}
-	departs := make(chan []int32, 1)
-	go func() { departs <- trace.DepartureOrder(tr.Tasks) }()
-	order := trace.ArrivalOrder(tr.Tasks)
-	n := len(order)
-	idx = &ReplayIndex{
-		starts: make([]int64, n), ends: make([]int64, n),
-		demand: make([]consolidation.VMDemand, n), rankOf: make([]int32, n), busy: make([]uint64, (n+63)/64),
-	}
-	valid = true
-	for rank, ti := range order {
-		t := &tr.Tasks[ti]
-		valid = valid && t.ValidateIn(tr.HorizonSec) == nil
-		idx.rankOf[ti] = int32(rank)
-		idx.starts[rank], idx.ends[rank] = t.StartSec, t.EndSec
-		idx.demand[rank] = consolidation.VMDemand{
-			BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB,
-			UsedCPU: t.UsedCPU, UsedMemGiB: t.UsedMemGiB,
-		}
-		if !idx.demand[rank].Idle() {
-			idx.busy[rank/64] |= 1 << (rank % 64)
-		}
-	}
-	idx.departs = <-departs
-	for i, task := range idx.departs {
-		idx.departs[i] = idx.rankOf[task]
-	}
-	return idx, valid
-}
-
-// Rank returns the rank of the task at position task of the trace's Tasks.
-func (idx *ReplayIndex) Rank(task int) int32 { return idx.rankOf[task] }
-
-// Demand returns the consolidation-level view of the VM of the given rank,
-// whose ID is left empty.
-func (idx *ReplayIndex) Demand(rank int32) consolidation.VMDemand { return idx.demand[rank] }
-
-// Feed returns a cursor at the start of the index's event feed.
-func (idx *ReplayIndex) Feed() Feed { return Feed{departs: idx.departs, idx: idx} }
-
-// Fold returns the Demand of the VMs whose ranks running holds, folded in
-// rank order: SumDemand of them, bit for bit. Every sum adds its terms in that
-// order, but the sums are split over three passes, the busy and idle sums
-// over running masked by the VMs' busy bits, so that no pass branches on a VM
-// and each keeps few sums live.
-func (idx *ReplayIndex) Fold(running *ident.Set) consolidation.Demand {
-	busy, words := idx.busy, running.Words()
-	var d consolidation.Demand
-	var bookedCPU, bookedMem, usedCPU, usedMem float64
-	for i, w := range words {
-		d.VMs += bits.OnesCount64(w)
-		for ; w != 0; w &= w - 1 {
-			v := &idx.demand[i*64+bits.TrailingZeros64(w)]
-			bookedCPU += v.BookedCPU
-			bookedMem += v.BookedMemGiB
-			usedCPU += v.UsedCPU
-			usedMem += v.UsedMemGiB
-		}
-	}
-	d.BookedCPU, d.BookedMemGiB, d.UsedCPU, d.UsedMemGiB = bookedCPU, bookedMem, usedCPU, usedMem
-	var busyCPU, busyMem, busyUsedCPU float64
-	for i, w := range words {
-		w &= busy[i]
-		d.BusyVMs += bits.OnesCount64(w)
-		for ; w != 0; w &= w - 1 {
-			v := &idx.demand[i*64+bits.TrailingZeros64(w)]
-			busyCPU += v.BookedCPU
-			busyMem += v.BookedMemGiB
-			busyUsedCPU += v.UsedCPU
-		}
-	}
-	d.BusyBookedCPU, d.BusyBookedMemGiB, d.BusyUsedCPU = busyCPU, busyMem, busyUsedCPU
-	var idleWSS, idleCold float64
-	for i, w := range words {
-		for w &^= busy[i]; w != 0; w &= w - 1 {
-			v := &idx.demand[i*64+bits.TrailingZeros64(w)]
-			idleWSS += v.WSSGiB()
-			idleCold += v.BookedMemGiB - v.WSSGiB()
-		}
-	}
-	d.IdleWSSGiB, d.IdleColdGiB = idleWSS, idleCold
-	return d
-}
-
-// Event is one element of a feed: the VM of rank Rank arrives at AtSec, or
-// departs then.
-type Event struct {
-	AtSec  int64
-	Rank   int32
-	Depart bool
-}
-
-// Feed walks a replay's arrivals and departures in time order, trace.Stream's
-// order: at equal instants departures come first, and events of one kind
-// follow the arrival and departure orders. It reads the index only, so it
-// copies no task.
-type Feed struct {
-	departs       []int32
-	idx           *ReplayIndex
-	arrived, left int
-}
-
-// Next returns the next event, or ok=false when the feed is exhausted. The
-// earliest-ending VM still to depart goes first when it is due no later than
-// the next arrival; one that has not arrived yet never is, because the next
-// arrival starts no later than it does and it ends after it starts.
-func (f *Feed) Next() (ev Event, ok bool) {
-	idx := f.idx
-	if f.left < len(f.departs) {
-		dep := f.departs[f.left]
-		if f.arrived == len(idx.starts) || idx.ends[dep] <= idx.starts[f.arrived] {
-			f.left++
-			return Event{AtSec: idx.ends[dep], Rank: dep, Depart: true}, true
-		}
-	}
-	if f.arrived == len(idx.starts) {
-		return Event{}, false
-	}
-	f.arrived++
-	return Event{AtSec: idx.starts[f.arrived-1], Rank: int32(f.arrived - 1)}, true
 }
 
 // The terms of one VM in a difference array: a busy VM adds the first four,

@@ -51,14 +51,8 @@
 // in exactly the same order as the sequential path: a parallel run is
 // bit-identical to a sequential one (see parallel.go).
 //
-// internal/autopilot's online loop replays a trace through a read-only
-// ReplayIndex (dcsim.go): each VM's rank, its task's position in the arrival
-// order (trace.ArrivalOrder), and the start, end and demand of every rank.
-// The loop keeps its running set by rank, reads its events from the index's
-// Feed and folds its running set with its Fold. It builds the index once
-// per trace and fault plan, with CheckedReplayIndex, which validates the
-// trace in the pass that indexes it while the departure order is sorted on
-// a second goroutine; its oracles are plain Runs of the same trace.
+// internal/autopilot's online loop replays a trace through a replay index of
+// its own; its oracles are plain Runs of the same trace.
 //
 // On top of single runs, sweep.go provides a scenario-sweep harness that runs
 // a grid of {policy, machine profile, trace, consolidation period,

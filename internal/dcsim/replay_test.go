@@ -1,7 +1,6 @@
 package dcsim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/big"
@@ -268,10 +267,6 @@ func TestDuplicateTaskIDsReplayDeterministically(t *testing.T) {
 			t.Fatalf("run %d differs between two replays\n got %+v\nwant %+v", i, got, want[i])
 		}
 	}
-	idx := NewReplayIndex(&dup)
-	if a, b := idx.Rank(3), idx.Rank(len(dup.Tasks)-1); a == b {
-		t.Fatalf("the two tasks of ID %d share rank %d", dup.Tasks[3].ID, a)
-	}
 }
 
 // TestCompareFormatsVMIDsOncePerTrace pins the sharing: a comparison is six
@@ -293,164 +288,4 @@ func TestCompareFormatsVMIDsOncePerTrace(t *testing.T) {
 		t.Fatalf("CompareOpts over %d tasks x %d runs costs %d allocs, budget %d", len(tr.Tasks), runs, got, budget)
 	}
 	t.Logf("CompareOpts: %d allocs for %d tasks x %d runs", got, len(tr.Tasks), runs)
-}
-
-// TestReplayIndexRanksAreTheArrivalOrder ranks hand-picked IDs whose decimal
-// strings order differently from the numbers (a proper prefix, a digit-count
-// boundary, a minus sign, both ends of int64) over five starts: each task's
-// rank is its position in trace.ArrivalOrder, and the index holds its demand
-// at that rank.
-func TestReplayIndexRanksAreTheArrivalOrder(t *testing.T) {
-	ids := []int{
-		0, 9, 10, 12, 120, 1200, 99, 100, math.MaxInt64, math.MinInt64, -1, -10, -12, -120,
-		1e18 - 1, 1e18, 1e18 + 1, 1, 2, 19, 20, 123456789, 1234567890, math.MaxInt64 - 1, math.MinInt64 + 1,
-	}
-	tr := &trace.Trace{Name: "ranks", Machines: 1, HorizonSec: 10}
-	for i, id := range ids {
-		tr.Tasks = append(tr.Tasks, trace.Task{ID: id, StartSec: int64(i % 5), EndSec: 10, BookedCPU: 1, BookedMemGiB: float64(i + 1)})
-	}
-	idx := NewReplayIndex(tr)
-	for want, i := range trace.ArrivalOrder(tr.Tasks) {
-		rank := idx.Rank(int(i))
-		if rank != int32(want) {
-			t.Fatalf("task %d (ID %d, start %d) has rank %d, arrival position %d", i, tr.Tasks[i].ID, tr.Tasks[i].StartSec, rank, want)
-		}
-		if v := idx.Demand(rank); v.BookedMemGiB != tr.Tasks[i].BookedMemGiB {
-			t.Fatalf("task %d: rank %d holds %+v", i, rank, v)
-		}
-	}
-}
-
-// FuzzVMOrder pins the VM order: a task's rank is its position in the
-// stream's arrival order, which is by start, then by ID as a number, then by
-// position in the trace. A trace of five tasks repeats both IDs a and b and
-// both starts, in the given row order and reversed, and the index must rank
-// each task where the stream delivers it and where a stable sort by (start,
-// ID) puts it, holding its demand at that rank. The corpus checked in under
-// testdata/fuzz holds ID pairs whose decimal strings order differently from
-// the numbers (a proper prefix, a digit-count boundary, a minus sign) and
-// both ends of int64.
-func FuzzVMOrder(f *testing.F) {
-	f.Fuzz(func(t *testing.T, a, b int64) {
-		rows := []trace.Task{{ID: int(a)}, {ID: int(b)}, {ID: int(b), StartSec: 1}, {ID: int(a), StartSec: 1}, {ID: int(a)}}
-		reversed := slices.Clone(rows)
-		slices.Reverse(reversed)
-		for _, tasks := range [][]trace.Task{rows, reversed} {
-			tr := &trace.Trace{Name: "pair", Machines: 1, HorizonSec: 2, Tasks: tasks}
-			for i := range tr.Tasks {
-				tr.Tasks[i].EndSec, tr.Tasks[i].BookedCPU, tr.Tasks[i].BookedMemGiB = 2, 1, float64(i+1)
-			}
-			want := make([]int, len(tr.Tasks))
-			for i := range want {
-				want[i] = i
-			}
-			slices.SortStableFunc(want, func(i, j int) int {
-				x, y := tr.Tasks[i], tr.Tasks[j]
-				return cmp.Or(cmp.Compare(x.StartSec, y.StartSec), cmp.Compare(x.ID, y.ID))
-			})
-			idx := NewReplayIndex(tr)
-			stream := trace.NewStream(tr)
-			var rank int32
-			for ev, ok := stream.Next(); ok; ev, ok = stream.Next() {
-				if ev.Kind != trace.Arrive {
-					continue
-				}
-				if ev.Index != want[rank] || idx.Rank(ev.Index) != rank {
-					t.Fatalf("IDs %d, %d: arrival %d is task %d of rank %d, want task %d", a, b, rank, ev.Index, idx.Rank(ev.Index), want[rank])
-				}
-				if v := idx.Demand(rank); v.BookedMemGiB != ev.Task.BookedMemGiB {
-					t.Fatalf("IDs %d, %d: rank %d holds %+v, task %d books %v GiB", a, b, rank, v, ev.Index, ev.Task.BookedMemGiB)
-				}
-				rank++
-			}
-		}
-	})
-}
-
-// serialReplayIndex is the reference build of a replay index: the arrival
-// pass, then the departure order, on one goroutine.
-func serialReplayIndex(tr *trace.Trace) *ReplayIndex {
-	order := trace.ArrivalOrder(tr.Tasks)
-	n := len(order)
-	idx := &ReplayIndex{
-		starts: make([]int64, n), ends: make([]int64, n),
-		demand: make([]consolidation.VMDemand, n), rankOf: make([]int32, n), busy: make([]uint64, (n+63)/64),
-	}
-	for rank, ti := range order {
-		t := tr.Tasks[ti]
-		idx.rankOf[ti] = int32(rank)
-		idx.starts[rank], idx.ends[rank] = t.StartSec, t.EndSec
-		idx.demand[rank] = consolidation.VMDemand{BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB, UsedCPU: t.UsedCPU, UsedMemGiB: t.UsedMemGiB}
-		if !idx.demand[rank].Idle() {
-			idx.busy[rank/64] |= 1 << (rank % 64)
-		}
-	}
-	for _, ti := range trace.DepartureOrder(tr.Tasks) {
-		idx.departs = append(idx.departs, idx.rankOf[ti])
-	}
-	return idx
-}
-
-// TestReplayIndexMatchesSerialBuild: the index built with its departure
-// order sorted beside the arrival pass, checked or not, is the serial
-// build's, departs, rankOf and busy included, on all five families, both
-// Google-like presets, a trace whose tasks mostly end at one instant, and one
-// whose times span 2^32 seconds and more, which sorts by comparator.
-func TestReplayIndexMatchesSerialBuild(t *testing.T) {
-	var traces []*trace.Trace
-	for _, fam := range trace.Families() {
-		tr, err := fam.Generate(trace.FamilyParams{Machines: 50, HorizonSec: 24 * 3600, Tasks: 3000, Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		traces = append(traces, tr)
-	}
-	for _, cfg := range []trace.GeneratorConfig{trace.DefaultConfig(), trace.ModifiedConfig()} {
-		cfg.Tasks = 3000
-		tr, err := trace.Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		traces = append(traces, tr)
-	}
-	rng := rand.New(rand.NewSource(3))
-	cutOff := &trace.Trace{Name: "cut-off", Machines: 10, HorizonSec: 3600}
-	wide := &trace.Trace{Name: "wide", Machines: 10, HorizonSec: 1 << 40}
-	for i := range 2000 {
-		start := rng.Int63n(3000)
-		end := cutOff.HorizonSec
-		if i%5 == 0 {
-			end = start + 1 + rng.Int63n(cutOff.HorizonSec-start)
-		}
-		cutOff.Tasks = append(cutOff.Tasks, trace.Task{ID: rng.Intn(1 << 20), StartSec: start, EndSec: end, BookedCPU: 1, BookedMemGiB: 2, UsedCPU: rng.Float64(), UsedMemGiB: 1})
-		start = rng.Int63n(wide.HorizonSec - 1)
-		wide.Tasks = append(wide.Tasks, trace.Task{ID: i, StartSec: start, EndSec: start + 1 + rng.Int63n(wide.HorizonSec-start), BookedCPU: 1, BookedMemGiB: 2, UsedCPU: 0.5, UsedMemGiB: 1})
-	}
-	for _, tr := range []*trace.Trace{cutOff, wide} {
-		slices.SortFunc(tr.Tasks, func(a, b trace.Task) int { return cmp.Compare(a.StartSec, b.StartSec) })
-	}
-	traces = append(traces, cutOff, wide)
-	for _, tr := range traces {
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("%s: %v", tr.Name, err)
-		}
-		want := serialReplayIndex(tr)
-		checked, err := CheckedReplayIndex(tr)
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name, err)
-		}
-		for name, idx := range map[string]*ReplayIndex{"NewReplayIndex": NewReplayIndex(tr), "CheckedReplayIndex": checked} {
-			if !slices.Equal(idx.departs, want.departs) || !slices.Equal(idx.rankOf, want.rankOf) || !slices.Equal(idx.busy, want.busy) ||
-				!reflect.DeepEqual(idx, want) {
-				t.Errorf("%s: %s differs from the serial build", tr.Name, name)
-			}
-		}
-	}
-	bad := *cutOff
-	bad.Tasks = slices.Clone(cutOff.Tasks)
-	bad.Tasks[len(bad.Tasks)/2].EndSec = bad.HorizonSec + 1
-	bad.Tasks[len(bad.Tasks)-1].StartSec = -1 // arrives first, but Trace.Validate reports the task above
-	if _, err := CheckedReplayIndex(&bad); fmt.Sprint(err) != fmt.Sprint(bad.Validate()) {
-		t.Errorf("CheckedReplayIndex of a bad trace: error %v, want %v", err, bad.Validate())
-	}
 }

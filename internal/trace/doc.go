@@ -20,9 +20,9 @@
 //     CSV;
 //   - the causal event order (ArrivalOrder, DepartureOrder) and a streaming
 //     feed over it (Stream) that yields arrivals and departures one event at
-//     a time; the online control plane (internal/autopilot) reads the same
-//     order through dcsim.ReplayIndex's Feed, so it never sees the future or
-//     the materialized population;
+//     a time; the online control plane (internal/autopilot) walks the same
+//     order through its replay index, so it never sees the future or the
+//     materialized population;
 //   - a scenario engine of seeded workload families (Family, GenerateFamily):
 //     diurnal sinusoid, flash-crowd bursts, serverless short tasks,
 //     gang-scheduled ML batches and heavy-tail Pareto sizes, each with a

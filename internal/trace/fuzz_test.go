@@ -11,8 +11,8 @@ import (
 
 // Fuzz hardening for the two trace surfaces that consume untrusted input or
 // uphold an ordering contract: the CSV codec (real-trace conversions arrive
-// from disk), here, and the event order (the online control plane's feed must
-// match the slice-based replay exactly), in feed_test.go. Seed corpora are
+// from disk), here, and the event order (the stream must match the
+// slice-based replay exactly), in order_test.go. Seed corpora are
 // checked in under testdata/fuzz/, and CI runs each target for a short
 // -fuzztime on top of the always-on seed replay.
 

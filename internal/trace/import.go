@@ -489,8 +489,9 @@ type ImportOptions struct {
 // bulk, and a native-schema row allocates nothing), a .csv.gz is inflated
 // ahead of the decoder on a second core, tasks land sorted by (StartSec, ID),
 // and the fleet size and horizon are derived when not given. The result always passes
-// Trace.Validate. Hand it to the offline engines (dcsim) or the online control
-// plane (autopilot); both replay it through one dcsim.ReplayIndex.
+// Trace.Validate. Hand it to the offline engines (dcsim), which read it
+// directly, or to the online control plane (autopilot), which replays it
+// through its replay index.
 func Import(r io.Reader, opts ImportOptions) (*Trace, error) {
 	tasks, err := decodeTasks(r, opts.Schema)
 	if err != nil {

@@ -7,36 +7,10 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/dcsim"
 	"repro/internal/trace"
 )
 
-// The event order's oracles. They live outside package trace because they
-// also hold the replay index's feed (dcsim.ReplayIndex.Feed), which the online
-// control plane reads, to trace.Stream's events.
-
-// checkFeed checks that the replay index's feed of tr yields the stream's
-// events: the same instants and kinds, and for each the rank the index gives
-// the stream's task, ties included.
-func checkFeed(t *testing.T, tr *trace.Trace) {
-	t.Helper()
-	idx := dcsim.NewReplayIndex(tr)
-	feed, stream := idx.Feed(), trace.NewStream(tr)
-	for n := 0; ; n++ {
-		want, more := stream.Next()
-		got, ok := feed.Next()
-		if ok != more {
-			t.Fatalf("after %d events the feed says more=%v, the stream %v", n, ok, more)
-		}
-		if !ok {
-			return
-		}
-		if got.AtSec != want.AtSec || got.Depart != (want.Kind == trace.Depart) || got.Rank != idx.Rank(want.Index) {
-			t.Fatalf("event %d of the feed is %+v, the stream's is %v of rank %d at %d",
-				n, got, want.Kind, idx.Rank(want.Index), want.AtSec)
-		}
-	}
-}
+// The event order's oracles, which read the package as its callers do.
 
 // fuzzTasks derives a small, always-valid task set from raw fuzz bytes:
 // three bytes drive each task's start and duration. IDs are distinct but not
@@ -66,8 +40,7 @@ func fuzzTasks(data []byte) []trace.Task {
 // materializing every (arrive, depart) pair and sorting by (time,
 // departs-before-arrives, task ID) — the causal order the online control
 // plane and the offline engine both assume — while its Running() counter
-// tracks the population without ever going negative. The replay index's feed,
-// which the online control plane reads, must yield the same events.
+// tracks the population without ever going negative.
 func FuzzStreamVsSlurp(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
@@ -144,13 +117,11 @@ func FuzzStreamVsSlurp(f *testing.F) {
 		if got := s.Running(); got != 0 {
 			t.Fatalf("Running() = %d after exhaustion, want 0", got)
 		}
-		checkFeed(t, tr)
 	})
 }
 
 // FuzzEventOrder pins the stream's sort against a stable comparator sort by
-// (time, ID) on arbitrary tasks, and the replay index's feed against the
-// stream. The first byte scales the times, so the corpus reaches spans of
+// (time, ID) on arbitrary tasks. The first byte scales the times, so the corpus reaches spans of
 // 2^32 seconds and beyond, where the sort falls back to the comparator; then
 // three bytes make each task, two for its time and one that shuffles its
 // (always distinct) ID.
@@ -175,6 +146,5 @@ func FuzzEventOrder(f *testing.F) {
 		if got := trace.ArrivalOrder(tasks); !slices.Equal(got, want) {
 			t.Fatalf("ArrivalOrder %v, want %v", got, want)
 		}
-		checkFeed(t, &trace.Trace{Name: "order", Machines: 1, HorizonSec: 1, Tasks: tasks})
 	})
 }

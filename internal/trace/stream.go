@@ -75,7 +75,7 @@ func NewStream(tr *Trace) *Stream {
 // ArrivalOrder returns the positions of the tasks in the order they arrive:
 // by start, then by ID, then by position, so the order is total for any
 // trace, repeated IDs included. It is the order of a Stream's arrivals, and a
-// replay knows a VM by its place in it (dcsim.ReplayIndex's rank).
+// replay knows a VM by its place in it (its rank in autopilot's replay index).
 func ArrivalOrder(tasks []Task) []int32 {
 	return eventOrder(tasks, false)
 }
