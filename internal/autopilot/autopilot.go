@@ -1,7 +1,9 @@
 package autopilot
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/acpi"
@@ -121,6 +123,10 @@ func (c *Config) validateRun() error {
 	if c.TickSec < 0 {
 		return fmt.Errorf("autopilot: negative tick period %d", c.TickSec)
 	}
+	// The walk's tick clock runs to the first tick past the horizon.
+	if tick := cmp.Or(c.TickSec, defaultTickSec); c.Trace.HorizonSec > math.MaxInt64-tick {
+		return fmt.Errorf("autopilot: horizon %d s plus tick period %d s overflows int64", c.Trace.HorizonSec, tick)
+	}
 	if c.Workers < 0 {
 		return fmt.Errorf("autopilot: negative worker count %d", c.Workers)
 	}
@@ -156,11 +162,12 @@ func validatePolicy(p Policy) error {
 	return nil
 }
 
+// defaultTickSec is the tick period a zero TickSec selects.
+const defaultTickSec = 300
+
 // applyDefaults fills optional fields.
 func (c *Config) applyDefaults() {
-	if c.TickSec == 0 {
-		c.TickSec = 300
-	}
+	c.TickSec = cmp.Or(c.TickSec, defaultTickSec)
 }
 
 // Result summarises one online run. Energy accounting is directly comparable

@@ -1,6 +1,7 @@
 package autopilot
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -659,5 +660,32 @@ func TestCompareOnlineEqualsRegretPerPolicy(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("policy %s/%s: CompareOnline reports\n%+v\nRegret alone reports\n%+v", want.Policy, want.Planner, got[i], want)
 		}
+	}
+}
+
+// TestTickClockCannotOverflow: the walk steps its tick clock a period at a
+// time to the first tick past the horizon, so a horizon within a tick of
+// MaxInt64 would wrap it negative and the walk would never end. Run and
+// Regret refuse such a horizon upfront, the 300 s default tick included, and
+// walk one a tick short of it.
+func TestTickClockCannotOverflow(t *testing.T) {
+	config := func(horizon, tick int64) Config {
+		cfg := baseConfig(&trace.Trace{Name: "edge", Machines: 1, HorizonSec: horizon, Tasks: []trace.Task{
+			{ID: 1, StartSec: 0, EndSec: 60, BookedCPU: 1, BookedMemGiB: 1, UsedCPU: 0.5, UsedMemGiB: 0.5},
+		}})
+		cfg.TickSec = tick
+		cfg.Policy = NewReactive(consolidation.NewZombieStack())
+		return cfg
+	}
+	for _, c := range []struct{ horizon, tick int64 }{{math.MaxInt64 - 1, 1 << 62}, {math.MaxInt64 - 299, 0}} {
+		if _, err := Run(config(c.horizon, c.tick)); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("Run, horizon %d, tick %d: error %v, want an overflow", c.horizon, c.tick, err)
+		}
+		if _, err := Regret(config(c.horizon, c.tick)); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("Regret, horizon %d, tick %d: error %v, want an overflow", c.horizon, c.tick, err)
+		}
+	}
+	if _, err := Regret(config(math.MaxInt64-1<<62, 1<<62)); err != nil {
+		t.Errorf("a horizon a tick short of MaxInt64: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package dcsim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
@@ -56,7 +57,8 @@ func (c *Config) Validate() error {
 	return prepare([]Config{*c})
 }
 
-// validateRun checks everything the configuration adds to its trace.
+// validateRun checks everything the configuration, its default period
+// applied, adds to its trace.
 func (c *Config) validateRun() error {
 	if c.Policy == nil {
 		return fmt.Errorf("dcsim: a consolidation policy is required")
@@ -73,10 +75,11 @@ func (c *Config) validateRun() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("dcsim: negative worker count %d", c.Workers)
 	}
-	if err := c.Chaos.Validate(); err != nil {
-		return err
+	// The epoch walk's clock runs to the first period start past the horizon.
+	if c.Trace.HorizonSec > math.MaxInt64-c.ConsolidationPeriodSec {
+		return fmt.Errorf("dcsim: horizon %d s plus consolidation period %d s overflows int64", c.Trace.HorizonSec, c.ConsolidationPeriodSec)
 	}
-	return nil
+	return c.Chaos.Validate()
 }
 
 // Result summarises one simulation run.

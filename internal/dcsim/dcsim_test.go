@@ -3,6 +3,7 @@ package dcsim
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/acpi"
@@ -266,4 +267,28 @@ func FuzzScanValidates(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestEpochClockCannotOverflow: the epoch walk steps its clock a period at a
+// time to the first start past the horizon, so a horizon within a period of
+// MaxInt64 would wrap it negative and grow the epoch list without bound. Run
+// refuses such a horizon upfront, the 300 s default period included, and
+// walks one a period short of it.
+func TestEpochClockCannotOverflow(t *testing.T) {
+	run := func(horizon, period int64) error {
+		tr := &trace.Trace{Name: "edge", Machines: 1, HorizonSec: horizon, Tasks: []trace.Task{
+			{ID: 1, StartSec: 0, EndSec: 60, BookedCPU: 1, BookedMemGiB: 1, UsedCPU: 0.5, UsedMemGiB: 0.5},
+		}}
+		_, err := Run(Config{Trace: tr, Policy: consolidation.NewNeat(), Machine: energy.HPProfile(),
+			ServerSpec: consolidation.DefaultServerSpec(), ConsolidationPeriodSec: period})
+		return err
+	}
+	for _, c := range []struct{ horizon, period int64 }{{math.MaxInt64 - 1, 1 << 62}, {math.MaxInt64 - 299, 0}} {
+		if err := run(c.horizon, c.period); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("horizon %d, period %d: error %v, want an overflow", c.horizon, c.period, err)
+		}
+	}
+	if err := run(math.MaxInt64-1<<62, 1<<62); err != nil {
+		t.Errorf("a horizon a period short of MaxInt64: %v", err)
+	}
 }

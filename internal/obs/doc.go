@@ -4,11 +4,12 @@
 //
 // It has two halves:
 //
-//   - A metrics registry ([Registry]) of atomic counters, gauges and
-//     fixed log-bucket latency histograms. Every constructor and method is
-//     nil-safe: a nil *Registry hands out nil metrics, and operations on nil
-//     metrics are no-ops that perform zero allocations, so instrumented hot
-//     paths cost nothing when observability is disabled. When enabled, the
+//   - A metrics registry ([Registry]) of atomic counters, gauges read from
+//     a callback at scrape time and fixed log-bucket latency histograms.
+//     Every constructor and method is nil-safe: a nil *Registry hands out
+//     nil metrics, and operations on nil metrics are no-ops that perform
+//     zero allocations, so instrumented hot paths cost nothing when
+//     observability is disabled. When enabled, the
 //     hot-path cost is one atomic add per counter touch and two per
 //     histogram observation — never a lock, never an allocation.
 //

@@ -37,36 +37,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic instantaneous value (an int64: a count of sessions, a
-// number of bytes). Like Counter it is nil-safe.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v as the gauge's current value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the gauge's current value (0 on a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // histSlots is the number of log-2 buckets: bits.Len64 maps a non-negative
 // value v to [0, 64], so 65 slots cover the full int64 range with no bound
 // checks on the hot path.
@@ -156,7 +126,6 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	gaugeFns map[string]func() float64
 	hists    map[string]*Histogram
 }
@@ -166,7 +135,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		families: make(map[string]*family),
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		gaugeFns: make(map[string]func() float64),
 		hists:    make(map[string]*Histogram),
 	}
@@ -206,22 +174,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.register(name, help, kindGauge)
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time by fn
@@ -438,13 +390,8 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		snap.Gauges[name+"_sum"] = float64(h.Sum())
 	}
-	if len(r.gauges) > 0 || len(r.gaugeFns) > 0 {
-		if snap.Gauges == nil {
-			snap.Gauges = make(map[string]float64)
-		}
-	}
-	for name, g := range r.gauges {
-		snap.Gauges[name] = float64(g.Value())
+	if len(r.gaugeFns) > 0 && snap.Gauges == nil {
+		snap.Gauges = make(map[string]float64)
 	}
 	for name, fn := range r.gaugeFns {
 		snap.Gauges[name] = fn()

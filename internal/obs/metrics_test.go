@@ -18,11 +18,15 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if again := r.Counter("ops_total", "ops"); again != c {
 		t.Fatal("re-registering a counter must return the same instance")
 	}
-	g := r.Gauge("depth", "queue depth")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
+	depth := 7.0
+	r.GaugeFunc("depth", "queue depth", func() float64 { return depth })
+	depth -= 2 // read at scrape time, not at registration
+	if got := r.Snapshot().Gauges["depth"]; got != 5 {
+		t.Fatalf("gauge = %v, want 5", got)
+	}
+	r.GaugeFunc("depth", "queue depth", func() float64 { return -1 })
+	if got := r.Snapshot().Gauges["depth"]; got != -1 {
+		t.Fatalf("re-registered gauge = %v, want -1 (the new callback)", got)
 	}
 }
 
@@ -56,7 +60,6 @@ func TestHistogramBuckets(t *testing.T) {
 func TestNilRegistryIsDisabled(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x", "")
-	g := r.Gauge("y", "")
 	h := r.Histogram("z", "")
 	v := r.CounterVec("v", "", "k")
 	v2 := r.CounterVec2("w", "", "a", "b")
@@ -64,12 +67,11 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 	r.GaugeFunc("f", "", func() float64 { return 1 })
 	c.Inc()
 	c.Add(3)
-	g.Set(9)
 	h.Observe(5)
 	v.With("a").Inc()
 	v2.With("a", "b").Inc()
 	hv.With("a").Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil metrics must stay zero")
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
@@ -86,15 +88,12 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 // off) must not allocate, preserving the repo's existing alloc budgets.
 func TestDisabledPathAllocs(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var tr *Trace
 	var cv *CounterVec
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(2)
-		g.Set(1)
-		g.Add(-1)
 		h.Observe(42)
 		cv.With("x").Inc()
 		tr.Emit("layer", "event") // no fields: no variadic slice
@@ -237,12 +236,11 @@ func TestVecOverflowCap(t *testing.T) {
 func tenantLabel(i int) string { return "tenant-" + string(rune('0'+i%10)) + string(rune('a'+i/10)) }
 
 // TestSnapshotContents checks the report-embedding shape: counters by
-// value, histograms as _count/_sum entries, gauges (including callbacks)
-// as floats.
+// value, histograms as _count/_sum entries, gauge callbacks as floats.
 func TestSnapshotContents(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reqs", "").Add(3)
-	r.Gauge("depth", "").Set(2)
+	r.GaugeFunc("depth", "", func() float64 { return -2 })
 	r.GaugeFunc("sessions", "", func() float64 { return 4.5 })
 	h := r.Histogram("lat", "")
 	h.Observe(10)
@@ -257,7 +255,7 @@ func TestSnapshotContents(t *testing.T) {
 	if snap.Gauges["lat_sum"] != 30 {
 		t.Fatalf("lat_sum = %v", snap.Gauges["lat_sum"])
 	}
-	if snap.Gauges["depth"] != 2 || snap.Gauges["sessions"] != 4.5 {
+	if snap.Gauges["depth"] != -2 || snap.Gauges["sessions"] != 4.5 {
 		t.Fatalf("gauges = %v", snap.Gauges)
 	}
 }

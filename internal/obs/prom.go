@@ -74,7 +74,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	r.mu.Lock()
-	series := make([]promSeries, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFns)+len(r.hists))
+	series := make([]promSeries, 0, len(r.counters)+len(r.gaugeFns)+len(r.hists))
 	fams := make(map[string]*family, len(r.families))
 	for name, f := range r.families {
 		fams[name] = f
@@ -82,10 +82,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, name := range sortedKeys(r.counters) {
 		series = append(series, promSeries{familyName(name),
 			name + " " + strconv.FormatUint(r.counters[name].Value(), 10)})
-	}
-	for _, name := range sortedKeys(r.gauges) {
-		series = append(series, promSeries{familyName(name),
-			name + " " + strconv.FormatInt(r.gauges[name].Value(), 10)})
 	}
 	gaugeFns := make(map[string]func() float64, len(r.gaugeFns))
 	for name, fn := range r.gaugeFns {

@@ -18,7 +18,7 @@ func TestPrometheusExposition(t *testing.T) {
 	h.Observe(0)
 	h.Observe(3) // bucket 2, le="3"
 	h.Observe(900)
-	r.Gauge("c_depth", "a gauge").Set(-4)
+	r.GaugeFunc("c_depth", "a gauge", func() float64 { return -4 })
 	r.GaugeFunc("c_fn", "a callback gauge", func() float64 { return 2.5 })
 
 	var sb strings.Builder
@@ -96,7 +96,7 @@ func TestLabelEscaping(t *testing.T) {
 func TestWriteText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ops", "").Add(9)
-	r.Gauge("depth", "").Set(3)
+	r.GaugeFunc("depth", "", func() float64 { return 3 })
 	h := r.Histogram("lat", "")
 	h.Observe(4)
 	var sb strings.Builder

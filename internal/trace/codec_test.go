@@ -33,11 +33,11 @@ func TestCodecGzipRoundTrip(t *testing.T) {
 	}
 
 	// Both forms decode through the one sniffing entry point.
-	fromPlain, err := decodeTasks(bytes.NewReader(plain.Bytes()), nil)
+	fromPlain, err := decodeTasks(bytes.NewReader(plain.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromGzip, err := decodeTasks(bytes.NewReader(compressed.Bytes()), nil)
+	fromGzip, err := decodeTasks(bytes.NewReader(compressed.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDecodeCSVPlainCompatibility(t *testing.T) {
 	if err := tr.EncodeCSV(&buf, false); err != nil {
 		t.Fatal(err)
 	}
-	tasks, err := decodeTasks(&buf, nil)
+	tasks, err := decodeTasks(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func TestDecodeCSVPlainCompatibility(t *testing.T) {
 func TestDecodeCSVShortInputs(t *testing.T) {
 	// Streams shorter than the two magic bytes cannot be gzip and must fall
 	// through to the CSV reader instead of erroring on the sniff.
-	if tasks, err := decodeTasks(strings.NewReader(""), nil); err != nil || len(tasks) != 0 {
+	if tasks, err := decodeTasks(strings.NewReader("")); err != nil || len(tasks) != 0 {
 		t.Fatalf("empty input: tasks=%d err=%v, want none", len(tasks), err)
 	}
 	// A one-byte stream reaches the CSV reader, whose column check rejects
 	// it — the error proves the sniff fell through rather than failing as a
 	// truncated gzip header.
-	if _, err := decodeTasks(strings.NewReader("x"), nil); err == nil || !strings.Contains(err.Error(), "columns") {
+	if _, err := decodeTasks(strings.NewReader("x")); err == nil || !strings.Contains(err.Error(), "columns") {
 		t.Fatalf("one-byte input: err=%v, want the CSV column error", err)
 	}
 }

@@ -30,7 +30,7 @@
 //     scales, composable via Compose/Overlay into mixed workloads with
 //     disjoint ID namespaces;
 //   - a record-at-a-time importer (Import; Spec.Open reads a file) for .csv
-//     and .csv.gz traces bigger than RAM, with pluggable column schemas (Schema;
-//     ClusterSchema adapts the public cluster-trace layout) and row-numbered
-//     rejection of malformed tasks and duplicate IDs.
+//     and .csv.gz traces bigger than RAM in the codec's layout, with
+//     row-numbered rejection of malformed tasks and duplicate IDs, and a
+//     fleet size derived from a walk of the event order when none is given.
 package trace

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 )
 
@@ -85,12 +84,7 @@ func GenerateFamily(name string, p FamilyParams) (*Trace, error) {
 // finalizeTasks sorts the tasks by (StartSec, ID) and clamps memory overuse,
 // the invariants every family's output shares with Generate's.
 func finalizeTasks(tasks []Task) {
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].StartSec != tasks[j].StartSec {
-			return tasks[i].StartSec < tasks[j].StartSec
-		}
-		return tasks[i].ID < tasks[j].ID
-	})
+	sortByStartThenID(tasks)
 	for i := range tasks {
 		if tasks[i].UsedMemGiB > tasks[i].BookedMemGiB {
 			tasks[i].UsedMemGiB = tasks[i].BookedMemGiB

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -27,9 +28,37 @@ func encodeTasks(t *testing.T, tasks []Task) []byte {
 	return buf.Bytes()
 }
 
-// csvPath hides NativeSchema's type from the decoder, which then reads every
-// row through encoding/csv: the reference the row scanner must match.
-type csvPath struct{ Schema }
+// decodeViaCSV decodes data as decodeTasks does, gzip sniffed, but reads every
+// row through decodeCSV's encoding/csv: the reference the row scanner must
+// match.
+func decodeViaCSV(data []byte) ([]Task, error) {
+	var r io.Reader = bytes.NewReader(data)
+	if len(data) >= 2 && data[0] == gzipMagic[0] && data[1] == gzipMagic[1] {
+		zr, err := gzip.NewReader(r)
+		if err != nil {
+			return nil, err
+		}
+		r = zr
+	}
+	return decodeCSV(r, new(taskSet), 0, 0)
+}
+
+// importViaCSV is Import with its defaults and every row read by
+// decodeViaCSV.
+func importViaCSV(data []byte) (*Trace, error) {
+	tasks, err := decodeViaCSV(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("trace: import: no tasks in input")
+	}
+	tr := &Trace{Name: "imported", Tasks: tasks}
+	if err := finalizeImported(tr); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
 
 // gzipped compresses data into one gzip member.
 func gzipped(t *testing.T, data []byte) []byte {
@@ -69,8 +98,8 @@ func sameTasks(a, b []Task) bool {
 func scannerMatchesCSV(t *testing.T, data []byte) {
 	t.Helper()
 	for _, in := range [][]byte{data, gzipped(t, data)} {
-		got, gotErr := decodeTasks(bytes.NewReader(in), nil)
-		want, wantErr := decodeTasks(bytes.NewReader(in), csvPath{NativeSchema()})
+		got, gotErr := decodeTasks(bytes.NewReader(in))
+		want, wantErr := decodeViaCSV(in)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("scanner error %v, encoding/csv error %v", gotErr, wantErr)
 		}
@@ -129,12 +158,12 @@ func FuzzDecodeCSV(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scannerMatchesCSV(t, data)
-		tasks, err := decodeTasks(bytes.NewReader(data), nil)
+		tasks, err := decodeTasks(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
 		first := encodeTasks(t, tasks)
-		again, err := decodeTasks(bytes.NewReader(first), nil)
+		again, err := decodeTasks(bytes.NewReader(first))
 		if err != nil {
 			t.Fatalf("decoder rejected its own encoder's output: %v\n%s", err, first)
 		}
@@ -145,7 +174,7 @@ func FuzzDecodeCSV(f *testing.F) {
 		if err := (&Trace{Name: "fuzz", Machines: 1, HorizonSec: 1, Tasks: tasks}).EncodeCSV(&zipped, true); err != nil {
 			t.Fatalf("gzip encode: %v", err)
 		}
-		unzipped, err := decodeTasks(&zipped, nil)
+		unzipped, err := decodeTasks(&zipped)
 		if err != nil {
 			t.Fatalf("decoder rejected its own gzip output: %v", err)
 		}
@@ -155,8 +184,8 @@ func FuzzDecodeCSV(f *testing.F) {
 	})
 }
 
-// FuzzImport feeds arbitrary bytes to the streaming importer under both
-// bundled schemas: it must never panic, the row scanner must import what the
+// FuzzImport feeds arbitrary bytes to the streaming importer: it must never
+// panic, the row scanner must import what the
 // encoding/csv path imports, plain and gzip, the checks finalizeImported
 // makes must fail as Trace.Validate does, anything it accepts must pass
 // Trace.Validate (Import's contract), and an accepted trace must survive a
@@ -176,6 +205,7 @@ func FuzzImport(f *testing.F) {
 	}
 	f.Add(plain.Bytes())
 	f.Add(gz.Bytes())
+	// A cluster-trace VM layout, which the native reader rejects.
 	f.Add([]byte("vm_id,tenant_id,created_sec,deleted_sec,core_count,memory_gb,avg_cpu_pct,avg_mem_pct\n7,1,0,3600,4,16,25,50\n"))
 	f.Add([]byte("1,1,0,60,1,2,0.5,1\n2,1,30,90,2,4,1,2\n"))
 	f.Add([]byte("1,1,0,60,1,2,0.5,1\n1,2,0,60,1,2,0.5,1\n")) // duplicate ID
@@ -191,7 +221,7 @@ func FuzzImport(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, gzipped(t, data)} {
 			got, gotErr := Import(bytes.NewReader(in), ImportOptions{})
-			want, wantErr := Import(bytes.NewReader(in), ImportOptions{Schema: csvPath{NativeSchema()}})
+			want, wantErr := importViaCSV(in)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Fatalf("scanner import error %v, encoding/csv import error %v", gotErr, wantErr)
 			}
@@ -200,7 +230,7 @@ func FuzzImport(f *testing.F) {
 				t.Fatalf("scanner and encoding/csv imports differ")
 			}
 		}
-		if tasks, err := decodeTasks(bytes.NewReader(data), nil); err == nil {
+		if tasks, err := decodeTasks(bytes.NewReader(data)); err == nil {
 			for _, horizon := range []int64{0, 3600} {
 				tr := &Trace{HorizonSec: horizon, Tasks: tasks}
 				if err, want := finalizeImported(tr), tr.Validate(); fmt.Sprint(err) != fmt.Sprint(want) {
@@ -208,33 +238,31 @@ func FuzzImport(f *testing.F) {
 				}
 			}
 		}
-		for _, schema := range []Schema{nil, ClusterSchema()} {
-			tr, err := Import(bytes.NewReader(data), ImportOptions{Schema: schema})
-			if err != nil {
-				continue // rejected input is fine; panics are not
-			}
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("import accepted an invalid trace: %v", err)
-			}
-			var first bytes.Buffer
-			if err := tr.EncodeCSV(&first, false); err != nil {
-				t.Fatalf("re-encode: %v", err)
-			}
-			again, err := Import(bytes.NewReader(first.Bytes()), ImportOptions{})
-			if err != nil {
-				t.Fatalf("importer rejected its own encoder's output: %v\n%s", err, first.Bytes())
-			}
-			if again.Machines != tr.Machines || again.HorizonSec != tr.HorizonSec {
-				t.Fatalf("derived metadata not stable: %d/%d then %d/%d",
-					tr.Machines, tr.HorizonSec, again.Machines, again.HorizonSec)
-			}
-			var second bytes.Buffer
-			if err := again.EncodeCSV(&second, false); err != nil {
-				t.Fatalf("second encode: %v", err)
-			}
-			if !bytes.Equal(first.Bytes(), second.Bytes()) {
-				t.Fatalf("import round trip not stable:\n first %q\nsecond %q", first.Bytes(), second.Bytes())
-			}
+		tr, err := Import(bytes.NewReader(data), ImportOptions{})
+		if err != nil {
+			return // rejected input is fine; panics are not
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("import accepted an invalid trace: %v", err)
+		}
+		var first bytes.Buffer
+		if err := tr.EncodeCSV(&first, false); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := Import(bytes.NewReader(first.Bytes()), ImportOptions{})
+		if err != nil {
+			t.Fatalf("importer rejected its own encoder's output: %v\n%s", err, first.Bytes())
+		}
+		if again.Machines != tr.Machines || again.HorizonSec != tr.HorizonSec {
+			t.Fatalf("derived metadata not stable: %d/%d then %d/%d",
+				tr.Machines, tr.HorizonSec, again.Machines, again.HorizonSec)
+		}
+		var second bytes.Buffer
+		if err := again.EncodeCSV(&second, false); err != nil {
+			t.Fatalf("second encode: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("import round trip not stable:\n first %q\nsecond %q", first.Bytes(), second.Bytes())
 		}
 	})
 }

@@ -3,14 +3,11 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"compress/gzip"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
-	"slices"
-	"sort"
 	"strconv"
 )
 
@@ -19,41 +16,14 @@ import (
 // decoding — holding the whole file's strings and the whole task list in
 // memory at once, and happily accepting invalid tasks and duplicate IDs. The
 // importer here decodes one record at a time straight into validated Tasks,
-// rejects duplicates with row-numbered errors, sniffs gzip transparently,
-// and adapts external column layouts through a Schema — so a million-task
-// .csv.gz replays with nothing but the Task structs resident.
-
-// Schema adapts one CSV column layout onto Task fields. The bundled schemas
-// are NativeSchema (the EncodeCSV layout) and ClusterSchema (a public
-// cluster-trace VM layout in the style of the Azure/Google releases).
-type Schema interface {
-	// Name labels the schema in errors and tooling.
-	Name() string
-	// Columns is the number of columns every record must have.
-	Columns() int
-	// Header reports whether a record is the layout's header row.
-	Header(rec []string) bool
-	// Decode parses one record into a task. Field errors name the column
-	// ("id: ..."); the importer prefixes the row number.
-	Decode(rec []string) (Task, error)
-}
-
-// nativeSchema is the EncodeCSV column layout.
-type nativeSchema struct{}
-
-// NativeSchema returns the repository's own CSV layout:
+// rejects duplicates with row-numbered errors and sniffs gzip transparently,
+// so a million-task .csv.gz replays with nothing but the Task structs
+// resident. It reads one layout, EncodeCSV's:
 //
 //	id,job,start_sec,end_sec,booked_cpu,booked_mem_gib,used_cpu,used_mem_gib
-func NativeSchema() Schema { return nativeSchema{} }
 
-func (nativeSchema) Name() string             { return "native" }
-func (nativeSchema) Columns() int             { return len(csvHeader) }
-func (nativeSchema) Header(rec []string) bool { return len(rec) > 0 && rec[0] == csvHeader[0] }
-
-func (nativeSchema) Decode(rec []string) (Task, error) { return decodeNative(rec) }
-
-// decodeNative parses the native layout's eight fields. The row scanner calls
-// it on byte slices of its read buffer and Decode on strings; string(f) of a
+// decodeNative parses the layout's eight fields, for addRow: on byte slices of
+// the row scanner's read buffer and on decodeCSV's strings. string(f) of a
 // byte slice does not escape strconv, so neither allocates per field, and the
 // two share every error text.
 func decodeNative[F string | []byte](rec []F) (Task, error) {
@@ -86,84 +56,23 @@ func decodeNative[F string | []byte](rec []F) (Task, error) {
 	return t, nil
 }
 
-// clusterHeader is the public cluster-trace VM layout ClusterSchema adapts:
-// one row per VM with its lifetime, size and average utilization, the shape
-// the Azure and Google VM trace releases flatten to.
-var clusterHeader = []string{
-	"vm_id", "tenant_id", "created_sec", "deleted_sec",
-	"core_count", "memory_gb", "avg_cpu_pct", "avg_mem_pct",
-}
-
-// clusterSchema adapts the public cluster-trace VM layout.
-type clusterSchema struct{}
-
-// ClusterSchema returns the adapter for the public cluster-trace VM layout:
+// decodeTasks decodes plain or gzip CSV one row at a time: besides the tasks
+// it returns it holds only its read buffers and the duplicate-ID index, never
+// the raw records. Every row must have the layout's eight columns; a leading
+// header row is skipped; every task must pass Task.Validate and carry a
+// previously unseen ID, so a file names each VM once. Violations error with
+// the 1-based row number.
 //
-//	vm_id,tenant_id,created_sec,deleted_sec,core_count,memory_gb,avg_cpu_pct,avg_mem_pct
-//
-// Utilization percentages are relative to the VM's own size, so a row maps
-// onto a Task as used = booked * pct/100.
-func ClusterSchema() Schema { return clusterSchema{} }
-
-func (clusterSchema) Name() string             { return "cluster" }
-func (clusterSchema) Columns() int             { return len(clusterHeader) }
-func (clusterSchema) Header(rec []string) bool { return len(rec) > 0 && rec[0] == clusterHeader[0] }
-
-func (clusterSchema) Decode(rec []string) (Task, error) {
-	var t Task
-	var err error
-	if t.ID, err = strconv.Atoi(rec[0]); err != nil {
-		return Task{}, fmt.Errorf("vm_id: %w", err)
-	}
-	if t.JobID, err = strconv.Atoi(rec[1]); err != nil {
-		return Task{}, fmt.Errorf("tenant_id: %w", err)
-	}
-	if t.StartSec, err = strconv.ParseInt(rec[2], 10, 64); err != nil {
-		return Task{}, fmt.Errorf("created_sec: %w", err)
-	}
-	if t.EndSec, err = strconv.ParseInt(rec[3], 10, 64); err != nil {
-		return Task{}, fmt.Errorf("deleted_sec: %w", err)
-	}
-	if t.BookedCPU, err = strconv.ParseFloat(rec[4], 64); err != nil {
-		return Task{}, fmt.Errorf("core_count: %w", err)
-	}
-	if t.BookedMemGiB, err = strconv.ParseFloat(rec[5], 64); err != nil {
-		return Task{}, fmt.Errorf("memory_gb: %w", err)
-	}
-	cpuPct, err := strconv.ParseFloat(rec[6], 64)
-	if err != nil {
-		return Task{}, fmt.Errorf("avg_cpu_pct: %w", err)
-	}
-	memPct, err := strconv.ParseFloat(rec[7], 64)
-	if err != nil {
-		return Task{}, fmt.Errorf("avg_mem_pct: %w", err)
-	}
-	t.UsedCPU = t.BookedCPU * cpuPct / 100
-	t.UsedMemGiB = t.BookedMemGiB * memPct / 100
-	return t, nil
-}
-
-// decodeTasks decodes plain or gzip CSV for the schema (nil selects
-// NativeSchema) one row at a time: besides the tasks it returns it holds only
-// its read buffers and the duplicate-ID index, never the raw records. Every
-// row must have the schema's columns; a leading header row is skipped; every
-// task must pass Task.Validate and carry a previously unseen ID, so a file
-// names each VM once. Violations error with the 1-based row number.
-//
-// NativeSchema rows are cut at ',' straight out of the read buffer and parsed
-// with no allocation per row. A line with a '"' or '\r', or one longer than
-// the buffer, hands itself and the rest of the input to encoding/csv, which
-// every other schema reads from the start; the two paths return the same
-// tasks and the same errors for the same bytes.
+// Rows are cut at ',' straight out of the read buffer and parsed with no
+// allocation per row. A line with a '"' or '\r', or one longer than the
+// buffer, hands itself and the rest of the input to decodeCSV; the two return
+// the same tasks and the same errors for the same bytes.
 //
 // Gzip input is sniffed by its magic bytes and inflated on a goroutine of its
 // own, up to a ring of blocks ahead of the decoder, so the two halves of a
 // .csv.gz import run on two cores. Every return stops the inflater and waits
 // for it to exit, so it never reads r after the call.
-func decodeTasks(r io.Reader, schema Schema) ([]Task, error) {
-	if schema == nil {
-		schema = NativeSchema()
-	}
+func decodeTasks(r io.Reader) ([]Task, error) {
 	in := bufio.NewReader(r)
 	if magic, err := in.Peek(2); err == nil && magic[0] == gzipMagic[0] && magic[1] == gzipMagic[1] {
 		zr, err := gzip.NewReader(in)
@@ -177,82 +86,81 @@ func decodeTasks(r io.Reader, schema Schema) ([]Task, error) {
 		}
 		in = bufio.NewReader(inf)
 	}
-	var cr *csv.Reader
-	if _, native := schema.(nativeSchema); !native {
-		cr = newCSVReader(in)
-	}
 	var tasks taskSet
-	lines := 0 // lines the scanner read; cr counts its own from 1
-	for row := 0; ; {
-		var t Task
-		var err error
-		if cr == nil {
-			line, rerr := in.ReadSlice('\n')
-			if rerr == io.EOF && len(line) == 0 {
-				return tasks.collect(), nil
-			}
-			if rerr == bufio.ErrBufferFull || bytes.IndexByte(line, '"') >= 0 || bytes.IndexByte(line, '\r') >= 0 {
-				var rest io.Reader = in
-				if rerr != nil && rerr != bufio.ErrBufferFull {
-					rest = failing{rerr} // bufio reports a read error once
-				}
-				cr = newCSVReader(io.MultiReader(bytes.NewReader(bytes.Clone(line)), rest))
-				continue
-			}
-			if rerr != nil && rerr != io.EOF {
-				return nil, rerr
-			}
-			lines++
-			if line[len(line)-1] == '\n' {
-				line = line[:len(line)-1]
-			}
-			if len(line) == 0 {
-				continue // csv.Reader skips blank lines too
-			}
-			var f [8][]byte
-			row++
-			if n := split(line, f[:]); n != len(f) {
-				return nil, fmt.Errorf("trace: row %d has %d columns, want %d", row, n, len(f))
-			}
-			if row == 1 && string(f[0]) == csvHeader[0] {
-				continue
-			}
-			t, err = decodeNative(f[:])
-		} else {
-			rec, rerr := cr.Read()
-			if rerr == io.EOF {
-				return tasks.collect(), nil
-			}
-			if rerr != nil {
-				if pe, ok := rerr.(*csv.ParseError); ok {
-					pe.StartLine += lines
-					pe.Line += lines
-				}
-				return nil, rerr
-			}
-			row++
-			if len(rec) != schema.Columns() {
-				return nil, fmt.Errorf("trace: row %d has %d columns, want %d", row, len(rec), schema.Columns())
-			}
-			if row == 1 && schema.Header(rec) {
-				continue
-			}
-			t, err = schema.Decode(rec)
+	for row, lines := 0, 0; ; {
+		line, rerr := in.ReadSlice('\n')
+		if rerr == io.EOF && len(line) == 0 {
+			return tasks.collect(), nil
 		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d %v", row, err)
+		if rerr == bufio.ErrBufferFull || bytes.IndexByte(line, '"') >= 0 || bytes.IndexByte(line, '\r') >= 0 {
+			var rest io.Reader = in
+			if rerr != nil && rerr != bufio.ErrBufferFull {
+				rest = failing{rerr} // bufio reports a read error once
+			}
+			return decodeCSV(io.MultiReader(bytes.NewReader(bytes.Clone(line)), rest), &tasks, row, lines)
 		}
-		if err := tasks.add(t, row); err != nil {
+		if rerr != nil && rerr != io.EOF {
+			return nil, rerr
+		}
+		lines++
+		if line[len(line)-1] == '\n' {
+			line = line[:len(line)-1]
+		}
+		if len(line) == 0 {
+			continue // csv.Reader skips blank lines too
+		}
+		var f [8][]byte
+		row++
+		if n := split(line, f[:]); n != len(f) {
+			return nil, fmt.Errorf("trace: row %d has %d columns, want %d", row, n, len(f))
+		}
+		if err := addRow(&tasks, f[:], row); err != nil {
 			return nil, err
 		}
 	}
 }
 
-func newCSVReader(r io.Reader) *csv.Reader {
+// decodeCSV decodes the rest of the input with encoding/csv into tasks, which
+// holds the rows before it: row of them, on lines lines. It reads what the row
+// scanner cannot (quoted fields, '\r', over-long lines), and from row 1 it is
+// the reference the scanner is tested against.
+func decodeCSV(r io.Reader, tasks *taskSet, row, lines int) ([]Task, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
-	cr.FieldsPerRecord = -1 // a ragged row gets the schema's row-numbered error
-	return cr
+	cr.FieldsPerRecord = -1 // a ragged row gets the row-numbered error below
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return tasks.collect(), nil
+		}
+		if err != nil {
+			if pe, ok := err.(*csv.ParseError); ok {
+				pe.StartLine += lines
+				pe.Line += lines
+			}
+			return nil, err
+		}
+		row++
+		if len(rec) != len(csvHeader) {
+			return nil, fmt.Errorf("trace: row %d has %d columns, want %d", row, len(rec), len(csvHeader))
+		}
+		if err := addRow(tasks, rec, row); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// addRow decodes the fields read on row into a task and adds it, unless they
+// are a leading header.
+func addRow[F string | []byte](tasks *taskSet, rec []F, row int) error {
+	if row == 1 && string(rec[0]) == csvHeader[0] {
+		return nil
+	}
+	t, err := decodeNative(rec)
+	if err != nil {
+		return fmt.Errorf("trace: row %d %v", row, err)
+	}
+	return tasks.add(t, row)
 }
 
 // split cuts line at ',' into f and returns the number of fields, which may
@@ -469,11 +377,9 @@ func (f *inflater) stop() {
 // is left zero: 8 cores per server, consolidation.DefaultServerSpec's shape.
 const importCoresPerServer = 8.0
 
-// ImportOptions parameterises Import. The zero value imports the native
-// schema and derives the fleet size and horizon from the tasks themselves.
+// ImportOptions parameterises Import. The zero value derives the fleet size
+// and horizon from the tasks themselves.
 type ImportOptions struct {
-	// Schema adapts the column layout; nil selects NativeSchema.
-	Schema Schema
 	// Name labels the imported trace ("imported" by default).
 	Name string
 	// Machines is the fleet size the trace targets. Zero derives it from the
@@ -486,14 +392,14 @@ type ImportOptions struct {
 
 // Import streams a .csv/.csv.gz trace into a replayable Trace: rows are
 // decoded and validated one at a time (raw records are never materialized in
-// bulk, and a native-schema row allocates nothing), a .csv.gz is inflated
-// ahead of the decoder on a second core, tasks land sorted by (StartSec, ID),
-// and the fleet size and horizon are derived when not given. The result always passes
+// bulk, and a row allocates nothing), a .csv.gz is inflated ahead of the
+// decoder on a second core, tasks land sorted by (StartSec, ID), and the fleet
+// size and horizon are derived when not given. The result always passes
 // Trace.Validate. Hand it to the offline engines (dcsim), which read it
 // directly, or to the online control plane (autopilot), which replays it
 // through its replay index.
 func Import(r io.Reader, opts ImportOptions) (*Trace, error) {
-	tasks, err := decodeTasks(r, opts.Schema)
+	tasks, err := decodeTasks(r)
 	if err != nil {
 		return nil, err
 	}
@@ -515,12 +421,7 @@ func Import(r io.Reader, opts ImportOptions) (*Trace, error) {
 // within the horizon, with Trace.Validate's error. EncodeCSV emits rows in
 // this order already, so the usual import only checks it.
 func finalizeImported(tr *Trace) error {
-	byStartThenID := func(a, b Task) int {
-		return cmp.Or(cmp.Compare(a.StartSec, b.StartSec), cmp.Compare(a.ID, b.ID))
-	}
-	if !slices.IsSortedFunc(tr.Tasks, byStartThenID) {
-		slices.SortFunc(tr.Tasks, byStartThenID)
-	}
+	sortByStartThenID(tr.Tasks)
 	var outside *Task // the first task outside the horizon
 	derive := tr.HorizonSec == 0
 	for i := range tr.Tasks {
@@ -544,35 +445,6 @@ func finalizeImported(tr *Trace) error {
 // derivedMachines sizes a fleet for the tasks: the peak concurrently booked
 // CPU divided across importCoresPerServer-core servers, at least 1.
 func derivedMachines(tasks []Task) int {
-	type event struct {
-		at     int64
-		depart bool
-		cpu    float64
-	}
-	events := make([]event, 0, 2*len(tasks))
-	for _, t := range tasks {
-		events = append(events, event{t.StartSec, false, t.BookedCPU}, event{t.EndSec, true, t.BookedCPU})
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
-		}
-		return events[i].depart && !events[j].depart // departs release first
-	})
-	var cur, peak float64
-	for _, e := range events {
-		if e.depart {
-			cur -= e.cpu
-		} else {
-			cur += e.cpu
-		}
-		if cur > peak {
-			peak = cur
-		}
-	}
-	m := int(math.Ceil(peak / importCoresPerServer))
-	if m < 1 {
-		m = 1
-	}
-	return m
+	peak := peakLoad(tasks, func(t *Task) float64 { return t.BookedCPU })
+	return max(1, int(math.Ceil(peak/importCoresPerServer)))
 }

@@ -117,33 +117,6 @@ func TestImportDerivesFleetAndHorizon(t *testing.T) {
 	}
 }
 
-func TestImportClusterSchema(t *testing.T) {
-	in := strings.Join([]string{
-		"vm_id,tenant_id,created_sec,deleted_sec,core_count,memory_gb,avg_cpu_pct,avg_mem_pct",
-		"7,1,0,3600,4,16,25,50",
-		"8,2,100,7200,2,8,50,75",
-	}, "\n")
-	got, err := Import(strings.NewReader(in), ImportOptions{Schema: ClusterSchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tasks) != 2 {
-		t.Fatalf("%d tasks, want 2", len(got.Tasks))
-	}
-	first := got.Tasks[0]
-	if first.ID != 7 || first.JobID != 1 || first.EndSec != 3600 {
-		t.Errorf("task = %+v, want vm 7 of tenant 1 ending at 3600", first)
-	}
-	// Percent utilizations are relative to the VM's own size.
-	if first.UsedCPU != 1 || first.UsedMemGiB != 8 {
-		t.Errorf("used = %v cores / %v GiB, want 1 / 8 (25%% of 4, 50%% of 16)",
-			first.UsedCPU, first.UsedMemGiB)
-	}
-	if got.HorizonSec != 7200 {
-		t.Errorf("horizon = %d, want 7200", got.HorizonSec)
-	}
-}
-
 func TestReadCSVRejectsInvalidTasks(t *testing.T) {
 	// Regression: these rows used to be accepted wholesale; now each is
 	// rejected with its 1-based physical row number (header is row 1).
@@ -155,12 +128,12 @@ func TestReadCSVRejectsInvalidTasks(t *testing.T) {
 		{"implausible usage", "1,1,0,100,1,2,9,1", "row 2"},
 		{"non-finite demands", "1,1,0,10,NaN,Inf,NaN,NaN", "row 2"},
 		{"infinite booking", "1,1,0,10,+Inf,2,0.5,1", "row 2"},
-		// A ragged row after a good one is the schema's to reject, not the
+		// A ragged row after a good one is the importer's to reject, not the
 		// csv reader's, which would not say "trace:" or the row it expected.
 		{"short row mid-file", "1,1,0,10,1,2,0.5,1\n2,1,0,10,1,2,0.5", "trace: row 3 has 7 columns, want 8"},
 	} {
 		in := "id,job,start_sec,end_sec,booked_cpu,booked_mem_gib,used_cpu,used_mem_gib\n" + tc.row + "\n"
-		_, err := decodeTasks(strings.NewReader(in), nil)
+		_, err := decodeTasks(strings.NewReader(in))
 		if err == nil {
 			t.Errorf("%s: invalid task accepted", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
@@ -179,7 +152,7 @@ func TestReadCSVRejectsDuplicateIDs(t *testing.T) {
 		"6,1,0,100,1,2,0.5,1",
 		"5,2,50,200,2,4,1,2",
 	}, "\n")
-	_, err := decodeTasks(strings.NewReader(in), nil)
+	_, err := decodeTasks(strings.NewReader(in))
 	if err == nil {
 		t.Fatal("duplicate task ID accepted")
 	}
@@ -204,6 +177,11 @@ func TestImportErrors(t *testing.T) {
 	}
 	if _, err := Import(strings.NewReader("not,a,trace\nx,y,z\n"), ImportOptions{}); err == nil {
 		t.Error("garbage input should fail")
+	}
+	// Another layout with eight columns is refused at its header, not guessed.
+	cluster := "vm_id,tenant_id,created_sec,deleted_sec,core_count,memory_gb,avg_cpu_pct,avg_mem_pct\n7,1,0,3600,4,16,25,50\n"
+	if _, err := Import(strings.NewReader(cluster), ImportOptions{}); err == nil || !strings.HasPrefix(err.Error(), "trace: row 1 id: ") {
+		t.Errorf("cluster-trace layout: error %v, want one naming row 1's id", err)
 	}
 }
 
@@ -332,7 +310,7 @@ func TestInflaterNeverOutlivesItsCall(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, c := range cases {
 		for name, decode := range map[string]func([]byte) error{
-			"decodeTasks": func(in []byte) error { _, err := decodeTasks(bytes.NewReader(in), nil); return err },
+			"decodeTasks": func(in []byte) error { _, err := decodeTasks(bytes.NewReader(in)); return err },
 			"Import":      func(in []byte) error { _, err := Import(bytes.NewReader(in), ImportOptions{}); return err },
 		} {
 			err := decode(c.in)
@@ -383,7 +361,7 @@ func TestInflaterStopsWhereverTheDecodeEnds(t *testing.T) {
 	}
 	badPlain := "1,1,0,60,1,2,0.5,1\n2,1,0,60,0,2,0,1\n" + body.String() // row 2 books nothing
 	bad, good := zip(badPlain), zip("1,1,0,60,1,2,0.5,1\n2,1,0,60,1,2,0.5,1\n"+body.String())
-	_, plainErr := decodeTasks(strings.NewReader(badPlain), nil)
+	_, plainErr := decodeTasks(strings.NewReader(badPlain))
 	if want := "trace: row 2: trace: task 2 books non-positive resources"; fmt.Sprint(plainErr) != want {
 		t.Fatalf("plain decode: error %v, want %q", plainErr, want)
 	}
@@ -412,7 +390,7 @@ func TestInflaterStopsWhereverTheDecodeEnds(t *testing.T) {
 				full = true
 			}
 		}
-		_, err := decodeTasks(c.in(), nil)
+		_, err := decodeTasks(c.in())
 		inflating = nil
 		if c.fillRing && !full {
 			t.Errorf("%s: the ring never filled", c.name)

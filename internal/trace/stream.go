@@ -87,6 +87,26 @@ func DepartureOrder(tasks []Task) []int32 {
 	return eventOrder(tasks, true)
 }
 
+// peakLoad walks the tasks' events in replay order, ArrivalOrder's arrivals
+// and DepartureOrder's departures merged with departures first at each
+// instant, as a Stream yields them. It adds load(t) when t arrives, takes it
+// away when t departs, and returns the largest total (at least zero) reached.
+func peakLoad[N int | float64](tasks []Task, load func(*Task) N) N {
+	byStart, byEnd := ArrivalOrder(tasks), DepartureOrder(tasks)
+	var cur, peak N
+	for a, d := 0, 0; a < len(byStart); {
+		if t := &tasks[byStart[a]]; d == len(byEnd) || t.StartSec < tasks[byEnd[d]].EndSec {
+			cur += load(t)
+			peak = max(peak, cur)
+			a++
+		} else {
+			cur -= load(&tasks[byEnd[d]])
+			d++
+		}
+	}
+	return peak
+}
+
 // eventOrder returns the task positions sorted by (time, ID, position), where
 // a task's time is its end with byEnd set and its start otherwise.
 // Traces list their tasks by start, so the arrival order is a scan; the

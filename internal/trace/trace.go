@@ -107,6 +107,20 @@ func (t *Task) ValidateIn(horizonSec int64) error {
 	return nil
 }
 
+// sortByStartThenID puts tasks in trace order, by (StartSec, ID); a list in
+// that order already, as EncodeCSV writes one, is only checked. The
+// comparator reads the tasks in place: one taking them by value copies two
+// 64-byte Tasks per comparison.
+func sortByStartThenID(tasks []Task) {
+	less := func(i, j int) bool {
+		a, b := &tasks[i], &tasks[j]
+		return a.StartSec < b.StartSec || a.StartSec == b.StartSec && a.ID < b.ID
+	}
+	if !sort.SliceIsSorted(tasks, less) {
+		sort.Slice(tasks, less)
+	}
+}
+
 // Stats summarises a trace.
 type Stats struct {
 	Tasks            int
@@ -127,18 +141,12 @@ func (tr *Trace) ComputeStats() Stats {
 	if len(tr.Tasks) == 0 {
 		return s
 	}
-	type event struct {
-		at    int64
-		delta int
-	}
-	events := make([]event, 0, 2*len(tr.Tasks))
 	for _, t := range tr.Tasks {
 		s.MeanDurationSec += float64(t.Duration())
 		s.MeanBookedCPU += t.BookedCPU
 		s.MeanBookedMemGiB += t.BookedMemGiB
 		s.MeanUsedCPU += t.UsedCPU
 		s.MeanUsedMemGiB += t.UsedMemGiB
-		events = append(events, event{t.StartSec, 1}, event{t.EndSec, -1})
 	}
 	n := float64(len(tr.Tasks))
 	s.MeanDurationSec /= n
@@ -149,19 +157,7 @@ func (tr *Trace) ComputeStats() Stats {
 	if s.MeanBookedCPU > 0 {
 		s.MemToCPURatio = s.MeanBookedMemGiB / s.MeanBookedCPU
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at == events[j].at {
-			return events[i].delta < events[j].delta
-		}
-		return events[i].at < events[j].at
-	})
-	cur := 0
-	for _, e := range events {
-		cur += e.delta
-		if cur > s.PeakConcurrentTasks {
-			s.PeakConcurrentTasks = cur
-		}
-	}
+	s.PeakConcurrentTasks = peakLoad(tr.Tasks, func(*Task) int { return 1 })
 	return s
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -207,6 +208,58 @@ func TestComputeStatsEmpty(t *testing.T) {
 	}
 }
 
+// TestPeakWalkMatchesBruteForce holds the shared peak walk to its definition:
+// on random small traces whose tasks crowd onto a few instants, both
+// PeakConcurrentTasks and the derived fleet size equal the maximum over every
+// instant of the tasks running there, a task ending at an instant already gone
+// from it and one starting there already in it. Bookings are multiples of 1/8,
+// so every sum is exact whatever order the walk adds them in.
+func TestPeakWalkMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	for trial := range 500 {
+		tasks := make([]Task, 1+rng.Intn(40))
+		for i := range tasks {
+			start := int64(rng.Intn(6))
+			tasks[i] = Task{
+				ID: rng.Intn(1000), StartSec: start, EndSec: start + 1 + int64(rng.Intn(4)),
+				BookedCPU: float64(1+rng.Intn(64)) / 8, BookedMemGiB: 1,
+			}
+		}
+		count, cpu := 0, 0.0
+		for _, at := range tasks {
+			for _, instant := range []int64{at.StartSec, at.EndSec} {
+				n, sum := 0, 0.0
+				for _, u := range tasks {
+					if u.StartSec <= instant && instant < u.EndSec {
+						n, sum = n+1, sum+u.BookedCPU
+					}
+				}
+				count, cpu = max(count, n), max(cpu, sum)
+			}
+		}
+		tr := &Trace{Tasks: tasks}
+		if got := tr.ComputeStats().PeakConcurrentTasks; got != count {
+			t.Fatalf("trial %d: PeakConcurrentTasks %d, brute force %d", trial, got, count)
+		}
+		if got, want := derivedMachines(tasks), max(1, int(math.Ceil(cpu/importCoresPerServer))); got != want {
+			t.Fatalf("trial %d: derivedMachines %d, brute force %d (peak %v cores)", trial, got, want, cpu)
+		}
+	}
+}
+
+// TestComputeStatsInvertedTask: Trace.Validate refuses a task that ends
+// before it starts, but ComputeStats is a summary, not a check, and returns
+// for such a trace. Here every departure comes before the last arrival.
+func TestComputeStatsInvertedTask(t *testing.T) {
+	tr := &Trace{Tasks: []Task{
+		{ID: 1, StartSec: 0, EndSec: 10, BookedCPU: 1, BookedMemGiB: 1},
+		{ID: 2, StartSec: 100, EndSec: 50, BookedCPU: 1, BookedMemGiB: 1},
+	}}
+	if got := tr.ComputeStats().PeakConcurrentTasks; got != 1 {
+		t.Errorf("PeakConcurrentTasks %d, want 1", got)
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	tr, _ := Generate(DefaultConfig())
 	var buf bytes.Buffer
@@ -216,7 +269,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), "id,job,start_sec") {
 		t.Error("CSV should start with the header")
 	}
-	tasks, err := decodeTasks(&buf, nil)
+	tasks, err := decodeTasks(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +284,11 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := decodeTasks(strings.NewReader(""), nil); err != nil {
+	if _, err := decodeTasks(strings.NewReader("")); err != nil {
 		t.Errorf("empty input should not error: %v", err)
 	}
 	// Wrong column count.
-	if _, err := decodeTasks(strings.NewReader("1,2,3\n"), nil); err == nil {
+	if _, err := decodeTasks(strings.NewReader("1,2,3\n")); err == nil {
 		t.Error("short row should fail")
 	}
 	// Bad numbers.
@@ -250,12 +303,12 @@ func TestReadCSVErrors(t *testing.T) {
 		"1,1,0,10,1,1,0.5,x",
 	}
 	for i, row := range badRows {
-		if _, err := decodeTasks(strings.NewReader(row+"\n"), nil); err == nil {
+		if _, err := decodeTasks(strings.NewReader(row + "\n")); err == nil {
 			t.Errorf("bad row %d should fail", i)
 		}
 	}
 	// Without a header row the first line is data.
-	tasks, err := decodeTasks(strings.NewReader("1,1,0,10,1,1,0.5,0.5\n"), nil)
+	tasks, err := decodeTasks(strings.NewReader("1,1,0,10,1,1,0.5,0.5\n"))
 	if err != nil || len(tasks) != 1 {
 		t.Errorf("headerless parse: %v %d", err, len(tasks))
 	}

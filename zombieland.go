@@ -187,7 +187,7 @@ func ComposeFamilies(name string, parts ...WorkloadFamily) WorkloadFamily {
 	return trace.Compose(name, parts...)
 }
 
-// TraceImportOptions tunes ImportTrace (schema, name, fleet-size and horizon
+// TraceImportOptions tunes ImportTrace (name, fleet-size and horizon
 // overrides).
 type TraceImportOptions = trace.ImportOptions
 
