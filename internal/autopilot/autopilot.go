@@ -379,7 +379,7 @@ func newWalk(cfg *Config, idx *replayIndex, policies []Policy) *walk {
 // of rank arrived and the next departure departs[left].
 func (w *walk) run() error {
 	horizon := w.cfg.Trace.HorizonSec
-	starts, ends, departs := w.idx.starts, w.idx.ends, w.idx.departs
+	tasks, departs := w.idx.tasks, w.idx.departs
 	arrived, left := 0, 0
 	now := int64(0)
 	nextTick := w.cfg.TickSec
@@ -389,10 +389,10 @@ func (w *walk) run() error {
 		// departure and arrival, the next tick and the horizon.
 		t := min(horizon, nextTick)
 		if left < len(departs) {
-			t = min(t, ends[departs[left]])
+			t = min(t, tasks[departs[left]].EndSec)
 		}
-		if arrived < len(starts) {
-			t = min(t, starts[arrived])
+		if arrived < len(tasks) {
+			t = min(t, tasks[arrived].StartSec)
 		}
 		if w.chaos != nil {
 			if m, ok := w.chaos.peek(); ok && m.at < t {
@@ -420,13 +420,13 @@ func (w *walk) run() error {
 				}
 			}
 		}
-		for ; left < len(departs) && ends[departs[left]] == now; left++ {
+		for ; left < len(departs) && tasks[departs[left]].EndSec == now; left++ {
 			if stepped != nil {
 				stepped(now, departs[left], true)
 			}
 			w.depart(departs[left])
 		}
-		for ; arrived < len(starts) && starts[arrived] == now; arrived++ {
+		for ; arrived < len(tasks) && tasks[arrived].StartSec == now; arrived++ {
 			if stepped != nil {
 				stepped(now, int32(arrived), false)
 			}
@@ -530,7 +530,7 @@ var stepped func(at int64, rank int32, depart bool)
 // requirement) by faults counts as an SLO violation.
 func (w *walk) arrive(now int64, rank int32) error {
 	w.arrivals++
-	v := w.idx.demand[rank]
+	v := &w.idx.tasks[rank]
 	capacity := w.available()
 	spec := w.cfg.ServerSpec
 	if w.bookedCPU+v.BookedCPU > float64(capacity)*spec.Cores ||
@@ -549,7 +549,7 @@ func (w *walk) arrive(now int64, rank int32) error {
 	w.bookedCPU += v.BookedCPU
 	w.bookedMem += v.BookedMemGiB
 	w.usedCPU += v.UsedCPU
-	w.cum.Add(v)
+	w.cum.Add(vmDemand(v))
 	w.admitted++
 	w.obs.observeArrival(true)
 	for i := range w.lanes {
@@ -639,7 +639,7 @@ func (w *walk) depart(rank int32) {
 		return // was rejected at admission
 	}
 	w.running.Remove(ident.ID(rank))
-	v := w.idx.demand[rank]
+	v := &w.idx.tasks[rank]
 	w.bookedCPU -= v.BookedCPU
 	w.bookedMem -= v.BookedMemGiB
 	w.usedCPU -= v.UsedCPU

@@ -562,8 +562,8 @@ func TestDuplicateTaskIDsReplayDeterministically(t *testing.T) {
 	}
 	eng.Tasks[len(eng.Tasks)-1].ID = eng.Tasks[3].ID
 	idx := mustIndex(t, eng)
-	if a, b := idx.rankOf[3], idx.rankOf[len(eng.Tasks)-1]; a == b {
-		t.Fatalf("the two tasks of ID %d share rank %d", eng.Tasks[3].ID, a)
+	if a, b := slices.Index(idx.tasks, eng.Tasks[3]), slices.Index(idx.tasks, eng.Tasks[len(eng.Tasks)-1]); a < 0 || b < 0 || a == b {
+		t.Fatalf("the two tasks of ID %d are at ranks %d and %d", eng.Tasks[3].ID, a, b)
 	}
 }
 

@@ -25,18 +25,18 @@
 //
 // The loop replays through the trace's replay index (index.go): it knows a
 // VM by its rank, its place in the arrival order, merges the index's arrival
-// and departure orders itself (ranks, never task copies), reads each VM's
-// demand from the index, and keeps the running set as a bitset over ranks,
-// so a run allocates nothing per task or tick. The index is built in one
-// pass in arrival order, which also applies Task.ValidateIn and returns
-// Trace.Validate's error, while the departure order is sorted on a second
-// goroutine. A tick folds the running set once, in rank order (the index's
-// fold): that one consolidation.Demand is what the policy
-// observes (Observation.Demand), what the drain of freed hosts is billed
-// against, and the next interval's cumulative population, to which each
-// admitted arrival, ranking after every member, adds its terms, so the
-// interval's Demand is always the population's fold in rank order. An arrival
-// is sized by the planner's PlanDemand of it.
+// and departure orders itself, reads each VM's task at its rank (the trace's
+// own slice when the trace is in arrival order, one sorted copy otherwise),
+// and keeps the running set as a bitset over ranks, so a run allocates
+// nothing per task or tick. The index is built in one pass in arrival order,
+// which also applies Task.ValidateIn and returns Trace.Validate's error,
+// while the departure order is sorted on a second goroutine. A tick folds
+// the running set once, in rank order (the index's fold): that one
+// consolidation.Demand is what the policy observes (Observation.Demand), what
+// the drain of freed hosts is billed against, and the next interval's
+// cumulative population, to which each admitted arrival, ranking after every
+// member, adds its terms, so the interval's Demand is always the population's
+// fold in rank order. An arrival is sized by the planner's PlanDemand of it.
 //
 // Admission reads the running set's booked sums and the usable fleet, never
 // a posture, so without chaos every policy admits, rejects and retires the

@@ -7,9 +7,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/ident"
 	"repro/internal/trace"
@@ -43,8 +45,8 @@ func walkEvents(t *testing.T, tr *trace.Trace, idx *replayIndex) []walkEvent {
 	stepped = func(at int64, rank int32, depart bool) { got = append(got, walkEvent{at, rank, depart}) }
 	defer func() { stepped = nil }()
 	walked := *tr
-	for _, end := range idx.ends {
-		walked.HorizonSec = max(walked.HorizonSec, end)
+	for i := range idx.tasks {
+		walked.HorizonSec = max(walked.HorizonSec, idx.tasks[i].EndSec)
 	}
 	cfg := baseConfig(&walked)
 	cfg.TickSec = max(cfg.TickSec, walked.HorizonSec/64)
@@ -54,12 +56,28 @@ func walkEvents(t *testing.T, tr *trace.Trace, idx *replayIndex) []walkEvent {
 	return got
 }
 
+// ranksOf returns the rank of each task of tr, its position in
+// trace.ArrivalOrder, by its position in tr, and checks that the index holds
+// each task at its rank.
+func ranksOf(t testing.TB, tr *trace.Trace, idx *replayIndex) []int32 {
+	t.Helper()
+	ranks := make([]int32, len(tr.Tasks))
+	for rank, ti := range trace.ArrivalOrder(tr.Tasks) {
+		if idx.tasks[rank] != tr.Tasks[ti] {
+			t.Fatalf("rank %d holds %+v, but task %d arrives %dth: %+v", rank, idx.tasks[rank], ti, rank, tr.Tasks[ti])
+		}
+		ranks[ti] = int32(rank)
+	}
+	return ranks
+}
+
 // checkWalk checks that a walk of tr handles the stream's events: the same
 // instants and kinds, and for each the rank the index gives the stream's
 // task, ties included. The trace need not be valid.
 func checkWalk(t *testing.T, tr *trace.Trace) {
 	t.Helper()
 	idx, _ := newReplayIndex(tr)
+	rankOf := ranksOf(t, tr, idx)
 	got := walkEvents(t, tr, idx)
 	stream := trace.NewStream(tr)
 	for n := 0; ; n++ {
@@ -70,9 +88,9 @@ func checkWalk(t *testing.T, tr *trace.Trace) {
 		if !more {
 			return
 		}
-		if g := got[n]; g.at != want.AtSec || g.depart != (want.Kind == trace.Depart) || g.rank != idx.rankOf[want.Index] {
+		if g := got[n]; g.at != want.AtSec || g.depart != (want.Kind == trace.Depart) || g.rank != rankOf[want.Index] {
 			t.Fatalf("event %d of the walk is %+v, the stream's is %v of rank %d at %d",
-				n, g, want.Kind, idx.rankOf[want.Index], want.AtSec)
+				n, g, want.Kind, rankOf[want.Index], want.AtSec)
 		}
 	}
 }
@@ -89,6 +107,7 @@ func TestWalkIsTheStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		idx := mustIndex(t, tr)
+		rankOf := ranksOf(t, tr, idx)
 		events, stream := walkEvents(t, tr, idx), trace.NewStream(tr)
 		var running ident.Set
 		ties, folds := 0, 0
@@ -101,9 +120,9 @@ func TestWalkIsTheStream(t *testing.T) {
 				break
 			}
 			got := events[n]
-			if got.at != want.AtSec || got.depart != (want.Kind == trace.Depart) || got.rank != idx.rankOf[want.Index] {
+			if got.at != want.AtSec || got.depart != (want.Kind == trace.Depart) || got.rank != rankOf[want.Index] {
 				t.Fatalf("%s: event %d is %+v, the stream's is %v of rank %d at %d",
-					fam.Name(), n, got, want.Kind, idx.rankOf[want.Index], want.AtSec)
+					fam.Name(), n, got, want.Kind, rankOf[want.Index], want.AtSec)
 			}
 			if got.at == prev.at && got.depart == prev.depart {
 				ties++
@@ -116,7 +135,7 @@ func TestWalkIsTheStream(t *testing.T) {
 			}
 			if n%50 == 0 {
 				var vms []consolidation.VMDemand
-				running.Each(func(rank ident.ID) { vms = append(vms, idx.demand[rank]) })
+				running.Each(func(rank ident.ID) { vms = append(vms, vmDemand(&idx.tasks[rank])) })
 				if got, want := idx.fold(&running), consolidation.SumDemand(vms); !bitEqual(got, want) {
 					t.Fatalf("%s: after event %d the fold of %d VMs is\n%+v\nSumDemand\n%+v", fam.Name(), n, len(vms), got, want)
 				}
@@ -196,8 +215,8 @@ func FuzzWalkOrder(f *testing.F) {
 // TestReplayIndexRanksAreTheArrivalOrder ranks hand-picked IDs whose decimal
 // strings order differently from the numbers (a proper prefix, a digit-count
 // boundary, a minus sign, both ends of int64) over five starts: each task's
-// rank is its position in trace.ArrivalOrder, and the index holds its demand
-// at that rank.
+// rank is its position in trace.ArrivalOrder: the index holds the task at
+// that rank.
 func TestReplayIndexRanksAreTheArrivalOrder(t *testing.T) {
 	ids := []int{
 		0, 9, 10, 12, 120, 1200, 99, 100, math.MaxInt64, math.MinInt64, -1, -10, -12, -120,
@@ -207,14 +226,10 @@ func TestReplayIndexRanksAreTheArrivalOrder(t *testing.T) {
 	for i, id := range ids {
 		tr.Tasks = append(tr.Tasks, trace.Task{ID: id, StartSec: int64(i % 5), EndSec: 10, BookedCPU: 1, BookedMemGiB: float64(i + 1)})
 	}
-	idx := mustIndex(t, tr)
-	for want, i := range trace.ArrivalOrder(tr.Tasks) {
-		rank := idx.rankOf[i]
-		if rank != int32(want) {
-			t.Fatalf("task %d (ID %d, start %d) has rank %d, arrival position %d", i, tr.Tasks[i].ID, tr.Tasks[i].StartSec, rank, want)
-		}
-		if v := idx.demand[rank]; v.BookedMemGiB != tr.Tasks[i].BookedMemGiB {
-			t.Fatalf("task %d: rank %d holds %+v", i, rank, v)
+	idx, order := mustIndex(t, tr), trace.ArrivalOrder(tr.Tasks)
+	for rank, i := range order {
+		if idx.tasks[rank] != tr.Tasks[i] {
+			t.Fatalf("task %d (ID %d, start %d) has arrival position %d, where the index holds %+v", i, tr.Tasks[i].ID, tr.Tasks[i].StartSec, rank, idx.tasks[rank])
 		}
 	}
 }
@@ -224,7 +239,7 @@ func TestReplayIndexRanksAreTheArrivalOrder(t *testing.T) {
 // position in the trace. A trace of five tasks repeats both IDs a and b and
 // both starts, in the given row order and reversed, and the index must rank
 // each task where the stream delivers it and where a stable sort by (start,
-// ID) puts it, holding its demand at that rank. The corpus checked in under
+// ID) puts it, holding the task at that rank. The corpus checked in under
 // testdata/fuzz holds ID pairs whose decimal strings order differently from
 // the numbers (a proper prefix, a digit-count boundary, a minus sign) and
 // both ends of int64.
@@ -253,11 +268,11 @@ func FuzzVMOrder(f *testing.F) {
 				if ev.Kind != trace.Arrive {
 					continue
 				}
-				if ev.Index != want[rank] || idx.rankOf[ev.Index] != rank {
-					t.Fatalf("IDs %d, %d: arrival %d is task %d of rank %d, want task %d", a, b, rank, ev.Index, idx.rankOf[ev.Index], want[rank])
+				if ev.Index != want[rank] {
+					t.Fatalf("IDs %d, %d: arrival %d is task %d, want task %d", a, b, rank, ev.Index, want[rank])
 				}
-				if v := idx.demand[rank]; v.BookedMemGiB != ev.Task.BookedMemGiB {
-					t.Fatalf("IDs %d, %d: rank %d holds %+v, task %d books %v GiB", a, b, rank, v, ev.Index, ev.Task.BookedMemGiB)
+				if idx.tasks[rank] != tr.Tasks[ev.Index] {
+					t.Fatalf("IDs %d, %d: rank %d holds %+v, task %d is %+v", a, b, rank, idx.tasks[rank], ev.Index, tr.Tasks[ev.Index])
 				}
 				rank++
 			}
@@ -270,28 +285,25 @@ func FuzzVMOrder(f *testing.F) {
 func serialReplayIndex(tr *trace.Trace) *replayIndex {
 	order := trace.ArrivalOrder(tr.Tasks)
 	n := len(order)
-	idx := &replayIndex{
-		starts: make([]int64, n), ends: make([]int64, n),
-		demand: make([]consolidation.VMDemand, n), rankOf: make([]int32, n), busy: make([]uint64, (n+63)/64),
-	}
+	idx := &replayIndex{tasks: make([]trace.Task, n), busy: make([]uint64, (n+63)/64)}
+	rankOf := make([]int32, n)
 	for rank, ti := range order {
 		t := tr.Tasks[ti]
-		idx.rankOf[ti] = int32(rank)
-		idx.starts[rank], idx.ends[rank] = t.StartSec, t.EndSec
-		idx.demand[rank] = consolidation.VMDemand{BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB, UsedCPU: t.UsedCPU, UsedMemGiB: t.UsedMemGiB}
-		if !idx.demand[rank].Idle() {
+		idx.tasks[rank], rankOf[ti] = t, int32(rank)
+		v := consolidation.VMDemand{BookedCPU: t.BookedCPU, BookedMemGiB: t.BookedMemGiB, UsedCPU: t.UsedCPU, UsedMemGiB: t.UsedMemGiB}
+		if !v.Idle() {
 			idx.busy[rank/64] |= 1 << (rank % 64)
 		}
 	}
 	for _, ti := range trace.DepartureOrder(tr.Tasks) {
-		idx.departs = append(idx.departs, idx.rankOf[ti])
+		idx.departs = append(idx.departs, rankOf[ti])
 	}
 	return idx
 }
 
 // TestReplayIndexMatchesSerialBuild: the index built with its departure
-// order sorted beside the arrival pass is the serial build's, departs,
-// rankOf and busy included, on all five families, both Google-like presets,
+// order sorted beside the arrival pass is the serial build's, tasks,
+// departs and busy included, on all five families, both Google-like presets,
 // a trace whose tasks mostly end at one instant, and one whose times span
 // 2^32 seconds and more, which sorts by comparator. A bad trace's error is
 // Trace.Validate's.
@@ -334,7 +346,7 @@ func TestReplayIndexMatchesSerialBuild(t *testing.T) {
 			t.Fatalf("%s: %v", tr.Name, err)
 		}
 		want := serialReplayIndex(tr)
-		if idx := mustIndex(t, tr); !slices.Equal(idx.departs, want.departs) || !slices.Equal(idx.rankOf, want.rankOf) ||
+		if idx := mustIndex(t, tr); !slices.Equal(idx.departs, want.departs) || !slices.Equal(idx.tasks, want.tasks) ||
 			!slices.Equal(idx.busy, want.busy) || !reflect.DeepEqual(idx, want) {
 			t.Errorf("%s: the index differs from the serial build", tr.Name)
 		}
@@ -345,5 +357,108 @@ func TestReplayIndexMatchesSerialBuild(t *testing.T) {
 	bad.Tasks[len(bad.Tasks)-1].StartSec = -1 // arrives first, but Trace.Validate reports the task above
 	if _, err := newReplayIndex(&bad); fmt.Sprint(err) != fmt.Sprint(bad.Validate()) {
 		t.Errorf("the index of a bad trace: error %v, want %v", err, bad.Validate())
+	}
+}
+
+// serverless100k is the 100 000-task serverless trace online_replay replays.
+func serverless100k(t testing.TB) *trace.Trace {
+	t.Helper()
+	tr, err := trace.GenerateFamily("serverless", trace.FamilyParams{Machines: 200, HorizonSec: 24 * 3600, Tasks: 100000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestReplayIndexOfASortedTraceIsTheTrace: a trace in arrival order, as every
+// family leaves one, is its own index. The index holds the trace's slice, and
+// building it on 100 000 serverless tasks allocates at most 20 B a task: the
+// departure order, its sort's keys and scratch, and the busy bits.
+func TestReplayIndexOfASortedTraceIsTheTrace(t *testing.T) {
+	tr := serverless100k(t)
+	if !trace.InArrivalOrder(tr.Tasks) {
+		t.Fatal("the serverless family left its tasks out of arrival order")
+	}
+	if idx := mustIndex(t, tr); len(idx.tasks) != len(tr.Tasks) || &idx.tasks[0] != &tr.Tasks[0] {
+		t.Fatal("the index of a sorted trace is not the trace's slice")
+	}
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mustIndex(t, tr)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	perTask := float64(least) / float64(len(tr.Tasks))
+	if perTask > 20 {
+		t.Errorf("indexing %d sorted tasks allocates %d B, %.1f B a task, want at most 20", len(tr.Tasks), least, perTask)
+	}
+	t.Logf("%d B, %.2f B a task", least, perTask)
+}
+
+// TestReplayIndexOfAnUnsortedTraceIsItsSortedClone: a trace out of arrival
+// order is indexed through one sorted copy and is left as it was. Both
+// trace.Generate's default trace (60 of its 3 000 tasks out of place) and
+// that trace with the heavy scenario's bursts replay bit-identically to their
+// clones sorted in arrival order, through Run, Regret and RunChaos.
+func TestReplayIndexOfAnUnsortedTraceIsItsSortedClone(t *testing.T) {
+	gen := diurnalTrace(t)
+	heavy, err := chaos.Scenario("heavy", gen.HorizonSec, gen.Machines, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	light, err := chaos.Scenario("light", gen.HorizonSec, gen.Machines, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func(tr *trace.Trace) []any {
+		cfg := baseConfig(tr)
+		cfg.Policy = NewPredictiveEWMA(consolidation.NewZombieStack())
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Policy = NewPredictiveEWMA(consolidation.NewZombieStack())
+		rep, err := Regret(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Policy = NewPredictiveEWMA(consolidation.NewZombieStack())
+		ch, err := RunChaos(cfg, light)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []any{res, rep, ch}
+	}
+	for _, tr := range []*trace.Trace{gen, heavy.PerturbTrace(gen)} {
+		if trace.InArrivalOrder(tr.Tasks) {
+			t.Fatalf("%s is in arrival order", tr.Name)
+		}
+		rows, sorted := slices.Clone(tr.Tasks), *tr
+		sorted.Tasks = nil
+		for _, i := range trace.ArrivalOrder(tr.Tasks) {
+			sorted.Tasks = append(sorted.Tasks, tr.Tasks[i])
+		}
+		if idx := mustIndex(t, tr); &idx.tasks[0] == &tr.Tasks[0] || !slices.Equal(idx.tasks, sorted.Tasks) {
+			t.Fatalf("%s: the index is not the trace sorted in arrival order", tr.Name)
+		}
+		if got, want := replay(tr), replay(&sorted); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the trace replays\n%+v\nits sorted clone\n%+v", tr.Name, got, want)
+		}
+		if !slices.Equal(tr.Tasks, rows) {
+			t.Fatalf("%s: a replay wrote the trace's rows", tr.Name)
+		}
+	}
+}
+
+// BenchmarkReplayIndex builds the index of the sorted 100 000-task serverless
+// trace.
+func BenchmarkReplayIndex(b *testing.B) {
+	tr := serverless100k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		mustIndex(b, tr)
 	}
 }

@@ -34,12 +34,9 @@ type Observation struct {
 func (o Observation) Inflated(factor float64) consolidation.Demand {
 	var d consolidation.Demand
 	o.walk.running.Each(func(rank ident.ID) {
-		v := o.walk.idx.demand[rank]
-		v.BookedCPU *= factor
-		v.BookedMemGiB *= factor
-		v.UsedCPU *= factor
-		v.UsedMemGiB *= factor
-		d.Add(v)
+		t := &o.walk.idx.tasks[rank]
+		d.Add(consolidation.VMDemand{BookedCPU: t.BookedCPU * factor, BookedMemGiB: t.BookedMemGiB * factor,
+			UsedCPU: t.UsedCPU * factor, UsedMemGiB: t.UsedMemGiB * factor})
 	})
 	return d
 }

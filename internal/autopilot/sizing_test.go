@@ -145,8 +145,8 @@ func checkInterval(t *testing.T, tr *trace.Trace, pol Policy, plan *chaos.Plan) 
 	endOf := make([]int64, len(tr.Tasks))
 	admitted = func(l *lane, rank int32) {
 		if len(ranks) == 0 {
-			for i, task := range tr.Tasks {
-				endOf[l.idx.rankOf[i]] = task.EndSec
+			for i, r := range ranksOf(t, tr, l.idx) {
+				endOf[r] = tr.Tasks[i].EndSec
 			}
 		}
 		if n := len(ranks); n > 0 && rank <= ranks[n-1] {
@@ -156,7 +156,7 @@ func checkInterval(t *testing.T, tr *trace.Trace, pol Policy, plan *chaos.Plan) 
 		var pop []consolidation.VMDemand
 		for _, r := range ranks {
 			if endOf[r] > l.intervalStart {
-				pop = append(pop, l.idx.demand[r])
+				pop = append(pop, vmDemand(&l.idx.tasks[r]))
 			}
 		}
 		if want := consolidation.SumDemand(pop); !bitEqual(l.cum, want) {

@@ -23,12 +23,6 @@ import (
 // trace.
 type FamilyParams = Spec
 
-// DefaultFamilyParams mirrors DefaultConfig's envelope: one simulated day on
-// a 200-machine fleet, 3000 tasks, seed 42.
-func DefaultFamilyParams() FamilyParams {
-	return FamilyParams{Machines: 200, HorizonSec: 24 * 3600, Tasks: 3000, Seed: 42}
-}
-
 // Family is one seeded, deterministic workload generator. Implementations
 // are stateless value types: Generate is a pure function of the params, so a
 // family value is safe to share and reuse.

@@ -10,6 +10,12 @@ import (
 	"testing"
 )
 
+// DefaultFamilyParams mirrors DefaultConfig's envelope: one simulated day on
+// a 200-machine fleet, 3000 tasks, seed 42.
+func DefaultFamilyParams() FamilyParams {
+	return FamilyParams{Machines: 200, HorizonSec: 24 * 3600, Tasks: 3000, Seed: 42}
+}
+
 // familyUnderTest runs one family through the shared property gauntlet and
 // returns the trace for family-specific shape checks.
 func familyUnderTest(t *testing.T, f Family, p FamilyParams) *Trace {

@@ -121,10 +121,11 @@ func FuzzStreamVsSlurp(f *testing.F) {
 }
 
 // FuzzEventOrder pins the stream's sort against a stable comparator sort by
-// (time, ID) on arbitrary tasks. The first byte scales the times, so the corpus reaches spans of
-// 2^32 seconds and beyond, where the sort falls back to the comparator; then
-// three bytes make each task, two for its time and one that shuffles its
-// (always distinct) ID.
+// (time, ID) on arbitrary tasks, and InArrivalOrder to that sort leaving the
+// tasks where they are. The first byte scales the times, so the corpus
+// reaches spans of 2^32 seconds and beyond, where the sort falls back to the
+// comparator; then three bytes make each task, two for its time and one that
+// shuffles its (always distinct) ID.
 func FuzzEventOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -145,6 +146,9 @@ func FuzzEventOrder(f *testing.F) {
 		})
 		if got := trace.ArrivalOrder(tasks); !slices.Equal(got, want) {
 			t.Fatalf("ArrivalOrder %v, want %v", got, want)
+		}
+		if got := trace.InArrivalOrder(tasks); got != slices.IsSorted(want) {
+			t.Fatalf("InArrivalOrder %v of the tasks the stable sort orders %v", got, want)
 		}
 	})
 }

@@ -80,6 +80,16 @@ func ArrivalOrder(tasks []Task) []int32 {
 	return eventOrder(tasks, false)
 }
 
+// InArrivalOrder reports, allocating nothing, whether tasks are in ArrivalOrder.
+func InArrivalOrder(tasks []Task) bool {
+	for i := 1; i < len(tasks); i++ {
+		if a, b := &tasks[i-1], &tasks[i]; a.StartSec > b.StartSec || a.StartSec == b.StartSec && a.ID > b.ID {
+			return false
+		}
+	}
+	return true
+}
+
 // DepartureOrder returns the positions of the tasks in the order they depart:
 // by end, then by ID, then by position. It is the order of a Stream's
 // departures.
@@ -109,14 +119,15 @@ func peakLoad[N int | float64](tasks []Task, load func(*Task) N) N {
 
 // eventOrder returns the task positions sorted by (time, ID, position), where
 // a task's time is its end with byEnd set and its start otherwise.
-// Traces list their tasks by start, so the arrival order is a scan; the
-// departure order is a real sort, and a comparator call per comparison made it
-// the most expensive part of a short replay. When the times span less than
-// 2^32 seconds the positions are therefore radix-sorted by their offset from
-// the earliest time. Many tasks can end at one instant (every task the horizon
-// cuts off does), so when the IDs span less than 2^32 too, the positions are
-// first radix-sorted by ID: the sort by time keeps them in that order within
-// each instant. Otherwise the runs of equal times are left to a comparator.
+// Traces list their tasks by start, so the arrival order is a check
+// (InArrivalOrder); the departure order is a real sort, and a comparator call
+// per comparison made it the most expensive part of a short replay. When the
+// times span less than 2^32 seconds the positions are therefore radix-sorted
+// by their offset from the earliest time. Many tasks can end at one instant
+// (every task the horizon cuts off does), so when the IDs span less than 2^32
+// too, the positions are first radix-sorted by ID: the sort by time keeps them
+// in that order within each instant. Otherwise the runs of equal times are
+// left to a comparator.
 func eventOrder(tasks []Task, byEnd bool) []int32 {
 	at := func(t *Task) int64 {
 		if byEnd {
@@ -128,12 +139,7 @@ func eventOrder(tasks []Task, byEnd bool) []int32 {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sorted := true
-	for i := 1; sorted && i < len(tasks); i++ {
-		a, b := &tasks[i-1], &tasks[i]
-		sorted = at(a) < at(b) || at(a) == at(b) && a.ID <= b.ID
-	}
-	if sorted {
+	if len(tasks) < 2 || !byEnd && InArrivalOrder(tasks) {
 		return order
 	}
 	byTimeThenID := func(a, b int32) int {

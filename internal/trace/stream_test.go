@@ -228,3 +228,42 @@ func TestRadixSortMatchesStableSort(t *testing.T) {
 		}
 	}
 }
+
+// TestSortByStartThenIDIsArrivalOrder: sortByStartThenID leaves a list as
+// ArrivalOrder lists it, repeated (start, ID) pairs in their row order, and
+// InArrivalOrder holds exactly for the lists a stable sort by (start, ID)
+// would leave unchanged. Every list is tried as drawn and sorted by start
+// alone, as Generate leaves its tasks.
+func TestSortByStartThenIDIsArrivalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 1000} {
+		for _, spread := range []int{1, 3, 1 << 20} {
+			drawn := make([]Task, n)
+			for i := range drawn {
+				drawn[i] = Task{ID: rng.Intn(spread), JobID: i, StartSec: int64(rng.Intn(spread))}
+			}
+			byStart := slices.Clone(drawn)
+			slices.SortStableFunc(byStart, func(a, b Task) int { return cmp.Compare(a.StartSec, b.StartSec) })
+			for _, tasks := range [][]Task{drawn, byStart} {
+				want := make([]Task, 0, n)
+				for _, i := range ArrivalOrder(tasks) {
+					want = append(want, tasks[i])
+				}
+				stable := slices.Clone(tasks)
+				slices.SortStableFunc(stable, func(a, b Task) int {
+					return cmp.Or(cmp.Compare(a.StartSec, b.StartSec), cmp.Compare(a.ID, b.ID))
+				})
+				if got := InArrivalOrder(tasks); got != slices.Equal(tasks, stable) {
+					t.Errorf("%d tasks over %d: InArrivalOrder says %v, a stable sort by (start, ID) says %v", n, spread, got, !got)
+				}
+				sortByStartThenID(tasks)
+				if !slices.Equal(tasks, want) || !slices.Equal(tasks, stable) {
+					t.Fatalf("%d tasks over %d: sorted to %v, want %v", n, spread, tasks, want)
+				}
+				if !InArrivalOrder(tasks) {
+					t.Errorf("%d tasks over %d: InArrivalOrder false after the sort", n, spread)
+				}
+			}
+		}
+	}
+}

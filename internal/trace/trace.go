@@ -107,17 +107,19 @@ func (t *Task) ValidateIn(horizonSec int64) error {
 	return nil
 }
 
-// sortByStartThenID puts tasks in trace order, by (StartSec, ID); a list in
-// that order already, as EncodeCSV writes one, is only checked. The
-// comparator reads the tasks in place: one taking them by value copies two
-// 64-byte Tasks per comparison.
+// sortByStartThenID moves tasks along the cycles of ArrivalOrder's permutation
+// into that order; a list in it already, as EncodeCSV writes one, is checked.
 func sortByStartThenID(tasks []Task) {
-	less := func(i, j int) bool {
-		a, b := &tasks[i], &tasks[j]
-		return a.StartSec < b.StartSec || a.StartSec == b.StartSec && a.ID < b.ID
+	if InArrivalOrder(tasks) {
+		return
 	}
-	if !sort.SliceIsSorted(tasks, less) {
-		sort.Slice(tasks, less)
+	order := ArrivalOrder(tasks)
+	for i := range order {
+		first, j := tasks[i], i
+		for ; int(order[j]) != i; j, order[j] = int(order[j]), int32(j) {
+			tasks[j] = tasks[order[j]]
+		}
+		tasks[j], order[j] = first, int32(j)
 	}
 }
 
