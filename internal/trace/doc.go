@@ -16,8 +16,9 @@
 //     real traces can convert and replay them — gzip-aware on both sides
 //     (EncodeCSV writes Huffman-only .csv.gz on request, which inflates
 //     faster than LZ77-coded gzip at about its size, and Import sniffs the
-//     magic bytes), since month-scale conversions balloon on disk as flat
-//     CSV;
+//     magic bytes and inflates any gzip stream with a table-driven inflater
+//     of its own that accepts and rejects exactly what compress/gzip does),
+//     since month-scale conversions balloon on disk as flat CSV;
 //   - the causal event order (ArrivalOrder, DepartureOrder) and a streaming
 //     feed over it (Stream) that yields arrivals and departures one event at
 //     a time; the online control plane (internal/autopilot) walks the same

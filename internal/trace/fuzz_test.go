@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -265,4 +267,58 @@ func FuzzImport(f *testing.F) {
 			t.Fatalf("import round trip not stable:\n first %q\nsecond %q", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// parseMatchesStrconv fails t unless parseDecimal parses s, as a string and as
+// bytes, to strconv.ParseFloat's bits (-0 and NaN included) and error text.
+func parseMatchesStrconv(t *testing.T, s string) {
+	t.Helper()
+	want, wantErr := strconv.ParseFloat(s, 64)
+	for _, p := range []func() (float64, error){
+		func() (float64, error) { return parseDecimal(s) },
+		func() (float64, error) { return parseDecimal([]byte(s)) },
+	} {
+		got, err := p()
+		if math.Float64bits(got) != math.Float64bits(want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("parseDecimal(%q) = %v (%#x), %v; strconv.ParseFloat: %v (%#x), %v",
+				s, got, math.Float64bits(got), err, want, math.Float64bits(want), wantErr)
+		}
+	}
+}
+
+// FuzzParseDecimal: for any string, parseDecimal's value and error are
+// strconv.ParseFloat's. decodeCSV shares decodeNative with the row scanner, so
+// FuzzDecodeCSV and FuzzImport compare the fast path with itself; this target
+// compares it with strconv.
+func FuzzParseDecimal(f *testing.F) {
+	for _, s := range []string{
+		"4503599627370496.5", "9007199254740993", // exact midpoints: ties to even
+		"9007199254740991", "9007199254740992", "9007199254740994", "9007199254740995", // around 2^53
+		"9999999999999999999", "10000000000000000000", "18446744073709551615", // around 10^19
+		"1234567890123456789", "12345678901234567890", // 19 and 20 digits
+		"0.1234567890123456789", "0.12345678901234567891", "0.0000000000000000001",
+		"123456789.123456789", "0.30000000000000004", "1.7976931348623157",
+		"0", "000.5", "1.", ".5", "1e5", "-0", "+1", "Inf", "1_0", "", ".", "1..2", "0.5.",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(parseMatchesStrconv)
+}
+
+// TestParseDecimalMatchesStrconv: seeded random decimals of every digit count
+// and point position up to the fast path's limits and past them parse as
+// strconv parses them.
+func TestParseDecimalMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewPCG(57, 1))
+	for range 50_000 {
+		digits := make([]byte, 1+rng.IntN(21))
+		for i := range digits {
+			digits[i] = byte('0' + rng.IntN(10))
+		}
+		s := string(digits)
+		if dot := rng.IntN(len(digits) + 1); dot > 0 && dot < len(digits) {
+			s = s[:dot] + "." + s[dot:]
+		}
+		parseMatchesStrconv(t, s)
+	}
 }

@@ -3,11 +3,11 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -25,7 +25,7 @@ import (
 // decodeNative parses the layout's eight fields, for addRow: on byte slices of
 // the row scanner's read buffer and on decodeCSV's strings. string(f) of a
 // byte slice does not escape strconv, so neither allocates per field, and the
-// two share every error text.
+// two share every error text. The four demands go through parseDecimal.
 func decodeNative[F string | []byte](rec []F) (Task, error) {
 	var t Task
 	var err error
@@ -41,20 +41,83 @@ func decodeNative[F string | []byte](rec []F) (Task, error) {
 	if t.EndSec, err = strconv.ParseInt(string(rec[3]), 10, 64); err != nil {
 		return Task{}, fmt.Errorf("end: %w", err)
 	}
-	if t.BookedCPU, err = strconv.ParseFloat(string(rec[4]), 64); err != nil {
+	if t.BookedCPU, err = parseDecimal(rec[4]); err != nil {
 		return Task{}, fmt.Errorf("booked cpu: %w", err)
 	}
-	if t.BookedMemGiB, err = strconv.ParseFloat(string(rec[5]), 64); err != nil {
+	if t.BookedMemGiB, err = parseDecimal(rec[5]); err != nil {
 		return Task{}, fmt.Errorf("booked mem: %w", err)
 	}
-	if t.UsedCPU, err = strconv.ParseFloat(string(rec[6]), 64); err != nil {
+	if t.UsedCPU, err = parseDecimal(rec[6]); err != nil {
 		return Task{}, fmt.Errorf("used cpu: %w", err)
 	}
-	if t.UsedMemGiB, err = strconv.ParseFloat(string(rec[7]), 64); err != nil {
+	if t.UsedMemGiB, err = parseDecimal(rec[7]); err != nil {
 		return Task{}, fmt.Errorf("used mem: %w", err)
 	}
 	return t, nil
 }
+
+// parseDecimal is strconv.ParseFloat(s, 64), value and error, with an exact
+// fast path for the decimals EncodeCSV writes: [0-9]+(\.[0-9]+)? with at most
+// 19 significant and 19 fraction digits is m / 10^k for integers m < 2^64 and
+// k <= 19. For m <= 2^53 one float64 divide of two exact operands is exact
+// (Clinger, PLDI 1990); otherwise a 128/64-bit integer divide of m·2^s by 10^k
+// leaves 62 to 64 quotient bits and a remainder, enough to round to nearest
+// even. Every other string goes to strconv.
+func parseDecimal[F string | []byte](s F) (float64, error) {
+	var m uint64
+	i := 0
+	for i < len(s) && s[i] == '0' { // leading zeros are not significant
+		i++
+	}
+	first := i
+	for ; i < len(s) && s[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(s[i]-'0')
+	}
+	sig := i - first // significant digits
+	k := 0           // fraction digits
+	if i < len(s) {
+		if s[i] != '.' || i == 0 || i == len(s)-1 {
+			return strconv.ParseFloat(string(s), 64)
+		}
+		k = len(s) - i - 1
+		for i++; m == 0 && i < len(s) && s[i] == '0'; i++ {
+		}
+		sig += len(s) - i
+		for ; i < len(s); i++ {
+			if s[i]-'0' > 9 {
+				return strconv.ParseFloat(string(s), 64)
+			}
+			m = m*10 + uint64(s[i]-'0')
+		}
+	}
+	switch {
+	case len(s) == 0 || sig > 19 || k > 19: // m may have overflowed
+		return strconv.ParseFloat(string(s), 64)
+	case m <= 1<<53:
+		return float64(m) / pow10[k], nil
+	}
+	d := uint64(pow10[k])
+	sh := uint(63 - bits.Len64(m) + bits.Len64(d)) // puts the quotient in [2^62, 2^64)
+	hi, lo := m>>(64-sh), m<<sh
+	if sh >= 64 {
+		hi, lo = m<<(sh-64), 0
+	}
+	q, r := bits.Div64(hi, lo, d)
+	drop := uint(bits.Len64(q) - 53)
+	mant, rest, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
+	if rest > half || rest == half && (r != 0 || mant&1 == 1) {
+		mant++
+	}
+	exp := int(drop) - int(sh) + 52 + 1023 // the value is mant·2^(drop-sh), mant in [2^52, 2^53]
+	if mant == 1<<53 {
+		mant, exp = mant>>1, exp+1
+	}
+	return math.Float64frombits(uint64(exp)<<52 | mant&(1<<52-1)), nil
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
 // decodeTasks decodes plain or gzip CSV one row at a time: besides the tasks
 // it returns it holds only its read buffers and the duplicate-ID index, never
@@ -68,18 +131,15 @@ func decodeNative[F string | []byte](rec []F) (Task, error) {
 // buffer, hands itself and the rest of the input to decodeCSV; the two return
 // the same tasks and the same errors for the same bytes.
 //
-// Gzip input is sniffed by its magic bytes and inflated on a goroutine of its
-// own, up to a ring of blocks ahead of the decoder, so the two halves of a
-// .csv.gz import run on two cores. Every return stops the inflater and waits
-// for it to exit, so it never reads r after the call.
+// Gzip input is sniffed by its magic bytes and inflated by gunzip on a
+// goroutine of its own, up to a ring of blocks ahead of the decoder, so the
+// two halves of a .csv.gz import run on two cores; the row decode is the
+// slower half. Every return stops the inflater and waits for it to exit, so
+// it never reads r after the call.
 func decodeTasks(r io.Reader) ([]Task, error) {
 	in := bufio.NewReader(r)
 	if magic, err := in.Peek(2); err == nil && magic[0] == gzipMagic[0] && magic[1] == gzipMagic[1] {
-		zr, err := gzip.NewReader(in)
-		if err != nil {
-			return nil, err
-		}
-		inf := inflate(zr)
+		inf := inflate(in)
 		defer inf.stop()
 		if inflating != nil {
 			inflating(inf)
@@ -281,39 +341,40 @@ const (
 	blockSize  = 256 << 10
 )
 
-// inflater runs a gzip stream on a goroutine of its own into a ring of
-// recycled blocks and hands them to Read in stream order. The goroutine
-// waits only when every block is inflated and unread.
+// inflater runs a gzip stream through gunzip on a goroutine of its own into
+// a ring of recycled blocks and hands them to Read in stream order. The
+// goroutine waits only when every block is inflated and unread.
 type inflater struct {
 	full   chan block    // inflated blocks in stream order
-	free   chan []byte   // blocks Read has drained, for reuse
+	free   chan []byte   // buffers Read has drained, for reuse
 	quit   chan struct{} // closed by stop
 	done   chan struct{} // closed when the goroutine exits
 	held   block         // the block Read is draining
 	unread []byte        // its bytes Read has not returned yet
 }
 
-// block is a run of inflated bytes; a non-nil err ends the stream after them.
+// block is a run of inflated bytes in its buffer, after the history the run
+// was inflated against; a non-nil err ends the stream after them.
 type block struct {
-	b   []byte
-	err error
+	b, buf []byte
+	err    error
 }
 
-func inflate(zr io.Reader) *inflater {
+func inflate(r io.Reader) *inflater {
 	f := &inflater{
 		full: make(chan block, ringBlocks), free: make(chan []byte, ringBlocks),
 		quit: make(chan struct{}), done: make(chan struct{}),
 	}
-	go f.run(zr)
+	go f.run(newGunzip(r))
 	return f
 }
 
 // run fills blocks until the stream ends or fails or stop is called. The
 // ring grows with the stream: blocks start at 4 KiB and each is four times
-// the last up to blockSize, and a smaller block coming back is replaced, so a
-// small stream stays small. Neither channel send blocks: each channel holds
+// the last up to blockSize, and a smaller buffer coming back is replaced, so
+// a small stream stays small. Neither channel send blocks: each channel holds
 // every block there is.
-func (f *inflater) run(zr io.Reader) {
+func (f *inflater) run(z *gunzip) {
 	defer close(f.done)
 	for made, size := 0, 4<<10; ; size = min(4*size, blockSize) {
 		var b []byte
@@ -332,17 +393,8 @@ func (f *inflater) run(zr io.Reader) {
 			case b = <-f.free:
 			}
 		}
-		if len(b) < size {
-			b = make([]byte, size)
-		}
-		n := 0
-		var err error
-		for n < len(b) && err == nil {
-			var m int
-			m, err = zr.Read(b[n:])
-			n += m
-		}
-		f.full <- block{b[:n], err}
+		buf, run, err := z.fill(b, size)
+		f.full <- block{run, buf, err}
 		if err != nil {
 			return
 		}
@@ -356,8 +408,8 @@ func (f *inflater) Read(p []byte) (int, error) {
 		if f.held.err != nil {
 			return 0, f.held.err
 		}
-		if f.held.b != nil {
-			f.free <- f.held.b[:cap(f.held.b)]
+		if f.held.buf != nil {
+			f.free <- f.held.buf
 		}
 		f.held = <-f.full
 		f.unread = f.held.b
