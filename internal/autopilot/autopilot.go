@@ -310,12 +310,13 @@ type laneError struct {
 func (e *laneError) Error() string { return e.err.Error() }
 func (e *laneError) Unwrap() error { return e.err }
 
-// Run executes the online control loop over the trace's arrival feed.
+// Run executes the online control loop over the trace's events.
 //
 // The loop is event-driven: arrivals, departures, and re-planning ticks are
 // processed in time order (departures before arrivals at equal instants,
-// trace.Stream's order, and a due tick last, so the policy observes the
-// population as of the tick instant). The first tick fires at TickSec —
+// trace.Stream's order, which the walk merges from its replay index's
+// arrival and departure orders, and a due tick last, so the policy observes
+// the population as of the tick instant). The first tick fires at TickSec —
 // before it the fleet holds the all-awake initial posture, because an online
 // controller has not seen anything yet.
 //
@@ -554,7 +555,6 @@ func (w *walk) arrive(now int64, rank int32) error {
 	w.obs.observeArrival(true)
 	for i := range w.lanes {
 		l := &w.lanes[i]
-		l.refreshUtil()
 		if admitted != nil {
 			admitted(l, rank)
 		}
@@ -645,9 +645,6 @@ func (w *walk) depart(rank int32) {
 	w.usedCPU -= v.UsedCPU
 	w.departures++
 	w.obs.observeDepart()
-	for i := range w.lanes {
-		w.lanes[i].refreshUtil()
-	}
 }
 
 // population is the number of VMs running: every admitted task departs once.
@@ -696,11 +693,15 @@ func (w *walk) tick(now, horizon int64) error {
 // will hold).
 func (l *lane) tick(now, horizon int64, running consolidation.Demand) error {
 	l.billInterval(now)
+	// The posture's utilization is set when it is installed; the policy sees
+	// the running set's.
+	prev := l.posture
+	prev.ActiveCPUUtilization = consolidation.Utilization(l.usedCPU, prev.ActiveHosts, l.cfg.ServerSpec.Cores)
 	obs := Observation{
 		NowSec:       now,
 		TickSec:      l.cfg.TickSec,
 		Demand:       running,
-		Prev:         l.posture,
+		Prev:         prev,
 		Spec:         l.cfg.ServerSpec,
 		TotalServers: l.available(),
 		walk:         l.walk,
@@ -775,11 +776,6 @@ func (l *lane) normalize(name string, p consolidation.FleetPlan) consolidation.F
 	p.Policy = name
 	p.ActiveCPUUtilization = consolidation.Utilization(l.usedCPU, p.ActiveHosts, l.cfg.ServerSpec.Cores)
 	return p
-}
-
-// refreshUtil recomputes the posture's utilization after a population change.
-func (l *lane) refreshUtil() {
-	l.posture.ActiveCPUUtilization = consolidation.Utilization(l.usedCPU, l.posture.ActiveHosts, l.cfg.ServerSpec.Cores)
 }
 
 // finish bills the final (possibly partial) interval and closes the

@@ -689,3 +689,59 @@ func TestTickClockCannotOverflow(t *testing.T) {
 		t.Errorf("a horizon a tick short of MaxInt64: %v", err)
 	}
 }
+
+// utilProbe wraps a policy and checks the posture each tick shows it.
+type utilProbe struct {
+	Policy
+	t     *testing.T
+	ticks int
+}
+
+// Decide checks that the observed posture carries the running set's
+// utilization over its active hosts, then defers to the wrapped policy.
+func (p *utilProbe) Decide(obs Observation) consolidation.FleetPlan {
+	p.ticks++
+	want := consolidation.Utilization(obs.walk.usedCPU, obs.Prev.ActiveHosts, obs.Spec.Cores)
+	if got := obs.Prev.ActiveCPUUtilization; got != want {
+		p.t.Fatalf("%s at %d s: Prev holds utilization %v, the running set %v over %d active hosts",
+			p.Name(), obs.NowSec, got, want, obs.Prev.ActiveHosts)
+	}
+	return p.Policy.Decide(obs)
+}
+
+// TestTickObservesRunningUtilization: at every tick of every family and
+// bundled policy, fault-free and under light chaos, Prev's utilization is the
+// running set's used CPU over Prev's active hosts. The posture keeps the
+// utilization it was installed with; the arrivals, departures and crashes
+// since then show only in what the policy observes.
+func TestTickObservesRunningUtilization(t *testing.T) {
+	crashes := 0
+	for _, fam := range trace.Families() {
+		tr, err := fam.Generate(trace.FamilyParams{Machines: 40, HorizonSec: 4 * 3600, Tasks: 300, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		light, err := chaos.Scenario("light", tr.HorizonSec, tr.Machines, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, plan := range []*chaos.Plan{nil, light} {
+			for _, pol := range Policies(consolidation.NewZombieStack()) {
+				probe := &utilProbe{Policy: pol, t: t}
+				cfg := baseConfig(tr)
+				cfg.Policy, cfg.Chaos = probe, plan
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if probe.ticks == 0 {
+					t.Fatalf("%s/%s: no tick", fam.Name(), pol.Name())
+				}
+				crashes += res.ServerCrashes
+			}
+		}
+	}
+	if crashes == 0 {
+		t.Fatal("light chaos crashed no server")
+	}
+}

@@ -154,6 +154,7 @@ func (l *lane) chaosMoment(now int64, m chaosMoment) error {
 // attempts the same plan's wake failures can strike.
 func (l *lane) chaosCrash(now int64, f chaos.Fault, idx int) error {
 	targetActive := l.posture.ActiveHosts
+	util := consolidation.Utilization(l.usedCPU, l.posture.ActiveHosts, l.cfg.ServerSpec.Cores)
 	order := dcsim.StrikeOrder(f.Role)
 	struck := 0
 	for ; struck < f.Count; struck++ {
@@ -166,13 +167,12 @@ func (l *lane) chaosCrash(now int64, f chaos.Fault, idx int) error {
 		share := dcsim.ServingShare(l.posture)
 		*l.posture.Hosts(c)--
 		if c == consolidation.ZombieHost || c == consolidation.MemoryServer {
-			l.reHome(now, share, c)
+			l.reHome(now, share, c, util)
 		}
 	}
 	l.chaos.faults[idx].crashed = struck
 	l.res.ServerCrashes += struck
 	l.obs.observeChaosCrash(now, struck)
-	l.refreshUtil()
 	if l.posture.ActiveHosts < targetActive {
 		return l.ensureActive(now, targetActive)
 	}
@@ -181,14 +181,15 @@ func (l *lane) chaosCrash(now int64, f chaos.Fault, idx int) error {
 
 // reHome moves a crashed serving server's remote-memory share onto a
 // replacement: the transfer crosses the fabric at the instant's degradation
-// factor (stalling one active host at the posture's operating point), and a
-// sleeper wakes into the crashed server's category c. With no sleeper left
-// the share is lost — an SLO violation.
-func (l *lane) reHome(now int64, shareGiB float64, c consolidation.Category) {
+// factor (stalling one active host at util, the utilization when the crash
+// struck, which the offline epoch bill reads from its plan), and a sleeper
+// wakes into the crashed server's category c. With no sleeper left the share
+// is lost — an SLO violation.
+func (l *lane) reHome(now int64, shareGiB float64, c consolidation.Category, util float64) {
 	m := &l.prices
 	if shareGiB > 0 {
 		l.res.ReHomedGiB += shareGiB
-		l.addPenalty(dcsim.ReHomeJoules(m, shareGiB, l.posture.ActiveCPUUtilization, l.chaos.plan.FabricFactorAt(now)))
+		l.addPenalty(dcsim.ReHomeJoules(m, shareGiB, util, l.chaos.plan.FabricFactorAt(now)))
 	}
 	if l.posture.SleepHosts <= 0 {
 		l.posture.RemoteMemoryGiB -= shareGiB

@@ -361,6 +361,57 @@ func (p fixedPlan) PlanDemand(consolidation.Demand, consolidation.ServerSpec, in
 	return p.plan
 }
 
+// crashPrice is the bill of one crash fault: its joules and its ACPI
+// transitions.
+type crashPrice struct {
+	joules      float64
+	transitions int
+}
+
+// priceCrash prices one crash striking posture at instant at, online through
+// a lane whose books hold usedCPU and offline through dcsim's bill of one
+// epoch planned at posture. Transition costs are off offline, so the epoch's
+// transitions and chaos joules are the fault's; the crashed servers' wedged
+// S0 burn is taken out of the offline joules, since the online lane bills it
+// when an interval closes. reHomed is the remote memory the lane re-homed.
+func priceCrash(t *testing.T, posture consolidation.FleetPlan, usedCPU float64, crash chaos.Fault, at, horizon int64) (online, offline crashPrice, reHomed float64) {
+	t.Helper()
+	machine := energy.HPProfile()
+	plan := &chaos.Plan{Name: "one-crash", HorizonSec: horizon, Faults: []chaos.Fault{crash}}
+
+	// Online: strike the posture the loop holds. An active victim is
+	// replaced through ensureActive, which re-plans against the planner and
+	// the fleet size.
+	l := &lane{
+		walk: &walk{
+			cfg:     &Config{Machine: machine, ServerSpec: consolidation.DefaultServerSpec()},
+			prices:  machine.Prices(),
+			total:   posture.TotalHosts(),
+			usedCPU: usedCPU,
+			chaos:   newChaosRun(plan),
+		},
+		planner: fixedPlan{posture},
+		posture: posture,
+	}
+	if err := l.chaosCrash(at, crash, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := &trace.Trace{Name: "one-task", Machines: posture.TotalHosts(), HorizonSec: horizon, Tasks: []trace.Task{
+		{ID: 1, EndSec: horizon, BookedCPU: 1, BookedMemGiB: 1, UsedCPU: 0.5, UsedMemGiB: 0.5},
+	}}
+	res, err := dcsim.Run(dcsim.Config{
+		Trace: tr, Policy: fixedPlan{posture}, Machine: machine,
+		ServerSpec: consolidation.DefaultServerSpec(), ConsolidationPeriodSec: horizon, Chaos: plan,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedged := plan.CrashedServerSeconds(0, horizon) * machine.PowerFraction(acpi.S0, 0) * machine.MaxPowerWatts
+	return crashPrice{l.res.EnergyJoules, l.res.StateTransitions},
+		crashPrice{res.ChaosJoules - wedged, res.StateTransitions}, l.res.ReHomedGiB
+}
+
 // TestCrashPricedAlikeOnlineAndOffline prices one count-1 crash of every
 // role on a ZombieStack, an Oasis and a Neat posture through the online loop
 // and through dcsim's epoch bill. Both strike in dcsim.StrikeOrder and bill
@@ -370,79 +421,61 @@ func (p fixedPlan) PlanDemand(consolidation.Demand, consolidation.ServerSpec, in
 // nothing.
 func TestCrashPricedAlikeOnlineAndOffline(t *testing.T) {
 	const horizon, at = 300, 100
-	machine := energy.HPProfile()
 	postures := []consolidation.FleetPlan{
 		{Policy: "zombiestack", ActiveHosts: 5, ZombieHosts: 2, SleepHosts: 3, ActiveCPUUtilization: 0.4, RemoteMemoryGiB: 12},
 		{Policy: "oasis", ActiveHosts: 5, MemoryServers: 2, SleepHosts: 3, ActiveCPUUtilization: 0.4, RemoteMemoryGiB: 12},
 		{Policy: "neat", ActiveHosts: 5, SleepHosts: 3, ActiveCPUUtilization: 0.4},
 	}
+	// The books hold the postures' utilization: 0.4 of 5 hosts of 8 cores.
+	const usedCPU = 16
 	// The bill of one crash per posture, in postures' order.
-	type price struct {
-		joules      float64
-		transitions int
-	}
-	wake, none := price{250.560, 1}, price{0, 0}
+	wake, none := crashPrice{250.560, 1}, crashPrice{0, 0}
 	cases := []struct {
 		role chaos.CrashRole
-		want [3]price
+		want [3]crashPrice
 	}{
-		{chaos.RoleAny, [3]price{wake, wake, wake}},
-		{chaos.RoleActive, [3]price{wake, wake, wake}},
-		{chaos.RoleServing, [3]price{{517.247, 2}, {329.327, 1}, wake}},
-		{chaos.RoleSleep, [3]price{none, none, none}},
+		{chaos.RoleAny, [3]crashPrice{wake, wake, wake}},
+		{chaos.RoleActive, [3]crashPrice{wake, wake, wake}},
+		{chaos.RoleServing, [3]crashPrice{{517.247, 2}, {329.327, 1}, wake}},
+		{chaos.RoleSleep, [3]crashPrice{none, none, none}},
 	}
 	for _, tc := range cases {
 		for i, posture := range postures {
 			t.Run(posture.Policy+"/"+tc.role.String(), func(t *testing.T) {
 				crash := chaos.Fault{Kind: chaos.ServerCrash, AtSec: at, DurationSec: 10 * horizon, Count: 1, Role: tc.role}
-				plan := &chaos.Plan{Name: "one-crash", HorizonSec: horizon, Faults: []chaos.Fault{crash}}
-
-				// Online: strike the posture the loop holds. An active victim
-				// is replaced through ensureActive, which re-plans against
-				// the planner and the fleet size.
-				l := &lane{
-					walk: &walk{
-						cfg:    &Config{Machine: machine, ServerSpec: consolidation.DefaultServerSpec()},
-						prices: machine.Prices(),
-						total:  posture.TotalHosts(),
-						chaos:  newChaosRun(plan),
-					},
-					planner: fixedPlan{posture},
-					posture: posture,
-				}
-				if err := l.chaosCrash(at, crash, 0); err != nil {
-					t.Fatal(err)
-				}
-				online, onlineT := l.res.EnergyJoules, l.res.StateTransitions
-
-				// Offline: one epoch whose plan is the same posture.
-				// Transition costs are off, so the epoch's transitions and
-				// chaos joules are the fault's; the crashed server's wedged
-				// S0 burn is taken out of the joules.
-				tr := &trace.Trace{Name: "one-task", Machines: posture.TotalHosts(), HorizonSec: horizon, Tasks: []trace.Task{
-					{ID: 1, EndSec: horizon, BookedCPU: 1, BookedMemGiB: 1, UsedCPU: 0.5, UsedMemGiB: 0.5},
-				}}
-				res, err := dcsim.Run(dcsim.Config{
-					Trace: tr, Policy: fixedPlan{posture}, Machine: machine,
-					ServerSpec: consolidation.DefaultServerSpec(), ConsolidationPeriodSec: horizon, Chaos: plan,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				offline := res.ChaosJoules - plan.CrashedServerSeconds(0, horizon)*machine.PowerFraction(acpi.S0, 0)*machine.MaxPowerWatts
-
+				online, offline, _ := priceCrash(t, posture, usedCPU, crash, at, horizon)
 				want := tc.want[i]
-				if res.StateTransitions != onlineT || onlineT != want.transitions {
-					t.Errorf("transitions: offline %d, online %d, want %d each", res.StateTransitions, onlineT, want.transitions)
+				if offline.transitions != online.transitions || online.transitions != want.transitions {
+					t.Errorf("transitions: offline %d, online %d, want %d each", offline.transitions, online.transitions, want.transitions)
 				}
-				if math.Abs(offline-online) > 1e-9*online {
-					t.Errorf("crash bill: offline %.3f J, online %.3f J", offline, online)
+				if math.Abs(offline.joules-online.joules) > 1e-9*online.joules {
+					t.Errorf("crash bill: offline %.3f J, online %.3f J", offline.joules, online.joules)
 				}
-				if math.Abs(online-want.joules) > 5e-4 {
-					t.Errorf("crash bill: online %.3f J, want %.3f J", online, want.joules)
+				if math.Abs(online.joules-want.joules) > 5e-4 {
+					t.Errorf("crash bill: online %.3f J, want %.3f J", online.joules, want.joules)
 				}
 			})
 		}
+	}
+}
+
+// TestCrashReHomesAtEntryUtilization: a crash that strikes the only active
+// host and then a zombie re-homes the zombie's share at the utilization the
+// fleet ran at when the crash struck, as the offline bill does, not at the
+// struck posture's, which has no active host left.
+func TestCrashReHomesAtEntryUtilization(t *testing.T) {
+	const horizon, at = 300, 100
+	posture := consolidation.FleetPlan{Policy: "zombiestack", ActiveHosts: 1, ZombieHosts: 2, SleepHosts: 3, ActiveCPUUtilization: 0.5, RemoteMemoryGiB: 12}
+	crash := chaos.Fault{Kind: chaos.ServerCrash, AtSec: at, DurationSec: 10 * horizon, Count: 2, Role: chaos.RoleAny}
+	online, offline, reHomed := priceCrash(t, posture, 4, crash, at, horizon) // 0.5 of 1 host of 8 cores
+	if reHomed != 6 {
+		t.Fatalf("re-homed %v GiB, want one zombie's 6 GiB", reHomed)
+	}
+	if offline.transitions != online.transitions || online.transitions != 3 {
+		t.Errorf("transitions: offline %d, online %d, want 3 each", offline.transitions, online.transitions)
+	}
+	if math.Abs(offline.joules-online.joules) > 1e-9*online.joules {
+		t.Errorf("crash bill: offline %.3f J, online %.3f J", offline.joules, online.joules)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package autopilot is the online autonomic control plane: a deterministic
 // discrete-event loop that walks a trace's arrivals and departures in causal
-// order (trace.Stream's), admits and places each task at its arrival
-// instant, and on a configurable tick re-plans consolidation incrementally —
+// order (trace.Stream's, merged from its replay index's arrival and departure
+// orders), admits and places each task at its arrival instant, and on a
+// configurable tick re-plans consolidation incrementally —
 // the adopted posture is diffed into suspend/zombie/wake events via
 // consolidation.Delta — under a pluggable online policy: reactive threshold,
 // hysteresis watermarks, or predictive EWMA forecasting, each with fixed

@@ -10,12 +10,12 @@ package dcsim
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/consolidation"
 	"repro/internal/energy"
 	"repro/internal/exact"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
@@ -158,41 +158,22 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	}
 
 	res := &SweepResult{Runs: make([]Result, ncells)}
-	work := make(chan *group)
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(groups)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range work {
-				for j, run := range walk(g.cfgs, g.grid) {
-					res.Runs[g.cells[j]] = run
-				}
-			}
-		}()
-	}
-	for i := range groups {
-		work <- &groups[i]
-	}
-	close(work)
-	wg.Wait()
+	pool.Run(len(groups), workers, func(i int) {
+		g := &groups[i]
+		for j, run := range walk(g.cfgs, g.grid) {
+			res.Runs[g.cells[j]] = run
+		}
+	})
 	return res, nil
 }
 
 // Saving returns the energy saving of one grid cell. When the sweep ran the
-// transition-cost axis both ways, the steady-state (costs off) run wins — use
-// SavingCosted for the other branch; a sweep that ran with transition costs
-// only returns its costed cell.
+// transition-cost axis both ways, the steady-state (costs off) run wins; a
+// sweep that ran with transition costs only returns its costed cell.
 func (r *SweepResult) Saving(traceName, machine, policy string, periodSec int64) (float64, bool) {
 	if s, ok := r.savingWhere(traceName, machine, policy, periodSec, false); ok {
 		return s, true
 	}
-	return r.savingWhere(traceName, machine, policy, periodSec, true)
-}
-
-// SavingCosted returns the energy saving of one grid cell simulated with
-// transition costs enabled.
-func (r *SweepResult) SavingCosted(traceName, machine, policy string, periodSec int64) (float64, bool) {
 	return r.savingWhere(traceName, machine, policy, periodSec, true)
 }
 

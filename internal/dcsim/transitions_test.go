@@ -2,6 +2,7 @@ package dcsim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/consolidation"
@@ -186,11 +187,14 @@ func TestSweepTransitionAxis(t *testing.T) {
 	if len(res.Runs) != wantRuns {
 		t.Fatalf("runs = %d, want %d", len(res.Runs), wantRuns)
 	}
-	steady, ok1 := res.Saving("google-like", "HP", "zombiestack", 300)
-	costed, ok2 := res.SavingCosted("google-like", "HP", "zombiestack", 300)
-	if !ok1 || !ok2 {
+	steady, ok := res.Saving("google-like", "HP", "zombiestack", 300)
+	i := slices.IndexFunc(res.Runs, func(r Result) bool {
+		return r.Trace == "google-like" && r.Machine == "HP" && r.Policy == "zombiestack" && r.PeriodSec == 300 && r.TransitionCosts
+	})
+	if !ok || i < 0 {
 		t.Fatal("missing grid cells for the transition axis")
 	}
+	costed := res.Runs[i].SavingPercent
 	if costed >= steady {
 		t.Errorf("costed saving %.4f%% not below steady %.4f%%", costed, steady)
 	}

@@ -274,12 +274,3 @@ func ServerSupplyTrend() []TrendPoint {
 		{2013, 0.33},
 	}
 }
-
-// TrendGrowthFactor returns last/first ratio of a trend, a convenience for
-// tests and the motivation tooling ("memory demand grew ~2x faster than CPU").
-func TrendGrowthFactor(trend []TrendPoint) float64 {
-	if len(trend) < 2 || trend[0].Ratio == 0 {
-		return 0
-	}
-	return trend[len(trend)-1].Ratio / trend[0].Ratio
-}

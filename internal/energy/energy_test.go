@@ -8,6 +8,15 @@ import (
 	"repro/internal/acpi"
 )
 
+// TrendGrowthFactor returns the last/first ratio of a trend ("memory demand
+// grew ~2x faster than CPU"), or 0 for fewer than two points.
+func TrendGrowthFactor(trend []TrendPoint) float64 {
+	if len(trend) < 2 || trend[0].Ratio == 0 {
+		return 0
+	}
+	return trend[len(trend)-1].Ratio / trend[0].Ratio
+}
+
 func TestProfilesValidate(t *testing.T) {
 	for _, p := range Profiles() {
 		if err := p.Validate(); err != nil {

@@ -21,7 +21,8 @@ type Config struct {
 	Rack core.Config
 	// Workers is the worker-pool size used by the batched placement and
 	// workload execution paths. 0 or 1 processes the rack shards
-	// sequentially; any value yields bit-identical results (asserted by
+	// sequentially; every shard touches only its own rack (plus pre-reserved
+	// borrow pools), so any value yields bit-identical results (asserted by
 	// TestFleetParallelMatchesSequential).
 	Workers int
 }
@@ -342,41 +343,4 @@ func (f *Fleet) DestroyVM(vmID string) error {
 	f.setVMRackLocked(vmID, -1)
 	f.mu.Unlock()
 	return nil
-}
-
-// runRackShards feeds the rack indices [0,n) through the worker pool. With
-// Workers <= 1 the single worker consumes the shards in rack order — exactly
-// the sequential loop — and with more workers the shards run concurrently;
-// either way every shard touches only its own rack (plus pre-reserved
-// borrow pools), so results are identical.
-func (f *Fleet) runRackShards(n int, run func(rack int)) {
-	workers := f.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				run(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }

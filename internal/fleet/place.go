@@ -7,6 +7,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/memctl"
 	"repro/internal/placement"
+	"repro/internal/pool"
 	"repro/internal/vm"
 )
 
@@ -106,7 +107,7 @@ func (f *Fleet) PlaceVMs(specs []vm.VM, opts core.CreateVMOptions) ([]Placement,
 	for i := range rackIdx {
 		rackIdx[i] = -1
 	}
-	f.runRackShards(len(f.racks), func(ri int) {
+	pool.Run(len(f.racks), f.cfg.Workers, func(ri int) {
 		rack := f.racks[ri]
 		for _, si := range plans[ri].specIdx {
 			guest, err := rack.CreateVM(specs[si], shardOpts)

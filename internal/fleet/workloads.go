@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hypervisor"
 	"repro/internal/memplane"
+	"repro/internal/pool"
 	"repro/internal/workload"
 )
 
@@ -65,7 +66,7 @@ func (f *Fleet) RunWorkloads(reqs []WorkloadRequest) []WorkloadResult {
 	}
 	f.mu.Unlock()
 
-	f.runRackShards(len(f.racks), func(ri int) {
+	pool.Run(len(f.racks), f.cfg.Workers, func(ri int) {
 		rack := f.racks[ri]
 		for _, i := range byRack[ri] {
 			req := reqs[i]

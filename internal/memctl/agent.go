@@ -144,17 +144,6 @@ func (a *Agent) freeMemoryLocked() int64 {
 	return a.totalMem - a.reservedMem - a.servedBytes
 }
 
-// SetReservedMemory updates the memory pinned for local consumption.
-func (a *Agent) SetReservedMemory(bytes int64) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if bytes < 0 || bytes > a.totalMem {
-		return fmt.Errorf("memctl: reserved memory %d outside [0,%d]", bytes, a.totalMem)
-	}
-	a.reservedMem = bytes
-	return nil
-}
-
 // ServedBuffers returns the number of buffers this server is lending.
 func (a *Agent) ServedBuffers() int {
 	a.mu.Lock()

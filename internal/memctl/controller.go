@@ -199,20 +199,6 @@ func (g *GlobalController) AttachCallbacks(id ServerID, agent ReclaimNotifier, p
 	return nil
 }
 
-// UnregisterServer removes a server and every buffer it serves. Buffers in
-// use by other servers are reclaimed first (their agents are notified).
-func (g *GlobalController) UnregisterServer(id ServerID) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.servers[id]; !ok {
-		return ErrUnknownServer
-	}
-	served := g.db.where(func(b *Buffer) bool { return b.Host == id })
-	g.notifyUsersLocked(served)
-	g.applyLocked(Operation{Kind: "unregister", Server: id, IDs: bufferIDs(served)})
-	return nil
-}
-
 // Role returns the controller's view of a server's role.
 func (g *GlobalController) Role(id ServerID) (ServerRole, error) {
 	g.mu.Lock()
@@ -302,9 +288,6 @@ func (g *GlobalController) applyLocked(op Operation) {
 	switch op.Kind {
 	case "register":
 		g.servers[op.Server] = &serverRecord{id: op.Server, role: RoleActive, totalMem: op.Bytes}
-	case "unregister":
-		g.db.remove(op.IDs)
-		delete(g.servers, op.Server)
 	case "goto_zombie":
 		// Any buffer the host was already serving as an active server becomes
 		// a zombie buffer (higher allocation priority).

@@ -520,31 +520,6 @@ func TestMirroringAndFailover(t *testing.T) {
 	}
 }
 
-func TestUnregisterServerReclaimsBuffers(t *testing.T) {
-	r := newTestRack(t, "user", "zombie")
-	if _, err := r.agents["zombie"].DelegateAndGoZombie(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.agents["user"].RequestExt(3 * testBufSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ctr.UnregisterServer("zombie"); err != nil {
-		t.Fatal(err)
-	}
-	if r.agents["user"].ReclaimsSeen() == 0 {
-		t.Error("user should be notified when the serving host disappears")
-	}
-	if r.ctr.FreeMemory() != 0 {
-		t.Error("no free memory should remain after the only zombie left")
-	}
-	if err := r.ctr.UnregisterServer("zombie"); !errors.Is(err, ErrUnknownServer) {
-		t.Error("double unregister should fail")
-	}
-	if err := r.ctr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAgentConfigValidation(t *testing.T) {
 	ctr := NewGlobalController()
 	if _, err := NewAgent(AgentConfig{ID: "x", Controller: nil, TotalMem: 1}); err == nil {
@@ -562,15 +537,6 @@ func TestAgentConfigValidation(t *testing.T) {
 	}
 	if a.FreeMemory() != 90 {
 		t.Errorf("free memory = %d, want 90", a.FreeMemory())
-	}
-	if err := a.SetReservedMemory(200); err == nil {
-		t.Error("oversized reservation should be rejected")
-	}
-	if err := a.SetReservedMemory(50); err != nil {
-		t.Fatal(err)
-	}
-	if a.FreeMemory() != 50 {
-		t.Errorf("free memory after reservation change = %d, want 50", a.FreeMemory())
 	}
 }
 

@@ -108,7 +108,7 @@ func (s *SecondaryController) Rebuild(opts ...Option) *GlobalController {
 	defer g.mu.Unlock()
 	for _, op := range ops {
 		switch op.Kind {
-		case "register", "unregister", "goto_zombie", "delegate_active", "reclaim":
+		case "register", "goto_zombie", "delegate_active", "reclaim":
 			g.applyLocked(op)
 		}
 	}

@@ -182,13 +182,6 @@ func (d *Device) InterRack() bool {
 	return d.interRack
 }
 
-// DetachDevice removes a device from the fabric (host removed from rack).
-func (f *Fabric) DetachDevice(name string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.devices, name)
-}
-
 func (f *Fabric) allocKey() uint32 {
 	f.nextKey++
 	return f.nextKey

@@ -13,13 +13,13 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/autopilot"
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/energy"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
@@ -61,23 +61,6 @@ type MatrixConfig struct {
 	// Workers bounds how many of a row's simulations run concurrently; 1 by
 	// default. Any value produces the identical matrix.
 	Workers int
-}
-
-// DefaultMatrixConfig crosses all five families (a small, fast envelope)
-// with the full policy roster under light chaos — the golden-artifact grid.
-func DefaultMatrixConfig() (MatrixConfig, error) {
-	packs, err := FamilyPacks(trace.FamilyParams{
-		Machines: 40, HorizonSec: 4 * 3600, Tasks: 300, Seed: 42,
-	})
-	if err != nil {
-		return MatrixConfig{}, err
-	}
-	return MatrixConfig{
-		Packs:         packs,
-		Policies:      []string{"reactive", "hysteresis", "ewma"},
-		ChaosScenario: "light",
-		ChaosSeed:     42,
-	}, nil
 }
 
 // validate rejects an empty or inconsistent grid upfront.
@@ -194,24 +177,8 @@ func Run(cfg MatrixConfig) (*Matrix, error) {
 // runPool runs the jobs on at most workers goroutines and returns the first
 // failure in job order.
 func runPool(jobs []func() error, workers int) error {
-	workers = max(1, min(workers, len(jobs)))
 	errs := make([]error, len(jobs))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				errs[i] = jobs[i]()
-			}
-		}()
-	}
-	for i := range jobs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	pool.Run(len(jobs), workers, func(i int) { errs[i] = jobs[i]() })
 	for _, err := range errs {
 		if err != nil {
 			return err

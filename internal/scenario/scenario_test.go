@@ -13,6 +13,23 @@ import (
 	"repro/internal/trace"
 )
 
+// DefaultMatrixConfig crosses all five families (a small, fast envelope)
+// with the full policy roster under light chaos — the golden-artifact grid.
+func DefaultMatrixConfig() (MatrixConfig, error) {
+	packs, err := FamilyPacks(trace.FamilyParams{
+		Machines: 40, HorizonSec: 4 * 3600, Tasks: 300, Seed: 42,
+	})
+	if err != nil {
+		return MatrixConfig{}, err
+	}
+	return MatrixConfig{
+		Packs:         packs,
+		Policies:      []string{"reactive", "hysteresis", "ewma"},
+		ChaosScenario: "light",
+		ChaosSeed:     42,
+	}, nil
+}
+
 // smallConfig returns a fast two-pack, two-policy grid.
 func smallConfig(t *testing.T) MatrixConfig {
 	t.Helper()

@@ -5,15 +5,13 @@ import (
 	"slices"
 )
 
-// The streaming arrival feed: the offline simulator replays a trace by
-// materializing each epoch's whole VM population, which is exactly the oracle
-// knowledge an online control plane must not have. Stream instead yields one
-// event at a time — a task arriving or departing — in causal order, so a
-// consumer only ever sees the past. The stream sorts two index permutations
-// of the tasks once, one by start and one by end (no Task copies), and walks
-// a cursor over each; memory beyond the trace itself is those two int32
-// permutations, whatever the number of tasks running. A Restart cursor shares
-// the permutations, so a feed read by several consumers is sorted once.
+// The event-order reference: Stream yields a trace's events one at a time —
+// a task arriving or departing — in causal order. No simulator walks it: the
+// online loop (internal/autopilot) merges its replay index's ArrivalOrder and
+// DepartureOrder itself. Stream is what the order fuzzers hold those orders
+// and that merge to, and what the benchmark's trace probe times. It sorts two
+// index permutations of the tasks once, one by start and one by end (no Task
+// copies), and walks a cursor over each.
 
 // EventKind distinguishes the two stream events.
 type EventKind uint8
@@ -213,12 +211,6 @@ func radixSort(order, scratch []int32, keys []uint32, tie func(a, b int32) int) 
 		}
 		slices.SortFunc(order[i:j], tie)
 	}
-}
-
-// Restart returns a new cursor at the start of the same feed. It shares the
-// sorted permutations read-only, so cursors may be walked concurrently.
-func (s *Stream) Restart() *Stream {
-	return &Stream{tasks: s.tasks, byStart: s.byStart, byEnd: s.byEnd}
 }
 
 // Next returns the next event in time order, or ok=false when the stream is

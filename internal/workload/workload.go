@@ -206,16 +206,3 @@ func (s *Stream) zipfHot() int {
 	u := s.rng.Float64()
 	return int(u * u * float64(s.hotSize))
 }
-
-// Collect materialises the whole stream (useful for benchmarks that want to
-// replay an identical sequence against several configurations).
-func (s *Stream) Collect() []Access {
-	out := make([]Access, 0, s.Remaining())
-	for {
-		a, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, a)
-	}
-}

@@ -9,6 +9,18 @@ import (
 	"repro/internal/vm"
 )
 
+// Collect materialises the whole stream, so a test can compare replays.
+func (s *Stream) Collect() []Access {
+	out := make([]Access, 0, s.Remaining())
+	for {
+		a, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, a)
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	for _, k := range AllKinds() {
 		if k.String() == "" {
