@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/acpi"
+	"repro/internal/memplane"
 	"repro/internal/pagepolicy"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -197,6 +198,52 @@ func TestCreateVMWithRemoteMemory(t *testing.T) {
 	}
 	if r.FreeRemoteMemory() <= freeBefore {
 		t.Error("destroying the VM should free remote memory")
+	}
+}
+
+// TestRackResidentBytesCoversEachPageOnce: a data-plane page lives either in
+// its host's local arena or in a region lent on the fabric, never in both, so
+// the rack's resident count covers every written page exactly once.
+func TestRackResidentBytesCoversEachPageOnce(t *testing.T) {
+	r := testRack(t, 3)
+	if err := r.PushToZombie("server-02"); err != nil {
+		t.Fatal(err)
+	}
+	g, err := r.CreateVM(vm.New("big", 3<<29, 1<<30), CreateVMOptions{SimPages: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := r.MemplaneOf("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := r.ResidentBytes()
+	ps := memplane.DefaultPageSize
+	pages := int64(g.Paging.Pages())
+	local := int64(g.Paging.LocalFrames())
+	src := make([]byte, pages*ps)
+	for i := range src {
+		src[i] = byte(i/int(ps)) + 1
+	}
+	if _, _, err := p.Write(0, src); err != nil {
+		t.Fatal(err)
+	}
+	remote := pages - local
+	if local == 0 || remote == 0 {
+		t.Fatalf("want both local and remote pages, got %d local of %d", local, pages)
+	}
+	grew := r.ResidentBytes() - base
+	arena, lent := p.ResidentBytes(), r.Fabric().ResidentBytes()-base
+	if grew != arena+lent {
+		t.Fatalf("rack grew by %d B, want the arena's %d + the lent regions' %d", grew, arena, lent)
+	}
+	if arena < local*ps || lent < remote*ps {
+		t.Fatalf("arena %d B for %d local pages, regions %d B for %d remote pages", arena, local, lent, remote)
+	}
+	// A second copy of the remote pages would add remote*ps; the chunk
+	// rounding of the stores stays well under that.
+	if once := pages * ps; grew >= once+remote*ps {
+		t.Fatalf("rack grew by %d B for %d written bytes: remote pages counted twice", grew, once)
 	}
 }
 

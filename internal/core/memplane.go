@@ -78,10 +78,10 @@ func (r *Rack) dataPlanes() []*memplane.Plane {
 
 // ResidentBytes returns the host memory the rack's simulated DRAM occupies:
 // the materialised part of every region lent on the fabric plus that of every
-// live data plane's local arena and mirror. The gateway evaluates it on every
-// scrape and session report, so it allocates nothing; and it never holds the
-// rack lock while taking a plane's, so a plane busy with a long op never
-// stalls the rest of the rack.
+// live data plane's local arena, so each written page counts once. The
+// gateway evaluates it on every scrape and session report, so it allocates
+// nothing; and it never holds the rack lock while taking a plane's, so a
+// plane busy with a long op never stalls the rest of the rack.
 func (r *Rack) ResidentBytes() int64 {
 	total := r.fabric.ResidentBytes()
 	for i := 0; ; i++ {

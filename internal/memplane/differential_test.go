@@ -141,8 +141,9 @@ func runDifferential(t *testing.T, plan *chaos.Plan, crashAt int) {
 		t.Fatalf("alloc stats diverged:\n real   %+v\n ledger %+v", ar, al)
 	}
 
-	// The byte-moving plane must agree with the shadow everywhere that is
-	// still reachable (re-home the victim first if it is still down).
+	// Both planes must agree with the shadow everywhere that is still
+	// reachable (re-home the victim first if it is still down): the ledger
+	// transport prices its own hops but moves the same bytes.
 	if crashAt >= 0 && rehomeAt >= nOps {
 		if _, err := real.plane.Rehome(victim); err != nil {
 			t.Fatal(err)
@@ -152,23 +153,28 @@ func runDifferential(t *testing.T, plan *chaos.Plan, crashAt int) {
 		}
 	}
 	got := make([]byte, DefaultPageSize)
-	for base := int64(0); base < span; base += DefaultPageSize {
-		if _, _, err := real.plane.Read(base, got); err != nil {
-			t.Fatalf("verify read at %d: %v", base, err)
-		}
-		for j := int64(0); j < DefaultPageSize; j++ {
-			addr := base + j
-			want := byte(0)
-			if written[addr] {
-				want = shadow[addr]
+	for _, h := range []struct {
+		name string
+		*diffHarness
+	}{{"real", real}, {"ledger", ledger}} {
+		for base := int64(0); base < span; base += DefaultPageSize {
+			if _, _, err := h.plane.Read(base, got); err != nil {
+				t.Fatalf("%s: verify read at %d: %v", h.name, base, err)
 			}
-			if got[j] != want {
-				t.Fatalf("byte %d = %#x, want %#x (written=%v)", addr, got[j], want, written[addr])
+			for j := int64(0); j < DefaultPageSize; j++ {
+				addr := base + j
+				want := byte(0)
+				if written[addr] {
+					want = shadow[addr]
+				}
+				if got[j] != want {
+					t.Fatalf("%s: byte %d = %#x, want %#x (written=%v)", h.name, addr, got[j], want, written[addr])
+				}
 			}
 		}
-	}
-	if err := real.plane.Table().CheckInvariants(); err != nil {
-		t.Fatal(err)
+		if err := h.plane.Table().CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", h.name, err)
+		}
 	}
 }
 

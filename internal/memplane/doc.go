@@ -10,15 +10,16 @@
 // PageTable that translates its pages to frames and enforces the no-aliasing
 // invariant; the allocator fills the local arena first and then overflows to
 // remote grants, carving seeded buffers only past Config.SeedOffset (the rows
-// the VM's RAM Ext pages into). Pages stay mapped until Close. Every remote
-// write is journalled into the plane's mirror, a third pagestore.Store the
-// size of the address space, which is what Rehome replays.
+// the VM's RAM Ext pages into). Pages stay mapped until Close. A remote page
+// has one copy, in its granted region; the paper's asynchronous local mirror
+// is modelled as a count (Stats.MirrorWrites), as memctl models it, and
+// Rehome replays it by reading each page back from the frame it leaves.
 //
 // The remote path runs behind a Transport: InProcessTransport issues real
 // one-sided RDMA verbs against the granted regions, TCPTransport forwards
 // the same operations over a loopback socket to a TCPServer fronting the
-// handles, and LedgerTransport reproduces only the cost arithmetic of the
-// simulator. All three charge identical nanoseconds for identical op
+// handles, and LedgerTransport moves the bytes as InProcessTransport does but
+// prices them with the simulator's cost arithmetic alone. All three charge identical nanoseconds for identical op
 // sequences — the differential tests pin this — so the simulator's claims
 // and the byte-moving plane can be cross-checked bit for bit.
 //
@@ -26,5 +27,5 @@
 // crashed serving host makes operations fail with ErrRemoteTimeout (reads
 // come back short), FabricDegrade windows from a chaos plan multiply remote
 // charges, and Rehome migrates the pages of a dead host onto freshly granted
-// frames by replaying the local mirror — live bytes, not just entries.
+// frames — live bytes, not just entries.
 package memplane

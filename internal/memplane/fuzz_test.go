@@ -13,7 +13,7 @@ import (
 // properties the data plane stands on: no frame ever backs two pages (each
 // table's CheckInvariants after every step) and every page of both VMs reads
 // back its last write (byte-exact shadows, swept after every step), including
-// after a serving zombie crashes and its pages are re-homed from the mirror.
+// after a serving zombie crashes and its pages are re-homed off its frames.
 // A remote frame granted to both planes would show up as the other VM's
 // bytes in a sweep.
 //

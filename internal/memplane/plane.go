@@ -8,7 +8,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/memctl"
 	"repro/internal/obs"
-	"repro/internal/pagestore"
 	"repro/internal/rdma"
 )
 
@@ -37,7 +36,7 @@ type Config struct {
 	// LocalBytes sizes the local arena backing the fast path; allocations
 	// overflow to remote grants once it is full.
 	LocalBytes int64
-	// AddressBytes bounds the VM-visible address space and sizes the mirror.
+	// AddressBytes bounds the VM-visible address space.
 	AddressBytes int64
 
 	// Agent is the growth path: overflow allocations request buffers through
@@ -96,7 +95,7 @@ type Stats struct {
 	Timeouts   uint64
 	ShortReads uint64
 	TimeoutNs  int64
-	// MirrorWrites counts local-mirror patches (crash recovery journal).
+	// MirrorWrites counts remote writes journalled to the local mirror.
 	MirrorWrites uint64
 	// Re-homing traffic after a crash.
 	RehomedPages uint64
@@ -115,10 +114,6 @@ type Plane struct {
 	table *PageTable
 	alloc *allocator
 
-	// mirror keeps a local copy of every remotely-written page (the paper's
-	// asynchronous local-storage mirror) at the page's own address, which is
-	// what re-homing replays. Pages never written remotely read as zeros.
-	mirror *pagestore.Store
 	// page is Rehome's reusable one-page buffer.
 	page []byte
 
@@ -159,7 +154,6 @@ func New(cfg Config) (*Plane, error) {
 		cfg:     cfg,
 		table:   newPageTable(cfg.VM),
 		alloc:   newAllocator(cfg.LocalBytes, cfg.Agent, cfg.Buffers, cfg.SeedOffset),
-		mirror:  pagestore.New(cfg.AddressBytes),
 		crashed: make(map[memctl.ServerID]bool),
 		obs:     newPlaneObs(cfg.Obs),
 	}, nil
@@ -185,12 +179,12 @@ func (p *Plane) AllocStats() AllocStats {
 	return p.alloc.stats
 }
 
-// ResidentBytes returns the host memory materialised under the local arena
-// and the mirror.
+// ResidentBytes returns the host memory materialised under the local arena.
+// Remote pages live in the granted rdma regions, which the fabric counts.
 func (p *Plane) ResidentBytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.alloc.arena.Resident() + p.mirror.Resident()
+	return p.alloc.arena.Resident()
 }
 
 // CrashHost marks a serving host crashed: every remote operation against its
@@ -265,8 +259,8 @@ func (p *Plane) run(addr int64, n int, op func(page, off int64, span []byte) (in
 	if p.closed {
 		return 0, 0, ErrClosed
 	}
-	if addr+int64(n) > p.cfg.AddressBytes {
-		return 0, 0, fmt.Errorf("%w: [%d,%d) exceeds %d", ErrBadAddress, addr, addr+int64(n), p.cfg.AddressBytes)
+	if int64(n) > p.cfg.AddressBytes-addr {
+		return 0, 0, fmt.Errorf("%w: %d bytes at %d exceed %d", ErrBadAddress, n, addr, p.cfg.AddressBytes)
 	}
 	if write {
 		p.stats.Writes++
@@ -308,21 +302,25 @@ func (p *Plane) account(n int, write bool) {
 	}
 }
 
-// pageWrite writes one span within a page, allocating its frame if missing.
+// pageWrite writes one span within a page, allocating its frame if missing;
+// a fresh frame on a crashed host goes back unmapped, so the page keeps
+// reading as zeros, not as the frame's stale bytes, after a revive or re-home.
 func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
 	frame, ok := p.table.frame(page)
-	fresh := false
-	if !ok {
+	fresh := !ok
+	if fresh {
 		var err error
-		frame, err = p.alloc.alloc()
-		if err != nil {
+		if frame, err = p.alloc.alloc(); err != nil {
 			return 0, err
+		}
+		if frame.Kind == FrameRemote && p.crashed[frame.Host] {
+			p.alloc.unalloc(frame)
+			return p.timeout(frame, "write")
 		}
 		if err := p.table.Map(page, frame); err != nil {
 			p.alloc.unalloc(frame)
 			return 0, err
 		}
-		fresh = true
 	}
 	if frame.Kind == FrameLocal {
 		if err := p.alloc.arena.WriteAt(src, frame.LocalOff+off); err != nil {
@@ -352,9 +350,6 @@ func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
 	p.stats.RemoteOps++
 	p.stats.RemoteNs += ns
 	p.stats.RemoteBytesWritten += uint64(len(payload))
-	if err := p.mirror.WriteAt(payload, page*DefaultPageSize+writeOff); err != nil {
-		return ns, fmt.Errorf("memplane: mirror of %s: %w", frame, err)
-	}
 	p.stats.MirrorWrites++
 	p.obs.observeHop(p.stats.ChargedNs+ns, frame.Host, "write", ns)
 	return ns, nil
@@ -393,13 +388,6 @@ func (p *Plane) pageRead(page, off int64, dst []byte) (int64, error) {
 	p.stats.RemoteNs += ns
 	p.stats.RemoteBytesRead += uint64(len(dst))
 	p.obs.observeHop(p.stats.ChargedNs+ns, frame.Host, "read", ns)
-	if !p.cfg.Transport.MovesBytes() {
-		// The ledger transport moved nothing; serve the bytes from the mirror
-		// so reads still return the last write.
-		if err := p.mirror.ReadAt(dst, page*DefaultPageSize+off); err != nil {
-			return ns, fmt.Errorf("memplane: mirror of %s: %w", frame, err)
-		}
-	}
 	return ns, nil
 }
 
@@ -421,10 +409,11 @@ type RehomeReport struct {
 }
 
 // Rehome migrates every page served by the given (crashed) host onto freshly
-// granted frames elsewhere, replaying the local mirror through the transport.
-// Pages are migrated in ascending order so the traffic is deterministic. The
-// crash mark on the host is left in place; after Rehome returns no live page
-// references it any more.
+// granted frames elsewhere, reading each back from the frame it leaves (the
+// model's local mirror replay, so uncharged) and writing it through the
+// transport. Pages are migrated in ascending order so the traffic is
+// deterministic. The crash mark on the host is left in place; after Rehome
+// returns no live page references it any more.
 func (p *Plane) Rehome(host memctl.ServerID) (RehomeReport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -436,17 +425,17 @@ func (p *Plane) Rehome(host memctl.ServerID) (RehomeReport, error) {
 	for other := range p.crashed {
 		avoid[other] = true
 	}
+	if p.page == nil {
+		p.page = make([]byte, DefaultPageSize)
+	}
 	for _, page := range p.table.PagesOn(host) {
+		old, _ := p.table.frame(page)
+		if _, err := p.cfg.Transport.ReadRemote(old, 0, p.page); err != nil {
+			return rep, fmt.Errorf("memplane: replaying page %d off %s: %w", page, old, err)
+		}
 		frame, err := p.alloc.allocRemote(avoid)
 		if err != nil {
 			return rep, err
-		}
-		if p.page == nil {
-			p.page = make([]byte, DefaultPageSize)
-		}
-		if err := p.mirror.ReadAt(p.page, page*DefaultPageSize); err != nil {
-			p.alloc.unalloc(frame)
-			return rep, fmt.Errorf("memplane: mirror of page %d: %w", page, err)
 		}
 		ns, err := p.cfg.Transport.WriteRemote(frame, 0, p.page)
 		if err != nil {
@@ -454,8 +443,7 @@ func (p *Plane) Rehome(host memctl.ServerID) (RehomeReport, error) {
 			return rep, err
 		}
 		ns = degrade(ns, p.fabricFactor())
-		old, err := p.table.Remap(page, frame)
-		if err != nil {
+		if _, err := p.table.Remap(page, frame); err != nil {
 			p.alloc.unalloc(frame)
 			return rep, err
 		}

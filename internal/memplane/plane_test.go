@@ -3,6 +3,7 @@ package memplane
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -144,10 +145,10 @@ func TestPlaneBytesTraverseZombieBuffer(t *testing.T) {
 	}
 }
 
-// TestResidentBytesCoversRemotePages: the mirror keeps a host copy of every
-// remotely-written page, so the plane's resident count covers those pages as
-// well as the local arena.
-func TestResidentBytesCoversRemotePages(t *testing.T) {
+// TestResidentBytesIsTheArena: a remote page's only copy lives in its rdma
+// region, which the fabric counts, so the plane's resident count is its local
+// arena's and nothing more.
+func TestResidentBytesIsTheArena(t *testing.T) {
 	names := []string{"user-00", "zombie-01"}
 	r := newRig(t, names, []string{"zombie-01"})
 	p, err := New(Config{VM: "vm", AddressBytes: testSpan, LocalBytes: DefaultPageSize, Agent: r.user(t, names)})
@@ -164,8 +165,11 @@ func TestResidentBytesCoversRemotePages(t *testing.T) {
 	if got := p.Table().PagesOn("zombie-01"); len(got) != pages-1 {
 		t.Fatalf("zombie hosts %d pages, want %d", len(got), pages-1)
 	}
-	if got, want := p.ResidentBytes(), int64(pages)*DefaultPageSize; got < want {
-		t.Fatalf("ResidentBytes() = %d after writing %d pages (%d remote), want >= %d", got, pages, pages-1, want)
+	if got, want := p.ResidentBytes(), p.alloc.arena.Resident(); got != want || got != DefaultPageSize {
+		t.Fatalf("ResidentBytes() = %d, want the arena's %d (one page)", got, want)
+	}
+	if got, want := r.fabric.ResidentBytes(), int64(pages-1)*DefaultPageSize; got < want {
+		t.Fatalf("fabric ResidentBytes() = %d after %d remote pages, want >= %d", got, pages-1, want)
 	}
 }
 
@@ -204,7 +208,7 @@ func TestPlaneSteadyStateRemoteOpsAllocateNothing(t *testing.T) {
 			}
 		}
 	}
-	pass(4 * pages) // pages 1..7 get their zombie frames and mirror entries
+	pass(4 * pages) // pages 1..7 get their zombie frames
 	var before, after runtime.MemStats
 	warm := p.Stats().RemoteOps
 	runtime.ReadMemStats(&before)
@@ -268,6 +272,55 @@ func TestPlaneCrashSurfacesTimeoutsAndShortReads(t *testing.T) {
 	}
 	if !bytes.Equal(dst, buf) {
 		t.Fatal("read-back after revive mismatch")
+	}
+}
+
+// TestPlaneFirstWriteOnCrashedHostMapsNothing: memctl re-grants a released
+// buffer without scrubbing it, so a page whose first write timed out must not
+// keep the frame it was handed, or a revive or a re-home would show it the
+// previous tenant's bytes.
+func TestPlaneFirstWriteOnCrashedHostMapsNothing(t *testing.T) {
+	names := []string{"user-00", "zombie-01", "zombie-02"}
+	r := newRig(t, names, names[1:])
+	victim := memctl.ServerID("zombie-01")
+	prev, err := New(Config{VM: "prev", AddressBytes: testSpan, Agent: r.user(t, names)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Repeat([]byte{0xAA}, int(4*DefaultPageSize))
+	if _, _, err := prev.Write(0, old); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(prev.Table().PagesOn(victim)); n != 4 {
+		t.Fatalf("previous tenant has %d pages on %s, want 4", n, victim)
+	}
+	if err := prev.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := New(Config{VM: "vm", AddressBytes: testSpan, Agent: r.user(t, names)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	zeros := make([]byte, DefaultPageSize)
+	got := make([]byte, DefaultPageSize)
+	for _, via := range []string{"revive", "rehome"} {
+		p.CrashHost(victim)
+		if _, _, err := p.Write(0, []byte{1}); !errors.Is(err, ErrRemoteTimeout) {
+			t.Fatalf("%s: first write on a crashed host: %v", via, err)
+		}
+		if n := p.Table().Len(); n != 0 {
+			t.Fatalf("%s: a timed-out first write mapped %d pages", via, n)
+		}
+		if via == "revive" {
+			p.ReviveHost(victim)
+		} else if rep, err := p.Rehome(victim); err != nil || rep.Pages != 0 {
+			t.Fatalf("rehome: %+v %v, want nothing to move", rep, err)
+		}
+		if _, _, err := p.Read(0, got); err != nil || !bytes.Equal(got, zeros) {
+			t.Fatalf("%s: never-written page reads % x…, err %v; want zeros", via, got[:4], err)
+		}
 	}
 }
 
@@ -342,6 +395,18 @@ func TestPlaneAddressBounds(t *testing.T) {
 	}
 	if _, _, err := p.Read(-1, buf); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("negative read: %v", err)
+	}
+	// addr+len wraps past MaxInt64: the bound must still reject it.
+	near := int64(math.MaxInt64 - 10)
+	big := make([]byte, 20)
+	if n, _, err := p.Write(near, big); !errors.Is(err, ErrBadAddress) || n != 0 {
+		t.Fatalf("wrapping write: n=%d err=%v", n, err)
+	}
+	if n, _, err := p.Read(near, big); !errors.Is(err, ErrBadAddress) || n != 0 {
+		t.Fatalf("wrapping read: n=%d err=%v", n, err)
+	}
+	if m := p.Table().Len(); m != 0 {
+		t.Fatalf("rejected ops mapped %d pages", m)
 	}
 }
 

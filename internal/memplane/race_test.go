@@ -17,9 +17,8 @@ import (
 // shadow comparison proves no write is lost across a migration.
 //
 // Ops are full-page so they are all-or-nothing: a write either lands entirely
-// (and is mirrored in the same critical section) or times out with zero bytes
-// moved, which is what lets every worker treat "last successful write" as the
-// page's exact expected content.
+// in its frame or times out with zero bytes moved, which is what lets every
+// worker treat "last successful write" as the page's exact expected content.
 func TestMemplaneUnderRace(t *testing.T) {
 	names := []string{"user-00", "zombie-01", "zombie-02", "zombie-03"}
 	zombies := []string{"zombie-01", "zombie-02", "zombie-03"}

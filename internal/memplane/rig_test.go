@@ -23,7 +23,7 @@ const (
 	rigBufSize  = int64(16 << 10) // 4 pages per buffer
 	rigTotalMem = int64(256 << 10)
 	// testSpan is the address space of a test plane: larger than any test
-	// touches, and free until written since the mirror is sparse.
+	// touches.
 	testSpan = 64 * DefaultPageSize
 )
 

@@ -252,6 +252,3 @@ func (t *TCPTransport) ReadRemote(f Frame, off int64, dst []byte) (int64, error)
 		Op: tcpOpRead, Buffer: uint64(f.Buffer), Offset: f.Offset + off, Length: uint32(len(dst)),
 	}, nil, dst)
 }
-
-// MovesBytes implements Transport.
-func (t *TCPTransport) MovesBytes() bool { return true }

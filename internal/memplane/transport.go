@@ -6,18 +6,16 @@ import (
 	"repro/internal/rdma"
 )
 
-// Transport moves bytes between the plane and a remote frame. The returned
-// latency is the fabric charge in nanoseconds, BEFORE any chaos degradation
-// (the plane applies the degradation factor itself so that every transport
-// prices faults identically).
+// Transport moves bytes between the plane and a remote frame, whose rdma
+// region holds the page's only copy. The returned latency is the fabric
+// charge in nanoseconds, BEFORE any chaos degradation (the plane applies the
+// degradation factor itself so that every transport prices faults
+// identically).
 type Transport interface {
 	// WriteRemote copies src into the frame at off.
 	WriteRemote(f Frame, off int64, src []byte) (int64, error)
 	// ReadRemote copies len(dst) bytes from the frame at off into dst.
 	ReadRemote(f Frame, off int64, dst []byte) (int64, error)
-	// MovesBytes reports whether the transport actually serves data; the
-	// ledger transport only does the cost arithmetic.
-	MovesBytes() bool
 }
 
 // InProcessTransport serves frames through the live memctl handles: every
@@ -42,26 +40,28 @@ func (InProcessTransport) ReadRemote(f Frame, off int64, dst []byte) (int64, err
 	return f.rb.ReadRemote(f.Offset+off, dst)
 }
 
-// MovesBytes implements Transport.
-func (InProcessTransport) MovesBytes() bool { return true }
-
-// LedgerTransport is the pure-accounting path the repo had before the data
-// plane existed: it charges exactly what the fabric would (TransferNs over
-// the one-sided base latency) but moves no bytes. The differential tests pin
-// the byte-moving transports bit-identical to it.
+// LedgerTransport moves bytes as InProcessTransport does but charges only the
+// simulator's cost arithmetic (TransferNs over the one-sided base latency),
+// never the verb's own price, so it stays an independent price oracle: the
+// differential tests pin the other transports' charges bit-identical to it.
 type LedgerTransport struct {
 	Model rdma.CostModel
 }
 
-// WriteRemote implements Transport by pricing the transfer only.
+// WriteRemote implements Transport: InProcessTransport's byte move, priced by
+// the ledger arithmetic.
 func (l LedgerTransport) WriteRemote(f Frame, off int64, src []byte) (int64, error) {
+	if _, err := (InProcessTransport{}).WriteRemote(f, off, src); err != nil {
+		return 0, err
+	}
 	return l.Model.TransferNs(l.Model.OneSidedLatencyNs, len(src)), nil
 }
 
-// ReadRemote implements Transport by pricing the transfer only.
+// ReadRemote implements Transport: InProcessTransport's byte move, priced by
+// the ledger arithmetic.
 func (l LedgerTransport) ReadRemote(f Frame, off int64, dst []byte) (int64, error) {
+	if _, err := (InProcessTransport{}).ReadRemote(f, off, dst); err != nil {
+		return 0, err
+	}
 	return l.Model.TransferNs(l.Model.OneSidedLatencyNs, len(dst)), nil
 }
-
-// MovesBytes implements Transport.
-func (LedgerTransport) MovesBytes() bool { return false }

@@ -5,15 +5,13 @@
 // and an operation on already-materialised chunks allocates nothing.
 //
 // It sits under rdma.MemoryRegion (the DRAM a zombie lends), under the
-// memplane local arena (a VM's local frames), under the memplane mirror (the
-// local copy of every remotely written page that re-homing replays) and under
-// swapdev.Store (the slots of a swap device or a latency-model paging store),
-// so lending a GiB costs the lender no heap until a borrower actually stores
-// bytes in it.
+// memplane local arena (a VM's local frames) and under swapdev.Store (the
+// slots of a swap device or a latency-model paging store), so lending a GiB
+// costs the lender no heap until a borrower actually stores bytes in it.
 //
 // A Store is not safe for concurrent use; its owners serialise access
-// (rdma under the fabric lock, memplane's arena and mirror under the plane
-// lock, swapdev under the store's own lock).
+// (rdma under the fabric lock, memplane's arena under the plane lock,
+// swapdev under the store's own lock).
 package pagestore
 
 import "errors"
